@@ -115,8 +115,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     oracle = build_oracle(
         norm, instrument=args.instrument, collect_edge_stats=args.edge_stats
     )
-    elapsed = time.perf_counter() - t0
+    build_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
     oracle.save(args.output)
+    save_s = time.perf_counter() - t0
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
             dump_json(oracle.trace(), fh)
@@ -125,7 +127,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"built {args.output}: {s.n_original} vertices, {s.ring_count} ring roots,"
         f" {s.node_count} nodes, {s.stored_entries} stored entries"
         f" ({s.record_entries} records), max level {s.max_level},"
-        f" {elapsed:.2f}s"
+        f" build {build_s:.2f}s, save {save_s:.2f}s"
     )
     return 0
 

@@ -104,7 +104,9 @@ def graph_from_json(doc: Any) -> tuple[EmbeddedDigraph, int | None]:
 
 
 def dump_json(doc: Any, sink: TextIO) -> None:
-    json.dump(doc, sink, sort_keys=True, separators=(",", ":"))
+    # json.dumps runs the C encoder in one shot; json.dump to a stream
+    # would run the pure-Python one, with the same bytes
+    sink.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     sink.write("\n")
 
 

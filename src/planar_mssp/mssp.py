@@ -21,6 +21,14 @@ order with O(1) record probes per reported arc.
 Per-node tables are flat arrays over a sorted-vertex row index: int64
 bases (-1 = unreached) and the perturbation split at bit 60 so sums of
 63-bit perturbations along long paths still fit two int64 halves.
+
+The oracle file (format "planar-mssp-oracle", version 1) is compact,
+key-sorted JSON: exactly json.dumps(oracle.to_json(), sort_keys=True,
+separators=(",", ":")) plus a newline. save() streams it one node or record
+item at a time through the C encoder, so the document is never held whole,
+and a loaded oracle re-saves byte-identically. load() checks table column
+lengths and chain rows; path queries bound every parent walk, so a damaged
+file raises CorruptFileError instead of hanging.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ import json
 import time
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .contraction import RecordEntry, TailChain, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph, reverse_dart
@@ -54,6 +63,22 @@ _PERT_SHIFT = 60
 _PERT_MASK = (1 << _PERT_SHIFT) - 1
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Suspend generational GC for the block, then restore the caller's state.
+
+    Build, save and load allocate millions of small acyclic objects, so
+    collection passes only add pauses; reference counting frees them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class _RootTable:
@@ -346,9 +371,16 @@ class MsspOracle:
         root_vertex = self.ring_roots[j]
         v = u_t
         index = node.index
+        # a tree path has fewer arcs than the node has rows; a longer walk
+        # means the parent pointers of a loaded file form a cycle
+        limit = probes + len(index)
         while v != root_vertex:
             r = index[v]
             probes += 1
+            if probes > limit:
+                raise CorruptFileError(
+                    f"parent pointers of table {j} at node ({i1}, {i2}) cycle"
+                )
             steps.append((t.par_arc[r], t.chains.get(r, ())))
             v = t.par_v[r]
         for arc, chain in reversed(steps):
@@ -370,9 +402,12 @@ class MsspOracle:
             return probes
         seq = [e]
         v = e.parent
+        limit = len(entries)
         while v != root:
             e = entries[v]
             probes += 1
+            if probes > limit:
+                raise CorruptFileError(f"parent pointers of record {key} cycle")
             seq.append(e)
             v = e.parent
         for e in reversed(seq):
@@ -408,20 +443,36 @@ class MsspOracle:
         ]
         return {"ring_count": self.ring_count, "nodes": nodes, "records": recs}
 
-    def to_json(self) -> dict:
-        arcs = [
-            [aid, a.tail, a.head, a.base, a.perturb, a.kind]
-            for aid, a in sorted(self.arcs.items())
-        ]
-        records = []
+    # The file layout, defined once: the small header values plus two
+    # streams yielding one "nodes" or "records" item at a time. to_json()
+    # collects them into one dict; save() writes them piece by piece.
+
+    def _header(self) -> dict:
+        return {
+            "format": ORACLE_FORMAT,
+            "version": ORACLE_VERSION,
+            "n_original": self.n_original,
+            "w_big": self.w_big,
+            "seed": self.seed,
+            "ring_roots": self.ring_roots,
+            "face_vertices": self.face_vertices,
+            "arcs": [
+                [aid, a.tail, a.head, a.base, a.perturb, a.kind]
+                for aid, a in sorted(self.arcs.items())
+            ],
+            "stats": self.stats.to_json(),
+        }
+
+    def _record_items(self) -> Iterator[list]:
         for (i, side), tab in sorted(self.records.items()):
             entries = [
                 [u, e.root, e.delta.base, e.delta.perturb, e.parent, e.arc,
                  [[k[0], k[1], v] for k, v in e.chain]]
                 for u, e in sorted(tab.items())
             ]
-            records.append([i, side, entries])
-        nodes = []
+            yield [i, side, entries]
+
+    def _node_items(self) -> Iterator[list]:
         for (i1, i2), node in sorted(self.nodes.items()):
             vertices = sorted(node.index, key=node.index.get)
             tables = []
@@ -438,31 +489,50 @@ class MsspOracle:
                          for row, chain in sorted(t.chains.items())],
                     ]
                 )
-            nodes.append([i1, i2, node.level, vertices, tables])
-        return {
-            "format": ORACLE_FORMAT,
-            "version": ORACLE_VERSION,
-            "n_original": self.n_original,
-            "w_big": self.w_big,
-            "seed": self.seed,
-            "ring_roots": self.ring_roots,
-            "face_vertices": self.face_vertices,
-            "arcs": arcs,
-            "records": records,
-            "nodes": nodes,
-            "stats": self.stats.to_json(),
-        }
+            yield [i1, i2, node.level, vertices, tables]
+
+    def _streams(self) -> dict[str, Iterator[list]]:
+        return {"nodes": self._node_items(), "records": self._record_items()}
+
+    def to_json(self) -> dict:
+        doc = self._header()
+        for key, items in self._streams().items():
+            doc[key] = list(items)
+        return doc
 
     def save(self, sink) -> None:
-        """Write the oracle as versioned JSON to a path or file object."""
-        doc = self.to_json()
+        """Write the oracle as versioned JSON to a path or file object.
+
+        The output equals json.dumps(self.to_json(), sort_keys=True,
+        separators=(",", ":")) plus a newline, byte for byte.
+        """
         if hasattr(sink, "write"):
-            json.dump(doc, sink, sort_keys=True, separators=(",", ":"))
-            sink.write("\n")
+            self._write(sink.write)
         else:
             with open(sink, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-                fh.write("\n")
+                self._write(fh.write)
+
+    def _write(self, write) -> None:
+        # JSONEncoder.encode takes the C one-shot path; json.dump to a file
+        # would run the pure-Python iterative encoder instead
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        with _gc_paused():
+            header = self._header()
+            streams = self._streams()
+            sep = "{"
+            for key in sorted([*header, *streams]):
+                write(f"{sep}{encode(key)}:")
+                sep = ","
+                if key in header:
+                    write(encode(header[key]))
+                    continue
+                write("[")
+                for n, item in enumerate(streams[key]):
+                    if n:
+                        write(",")
+                    write(encode(item))
+                write("]")
+            write("}\n")
 
 
 def _oracle_from_json(doc: Any) -> MsspOracle:
@@ -479,8 +549,12 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
             aid: ArcInfo(tail, head, base, perturb, kind)
             for aid, tail, head, base, perturb, kind in doc["arcs"]
         }
+        # each parsed item is dropped from the document once it has been
+        # turned into tables, so the two copies never coexist in full
         records: dict[RecordKey, dict[int, RecordEntry]] = {}
-        for i, side, entries in doc["records"]:
+        raw_records = doc["records"]
+        for pos, (i, side, entries) in enumerate(raw_records):
+            raw_records[pos] = None
             tab = {}
             for u, root, dbase, dpert, parent, arc, chain in entries:
                 tab[u] = RecordEntry(
@@ -492,10 +566,18 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                 )
             records[(i, side)] = tab
         nodes: dict[tuple[int, int], _Node] = {}
-        for i1, i2, level, vertices, tables in doc["nodes"]:
+        raw_nodes = doc["nodes"]
+        for pos, (i1, i2, level, vertices, tables) in enumerate(raw_nodes):
+            raw_nodes[pos] = None
+            rows = len(vertices)
             index = {v: row for row, v in enumerate(vertices)}
             node = _Node(i1, i2, level, index)
             for k, base, plo, phi, par_v, par_arc, chains in tables:
+                if any(len(col) != rows for col in (base, plo, phi, par_v, par_arc)):
+                    raise CorruptFileError(
+                        f"node ({i1}, {i2}) table {k}: columns do not all have"
+                        f" its {rows} rows"
+                    )
                 t = _RootTable(0)
                 t.base = array("q", base)
                 t.plo = array("q", plo)
@@ -506,6 +588,10 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                     row: tuple(((ci, cs), cv) for ci, cs, cv in chain)
                     for row, chain in chains
                 }
+                if t.chains and not (0 <= min(t.chains) and max(t.chains) < rows):
+                    raise CorruptFileError(
+                        f"node ({i1}, {i2}) table {k}: chain row out of range"
+                    )
                 node.tables[k] = t
             nodes[(i1, i2)] = node
         oracle = MsspOracle(
@@ -531,11 +617,13 @@ def load(source) -> MsspOracle:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"invalid JSON: {exc}") from exc
-    return _oracle_from_json(doc)
+    with _gc_paused():
+        try:
+            doc = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CorruptFileError(f"invalid JSON: {exc}") from exc
+        del raw
+        return _oracle_from_json(doc)
 
 
 def build(
@@ -666,15 +754,8 @@ def build(
             for u, _ in added:
                 del absorbed_at[u]
 
-    # the build allocates millions of small acyclic objects; generational
-    # collection only adds pauses here, so it is suspended for the duration
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         rec(0, n_rings - 1, norm.graph.copy(), 0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     if collect_edge_stats:
         for level, counter in edge_counters.items():
             entry = stats.level_entry(level)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,7 @@ def test_build_reports_stats(tmp_path, capsys):
     msg = capsys.readouterr().out
     assert "built" in msg
     assert "9 vertices, 8 ring roots" in msg
+    assert re.search(r"build \d+\.\d\ds, save \d+\.\d\ds$", msg.strip())
     oracle = load(str(o))
     assert oracle.ring_count == 8
 

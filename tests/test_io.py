@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
 import pytest
@@ -9,13 +11,17 @@ import pytest
 from planar_mssp import (
     CorruptFileError,
     VersionMismatchError,
+    build,
     build_graph,
     gen_grid,
+    gen_random_planar,
     graph_from_json,
     graph_to_json,
     load_graph,
+    normalize,
     save_graph,
 )
+from planar_mssp.io import dump_json
 
 
 def graphs_equal(a, b) -> bool:
@@ -58,6 +64,21 @@ def test_dump_is_deterministic(tmp_path):
     save_graph(g, str(p2), outer)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().endswith(b"\n")
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    # digests recorded with the json.dump writer that dump_json replaced
+    g, outer = gen_random_planar(7, seed=5, delete_prob=0.2)
+    path = tmp_path / "g.json"
+    save_graph(g, str(path), outer)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "66307c18643bd0a2ef6ad37aeaf586b61e7718cae82791b51fc92e1fa1012016"
+    )
+    buf = io.StringIO()
+    dump_json(build(normalize(g, outer, seed=5)).trace(), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "4100cf7cfb20fb3474554909a158ab00a396d71bb05dd154dc7aa755b6086915"
+    )
 
 
 def test_one_way_arcs_survive(tmp_path, tri_oneway):
