@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import time
 
 import pytest
@@ -16,22 +17,60 @@ from planar_mssp import (
     build_graph,
     gen_grid,
     gen_random_planar,
+    graph_from_json,
+    graph_to_json,
     load,
     normalize,
 )
 from planar_mssp.mssp import ORACLE_VERSION
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 
-# SHA-256 of each saved oracle with stats.build_seconds set to 0.0,
-# recorded with the json.dump writer that the streaming writer replaced.
-# Any change to these bytes is a format change and needs a version bump.
+# SHA-256 of each saved oracle with stats.build_seconds set to 0.0. The
+# first five were recorded with the json.dump writer that the streaming
+# writer replaced, the other four with the vertex-keyed build core that
+# the row-indexed one replaced. Any change to these bytes is a format
+# change and needs a version bump.
 GATE_DIGESTS = {
     "grid8-outer": "fb1f986511c2996140e351ab89a2f040db3d148a0da3035f791991e4aee47e02",
     "grid16-outer": "d3ea1526d9b780d753c5123df0134c2d8230189a9692e110616c79dd10884cf6",
     "random10-outer": "1b3764bb19d748c072a9dc1e0e3b11bd09e5944d303c0098ad82b05e82f05bc4",
     "bowtie-inner": "ef507fed9582e23157f0480e011cd4fa1acb0b417e2d023fdfd17a531742bf84",
     "tri_oneway-inner": "e26ff3600439143f6850586a3f9ccadc1d24327c50e78d2302c20b69b86a3e41",
+    "grid32-outer": "96410ea8cf59bbb6ec9463770fd8f854b7dee6964f7bb49d6222c013e0912332",
+    "grid16-oneway-inner": "7dc771c4a87734cc7754492c6ad5e3594d26a84c3bb7ef200583b35f539c49a2",
+    "random12-inner": "b4609414f2d75a4909462e010c531d47283a2ef1331703224dfe1b9d55e1984a",
 }
+# the 4096-vertex grid of the benchmark's grid-outer workload; one save only
+LARGE_GATE = (
+    "grid64-outer", "44c037417d9d5d829c2fdb29737c111a9f4f737ba290032f66d6c9f0e9fab03c"
+)
+
+
+def oneway_grid(k: int):
+    """A k-grid with a fixed 30 % of its slots one-way, and its centre face.
+
+    The one-way pattern is drawn as the benchmark's inner-oneway input is.
+    """
+    g, _ = gen_grid(k, seed=0)
+    doc = graph_to_json(g)
+    rng = random.Random("oneway:0")
+    for slot in doc["slots"]:
+        if rng.random() < 0.3:
+            slot[2 + rng.randrange(2)] = None
+    g, _ = graph_from_json(doc)
+    c = k // 2 - 1
+    centre = {c * k + c, c * k + c + 1, (c + 1) * k + c, (c + 1) * k + c + 1}
+    walks = g.face_walks()
+    face = next(
+        fi for fi, walk in enumerate(walks)
+        if len(walk) == 4 and {g.dart_vertex(d) for d in walk} == centre
+    )
+    return g, face
+
+
+def longest_inner_face(g, outer: int) -> int:
+    walks = g.face_walks()
+    return max((fi for fi in range(len(walks)) if fi != outer), key=lambda fi: len(walks[fi]))
 
 
 def gate_instance(name: str):
@@ -46,6 +85,15 @@ def gate_instance(name: str):
         return build_graph(5, BOWTIE_SLOTS), 0, 5  # face 0: a triangle
     if name == "tri_oneway-inner":
         return build_graph(3, TRI_ONEWAY_SLOTS), 1, 5
+    if name == "grid32-outer":
+        return (*gen_grid(32), 7)
+    if name == "grid64-outer":
+        return (*gen_grid(64, seed=0), 7)
+    if name == "grid16-oneway-inner":
+        return (*oneway_grid(16), 7)
+    if name == "random12-inner":
+        g, outer = gen_random_planar(12, seed=4, delete_prob=0.3)
+        return g, longest_inner_face(g, outer), 7
     raise KeyError(name)
 
 
@@ -71,6 +119,16 @@ def test_saved_bytes_match_gate_digest(tmp_path, name):
     assert path.read_text(encoding="utf-8") == expected
     assert buf.getvalue() == expected
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GATE_DIGESTS[name]
+
+
+def test_saved_bytes_match_gate_digest_large():
+    name, digest = LARGE_GATE
+    g, face, seed = gate_instance(name)
+    oracle = build(normalize(g, face, seed=seed))
+    oracle.stats.build_seconds = 0.0
+    buf = io.StringIO()
+    oracle.save(buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 def test_oracle_version_is_one():
