@@ -1,54 +1,18 @@
 """How preprocessing size and time grow with the instance.
 
+A thin call into `planar-mssp bench` over grids of side 16 to 128, seed 0.
 Stored entries should track n * log(number of ring roots): the ratio
-column stays basically flat while n grows 64-fold. Query depth is
-bounded by ceil(log2 N) + 1.
+stays basically flat while n grows 64-fold, and query depth is bounded
+by ceil(log2 N) + 1. The command exits non-zero when either gate fails.
 
 Run:  python3 demos/scaling_bench.py  (about a minute)
 """
 
 from __future__ import annotations
 
-import math
-import random
-import time
+import sys
 
-from planar_mssp import build, gen_grid, normalize
-
-
-def main() -> None:
-    print(f"{'k':>4} {'n':>6} {'rings':>6} {'build s':>8} {'entries':>9}"
-          f" {'ratio':>6} {'depth':>6} {'query us':>9}")
-    rows = []
-    for k in (16, 32, 64, 128):
-        g, outer = gen_grid(k, seed=0)
-        norm = normalize(g, outer, seed=0)
-        t0 = time.perf_counter()
-        oracle = build(norm)
-        dt = time.perf_counter() - t0
-
-        n_norm = norm.graph.vertex_count
-        entries = oracle.stats.stored_entries
-        ratio = entries / (n_norm * math.log2(oracle.ring_count))
-        depth = max(len(oracle.descent_intervals(j))
-                    for j in range(oracle.ring_count))
-
-        rng = random.Random(k)
-        verts = sorted(oracle.query_vertices)
-        pairs = [(rng.randrange(oracle.ring_count),
-                  verts[rng.randrange(len(verts))]) for _ in range(2000)]
-        t0 = time.perf_counter()
-        for j, u in pairs:
-            oracle.query_dist(j, u)
-        q_us = (time.perf_counter() - t0) / len(pairs) * 1e6
-
-        rows.append(ratio)
-        print(f"{k:>4} {g.vertex_count:>6} {oracle.ring_count:>6} {dt:>8.2f}"
-              f" {entries:>9} {ratio:>6.3f} {depth:>6} {q_us:>9.1f}")
-
-    print(f"\nratio spread across sizes: {max(rows) / min(rows):.3f}"
-          f" (flat means n log N scaling)")
-
+from planar_mssp.cli import main
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(["bench", "--sizes", "16,32,64,128", "--seed", "0"]))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .embedded_graph import EmbeddedDigraph, reverse_dart, slot_of_dart
+from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import NotATreeError
 from .sssp import SSSPTree, SharedForest, shared_forest
 from .weights import INFINITE_BASE, ZERO, LexWeight
@@ -70,32 +70,45 @@ def select_trees(
 
     t_low must be the tree rooted at the smaller ring index. A component
     root contributes the subtrees of exactly those children that pass the
-    clockwise test; roots with no passing child yield nothing.
+    clockwise test; roots with no passing child yield nothing. Parents and
+    deltas come from t_low's columns: shared arcs are tree arcs of t_low,
+    so a member's delta is its t_low distance minus the root's.
     """
     if forest is None:
         forest = shared_forest(h, t_low, t_high)
+    vertices = t_low.snap.vertices
+    base = t_low.base
+    pert = t_low.pert
+    par_dart = t_low.par_dart
+    par_row = t_low.par_row
+    high_dart = t_high.par_dart
+    children = forest.children
     out: list[SelectedTree] = []
-    for s in forest.roots:
-        d_low = t_low.parent_dart[s]
-        d_high = t_high.parent_dart[s]
-        kept: list[int] = []
-        for v in forest.children[s]:
-            d_child = reverse_dart(forest.parent_dart[v])
-            if h.cw_order(s, d_child, d_low, d_high):
-                kept.append(v)
+    for r_s in forest.root_rows:
+        s = vertices[r_s]
+        d_low = par_dart[r_s]
+        d_high = high_dart[r_s]
+        kept = [
+            r for r in children[r_s]
+            if h.cw_order(s, reverse_dart(par_dart[r]), d_low, d_high)
+        ]
         if not kept:
             continue
+        b0 = base[r_s]
+        p0 = pert[r_s]
         members: dict[int, _Member] = {s: _Member(-1, -1, ZERO)}
         order = [s]
-        stack = list(reversed(kept))
+        stack = kept[::-1]
         while stack:
-            v = stack.pop()
-            pd = forest.parent_dart[v]
-            p = h.dart_vertex(reverse_dart(pd))
-            arc = h.arc_into(pd)
-            members[v] = _Member(p, pd, members[p].delta + LexWeight(arc[0], arc[1]))
+            r = stack.pop()
+            v = vertices[r]
+            members[v] = _Member(
+                vertices[par_row[r]], par_dart[r], LexWeight(base[r] - b0, pert[r] - p0)
+            )
             order.append(v)
-            stack.extend(reversed(forest.children.get(v, ())))
+            kids = children.get(r)
+            if kids is not None:
+                stack.extend(reversed(kids))
         out.append(SelectedTree(s, members, order))
     return out
 
@@ -119,29 +132,46 @@ def contract_tree(
     s = tree.root
     if s not in members or len(members) != len(tree.order):
         raise NotATreeError("member map and order disagree")
+    # validate and record in one pass; the table changes only once the
+    # whole tree has passed
+    slots = h.slots
     seen_order: set[int] = set()
+    recorded: list[tuple[int, RecordEntry]] = []
+    tree_darts: list[int] = []  # per non-root member, its tree dart at it
     for v in tree.order:
         m = members[v]
         if v == s:
             if m.parent != -1:
                 raise NotATreeError("root must have no parent")
+            recorded.append((v, RecordEntry(s, ZERO, -1, -1, ())))
         elif m.parent not in seen_order:
             raise NotATreeError(f"parent of {v} does not precede it")
+        else:
+            pd = m.parent_dart
+            slot = slots.get(pd >> 1)
+            if slot is None:
+                raise NotATreeError(f"tree dart of {v} is not in the graph")
+            if pd & 1:
+                ends = (slot.v1, slot.v0)
+                arc = slot.a01
+            else:
+                ends = (slot.v0, slot.v1)
+                arc = slot.a10
+            if ends != (v, m.parent) or arc is None:
+                raise NotATreeError(f"no tree arc from the parent of {v} to it")
+            chain = chain_fn(arc[2]) if chain_fn is not None else ()
+            recorded.append((v, RecordEntry(s, m.delta, m.parent, arc[2], chain)))
+            tree_darts.append(pd)
         seen_order.add(v)
+    table.update(recorded)
 
-    for v in tree.order:
-        m = members[v]
-        if v == s:
-            table[v] = RecordEntry(s, ZERO, -1, -1, ())
-            continue
-        arc = h.arc_into(m.parent_dart)
-        chain = chain_fn(arc[2]) if chain_fn is not None else ()
-        table[v] = RecordEntry(s, m.delta, m.parent, arc[2], chain)
-
-    # plan weight updates on a snapshot; rotations mutate during merging
-    reweights: list[tuple[int, int, int, int, int]] = []  # sid, dir, base, pert, aid
+    # reweight while walking the members' rotations; deletions wait until
+    # the walk is over, since deleting a slot changes a rotation
     deletions: list[tuple[int, int]] = []
-    slots = h.slots
+    # slots joining two members, tree slots aside, would become self-loops
+    # at the root; the merge deletes them
+    tree_sids = {d >> 1 for d in tree_darts}
+    internal: list[int] = []
     nxt = h._next
     entry = h._entry
     for v in tree.order:
@@ -164,20 +194,20 @@ def contract_tree(
                 in_arc = slot.a10
             if head not in members:
                 if out_arc is not None and shifted and out_arc[0] < INFINITE_BASE:
-                    reweights.append(
-                        (d >> 1, end, out_arc[0] + delta.base,
-                         out_arc[1] + delta.perturb, out_arc[2])
-                    )
+                    out_arc = (out_arc[0] + delta.base, out_arc[1] + delta.perturb, out_arc[2])
+                    if end:
+                        slot.a10 = out_arc
+                    else:
+                        slot.a01 = out_arc
                 if in_arc is not None and v != s:
                     deletions.append((d >> 1, 1 - end))
+            elif not end and d >> 1 not in tree_sids:
+                internal.append(d >> 1)
             d = nxt[d]
             if d == first:
                 break
-    for sid, direction, base, pert, aid in reweights:
-        h.set_arc(sid, direction, (base, pert, aid))
     for sid, direction in deletions:
         h.delete_arc(sid, direction)
 
-    for v in tree.order[1:]:
-        h._merge_slot(slot_of_dart(members[v].parent_dart), s)
+    h._merge_tree(s, tree_darts, internal)
     h._dedup_at(s)

@@ -174,8 +174,8 @@ class EmbeddedDigraph:
         self._next[d] = nxt
         self._prev[nxt] = d
 
-    def _remove_dart(self, d: int) -> None:
-        v = self.dart_vertex(d)
+    def _remove_dart(self, d: int, v: int) -> None:
+        """Unlink dart d from the rotation of v, the vertex it sits at."""
         nxt = self._next.pop(d)
         prv = self._prev.pop(d)
         if nxt == d:
@@ -224,9 +224,9 @@ class EmbeddedDigraph:
             self.delete_slot(sid)
 
     def delete_slot(self, sid: int) -> None:
-        self._remove_dart(2 * sid)
-        self._remove_dart(2 * sid + 1)
-        del self.slots[sid]
+        slot = self.slots.pop(sid)
+        self._remove_dart(2 * sid, slot.v0)
+        self._remove_dart(2 * sid + 1, slot.v1)
 
     # ------------------------------------------------------------------
     # faces and rotation queries
@@ -291,107 +291,120 @@ class EmbeddedDigraph:
         for every ordered vertex pair that ends up with several arcs only
         the minimum-LexWeight arc is kept.
         """
-        self._merge_slot(sid, survivor)
-        self._dedup_at(survivor)
-
-    def _merge_slot(self, sid: int, survivor: int) -> None:
-        """The raw merge: splice rotations, relabel, drop the slot. No dedup."""
         slot = self.slots[sid]
         if slot.v0 == slot.v1:
             raise SelfLoopContractionError(f"slot {sid} is a self-loop")
         if survivor == slot.v0:
-            absorbed = slot.v1
+            self._merge_tree(survivor, [2 * sid + 1])
         elif survivor == slot.v1:
-            absorbed = slot.v0
+            self._merge_tree(survivor, [2 * sid])
         else:
             raise GraphError(f"vertex {survivor} is not an endpoint of slot {sid}")
-        d_s = 2 * sid + (0 if slot.v0 == survivor else 1)
-        d_a = d_s ^ 1
+        self._dedup_at(survivor)
 
-        # relabel the absorbed vertex's slot endpoints (skip the dying slot)
-        for y in self.rotation(absorbed):
-            if y == d_a:
-                continue
-            yslot = self.slots[y >> 1]
-            if y & 1:
-                yslot.v1 = survivor
+    def _merge_tree(self, s: int, tree_darts: list[int], inner_sids: Iterable[int] = ()) -> None:
+        """Merge a tree of slots into its root s, splicing rotations in place.
+
+        tree_darts holds, for every other tree vertex, the dart at it of
+        the slot joining it to its tree parent. inner_sids are the other
+        slots joining two tree vertices; they would become self-loops and
+        are deleted instead. The merged rotation is the tour around the
+        tree: walking clockwise, each dart leading down to a child is
+        replaced by the child's darts after its own tree dart. No dedup.
+        """
+        nxt, prv, entry, slots = self._next, self._prev, self._entry, self.slots
+        below = {d ^ 1: d for d in tree_darts}  # dart at the parent -> at the child
+        inner = set(inner_sids)
+        tour: list[int] = []
+        first = entry[s]
+        if first is not None:
+            # walk s's rotation once around; a dart leading down enters the
+            # child, whose turn ends back at its own tree dart `stop`
+            resume: list[tuple[int, int]] = []
+            d = stop = first
+            while True:
+                down = below.get(d)
+                if down is None:
+                    if d >> 1 not in inner:
+                        tour.append(d)
+                    d = nxt[d]
+                else:
+                    resume.append((d, stop))
+                    d = nxt[down]
+                    stop = down
+                while d == stop and resume:
+                    up, stop = resume.pop()
+                    d = nxt[up]
+                if d == stop:
+                    break
+        for d in tree_darts:
+            slot = slots.pop(d >> 1)
+            del entry[slot.v1 if d & 1 else slot.v0]
+            del nxt[d], nxt[d ^ 1], prv[d], prv[d ^ 1]
+        for sid in inner:
+            del slots[sid]
+            d = 2 * sid
+            del nxt[d], nxt[d + 1], prv[d], prv[d + 1]
+        if not tour:
+            entry[s] = None
+            return
+        nxt.update(zip(tour, tour[1:] + tour[:1]))
+        prv.update(zip(tour, tour[-1:] + tour[:-1]))
+        entry[s] = tour[0]
+        for d in tour:
+            if d & 1:
+                slots[d >> 1].v1 = s
             else:
-                yslot.v0 = survivor
-
-        nxt, prv = self._next, self._prev
-        ns, ps = nxt[d_s], prv[d_s]
-        na, pa = nxt[d_a], prv[d_a]
-        s_single = ns == d_s
-        a_single = na == d_a
-        if s_single and a_single:
-            self._entry[survivor] = None
-        elif s_single:
-            nxt[pa] = na
-            prv[na] = pa
-            self._entry[survivor] = na
-        elif a_single:
-            nxt[ps] = ns
-            prv[ns] = ps
-            if self._entry[survivor] == d_s:
-                self._entry[survivor] = ns
-        else:
-            # rotation(survivor) minus d_s, then rotation(absorbed) minus d_a
-            nxt[ps] = na
-            prv[na] = ps
-            nxt[pa] = ns
-            prv[ns] = pa
-            if self._entry[survivor] == d_s:
-                self._entry[survivor] = ns
-        for d in (d_s, d_a):
-            del nxt[d]
-            del prv[d]
-        del self.slots[sid]
-        del self._entry[absorbed]
+                slots[d >> 1].v0 = s
 
     def _dedup_at(self, s: int) -> None:
         """Delete self-loop slots at s and keep one arc per ordered pair."""
-        loop_sids = []
-        seen_loops = set()
-        for d in self.rotation(s):
+        first = self._entry[s]
+        if first is None:
+            return
+        slots = self.slots
+        nxt = self._next
+        loop_sids: set[int] = set()  # both darts of a loop sit at s
+        # best[(outgoing?, neighbor)] = (arc, sid, direction)
+        best: dict[tuple[bool, int], tuple[Arc, int, int]] = {}
+        losers: list[tuple[int, int]] = []
+        d = first
+        while True:
             sid = d >> 1
-            slot = self.slots[sid]
-            if slot.v0 == slot.v1 and sid not in seen_loops:
-                seen_loops.add(sid)
-                loop_sids.append(sid)
+            slot = slots[sid]
+            if slot.v0 == slot.v1:
+                loop_sids.add(sid)
+            else:
+                out0 = slot.v0 == s
+                other = slot.v1 if out0 else slot.v0
+                for direction, arc, key in (
+                    (0, slot.a01, (out0, other)),
+                    (1, slot.a10, (not out0, other)),
+                ):
+                    if arc is None:
+                        continue
+                    held = best.get(key)
+                    if held is None:
+                        best[key] = (arc, sid, direction)
+                        continue
+                    held_arc = held[0]
+                    if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
+                        warnings.warn(
+                            f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
+                            PerturbationCollisionWarning,
+                            stacklevel=3,
+                        )
+                    # equal weights fall through to the smaller arc id
+                    if arc < held_arc:
+                        best[key] = (arc, sid, direction)
+                        losers.append((held[1], held[2]))
+                    else:
+                        losers.append((sid, direction))
+            d = nxt[d]
+            if d == first:
+                break
         for sid in loop_sids:
             self.delete_slot(sid)
-
-        # best[(outgoing?, neighbor)] = (base, perturb, arc_id, sid, direction)
-        best: dict[tuple[bool, int], tuple[int, int, int, int, int]] = {}
-        losers: list[tuple[int, int]] = []
-        for d in self.rotation(s):
-            sid = d >> 1
-            slot = self.slots[sid]
-            for direction, arc in ((0, slot.a01), (1, slot.a10)):
-                if arc is None:
-                    continue
-                tail = slot.endpoint(direction)
-                head = slot.endpoint(1 - direction)
-                key = (tail == s, head if tail == s else tail)
-                cand = (arc[0], arc[1], arc[2], sid, direction)
-                held = best.get(key)
-                if held is None:
-                    best[key] = cand
-                    continue
-                if cand[:2] == held[:2]:
-                    warnings.warn(
-                        f"equal LexWeight {cand[:2]} on arcs {held[2]} and {cand[2]}",
-                        PerturbationCollisionWarning,
-                        stacklevel=3,
-                    )
-                    keep_cand = cand[2] < held[2]
-                else:
-                    keep_cand = cand[:2] < held[:2]
-                if keep_cand:
-                    best[key] = cand
-                    losers.append((held[3], held[4]))
-                else:
-                    losers.append((sid, direction))
         for sid, direction in losers:
             self.delete_arc(sid, direction)
 
@@ -404,50 +417,45 @@ class EmbeddedDigraph:
         Vertex, slot, and dart ids are preserved, as is each surviving
         rotation's relative order.
         """
-        drop = set(drop_vertices)
         g = EmbeddedDigraph()
         g._next_slot = self._next_slot
-        slots = {}
-        # darts to unlink: at a dropped vertex they vanish with their whole
-        # cycle, at a surviving vertex they are spliced out of its rotation
-        gone: list[int] = []
-        spliced: list[tuple[int, int]] = []
-        for sid, slot in self.slots.items():
-            v0_dropped = slot.v0 in drop
-            v1_dropped = slot.v1 in drop
-            if not (v0_dropped or v1_dropped):
-                slots[sid] = EdgeSlot(slot.v0, slot.v1, slot.a01, slot.a10)
-                continue
-            d0 = sid << 1
-            if v0_dropped:
-                gone.append(d0)
-            else:
-                spliced.append((d0, slot.v0))
-            if v1_dropped:
-                gone.append(d0 | 1)
-            else:
-                spliced.append((d0 | 1, slot.v1))
-        g.slots = slots
-        nxt = dict(self._next)
-        prv = dict(self._prev)
-        ent = {v: e for v, e in self._entry.items() if v not in drop}
-        for d in gone:
-            nxt.pop(d, None)
-            prv.pop(d, None)
-        for d, v in spliced:
-            n = nxt.pop(d)
-            p = prv.pop(d)
-            if n == d:
-                ent[v] = None
-                continue
-            nxt[p] = n
-            prv[n] = p
-            if ent[v] == d:
-                ent[v] = n
-        g._next = nxt
-        g._prev = prv
-        g._entry = ent
+        g.slots = {sid: EdgeSlot(s.v0, s.v1, s.a01, s.a10) for sid, s in self.slots.items()}
+        g._next = dict(self._next)
+        g._prev = dict(self._prev)
+        g._entry = dict(self._entry)
+        g._drop_vertices(drop_vertices)
         return g
+
+    def _drop_vertices(self, vertices: Iterable[int]) -> None:
+        """Delete the given vertices and every slot touching them, in place.
+
+        Vertices not in the graph are ignored. Surviving rotations keep
+        their relative order.
+        """
+        nxt, prv, ent, slots = self._next, self._prev, self._entry, self.slots
+        drop = {v for v in vertices if v in ent}
+        rotations = [self.rotation(v) for v in drop]
+        for v in drop:
+            del ent[v]
+        # a dart at a dropped vertex vanishes with its whole rotation; one
+        # at a survivor is spliced out of the survivor's rotation
+        for rotation in rotations:
+            for d in rotation:
+                slot = slots.pop(d >> 1, None)
+                if slot is None:  # already removed from its other end
+                    continue
+                for x, w in ((d & ~1, slot.v0), (d | 1, slot.v1)):
+                    n = nxt.pop(x)
+                    p = prv.pop(x)
+                    if w in drop:
+                        continue
+                    if n == x:
+                        ent[w] = None
+                        continue
+                    nxt[p] = n
+                    prv[n] = p
+                    if ent[w] == x:
+                        ent[w] = n
 
     def connected_undirected(self) -> bool:
         if not self._entry:

@@ -20,7 +20,13 @@ order with O(1) record probes per reported arc.
 
 Per-node tables are flat arrays over a sorted-vertex row index: int64
 bases (-1 = unreached) and the perturbation split at bit 60 so sums of
-63-bit perturbations along long paths still fit two int64 halves.
+63-bit perturbations along long paths still fit two int64 halves. That
+row index is also the vertex numbering of the build's inner loops: each
+node takes one row snapshot of its graph (sssp.out_adjacency), Dijkstra
+fills per-row distance and parent columns over it, and the node's tables
+are those columns turned into arrays, one array() call per column. Tree
+selection reads the same columns, and each node looks up a tail chain at
+most once per original tail.
 
 The oracle file (format "planar-mssp-oracle", version 1) is compact,
 key-sorted JSON: exactly json.dumps(oracle.to_json(), sort_keys=True,
@@ -86,62 +92,27 @@ class _RootTable:
 
     __slots__ = ("base", "plo", "phi", "par_v", "par_arc", "chains")
 
-    def __init__(self, rows: int):
-        self.base = array("q", bytes(8 * rows))
-        self.plo = array("q", bytes(8 * rows))
-        self.phi = array("q", bytes(8 * rows))
-        self.par_v = array("q", bytes(8 * rows))
-        self.par_arc = array("q", bytes(8 * rows))
-        for i in range(rows):
-            self.base[i] = -1
-            self.par_v[i] = -1
-            self.par_arc[i] = -1
-        self.chains: dict[int, TailChain] = {}
+    def __init__(
+        self,
+        base: array,
+        plo: array,
+        phi: array,
+        par_v: array,
+        par_arc: array,
+        chains: dict[int, TailChain],
+    ):
+        self.base = base
+        self.plo = plo
+        self.phi = phi
+        self.par_v = par_v
+        self.par_arc = par_arc
+        self.chains = chains
 
     def dist(self, row: int) -> LexWeight | None:
         b = self.base[row]
         if b < 0:
             return None
         return LexWeight(b, (self.phi[row] << _PERT_SHIFT) | self.plo[row])
-
-
-def _table_from_tree(
-    h: EmbeddedDigraph,
-    tree: SSSPTree,
-    index: dict[int, int],
-    chain_fn,
-    tails: dict[int, int] | None = None,
-    absorbed: dict | None = None,
-) -> _RootTable:
-    """Flatten one tree. tails/absorbed, when given, let the common
-    no-chain case skip the chain_fn call entirely."""
-    t = _RootTable(len(index))
-    for v, d in tree.dist.items():
-        row = index[v]
-        t.base[row] = d.base
-        t.plo[row] = d.perturb & _PERT_MASK
-        t.phi[row] = d.perturb >> _PERT_SHIFT
-    slots = h.slots
-    fast = tails is not None and absorbed is not None
-    for v, pd in tree.parent_dart.items():
-        row = index[v]
-        slot = slots[pd >> 1]
-        if pd & 1:
-            arc = slot.a01
-            t.par_v[row] = slot.v0
-        else:
-            arc = slot.a10
-            t.par_v[row] = slot.v1
-        aid = arc[2]
-        t.par_arc[row] = aid
-        if fast:
-            if tails[aid] in absorbed:
-                t.chains[row] = chain_fn(aid)
-        else:
-            chain = chain_fn(aid)
-            if chain:
-                t.chains[row] = chain
-    return t
 
 
 class _Node:
@@ -578,16 +549,17 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                         f"node ({i1}, {i2}) table {k}: columns do not all have"
                         f" its {rows} rows"
                     )
-                t = _RootTable(0)
-                t.base = array("q", base)
-                t.plo = array("q", plo)
-                t.phi = array("q", phi)
-                t.par_v = array("q", par_v)
-                t.par_arc = array("q", par_arc)
-                t.chains = {
-                    row: tuple(((ci, cs), cv) for ci, cs, cv in chain)
-                    for row, chain in chains
-                }
+                t = _RootTable(
+                    array("q", base),
+                    array("q", plo),
+                    array("q", phi),
+                    array("q", par_v),
+                    array("q", par_arc),
+                    {
+                        row: tuple(((ci, cs), cv) for ci, cs, cv in chain)
+                        for row, chain in chains
+                    },
+                )
                 if t.chains and not (0 <= min(t.chains) and max(t.chains) < rows):
                     raise CorruptFileError(
                         f"node ({i1}, {i2}) table {k}: chain row out of range"
@@ -635,6 +607,10 @@ def build(
 ) -> MsspOracle:
     """Preprocess a normalized instance into a queryable oracle.
 
+    Every node's tables come straight from the columns its three Dijkstra
+    runs fill; see the module docstring. The last child processed takes
+    over its parent's graph instead of a copy.
+
     right_first flips the child processing order (the result must not
     change; a test relies on that). instrument enables expensive internal
     consistency checks after every contraction — meant for small graphs.
@@ -654,13 +630,12 @@ def build(
 
     tails = {aid: a.tail for aid, a in arcs_info.items()}
 
-    def chain_of(arc_id: int, _tails=tails, _at=absorbed_at) -> TailChain:
-        cur = _tails[arc_id]
-        if cur not in _at:
-            return ()
+    def chain_from(tail: int) -> TailChain:
+        """(record key, vertex) hops from an arc's original tail to its tail now."""
         out = []
-        while cur in _at:
-            key, root = _at[cur]
+        cur = tail
+        while cur in absorbed_at:
+            key, root = absorbed_at[cur]
             out.append((key, cur))
             cur = root
         return tuple(out)
@@ -686,33 +661,63 @@ def build(
     def rec(i1: int, i2: int, h: EmbeddedDigraph, level: int) -> None:
         stats.node_count += 1
         lvl = stats.level_entry(level)
+        adj = out_adjacency(h)
+        vertices = adj.vertices
         lvl["nodes"] += 1
-        lvl["vertices"] += h.vertex_count
+        lvl["vertices"] += len(vertices)
         lvl["slots"] += h.slot_count
-        lvl["arcs"] += h.arc_count
+        lvl["arcs"] += adj.arc_count
         mid = (i1 + i2) // 2
         ks = sorted({i1, i2, mid})
         excluded_all = {ring_roots[k] for k in range(i1, i2 + 1)}
-        adj = out_adjacency(h)
         trees: dict[int, SSSPTree] = {}
         for k in ks:
             rk = ring_roots[k]
             trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
-            lvl["tree_vertices"] += len(trees[k].dist)
-            lvl["tree_arcs"] += len(trees[k].parent_dart)
+            lvl["tree_vertices"] += trees[k].reached
+            lvl["tree_arcs"] += trees[k].reached - 1
         if collect_edge_stats:
             counter = edge_counters.setdefault(level, Counter())
             for k in ks:
                 for pd in trees[k].parent_dart.values():
                     counter[h.arc_into(pd)[2]] += 1
-        index = {v: row for row, v in enumerate(sorted(h.vertices()))}
-        node = _Node(i1, i2, level, index)
+        # chains by original tail, shared by this node's tables and by the
+        # contractions into its children: absorbed_at is the same for all
+        chains_here: dict[int, TailChain] = {}
+
+        def chain_at(arc_id: int) -> TailChain:
+            tail = tails[arc_id]
+            if tail not in absorbed_at:
+                return ()
+            chain = chains_here.get(tail)
+            if chain is None:
+                chain = chains_here[tail] = chain_from(tail)
+            return chain
+
+        node = _Node(i1, i2, level, adj.row_of)
+        slots = h.slots
         for k in ks:
-            node.tables[k] = _table_from_tree(
-                h, trees[k], index, chain_of, tails, absorbed_at
+            t = trees[k]
+            pert = t.pert
+            par_arc = [
+                -1 if d < 0 else (slots[d >> 1].a01 if d & 1 else slots[d >> 1].a10)[2]
+                for d in t.par_dart
+            ]
+            chains: dict[int, TailChain] = {}
+            if absorbed_at:
+                for row, aid in enumerate(par_arc):
+                    if aid >= 0 and tails[aid] in absorbed_at:
+                        chains[row] = chain_at(aid)
+            node.tables[k] = _RootTable(
+                array("q", t.base),
+                array("q", [p & _PERT_MASK for p in pert]),
+                array("q", [p >> _PERT_SHIFT for p in pert]),
+                array("q", [-1 if r < 0 else vertices[r] for r in t.par_row]),
+                array("q", par_arc),
+                chains,
             )
         nodes[(i1, i2)] = node
-        stats.stored_rows += len(index) * len(ks)
+        stats.stored_rows += len(vertices) * len(ks)
         if i2 - i1 <= 1:
             return
         children = [
@@ -721,9 +726,14 @@ def build(
         ]
         if right_first:
             children.reverse()
-        for j1, j2, side, t_low, t_high in children:
+        for n, (j1, j2, side, t_low, t_high) in enumerate(children):
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
-            hj = h.copy(drop)
+            if n == 1 and not instrument:
+                # nothing reads h after the last child's graph is made
+                h._drop_vertices(drop)
+                hj = h
+            else:
+                hj = h.copy(drop)
             selected = select_trees(hj, t_low, t_high)
             key = (mid, side)
             table: dict[int, RecordEntry] = {}
@@ -736,7 +746,7 @@ def build(
                             " for contraction"
                         )
             for tree in selected:
-                contract_tree(hj, tree, table, chain_of)
+                contract_tree(hj, tree, table, chain_at)
                 if instrument:
                     hj.check()
             lvl["record_entries"] += len(table)

@@ -1,59 +1,141 @@
-"""Single-source shortest paths under lexicographic weights.
+"""Single-source shortest paths under lexicographic weights, over rows.
 
-Dijkstra with a lazy-deletion binary heap. Heap entries are flat tuples
-(base, perturb, tie, vertex, parent_dart) so comparisons stay in C; the
-tie component is a plain counter by default, or random when the caller
-wants to probe that tie-breaking cannot change the result (it cannot when
-all path weights are distinct, which normalization arranges).
+out_adjacency takes one snapshot of a graph: its vertices sorted into rows
+0..m-1 (the same row index the oracle's tables use), the vertex -> row
+dict, and per row the finite outgoing arcs as (base, perturb, head row,
+dart at head). Infinite arcs are never relaxed and are left out; the
+snapshot still counts every arc for the build's per-level stats.
 
-Vertices in `excluded` are skipped at relaxation time instead of being
-removed from the graph; infinite arcs are never relaxed. A vertex for a
-tree is recorded by the dart of its unique ingoing tree arc, the dart
-sitting at the vertex itself (so its reverse sits at the parent).
+sssp_tree runs Dijkstra with a lazy-deletion binary heap over those rows
+and a bytearray settled set. Heap entries are flat tuples (base, perturb,
+tie, row) so comparisons stay in C; the tie
+component is a plain counter by default, or random when the caller wants
+to probe that tie-breaking cannot change the result (it cannot when all
+path weights are distinct, which normalization arranges). The output
+columns hold each row's best tentative distance and parent until the row
+is settled, and a relaxation is pushed only when it beats that distance.
+Vertices in `excluded` are marked settled before the run instead of
+being removed from the graph.
+
+The resulting SSSPTree is four per-row columns: base and perturbation of
+the distance (-1 and 0 where unreached), and the parent dart and parent
+row (-1 at the root and where unreached). A vertex is recorded by the dart
+of its unique ingoing tree arc, the dart sitting at the vertex itself (so
+its reverse sits at the parent). The build turns the columns straight
+into a node's tables; `dist` and `parent_dart` are read-only vertex-keyed
+views of them for tests and consistency checks.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from itertools import count
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
-from .embedded_graph import EmbeddedDigraph, reverse_dart
+from .embedded_graph import EmbeddedDigraph
 from .errors import UnreachableVertexError
 from .weights import INFINITE_BASE, LexWeight
 
-
-class SSSPTree:
-    """Shortest path tree: exact distances and ingoing parent darts."""
-
-    __slots__ = ("root", "dist", "parent_dart")
-
-    def __init__(self, root: int, dist: dict[int, LexWeight], parent_dart: dict[int, int]):
-        self.root = root
-        self.dist = dist
-        self.parent_dart = parent_dart  # vertex -> dart at that vertex; no root entry
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.dist
+Adjacency = list[list[tuple[int, int, int, int]]]  # row -> (base, perturb, head row, dart at head)
 
 
-def out_adjacency(h: EmbeddedDigraph) -> dict[int, list[tuple[int, int, int, int]]]:
-    """Per-vertex finite outgoing arcs as (base, perturb, head, dart at head).
+class RowSnapshot:
+    """A graph's vertices as sorted rows, with each row's finite out-arcs."""
 
-    A reusable snapshot for running several shortest path trees over the
-    same unchanged graph; infinite arcs can never be relaxed and are left
-    out up front.
-    """
-    adj: dict[int, list[tuple[int, int, int, int]]] = {v: [] for v in h._entry}
+    __slots__ = ("vertices", "row_of", "out", "arc_count")
+
+    def __init__(self, vertices: list[int], row_of: dict[int, int], out: Adjacency, arc_count: int):
+        self.vertices = vertices  # row -> vertex, ascending
+        self.row_of = row_of  # vertex -> row
+        self.out = out
+        self.arc_count = arc_count  # all arcs of the graph, infinite ones included
+
+
+def out_adjacency(h: EmbeddedDigraph) -> RowSnapshot:
+    """Snapshot h's rows and finite arcs for several trees over the unchanged graph."""
+    vertices = sorted(h.vertices())
+    row_of = {v: row for row, v in enumerate(vertices)}
+    out: Adjacency = [[] for _ in vertices]
+    arcs = 0
     for sid, slot in h.slots.items():
         d0 = sid << 1
+        r0 = row_of[slot.v0]
+        r1 = row_of[slot.v1]
         a = slot.a01
-        if a is not None and a[0] < INFINITE_BASE:
-            adj[slot.v0].append((a[0], a[1], slot.v1, d0 | 1))
+        if a is not None:
+            arcs += 1
+            if a[0] < INFINITE_BASE:
+                out[r0].append((a[0], a[1], r1, d0 | 1))
         a = slot.a10
-        if a is not None and a[0] < INFINITE_BASE:
-            adj[slot.v1].append((a[0], a[1], slot.v0, d0))
-    return adj
+        if a is not None:
+            arcs += 1
+            if a[0] < INFINITE_BASE:
+                out[r1].append((a[0], a[1], r0, d0))
+    return RowSnapshot(vertices, row_of, out, arcs)
+
+
+class _VertexView(Mapping):
+    """Read-only vertex-keyed view of the rows where `present` is >= 0."""
+
+    __slots__ = ("_snap", "_present", "_value", "_len")
+
+    def __init__(self, snap: RowSnapshot, present: list[int], value: Callable[[int], object], size: int):
+        self._snap = snap
+        self._present = present
+        self._value = value
+        self._len = size
+
+    def __getitem__(self, v: int):
+        row = self._snap.row_of[v]
+        if self._present[row] < 0:
+            raise KeyError(v)
+        return self._value(row)
+
+    def __iter__(self) -> Iterator[int]:
+        vertices = self._snap.vertices
+        return (vertices[row] for row, x in enumerate(self._present) if x >= 0)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+class SSSPTree:
+    """Shortest path tree as per-row columns over one row snapshot."""
+
+    __slots__ = ("root", "snap", "reached", "base", "pert", "par_dart", "par_row")
+
+    def __init__(
+        self,
+        root: int,
+        snap: RowSnapshot,
+        reached: int,
+        base: list[int],
+        pert: list[int],
+        par_dart: list[int],
+        par_row: list[int],
+    ):
+        self.root = root
+        self.snap = snap
+        self.reached = reached  # rows with a distance, the root included
+        self.base = base
+        self.pert = pert
+        self.par_dart = par_dart
+        self.par_row = par_row
+
+    @property
+    def dist(self) -> Mapping[int, LexWeight]:
+        base, pert = self.base, self.pert
+        return _VertexView(self.snap, base, lambda r: LexWeight(base[r], pert[r]), self.reached)
+
+    @property
+    def parent_dart(self) -> Mapping[int, int]:
+        """vertex -> dart at that vertex of its tree arc; no root entry."""
+        return _VertexView(self.snap, self.par_dart, self.par_dart.__getitem__, self.reached - 1)
+
+    def __contains__(self, v: int) -> bool:
+        row = self.snap.row_of.get(v)
+        return row is not None and self.base[row] >= 0
 
 
 def sssp_tree(
@@ -61,92 +143,130 @@ def sssp_tree(
     root: int,
     excluded: Collection[int] = (),
     tie_rng=None,
-    adj: dict[int, list[tuple[int, int, int, int]]] | None = None,
+    adj: RowSnapshot | None = None,
 ) -> SSSPTree:
     """Exact shortest path tree from `root`, never entering `excluded`.
 
     Raises UnreachableVertexError unless every non-excluded vertex is
     reached; the callers' normalization invariant guarantees they all are,
     so a miss signals an upstream bug rather than a property of the input.
-    Pass adj=out_adjacency(h) to share the arc snapshot across calls.
+    Pass adj=out_adjacency(h) to share the row snapshot across calls.
     """
     if root in excluded:
         raise ValueError("root cannot be excluded")
-    excluded_set = excluded if isinstance(excluded, (set, frozenset)) else set(excluded)
     if adj is None:
         adj = out_adjacency(h)
-    dist: dict[int, LexWeight] = {}
-    parent: dict[int, int] = {}
+    row_of = adj.row_of
+    out = adj.out
+    n = len(adj.vertices)
+    # settled doubles as the exclusion filter: excluded rows are never
+    # relaxed, exactly as if they had been settled before the run began
+    settled = bytearray(n)
+    for x in excluded:
+        row = row_of.get(x)
+        if row is not None:
+            settled[row] = 1
+    expected = n - sum(settled)
+    # the columns hold each row's best tentative distance and parent so far,
+    # final once the row is settled; a relaxation that does not beat the
+    # tentative distance is not pushed, as it could only go stale
+    base = [-1] * n
+    pert = [0] * n
+    par_dart = [-1] * n
+    par_row = [-1] * n
     if tie_rng is None:
-        counter = count()
-        next_tie = counter.__next__
+        next_tie = count().__next__
     else:
         next_tie = lambda: tie_rng.getrandbits(62)  # noqa: E731 - tiny closure
-    heap: list[tuple[int, int, int, int, int]] = [(0, 0, next_tie(), root, -1)]
+    r0 = row_of[root]
+    base[r0] = 0
+    heap: list[tuple[int, int, int, int]] = [(0, 0, next_tie(), r0)]
     push = heapq.heappush
     pop = heapq.heappop
-    # settled doubles as the exclusion filter: excluded vertices are never
-    # relaxed, exactly as if they had been settled before the run began
-    settled = set(excluded_set)
+    reached = 0
     while heap:
-        base, pert, _, v, pd = pop(heap)
-        if v in settled:
+        b, p, _, v = pop(heap)
+        if settled[v]:
             continue
-        settled.add(v)
-        dist[v] = LexWeight(base, pert)
-        if pd >= 0:
-            parent[v] = pd
-        for wb, wp, head, hd in adj[v]:
-            if head not in settled:
-                push(heap, (base + wb, pert + wp, next_tie(), head, hd))
-    expected = h.vertex_count - sum(1 for x in excluded_set if h.has_vertex(x))
-    if len(dist) != expected:
+        settled[v] = 1
+        reached += 1
+        for wb, wp, head, hd in out[v]:
+            if not settled[head]:
+                nb = b + wb
+                np = p + wp
+                tb = base[head]
+                if tb < 0 or nb < tb or (nb == tb and np < pert[head]):
+                    base[head] = nb
+                    pert[head] = np
+                    par_dart[head] = hd
+                    par_row[head] = v
+                    push(heap, (nb, np, next_tie(), head))
+    if reached != expected:
         raise UnreachableVertexError(
-            f"root {root} reached {len(dist)} of {expected} vertices"
+            f"root {root} reached {reached} of {expected} vertices"
         )
-    return SSSPTree(root, dist, parent)
+    return SSSPTree(root, adj, reached, base, pert, par_dart, par_row)
 
 
 class SharedForest:
-    """Arcs that are tree arcs of the same vertex in two SSSP trees."""
+    """Rows whose tree arc is the same in two SSSP trees over one snapshot."""
 
-    __slots__ = ("parent_dart", "children", "roots")
+    __slots__ = ("tree", "shared", "children", "root_rows")
 
     def __init__(
         self,
-        parent_dart: dict[int, int],
+        tree: SSSPTree,
+        shared: list[int],
         children: dict[int, list[int]],
-        roots: list[int],
+        root_rows: list[int],
     ):
-        self.parent_dart = parent_dart
-        self.children = children
-        self.roots = roots
+        self.tree = tree  # the first tree; its columns describe the shared arcs
+        self.shared = shared  # shared rows, ascending
+        self.children = children  # row -> shared child rows, ascending
+        self.root_rows = root_rows  # rows with shared children but no shared parent
+
+    @property
+    def roots(self) -> list[int]:
+        vertices = self.tree.snap.vertices
+        return [vertices[r] for r in self.root_rows]
+
+    @property
+    def parent_dart(self) -> dict[int, int]:
+        """Shared vertex -> its shared parent dart."""
+        vertices = self.tree.snap.vertices
+        par_dart = self.tree.par_dart
+        return {vertices[r]: par_dart[r] for r in self.shared}
 
     def subtree(self, v: int) -> Iterator[int]:
         """Vertices of the forest subtree under v, v first (preorder)."""
-        stack = [v]
+        vertices = self.tree.snap.vertices
+        stack = [self.tree.snap.row_of[v]]
         while stack:
-            x = stack.pop()
-            yield x
-            stack.extend(reversed(self.children.get(x, ())))
+            r = stack.pop()
+            yield vertices[r]
+            stack.extend(reversed(self.children.get(r, ())))
 
 
 def shared_forest(h: EmbeddedDigraph, t1: SSSPTree, t2: SSSPTree) -> SharedForest:
-    """Intersection of two trees' parent arcs over the same graph.
+    """Intersection of two trees' parent arcs over the same snapshot.
 
-    A vertex joins the forest when both trees give it the same parent
-    dart (hence the same ingoing arc). Component roots are the vertices
-    with shared children but no shared parent; the two trees' parent
-    arcs automatically differ there.
+    A row joins the forest when both trees give it the same parent dart
+    (hence the same ingoing arc). Component roots are the rows with shared
+    children but no shared parent; the two trees' parent arcs
+    automatically differ there. h is the graph both trees were grown on;
+    the trees' own columns carry everything the forest needs.
     """
-    shared: dict[int, int] = {}
-    t2_parent = t2.parent_dart
-    for v, d in t1.parent_dart.items():
-        if t2_parent.get(v) == d:
-            shared[v] = d
+    pd1 = t1.par_dart
+    pd2 = t2.par_dart
+    shared = [r for r, d in enumerate(pd1) if d >= 0 and d == pd2[r]]
+    par_row = t1.par_row
     children: dict[int, list[int]] = {}
-    for v in sorted(shared):
-        p = h.dart_vertex(reverse_dart(shared[v]))
-        children.setdefault(p, []).append(v)
-    roots = sorted(p for p in children if p not in shared)
-    return SharedForest(shared, children, roots)
+    for r in shared:
+        p = par_row[r]
+        kids = children.get(p)
+        if kids is None:
+            children[p] = [r]
+        else:
+            kids.append(r)
+    root_rows = sorted(p for p in children if pd1[p] < 0 or pd1[p] != pd2[p])
+    return SharedForest(t1, shared, children, root_rows)

@@ -85,21 +85,24 @@ def test_infinite_arcs_never_relaxed(norm2):
 
 def test_out_adjacency_matches_arc_items(norm2):
     g = norm2.graph
-    adj = out_adjacency(g)
+    snap = out_adjacency(g)
+    assert snap.vertices == sorted(g.vertices())
+    assert snap.row_of == {v: row for row, v in enumerate(snap.vertices)}
+    assert snap.arc_count == g.arc_count
     flat = {
         (tail, a[0], a[1], head)
         for tail, head, a in g.arc_items()
         if a[0] < INFINITE_BASE
     }
     spread = {
-        (tail, base, pert, head)
-        for tail, rows in adj.items()
-        for base, pert, head, _ in rows
+        (snap.vertices[row], base, pert, snap.vertices[head_row])
+        for row, arcs in enumerate(snap.out)
+        for base, pert, head_row, _ in arcs
     }
     assert spread == flat
-    for tail, rows in adj.items():
-        for base, pert, head, dart_at_head in rows:
-            assert g.dart_vertex(dart_at_head) == head
+    for arcs in snap.out:
+        for base, pert, head_row, dart_at_head in arcs:
+            assert g.dart_vertex(dart_at_head) == snap.vertices[head_row]
             arc = g.arc_into(dart_at_head)
             assert (arc[0], arc[1]) == (base, pert)
 
