@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .contraction import RecordEntry, TailChain, contract_tree, select_trees
-from .embedded_graph import EmbeddedDigraph, reverse_dart
+from .embedded_graph import EmbeddedDigraph
 from .errors import (
     BadRootIndexError,
     CorruptFileError,
