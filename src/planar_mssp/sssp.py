@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .embedded_graph import EmbeddedDigraph
 from .errors import UnreachableVertexError
@@ -40,16 +41,13 @@ from .weights import INFINITE_BASE, LexWeight
 Adjacency = list[list[tuple[int, int, int, int]]]  # row -> (base, perturb, head row, dart at head)
 
 
-class RowSnapshot:
+class RowSnapshot(NamedTuple):
     """A graph's vertices as sorted rows, with each row's finite out-arcs."""
 
-    __slots__ = ("vertices", "row_of", "out", "arc_count")
-
-    def __init__(self, vertices: list[int], row_of: dict[int, int], out: Adjacency, arc_count: int):
-        self.vertices = vertices  # row -> vertex, ascending
-        self.row_of = row_of  # vertex -> row
-        self.out = out
-        self.arc_count = arc_count  # all arcs of the graph, infinite ones included
+    vertices: list[int]  # row -> vertex, ascending
+    row_of: dict[int, int]  # vertex -> row
+    out: Adjacency
+    arc_count: int  # all arcs of the graph, infinite ones included
 
 
 def out_adjacency(h: EmbeddedDigraph) -> RowSnapshot:
@@ -100,28 +98,17 @@ class _VertexView(Mapping):
         return self._len
 
 
+@dataclass(eq=False, slots=True)
 class SSSPTree:
     """Shortest path tree as per-row columns over one row snapshot."""
 
-    __slots__ = ("root", "snap", "reached", "base", "pert", "par_dart", "par_row")
-
-    def __init__(
-        self,
-        root: int,
-        snap: RowSnapshot,
-        reached: int,
-        base: list[int],
-        pert: list[int],
-        par_dart: list[int],
-        par_row: list[int],
-    ):
-        self.root = root
-        self.snap = snap
-        self.reached = reached  # rows with a distance, the root included
-        self.base = base
-        self.pert = pert
-        self.par_dart = par_dart
-        self.par_row = par_row
+    root: int
+    snap: RowSnapshot
+    reached: int  # rows with a distance, the root included
+    base: list[int]
+    pert: list[int]
+    par_dart: list[int]
+    par_row: list[int]
 
     @property
     def dist(self) -> Mapping[int, LexWeight]:
@@ -208,22 +195,14 @@ def sssp_tree(
     return SSSPTree(root, adj, reached, base, pert, par_dart, par_row)
 
 
+@dataclass(eq=False, slots=True)
 class SharedForest:
     """Rows whose tree arc is the same in two SSSP trees over one snapshot."""
 
-    __slots__ = ("tree", "shared", "children", "root_rows")
-
-    def __init__(
-        self,
-        tree: SSSPTree,
-        shared: list[int],
-        children: dict[int, list[int]],
-        root_rows: list[int],
-    ):
-        self.tree = tree  # the first tree; its columns describe the shared arcs
-        self.shared = shared  # shared rows, ascending
-        self.children = children  # row -> shared child rows, ascending
-        self.root_rows = root_rows  # rows with shared children but no shared parent
+    tree: SSSPTree  # the first tree; its columns describe the shared arcs
+    shared: list[int]  # shared rows, ascending
+    children: dict[int, list[int]]  # row -> shared child rows, ascending
+    root_rows: list[int]  # rows with shared children but no shared parent
 
     @property
     def roots(self) -> list[int]:
