@@ -729,7 +729,8 @@ def build(
         for n, (j1, j2, side, t_low, t_high) in enumerate(children):
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
             if n == 1 and not instrument:
-                # nothing reads h after the last child's graph is made
+                # the last child takes h over: only instrument's check_child
+                # reads h after this point
                 h._drop_vertices(drop)
                 hj = h
             else:
