@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .embedded_graph import EmbeddedDigraph, build_graph
 from .errors import UnreachableError
 from .mssp import MsspOracle, build
-from .normalize import ARC_ORIGINAL, ARC_SPOKE, normalize
+from .normalize import ARC_ORIGINAL, ARC_SPOKE, UNREACHABLE, normalize
 from .weights import INFINITE_BASE
 
 ArcTuple = tuple[int, int, int, int]  # (tail, head, base, perturb)
@@ -313,9 +313,10 @@ def verify(
 ) -> VerificationReport:
     """Build an oracle for (graph, face, seed) and check it end to end.
 
-    Distance answers are compared against brute-force Dijkstra for every
-    (root, vertex) pair when ring_count * vertices <= 1e6 (or always,
-    with force_exhaustive), else for sample_pairs random pairs. Reported
+    Distance answers (query_dist's full weight, and distance()'s base or
+    UNREACHABLE from w_big up) are compared against brute-force Dijkstra
+    for every (root, vertex) pair when ring_count * vertices <= 1e6 (or
+    always, with force_exhaustive), else for sample_pairs random pairs. Reported
     paths are spot-checked for walk validity, simplicity, and weight.
     instrument defaults to on for graphs up to 200 vertices.
     """
@@ -379,13 +380,20 @@ def verify(
         brutes = {j: brute_for(j) for j in js}
     report.brute_seconds = time.perf_counter() - t0
 
+    w_big = norm.w_big
     for j, us in pair_groups:
         bd = brutes[j]
         for u in us:
             expected = bd.get(u)
             got = oracle.query_dist(j, u)
+            # distance() sums bases only; it must agree with the full weight
+            got_base = oracle.distance(j, u)
             report.pairs_checked += 1
-            if expected is None or expected != (got.base, got.perturb):
+            if (
+                expected is None
+                or expected != (got.base, got.perturb)
+                or got_base != (UNREACHABLE if expected[0] >= w_big else expected[0])
+            ):
                 report.mismatch_count += 1
                 if len(report.mismatches) < 50:
                     report.mismatches.append(
@@ -394,6 +402,7 @@ def verify(
                             "u": u,
                             "expected": list(expected) if expected else None,
                             "got": [got.base, got.perturb],
+                            "distance": repr(got_base),
                         }
                     )
 

@@ -12,7 +12,11 @@ the same vertex.
 A distance query walks root-to-leaf through the intervals containing j,
 rerouting u through the records (u becomes its super-vertex, the in-tree
 delta accumulates) until j is an interval endpoint, then reads that node's
-table. A path query additionally replays the walk's record hits and the
+table. That walk depends on j alone, so each root's descent is planned
+once, when the oracle is built or loaded: the record tables along it in
+order, and the terminal node's row index and table. A query follows its
+root's plan (MsspOracle._descend), and explain() reports the same descent.
+A path query additionally replays the walk's record hits and the
 terminal tree walk, expanding every arc's tail chain — the precomputed
 list of (record, vertex) hops between the arc's tail at contraction time
 and its original tail — deepest hop first, which yields original arc ids in path
@@ -33,8 +37,10 @@ key-sorted JSON: exactly json.dumps(oracle.to_json(), sort_keys=True,
 separators=(",", ":")) plus a newline. save() streams it one node or record
 item at a time through the C encoder, so the document is never held whole,
 and a loaded oracle re-saves byte-identically. load() checks table column
-lengths and chain rows; path queries bound every parent walk, so a damaged
-file raises CorruptFileError instead of hanging.
+lengths and chain rows, and planning the descents checks that every node
+and terminal table is there. Path queries bound every parent walk, and
+raise CorruptFileError, not KeyError, when a damaged file names a vertex,
+record or arc it does not hold. The plans are not part of the file.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .contraction import RecordEntry, TailChain, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
@@ -58,7 +64,7 @@ from .errors import (
     UnreachableError,
     VersionMismatchError,
 )
-from .normalize import ARC_SPOKE, ArcInfo, NormalizedInstance, map_answer
+from .normalize import ARC_SPOKE, UNREACHABLE, ArcInfo, NormalizedInstance
 from .sssp import SSSPTree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
@@ -108,12 +114,6 @@ class _RootTable:
         self.par_arc = par_arc
         self.chains = chains
 
-    def dist(self, row: int) -> LexWeight | None:
-        b = self.base[row]
-        if b < 0:
-            return None
-        return LexWeight(b, (self.phi[row] << _PERT_SHIFT) | self.plo[row])
-
 
 class _Node:
     """One recursion node: interval, row index, and its stored trees."""
@@ -126,6 +126,57 @@ class _Node:
         self.level = level
         self.index = index
         self.tables: dict[int, _RootTable] = {}
+
+
+class _Plan(NamedTuple):
+    """One root's descent, worked out once; references, no copies."""
+
+    intervals: tuple[tuple[int, int], ...]  # outermost first; the last is terminal
+    steps: tuple[tuple[RecordKey, dict[int, RecordEntry]], ...]  # tables met, in order
+    index: dict[int, int]  # the terminal node's row index
+    table: _RootTable  # the terminal node's table of this root
+
+
+class Explanation(NamedTuple):
+    """What MsspOracle.explain reports about one query's descent."""
+
+    intervals: list[tuple[int, int]]  # the intervals visited, outermost first
+    hits: list[tuple[RecordKey, int]]  # (record key, vertex) rerouted, in order
+    terminal: tuple[int, int]  # the interval whose node's table answers
+    probes: int  # record tables probed on the way down
+
+
+def _descent_plans(
+    ring_count: int,
+    records: dict[RecordKey, dict[int, RecordEntry]],
+    nodes: dict[tuple[int, int], _Node],
+) -> list[_Plan]:
+    """Every root's descent plan, by one walk over the interval tree.
+
+    A query for root j halves the interval toward j until j is an endpoint;
+    that path depends on j alone, so it is worked out here once. A root
+    ends its descent at the first node that has it as an endpoint; a
+    midpoint, endpoint of both children, goes to the left one, which is
+    visited first. A missing node or terminal table raises KeyError.
+    """
+    plans: list[_Plan | None] = [None] * ring_count
+
+    def visit(i1: int, i2: int, intervals: tuple, steps: tuple) -> None:
+        intervals = (*intervals, (i1, i2))
+        node = nodes[(i1, i2)]
+        for j in (i1, i2):
+            if plans[j] is None:
+                plans[j] = _Plan(intervals, steps, node.index, node.tables[j])
+        if i2 - i1 <= 1:
+            return
+        mid = (i1 + i2) // 2
+        for side, (j1, j2) in enumerate(((i1, mid), (mid, i2))):
+            key = (mid, side)
+            table = records.get(key)
+            visit(j1, j2, intervals, steps if table is None else (*steps, (key, table)))
+
+    visit(0, ring_count - 1, (), ())
+    return plans  # type: ignore[return-value]
 
 
 @dataclass
@@ -207,6 +258,7 @@ class MsspOracle:
         "stats",
         "_ring_set",
         "_query_vertices",
+        "_plans",
     )
 
     def __init__(
@@ -234,6 +286,8 @@ class MsspOracle:
         self._ring_set = frozenset(ring_roots)
         root_node = nodes[(0, len(ring_roots) - 1)]
         self._query_vertices = frozenset(root_node.index) - self._ring_set
+        # immutable once built, so queries stay safe from several threads
+        self._plans = _descent_plans(self.ring_count, records, nodes)
 
     @property
     def query_vertices(self) -> frozenset[int]:
@@ -243,41 +297,41 @@ class MsspOracle:
     # ------------------------------------------------------------------
     # queries
 
-    def _check_args(self, j: int, u: int) -> None:
+    def _descend(
+        self, j: int, u: int, hits: list[tuple[RecordKey, int]] | None = None
+    ) -> tuple[_RootTable, int, int, int]:
+        """The one query descent: reroute u along root j's plan.
+
+        Returns the terminal table, u's row in it, and the base and
+        perturbation of the record deltas passed on the way. Appends each
+        record hit (key, vertex) to hits when given.
+        """
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
             raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
+        _, steps, index, table = self._plans[j]
         if u not in self._query_vertices:
             if u in self._ring_set:
                 raise FaceVertexQueryError(f"vertex {u} is a ring vertex, not queryable")
             raise FaceVertexQueryError(f"vertex {u!r} is not in the graph")
-
-    def _walk(self, j: int, u: int, want_hits: bool):
-        """Shared query descent; returns terminal state and record hits."""
-        i1, i2 = 0, self.ring_count - 1
         acc_b = 0
         acc_p = 0
-        hits: list[tuple[RecordKey, int]] = []
-        probes = 0
-        records = self.records
-        while j != i1 and j != i2:
-            mid = (i1 + i2) // 2
-            if j <= mid:
-                key = (mid, 0)
-                i2 = mid
-            else:
-                key = (mid, 1)
-                i1 = mid
-            table = records.get(key)
-            if table is not None:
-                probes += 1
-                e = table.get(u)
-                if e is not None and e.root != u:
-                    acc_b += e.delta.base
-                    acc_p += e.delta.perturb
-                    if want_hits:
+        for key, entries in steps:
+            e = entries.get(u)
+            if e is not None:
+                root = e.root
+                if root != u:
+                    db, dp = e.delta
+                    acc_b += db
+                    acc_p += dp
+                    if hits is not None:
                         hits.append((key, u))
-                    u = e.root
-        return i1, i2, u, acc_b, acc_p, hits, probes
+                    u = root
+        row = index.get(u)
+        if row is None:
+            raise MsspError(f"internal: vertex {u} missing from terminal node")
+        if table.base[row] < 0:
+            raise MsspError(f"internal: vertex {u} unreached in terminal table")
+        return table, row, acc_b, acc_p
 
     def query_dist(self, j: int, u: int) -> LexWeight:
         """Exact normalized-graph distance from r_j to u as a LexWeight.
@@ -285,36 +339,29 @@ class MsspOracle:
         Apply map_answer (or use distance()) to interpret the result in
         original-graph terms.
         """
-        self._check_args(j, u)
-        i1, i2, u_t, acc_b, acc_p, _, _ = self._walk(j, u, False)
-        node = self.nodes[(i1, i2)]
-        row = node.index.get(u_t)
-        if row is None:
-            raise MsspError(f"internal: vertex {u_t} missing from terminal node")
-        t = node.tables[j]
-        d = t.dist(row)
-        if d is None:
-            raise MsspError(f"internal: vertex {u_t} unreached in terminal table")
-        return LexWeight(acc_b + d.base, acc_p + d.perturb)
+        t, row, acc_b, acc_p = self._descend(j, u)
+        return LexWeight(
+            acc_b + t.base[row], acc_p + ((t.phi[row] << _PERT_SHIFT) | t.plo[row])
+        )
 
     def distance(self, j: int, u: int):
         """Base distance from b_j to u in the original graph, or UNREACHABLE."""
-        return map_answer(self.query_dist(j, u), self.w_big)
+        t, row, acc_b, _ = self._descend(j, u)
+        base = acc_b + t.base[row]
+        return UNREACHABLE if base >= self.w_big else base
 
     def descent_intervals(self, j: int) -> list[tuple[int, int]]:
         """The intervals a query for root j visits, outermost first."""
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
             raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
-        i1, i2 = 0, self.ring_count - 1
-        out = [(i1, i2)]
-        while j != i1 and j != i2:
-            mid = (i1 + i2) // 2
-            if j <= mid:
-                i2 = mid
-            else:
-                i1 = mid
-            out.append((i1, i2))
-        return out
+        return list(self._plans[j].intervals)
+
+    def explain(self, j: int, u: int) -> Explanation:
+        """How a query for (j, u) descends: intervals, record hits, probes."""
+        hits: list[tuple[RecordKey, int]] = []
+        self._descend(j, u, hits)
+        plan = self._plans[j]
+        return Explanation(list(plan.intervals), hits, plan.intervals[-1], len(plan.steps))
 
     def query_path(self, j: int, u: int) -> list[int]:
         """Original arc ids of the unique shortest b_j-to-u path."""
@@ -323,43 +370,41 @@ class MsspOracle:
 
     def _query_path_counted(self, j: int, u: int) -> tuple[list[int], int]:
         """query_path plus the number of record/table entry probes used."""
-        self._check_args(j, u)
-        i1, i2, u_t, acc_b, _, hits, probes = self._walk(j, u, True)
-        node = self.nodes[(i1, i2)]
-        t = node.tables[j]
-        row = node.index.get(u_t)
-        if row is None:
-            raise MsspError(f"internal: vertex {u_t} missing from terminal node")
-        if t.base[row] < 0:
-            raise MsspError(f"internal: vertex {u_t} unreached in terminal table")
+        hits: list[tuple[RecordKey, int]] = []
+        t, row, acc_b, _ = self._descend(j, u, hits)
         if acc_b + t.base[row] >= self.w_big:
             raise UnreachableError(
                 f"vertex {u} is not reachable from face vertex {self.face_vertices[j]}"
             )
+        plan = self._plans[j]
+        probes = len(plan.steps)
+        index = plan.index
         out: list[int] = []
-        # terminal tree walk from r_j down to u_t
-        steps: list[tuple[int, TailChain]] = []
-        root_vertex = self.ring_roots[j]
-        v = u_t
-        index = node.index
-        # a tree path has fewer arcs than the node has rows; a longer walk
-        # means the parent pointers of a loaded file form a cycle
-        limit = probes + len(index)
-        while v != root_vertex:
-            r = index[v]
-            probes += 1
-            if probes > limit:
-                raise CorruptFileError(
-                    f"parent pointers of table {j} at node ({i1}, {i2}) cycle"
-                )
-            steps.append((t.par_arc[r], t.chains.get(r, ())))
-            v = t.par_v[r]
-        for arc, chain in reversed(steps):
-            probes += self._expand_chain(chain, out)
-            out.append(arc)
-        for key, vert in reversed(hits):
-            probes += self._expand_record(key, vert, out)
-        if not out or self.arcs[out[0]].kind != ARC_SPOKE:
+        # a loaded file can name a vertex, record or arc that is not there
+        try:
+            # terminal tree walk from r_j down to u's row
+            root_row = index[self.ring_roots[j]]
+            steps: list[tuple[int, TailChain]] = []
+            # a tree path has fewer arcs than the node has rows; a longer
+            # walk means the parent pointers of a loaded file form a cycle
+            limit = probes + len(index)
+            while row != root_row:
+                probes += 1
+                if probes > limit:
+                    raise CorruptFileError(
+                        f"parent pointers of table {j} at node {plan.intervals[-1]} cycle"
+                    )
+                steps.append((t.par_arc[row], t.chains.get(row, ())))
+                row = index[t.par_v[row]]
+            for arc, chain in reversed(steps):
+                probes += self._expand_chain(chain, out)
+                out.append(arc)
+            for key, vert in reversed(hits):
+                probes += self._expand_record(key, vert, out)
+            starts_at_ring = bool(out) and self.arcs[out[0]].kind == ARC_SPOKE
+        except KeyError as exc:
+            raise CorruptFileError(f"path walk met an unknown id: {exc}") from exc
+        if not starts_at_ring:
             raise MsspError("internal: reported path does not start at the ring")
         return out[1:], probes
 

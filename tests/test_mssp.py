@@ -21,7 +21,7 @@ from planar_mssp import (
     normalize,
 )
 from planar_mssp.mssp import BuildStats
-from planar_mssp.normalize import ARC_ORIGINAL
+from planar_mssp.normalize import ARC_ORIGINAL, map_answer
 from tests.conftest import TRI_ONEWAY_SLOTS
 
 from planar_mssp import build_graph
@@ -82,15 +82,19 @@ def test_query_dist_carries_perturbation(oracle3, norm3):
         assert (d.base, d.perturb) == (0, spoke.perturb)
 
 
-def test_query_argument_validation(oracle3):
+@pytest.mark.parametrize(
+    "query", ["query_dist", "distance", "query_path", "explain"]
+)
+def test_query_argument_validation(oracle3, query):
+    ask = getattr(oracle3, query)
     for bad in (-1, 8, 10**9, True, "0"):
         with pytest.raises(BadRootIndexError):
-            oracle3.query_dist(bad, 0)
+            ask(bad, 0)
     ring_vertex = oracle3.ring_roots[0]
     with pytest.raises(FaceVertexQueryError, match="ring"):
-        oracle3.query_dist(0, ring_vertex)
+        ask(0, ring_vertex)
     with pytest.raises(FaceVertexQueryError):
-        oracle3.query_dist(0, 999)
+        ask(0, 999)
     assert oracle3.query_vertices == frozenset(range(9))
 
 
@@ -167,6 +171,46 @@ def test_terminal_nodes_store_their_roots(oracle3):
         i1, i2 = oracle3.descent_intervals(j)[-1]
         node = oracle3.nodes[(i1, i2)]
         assert j in node.tables
+
+
+def test_explain_follows_the_descent(oracle5):
+    n = oracle5.ring_count
+    for j in range(n):
+        intervals = oracle5.descent_intervals(j)
+        # the record tables a descent probes, read off its intervals
+        keys = [
+            ((a1 + a2) // 2, int(b1 != a1))
+            for (a1, a2), (b1, _) in zip(intervals, intervals[1:])
+        ]
+        probed = [key for key in keys if key in oracle5.records]
+        for u in sorted(oracle5.query_vertices):
+            ex = oracle5.explain(j, u)
+            assert ex.intervals == intervals
+            assert ex.terminal == intervals[-1]
+            assert ex.probes == len(probed)
+            # replay the rerouting through the probed tables
+            hits = []
+            v = u
+            for key in probed:
+                e = oracle5.records[key].get(v)
+                if e is not None and e.root != v:
+                    hits.append((key, v))
+                    v = e.root
+            assert ex.hits == hits
+
+
+def test_distance_is_map_answer_of_query_dist():
+    from tests.test_persistence import oneway_grid
+
+    g, face = oneway_grid(16)
+    oracle = build(normalize(g, face, seed=7))
+    unreachable = 0
+    for j in range(oracle.ring_count):
+        for u in sorted(oracle.query_vertices):
+            got = oracle.distance(j, u)
+            assert got == map_answer(oracle.query_dist(j, u), oracle.w_big), (j, u)
+            unreachable += got is UNREACHABLE
+    assert unreachable > 0
 
 
 def test_probe_budget(oracle5):

@@ -194,12 +194,81 @@ def test_self_parent_record_raises_in_bounded_time():
         for j in range(oracle.ring_count)
         for u in sorted(oracle.query_vertices)
         if any(vert != oracle.records[key][vert].parent
-               for key, vert in oracle._walk(j, u, True)[5])
+               for key, vert in oracle.explain(j, u).hits)
     )
     t0 = time.perf_counter()
     with pytest.raises(CorruptFileError, match="cycle"):
         loaded.query_path(*pair)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_missing_node_is_rejected():
+    doc = small_oracle().to_json()
+    del doc["nodes"][-1]
+    with pytest.raises(CorruptFileError):
+        load_doc(doc)
+
+
+def test_missing_terminal_table_is_rejected():
+    oracle = small_oracle()
+    j = oracle.ring_count // 3
+    terminal = list(oracle.descent_intervals(j)[-1])
+    doc = oracle.to_json()
+    node = next(node for node in doc["nodes"] if node[:2] == terminal)
+    node[4] = [table for table in node[4] if table[0] != j]
+    with pytest.raises(CorruptFileError):
+        load_doc(doc)
+
+
+def corrupt_path_answers(doc: dict) -> int:
+    """Ask a damaged oracle for every path; count the CorruptFileErrors.
+
+    Any other error, a KeyError above all, propagates and fails the test.
+    """
+    loaded = load_doc(doc)
+    raised = 0
+    for j in range(loaded.ring_count):
+        for u in sorted(loaded.query_vertices):
+            try:
+                loaded.query_path(j, u)
+            except CorruptFileError:
+                raised += 1
+    return raised
+
+
+def test_record_parent_outside_its_table_raises():
+    doc = small_oracle().to_json()
+    for record in doc["records"]:
+        for entry in record[2]:
+            if entry[0] != entry[1]:  # not the record tree's root
+                entry[4] = 10**6
+    assert corrupt_path_answers(doc) > 0
+
+
+def test_chain_key_without_record_raises():
+    doc = small_oracle().to_json()
+    chains = [chain for node in doc["nodes"] for table in node[4] for _, chain in table[6]]
+    assert chains, "fixture oracle has no tail chains"
+    for chain in chains:
+        for hop in chain:
+            hop[0] = 10**6  # midpoint of no record
+    assert corrupt_path_answers(doc) > 0
+
+
+def test_parent_vertex_outside_its_node_raises():
+    doc = small_oracle().to_json()
+    for node in doc["nodes"]:
+        for table in node[4]:
+            table[4] = [-1 if v < 0 else 10**6 for v in table[4]]
+    assert corrupt_path_answers(doc) > 0
+
+
+def test_parent_arc_outside_the_arc_list_raises():
+    doc = small_oracle().to_json()
+    for node in doc["nodes"]:
+        for table in node[4]:
+            table[5] = [-1 if a < 0 else 10**6 for a in table[5]]
+    assert corrupt_path_answers(doc) > 0
 
 
 class _FailingSink:
