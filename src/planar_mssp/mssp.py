@@ -156,26 +156,31 @@ def _descent_plans(
     A query for root j halves the interval toward j until j is an endpoint;
     that path depends on j alone, so it is worked out here once. A root
     ends its descent at the first node that has it as an endpoint; a
-    midpoint, endpoint of both children, goes to the left one, which is
-    visited first. A missing node or terminal table raises KeyError.
+    midpoint, endpoint of both children, goes to the left one, which the
+    depth-first walk visits first. A missing node or terminal table raises
+    KeyError.
     """
     plans: list[_Plan | None] = [None] * ring_count
-
-    def visit(i1: int, i2: int, intervals: tuple, steps: tuple) -> None:
+    # (interval, intervals above it, record steps above it); a stack, not a
+    # nested recursive function, whose closure cycle would keep the nodes
+    # alive after the oracle is gone, until a GC pass
+    stack = [(0, ring_count - 1, (), ())]
+    while stack:
+        i1, i2, intervals, steps = stack.pop()
         intervals = (*intervals, (i1, i2))
         node = nodes[(i1, i2)]
         for j in (i1, i2):
             if plans[j] is None:
                 plans[j] = _Plan(intervals, steps, node.index, node.tables[j])
         if i2 - i1 <= 1:
-            return
+            continue
         mid = (i1 + i2) // 2
-        for side, (j1, j2) in enumerate(((i1, mid), (mid, i2))):
+        for side, (j1, j2) in ((1, (mid, i2)), (0, (i1, mid))):  # left on top
             key = (mid, side)
             table = records.get(key)
-            visit(j1, j2, intervals, steps if table is None else (*steps, (key, table)))
-
-    visit(0, ring_count - 1, (), ())
+            stack.append(
+                (j1, j2, intervals, steps if table is None else (*steps, (key, table)))
+            )
     return plans  # type: ignore[return-value]
 
 
