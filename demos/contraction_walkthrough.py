@@ -10,14 +10,9 @@ Run:  python3 demos/contraction_walkthrough.py
 
 from __future__ import annotations
 
-from planar_mssp import (
-    contract_tree,
-    gen_grid,
-    normalize,
-    select_trees,
-    shared_forest,
-    sssp_tree,
-)
+from planar_mssp import gen_grid, normalize, sssp_tree
+from planar_mssp.contraction import contract_tree, select_trees
+from planar_mssp.sssp import shared_forest
 
 
 def main() -> None:

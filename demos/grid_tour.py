@@ -6,7 +6,6 @@ Run:  python3 demos/grid_tour.py
 from __future__ import annotations
 
 from planar_mssp import brute_distances, build, gen_grid, normalize
-from planar_mssp.weights import INFINITE_BASE
 
 
 def main() -> None:
@@ -34,11 +33,7 @@ def main() -> None:
         print(f"  from b_{j} (vertex {oracle.face_vertices[j]}): {row}")
 
     # the same numbers the slow way, straight Dijkstra per source
-    snap = [
-        (tail, head, a[0], a[1])
-        for tail, head, a in norm.graph.arc_items()
-        if a[0] < INFINITE_BASE
-    ]
+    snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
     ring = set(norm.ring_roots)
     agreements = 0
     for j in (0, far):

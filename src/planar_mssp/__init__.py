@@ -17,13 +17,6 @@ Typical flow:
 from __future__ import annotations
 
 from . import errors
-from .contraction import (
-    RecordEntry,
-    SelectedTree,
-    TailChain,
-    contract_tree,
-    select_trees,
-)
 from .embedded_graph import (
     Arc,
     EdgeSlot,
@@ -68,8 +61,8 @@ from .normalize import (
     map_answer,
     normalize,
 )
-from .sssp import SSSPTree, SharedForest, shared_forest, sssp_tree
-from .weights import INF, ZERO, LexWeight
+from .sssp import SSSPTree, sssp_tree
+from .weights import ZERO, LexWeight
 
 __version__ = "0.1.0"
 
@@ -88,7 +81,6 @@ __all__ = [
     "FaceNotFoundError",
     "FaceVertexQueryError",
     "GraphError",
-    "INF",
     "LexWeight",
     "MsspError",
     "MsspOracle",
@@ -96,13 +88,9 @@ __all__ = [
     "NormalizedInstance",
     "NotATreeError",
     "PerturbationCollisionWarning",
-    "RecordEntry",
     "SSSPTree",
-    "SelectedTree",
     "SelfLoopContractionError",
     "SelfLoopSlotError",
-    "SharedForest",
-    "TailChain",
     "UNREACHABLE",
     "UnreachableError",
     "UnreachableVertexError",
@@ -112,7 +100,6 @@ __all__ = [
     "brute_distances",
     "build",
     "build_graph",
-    "contract_tree",
     "errors",
     "gen_grid",
     "gen_random_planar",
@@ -124,8 +111,6 @@ __all__ = [
     "normalize",
     "reverse_dart",
     "save_graph",
-    "select_trees",
-    "shared_forest",
     "slot_of_dart",
     "sssp_tree",
     "verify",

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import NotATreeError
 from .sssp import SSSPTree, SharedForest, shared_forest
-from .weights import INFINITE_BASE, ZERO, LexWeight
+from .weights import ZERO, LexWeight
 
 # (record key, vertex) hops that re-inflate an arc's tail, innermost first
 TailChain = tuple[tuple[tuple[int, int], int], ...]
@@ -193,7 +193,7 @@ def contract_tree(
                 out_arc = slot.a01
                 in_arc = slot.a10
             if head not in members:
-                if out_arc is not None and shifted and out_arc[0] < INFINITE_BASE:
+                if out_arc is not None and shifted:
                     out_arc = (out_arc[0] + delta.base, out_arc[1] + delta.perturb, out_arc[2])
                     if end:
                         slot.a10 = out_arc

@@ -476,7 +476,7 @@ class EmbeddedDigraph:
         """Validate structural invariants; raises GraphError on violation.
 
         Checks rotation/link consistency, slot-dart agreement, per-ordered-
-        pair arc uniqueness, non-negative finite-or-INF weights, and — when
+        pair arc uniqueness, non-negative weights, and — when
         the graph is connected — Euler's formula.
         """
         darts_seen: dict[int, int] = {}
@@ -528,7 +528,8 @@ def build_graph(
 
     Each slot entry is (u, v, pos_u, pos_v, w_uv, w_vu): endpoints, the
     slot's position inside each endpoint's clockwise rotation, and the two
-    optional directed base weights (non-negative ints, None for absent).
+    optional directed base weights (non-negative ints, None for absent;
+    anything else, bools included, raises GraphError).
     Positions at each vertex must cover 0..degree-1 exactly once. Arc ids
     are assigned as 2*slot_index + direction.
     """
@@ -550,6 +551,8 @@ def build_graph(
             if w is None:
                 arcs.append(None)
                 continue
+            if isinstance(w, bool) or not isinstance(w, int):
+                raise GraphError(f"arc {pair} has weight {w!r}, not an int")
             if w < 0:
                 raise NegativeWeightError(f"arc {pair} has weight {w}")
             if pair in pairs:

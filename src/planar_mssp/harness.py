@@ -18,7 +18,6 @@ from .embedded_graph import EmbeddedDigraph, build_graph
 from .errors import UnreachableError
 from .mssp import MsspOracle, build
 from .normalize import ARC_ORIGINAL, ARC_SPOKE, UNREACHABLE, normalize
-from .weights import INFINITE_BASE
 
 ArcTuple = tuple[int, int, int, int]  # (tail, head, base, perturb)
 
@@ -342,11 +341,9 @@ def verify(
         build_seconds=build_seconds,
     )
 
-    # independent arc snapshot; ring arcs are infinite and skipped
+    # independent arc snapshot
     snap: list[ArcTuple] = [
-        (tail, head, arc[0], arc[1])
-        for tail, head, arc in norm.graph.arc_items()
-        if arc[0] < INFINITE_BASE
+        (tail, head, arc[0], arc[1]) for tail, head, arc in norm.graph.arc_items()
     ]
     spoke_perturbs = {
         norm.ring_index[a.tail]: a.perturb
@@ -354,8 +351,8 @@ def verify(
         if a.kind == ARC_SPOKE
     }
 
-    finite_perturbs = [a.perturb for a in norm.arcs.values() if a.base < INFINITE_BASE]
-    report.perturbs_distinct = len(finite_perturbs) == len(set(finite_perturbs))
+    perturbs = [a.perturb for a in norm.arcs.values()]
+    report.perturbs_distinct = len(perturbs) == len(set(perturbs))
 
     def brute_for(j: int) -> dict[int, tuple[int, int]]:
         src = norm.ring_roots[j]

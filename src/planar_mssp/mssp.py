@@ -32,15 +32,16 @@ are those columns turned into arrays, one array() call per column. Tree
 selection reads the same columns, and each node looks up a tail chain at
 most once per original tail.
 
-The oracle file (format "planar-mssp-oracle", version 1) is compact,
+The oracle file (format "planar-mssp-oracle", version 2) is compact,
 key-sorted JSON: exactly json.dumps(oracle.to_json(), sort_keys=True,
 separators=(",", ":")) plus a newline. save() streams it one node or record
 item at a time through the C encoder, so the document is never held whole,
 and a loaded oracle re-saves byte-identically. load() checks table column
-lengths and chain rows, and planning the descents checks that every node
-and terminal table is there. Path queries bound every parent walk, and
-raise CorruptFileError, not KeyError, when a damaged file names a vertex,
-record or arc it does not hold. The plans are not part of the file.
+lengths, chain rows and that every parent and record arc id is in the arc
+table, and planning the descents checks that every node and terminal
+table is there. Path queries bound every parent walk, and raise
+CorruptFileError, not KeyError, when a damaged file names a vertex or
+record it does not hold. The plans are not part of the file.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .sssp import SSSPTree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 1
+ORACLE_VERSION = 2
 
 _PERT_SHIFT = 60
 _PERT_MASK = (1 << _PERT_SHIFT) - 1
@@ -385,7 +386,8 @@ class MsspOracle:
         probes = len(plan.steps)
         index = plan.index
         out: list[int] = []
-        # a loaded file can name a vertex, record or arc that is not there
+        # a loaded file can name a vertex or record that is not there; its
+        # arc ids were checked at load
         try:
             # terminal tree walk from r_j down to u's row
             root_row = index[self.ring_roots[j]]
@@ -570,12 +572,15 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
             aid: ArcInfo(tail, head, base, perturb, kind)
             for aid, tail, head, base, perturb, kind in doc["arcs"]
         }
+        # every arc id a path walk can report, -1 (no arc) aside
+        arc_ids: set[int] = set()
         # each parsed item is dropped from the document once it has been
         # turned into tables, so the two copies never coexist in full
         records: dict[RecordKey, dict[int, RecordEntry]] = {}
         raw_records = doc["records"]
         for pos, (i, side, entries) in enumerate(raw_records):
             raw_records[pos] = None
+            arc_ids.update([entry[5] for entry in entries])
             tab = {}
             for u, root, dbase, dpert, parent, arc, chain in entries:
                 tab[u] = RecordEntry(
@@ -599,6 +604,7 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                         f"node ({i1}, {i2}) table {k}: columns do not all have"
                         f" its {rows} rows"
                     )
+                arc_ids.update(par_arc)
                 t = _RootTable(
                     array("q", base),
                     array("q", plo),
@@ -616,6 +622,13 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                     )
                 node.tables[k] = t
             nodes[(i1, i2)] = node
+        arc_ids.discard(-1)
+        unknown = arc_ids.difference(arcs)
+        if unknown:
+            raise CorruptFileError(
+                f"{len(unknown)} parent or record arc ids are not in the arc"
+                f" table, such as {min(unknown)}"
+            )
         oracle = MsspOracle(
             n_original=doc["n_original"],
             ring_roots=list(doc["ring_roots"]),
@@ -817,6 +830,9 @@ def build(
 
     with _gc_paused():
         rec(0, n_rings - 1, norm.graph.copy(), 0)
+    # rec holds itself through its closure cell; emptying the cell lets
+    # reference counting free the working graphs, not a later GC pass
+    del rec
     if collect_edge_stats:
         for level, counter in edge_counters.items():
             entry = stats.level_entry(level)

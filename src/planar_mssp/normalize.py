@@ -4,14 +4,13 @@ Given an embedded digraph and one of its faces, this module produces an
 equivalent instance with three extra guarantees the recursion relies on:
 
 * every distinct vertex b_i on the chosen face walk gains a private ring
-  vertex r_i, attached by a zero-weight arc (r_i, b_i); the r_i are joined
-  into a cycle of infinite-weight arcs spliced inside the face, so no
-  finite arc ever enters a ring vertex;
+  vertex r_i, a pendant vertex whose one arc is the zero-weight spoke
+  (r_i, b_i), embedded inside the face; no arc enters a ring vertex;
 * the non-ring part becomes strongly connected by adding, for each slot
-  carrying only one direction, the reverse arc at a large finite weight
-  W_big (chosen so any path using such an arc is distinguishable from
-  every real path);
-* every finite arc receives a distinct pseudo-random perturbation so that
+  carrying only one direction, the reverse arc at a large weight W_big
+  (chosen so any path using such an arc is distinguishable from every
+  real path);
+* every arc receives a distinct pseudo-random perturbation so that
   shortest paths are unique under lexicographic (base, perturb) order.
 
 Ring vertices are enumerated by the first appearance of their face vertex
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import DisconnectedInputError, FaceNotFoundError, GraphError
-from .weights import INFINITE_BASE, LexWeight
+from .weights import LexWeight
 
 # path base weights must stay well inside 64-bit range for table storage
 _MAX_PATH_BASE = 1 << 62
@@ -38,7 +37,6 @@ _MAX_PATH_BASE = 1 << 62
 ARC_ORIGINAL = "arc"
 ARC_REVERSE = "reverse"
 ARC_SPOKE = "spoke"
-ARC_RING = "ring"
 
 
 class ArcInfo(NamedTuple):
@@ -64,8 +62,8 @@ UNREACHABLE = _Unreachable()
 def map_answer(d: LexWeight, w_big: int):
     """Fold a normalized-graph distance back to the original graph.
 
-    Returns the base distance, or UNREACHABLE when the distance is
-    infinite or relies on augmentation arcs (base >= w_big).
+    Returns the base distance, or UNREACHABLE when the distance relies
+    on augmentation arcs (base >= w_big).
     """
     if d.base >= w_big:
         return UNREACHABLE
@@ -142,12 +140,10 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
     else:
         b_list = [next(iter(work.vertices()))]
 
-    max_base = 0
-    for _, _, arc in work.arc_items():
-        if arc[0] < INFINITE_BASE and arc[0] > max_base:
-            max_base = arc[0]
+    max_base = max((arc[0] for _, _, arc in work.arc_items()), default=0)
     w_big = n_original * max_base + 1
-    # every simple path fits in |V| + ring arcs, each at most w_big
+    # a simple path has at most |V| arcs besides its spoke, each at most
+    # w_big; the bound doubles that and adds one w_big per face vertex
     if 2 * (n_original + len(b_list)) * w_big >= _MAX_PATH_BASE:
         raise GraphError("base weights too large for 62-bit path sums")
 
@@ -170,9 +166,8 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
                 present.add(pair)
 
     # ring vertices, one per distinct face vertex, id-allocated past the input
-    n_ring = len(b_list)
     first_ring_id = max(work.vertices()) + 1
-    rings = [first_ring_id + i for i in range(n_ring)]
+    rings = [first_ring_id + i for i in range(len(b_list))]
     for r in rings:
         work.add_vertex(r)
 
@@ -188,42 +183,14 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
                 seen.add(v)
                 corner[v] = reverse_dart(walk[pos - 1])
 
-    spoke_dart_at_ring: list[int] = []
     spoke_ids: set[int] = set()
-    for i, bv in enumerate(b_list):
+    for r, bv in zip(rings, b_list):
         sid = work._next_slot
         aid = 2 * sid
-        work.add_slot(rings[i], bv, (0, 0, aid), None, None, corner.get(bv))
-        spoke_dart_at_ring.append(2 * sid)
+        work.add_slot(r, bv, (0, 0, aid), None, None, corner.get(bv))
         spoke_ids.add(aid)
 
-    # ring cycle r_0 -> r_1 -> ... -> r_0 of infinite arcs; the rotation at
-    # each r_i must read [to_next, spoke, to_prev] clockwise
-    ring_ids: set[int] = set()
-    if n_ring >= 3:
-        to_prev_dart: dict[int, int] = {}  # ring vertex -> dart of slot from r_{i-1}
-        for i in range(n_ring):
-            r, rn = rings[i], rings[(i + 1) % n_ring]
-            sid = work._next_slot
-            aid = 2 * sid
-            after_u = to_prev_dart.get(r, spoke_dart_at_ring[i])
-            after_v = spoke_dart_at_ring[(i + 1) % n_ring]
-            work.add_slot(r, rn, (INFINITE_BASE, 0, aid), None, after_u, after_v)
-            to_prev_dart[rn] = 2 * sid + 1
-            ring_ids.add(aid)
-    elif n_ring == 2:
-        sid = work._next_slot
-        work.add_slot(
-            rings[0],
-            rings[1],
-            (INFINITE_BASE, 0, 2 * sid),
-            (INFINITE_BASE, 0, 2 * sid + 1),
-            spoke_dart_at_ring[0],
-            spoke_dart_at_ring[1],
-        )
-        ring_ids.update((2 * sid, 2 * sid + 1))
-
-    # distinct perturbations on all finite arcs, in deterministic arc order
+    # distinct perturbations on all arcs, in deterministic arc order
     rng = random.Random(seed)
     used: set[int] = set()
     arcs: dict[int, ArcInfo] = {}
@@ -235,9 +202,6 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
             tail = slot.endpoint(direction)
             head = slot.endpoint(1 - direction)
             aid = arc[2]
-            if aid in ring_ids:
-                arcs[aid] = ArcInfo(tail, head, arc[0], 0, ARC_RING)
-                continue
             p = rng.getrandbits(63)
             while p in used:
                 p = rng.getrandbits(63)

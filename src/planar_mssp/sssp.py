@@ -2,9 +2,8 @@
 
 out_adjacency takes one snapshot of a graph: its vertices sorted into rows
 0..m-1 (the same row index the oracle's tables use), the vertex -> row
-dict, and per row the finite outgoing arcs as (base, perturb, head row,
-dart at head). Infinite arcs are never relaxed and are left out; the
-snapshot still counts every arc for the build's per-level stats.
+dict, and per row the outgoing arcs as (base, perturb, head row, dart at
+head), plus the arc count for the build's per-level stats.
 
 sssp_tree runs Dijkstra with a lazy-deletion binary heap over those rows
 and a bytearray settled set. Heap entries are flat tuples (base, perturb,
@@ -36,41 +35,36 @@ from typing import Callable, Collection, Iterator, NamedTuple
 
 from .embedded_graph import EmbeddedDigraph
 from .errors import UnreachableVertexError
-from .weights import INFINITE_BASE, LexWeight
+from .weights import LexWeight
 
 Adjacency = list[list[tuple[int, int, int, int]]]  # row -> (base, perturb, head row, dart at head)
 
 
 class RowSnapshot(NamedTuple):
-    """A graph's vertices as sorted rows, with each row's finite out-arcs."""
+    """A graph's vertices as sorted rows, with each row's out-arcs."""
 
     vertices: list[int]  # row -> vertex, ascending
     row_of: dict[int, int]  # vertex -> row
     out: Adjacency
-    arc_count: int  # all arcs of the graph, infinite ones included
+    arc_count: int
 
 
 def out_adjacency(h: EmbeddedDigraph) -> RowSnapshot:
-    """Snapshot h's rows and finite arcs for several trees over the unchanged graph."""
+    """Snapshot h's rows and arcs for several trees over the unchanged graph."""
     vertices = sorted(h.vertices())
     row_of = {v: row for row, v in enumerate(vertices)}
     out: Adjacency = [[] for _ in vertices]
-    arcs = 0
     for sid, slot in h.slots.items():
         d0 = sid << 1
         r0 = row_of[slot.v0]
         r1 = row_of[slot.v1]
         a = slot.a01
         if a is not None:
-            arcs += 1
-            if a[0] < INFINITE_BASE:
-                out[r0].append((a[0], a[1], r1, d0 | 1))
+            out[r0].append((a[0], a[1], r1, d0 | 1))
         a = slot.a10
         if a is not None:
-            arcs += 1
-            if a[0] < INFINITE_BASE:
-                out[r1].append((a[0], a[1], r0, d0))
-    return RowSnapshot(vertices, row_of, out, arcs)
+            out[r1].append((a[0], a[1], r0, d0))
+    return RowSnapshot(vertices, row_of, out, sum(map(len, out)))
 
 
 class _VertexView(Mapping):

@@ -3,18 +3,12 @@
 A LexWeight is a pair (base, perturb) of non-negative integers compared
 lexicographically and added componentwise. The base carries the real
 distance; the perturb component is a pseudo-random tie-breaker that makes
-shortest paths unique. INF is a distinguished absorbing value realized as
-a base far above anything a finite path can reach, so ordinary tuple
-comparison still orders it correctly.
+shortest paths unique.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-# Any finite path base is bounded by (#vertices)^2 * max input weight; this
-# sentinel dwarfs that for every instance this package can hold in memory.
-INFINITE_BASE = 1 << 200
 
 
 class LexWeight(NamedTuple):
@@ -22,19 +16,10 @@ class LexWeight(NamedTuple):
     perturb: int = 0
 
     def __add__(self, other):  # type: ignore[override]
-        if self.base >= INFINITE_BASE or other[0] >= INFINITE_BASE:
-            return INF
         return LexWeight(self.base + other[0], self.perturb + other[1])
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.base >= INFINITE_BASE
-
     def __repr__(self) -> str:
-        if self.base >= INFINITE_BASE:
-            return "INF"
         return f"LexWeight({self.base}, {self.perturb})"
 
 
-INF = LexWeight(INFINITE_BASE, 0)
 ZERO = LexWeight(0, 0)

@@ -2,8 +2,7 @@
 
 The instance is written out by hand: vertices 0..3 in row-major order
 (0 1 / 2 3), every grid edge carrying weight 1 in both directions, and
-one ring vertex per boundary vertex joined by a zero-weight spoke. Ring
-cycle arcs are infinite, so they are simply omitted; with them gone the
+one ring vertex per boundary vertex joined by a zero-weight spoke. The
 other ring vertices have no incoming arcs and stay unreachable, exactly
 as the shortest-path trees built by the package should see them.
 

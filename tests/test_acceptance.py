@@ -11,6 +11,9 @@ shows up in the pytest log):
   5. path reporting: validity, weight agreement, and probe budget
   6. contraction safety (Euler, rings untouched) and order independence
   7. persistence: save/load round-trips answer identically
+  8. every-face exactness: exhaustive checks on every face of small
+     grids, random planar graphs, zero and near-cap weights, one-way
+     arcs, a pinched face, a tree and a cycle
 
 Pinned tolerances: per-arc bound 6, per-level size factor bound 9
 (measured plateau just above 8 on large grids), entry-count ratio
@@ -31,13 +34,17 @@ import pytest
 from planar_mssp import (
     MsspError,
     build,
+    build_graph,
     gen_grid,
     gen_random_planar,
+    graph_from_json,
+    graph_to_json,
     load,
     normalize,
     verify,
 )
-from tests.conftest import acceptance_lines
+from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, acceptance_lines
+from tests.test_persistence import oneway_grid
 
 GRID_SIDES = range(2, 13)
 GRID_SEEDS = range(20)
@@ -297,3 +304,94 @@ def test_criterion_7_save_load_round_trip():
         f" {compared} distances re-answered identically,"
         f" re-saves byte-identical: PASS"
     )
+
+
+def near_cap_grid(k: int, seed: int):
+    """Graph document of a k-grid whose heaviest arc weighs the most it admits.
+
+    normalize admits an instance while 2 * (n + N) * W_big < 2**62, where
+    W_big = n * max_weight + 1 and N = 4 * (k - 1) outer face vertices;
+    no face has more. The other weights sit up to 100 below the cap.
+    """
+    n = k * k
+    cap = ((1 << 62) - 1) // (2 * (n + 4 * (k - 1)))
+    top = (cap - 1) // n
+    doc = graph_to_json(*gen_grid(k, seed=seed))
+    for slot in doc["slots"]:
+        slot[2] = top - slot[2]
+        slot[3] = top - slot[3]
+    doc["slots"][0][2] = top
+    return doc
+
+
+def path_graph(n: int, seed: int):
+    """A path on n vertices: a tree, whose one face visits inner vertices twice."""
+    rng = random.Random(f"path:{seed}")
+    return build_graph(
+        n,
+        [(i, i + 1, 1 if i else 0, 0, rng.randint(0, 100), rng.randint(0, 100))
+         for i in range(n - 1)],
+    )
+
+
+def cycle_graph(n: int, seed: int):
+    """A cycle on n vertices: two faces, each with every vertex on it."""
+    rng = random.Random(f"cycle:{seed}")
+    return build_graph(
+        n,
+        [(i, (i + 1) % n, 1, 0, rng.randint(0, 100), rng.randint(0, 100))
+         for i in range(n)],
+    )
+
+
+def every_face_instances():
+    """(name, graph, seed) of the instances checked on every face."""
+    for k in (2, 3, 4, 6):
+        yield f"grid{k}", gen_grid(k, seed=k)[0], k
+    for k in (5, 7):
+        for seed in range(3):
+            yield (
+                f"random{k}-s{seed}",
+                gen_random_planar(k, seed=seed, delete_prob=0.4)[0],
+                seed,
+            )
+    yield "grid4-zero", gen_grid(4, max_weight=0, seed=1)[0], 1
+    yield "grid3-near-cap", graph_from_json(near_cap_grid(3, seed=2))[0], 2
+    yield "grid6-oneway", oneway_grid(6)[0], 3
+    yield "bowtie", build_graph(5, BOWTIE_SLOTS), 4
+    yield "tri_oneway", build_graph(3, TRI_ONEWAY_SLOTS), 5
+    yield "path6", path_graph(6, seed=6), 6
+    yield "cycle6", cycle_graph(6, seed=7), 7
+
+
+def test_near_cap_grid_is_at_the_cap():
+    doc = near_cap_grid(3, seed=2)
+    normalize(*graph_from_json(doc), seed=0)
+    doc["slots"][0][2] += 1
+    with pytest.raises(MsspError, match="too large"):
+        normalize(*graph_from_json(doc), seed=0)
+
+
+def test_criterion_8_every_face_exactness():
+    t0 = time.perf_counter()
+    instances = 0
+    runs = 0
+    pairs = 0
+    path_checks = 0
+    failed = []
+    for name, g, seed in every_face_instances():
+        instances += 1
+        for face in range(len(g.face_walks())):
+            report = verify(g, face, seed=seed, force_exhaustive=True)
+            runs += 1
+            pairs += report.pairs_checked
+            path_checks += report.path_checks
+            if not report.passed:
+                failed.append((name, face, report.mismatches[:3], report.path_failures[:3]))
+    seconds = time.perf_counter() - t0
+    announce(
+        f"[PRIMARY 8] every-face exactness: {instances} instances, {runs} faces,"
+        f" {pairs} pairs, {path_checks} path checks, {len(failed)} failing faces,"
+        f" {seconds:.1f}s: {'PASS' if not failed else 'FAIL'}"
+    )
+    assert not failed, failed[:5]

@@ -265,3 +265,16 @@ def test_bench_cli(tmp_path, capsys):
 def test_bench_bad_sizes(capsys):
     assert main(["bench", "--sizes", "4,x"]) == 1
     assert capsys.readouterr().err.startswith("error CorruptFile: ")
+
+
+@pytest.mark.parametrize("weight", [1.5, True])
+def test_build_rejects_non_int_weight(tmp_path, capsys, weight):
+    g = tmp_path / "g.json"
+    assert main(["gen", "--grid", "2", "--seed", "1", "-o", str(g)]) == 0
+    doc = json.loads(g.read_text())
+    doc["slots"][0][2] = weight
+    g.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["build", "-i", str(g), "-o", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error Graph: ") and "not an int" in err

@@ -9,14 +9,17 @@ from planar_mssp import (
     NotATreeError,
     ZERO,
     build_graph,
-    contract_tree,
     reverse_dart,
-    select_trees,
-    shared_forest,
     sssp_tree,
 )
-from planar_mssp.contraction import RecordEntry, SelectedTree, _Member
-from planar_mssp.sssp import out_adjacency
+from planar_mssp.contraction import (
+    RecordEntry,
+    SelectedTree,
+    _Member,
+    contract_tree,
+    select_trees,
+)
+from planar_mssp.sssp import out_adjacency, shared_forest
 
 
 def ring_trees(norm):

@@ -220,13 +220,8 @@ def test_probe_budget(oracle5):
 
 def test_exactness_on_5x5_against_brute(oracle5, norm5):
     from planar_mssp import brute_distances
-    from planar_mssp.weights import INFINITE_BASE
 
-    snap = [
-        (tail, head, a[0], a[1])
-        for tail, head, a in norm5.graph.arc_items()
-        if a[0] < INFINITE_BASE
-    ]
+    snap = [(tail, head, a[0], a[1]) for tail, head, a in norm5.graph.arc_items()]
     ring = set(norm5.ring_roots)
     for j, r in enumerate(norm5.ring_roots):
         expected = brute_distances(snap, r, ring - {r})

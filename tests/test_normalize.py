@@ -1,4 +1,4 @@
-"""Instance normalization: rings, spokes, augmentation, perturbations."""
+"""Instance normalization: ring vertices, spokes, augmentation, perturbations."""
 
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from planar_mssp import (
     map_answer,
     normalize,
 )
-from planar_mssp.normalize import ARC_ORIGINAL, ARC_REVERSE, ARC_RING, ARC_SPOKE
-from planar_mssp.weights import INF, INFINITE_BASE
+from planar_mssp.normalize import ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE
 
 # 2x2 grid, every arc weight 1, rotations laid out in the plane (row
 # major: 0 1 / 2 3). Its clockwise outer cycle is 0,1,3,2.
@@ -57,9 +56,9 @@ def test_grid2_ring_shape(norm2):
 
 def test_grid2_arc_kinds(norm2):
     kinds = Counter(info.kind for info in norm2.arcs.values())
-    # 8 original arcs, one spoke and one ring arc per boundary vertex,
-    # nothing to augment: every slot already carries both directions
-    assert kinds == {ARC_ORIGINAL: 8, ARC_SPOKE: 4, ARC_RING: 4}
+    # 8 original arcs and one spoke per boundary vertex, nothing to
+    # augment: every slot already carries both directions
+    assert kinds == {ARC_ORIGINAL: 8, ARC_SPOKE: 4}
 
 
 def test_grid2_spokes(norm2):
@@ -70,18 +69,23 @@ def test_grid2_spokes(norm2):
     }
 
 
+def assert_ring_vertices_pendant(norm):
+    """Each ring vertex has exactly one dart, that of its outgoing spoke."""
+    g = norm.graph
+    for r, b in zip(norm.ring_roots, norm.face_vertices):
+        (d,) = g.rotation(r)
+        assert g.arc_into(d) is None
+        arc = g.arc_from(d)
+        assert g.dart_vertex(d ^ 1) == b
+        assert norm.arcs[arc[2]].kind == ARC_SPOKE
+
+
 def test_grid2_ring_cycle(norm2):
-    ring = [i for i in norm2.arcs.values() if i.kind == ARC_RING]
-    assert all(r.base >= INFINITE_BASE for r in ring)
-    assert all(r.perturb == 0 for r in ring)
-    hops = {r.tail: r.head for r in ring}
-    r0 = norm2.ring_roots[0]
-    cycle = [r0]
-    while True:
-        cycle.append(hops[cycle[-1]])
-        if cycle[-1] == r0:
-            break
-    assert cycle == norm2.ring_roots + [r0]
+    # the ring vertices are not joined into a cycle: no slot joins two of
+    # them, and each one's only dart is its spoke's
+    ring = set(norm2.ring_roots)
+    assert not [s for s in norm2.graph.slots.values() if {s.v0, s.v1} <= ring]
+    assert_ring_vertices_pendant(norm2)
 
 
 def test_grid2_ring_rotations(norm2):
@@ -89,13 +93,13 @@ def test_grid2_ring_rotations(norm2):
     assert g.vertex_count == 8
     g.check()
     for r in norm2.ring_roots:
-        assert g.degree(r) == 3
+        assert g.degree(r) == 1
 
 
 def test_perturbations_distinct_and_bounded(norm2):
-    finite = [i.perturb for i in norm2.arcs.values() if i.kind != ARC_RING]
-    assert len(set(finite)) == len(finite)
-    assert all(0 <= p < 1 << 63 for p in finite)
+    perturbs = [i.perturb for i in norm2.arcs.values()]
+    assert len(set(perturbs)) == len(perturbs)
+    assert all(0 <= p < 1 << 63 for p in perturbs)
 
 
 def test_seed_determinism():
@@ -124,7 +128,8 @@ def test_reverse_augmentation(tri_oneway):
     # max weight 7 over 3 vertices
     assert norm.w_big == 22
     kinds = Counter(i.kind for i in norm.arcs.values())
-    assert kinds == {ARC_ORIGINAL: 3, ARC_REVERSE: 3, ARC_SPOKE: 3, ARC_RING: 3}
+    assert kinds == {ARC_ORIGINAL: 3, ARC_REVERSE: 3, ARC_SPOKE: 3}
+    assert_ring_vertices_pendant(norm)
     rev = {(i.tail, i.head) for i in norm.arcs.values() if i.kind == ARC_REVERSE}
     assert rev == {(1, 0), (2, 1), (2, 0)}
     assert all(
@@ -138,7 +143,8 @@ def test_no_augmentation_when_pair_on_other_slot():
     g = build_graph(2, [(0, 1, 0, 0, 3, None), (0, 1, 1, 1, None, 4)])
     norm = normalize(g, 0, seed=0)
     kinds = Counter(i.kind for i in norm.arcs.values())
-    assert kinds == {ARC_ORIGINAL: 2, ARC_SPOKE: 2, ARC_RING: 2}
+    assert kinds == {ARC_ORIGINAL: 2, ARC_SPOKE: 2}
+    assert_ring_vertices_pendant(norm)
 
 
 def test_cut_vertex_face(bowtie):
@@ -203,9 +209,22 @@ def test_weight_guard():
     normalize(ok, 0, seed=0)
 
 
+def test_huge_weight_is_too_large_not_absent():
+    # every input weight counts toward the cap, however large
+    for w in (1 << 199, 1 << 200, 1 << 300):
+        g = build_graph(2, [(0, 1, 0, 0, w, 1)])
+        with pytest.raises(GraphError, match="too large"):
+            normalize(g, 0, seed=0)
+
+
+@pytest.mark.parametrize("weight", [1.5, 2.0, True, False, "3"])
+def test_non_int_weight_rejected(weight):
+    with pytest.raises(GraphError, match="not an int"):
+        build_graph(2, [(0, 1, 0, 0, weight, 1)])
+
+
 def test_map_answer():
     assert map_answer(LexWeight(4, 123), 5) == 4
     assert map_answer(LexWeight(5, 0), 5) is UNREACHABLE
     assert map_answer(LexWeight(6, 0), 5) is UNREACHABLE
-    assert map_answer(INF, 5) is UNREACHABLE
     assert repr(UNREACHABLE) == "UNREACHABLE"

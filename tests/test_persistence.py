@@ -13,6 +13,7 @@ import pytest
 
 from planar_mssp import (
     CorruptFileError,
+    VersionMismatchError,
     build,
     build_graph,
     gen_grid,
@@ -23,26 +24,29 @@ from planar_mssp import (
     normalize,
 )
 from planar_mssp.mssp import ORACLE_VERSION
+from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 
-# SHA-256 of each saved oracle with stats.build_seconds set to 0.0. The
-# first five were recorded with the json.dump writer that the streaming
-# writer replaced, the other four with the vertex-keyed build core that
-# the row-indexed one replaced. Any change to these bytes is a format
-# change and needs a version bump.
+# SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
+# was derived from the version 1 document of the same instance by
+# dropping its "ring" arc rows, taking the ring cycle's slots and arcs out
+# of stats.per_level (N at level 0, N >= 3; one slot and two arcs for
+# N = 2; i2 - i1 at a deeper node) and setting version 2: deleting the
+# ring cycle left nodes and records unchanged. Any change to these bytes
+# is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "fb1f986511c2996140e351ab89a2f040db3d148a0da3035f791991e4aee47e02",
-    "grid16-outer": "d3ea1526d9b780d753c5123df0134c2d8230189a9692e110616c79dd10884cf6",
-    "random10-outer": "1b3764bb19d748c072a9dc1e0e3b11bd09e5944d303c0098ad82b05e82f05bc4",
-    "bowtie-inner": "ef507fed9582e23157f0480e011cd4fa1acb0b417e2d023fdfd17a531742bf84",
-    "tri_oneway-inner": "e26ff3600439143f6850586a3f9ccadc1d24327c50e78d2302c20b69b86a3e41",
-    "grid32-outer": "96410ea8cf59bbb6ec9463770fd8f854b7dee6964f7bb49d6222c013e0912332",
-    "grid16-oneway-inner": "7dc771c4a87734cc7754492c6ad5e3594d26a84c3bb7ef200583b35f539c49a2",
-    "random12-inner": "b4609414f2d75a4909462e010c531d47283a2ef1331703224dfe1b9d55e1984a",
+    "grid8-outer": "f7cdb9bebebfee068d88a7bd00e971079a41e426c6981955c6adaaba6f6cc794",
+    "grid16-outer": "d497a92a482a2f56c8979b9357ad22d200966207cc45bdbbb15b794a33265c8c",
+    "random10-outer": "ac746d7ec625a0d1e6ce479e75710584b17ab407f6655d9a455b7f98ff6140d3",
+    "bowtie-inner": "3e2b42196823579e04bf14c0250fdec1c89f112a2823de22e3b6dc73d0297538",
+    "tri_oneway-inner": "65a2d93161c72ab9b9257e424a7531a38b2a4d8139ee1aa0a45322457327d8d2",
+    "grid32-outer": "18a767895ce56306ffe3fb69811569fd9508b168d65e5d05c69794ac77e58323",
+    "grid16-oneway-inner": "51b64b004b89af515dba1750335c6622e25ffc002d10f6803bd42792201e5b3b",
+    "random12-inner": "8d57e332ff029b2be501c88a1ff3673897381c78359131ae1fdf866dff85e0e0",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "44c037417d9d5d829c2fdb29737c111a9f4f737ba290032f66d6c9f0e9fab03c"
+    "grid64-outer", "92226c54d7cc569b5f74680d3eeb422c10eb7dd55e5ff77b12c6ff2c00a3aa71"
 )
 
 
@@ -131,8 +135,15 @@ def test_saved_bytes_match_gate_digest_large():
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
-def test_oracle_version_is_one():
-    assert ORACLE_VERSION == 1
+def test_oracle_version_is_two():
+    assert ORACLE_VERSION == 2
+
+
+def test_version_one_file_is_rejected():
+    doc = small_oracle().to_json()
+    doc["version"] = 1
+    with pytest.raises(VersionMismatchError):
+        load_doc(doc)
 
 
 def test_empty_record_stream_round_trips():
@@ -268,7 +279,32 @@ def test_parent_arc_outside_the_arc_list_raises():
     for node in doc["nodes"]:
         for table in node[4]:
             table[5] = [-1 if a < 0 else 10**6 for a in table[5]]
-    assert corrupt_path_answers(doc) > 0
+    with pytest.raises(CorruptFileError, match="arc ids"):
+        load_doc(doc)
+
+
+def test_unknown_arc_later_in_a_path_is_rejected_at_load():
+    # one parent arc that is never a path's first arc (not a spoke): a
+    # path walk would report it after the arcs before it
+    oracle = small_oracle()
+    doc = oracle.to_json()
+    spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
+    par_arc = next(
+        table[5] for node in doc["nodes"] for table in node[4]
+        if any(a >= 0 and a not in spokes for a in table[5])
+    )
+    row = next(r for r, a in enumerate(par_arc) if a >= 0 and a not in spokes)
+    par_arc[row] = 10**6
+    with pytest.raises(CorruptFileError, match="arc ids"):
+        load_doc(doc)
+
+
+def test_unknown_record_arc_is_rejected_at_load():
+    doc = small_oracle().to_json()
+    entry = next(e for rec in doc["records"] for e in rec[2] if e[5] >= 0)
+    entry[5] = 10**6
+    with pytest.raises(CorruptFileError, match="arc ids"):
+        load_doc(doc)
 
 
 class _FailingSink:
@@ -279,7 +315,7 @@ class _FailingSink:
 def test_gc_stays_enabled_after_failed_load_and_save():
     assert gc.isenabled()
     with pytest.raises(CorruptFileError):
-        load(io.StringIO('{"format":"planar-mssp-oracle","version":1}'))
+        load(io.StringIO('{"format":"planar-mssp-oracle","version":2}'))
     assert gc.isenabled()
     with pytest.raises(OSError, match="disk full"):
         small_oracle().save(_FailingSink())
@@ -301,5 +337,18 @@ def test_gc_stays_disabled_for_a_caller_who_disabled_it():
         with pytest.raises(CorruptFileError):
             load(io.StringIO("{oops"))
         assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_built_oracle_is_freed_by_reference_counting():
+    g, outer = gen_grid(16, seed=0)
+    norm = normalize(g, outer, seed=7)
+    gc.collect()
+    gc.disable()
+    try:
+        oracle = build(norm)
+        del oracle
+        assert gc.collect() == 0
     finally:
         gc.enable()

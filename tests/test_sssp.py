@@ -11,11 +11,10 @@ from planar_mssp import (
     build_graph,
     normalize,
     reverse_dart,
-    shared_forest,
     sssp_tree,
 )
-from planar_mssp.sssp import out_adjacency
-from planar_mssp.weights import INFINITE_BASE, ZERO
+from planar_mssp.sssp import out_adjacency, shared_forest
+from planar_mssp.weights import ZERO
 from tests.test_normalize import GRID2_BOUNDARY, GRID2_SLOTS, outer_face_of
 
 # Derived by tests/oracles/grid2_normalized_sssp.py (standalone
@@ -74,13 +73,15 @@ def test_parent_darts_form_tree(norm2):
         assert set(tree.parent_dart) == set(tree.dist) - {tree.root}
 
 
-def test_infinite_arcs_never_relaxed(norm2):
-    # ring arcs are infinite, so no ring vertex may be someone's parent
-    tree = ring_tree(norm2, 0)
+def test_no_ring_vertex_is_a_tree_parent(norm2):
+    # a ring vertex's one arc is its spoke, so no ring vertex but the root
+    # itself, through its own spoke, is a parent in its tree
     g = norm2.graph
-    for v, pd in tree.parent_dart.items():
-        arc = g.arc_from(reverse_dart(pd))
-        assert arc[0] < INFINITE_BASE
+    rings = set(norm2.ring_roots)
+    for j, r in enumerate(norm2.ring_roots):
+        tree = ring_tree(norm2, j)
+        parents = {g.dart_vertex(reverse_dart(pd)) for pd in tree.parent_dart.values()}
+        assert parents & rings == {r}
 
 
 def test_out_adjacency_matches_arc_items(norm2):
@@ -89,11 +90,7 @@ def test_out_adjacency_matches_arc_items(norm2):
     assert snap.vertices == sorted(g.vertices())
     assert snap.row_of == {v: row for row, v in enumerate(snap.vertices)}
     assert snap.arc_count == g.arc_count
-    flat = {
-        (tail, a[0], a[1], head)
-        for tail, head, a in g.arc_items()
-        if a[0] < INFINITE_BASE
-    }
+    flat = {(tail, a[0], a[1], head) for tail, head, a in g.arc_items()}
     spread = {
         (snap.vertices[row], base, pert, snap.vertices[head_row])
         for row, arcs in enumerate(snap.out)

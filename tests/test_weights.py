@@ -5,8 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planar_mssp import INF, ZERO, LexWeight
-from planar_mssp.weights import INFINITE_BASE
+from planar_mssp import ZERO, LexWeight
 
 finite = st.tuples(
     st.integers(min_value=0, max_value=1 << 62),
@@ -29,24 +28,7 @@ def test_base_dominates_perturb():
     assert LexWeight(3, 1) < LexWeight(3, 2)
 
 
-def test_inf_is_absorbing_and_maximal():
-    assert INF + LexWeight(5, 5) == INF
-    assert LexWeight(5, 5) + INF == INF
-    assert INF + INF == INF
-    assert LexWeight((1 << 200) - 1, 0) < INF
-    assert INF.is_infinite
-    assert not ZERO.is_infinite
-
-
-def test_over_threshold_sums_collapse_to_inf():
-    # any base at or above the sentinel is treated as infinite by addition
-    big = LexWeight(INFINITE_BASE + 17, 9)
-    assert big.is_infinite
-    assert big + ZERO == INF
-
-
 def test_repr():
-    assert repr(INF) == "INF"
     assert repr(LexWeight(4, 2)) == "LexWeight(4, 2)"
 
 
