@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: gen, build, query, path, verify, bench. Every failure is
+Subcommands: gen, build, query, path, verify. Every failure is
 reported as one line "error {Kind}: {message}" on stderr with a nonzero
 exit code. When --seed is omitted, the MSSP_SEED environment variable is
 used; failing that, seed 0.
@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
 import time
 
@@ -170,68 +168,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    try:
-        sizes = [int(p) for p in args.sizes.split(",") if p]
-    except ValueError:
-        raise CorruptFileError(f"--sizes must be comma-separated ints: {args.sizes!r}") from None
-    if not sizes:
-        raise CorruptFileError("--sizes is empty")
-    rows = []
-    for k in sizes:
-        graph, outer = gen_grid(k, args.max_weight, seed)
-        norm = normalize(graph, outer, seed)
-        t0 = time.perf_counter()
-        oracle = build_oracle(norm)
-        t_build = time.perf_counter() - t0
-        n_norm = norm.graph.vertex_count
-        n_rings = oracle.ring_count
-        entries = oracle.stats.stored_entries
-        ratio = entries / (n_norm * math.log2(n_rings))
-        depth = max(len(oracle.descent_intervals(j)) for j in range(n_rings))
-        depth_bound = math.ceil(math.log2(n_rings)) + 1
-        rng = random.Random(f"bench:{seed}:{k}")
-        verts = sorted(oracle.query_vertices)
-        pairs = [
-            (rng.randrange(n_rings), verts[rng.randrange(len(verts))])
-            for _ in range(args.queries)
-        ]
-        t0 = time.perf_counter()
-        for j, u in pairs:
-            oracle.query_dist(j, u)
-        q_us = (time.perf_counter() - t0) / max(1, len(pairs)) * 1e6
-        rows.append(
-            {
-                "k": k,
-                "vertices": graph.vertex_count,
-                "ring_count": n_rings,
-                "build_seconds": t_build,
-                "stored_entries": entries,
-                "entries_per_n_log_f": ratio,
-                "max_depth": depth,
-                "depth_bound": depth_bound,
-                "query_micros": q_us,
-            }
-        )
-        print(
-            f"k={k}: n={graph.vertex_count} rings={n_rings}"
-            f" build={t_build:.2f}s entries={entries} ratio={ratio:.3f}"
-            f" depth={depth}/{depth_bound} query={q_us:.1f}us"
-        )
-    ratios = [r["entries_per_n_log_f"] for r in rows]
-    spread = max(ratios) / min(ratios)
-    depth_ok = all(r["max_depth"] <= r["depth_bound"] for r in rows)
-    print(
-        f"entries ratio spread {spread:.3f} (bound 2.0);"
-        f" depth within bound: {'yes' if depth_ok else 'NO'}"
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            dump_json({"rows": rows, "ratio_spread": spread, "depth_ok": depth_ok}, fh)
-    return 0 if spread <= 2.0 and depth_ok else 1
-
-
 # ----------------------------------------------------------------------
 
 
@@ -287,13 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="build oracles over growing grids and report scaling")
-    p.add_argument("--sizes", default="32,64,128,256")
-    p.add_argument("--max-weight", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--json", metavar="PATH", help="also write the rows as JSON")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -1,47 +1,52 @@
 """The multi-source shortest path oracle.
 
 Build recursion over root intervals [i1, i2]: compute shortest path trees
-from the interval's endpoints and midpoint, store their distance/parent
-tables, then for each half restrict the graph to the half's own ring
-vertices, contract every tree selected by the clockwise rule, record where
-each contracted vertex went, and recurse. Records are keyed by (midpoint,
-side); midpoints are unique across the recursion, and the side
-distinguishes the two children, which may contract different trees through
-the same vertex.
+from the interval's endpoints and midpoint, then for each half restrict the
+graph to the half's own ring vertices, contract every tree selected by the
+clockwise rule, record where each contracted vertex went, and recurse. The
+intervals follow from the ring count alone, so they are not stored.
+Records are keyed by (midpoint, side); midpoints are unique across the
+recursion, and the side distinguishes the two children, which may contract
+different trees through the same vertex.
 
 A distance query walks root-to-leaf through the intervals containing j,
 rerouting u through the records (u becomes its super-vertex, the in-tree
-delta accumulates) until j is an interval endpoint, then reads that node's
-table. That walk depends on j alone, so each root's descent is planned
-once, when the oracle is built or loaded: the record tables along it in
-order, and the terminal node's row index and table. A query follows its
-root's plan (MsspOracle._descend), and explain() reports the same descent.
-A path query additionally replays the walk's record hits and the
-terminal tree walk, expanding every arc's tail chain — the precomputed
-list of (record, vertex) hops between the arc's tail at contraction time
-and its original tail — deepest hop first, which yields original arc ids in path
-order with O(1) record probes per reported arc.
+delta accumulates) until j is an interval endpoint, then reads j's tree at
+that terminal node. That tree is the only one stored for j: a node keeps
+the tables of the roots whose descent ends there, one table per root in
+all, and its other trees serve only its own tree selection. The walk
+depends on j alone, so each root's descent is planned once, when the
+oracle is built or loaded: the record tables along it in order, and j's
+table. A query follows its root's plan (MsspOracle._descend), and
+explain() reports the same descent. A path query additionally replays the
+walk's record hits and the terminal tree walk, expanding every arc's tail
+chain — the precomputed list of (record, vertex) hops between the arc's
+tail at contraction time and its original tail — deepest hop first, which
+yields original arc ids in path order with O(1) record probes per
+reported arc.
 
-Per-node tables are flat arrays over a sorted-vertex row index: int64
+Tables are flat arrays over their node's sorted-vertex row index: int64
 bases (-1 = unreached) and the perturbation split at bit 60 so sums of
 63-bit perturbations along long paths still fit two int64 halves. That
 row index is also the vertex numbering of the build's inner loops: each
 node takes one row snapshot of its graph (sssp.out_adjacency), Dijkstra
-fills per-row distance and parent columns over it, and the node's tables
-are those columns turned into arrays, one array() call per column. Tree
+fills per-row distance and parent columns over it, and a stored table is
+those columns turned into arrays, one array() call per column. Tree
 selection reads the same columns, and each node looks up a tail chain at
 most once per original tail.
 
-The oracle file (format "planar-mssp-oracle", version 2) is compact,
+The oracle file (format "planar-mssp-oracle", version 3) is compact,
 key-sorted JSON: exactly json.dumps(oracle.to_json(), sort_keys=True,
-separators=(",", ":")) plus a newline. save() streams it one node or record
-item at a time through the C encoder, so the document is never held whole,
-and a loaded oracle re-saves byte-identically. load() checks table column
-lengths, chain rows and that every parent and record arc id is in the arc
-table, and planning the descents checks that every node and terminal
-table is there. Path queries bound every parent walk, and raise
-CorruptFileError, not KeyError, when a damaged file names a vertex or
-record it does not hold. The plans are not part of the file.
+separators=(",", ":")) plus a newline. Its "tables" stream holds one item
+per root, in root order: [j, vertices, base, plo, phi, par_v, par_arc,
+chains]. save() streams it one table or record item at a time through the
+C encoder, so the document is never held whole, and a loaded oracle
+re-saves byte-identically. load() checks that there is exactly one table
+per root, in order, the table column lengths, the chain rows, and that
+every parent and record arc id is in the arc table. Path queries bound
+every parent walk, and raise CorruptFileError, not KeyError, when a
+damaged file names a vertex or record it does not hold. The plans are not
+part of the file.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .sssp import SSSPTree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 2
+ORACLE_VERSION = 3
 
 _PERT_SHIFT = 60
 _PERT_MASK = (1 << _PERT_SHIFT) - 1
@@ -95,12 +100,13 @@ def _gc_paused() -> Iterator[None]:
 
 
 class _RootTable:
-    """One stored tree: distances and parent structure in flat arrays."""
+    """One root's stored tree: a row index and flat distance/parent columns."""
 
-    __slots__ = ("base", "plo", "phi", "par_v", "par_arc", "chains")
+    __slots__ = ("index", "base", "plo", "phi", "par_v", "par_arc", "chains")
 
     def __init__(
         self,
+        index: dict[int, int],
         base: array,
         plo: array,
         phi: array,
@@ -108,6 +114,7 @@ class _RootTable:
         par_arc: array,
         chains: dict[int, TailChain],
     ):
+        self.index = index
         self.base = base
         self.plo = plo
         self.phi = phi
@@ -116,26 +123,12 @@ class _RootTable:
         self.chains = chains
 
 
-class _Node:
-    """One recursion node: interval, row index, and its stored trees."""
-
-    __slots__ = ("i1", "i2", "level", "index", "tables")
-
-    def __init__(self, i1: int, i2: int, level: int, index: dict[int, int]):
-        self.i1 = i1
-        self.i2 = i2
-        self.level = level
-        self.index = index
-        self.tables: dict[int, _RootTable] = {}
-
-
 class _Plan(NamedTuple):
     """One root's descent, worked out once; references, no copies."""
 
     intervals: tuple[tuple[int, int], ...]  # outermost first; the last is terminal
     steps: tuple[tuple[RecordKey, dict[int, RecordEntry]], ...]  # tables met, in order
-    index: dict[int, int]  # the terminal node's row index
-    table: _RootTable  # the terminal node's table of this root
+    table: _RootTable  # this root's table, at the terminal interval
 
 
 class Explanation(NamedTuple):
@@ -143,36 +136,35 @@ class Explanation(NamedTuple):
 
     intervals: list[tuple[int, int]]  # the intervals visited, outermost first
     hits: list[tuple[RecordKey, int]]  # (record key, vertex) rerouted, in order
-    terminal: tuple[int, int]  # the interval whose node's table answers
+    terminal: tuple[int, int]  # the interval whose tree answers
     probes: int  # record tables probed on the way down
 
 
 def _descent_plans(
     ring_count: int,
     records: dict[RecordKey, dict[int, RecordEntry]],
-    nodes: dict[tuple[int, int], _Node],
+    tables: list[_RootTable],
 ) -> list[_Plan]:
     """Every root's descent plan, by one walk over the interval tree.
 
     A query for root j halves the interval toward j until j is an endpoint;
     that path depends on j alone, so it is worked out here once. A root
-    ends its descent at the first node that has it as an endpoint; a
+    ends its descent at the first interval that has it as an endpoint; a
     midpoint, endpoint of both children, goes to the left one, which the
-    depth-first walk visits first. A missing node or terminal table raises
-    KeyError.
+    depth-first walk visits first. The intervals follow from ring_count
+    alone, so the walk looks up only record tables and tables[j].
     """
     plans: list[_Plan | None] = [None] * ring_count
     # (interval, intervals above it, record steps above it); a stack, not a
-    # nested recursive function, whose closure cycle would keep the nodes
+    # nested recursive function, whose closure cycle would keep the tables
     # alive after the oracle is gone, until a GC pass
     stack = [(0, ring_count - 1, (), ())]
     while stack:
         i1, i2, intervals, steps = stack.pop()
         intervals = (*intervals, (i1, i2))
-        node = nodes[(i1, i2)]
         for j in (i1, i2):
             if plans[j] is None:
-                plans[j] = _Plan(intervals, steps, node.index, node.tables[j])
+                plans[j] = _Plan(intervals, steps, tables[j])
         if i2 - i1 <= 1:
             continue
         mid = (i1 + i2) // 2
@@ -260,7 +252,7 @@ class MsspOracle:
         "seed",
         "arcs",
         "records",
-        "nodes",
+        "tables",
         "stats",
         "_ring_set",
         "_query_vertices",
@@ -276,7 +268,7 @@ class MsspOracle:
         seed: int,
         arcs: dict[int, ArcInfo],
         records: dict[RecordKey, dict[int, RecordEntry]],
-        nodes: dict[tuple[int, int], _Node],
+        tables: list[_RootTable],
         stats: BuildStats,
     ):
         self.n_original = n_original
@@ -287,13 +279,13 @@ class MsspOracle:
         self.seed = seed
         self.arcs = arcs
         self.records = records
-        self.nodes = nodes
+        self.tables = tables
         self.stats = stats
         self._ring_set = frozenset(ring_roots)
-        root_node = nodes[(0, len(ring_roots) - 1)]
-        self._query_vertices = frozenset(root_node.index) - self._ring_set
+        # root 0's table is the root node's tree, over every vertex
+        self._query_vertices = frozenset(tables[0].index) - self._ring_set
         # immutable once built, so queries stay safe from several threads
-        self._plans = _descent_plans(self.ring_count, records, nodes)
+        self._plans = _descent_plans(self.ring_count, records, tables)
 
     @property
     def query_vertices(self) -> frozenset[int]:
@@ -314,7 +306,7 @@ class MsspOracle:
         """
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
             raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
-        _, steps, index, table = self._plans[j]
+        _, steps, table = self._plans[j]
         if u not in self._query_vertices:
             if u in self._ring_set:
                 raise FaceVertexQueryError(f"vertex {u} is a ring vertex, not queryable")
@@ -332,9 +324,9 @@ class MsspOracle:
                     if hits is not None:
                         hits.append((key, u))
                     u = root
-        row = index.get(u)
+        row = table.index.get(u)
         if row is None:
-            raise MsspError(f"internal: vertex {u} missing from terminal node")
+            raise MsspError(f"internal: vertex {u} missing from terminal table")
         if table.base[row] < 0:
             raise MsspError(f"internal: vertex {u} unreached in terminal table")
         return table, row, acc_b, acc_p
@@ -384,7 +376,7 @@ class MsspOracle:
             )
         plan = self._plans[j]
         probes = len(plan.steps)
-        index = plan.index
+        index = t.index
         out: list[int] = []
         # a loaded file can name a vertex or record that is not there; its
         # arc ids were checked at load
@@ -392,15 +384,13 @@ class MsspOracle:
             # terminal tree walk from r_j down to u's row
             root_row = index[self.ring_roots[j]]
             steps: list[tuple[int, TailChain]] = []
-            # a tree path has fewer arcs than the node has rows; a longer
+            # a tree path has fewer arcs than the table has rows; a longer
             # walk means the parent pointers of a loaded file form a cycle
             limit = probes + len(index)
             while row != root_row:
                 probes += 1
                 if probes > limit:
-                    raise CorruptFileError(
-                        f"parent pointers of table {j} at node {plan.intervals[-1]} cycle"
-                    )
+                    raise CorruptFileError(f"parent pointers of table {j} cycle")
                 steps.append((t.par_arc[row], t.chains.get(row, ())))
                 row = index[t.par_v[row]]
             for arc, chain in reversed(steps):
@@ -448,18 +438,25 @@ class MsspOracle:
     # introspection and persistence
 
     def trace(self) -> dict:
-        """Recursion structure as a plain dict, for external plotting."""
+        """Recursion structure as a plain dict, for external plotting.
+
+        The nodes follow from ring_count, level by level and left to right;
+        "roots" are the trees a node ran, not the tables it stored.
+        """
         nodes = []
-        for (i1, i2), node in sorted(self.nodes.items(), key=lambda kv: (kv[1].level, kv[0])):
-            nodes.append(
-                {
-                    "i1": i1,
-                    "i2": i2,
-                    "level": node.level,
-                    "vertices": len(node.index),
-                    "roots": sorted(node.tables),
-                }
-            )
+        level = 0
+        intervals = [(0, self.ring_count - 1)]
+        while intervals:
+            below = []
+            for i1, i2 in intervals:
+                mid = (i1 + i2) // 2
+                nodes.append(
+                    {"i1": i1, "i2": i2, "level": level, "roots": sorted({i1, mid, i2})}
+                )
+                if i2 - i1 > 1:
+                    below += [(i1, mid), (mid, i2)]
+            intervals = below
+            level += 1
         recs = [
             {"midpoint": i, "side": side, "entries": len(tab)}
             for (i, side), tab in sorted(self.records.items())
@@ -467,7 +464,7 @@ class MsspOracle:
         return {"ring_count": self.ring_count, "nodes": nodes, "records": recs}
 
     # The file layout, defined once: the small header values plus two
-    # streams yielding one "nodes" or "records" item at a time. to_json()
+    # streams yielding one "tables" or "records" item at a time. to_json()
     # collects them into one dict; save() writes them piece by piece.
 
     def _header(self) -> dict:
@@ -495,27 +492,22 @@ class MsspOracle:
             ]
             yield [i, side, entries]
 
-    def _node_items(self) -> Iterator[list]:
-        for (i1, i2), node in sorted(self.nodes.items()):
-            vertices = sorted(node.index, key=node.index.get)
-            tables = []
-            for k, t in sorted(node.tables.items()):
-                tables.append(
-                    [
-                        k,
-                        list(t.base),
-                        list(t.plo),
-                        list(t.phi),
-                        list(t.par_v),
-                        list(t.par_arc),
-                        [[row, [[c[0][0], c[0][1], c[1]] for c in chain]]
-                         for row, chain in sorted(t.chains.items())],
-                    ]
-                )
-            yield [i1, i2, node.level, vertices, tables]
+    def _table_items(self) -> Iterator[list]:
+        for j, t in enumerate(self.tables):
+            yield [
+                j,
+                sorted(t.index, key=t.index.get),
+                list(t.base),
+                list(t.plo),
+                list(t.phi),
+                list(t.par_v),
+                list(t.par_arc),
+                [[row, [[c[0][0], c[0][1], c[1]] for c in chain]]
+                 for row, chain in sorted(t.chains.items())],
+            ]
 
     def _streams(self) -> dict[str, Iterator[list]]:
-        return {"nodes": self._node_items(), "records": self._record_items()}
+        return {"tables": self._table_items(), "records": self._record_items()}
 
     def to_json(self) -> dict:
         doc = self._header()
@@ -591,37 +583,40 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                     tuple(((ci, cs), cv) for ci, cs, cv in chain),
                 )
             records[(i, side)] = tab
-        nodes: dict[tuple[int, int], _Node] = {}
-        raw_nodes = doc["nodes"]
-        for pos, (i1, i2, level, vertices, tables) in enumerate(raw_nodes):
-            raw_nodes[pos] = None
+        ring_count = len(doc["ring_roots"])
+        raw_tables = doc["tables"]
+        if len(raw_tables) != ring_count:
+            raise CorruptFileError(
+                f"{len(raw_tables)} tables for {ring_count} roots; expected one per root"
+            )
+        tables: list[_RootTable] = []
+        for pos, (j, vertices, base, plo, phi, par_v, par_arc, chains) in enumerate(
+            raw_tables
+        ):
+            raw_tables[pos] = None
+            if j != pos:
+                raise CorruptFileError(f"table {pos} is labelled root {j!r}")
             rows = len(vertices)
-            index = {v: row for row, v in enumerate(vertices)}
-            node = _Node(i1, i2, level, index)
-            for k, base, plo, phi, par_v, par_arc, chains in tables:
-                if any(len(col) != rows for col in (base, plo, phi, par_v, par_arc)):
-                    raise CorruptFileError(
-                        f"node ({i1}, {i2}) table {k}: columns do not all have"
-                        f" its {rows} rows"
-                    )
-                arc_ids.update(par_arc)
-                t = _RootTable(
-                    array("q", base),
-                    array("q", plo),
-                    array("q", phi),
-                    array("q", par_v),
-                    array("q", par_arc),
-                    {
-                        row: tuple(((ci, cs), cv) for ci, cs, cv in chain)
-                        for row, chain in chains
-                    },
+            if any(len(col) != rows for col in (base, plo, phi, par_v, par_arc)):
+                raise CorruptFileError(
+                    f"table {j}: columns do not all have its {rows} rows"
                 )
-                if t.chains and not (0 <= min(t.chains) and max(t.chains) < rows):
-                    raise CorruptFileError(
-                        f"node ({i1}, {i2}) table {k}: chain row out of range"
-                    )
-                node.tables[k] = t
-            nodes[(i1, i2)] = node
+            arc_ids.update(par_arc)
+            t = _RootTable(
+                {v: row for row, v in enumerate(vertices)},
+                array("q", base),
+                array("q", plo),
+                array("q", phi),
+                array("q", par_v),
+                array("q", par_arc),
+                {
+                    row: tuple(((ci, cs), cv) for ci, cs, cv in chain)
+                    for row, chain in chains
+                },
+            )
+            if t.chains and not (0 <= min(t.chains) and max(t.chains) < rows):
+                raise CorruptFileError(f"table {j}: chain row out of range")
+            tables.append(t)
         arc_ids.discard(-1)
         unknown = arc_ids.difference(arcs)
         if unknown:
@@ -637,7 +632,7 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
             seed=doc["seed"],
             arcs=arcs,
             records=records,
-            nodes=nodes,
+            tables=tables,
             stats=BuildStats.from_json(doc["stats"]),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -670,15 +665,20 @@ def build(
 ) -> MsspOracle:
     """Preprocess a normalized instance into a queryable oracle.
 
-    Every node's tables come straight from the columns its three Dijkstra
-    runs fill; see the module docstring. The last child processed takes
-    over its parent's graph instead of a copy.
+    Every node runs three Dijkstra trees, which its tree selection and
+    children read, and stores, straight from their columns, only the tables
+    of the roots whose descent ends there: both endpoints at the root node,
+    the right endpoint (the parent's midpoint) at a left child, none at a
+    right child. That rule depends on position, not visit order. See the
+    module docstring. The last child processed takes over its parent's
+    graph instead of a copy.
 
     right_first flips the child processing order (the result must not
     change; a test relies on that). instrument enables expensive internal
     consistency checks after every contraction — meant for small graphs.
-    collect_edge_stats additionally counts, per level, how many stored
-    trees each arc appears in (stats key "tree_arc_max").
+    collect_edge_stats additionally counts, per level, how many of the trees
+    a node runs each arc appears in (stats key "tree_arc_max"); that counts
+    every tree run, not only the stored ones.
     """
     t0 = time.perf_counter()
     ring_roots = norm.ring_roots
@@ -686,7 +686,7 @@ def build(
     n_rings = len(ring_roots)
     stats = BuildStats(norm.n_original, n_rings)
     records: dict[RecordKey, dict[int, RecordEntry]] = {}
-    nodes: dict[tuple[int, int], _Node] = {}
+    tables: list[_RootTable | None] = [None] * n_rings
     absorbed_at: dict[int, tuple[RecordKey, int]] = {}
     arcs_info = norm.arcs
     edge_counters: dict[int, Counter] = {}
@@ -721,7 +721,9 @@ def build(
                         f"{parent_tree.dist.get(v)} became {dv}"
                     )
 
-    def rec(i1: int, i2: int, h: EmbeddedDigraph, level: int) -> None:
+    def rec(
+        i1: int, i2: int, h: EmbeddedDigraph, level: int, terminal: tuple[int, ...]
+    ) -> None:
         stats.node_count += 1
         lvl = stats.level_entry(level)
         adj = out_adjacency(h)
@@ -757,9 +759,8 @@ def build(
                 chain = chains_here[tail] = chain_from(tail)
             return chain
 
-        node = _Node(i1, i2, level, adj.row_of)
         slots = h.slots
-        for k in ks:
+        for k in terminal:
             t = trees[k]
             pert = t.pert
             par_arc = [
@@ -771,7 +772,8 @@ def build(
                 for row, aid in enumerate(par_arc):
                     if aid >= 0 and tails[aid] in absorbed_at:
                         chains[row] = chain_at(aid)
-            node.tables[k] = _RootTable(
+            tables[k] = _RootTable(
+                adj.row_of,
                 array("q", t.base),
                 array("q", [p & _PERT_MASK for p in pert]),
                 array("q", [p >> _PERT_SHIFT for p in pert]),
@@ -779,17 +781,18 @@ def build(
                 array("q", par_arc),
                 chains,
             )
-        nodes[(i1, i2)] = node
-        stats.stored_rows += len(vertices) * len(ks)
+            stats.stored_rows += len(vertices)
         if i2 - i1 <= 1:
             return
+        # a left child's right endpoint, this node's midpoint, ends its
+        # descent there; a right child ends none
         children = [
-            (i1, mid, 0, trees[i1], trees[mid]),
-            (mid, i2, 1, trees[mid], trees[i2]),
+            (i1, mid, 0, trees[i1], trees[mid], (mid,)),
+            (mid, i2, 1, trees[mid], trees[i2], ()),
         ]
         if right_first:
             children.reverse()
-        for n, (j1, j2, side, t_low, t_high) in enumerate(children):
+        for n, (j1, j2, side, t_low, t_high, ends) in enumerate(children):
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
             if n == 1 and not instrument:
                 # the last child takes h over: only instrument's check_child
@@ -824,12 +827,12 @@ def build(
             added = [(u, e.root) for u, e in table.items() if e.root != u]
             for u, root in added:
                 absorbed_at[u] = (key, root)
-            rec(j1, j2, hj, level + 1)
+            rec(j1, j2, hj, level + 1, ends)
             for u, _ in added:
                 del absorbed_at[u]
 
     with _gc_paused():
-        rec(0, n_rings - 1, norm.graph.copy(), 0)
+        rec(0, n_rings - 1, norm.graph.copy(), 0, tuple(sorted({0, n_rings - 1})))
     # rec holds itself through its closure cell; emptying the cell lets
     # reference counting free the working graphs, not a later GC pass
     del rec
@@ -838,9 +841,7 @@ def build(
             entry = stats.level_entry(level)
             entry["tree_arc_max"] = max(counter.values()) if counter else 0
     stats.chain_elements += sum(
-        sum(len(c) for c in node.tables[k].chains.values())
-        for node in nodes.values()
-        for k in node.tables
+        len(c) for t in tables for c in t.chains.values()  # type: ignore[union-attr]
     )
     stats.build_seconds = time.perf_counter() - t0
     return MsspOracle(
@@ -851,6 +852,6 @@ def build(
         seed=norm.seed,
         arcs=dict(arcs_info),
         records=records,
-        nodes=nodes,
+        tables=tables,  # type: ignore[arg-type]
         stats=stats,
     )

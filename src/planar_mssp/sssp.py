@@ -20,9 +20,9 @@ The resulting SSSPTree is four per-row columns: base and perturbation of
 the distance (-1 and 0 where unreached), and the parent dart and parent
 row (-1 at the root and where unreached). A vertex is recorded by the dart
 of its unique ingoing tree arc, the dart sitting at the vertex itself (so
-its reverse sits at the parent). The build turns the columns straight
-into a node's tables; `dist` and `parent_dart` are read-only vertex-keyed
-views of them for tests and consistency checks.
+its reverse sits at the parent). The build turns the columns of the trees
+it stores straight into tables; `dist` and `parent_dart` are read-only
+vertex-keyed views of them for tests and consistency checks.
 """
 
 from __future__ import annotations

@@ -246,27 +246,6 @@ def test_emit_trace(tmp_path, grid3_files):
     assert doc["nodes"] and doc["records"]
 
 
-def test_bench_cli(tmp_path, capsys):
-    rows_path = tmp_path / "rows.json"
-    code = main([
-        "bench", "--sizes", "4,6", "--seed", "2", "--queries", "50",
-        "--json", str(rows_path),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "k=4:" in out and "k=6:" in out
-    assert "entries ratio spread" in out
-    doc = json.loads(rows_path.read_text())
-    assert len(doc["rows"]) == 2
-    assert doc["depth_ok"] is True
-    assert doc["ratio_spread"] >= 1.0
-
-
-def test_bench_bad_sizes(capsys):
-    assert main(["bench", "--sizes", "4,x"]) == 1
-    assert capsys.readouterr().err.startswith("error CorruptFile: ")
-
-
 @pytest.mark.parametrize("weight", [1.5, True])
 def test_build_rejects_non_int_weight(tmp_path, capsys, weight):
     g = tmp_path / "g.json"

@@ -164,11 +164,21 @@ def test_descent_intervals(oracle3):
         oracle3.descent_intervals(n)
 
 
-def test_terminal_nodes_store_their_roots(oracle3):
-    for j in range(oracle3.ring_count):
-        i1, i2 = oracle3.descent_intervals(j)[-1]
-        node = oracle3.nodes[(i1, i2)]
-        assert j in node.tables
+def test_stored_tables_are_the_read_tables(oracle5):
+    # every stored table is some query's terminal table, and the counters
+    # count only what is stored
+    oracle = oracle5
+    assert len(oracle.tables) == oracle.ring_count
+    for j in range(oracle.ring_count):
+        assert oracle._plans[j].table is oracle.tables[j]
+    s = oracle.stats
+    assert s.stored_rows == sum(len(t.base) for t in oracle.tables)
+    record_chains = sum(
+        len(e.chain) for tab in oracle.records.values() for e in tab.values()
+    )
+    table_chains = sum(len(c) for t in oracle.tables for c in t.chains.values())
+    assert table_chains > 0
+    assert s.chain_elements == record_chains + table_chains
 
 
 def test_explain_follows_the_descent(oracle5):
@@ -236,6 +246,11 @@ def test_build_order_independence(norm3, oracle3):
         for u in range(9):
             assert oracle3.query_dist(j, u) == other.query_dist(j, u)
             assert oracle3.query_path(j, u) == other.query_path(j, u)
+    # the stored tables depend on position, not on visit order
+    a, b = oracle3.to_json(), other.to_json()
+    a["stats"].pop("build_seconds")
+    b["stats"].pop("build_seconds")
+    assert a == b
 
 
 def test_build_determinism(norm3, oracle3):
@@ -286,7 +301,7 @@ def test_load_rejects_bad_documents(tmp_path, oracle3):
         load(io.StringIO("{oops"))
 
     truncated = json.loads(json.dumps(doc))
-    del truncated["nodes"]
+    del truncated["tables"]
     with pytest.raises(CorruptFileError):
         load(io.StringIO(json.dumps(truncated)))
 
@@ -306,7 +321,7 @@ def test_stats_shape(oracle3):
     s = oracle3.stats
     assert s.n_original == 9
     assert s.ring_count == 8
-    assert s.node_count == len(oracle3.nodes)
+    assert s.node_count == len(oracle3.trace()["nodes"])
     assert s.max_level + 1 == len(s.per_level)
     assert s.stored_rows > 0
     assert s.record_entries == sum(len(t) for t in oracle3.records.values())

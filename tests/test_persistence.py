@@ -28,25 +28,28 @@ from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 1 document of the same instance by
-# dropping its "ring" arc rows, taking the ring cycle's slots and arcs out
-# of stats.per_level (N at level 0, N >= 3; one slot and two arcs for
-# N = 2; i2 - i1 at a deeper node) and setting version 2: deleting the
-# ring cycle left nodes and records unchanged. Any change to these bytes
-# is a format change and needs a version bump.
+# was derived from the version 2 document of the same instance, as built
+# by the code that stored three tables per node: its "nodes" were replaced
+# by a "tables" stream holding, for each root j in order, the item
+# [j, vertices, base, plo, phi, par_v, par_arc, chains] taken from j's table
+# and the vertex list at its terminal node descent_intervals(j)[-1];
+# stats.stored_rows and stats.chain_elements were recounted over what is
+# left, and version set to 3. Records, arcs and the other stats did not
+# change. Any change to these bytes is a format change and needs a
+# version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "f7cdb9bebebfee068d88a7bd00e971079a41e426c6981955c6adaaba6f6cc794",
-    "grid16-outer": "d497a92a482a2f56c8979b9357ad22d200966207cc45bdbbb15b794a33265c8c",
-    "random10-outer": "ac746d7ec625a0d1e6ce479e75710584b17ab407f6655d9a455b7f98ff6140d3",
-    "bowtie-inner": "3e2b42196823579e04bf14c0250fdec1c89f112a2823de22e3b6dc73d0297538",
-    "tri_oneway-inner": "65a2d93161c72ab9b9257e424a7531a38b2a4d8139ee1aa0a45322457327d8d2",
-    "grid32-outer": "18a767895ce56306ffe3fb69811569fd9508b168d65e5d05c69794ac77e58323",
-    "grid16-oneway-inner": "51b64b004b89af515dba1750335c6622e25ffc002d10f6803bd42792201e5b3b",
-    "random12-inner": "8d57e332ff029b2be501c88a1ff3673897381c78359131ae1fdf866dff85e0e0",
+    "grid8-outer": "09a9caf2d27aa6d4dc09cafe007cf58d04f9c59cf84acc019e24f174f750ba2e",
+    "grid16-outer": "8052047d699264f7e70c597a9588d922f88ccbfb72e31bfb5bb7b1bd9fbc5549",
+    "random10-outer": "a4bf8dbe32d1866d16c9da78b88d1591815811a3f624aed35e7dfae32c546696",
+    "bowtie-inner": "6f316bca33fdd8f177c0e6b6b242ab192e949404f7b152eeaf8fa02bb3fb87be",
+    "tri_oneway-inner": "19c8bb51c8c71a98e729301e021bab2d60797aa8459023cef07370d80f3e7bd0",
+    "grid32-outer": "da3ed4e8bc658709502487907da2d6b617265de6b1704628b94d0767c2761307",
+    "grid16-oneway-inner": "9edf4c18101499e49ce284277f5bdefec9492eb7f3209669ee1410ba6529f4eb",
+    "random12-inner": "be3b81b7392c4958be1f4e04519c964274b62d5bd9d4a28ed2a05ba2ed7d7d21",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "92226c54d7cc569b5f74680d3eeb422c10eb7dd55e5ff77b12c6ff2c00a3aa71"
+    "grid64-outer", "c7e5926c455664e5cc19d65a0e9b9a4736316f607a284d23e68a92f166807d6f"
 )
 
 
@@ -135,14 +138,44 @@ def test_saved_bytes_match_gate_digest_large():
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
-def test_oracle_version_is_two():
-    assert ORACLE_VERSION == 2
+def test_oracle_version_is_three():
+    assert ORACLE_VERSION == 3
 
 
 def test_version_one_file_is_rejected():
     doc = small_oracle().to_json()
     doc["version"] = 1
     with pytest.raises(VersionMismatchError):
+        load_doc(doc)
+
+
+def test_version_two_file_is_rejected():
+    doc = small_oracle().to_json()
+    doc["version"] = 2
+    with pytest.raises(VersionMismatchError):
+        load_doc(doc)
+
+
+def test_missing_terminal_table_is_rejected():
+    doc = small_oracle().to_json()
+    j = len(doc["tables"]) // 3
+    del doc["tables"][j]
+    with pytest.raises(CorruptFileError, match="one per root"):
+        load_doc(doc)
+
+
+def test_duplicated_root_table_is_rejected():
+    doc = small_oracle().to_json()
+    doc["tables"].append(doc["tables"][-1])
+    with pytest.raises(CorruptFileError, match="one per root"):
+        load_doc(doc)
+
+
+def test_table_out_of_root_order_is_rejected():
+    doc = small_oracle().to_json()
+    tables = doc["tables"]
+    tables[1], tables[2] = tables[2], tables[1]
+    with pytest.raises(CorruptFileError, match="labelled root"):
         load_doc(doc)
 
 
@@ -157,7 +190,7 @@ def test_empty_record_stream_round_trips():
 
 def test_truncated_column_is_rejected():
     doc = small_oracle().to_json()
-    base = doc["nodes"][0][4][0][1]
+    base = doc["tables"][0][2]
     del base[-3:]
     t0 = time.perf_counter()
     with pytest.raises(CorruptFileError, match="rows"):
@@ -167,12 +200,10 @@ def test_truncated_column_is_rejected():
 
 def test_chain_row_out_of_range_is_rejected():
     doc = small_oracle().to_json()
-    with_chains = [
-        table for node in doc["nodes"] for table in node[4] if table[6]
-    ]
+    with_chains = [table for table in doc["tables"] if table[7]]
     assert with_chains, "fixture oracle has no tail chains"
     table = with_chains[0]
-    table[6][0][0] = len(table[1])
+    table[7][0][0] = len(table[1])
     with pytest.raises(CorruptFileError, match="chain row"):
         load_doc(doc)
 
@@ -180,10 +211,8 @@ def test_chain_row_out_of_range_is_rejected():
 def test_self_parent_table_raises_in_bounded_time():
     oracle = small_oracle()
     doc = oracle.to_json()
-    for node in doc["nodes"]:
-        vertices = node[3]
-        for table in node[4]:
-            table[4] = list(vertices)  # every row its own parent
+    for table in doc["tables"]:
+        table[5] = list(table[1])  # every row its own parent
     loaded = load_doc(doc)
     j, u = 0, max(oracle.query_vertices, key=lambda v: len(oracle.query_path(0, v)))
     t0 = time.perf_counter()
@@ -213,24 +242,6 @@ def test_self_parent_record_raises_in_bounded_time():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_missing_node_is_rejected():
-    doc = small_oracle().to_json()
-    del doc["nodes"][-1]
-    with pytest.raises(CorruptFileError):
-        load_doc(doc)
-
-
-def test_missing_terminal_table_is_rejected():
-    oracle = small_oracle()
-    j = oracle.ring_count // 3
-    terminal = list(oracle.descent_intervals(j)[-1])
-    doc = oracle.to_json()
-    node = next(node for node in doc["nodes"] if node[:2] == terminal)
-    node[4] = [table for table in node[4] if table[0] != j]
-    with pytest.raises(CorruptFileError):
-        load_doc(doc)
-
-
 def corrupt_path_answers(doc: dict) -> int:
     """Ask a damaged oracle for every path; count the CorruptFileErrors.
 
@@ -258,7 +269,7 @@ def test_record_parent_outside_its_table_raises():
 
 def test_chain_key_without_record_raises():
     doc = small_oracle().to_json()
-    chains = [chain for node in doc["nodes"] for table in node[4] for _, chain in table[6]]
+    chains = [chain for table in doc["tables"] for _, chain in table[7]]
     assert chains, "fixture oracle has no tail chains"
     for chain in chains:
         for hop in chain:
@@ -268,17 +279,15 @@ def test_chain_key_without_record_raises():
 
 def test_parent_vertex_outside_its_node_raises():
     doc = small_oracle().to_json()
-    for node in doc["nodes"]:
-        for table in node[4]:
-            table[4] = [-1 if v < 0 else 10**6 for v in table[4]]
+    for table in doc["tables"]:
+        table[5] = [-1 if v < 0 else 10**6 for v in table[5]]
     assert corrupt_path_answers(doc) > 0
 
 
 def test_parent_arc_outside_the_arc_list_raises():
     doc = small_oracle().to_json()
-    for node in doc["nodes"]:
-        for table in node[4]:
-            table[5] = [-1 if a < 0 else 10**6 for a in table[5]]
+    for table in doc["tables"]:
+        table[6] = [-1 if a < 0 else 10**6 for a in table[6]]
     with pytest.raises(CorruptFileError, match="arc ids"):
         load_doc(doc)
 
@@ -290,8 +299,8 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
     doc = oracle.to_json()
     spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
     par_arc = next(
-        table[5] for node in doc["nodes"] for table in node[4]
-        if any(a >= 0 and a not in spokes for a in table[5])
+        table[6] for table in doc["tables"]
+        if any(a >= 0 and a not in spokes for a in table[6])
     )
     row = next(r for r, a in enumerate(par_arc) if a >= 0 and a not in spokes)
     par_arc[row] = 10**6
@@ -315,7 +324,7 @@ class _FailingSink:
 def test_gc_stays_enabled_after_failed_load_and_save():
     assert gc.isenabled()
     with pytest.raises(CorruptFileError):
-        load(io.StringIO('{"format":"planar-mssp-oracle","version":2}'))
+        load(io.StringIO('{"format":"planar-mssp-oracle","version":3}'))
     assert gc.isenabled()
     with pytest.raises(OSError, match="disk full"):
         small_oracle().save(_FailingSink())
