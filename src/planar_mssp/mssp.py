@@ -42,8 +42,9 @@ per root, in root order: [j, vertices, base, plo, phi, par_v, par_arc,
 chains]. save() streams it one table or record item at a time through the
 C encoder, so the document is never held whole, and a loaded oracle
 re-saves byte-identically. load() checks that there is exactly one table
-per root, in order, the table column lengths, the chain rows, and that
-every parent and record arc id is in the arc table. Path queries bound
+per root, in order, that no table lists a vertex twice, the table column
+lengths, the chain rows, and that every parent and record arc id is in
+the arc table. Path queries bound
 every parent walk, and raise CorruptFileError, not KeyError, when a
 damaged file names a vertex or record it does not hold. The plans are not
 part of the file.
@@ -601,9 +602,13 @@ def _oracle_from_json(doc: Any) -> MsspOracle:
                 raise CorruptFileError(
                     f"table {j}: columns do not all have its {rows} rows"
                 )
+            index = {v: row for row, v in enumerate(vertices)}
+            if len(index) != rows:
+                # a repeated vertex would read another vertex's row
+                raise CorruptFileError(f"table {j}: a vertex is listed twice")
             arc_ids.update(par_arc)
             t = _RootTable(
-                {v: row for row, v in enumerate(vertices)},
+                index,
                 array("q", base),
                 array("q", plo),
                 array("q", phi),
@@ -677,8 +682,8 @@ def build(
     change; a test relies on that). instrument enables expensive internal
     consistency checks after every contraction — meant for small graphs.
     collect_edge_stats additionally counts, per level, how many of the trees
-    a node runs each arc appears in (stats key "tree_arc_max"); that counts
-    every tree run, not only the stored ones.
+    a node runs, stored or not, each arc appears in (stats key
+    "tree_arc_max").
     """
     t0 = time.perf_counter()
     ring_roots = norm.ring_roots

@@ -198,6 +198,15 @@ def test_truncated_column_is_rejected():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_vertex_listed_twice_is_rejected():
+    # the later row would answer for the repeated vertex, without an error
+    doc = small_oracle().to_json()
+    vertices = doc["tables"][5][1]
+    vertices[1] = vertices[0]
+    with pytest.raises(CorruptFileError, match="listed twice"):
+        load_doc(doc)
+
+
 def test_chain_row_out_of_range_is_rejected():
     doc = small_oracle().to_json()
     with_chains = [table for table in doc["tables"] if table[7]]
