@@ -751,8 +751,8 @@ def build(
             for k in ks:
                 for pd in trees[k].parent_dart.values():
                     counter[h.arc_into(pd)[2]] += 1
-        # chains by original tail, shared by this node's tables and by the
-        # contractions into its children: absorbed_at is the same for all
+        # chains by original tail, shared by this node's stored tables and by
+        # the contractions into its children: absorbed_at is the same for all
         chains_here: dict[int, TailChain] = {}
 
         def chain_at(arc_id: int) -> TailChain:
