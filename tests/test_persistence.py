@@ -164,6 +164,14 @@ def test_missing_terminal_table_is_rejected():
         load_doc(doc)
 
 
+def test_missing_node_is_rejected():
+    # the stream ends one table early: the last root has no table
+    doc = small_oracle().to_json()
+    del doc["tables"][-1]
+    with pytest.raises(CorruptFileError, match="one per root"):
+        load_doc(doc)
+
+
 def test_duplicated_root_table_is_rejected():
     doc = small_oracle().to_json()
     doc["tables"].append(doc["tables"][-1])
