@@ -34,6 +34,7 @@ from .errors import (
     DuplicateArcError,
     FaceNotFoundError,
     FaceVertexQueryError,
+    FormatLimitError,
     GraphError,
     MsspError,
     NegativeWeightError,
@@ -80,6 +81,7 @@ __all__ = [
     "EmbeddedDigraph",
     "FaceNotFoundError",
     "FaceVertexQueryError",
+    "FormatLimitError",
     "GraphError",
     "LexWeight",
     "MsspError",

@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="preprocess a graph into a distance oracle")
     p.add_argument("-i", "--input", required=True, help="graph JSON file")
-    p.add_argument("-o", "--output", required=True, help="oracle JSON file")
+    p.add_argument("-o", "--output", required=True, help="oracle file")
     p.add_argument("--face", default="auto-outer",
                    help="'auto-outer', a face index, or a comma-separated boundary vertex list")
     p.add_argument("--seed", type=int, default=None)
@@ -203,12 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="answer distance queries from an oracle")
-    p.add_argument("-i", "--input", required=True, help="oracle JSON file")
+    p.add_argument("-i", "--input", required=True, help="oracle file")
     p.add_argument("--pairs", required=True, help="file with one 'j u' pair per line")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("path", help="report shortest paths as arc id sequences")
-    p.add_argument("-i", "--input", required=True, help="oracle JSON file")
+    p.add_argument("-i", "--input", required=True, help="oracle file")
     p.add_argument("--pairs", required=True, help="file with one 'j u' pair per line")
     p.set_defaults(func=_cmd_path)
 

@@ -26,8 +26,9 @@ from .errors import NotATreeError
 from .sssp import SSSPTree, SharedForest, shared_forest
 from .weights import ZERO, LexWeight
 
-# (record key, vertex) hops that re-inflate an arc's tail, innermost first
-TailChain = tuple[tuple[tuple[int, int], int], ...]
+# the hops that re-inflate an arc's tail, innermost first, flat: record key,
+# vertex, record key, vertex, ...; contract_tree only stores it
+TailChain = tuple[int, ...]
 
 
 class RecordEntry(NamedTuple):

@@ -71,6 +71,10 @@ class CorruptFileError(MsspError):
     """A persisted oracle or graph file could not be decoded."""
 
 
+class FormatLimitError(MsspError):
+    """A value does not fit the width the oracle file gives its column."""
+
+
 class PerturbationCollisionWarning(UserWarning):
     """Two arcs compared equal under LexWeight during dedup.
 

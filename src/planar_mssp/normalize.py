@@ -120,6 +120,28 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
     `face` is an index into g.face_walks() or an explicit dart walk equal
     to one of them. `seed` drives the perturbation generator; equal seeds
     give identical instances.
+
+    Admission: with n input vertices and W_big = n * max_weight + 1, an
+    instance is admitted only while 2 * n * W_big < 2**62, else GraphError.
+    Every arc base is at most W_big (the added reverse arcs weigh exactly
+    W_big), and that bounds every base the oracle stores:
+
+    * distances: a shortest path from a ring vertex is its zero-weight
+      spoke plus a simple path over at most n input vertices (ring
+      vertices are pendant, so no path passes through one), so at most
+      (n - 1) * W_big;
+    * record deltas: the in-tree distance from a contracted tree's root
+      is the difference of two such distances from the same root, so it
+      lies in [0, (n - 1) * W_big];
+    * reweighted arcs: contraction adds those deltas to arc bases inside
+      the build, where bases are Python ints and do not overflow; what is
+      stored of them is distances and deltas again, and arc bases are
+      stored as normalized, at most W_big.
+
+    So every stored base, and every sum a query forms (a stored delta
+    sum plus a table base is a distance), is below n * W_big < 2**61,
+    half of the 2**62 cap and a quarter of the int64 range of the
+    oracle file's base columns.
     """
     if g.vertex_count == 0:
         raise GraphError("cannot normalize an empty graph")
@@ -142,9 +164,9 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
 
     max_base = max((arc[0] for _, _, arc in work.arc_items()), default=0)
     w_big = n_original * max_base + 1
-    # a simple path has at most |V| arcs besides its spoke, each at most
-    # w_big; the bound doubles that and adds one w_big per face vertex
-    if 2 * (n_original + len(b_list)) * w_big >= _MAX_PATH_BASE:
+    # a simple path has fewer than n arcs besides its spoke, each at most
+    # w_big; the rule keeps a 2x margin over that (see the docstring)
+    if 2 * n_original * w_big >= _MAX_PATH_BASE:
         raise GraphError("base weights too large for 62-bit path sums")
 
     # strong connectivity: add the missing direction of single-arc slots,

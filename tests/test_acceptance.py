@@ -282,9 +282,9 @@ def test_criterion_7_save_load_round_trip():
             g, outer = gen_random_planar(k, seed=seed, delete_prob=p)
         norm = normalize(g, outer, seed=seed)
         oracle = build(norm)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         oracle.save(buf)
-        loaded = load(io.StringIO(buf.getvalue()))
+        loaded = load(io.BytesIO(buf.getvalue()))
         verts = sorted(oracle.query_vertices)
         for j in range(oracle.ring_count):
             for u in verts:
@@ -295,7 +295,7 @@ def test_criterion_7_save_load_round_trip():
             j = rng.randrange(oracle.ring_count)
             u = verts[rng.randrange(len(verts))]
             assert loaded.query_path(j, u) == oracle.query_path(j, u)
-        again = io.StringIO()
+        again = io.BytesIO()
         loaded.save(again)
         assert again.getvalue() == buf.getvalue()
         instances += 1
@@ -309,12 +309,12 @@ def test_criterion_7_save_load_round_trip():
 def near_cap_grid(k: int, seed: int):
     """Graph document of a k-grid whose heaviest arc weighs the most it admits.
 
-    normalize admits an instance while 2 * (n + N) * W_big < 2**62, where
-    W_big = n * max_weight + 1 and N = 4 * (k - 1) outer face vertices;
-    no face has more. The other weights sit up to 100 below the cap.
+    normalize admits an instance while 2 * n * W_big < 2**62, where
+    W_big = n * max_weight + 1. The other weights sit up to 100 below the
+    cap.
     """
     n = k * k
-    cap = ((1 << 62) - 1) // (2 * (n + 4 * (k - 1)))
+    cap = ((1 << 62) - 1) // (2 * n)  # the largest W_big admitted
     top = (cap - 1) // n
     doc = graph_to_json(*gen_grid(k, seed=seed))
     for slot in doc["slots"]:

@@ -3,6 +3,8 @@
 perfbench/spans.py replaces these module attributes with timing wrappers
 for a traced run. If build stopped calling a layer through its module
 binding, the run would still pass but report zero time for that layer.
+It also wraps MsspOracle.to_json by name, so a traced run fails outright
+if that method goes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import Counter
 
 import planar_mssp.contraction as contraction_mod
 import planar_mssp.mssp as mssp_mod
-from planar_mssp import EmbeddedDigraph, build, gen_grid, normalize
+from planar_mssp import EmbeddedDigraph, MsspOracle, build, gen_grid, normalize
 
 MSSP_LAYERS = ("sssp_tree", "out_adjacency", "select_trees", "contract_tree")
 
@@ -48,3 +50,10 @@ def test_build_calls_every_wrapped_layer(monkeypatch):
     for name in (*MSSP_LAYERS, "shared_forest", "copy"):
         assert calls[name] >= 1, f"build never called {name}"
     assert len(settled) == calls["sssp_tree"] and min(settled) >= 1
+
+
+def test_to_json_is_kept_for_the_tracer():
+    assert callable(MsspOracle.to_json)
+    g, outer = gen_grid(3, seed=1)
+    doc = build(normalize(g, outer, seed=1)).to_json()
+    assert {"tables", "records", "arcs", "stats", "version"} <= doc.keys()

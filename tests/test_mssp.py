@@ -23,6 +23,7 @@ from planar_mssp import (
 from planar_mssp.mssp import BuildStats
 from planar_mssp.normalize import ARC_ORIGINAL, map_answer
 from tests.conftest import TRI_ONEWAY_SLOTS
+from tests.oracle_file import columns_of, encode_columns, encode_document
 from tests.test_persistence import oneway_grid
 
 from planar_mssp import build_graph
@@ -170,19 +171,23 @@ def test_stored_tables_are_the_read_tables(oracle5):
     oracle = oracle5
     assert len(oracle.tables) == oracle.ring_count
     for j in range(oracle.ring_count):
-        assert oracle._plans[j].table is oracle.tables[j]
+        assert oracle._plans[j].index is oracle.tables[j]
     s = oracle.stats
-    assert s.stored_rows == sum(len(t.base) for t in oracle.tables)
-    record_chains = sum(
-        len(e.chain) for tab in oracle.records.values() for e in tab.values()
-    )
-    table_chains = sum(len(c) for t in oracle.tables for c in t.chains.values())
+    assert s.stored_rows == sum(len(t) for t in oracle.tables)
+    doc = oracle.to_json()
+    record_chains = sum(len(e[6]) for _, _, entries in doc["records"] for e in entries)
+    table_chains = sum(len(hops) for table in doc["tables"] for _, hops in table[7])
     assert table_chains > 0
     assert s.chain_elements == record_chains + table_chains
 
 
 def test_explain_follows_the_descent(oracle5):
     n = oracle5.ring_count
+    # record key -> vertex -> the root of its record tree
+    roots = {
+        (mid, side): {e[0]: e[1] for e in entries}
+        for mid, side, entries in oracle5.to_json()["records"]
+    }
     for j in range(n):
         intervals = oracle5.descent_intervals(j)
         # the record tables a descent probes, read off its intervals
@@ -190,7 +195,7 @@ def test_explain_follows_the_descent(oracle5):
             ((a1 + a2) // 2, int(b1 != a1))
             for (a1, a2), (b1, _) in zip(intervals, intervals[1:])
         ]
-        probed = [key for key in keys if key in oracle5.records]
+        probed = [key for key in keys if key in roots]
         for u in sorted(oracle5.query_vertices):
             ex = oracle5.explain(j, u)
             assert ex.intervals == intervals
@@ -200,10 +205,10 @@ def test_explain_follows_the_descent(oracle5):
             hits = []
             v = u
             for key in probed:
-                e = oracle5.records[key].get(v)
-                if e is not None and e.root != v:
+                root = roots[key].get(v)
+                if root is not None and root != v:
                     hits.append((key, v))
-                    v = e.root
+                    v = root
             assert ex.hits == hits
 
 
@@ -262,16 +267,17 @@ def test_build_determinism(norm3, oracle3):
 
 
 def test_round_trip_file_object(oracle3):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     oracle3.save(buf)
-    loaded = load(io.StringIO(buf.getvalue()))
+    loaded = load(io.BytesIO(buf.getvalue()))
     for j in range(oracle3.ring_count):
         for u in range(9):
             assert loaded.query_dist(j, u) == oracle3.query_dist(j, u)
             assert loaded.query_path(j, u) == oracle3.query_path(j, u)
-    again = io.StringIO()
+    again = io.BytesIO()
     loaded.save(again)
     assert again.getvalue() == buf.getvalue()
+    assert loaded.to_json() == oracle3.to_json()
 
 
 def test_round_trip_path(tmp_path, oracle3):
@@ -287,23 +293,33 @@ def test_load_rejects_bad_documents(tmp_path, oracle3):
 
     wrong_version = json.loads(json.dumps(doc))
     wrong_version["version"] = 99
-    p = tmp_path / "v.json"
-    p.write_text(json.dumps(wrong_version))
+    p = tmp_path / "v.bin"
+    p.write_bytes(encode_document(wrong_version))
     with pytest.raises(VersionMismatchError):
         load(str(p))
 
     wrong_format = json.loads(json.dumps(doc))
     wrong_format["format"] = "nope"
     with pytest.raises(CorruptFileError):
-        load(io.StringIO(json.dumps(wrong_format)))
+        load(io.BytesIO(encode_document(wrong_format)))
 
-    with pytest.raises(CorruptFileError, match="invalid JSON"):
-        load(io.StringIO("{oops"))
+    with pytest.raises(CorruptFileError, match="starts with"):
+        load(io.BytesIO(b"{oops"))
 
-    truncated = json.loads(json.dumps(doc))
-    del truncated["tables"]
-    with pytest.raises(CorruptFileError):
-        load(io.StringIO(json.dumps(truncated)))
+    with pytest.raises(CorruptFileError, match="not a planar-mssp-oracle file"):
+        load(io.BytesIO(b"oops"))
+
+    # the header lists no table sections
+    head = {key: doc[key] for key in ("format", "version", "n_original", "w_big", "seed",
+                                      "stats")}
+    columns = columns_of(doc)
+    for name in ("table_start", "row_vertex"):
+        del columns[name]
+    with pytest.raises(CorruptFileError, match="sections"):
+        load(io.BytesIO(encode_columns(head, columns, strict=False)))
+
+    with pytest.raises(TypeError, match="binary"):
+        load(io.StringIO("{}"))
 
 
 def test_trace_shape(oracle3):
@@ -354,9 +370,9 @@ def test_two_ring_instance():
 
 
 def test_larger_grid_round_trip_identity(oracle5):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     oracle5.save(buf)
-    loaded = load(io.StringIO(buf.getvalue()))
+    loaded = load(io.BytesIO(buf.getvalue()))
     for j in (0, oracle5.ring_count - 1):
         for u in oracle5.query_vertices:
             assert loaded.query_dist(j, u) == oracle5.query_dist(j, u)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 
 import pytest
@@ -12,7 +13,9 @@ from planar_mssp import (
     GraphError,
     UNREACHABLE,
     LexWeight,
+    build,
     build_graph,
+    load,
     map_answer,
     normalize,
 )
@@ -207,6 +210,39 @@ def test_weight_guard():
         normalize(g, 0, seed=0)
     ok = build_graph(2, [(0, 1, 0, 0, 1 << 55, 1 << 55)])
     normalize(ok, 0, seed=0)
+
+
+def path_at_cap(n: int, over: int):
+    """A two-way path on n vertices, every arc at the largest admitted weight + over.
+
+    Its distances reach (n - 1) * max_weight, the most a simple path holds.
+    """
+    cap = ((1 << 62) - 1) // (2 * n)  # the largest W_big with 2 * n * W_big < 2**62
+    top = (cap - 1) // n + over
+    return build_graph(n, [(i, i + 1, 1 if i else 0, 0, top, top) for i in range(n - 1)]), top
+
+
+def test_path_at_the_admission_cap_is_exact():
+    n = 8
+    g, top = path_at_cap(n, 0)
+    norm = normalize(g, 0, seed=3)
+    assert 2 * n * norm.w_big < 1 << 62 <= 2 * n * (norm.w_big + n)
+    buf = io.BytesIO()
+    build(norm).save(buf)
+    oracle = load(io.BytesIO(buf.getvalue()))
+    for j, b in enumerate(oracle.face_vertices):
+        for u in range(n):
+            assert oracle.distance(j, u) == abs(b - u) * top
+            assert oracle.query_dist(j, u).base == abs(b - u) * top
+            assert len(oracle.query_path(j, u)) == abs(b - u)
+    ends = oracle.face_vertices.index(0)
+    assert oracle.distance(ends, n - 1) == (n - 1) * top
+
+
+def test_path_one_unit_over_the_admission_cap_is_refused():
+    g, _ = path_at_cap(8, 1)
+    with pytest.raises(GraphError, match="too large"):
+        normalize(g, 0, seed=3)
 
 
 def test_huge_weight_is_too_large_not_absent():

@@ -7,12 +7,17 @@ import hashlib
 import io
 import json
 import random
+import struct
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from planar_mssp import (
     CorruptFileError,
+    FormatLimitError,
+    MsspError,
     VersionMismatchError,
     build,
     build_graph,
@@ -23,33 +28,31 @@ from planar_mssp import (
     load,
     normalize,
 )
-from planar_mssp.mssp import ORACLE_VERSION
+from planar_mssp.mssp import ORACLE_VERSION, _column
 from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
+from tests.oracle_file import encode_document
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 2 document of the same instance, as built
-# by the code that stored three tables per node: its "nodes" were replaced
-# by a "tables" stream holding, for each root j in order, the item
-# [j, vertices, base, plo, phi, par_v, par_arc, chains] taken from j's table
-# and the vertex list at its terminal node descent_intervals(j)[-1];
-# stats.stored_rows and stats.chain_elements were recounted over what is
-# left, and version set to 3. Records, arcs and the other stats did not
-# change. Any change to these bytes is a format change and needs a
-# version bump.
+# was derived from the version 3 document of the same instance, as built
+# and written by the code before format version 4 (json.dumps of its
+# to_json(), whose own digest was checked against the version 3 gate), by
+# setting "version" to 4 and encoding the document with
+# tests/oracle_file.py, which shares no code with save(). Any change to
+# these bytes is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "09a9caf2d27aa6d4dc09cafe007cf58d04f9c59cf84acc019e24f174f750ba2e",
-    "grid16-outer": "8052047d699264f7e70c597a9588d922f88ccbfb72e31bfb5bb7b1bd9fbc5549",
-    "random10-outer": "a4bf8dbe32d1866d16c9da78b88d1591815811a3f624aed35e7dfae32c546696",
-    "bowtie-inner": "6f316bca33fdd8f177c0e6b6b242ab192e949404f7b152eeaf8fa02bb3fb87be",
-    "tri_oneway-inner": "19c8bb51c8c71a98e729301e021bab2d60797aa8459023cef07370d80f3e7bd0",
-    "grid32-outer": "da3ed4e8bc658709502487907da2d6b617265de6b1704628b94d0767c2761307",
-    "grid16-oneway-inner": "9edf4c18101499e49ce284277f5bdefec9492eb7f3209669ee1410ba6529f4eb",
-    "random12-inner": "be3b81b7392c4958be1f4e04519c964274b62d5bd9d4a28ed2a05ba2ed7d7d21",
+    "grid8-outer": "4aa392e23ee0b633c1d8ebc8811468356af376e779a6e36a96de8ce8b4be7cd1",
+    "grid16-outer": "ce89f6ef41ac758244085c67d609d4c188b84590e2c09d13e952c8ed9fe1e5e7",
+    "random10-outer": "950c0fc0c557e6ba27b32d7ea4a3a4122281364bd89479edc6fc521e0b840f7a",
+    "bowtie-inner": "28e1ccfb6d98f663153b79ce39d38688fd05217dd26e3fab3f19d9047a658bc0",
+    "tri_oneway-inner": "4e8b4267fc47effa02a91b9349fd2c0296ac6a0826fff313d441eae7ce6e8819",
+    "grid32-outer": "90c44067506701b4f1a6d9ad96541c3c6dbdfc871fa3f2d3b620c8f5dbea6027",
+    "grid16-oneway-inner": "6693223521ddd8ccccc8c4163cab4b6aae07c9d9506d7bd6cd7453dee3e848eb",
+    "random12-inner": "9601a7a9bf305c6165136e212ceceaaef6691ebb42883b80c68dbfe41924c50f",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "c7e5926c455664e5cc19d65a0e9b9a4736316f607a284d23e68a92f166807d6f"
+    "grid64-outer", "217c9f3893352a52cc06475c6d58d285328930aec184cd8be7411256f40a94b2"
 )
 
 
@@ -110,22 +113,37 @@ def small_oracle():
 
 
 def load_doc(doc: dict):
-    return load(io.StringIO(json.dumps(doc)))
+    """Load the oracle file of a (possibly damaged) logical document."""
+    return load(io.BytesIO(encode_document(doc)))
+
+
+def saved(oracle) -> bytes:
+    buf = io.BytesIO()
+    oracle.save(buf)
+    return buf.getvalue()
+
+
+def header_of(data: bytes) -> dict:
+    (length,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[16:16 + length])
 
 
 @pytest.mark.parametrize("name", sorted(GATE_DIGESTS))
 def test_saved_bytes_match_gate_digest(tmp_path, name):
     g, face, seed = gate_instance(name)
-    oracle = build(normalize(g, face, seed=seed))
+    norm = normalize(g, face, seed=seed)
+    oracle = build(norm)
     oracle.stats.build_seconds = 0.0
-    path = tmp_path / "oracle.json"
+    path = tmp_path / "oracle.bin"
     oracle.save(str(path))
-    buf = io.StringIO()
-    oracle.save(buf)
-    expected = json.dumps(oracle.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-    assert path.read_text(encoding="utf-8") == expected
-    assert buf.getvalue() == expected
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GATE_DIGESTS[name]
+    data = saved(oracle)
+    assert path.read_bytes() == data
+    assert encode_document(oracle.to_json()) == data
+    assert hashlib.sha256(data).hexdigest() == GATE_DIGESTS[name]
+    # the stored tables depend on position, not on the order children are built
+    other = build(norm, right_first=True)
+    other.stats.build_seconds = 0.0
+    assert saved(other) == data
 
 
 def test_saved_bytes_match_gate_digest_large():
@@ -133,26 +151,43 @@ def test_saved_bytes_match_gate_digest_large():
     g, face, seed = gate_instance(name)
     oracle = build(normalize(g, face, seed=seed))
     oracle.stats.build_seconds = 0.0
-    buf = io.StringIO()
-    oracle.save(buf)
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+    data = saved(oracle)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_three():
-    assert ORACLE_VERSION == 3
+def test_oracle_version_is_four():
+    assert ORACLE_VERSION == 4
+
+
+def json_oracle_file(doc: dict) -> io.BytesIO:
+    """A document written as versions 1 to 3 wrote oracle files."""
+    return io.BytesIO(
+        (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    )
 
 
 def test_version_one_file_is_rejected():
     doc = small_oracle().to_json()
     doc["version"] = 1
     with pytest.raises(VersionMismatchError):
-        load_doc(doc)
+        load(json_oracle_file(doc))
 
 
 def test_version_two_file_is_rejected():
     doc = small_oracle().to_json()
     doc["version"] = 2
     with pytest.raises(VersionMismatchError):
+        load(json_oracle_file(doc))
+
+
+def test_version_three_file_is_rejected():
+    doc = small_oracle().to_json()
+    doc["version"] = 3
+    with pytest.raises(VersionMismatchError, match="version 3"):
+        load(json_oracle_file(doc))
+    # a binary file of another version says so too, whatever its layout
+    with pytest.raises(VersionMismatchError, match="version 3"):
         load_doc(doc)
 
 
@@ -190,10 +225,13 @@ def test_table_out_of_root_order_is_rejected():
 def test_empty_record_stream_round_trips():
     oracle = build(normalize(build_graph(1, []), 0, seed=0))
     assert not oracle.records
-    buf = io.StringIO()
-    oracle.save(buf)
-    assert '"records":[]' in buf.getvalue()
-    assert load(io.StringIO(buf.getvalue())).distance(0, 0) == 0
+    data = saved(oracle)
+    sections = {name: count for name, count, _ in header_of(data)["sections"]}
+    assert sections["record_key"] == 0 and sections["entry_vertex"] == 0
+    assert sections["record_start"] == 1  # the one offset, 0
+    loaded = load(io.BytesIO(data))
+    assert loaded.distance(0, 0) == 0
+    assert saved(loaded) == data
 
 
 def test_truncated_column_is_rejected():
@@ -206,12 +244,60 @@ def test_truncated_column_is_rejected():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_truncated_file_is_rejected():
+    data = saved(small_oracle())
+    for cut in (0, 7, 15, 16, 100, len(data) // 2, len(data) - 1):
+        with pytest.raises(CorruptFileError):
+            load(io.BytesIO(data[:cut]))
+    with pytest.raises(CorruptFileError, match="follow the last section"):
+        load(io.BytesIO(data + b"\0"))
+
+
+def test_flipped_column_byte_fails_its_checksum():
+    data = bytearray(saved(small_oracle()))
+    data[-5] ^= 0x10
+    with pytest.raises(CorruptFileError, match="checksum"):
+        load(io.BytesIO(bytes(data)))
+
+
 def test_vertex_listed_twice_is_rejected():
     # the later row would answer for the repeated vertex, without an error
     doc = small_oracle().to_json()
     vertices = doc["tables"][5][1]
     vertices[1] = vertices[0]
     with pytest.raises(CorruptFileError, match="listed twice"):
+        load_doc(doc)
+
+
+def query_vertex_at(table: list) -> int:
+    """Position, in a table item's vertex list, of an original vertex."""
+    return next(pos for pos, v in enumerate(table[1]) if v == 1)
+
+
+def test_table_vertex_outside_table_zero_is_rejected():
+    # distance(5, 1) raised a bare internal MsspError when this loaded
+    doc = small_oracle().to_json()
+    table = doc["tables"][5]
+    table[1][query_vertex_at(table)] = 10**6
+    with pytest.raises(CorruptFileError, match="table 0 does not hold"):
+        load_doc(doc)
+
+
+def test_table_zero_vertex_replaced_is_rejected():
+    # vertex 1 would silently stop being queryable: query_vertices is read
+    # from table 0
+    doc = small_oracle().to_json()
+    table = doc["tables"][0]
+    table[1][query_vertex_at(table)] = 10**6
+    with pytest.raises(CorruptFileError, match="table 0 does not hold"):
+        load_doc(doc)
+
+
+def test_table_without_its_ring_root_is_rejected():
+    doc = small_oracle().to_json()
+    table = doc["tables"][5]
+    table[1][table[1].index(doc["ring_roots"][5])] = 10**6
+    with pytest.raises(CorruptFileError, match="lacks its ring root"):
         load_doc(doc)
 
 
@@ -241,6 +327,11 @@ def test_self_parent_table_raises_in_bounded_time():
 def test_self_parent_record_raises_in_bounded_time():
     oracle = small_oracle()
     doc = oracle.to_json()
+    parent = {
+        (mid, side, entry[0]): entry[4]
+        for mid, side, entries in doc["records"]
+        for entry in entries
+    }
     for record in doc["records"]:
         for entry in record[2]:
             if entry[0] != entry[1]:  # not the record tree's root
@@ -250,8 +341,7 @@ def test_self_parent_record_raises_in_bounded_time():
         (j, u)
         for j in range(oracle.ring_count)
         for u in sorted(oracle.query_vertices)
-        if any(vert != oracle.records[key][vert].parent
-               for key, vert in oracle.explain(j, u).hits)
+        if any(vert != parent[(*key, vert)] for key, vert in oracle.explain(j, u).hits)
     )
     t0 = time.perf_counter()
     with pytest.raises(CorruptFileError, match="cycle"):
@@ -294,6 +384,19 @@ def test_chain_key_without_record_raises():
     assert corrupt_path_answers(doc) > 0
 
 
+def test_chain_that_expands_into_itself_raises():
+    # a record entry whose tail chain hops back to the entry itself: the
+    # expansion would recurse without end
+    doc = small_oracle().to_json()
+    for mid, side, entries in doc["records"]:
+        for entry in entries:
+            if entry[0] != entry[1]:  # not the record tree's root
+                entry[6] = [[mid, side, entry[0]]]
+    t0 = time.perf_counter()
+    assert corrupt_path_answers(doc) > 0
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_parent_vertex_outside_its_node_raises():
     doc = small_oracle().to_json()
     for table in doc["tables"]:
@@ -333,15 +436,23 @@ def test_unknown_record_arc_is_rejected_at_load():
         load_doc(doc)
 
 
+def test_value_wider_than_its_column_raises_a_typed_error():
+    # ids and perturbation high halves are int32 in the file
+    with pytest.raises(FormatLimitError, match="32-bit"):
+        _column("i", [0, 2**31])
+    with pytest.raises(FormatLimitError, match="64-bit"):
+        _column("q", [2**63])
+
+
 class _FailingSink:
-    def write(self, text: str) -> int:
+    def write(self, data) -> int:
         raise OSError("disk full")
 
 
 def test_gc_stays_enabled_after_failed_load_and_save():
     assert gc.isenabled()
     with pytest.raises(CorruptFileError):
-        load(io.StringIO('{"format":"planar-mssp-oracle","version":3}'))
+        load(io.BytesIO(b'{"format":"planar-mssp-oracle","version":3}'))
     assert gc.isenabled()
     with pytest.raises(OSError, match="disk full"):
         small_oracle().save(_FailingSink())
@@ -355,13 +466,12 @@ def test_gc_stays_disabled_for_a_caller_who_disabled_it():
         g, outer = gen_grid(3, seed=1)
         build(normalize(g, outer, seed=1))
         assert not gc.isenabled()
-        buf = io.StringIO()
-        oracle.save(buf)
+        data = saved(oracle)
         assert not gc.isenabled()
-        load(io.StringIO(buf.getvalue()))
+        load(io.BytesIO(data))
         assert not gc.isenabled()
         with pytest.raises(CorruptFileError):
-            load(io.StringIO("{oops"))
+            load(io.BytesIO(b"{oops"))
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -378,3 +488,45 @@ def test_built_oracle_is_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_loaded_tables_and_records_are_not_tracked_by_gc():
+    loaded = load(io.BytesIO(saved(small_oracle())))
+    assert loaded.records
+    for index in [*loaded.tables, *loaded.records.values()]:
+        assert not gc.is_tracked(index)
+
+
+# ----------------------------------------------------------------------
+# damaged bytes: every truncation and byte flip must fail with a typed
+# error, fast
+
+_FUZZ_DATA = saved(small_oracle())
+# the one byte whose change is a version change: the digit of "version":4
+_VERSION_AT = _FUZZ_DATA.index(b'"version":4') + len(b'"version":')
+
+
+def assert_rejected(data: bytes, version_byte_changed: bool) -> None:
+    t0 = time.perf_counter()
+    with pytest.raises(MsspError) as info:
+        load(io.BytesIO(data))
+    assert time.perf_counter() - t0 < 1.0
+    if info.type is not CorruptFileError:
+        assert info.type is VersionMismatchError and version_byte_changed, info.value
+
+
+@settings(max_examples=300, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(cut=st.integers(0, len(_FUZZ_DATA) - 1))
+def test_fuzz_truncated_file_raises_a_typed_error(cut):
+    assert_rejected(_FUZZ_DATA[:cut], False)
+
+
+@settings(max_examples=1000, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    at=st.integers(0, len(_FUZZ_DATA) - 1),
+    mask=st.integers(1, 255),
+)
+def test_fuzz_flipped_byte_raises_a_typed_error(at, mask):
+    data = bytearray(_FUZZ_DATA)
+    data[at] ^= mask
+    assert_rejected(bytes(data), at == _VERSION_AT)
