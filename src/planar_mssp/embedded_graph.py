@@ -55,9 +55,6 @@ class EdgeSlot:
         self.a01 = a01  # arc v0 -> v1
         self.a10 = a10  # arc v1 -> v0
 
-    def copy(self) -> "EdgeSlot":
-        return EdgeSlot(self.v0, self.v1, self.a01, self.a10)
-
     def endpoint(self, end: int) -> int:
         return self.v1 if end else self.v0
 

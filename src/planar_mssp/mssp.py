@@ -26,21 +26,31 @@ tail at contraction time and its original tail — deepest hop first, which
 yields original arc ids in path order with O(1) record probes per
 reported arc.
 
-Everything stored is flat columns (_Columns), built and loaded alike: the
-rows of all root tables concatenated in root order, the entries of all
-record tables concatenated in key order, and their tail chains as CSR
-offset and hop arrays. Bases are int64 (-1 = unreached); perturbations
-are split at bit 60 into an int64 low and an int32 high half, so sums of
-63-bit perturbations along long paths still fit. The only per-entry
-Python objects are the vertex -> row and vertex -> entry dicts, made with
-dict(zip(...)) over the columns; they hold ints only, so the garbage
-collector does not track them. The build fills its columns from the
-Dijkstra columns of the trees it stores (one row snapshot per node,
+Everything stored is flat columns (_Columns), built and loaded alike.
+The K record tables and the N root tables are all trees over vertices
+with distances from a root, so they are K + N blocks of one set of node
+columns (vertex, base, perturbation, parent vertex, parent arc), divided
+by the CSR offsets tree_start: the records in key order, then the tables
+in root order; records add their keys and each node's record tree root,
+which the records' nodes, coming first, index directly.
+Within a block the nodes whose parent arc has a tail chain come first, so
+node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
+when that offset is below the block's chain count, and one CSR pair
+(chain_hop_start, hops) holds every chain. Bases are int64 (-1 =
+unreached); perturbations are split at bit 60 into an int64 low and an
+int32 high half, so sums of 63-bit perturbations along long paths still
+fit. The only per-node Python objects are the vertex -> node dicts, one
+per block, made with dict(zip(...)) over the columns; they hold ints
+only, so the garbage collector does not track them. One walk
+(MsspOracle._walk) follows parent vertices to a block's root, the ring
+vertex for a table and the node's record root for a record, and serves
+the terminal tree and every record tree. The build fills its columns from
+the Dijkstra columns of the trees it stores (one row snapshot per node,
 sssp.out_adjacency) and from each child's record dict once that child's
-contraction ends, and each node looks up a tail chain at most once per
-original tail.
+contraction ends (_tree_block for both), and each node looks up a tail
+chain at most once per original tail.
 
-The oracle file is format "planar-mssp-oracle", version 4, little-endian:
+The oracle file is format "planar-mssp-oracle", version 5, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -56,13 +66,16 @@ oracle re-saves byte for byte. load() checks, in this order: the magic
 (a file that starts with "{" is a JSON oracle of versions 1 to 3 and
 raises VersionMismatchError), the format and version, the header and
 section checksums, the file length, the column lengths and offsets, one
-table per root, rooted at its own ring vertex, over vertices of table 0,
-with no vertex listed twice, chain rows inside their tables, and that
-every parent and record arc id is in the arc table. Path queries bound
-every parent walk, and raise CorruptFileError, not KeyError, when a
-damaged file names a vertex or record it does not hold. The plans and the
-dicts are not part of the file. to_json() gives the same content as one
-logical JSON document, for tests and tools.
+table per root, no block with more chains than nodes, and that every
+parent arc id is in the arc table; then, block by block, that no block
+lists a vertex twice and that each table is rooted at its own ring
+vertex, over vertices of table 0, with one row whose parent is the ring
+vertex, whose parent arc is the root's spoke, which no other row's is,
+and which has no tail chain (so a path starts with the spoke). Path
+queries bound every parent walk, and raise CorruptFileError, not
+KeyError, when a damaged file names a vertex or record it does not hold.
+The plans and the dicts are not part of the file. to_json() gives the
+same content as one logical JSON document, for tests and tools.
 """
 
 from __future__ import annotations
@@ -77,9 +90,10 @@ import zlib
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
-from operator import gt, itemgetter
+from dataclasses import dataclass, field, fields
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
+from operator import gt, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .contraction import RecordEntry, TailChain, contract_tree, select_trees
@@ -105,7 +119,7 @@ from .sssp import SSSPTree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 4
+ORACLE_VERSION = 5
 
 _PERT_SHIFT = 60
 _PERT_MASK = (1 << _PERT_SHIFT) - 1
@@ -121,9 +135,10 @@ _SWAP = sys.byteorder != "little"
 # arc kinds by their code in the arc_kind column
 _KINDS = (ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE)
 
-# Every column, in file order: (name, typecode). N roots, A arcs, R table
-# rows, C table chains, K record tables, E record entries; "start"
-# columns are CSR offsets, one more than the items they divide.
+# Every column, in file order: (name, typecode). N roots, A arcs, K record
+# tables, M = K + N blocks (the record tables in key order, then the root
+# tables in root order), V nodes, C tail chains; "start" columns are CSR
+# offsets, one more than the items they divide.
 _SECTIONS = (
     ("ring_roots", "i"),  # N ring vertices r_j
     ("face_vertices", "i"),  # N face vertices b_j
@@ -133,30 +148,19 @@ _SECTIONS = (
     ("arc_base", "q"),
     ("arc_perturb", "q"),
     ("arc_kind", "b"),  # index into _KINDS
-    ("table_start", "i"),  # N + 1: root j's rows
-    ("row_vertex", "i"),  # R, ascending within a table
-    ("row_base", "q"),
-    ("row_plo", "q"),
-    ("row_phi", "i"),
-    ("row_par_v", "i"),  # -1 at the root and where unreached
-    ("row_par_arc", "i"),  # -1 likewise
-    ("table_chain_start", "i"),  # N + 1: root j's chains
-    ("chain_row", "i"),  # C, the chain's row within its table, ascending
-    ("chain_hop_start", "i"),  # C + 1: each chain's hops
-    ("row_hop_key", "i"),  # record key of each hop, innermost hop first
-    ("row_hop_vertex", "i"),
     ("record_key", "i"),  # K, increasing
-    ("record_start", "i"),  # K + 1: each record table's entries
-    ("entry_vertex", "i"),  # E, ascending within a record table
-    ("entry_root", "i"),
-    ("entry_dbase", "q"),  # in-tree delta from the root
-    ("entry_dplo", "q"),
-    ("entry_dphi", "i"),
-    ("entry_parent", "i"),  # -1 at the root
-    ("entry_arc", "i"),  # -1 at the root
-    ("entry_hop_start", "i"),  # E + 1: each entry's tail chain
-    ("entry_hop_key", "i"),
-    ("entry_hop_vertex", "i"),
+    ("tree_start", "i"),  # M + 1: each block's nodes
+    ("node_vertex", "i"),  # V; in each block the nodes with a tail chain first
+    ("node_base", "q"),  # from the block's root: a table's distance, a record's delta
+    ("node_plo", "q"),
+    ("node_phi", "i"),
+    ("node_parent", "i"),  # parent vertex; -1 at a root and where unreached
+    ("node_arc", "i"),  # parent arc id; -1 likewise
+    ("record_root", "i"),  # tree_start[K]: each record node's tree root
+    ("tree_chain_start", "i"),  # M + 1: each block's chains, of its first nodes
+    ("chain_hop_start", "i"),  # C + 1: each chain's hops
+    ("hop_key", "i"),  # record key of each hop, innermost hop first
+    ("hop_vertex", "i"),
 )
 # how versions 1 to 3, key-sorted JSON documents, end
 _JSON_ORACLE_TAIL = re.compile(rb'"version":(\d+),"w_big":-?\d+\}\n?\Z')
@@ -298,103 +302,85 @@ class BuildStats:
         return self.per_level[level]
 
     def to_json(self) -> dict:
-        return {
-            "n_original": self.n_original,
-            "ring_count": self.ring_count,
-            "node_count": self.node_count,
-            "max_level": self.max_level,
-            "build_seconds": self.build_seconds,
-            "stored_rows": self.stored_rows,
-            "record_entries": self.record_entries,
-            "chain_elements": self.chain_elements,
-            "per_level": self.per_level,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "BuildStats":
-        out = cls(doc["n_original"], doc["ring_count"])
-        out.node_count = doc["node_count"]
-        out.max_level = doc["max_level"]
-        out.build_seconds = doc["build_seconds"]
-        out.stored_rows = doc["stored_rows"]
-        out.record_entries = doc["record_entries"]
-        out.chain_elements = doc["chain_elements"]
-        out.per_level = doc["per_level"]
-        return out
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
-def _table_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
-    """Each root's vertex -> row dict, checking what a query relies on.
+def _tree_name(c: _Columns, b: int) -> str:
+    """How errors name block b."""
+    k = len(c.record_key)
+    if b >= k:
+        return f"table {b - k}"
+    key = c.record_key[b]
+    return f"record {key >> 1, key & 1}"
 
-    Every table must hold its own ring vertex at distance 0, list no
-    vertex twice, and list only vertices of table 0, the root node's tree,
-    which holds every vertex.
+
+def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
+    """Each block's vertex -> node dict, checking what a query relies on.
+
+    No block may list a vertex twice. Every table must hold its own ring
+    vertex at distance 0, list only vertices of table 0, the root node's
+    tree, which holds every vertex, and start every path with its spoke.
     """
-    start = c.table_start
-    vertex = c.row_vertex
-    base = c.row_base
-    tables: list[dict[int, int]] = []
-    for j, r in enumerate(c.ring_roots):
-        a, b = start[j], start[j + 1]
-        index = dict(zip(vertex[a:b], range(a, b)))
-        if len(index) != b - a:
-            # a repeated vertex would read another vertex's row
-            raise CorruptFileError(f"table {j}: a vertex is listed twice")
-        row = index.get(r)
-        if row is None:
+    start = c.tree_start
+    vertex = c.node_vertex
+    trees: list[dict[int, int]] = []
+    for b, (a, z) in enumerate(zip(start, start[1:])):
+        index = dict(zip(vertex[a:z], range(a, z)))
+        if len(index) != z - a:
+            # a repeated vertex would read another vertex's node
+            raise CorruptFileError(f"{_tree_name(c, b)}: a vertex is listed twice")
+        trees.append(index)
+    n = len(c.ring_roots)
+    base, parents, arcs = c.node_base, c.node_parent, c.node_arc
+    # tail -> spoke, found by a byte search of the kind column
+    kinds, spoke = c.arc_kind.tobytes(), bytes([_KINDS.index(ARC_SPOKE)])
+    spoke_of = {}
+    at = kinds.find(spoke)
+    while at >= 0:
+        spoke_of[c.arc_tail[at]] = c.arc_id[at]
+        at = kinds.find(spoke, at + 1)
+    k = len(c.record_key)
+    chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
+    tables = trees[k:]
+    for j, (r, index, a, z, chains) in enumerate(
+        zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
+    ):
+        node = index.get(r)
+        if node is None:
             raise CorruptFileError(f"table {j} lacks its ring root {r}")
-        if base[row] != 0:
+        if base[node] != 0:
             raise CorruptFileError(
                 f"table {j} is not rooted at its labelled root {j}'s ring vertex {r}"
             )
         if j == 0:
-            if b - a != n_original + len(c.ring_roots):
+            if z - a != n_original + n:
                 raise CorruptFileError(
-                    f"table 0 has {b - a} rows, not one per vertex"
-                    f" ({n_original} + {len(c.ring_roots)})"
+                    f"table 0 has {z - a} rows, not one per vertex ({n_original} + {n})"
                 )
         elif not index.keys() <= tables[0].keys():
             stray = min(index.keys() - tables[0].keys())
             raise CorruptFileError(
                 f"table {j} lists vertex {stray}, which table 0 does not hold"
             )
-        tables.append(index)
-    return tables
-
-
-def _chain_rows(c: _Columns) -> dict[int, int]:
-    """Table row (a row of the table columns) -> its chain, checking the rows."""
-    start = c.table_start
-    cstart = c.table_chain_start
-    rows = c.chain_row
-    chain_of: dict[int, int] = {}
-    for j in range(len(c.ring_roots)):
-        c0, c1 = cstart[j], cstart[j + 1]
-        if c0 == c1:
-            continue
-        here = rows[c0:c1]
-        a = start[j]
-        if min(here) < 0 or max(here) >= start[j + 1] - a:
-            raise CorruptFileError(f"table {j}: chain row out of range")
-        chain_of.update(zip(map(a.__add__, here), range(c0, c1)))
-        if len(chain_of) != c1:
-            raise CorruptFileError(f"table {j}: a chain row is listed twice")
-    return chain_of
-
-
-def _record_indexes(c: _Columns) -> dict[int, dict[int, int]]:
-    """Record key -> (vertex -> entry), checking that no vertex repeats."""
-    start = c.record_start
-    vertex = c.entry_vertex
-    records: dict[int, dict[int, int]] = {}
-    for pos, key in enumerate(c.record_key):
-        a, b = start[pos], start[pos + 1]
-        index = records[key] = dict(zip(vertex[a:b], range(a, b)))
-        if len(index) != b - a:
-            raise CorruptFileError(f"record {key >> 1, key & 1}: a vertex is listed twice")
-    if len(records) != len(c.record_key):
-        raise CorruptFileError("a record key is listed twice")
-    return records
+        # r is pendant, its spoke its one arc, so exactly one row, b_j's, has
+        # r as its parent; its parent arc must be that spoke, which no other
+        # row's is, and it must have no tail chain: so every path starts with
+        # the spoke, which query_path drops
+        parent = parents[a:z]
+        s = spoke_of.get(r)
+        if parent.count(r) == 1 and s is not None:
+            p = parent.index(r)
+            if p >= chains and arcs[a + p] == s and arcs[a:z].count(s) == 1:
+                continue
+        raise CorruptFileError(
+            f"table {j}: the row whose parent is the ring vertex is not the one"
+            " row whose parent arc is the root's spoke, without a tail chain"
+        )
+    return trees
 
 
 class MsspOracle:
@@ -411,13 +397,12 @@ class MsspOracle:
         "tables",
         "stats",
         "_cols",
-        "_row_base",
-        "_entry_reroute",
-        "_row_walk",
-        "_entry_walk",
+        "_table_blocks",
+        "_record_blocks",
+        "_reroute",
+        "_walk_cols",
         "_ring_set",
         "_query_vertices",
-        "_spokes",
         "_arcs",
         "_plans",
     )
@@ -432,30 +417,40 @@ class MsspOracle:
         self._cols = cols
         self.ring_roots = cols.ring_roots.tolist()
         self.face_vertices = cols.face_vertices.tolist()
-        self.ring_count = len(self.ring_roots)
+        n = self.ring_count = len(self.ring_roots)
         self._ring_set = frozenset(self.ring_roots)
-        # per root, its table's vertex -> row (a row of the table columns)
-        self.tables = _table_indexes(cols, n_original)
-        # record key (2 * midpoint + side) -> vertex -> entry
-        self.records = _record_indexes(cols)
-        # the columns each query reads, bound once
-        self._row_base = cols.row_base
-        self._entry_reroute = (cols.entry_root, cols.entry_dbase)
-        self._row_walk = (
-            cols.row_par_v, cols.row_par_arc, _chain_rows(cols), cols.chain_hop_start,
-            cols.row_hop_key, cols.row_hop_vertex,
-        )
-        self._entry_walk = (
-            cols.entry_root, cols.entry_parent, cols.entry_arc, cols.entry_hop_start,
-            cols.entry_hop_key, cols.entry_hop_vertex,
+        # per block, its vertex -> node (a node of the node columns): the
+        # records in key order, then the tables in root order
+        k = len(cols.record_key)
+        indexes = _tree_indexes(cols, n_original)
+        self.tables = indexes[k:]
+        # record key (2 * midpoint + side) -> vertex -> node
+        self.records = dict(zip(cols.record_key, indexes))
+        if len(self.records) != k:
+            raise CorruptFileError("a record key is listed twice")
+        # per block, what a walk of its tree reads: its index, first node,
+        # first chain and chain count, and a table's ring vertex (a record's
+        # tree roots are per node); per root and per record key
+        start, chain_start = cols.tree_start, cols.tree_chain_start
+        blocks = list(zip(
+            indexes, start, chain_start, map(sub, chain_start[1:], chain_start),
+            chain(repeat(None, k), self.ring_roots),
+        ))
+        self._table_blocks = blocks[k:]
+        self._record_blocks = dict(zip(cols.record_key, blocks))
+        # the columns each query reads, bound once, and the bound on a walk's
+        # steps: a tree path has fewer arcs than the largest tree has nodes
+        self._reroute = (cols.record_root, cols.node_base)
+        self._walk_cols = (
+            cols.node_vertex, cols.node_parent, cols.node_arc, cols.record_root,
+            cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_blocks,
+            range(max(map(len, indexes))),
         )
         # root 0's table is the root node's tree, over every vertex
         self._query_vertices = frozenset(self.tables[0]) - self._ring_set
-        spoke = _KINDS.index(ARC_SPOKE)
-        self._spokes = frozenset(compress(cols.arc_id, map(spoke.__eq__, cols.arc_kind)))
         self._arcs: dict[int, ArcInfo] | None = None
         # immutable once built, so queries stay safe from several threads
-        self._plans = _descent_plans(self.ring_count, self.records, self.tables)
+        self._plans = _descent_plans(n, self.records, self.tables)
 
     @property
     def query_vertices(self) -> frozenset[int]:
@@ -478,39 +473,42 @@ class MsspOracle:
     # ------------------------------------------------------------------
     # queries
 
+    def _plan(self, j: int) -> _Plan:
+        """Root j's descent plan, once j is checked to be a root index."""
+        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
+            raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
+        return self._plans[j]
+
     def _descend(
         self, j: int, u: int, hits: list[tuple[int, int, int]] | None = None
     ) -> tuple[int, int]:
         """The one query descent: reroute u along root j's plan.
 
-        Returns u's row in the terminal table and the base of the distance.
-        Appends each record hit (key, vertex, entry) to hits when given;
-        the perturbation of the distance adds up the hits' entries.
+        Returns u's node in the terminal table and the base of the distance.
+        Appends each record hit (key, vertex, node) to hits when given;
+        the perturbation of the distance adds up the hits' nodes.
         """
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
-            raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
-        _, steps, index = self._plans[j]
+        _, steps, index = self._plan(j)
         if u not in self._query_vertices:
             if u in self._ring_set:
                 raise FaceVertexQueryError(f"vertex {u} is a ring vertex, not queryable")
             raise FaceVertexQueryError(f"vertex {u!r} is not in the graph")
+        roots, bases = self._reroute
         acc = 0
-        if steps:
-            roots, dbase = self._entry_reroute
-            for key, entries in steps:
-                e = entries.get(u)
-                if e is not None:
-                    root = roots[e]
-                    if root != u:
-                        acc += dbase[e]
-                        if hits is not None:
-                            hits.append((key, u, e))
-                        u = root
-        row = index.get(u)
-        base = -1 if row is None else self._row_base[row]
+        for key, entries in steps:
+            e = entries.get(u)
+            if e is not None:
+                root = roots[e]
+                if root != u:
+                    acc += bases[e]
+                    if hits is not None:
+                        hits.append((key, u, e))
+                    u = root
+        node = index.get(u)
+        base = -1 if node is None else bases[node]
         if base < 0:
             raise CorruptFileError(f"table {j} holds no reached row for vertex {u}")
-        return row, acc + base
+        return node, acc + base
 
     def query_dist(self, j: int, u: int) -> LexWeight:
         """Exact normalized-graph distance from r_j to u as a LexWeight.
@@ -519,10 +517,10 @@ class MsspOracle:
         original-graph terms.
         """
         hits: list[tuple[int, int, int]] = []
-        row, base = self._descend(j, u, hits)
+        node, base = self._descend(j, u, hits)
         c = self._cols
-        lo = c.row_plo[row] + sum(c.entry_dplo[e] for _, _, e in hits)
-        hi = c.row_phi[row] + sum(c.entry_dphi[e] for _, _, e in hits)
+        lo = c.node_plo[node] + sum(c.node_plo[e] for _, _, e in hits)
+        hi = c.node_phi[node] + sum(c.node_phi[e] for _, _, e in hits)
         return LexWeight(base, (hi << _PERT_SHIFT) + lo)
 
     def distance(self, j: int, u: int):
@@ -532,15 +530,13 @@ class MsspOracle:
 
     def descent_intervals(self, j: int) -> list[tuple[int, int]]:
         """The intervals a query for root j visits, outermost first."""
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
-            raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
-        return list(self._plans[j].intervals)
+        return list(self._plan(j).intervals)
 
     def explain(self, j: int, u: int) -> Explanation:
         """How a query for (j, u) descends: intervals, record hits, probes."""
+        plan = self._plan(j)
         hits: list[tuple[int, int, int]] = []
         self._descend(j, u, hits)
-        plan = self._plans[j]
         return Explanation(
             list(plan.intervals),
             [((key >> 1, key & 1), v) for key, v, _ in hits],
@@ -556,79 +552,65 @@ class MsspOracle:
     def _query_path_counted(self, j: int, u: int) -> tuple[list[int], int]:
         """query_path plus the number of record/table entry probes used."""
         hits: list[tuple[int, int, int]] = []
-        row, base = self._descend(j, u, hits)
+        node, base = self._descend(j, u, hits)
         if base >= self.w_big:
             raise UnreachableError(
                 f"vertex {u} is not reachable from face vertex {self.face_vertices[j]}"
             )
-        plan = self._plans[j]
-        probes = len(plan.steps)
-        index = plan.index
-        par_v, par_arc, chain_of, hop_start, hop_key, hop_vertex = self._row_walk
-        expand = self._expand_record
         out: list[int] = []
         # a loaded file can name a vertex or record that is not there; its
-        # arc ids were checked at load
+        # arc ids and its spokes were checked at load
         try:
-            # terminal tree walk from r_j down to u's row
-            root_row = index[self.ring_roots[j]]
-            rows: list[int] = []
-            # a tree path has fewer arcs than the table has rows; a longer
-            # walk means the parent pointers of a loaded file form a cycle
-            limit = probes + len(index)
-            while row != root_row:
-                probes += 1
-                if probes > limit:
-                    raise CorruptFileError(f"parent pointers of table {j} cycle")
-                rows.append(row)
-                row = index[par_v[row]]
-            for row in reversed(rows):
-                ch = chain_of.get(row)
-                if ch is not None:
-                    # the tail chain's hops, deepest (last) first
-                    first, h = hop_start[ch], hop_start[ch + 1]
-                    while h > first:
-                        h -= 1
-                        probes += expand(hop_key[h], hop_vertex[h], out)
-                out.append(par_arc[row])
-            for key, vert, _ in reversed(hits):
-                probes += expand(key, vert, out)
+            # the terminal tree from r_j down to u, then each rerouting jump
+            probes = len(self._plans[j].steps)
+            probes += self._walk(self._table_blocks[j], self._cols.node_vertex[node], out)
+            for key, v, _ in reversed(hits):
+                probes += self._walk(self._record_blocks[key], v, out)
         except KeyError as exc:
             raise CorruptFileError(f"path walk met an unknown id: {exc}") from exc
         except RecursionError as exc:
             # chains nest one level per record; only a damaged file nests deeper
             raise CorruptFileError("tail chains of the path expand into each other") from exc
-        if not (out and out[0] in self._spokes):
-            raise MsspError("internal: reported path does not start at the ring")
+        # the first arc is r_j's spoke
         return out[1:], probes
 
-    def _expand_record(self, key: int, vert: int, out: list[int]) -> int:
-        """Append arcs of the record tree path root -> vert; returns probes."""
-        entries = self.records[key]
-        e = entries[vert]
-        roots, parents, arcs, hop_start, hop_key, hop_vertex = self._entry_walk
-        root = roots[e]
-        if vert == root:
-            return 1
-        probes = 1
-        seq = [e]
-        v = parents[e]
-        limit = len(entries)
-        while v != root:
-            e = entries[v]
-            probes += 1
-            if probes > limit:
-                raise CorruptFileError(f"parent pointers of record {key >> 1, key & 1} cycle")
-            seq.append(e)
-            v = parents[e]
-        expand = self._expand_record
-        for e in reversed(seq):
-            # the entry arc's tail chain, deepest hop (last) first
-            first, h = hop_start[e], hop_start[e + 1]
-            while h > first:
-                h -= 1
-                probes += expand(hop_key[h], hop_vertex[h], out)
-            out.append(arcs[e])
+    def _walk(self, block: tuple, v: int, out: list[int]) -> int:
+        """Append the arcs of a block's tree path from its root to vertex v.
+
+        The root is the ring vertex for a table and v's record root for a
+        record. Each arc's tail chain, the (record, vertex) hops between the
+        arc's tail at contraction time and its original tail, goes first,
+        deepest hop first, each hop one walk of its record tree. Returns the
+        probes: one per node looked up, and at least one per walk.
+        """
+        index, first_node, first_chain, chains, stop = block
+        (vertex, parent, arc, roots, hop_start, hop_key, hop_vertex, record_blocks,
+         bound) = self._walk_cols
+        node = index[v]
+        if stop is None:
+            stop = roots[node]
+        nodes: list[int] = []
+        for _ in bound:
+            if v == stop:
+                break
+            nodes.append(node)
+            v = parent[node]
+            node = index[v]
+        else:
+            # only the parent pointers of a damaged file walk this far: a cycle
+            b = bisect_right(self._cols.tree_start, first_node) - 1
+            raise CorruptFileError(f"parent pointers of {_tree_name(self._cols, b)} cycle")
+        probes = len(nodes) or 1
+        nodes.reverse()
+        for node in nodes:
+            off = node - first_node
+            if off < chains:
+                ch = first_chain + off
+                h, last = hop_start[ch + 1], hop_start[ch]
+                while h > last:
+                    h -= 1
+                    probes += self._walk(record_blocks[hop_key[h]], hop_vertex[h], out)
+            out.append(arc[node])
         return probes
 
     # ------------------------------------------------------------------
@@ -663,42 +645,42 @@ class MsspOracle:
     def to_json(self) -> dict:
         """The oracle's content as one logical JSON document.
 
-        Version 3's document with version 4: header values, "arcs" as
-        [id, tail, head, base, perturb, kind], "tables" as one
-        [j, vertices, base, plo, phi, par_v, par_arc, chains] per root, where
-        chains lists [row, [[midpoint, side, vertex], ...]], and "records" as
-        [midpoint, side, entries] per record table, each entry
-        [vertex, root, delta base, delta perturb, parent, arc, chain]. Tests
-        and tools read it; save() writes the columns instead.
+        Version 4's document with version 5, each tree's nodes in the file's
+        block order: header values, "arcs" as [id, tail, head, base, perturb,
+        kind], "tables" as one [j, vertices, base, plo, phi, par_v, par_arc,
+        chains] per root, where chains lists [row, [[midpoint, side, vertex],
+        ...]], and "records" as [midpoint, side, entries] per record table,
+        each entry [vertex, root, delta base, delta perturb, parent, arc,
+        chain]. Tests and tools read it; save() writes the columns instead.
         """
         c = self._cols
+        k = len(c.record_key)
 
-        def hops(keys: array, verts: array, a: int, b: int) -> list[list[int]]:
-            return [[keys[h] >> 1, keys[h] & 1, verts[h]] for h in range(a, b)]
+        def block(b: int) -> tuple[int, int, list[list[list[int]]]]:
+            """Block b's node range and each of its chains' hops."""
+            return c.tree_start[b], c.tree_start[b + 1], [
+                [[c.hop_key[h] >> 1, c.hop_key[h] & 1, c.hop_vertex[h]]
+                 for h in range(c.chain_hop_start[ch], c.chain_hop_start[ch + 1])]
+                for ch in range(c.tree_chain_start[b], c.tree_chain_start[b + 1])
+            ]
 
         tables = []
         for j in range(self.ring_count):
-            a, b = c.table_start[j], c.table_start[j + 1]
-            chains = [
-                [c.chain_row[ch],
-                 hops(c.row_hop_key, c.row_hop_vertex,
-                      c.chain_hop_start[ch], c.chain_hop_start[ch + 1])]
-                for ch in range(c.table_chain_start[j], c.table_chain_start[j + 1])
-            ]
+            a, z, chains = block(k + j)
             tables.append(
-                [j, *(col[a:b].tolist() for col in (
-                    c.row_vertex, c.row_base, c.row_plo, c.row_phi, c.row_par_v,
-                    c.row_par_arc)), chains]
+                [j, *(col[a:z].tolist() for col in (
+                    c.node_vertex, c.node_base, c.node_plo, c.node_phi, c.node_parent,
+                    c.node_arc)), [[p, hops] for p, hops in enumerate(chains)]]
             )
         records = []
-        for pos, key in enumerate(c.record_key):
+        for b, key in enumerate(c.record_key):
+            a, z, chains = block(b)
+            chains += [[] for _ in range(z - a - len(chains))]
             entries = [
-                [c.entry_vertex[e], c.entry_root[e], c.entry_dbase[e],
-                 (c.entry_dphi[e] << _PERT_SHIFT) | c.entry_dplo[e],
-                 c.entry_parent[e], c.entry_arc[e],
-                 hops(c.entry_hop_key, c.entry_hop_vertex,
-                      c.entry_hop_start[e], c.entry_hop_start[e + 1])]
-                for e in range(c.record_start[pos], c.record_start[pos + 1])
+                [c.node_vertex[e], c.record_root[e], c.node_base[e],
+                 (c.node_phi[e] << _PERT_SHIFT) | c.node_plo[e], c.node_parent[e],
+                 c.node_arc[e], hops]
+                for e, hops in zip(range(a, z), chains)
             ]
             records.append([key >> 1, key & 1, entries])
         return {
@@ -718,7 +700,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 4) to a path or binary file object."""
+        """Write the oracle file (format version 5) to a path or binary file object."""
         if hasattr(sink, "write"):
             self._write(sink.write)
         else:
@@ -767,7 +749,9 @@ def _json_oracle_error(raw: bytes) -> MsspError:
 def _read_columns(raw: bytes, pos: int, sections) -> _Columns:
     """Fill every column from its bytes after checking its checksum."""
     if not isinstance(sections, list) or len(sections) != len(_SECTIONS):
-        raise CorruptFileError("the header does not list the version 4 sections")
+        raise CorruptFileError(
+            f"the header does not list the version {ORACLE_VERSION} sections"
+        )
     cols = _Columns()
     with memoryview(raw) as view:
         for (name, typecode), item in zip(_SECTIONS, sections):
@@ -816,43 +800,34 @@ def _check_columns(c: _Columns) -> None:
         raise CorruptFileError("arc columns differ in length")
     if arcs and not 0 <= min(c.arc_kind) <= max(c.arc_kind) < len(_KINDS):
         raise CorruptFileError("an arc kind is out of range")
-    if len(c.table_start) != n + 1:
-        raise CorruptFileError(
-            f"{len(c.table_start) - 1} tables for {n} roots; expected one per root"
-        )
-    rows = len(c.row_vertex)
-    if any(len(col) != rows for col in (
-        c.row_base, c.row_plo, c.row_phi, c.row_par_v, c.row_par_arc
+    start = c.tree_start
+    k = len(c.record_key)
+    tables = len(start) - 1 - k
+    if tables != n:
+        raise CorruptFileError(f"{tables} tables for {n} roots; expected one per root")
+    nodes = len(c.node_vertex)
+    if any(len(col) != nodes for col in (
+        c.node_base, c.node_plo, c.node_phi, c.node_parent, c.node_arc
     )):
-        raise CorruptFileError(f"the table columns do not all have the {rows} rows")
-    _check_offsets(c.table_start, rows, "table rows")
-    if len(c.table_chain_start) != n + 1:
-        raise CorruptFileError("table chain offsets do not have one entry per root")
-    _check_offsets(c.table_chain_start, len(c.chain_row), "table chains")
-    if len(c.chain_hop_start) != len(c.chain_row) + 1:
-        raise CorruptFileError("chain hop offsets do not have one entry per chain")
-    if len(c.row_hop_vertex) != len(c.row_hop_key):
-        raise CorruptFileError("table chain hop columns differ in length")
-    _check_offsets(c.chain_hop_start, len(c.row_hop_key), "table chain hops")
-    if len(c.record_start) != len(c.record_key) + 1:
-        raise CorruptFileError("record offsets do not have one entry per record table")
-    entries = len(c.entry_vertex)
-    if any(len(col) != entries for col in (
-        c.entry_root, c.entry_dbase, c.entry_dplo, c.entry_dphi, c.entry_parent,
-        c.entry_arc,
-    )):
-        raise CorruptFileError(f"the record columns do not all have the {entries} entries")
-    _check_offsets(c.record_start, entries, "record entries")
-    if len(c.entry_hop_start) != entries + 1:
-        raise CorruptFileError("record chain offsets do not have one entry per entry")
-    if len(c.entry_hop_vertex) != len(c.entry_hop_key):
-        raise CorruptFileError("record chain hop columns differ in length")
-    _check_offsets(c.entry_hop_start, len(c.entry_hop_key), "record chain hops")
+        raise CorruptFileError(f"the node columns do not all have the {nodes} rows")
+    _check_offsets(start, nodes, "tree nodes")
+    if len(c.record_root) != start[k]:
+        raise CorruptFileError("record roots do not have one entry per record node")
+    chain_start = c.tree_chain_start
+    if len(chain_start) != len(start):
+        raise CorruptFileError("chain offsets do not have one entry per block")
+    _check_offsets(chain_start, len(c.chain_hop_start) - 1, "tree chains")
+    # a block's chains belong to its first nodes, one each
+    if any(map(gt, map(sub, chain_start[1:], chain_start), map(sub, start[1:], start))):
+        raise CorruptFileError("a block has more tail chains than nodes")
+    if len(c.hop_vertex) != len(c.hop_key):
+        raise CorruptFileError("chain hop columns differ in length")
+    _check_offsets(c.chain_hop_start, len(c.hop_key), "chain hops")
     known = set(c.arc_id)
     if len(known) != arcs:
         raise CorruptFileError("an arc id is listed twice")
     # every arc id a path walk can report, -1 (no arc) aside
-    unknown = set(c.row_par_arc).union(c.entry_arc).difference(known)
+    unknown = set(c.node_arc).difference(known)
     unknown.discard(-1)
     if unknown:
         raise CorruptFileError(
@@ -880,10 +855,12 @@ def _read_file(raw: bytes) -> tuple[dict, _Columns]:
         raise CorruptFileError(f"not a {ORACLE_FORMAT} header")
     # the version goes first, so that a file of another version reports
     # that, whatever its checksums
-    if header.get("version") != ORACLE_VERSION:
-        raise VersionMismatchError(
-            f"oracle version {header.get('version')!r}, expected {ORACLE_VERSION}"
-        )
+    version = header.get("version")
+    if type(version) is not int:
+        # a damaged key, not another version
+        raise CorruptFileError(f"the header has no version number: {version!r}")
+    if version != ORACLE_VERSION:
+        raise VersionMismatchError(f"oracle version {version}, expected {ORACLE_VERSION}")
     if zlib.crc32(head) != head_crc:
         raise CorruptFileError("the header fails its checksum")
     return header, _read_columns(raw, body, header.get("sections"))
@@ -911,32 +888,52 @@ def load(source) -> MsspOracle:
     return MsspOracle(n_original, w_big, seed, cols, stats)
 
 
-def _record_block(table: dict[int, RecordEntry]) -> tuple[array, ...]:
-    """One record table's columns in vertex order, then its chain lengths and hops."""
-    vertices = sorted(table)
-    roots, deltas, parents, arcs, chains = zip(*map(table.__getitem__, vertices))
-    dbase, dpert = zip(*deltas)
-    hops = list(chain.from_iterable(chains))
-    return (
-        _column("i", vertices),
-        _column("i", roots),
-        _column("q", dbase),
-        _column("q", [p & _PERT_MASK for p in dpert]),
-        _column("i", [p >> _PERT_SHIFT for p in dpert]),
-        _column("i", parents),
-        _column("i", arcs),
-        _column("i", [len(c) >> 1 for c in chains]),
+class _Block(NamedTuple):
+    """One tree's node columns in block order, and its chains (see _tree_block)."""
+
+    vertex: array
+    base: array
+    plo: array
+    phi: array
+    parent: array
+    arc: array
+    root: array  # a record's only
+    chain_len: array  # hops per chain
+    hop_key: array
+    hop_vertex: array
+
+
+def _tree_block(vertex, base, pert, parent, arc, chains, root=()) -> _Block:
+    """A tree's columns, in block order: the nodes whose parent arc has a
+    tail chain (chains holds each node's, () for none) first, each part in
+    the order given."""
+    chained = [p for p, ch in enumerate(chains) if ch]
+    if chained:
+        order = chained + [p for p, ch in enumerate(chains) if not ch]
+        vertex, base, pert, parent, arc = (
+            [col[p] for p in order] for col in (vertex, base, pert, parent, arc)
+        )
+        if root:
+            root = [root[p] for p in order]
+    hops = list(chain.from_iterable(map(chains.__getitem__, chained)))
+    return _Block(
+        _column("i", vertex),
+        _column("q", base),
+        _column("q", [p & _PERT_MASK for p in pert]),
+        _column("i", [p >> _PERT_SHIFT for p in pert]),
+        _column("i", parent),
+        _column("i", arc),
+        _column("i", root),
+        _column("i", [len(chains[p]) >> 1 for p in chained]),
         _column("i", hops[0::2]),
         _column("i", hops[1::2]),
     )
 
 
 def _flat_columns(
-    norm: NormalizedInstance,
-    table_blocks: list[tuple[array, ...]],
-    record_blocks: dict[int, tuple[array, ...]],
+    norm: NormalizedInstance, tables: list[_Block], records: dict[int, _Block]
 ) -> _Columns:
-    """Concatenate the build's blocks: tables in root order, records in key order."""
+    """Concatenate the build's blocks: records in key order, then tables in root order."""
     c = _Columns()
     c.ring_roots = _column("i", norm.ring_roots)
     c.face_vertices = _column("i", norm.face_vertices)
@@ -949,37 +946,22 @@ def _flat_columns(
     c.arc_perturb = _column("q", map(itemgetter(3), arcs))
     c.arc_kind = _column("b", map(_KINDS.index, map(itemgetter(4), arcs)))
 
-    (vertex, base, plo, phi, par_v, par_arc, chain_row, chain_len, hop_key,
-     hop_vertex) = zip(*table_blocks)
-    c.table_start = _offsets(map(len, vertex))
-    c.row_vertex = _concat("i", vertex)
-    c.row_base = _concat("q", base)
-    c.row_plo = _concat("q", plo)
-    c.row_phi = _concat("i", phi)
-    c.row_par_v = _concat("i", par_v)
-    c.row_par_arc = _concat("i", par_arc)
-    c.table_chain_start = _offsets(map(len, chain_row))
-    c.chain_row = _concat("i", chain_row)
-    c.chain_hop_start = _offsets(_concat("i", chain_len))
-    c.row_hop_key = _concat("i", hop_key)
-    c.row_hop_vertex = _concat("i", hop_vertex)
-
-    keys = sorted(record_blocks)
-    blocks = [record_blocks[key] for key in keys]
-    (vertex, root, dbase, dplo, dphi, parent, arc, chain_len, hop_key,
-     hop_vertex) = zip(*blocks) if blocks else ((),) * 10
+    keys = sorted(records)
+    (vertex, base, plo, phi, parent, arc, root, chain_len, hop_key,
+     hop_vertex) = zip(*map(records.__getitem__, keys), *tables)
     c.record_key = _column("i", keys)
-    c.record_start = _offsets(map(len, vertex))
-    c.entry_vertex = _concat("i", vertex)
-    c.entry_root = _concat("i", root)
-    c.entry_dbase = _concat("q", dbase)
-    c.entry_dplo = _concat("q", dplo)
-    c.entry_dphi = _concat("i", dphi)
-    c.entry_parent = _concat("i", parent)
-    c.entry_arc = _concat("i", arc)
-    c.entry_hop_start = _offsets(_concat("i", chain_len))
-    c.entry_hop_key = _concat("i", hop_key)
-    c.entry_hop_vertex = _concat("i", hop_vertex)
+    c.tree_start = _offsets(map(len, vertex))
+    c.node_vertex = _concat("i", vertex)
+    c.node_base = _concat("q", base)
+    c.node_plo = _concat("q", plo)
+    c.node_phi = _concat("i", phi)
+    c.node_parent = _concat("i", parent)
+    c.node_arc = _concat("i", arc)
+    c.record_root = _concat("i", root)
+    c.tree_chain_start = _offsets(map(len, chain_len))
+    c.chain_hop_start = _offsets(_concat("i", chain_len))
+    c.hop_key = _concat("i", hop_key)
+    c.hop_vertex = _concat("i", hop_vertex)
     return c
 
 
@@ -1012,10 +994,9 @@ def build(
     ring_vertex_set = set(ring_roots)
     n_rings = len(ring_roots)
     stats = BuildStats(norm.n_original, n_rings)
-    # per root, then per record key: the columns of one table, in the field
-    # order _flat_columns unpacks
-    table_blocks: list[tuple[array, ...] | None] = [None] * n_rings
-    record_blocks: dict[int, tuple[array, ...]] = {}
+    # the stored trees' columns: per root, then per record key
+    table_blocks: list[_Block | None] = [None] * n_rings
+    record_blocks: dict[int, _Block] = {}
     absorbed_at: dict[int, tuple[int, int]] = {}  # vertex -> (record key, its root)
     arcs_info = norm.arcs
     edge_counters: dict[int, Counter] = {}
@@ -1089,33 +1070,20 @@ def build(
             return found
 
         slots = h.slots
-        vertex_col = _column("i", vertices) if terminal else None
         for k in terminal:
             t = trees[k]
-            pert = t.pert
             par_arc = [
                 -1 if d < 0 else (slots[d >> 1].a01 if d & 1 else slots[d >> 1].a10)[2]
                 for d in t.par_dart
             ]
-            chain_rows: list[int] = []
-            chains: list[TailChain] = []
-            if absorbed_at:
-                for row, aid in enumerate(par_arc):
-                    if aid >= 0 and tails[aid] in absorbed_at:
-                        chain_rows.append(row)
-                        chains.append(chain_at(aid))
-            hops = list(chain.from_iterable(chains))
-            table_blocks[k] = (
-                vertex_col,
-                _column("q", t.base),
-                _column("q", [p & _PERT_MASK for p in pert]),
-                _column("i", [p >> _PERT_SHIFT for p in pert]),
-                _column("i", [-1 if r < 0 else vertices[r] for r in t.par_row]),
-                _column("i", par_arc),
-                _column("i", chain_rows),
-                _column("i", [len(ch) >> 1 for ch in chains]),
-                _column("i", hops[0::2]),
-                _column("i", hops[1::2]),
+            table_blocks[k] = _tree_block(
+                vertices,
+                t.base,
+                t.pert,
+                [-1 if r < 0 else vertices[r] for r in t.par_row],
+                par_arc,
+                [chain_at(aid) if aid >= 0 else () for aid in par_arc]
+                if absorbed_at else (),
             )
             stats.stored_rows += len(vertices)
         if i2 - i1 <= 1:
@@ -1156,7 +1124,12 @@ def build(
             lvl["contracted_vertices"] += sum(len(t) - 1 for t in selected)
             stats.record_entries += len(table)
             if table:
-                record_blocks[key] = _record_block(table)
+                vs = sorted(table)
+                roots, deltas, parents, arcs, chains = zip(*map(table.__getitem__, vs))
+                dbase, dpert = zip(*deltas)
+                record_blocks[key] = _tree_block(
+                    vs, dbase, dpert, parents, arcs, chains, roots
+                )
             if instrument:
                 check_child(h, hj, i1, i2, j1, j2, trees)
             added = [(u, e.root) for u, e in table.items() if e.root != u]
@@ -1178,6 +1151,6 @@ def build(
         for level, counter in edge_counters.items():
             entry = stats.level_entry(level)
             entry["tree_arc_max"] = max(counter.values()) if counter else 0
-    stats.chain_elements = len(cols.row_hop_key) + len(cols.entry_hop_key)
+    stats.chain_elements = len(cols.hop_key)
     stats.build_seconds = time.perf_counter() - t0
     return MsspOracle(norm.n_original, norm.w_big, norm.seed, cols, stats)

@@ -1,18 +1,25 @@
-"""An independent writer of oracle files (format version 4), for tests.
+"""An independent writer of oracle files (format version 5), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
-returns, the version 3 JSON document with its version set to 4, into the
-bytes of an oracle file, following the layout the README describes. It
-shares no code with the package's save(), so a test can damage a
-document the way a broken writer would and load the result, and the
-pinned digests in test_persistence.py were derived with it from the
-version 3 documents of the parent format.
+returns into the bytes of an oracle file, following the layout the README
+describes. It shares no code with the package's save(), so a test can
+damage a document the way a broken writer would and load the result, and
+the pinned digests in test_persistence.py were derived with it from the
+version 4 documents of the parent format.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
 key-sorted UTF-8 JSON: format, version, n_original, w_big, seed, stats,
 and "sections" as [name, count, crc32] per column), then the columns
 below in order, little-endian, with no padding.
+
+Every record table (in key order) and then every root table (in root
+order) is one block of the node columns. Within a block the nodes whose
+parent arc has a non-empty tail chain come first, each part in the
+document's order, and the block's chains follow the same order. The
+document's own node order and chain rows are therefore free: a version 4
+document (vertices ascending) and a version 5 one (block order) of the
+same oracle encode to the same bytes.
 """
 
 from __future__ import annotations
@@ -25,18 +32,16 @@ MAGIC = b"\x89MSSP\r\n\x1a"
 KINDS = ("arc", "reverse", "spoke")
 SHIFT = 60
 MASK = (1 << SHIFT) - 1
+NODE = ("node_vertex", "node_base", "node_plo", "node_phi", "node_parent", "node_arc")
 COLUMNS = (  # name, struct format letter
     ("ring_roots", "i"), ("face_vertices", "i"),
     ("arc_id", "i"), ("arc_tail", "i"), ("arc_head", "i"), ("arc_base", "q"),
     ("arc_perturb", "q"), ("arc_kind", "b"),
-    ("table_start", "i"), ("row_vertex", "i"), ("row_base", "q"), ("row_plo", "q"),
-    ("row_phi", "i"), ("row_par_v", "i"), ("row_par_arc", "i"),
-    ("table_chain_start", "i"), ("chain_row", "i"), ("chain_hop_start", "i"),
-    ("row_hop_key", "i"), ("row_hop_vertex", "i"),
-    ("record_key", "i"), ("record_start", "i"), ("entry_vertex", "i"),
-    ("entry_root", "i"), ("entry_dbase", "q"), ("entry_dplo", "q"), ("entry_dphi", "i"),
-    ("entry_parent", "i"), ("entry_arc", "i"),
-    ("entry_hop_start", "i"), ("entry_hop_key", "i"), ("entry_hop_vertex", "i"),
+    ("record_key", "i"), ("tree_start", "i"),
+    ("node_vertex", "i"), ("node_base", "q"), ("node_plo", "q"), ("node_phi", "i"),
+    ("node_parent", "i"), ("node_arc", "i"), ("record_root", "i"),
+    ("tree_chain_start", "i"), ("chain_hop_start", "i"), ("hop_key", "i"),
+    ("hop_vertex", "i"),
 )
 
 
@@ -45,6 +50,24 @@ def _running(lengths) -> list[int]:
     for n in lengths:
         out.append(out[-1] + n)
     return out
+
+
+def _add_tree(col: dict, nodes: list[tuple], hops_of: dict[int, list], roots=None) -> None:
+    """Append one block: nodes (vertex, base, plo, phi, parent, arc), chained first."""
+    order = sorted(range(len(nodes)), key=lambda p: not hops_of.get(p))
+    col["tree_start"].append(len(nodes))
+    col["tree_chain_start"].append(sum(1 for p in order if hops_of.get(p)))
+    for p in order:
+        for name, value in zip(NODE, nodes[p]):
+            col[name].append(value)
+        if roots is not None:
+            col["record_root"].append(roots[p])
+        hops = hops_of.get(p)
+        if hops:
+            col["chain_hop_start"].append(len(hops))
+            for mid, side, vertex in hops:
+                col["hop_key"].append(2 * mid + side)
+                col["hop_vertex"].append(vertex)
 
 
 def columns_of(doc: dict) -> dict[str, list[int]]:
@@ -58,41 +81,20 @@ def columns_of(doc: dict) -> dict[str, list[int]]:
             (aid, tail, head, base, perturb, KINDS.index(kind)),
         ):
             col[name].append(value)
-    # tables: the item's own j is its place in the stream, so it is not written
-    chain_lengths = []
-    for _, vertices, base, plo, phi, par_v, par_arc, chains in doc["tables"]:
-        for name, values in zip(
-            ("row_vertex", "row_base", "row_plo", "row_phi", "row_par_v", "row_par_arc"),
-            (vertices, base, plo, phi, par_v, par_arc),
-        ):
-            col[name].extend(values)
-        col["table_chain_start"].append(len(chains))
-        for row, hops in chains:
-            col["chain_row"].append(row)
-            chain_lengths.append(len(hops))
-            for mid, side, vertex in hops:
-                col["row_hop_key"].append(2 * mid + side)
-                col["row_hop_vertex"].append(vertex)
-    col["table_start"] = _running(len(item[1]) for item in doc["tables"])
-    col["table_chain_start"] = _running(col["table_chain_start"])
-    col["chain_hop_start"] = _running(chain_lengths)
-    entry_lengths = []
     for mid, side, entries in doc["records"]:
         col["record_key"].append(2 * mid + side)
-        col["record_start"].append(len(entries))
-        for vertex, root, dbase, dpert, parent, arc, hops in entries:
-            for name, value in zip(
-                ("entry_vertex", "entry_root", "entry_dbase", "entry_dplo", "entry_dphi",
-                 "entry_parent", "entry_arc"),
-                (vertex, root, dbase, dpert & MASK, dpert >> SHIFT, parent, arc),
-            ):
-                col[name].append(value)
-            entry_lengths.append(len(hops))
-            for hop_mid, hop_side, hop_vertex in hops:
-                col["entry_hop_key"].append(2 * hop_mid + hop_side)
-                col["entry_hop_vertex"].append(hop_vertex)
-    col["record_start"] = _running(col["record_start"])
-    col["entry_hop_start"] = _running(entry_lengths)
+        _add_tree(
+            col,
+            [(v, dbase, dpert & MASK, dpert >> SHIFT, parent, arc)
+             for v, _, dbase, dpert, parent, arc, _ in entries],
+            {p: entry[6] for p, entry in enumerate(entries)},
+            [entry[1] for entry in entries],
+        )
+    # tables: the item's own j is its place in the stream, so it is not written
+    for _, *rows, chains in doc["tables"]:
+        _add_tree(col, list(zip(*rows)), dict(chains))
+    for name in ("tree_start", "tree_chain_start", "chain_hop_start"):
+        col[name] = _running(col[name])
     return col
 
 
@@ -115,8 +117,12 @@ def encode_columns(head: dict, col: dict[str, list[int]], strict: bool = True) -
     )
 
 
+def header_values(doc: dict) -> dict:
+    """The header values of a logical document, sections aside."""
+    return {key: doc[key] for key in ("format", "version", "n_original", "w_big", "seed",
+                                      "stats")}
+
+
 def encode_document(doc: dict) -> bytes:
     """The oracle file of a logical document, as save() would write it."""
-    head = {key: doc[key] for key in ("format", "version", "n_original", "w_big", "seed",
-                                      "stats")}
-    return encode_columns(head, columns_of(doc))
+    return encode_columns(header_values(doc), columns_of(doc))

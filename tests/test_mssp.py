@@ -23,7 +23,7 @@ from planar_mssp import (
 from planar_mssp.mssp import BuildStats
 from planar_mssp.normalize import ARC_ORIGINAL, map_answer
 from tests.conftest import TRI_ONEWAY_SLOTS
-from tests.oracle_file import columns_of, encode_columns, encode_document
+from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 from tests.test_persistence import oneway_grid
 
 from planar_mssp import build_graph
@@ -310,13 +310,11 @@ def test_load_rejects_bad_documents(tmp_path, oracle3):
         load(io.BytesIO(b"oops"))
 
     # the header lists no table sections
-    head = {key: doc[key] for key in ("format", "version", "n_original", "w_big", "seed",
-                                      "stats")}
     columns = columns_of(doc)
-    for name in ("table_start", "row_vertex"):
+    for name in ("tree_start", "node_vertex"):
         del columns[name]
     with pytest.raises(CorruptFileError, match="sections"):
-        load(io.BytesIO(encode_columns(head, columns, strict=False)))
+        load(io.BytesIO(encode_columns(header_values(doc), columns, strict=False)))
 
     with pytest.raises(TypeError, match="binary"):
         load(io.StringIO("{}"))

@@ -31,28 +31,28 @@ from planar_mssp import (
 from planar_mssp.mssp import ORACLE_VERSION, _column
 from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
-from tests.oracle_file import encode_document
+from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 3 document of the same instance, as built
-# and written by the code before format version 4 (json.dumps of its
-# to_json(), whose own digest was checked against the version 3 gate), by
-# setting "version" to 4 and encoding the document with
-# tests/oracle_file.py, which shares no code with save(). Any change to
-# these bytes is a format change and needs a version bump.
+# was derived from the version 4 document of the same instance, as built
+# by the code before format version 5 (its to_json(), whose own file
+# digest was checked against the version 4 gate), by setting "version" to
+# 5 and encoding the document with tests/oracle_file.py, which shares no
+# code with save() and puts each tree's chained nodes first. Any change
+# to these bytes is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "4aa392e23ee0b633c1d8ebc8811468356af376e779a6e36a96de8ce8b4be7cd1",
-    "grid16-outer": "ce89f6ef41ac758244085c67d609d4c188b84590e2c09d13e952c8ed9fe1e5e7",
-    "random10-outer": "950c0fc0c557e6ba27b32d7ea4a3a4122281364bd89479edc6fc521e0b840f7a",
-    "bowtie-inner": "28e1ccfb6d98f663153b79ce39d38688fd05217dd26e3fab3f19d9047a658bc0",
-    "tri_oneway-inner": "4e8b4267fc47effa02a91b9349fd2c0296ac6a0826fff313d441eae7ce6e8819",
-    "grid32-outer": "90c44067506701b4f1a6d9ad96541c3c6dbdfc871fa3f2d3b620c8f5dbea6027",
-    "grid16-oneway-inner": "6693223521ddd8ccccc8c4163cab4b6aae07c9d9506d7bd6cd7453dee3e848eb",
-    "random12-inner": "9601a7a9bf305c6165136e212ceceaaef6691ebb42883b80c68dbfe41924c50f",
+    "grid8-outer": "198c56b65ad210c05a073bc7b22aa796e6abdfa8ee4b1cd727aa408afc9e5b45",
+    "grid16-outer": "02f5dd83fcf9fbd8b6b20ffda9f6406b7f44df00b6b806901f3db3646b52969b",
+    "random10-outer": "86d026f0727b78b7d73830ad90b9452836c070e00c66b2dae18b622ae840a1dd",
+    "bowtie-inner": "dbee1e0d02fed062700a82c33f7bfe90069e5b05d3d8933ef5d11e7ebf0e5315",
+    "tri_oneway-inner": "1f45827da90e6580b80ffc4296aa94610b97d5befb3472a1320b34fba137b12f",
+    "grid32-outer": "717fa11d891ea40ddee30a40d1e9c559855eaf6a1c259528c1953196d549f8d1",
+    "grid16-oneway-inner": "794a054a39a4883a8d45f50af3e0d10a96bf6880720abef2ac1e2a9defca2ed2",
+    "random12-inner": "ec14959c0bfec2f2420dad80a6763db84061d3ca25e8065ee1b6a1a7c55714ce",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "217c9f3893352a52cc06475c6d58d285328930aec184cd8be7411256f40a94b2"
+    "grid64-outer", "4a0a321f1dac1e2432ec14a44a95937961a19b04bbaa8fa39052c642312aceda"
 )
 
 
@@ -156,8 +156,8 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_four():
-    assert ORACLE_VERSION == 4
+def test_oracle_version_is_five():
+    assert ORACLE_VERSION == 5
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -189,6 +189,35 @@ def test_version_three_file_is_rejected():
     # a binary file of another version says so too, whatever its layout
     with pytest.raises(VersionMismatchError, match="version 3"):
         load_doc(doc)
+
+
+def test_version_four_file_is_rejected():
+    doc = small_oracle().to_json()
+    doc["version"] = 4
+    with pytest.raises(VersionMismatchError, match="version 4"):
+        load_doc(doc)
+
+
+def test_header_without_a_version_number_is_corrupt():
+    # one flipped bit in the "version" key: a damaged header, not a file of
+    # another version
+    data = saved(small_oracle())
+    at = data.index(b'"version"') + 2
+    damaged = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+    with pytest.raises(CorruptFileError, match="no version number"):
+        load(io.BytesIO(damaged))
+
+
+def test_header_stats_missing_a_field_or_not_an_object_is_rejected():
+    doc = small_oracle().to_json()
+    load_doc(doc)
+    del doc["stats"]["chain_elements"]
+    with pytest.raises(CorruptFileError, match="malformed header"):
+        load_doc(doc)
+    for stats in ([], "stats", 3, None):
+        doc["stats"] = stats
+        with pytest.raises(CorruptFileError, match="malformed header"):
+            load_doc(doc)
 
 
 def test_missing_terminal_table_is_rejected():
@@ -227,8 +256,8 @@ def test_empty_record_stream_round_trips():
     assert not oracle.records
     data = saved(oracle)
     sections = {name: count for name, count, _ in header_of(data)["sections"]}
-    assert sections["record_key"] == 0 and sections["entry_vertex"] == 0
-    assert sections["record_start"] == 1  # the one offset, 0
+    assert sections["record_key"] == 0 and sections["record_root"] == 0
+    assert sections["tree_start"] == oracle.ring_count + 1  # the tables' blocks only
     loaded = load(io.BytesIO(data))
     assert loaded.distance(0, 0) == 0
     assert saved(loaded) == data
@@ -301,21 +330,48 @@ def test_table_without_its_ring_root_is_rejected():
         load_doc(doc)
 
 
-def test_chain_row_out_of_range_is_rejected():
+def test_block_with_more_chains_than_nodes_is_rejected():
+    # a block's chains belong to its first nodes, one each; the first block
+    # is given one chain more than it has nodes
     doc = small_oracle().to_json()
-    with_chains = [table for table in doc["tables"] if table[7]]
-    assert with_chains, "fixture oracle has no tail chains"
-    table = with_chains[0]
-    table[7][0][0] = len(table[1])
-    with pytest.raises(CorruptFileError, match="chain row"):
+    col = columns_of(doc)
+    start, chains = col["tree_start"], col["tree_chain_start"]
+    more = start[1] - start[0] + 1
+    assert chains[-1] >= more, "fixture oracle has too few tail chains"
+    col["tree_chain_start"] = [0] + [max(c, more) for c in chains[1:]]
+    with pytest.raises(CorruptFileError, match="more tail chains than nodes"):
+        load(io.BytesIO(encode_columns(header_values(doc), col)))
+
+
+def test_non_spoke_first_path_arc_is_rejected_at_load():
+    # every path's first arc is its root's spoke, which query_path drops;
+    # with another arc there, every path raised a bare internal MsspError
+    oracle = small_oracle()
+    doc = oracle.to_json()
+    spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
+    other = min(set(oracle.arcs) - spokes)
+    damaged = json.loads(json.dumps(doc))
+    for table in damaged["tables"]:
+        table[6] = [other if a in spokes else a for a in table[6]]
+    with pytest.raises(CorruptFileError, match="spoke"):
+        load_doc(damaged)
+    # a tail chain on the spoke's row would put record arcs before the spoke
+    j, table = next(
+        (j, table) for j, table in enumerate(doc["tables"]) if table[7]
+    )
+    row = table[5].index(doc["ring_roots"][j])
+    table[7].append([row, table[7][0][1]])
+    with pytest.raises(CorruptFileError, match="spoke"):
         load_doc(doc)
 
 
 def test_self_parent_table_raises_in_bounded_time():
     oracle = small_oracle()
     doc = oracle.to_json()
-    for table in doc["tables"]:
-        table[5] = list(table[1])  # every row its own parent
+    for r, table in zip(doc["ring_roots"], doc["tables"]):
+        # every row its own parent, but those of the spoke rows, which load
+        # checks
+        table[5] = [p if p in (-1, r) else v for v, p in zip(table[1], table[5])]
     loaded = load_doc(doc)
     j, u = 0, max(oracle.query_vertices, key=lambda v: len(oracle.query_path(0, v)))
     t0 = time.perf_counter()
@@ -399,8 +455,8 @@ def test_chain_that_expands_into_itself_raises():
 
 def test_parent_vertex_outside_its_node_raises():
     doc = small_oracle().to_json()
-    for table in doc["tables"]:
-        table[5] = [-1 if v < 0 else 10**6 for v in table[5]]
+    for r, table in zip(doc["ring_roots"], doc["tables"]):
+        table[5] = [p if p < 0 or p == r else 10**6 for p in table[5]]
     assert corrupt_path_answers(doc) > 0
 
 
@@ -502,8 +558,8 @@ def test_loaded_tables_and_records_are_not_tracked_by_gc():
 # error, fast
 
 _FUZZ_DATA = saved(small_oracle())
-# the one byte whose change is a version change: the digit of "version":4
-_VERSION_AT = _FUZZ_DATA.index(b'"version":4') + len(b'"version":')
+# the one byte whose change is a version change: the digit of "version":5
+_VERSION_AT = _FUZZ_DATA.index(b'"version":5') + len(b'"version":')
 
 
 def assert_rejected(data: bytes, version_byte_changed: bool) -> None:
