@@ -30,11 +30,14 @@ def main() -> None:
     t_lo = sssp_tree(h, rings[lo], excluded - {rings[lo]})
     t_hi = sssp_tree(h, rings[hi], excluded - {rings[hi]})
 
+    # the forest is over rows; the tree's snapshot maps them to vertices
     forest = shared_forest(h, t_lo, t_hi)
-    print(f"\nshared forest: {len(forest.parent_dart)} vertices share their"
-          f" parent arc, {len(forest.roots)} component roots {forest.roots}")
+    shared = sum(map(len, forest.children.values()))
+    roots = [t_lo.snap.vertices[r] for r in forest.root_rows]
+    print(f"\nshared forest: {shared} vertices share their"
+          f" parent arc, {len(roots)} component roots {roots}")
 
-    trees = select_trees(h, t_lo, t_hi, forest)
+    trees = select_trees(h, t_lo, t_hi)
     print(f"selected {len(trees)} contractible trees:")
     for sel in trees:
         print(f"  root {sel.root}: members {sel.order}")
@@ -42,7 +45,8 @@ def main() -> None:
     records: dict[int, object] = {}
     before = h.vertex_count
     for sel in trees:
-        contract_tree(h, sel, records)
+        # arcs of the input graph expand to themselves: empty tail chains
+        contract_tree(h, sel, records, lambda arc_id: ())
         h.check()  # planarity bookkeeping must survive every contraction
     absorbed = {v for v, e in records.items() if v != e.root}
     print(f"\ncontracted {before} -> {h.vertex_count} vertices"

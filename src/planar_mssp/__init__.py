@@ -17,14 +17,7 @@ Typical flow:
 from __future__ import annotations
 
 from . import errors
-from .embedded_graph import (
-    Arc,
-    EdgeSlot,
-    EmbeddedDigraph,
-    build_graph,
-    reverse_dart,
-    slot_of_dart,
-)
+from .embedded_graph import EmbeddedDigraph, build_graph, reverse_dart
 from .errors import (
     BadRootIndexError,
     BadRotationError,
@@ -40,7 +33,6 @@ from .errors import (
     NegativeWeightError,
     NotATreeError,
     PerturbationCollisionWarning,
-    SelfLoopContractionError,
     SelfLoopSlotError,
     UnreachableError,
     UnreachableVertexError,
@@ -68,7 +60,6 @@ from .weights import ZERO, LexWeight
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "ArcInfo",
     "BadRootIndexError",
     "BadRotationError",
@@ -77,7 +68,6 @@ __all__ = [
     "DartNotAtVertexError",
     "DisconnectedInputError",
     "DuplicateArcError",
-    "EdgeSlot",
     "EmbeddedDigraph",
     "FaceNotFoundError",
     "FaceVertexQueryError",
@@ -91,7 +81,6 @@ __all__ = [
     "NotATreeError",
     "PerturbationCollisionWarning",
     "SSSPTree",
-    "SelfLoopContractionError",
     "SelfLoopSlotError",
     "UNREACHABLE",
     "UnreachableError",
@@ -113,7 +102,6 @@ __all__ = [
     "normalize",
     "reverse_dart",
     "save_graph",
-    "slot_of_dart",
     "sssp_tree",
     "verify",
     "__version__",

@@ -158,7 +158,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         face,
         seed,
         force_exhaustive=args.exhaustive,
-        threads=args.threads,
         path_checks=args.path_checks,
     )
     print(report.format_text())
@@ -218,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--exhaustive", action="store_true",
                    help="check every pair even on large instances")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--path-checks", type=int, default=200)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.set_defaults(func=_cmd_verify)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import NotATreeError
-from .sssp import SSSPTree, SharedForest, shared_forest
+from .sssp import SSSPTree, shared_forest
 from .weights import ZERO, LexWeight
 
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
@@ -61,12 +61,7 @@ class SelectedTree:
         return len(self.order)
 
 
-def select_trees(
-    h: EmbeddedDigraph,
-    t_low: SSSPTree,
-    t_high: SSSPTree,
-    forest: SharedForest | None = None,
-) -> list[SelectedTree]:
+def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[SelectedTree]:
     """Contractible trees for the child interval [low, high].
 
     t_low must be the tree rooted at the smaller ring index. A component
@@ -75,8 +70,7 @@ def select_trees(
     deltas come from t_low's columns: shared arcs are tree arcs of t_low,
     so a member's delta is its t_low distance minus the root's.
     """
-    if forest is None:
-        forest = shared_forest(h, t_low, t_high)
+    forest = shared_forest(h, t_low, t_high)
     vertices = t_low.snap.vertices
     base = t_low.base
     pert = t_low.pert
@@ -118,7 +112,7 @@ def contract_tree(
     h: EmbeddedDigraph,
     tree: SelectedTree,
     table: dict[int, RecordEntry],
-    chain_fn: Callable[[int], TailChain] | None = None,
+    chain_fn: Callable[[int], TailChain],
 ) -> None:
     """Contract `tree` into its root in place and record every member.
 
@@ -126,8 +120,7 @@ def contract_tree(
     entering it anywhere but the root, merges the tree slots so the
     embedding survives, and keeps only the cheapest arc per ordered pair
     around the root. chain_fn maps an arc id to its current tail
-    expansion; None stores empty chains, which is fine for graphs that
-    were not themselves built by earlier contractions.
+    expansion, which the member's RecordEntry stores.
     """
     members = tree.members
     s = tree.root
@@ -160,8 +153,7 @@ def contract_tree(
                 arc = slot.a10
             if ends != (v, m.parent) or arc is None:
                 raise NotATreeError(f"no tree arc from the parent of {v} to it")
-            chain = chain_fn(arc[2]) if chain_fn is not None else ()
-            recorded.append((v, RecordEntry(s, m.delta, m.parent, arc[2], chain)))
+            recorded.append((v, RecordEntry(s, m.delta, m.parent, arc[2], chain_fn(arc[2]))))
             tree_darts.append(pd)
         seen_order.add(v)
     table.update(recorded)

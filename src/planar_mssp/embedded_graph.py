@@ -28,7 +28,6 @@ from .errors import (
     GraphError,
     NegativeWeightError,
     PerturbationCollisionWarning,
-    SelfLoopContractionError,
     SelfLoopSlotError,
 )
 
@@ -38,10 +37,6 @@ Arc = tuple[int, int, int]  # (base, perturb, arc_id)
 def reverse_dart(d: int) -> int:
     """The dart at the other end of d's slot."""
     return d ^ 1
-
-
-def slot_of_dart(d: int) -> int:
-    return d >> 1
 
 
 class EdgeSlot:
@@ -84,16 +79,9 @@ class EmbeddedDigraph:
     def vertices(self) -> Iterator[int]:
         return iter(self._entry)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._entry
-
     @property
     def slot_count(self) -> int:
         return len(self.slots)
-
-    @property
-    def arc_count(self) -> int:
-        return sum((s.a01 is not None) + (s.a10 is not None) for s in self.slots.values())
 
     def dart_vertex(self, d: int) -> int:
         return self.slots[d >> 1].endpoint(d & 1)
@@ -111,32 +99,10 @@ class EmbeddedDigraph:
             d = nxt[d]
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.rotation(v))
-
-    def arc_from(self, d: int) -> Arc | None:
-        """The arc leaving dart d's vertex along d's slot, if present."""
-        slot = self.slots[d >> 1]
-        return slot.a10 if d & 1 else slot.a01
-
     def arc_into(self, d: int) -> Arc | None:
         """The arc arriving at dart d's vertex along d's slot, if present."""
         slot = self.slots[d >> 1]
         return slot.a01 if d & 1 else slot.a10
-
-    def out_arcs(self, v: int) -> Iterator[tuple[int, int, Arc]]:
-        """Yields (dart at v, head vertex, arc) for every arc leaving v."""
-        for d in self.rotation(v):
-            slot = self.slots[d >> 1]
-            arc = slot.a10 if d & 1 else slot.a01
-            if arc is not None:
-                yield d, slot.endpoint(1 - (d & 1)), arc
-
-    def arc_between(self, u: int, v: int) -> Arc | None:
-        for _, head, arc in self.out_arcs(u):
-            if head == v:
-                return arc
-        return None
 
     def arc_items(self) -> Iterator[tuple[int, int, Arc]]:
         """Yields (tail, head, arc) for every arc, in slot-id order."""
@@ -280,26 +246,7 @@ class EmbeddedDigraph:
     # ------------------------------------------------------------------
     # contraction
 
-    def contract_slot(self, sid: int, survivor: int) -> None:
-        """Contract one slot, merging its endpoints into `survivor`.
-
-        The two rotations are spliced at the removed darts so the embedding
-        stays planar. Self-loop slots created by the merge are deleted, and
-        for every ordered vertex pair that ends up with several arcs only
-        the minimum-LexWeight arc is kept.
-        """
-        slot = self.slots[sid]
-        if slot.v0 == slot.v1:
-            raise SelfLoopContractionError(f"slot {sid} is a self-loop")
-        if survivor == slot.v0:
-            self._merge_tree(survivor, [2 * sid + 1])
-        elif survivor == slot.v1:
-            self._merge_tree(survivor, [2 * sid])
-        else:
-            raise GraphError(f"vertex {survivor} is not an endpoint of slot {sid}")
-        self._dedup_at(survivor)
-
-    def _merge_tree(self, s: int, tree_darts: list[int], inner_sids: Iterable[int] = ()) -> None:
+    def _merge_tree(self, s: int, tree_darts: list[int], inner_sids: Iterable[int]) -> None:
         """Merge a tree of slots into its root s, splicing rotations in place.
 
         tree_darts holds, for every other tree vertex, the dart at it of
@@ -355,13 +302,12 @@ class EmbeddedDigraph:
                 slots[d >> 1].v0 = s
 
     def _dedup_at(self, s: int) -> None:
-        """Delete self-loop slots at s and keep one arc per ordered pair."""
+        """Keep one arc per ordered pair at s; _merge_tree left no loop there."""
         first = self._entry[s]
         if first is None:
             return
         slots = self.slots
         nxt = self._next
-        loop_sids: set[int] = set()  # both darts of a loop sit at s
         # best[(outgoing?, neighbor)] = (arc, sid, direction)
         best: dict[tuple[bool, int], tuple[Arc, int, int]] = {}
         losers: list[tuple[int, int]] = []
@@ -369,39 +315,34 @@ class EmbeddedDigraph:
         while True:
             sid = d >> 1
             slot = slots[sid]
-            if slot.v0 == slot.v1:
-                loop_sids.add(sid)
-            else:
-                out0 = slot.v0 == s
-                other = slot.v1 if out0 else slot.v0
-                for direction, arc, key in (
-                    (0, slot.a01, (out0, other)),
-                    (1, slot.a10, (not out0, other)),
-                ):
-                    if arc is None:
-                        continue
-                    held = best.get(key)
-                    if held is None:
-                        best[key] = (arc, sid, direction)
-                        continue
-                    held_arc = held[0]
-                    if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
-                        warnings.warn(
-                            f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
-                            PerturbationCollisionWarning,
-                            stacklevel=3,
-                        )
-                    # equal weights fall through to the smaller arc id
-                    if arc < held_arc:
-                        best[key] = (arc, sid, direction)
-                        losers.append((held[1], held[2]))
-                    else:
-                        losers.append((sid, direction))
+            out0 = slot.v0 == s
+            other = slot.v1 if out0 else slot.v0
+            for direction, arc, key in (
+                (0, slot.a01, (out0, other)),
+                (1, slot.a10, (not out0, other)),
+            ):
+                if arc is None:
+                    continue
+                held = best.get(key)
+                if held is None:
+                    best[key] = (arc, sid, direction)
+                    continue
+                held_arc = held[0]
+                if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
+                    warnings.warn(
+                        f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
+                        PerturbationCollisionWarning,
+                        stacklevel=3,
+                    )
+                # equal weights fall through to the smaller arc id
+                if arc < held_arc:
+                    best[key] = (arc, sid, direction)
+                    losers.append((held[1], held[2]))
+                else:
+                    losers.append((sid, direction))
             d = nxt[d]
             if d == first:
                 break
-        for sid in loop_sids:
-            self.delete_slot(sid)
         for sid, direction in losers:
             self.delete_arc(sid, direction)
 
@@ -525,8 +466,9 @@ def build_graph(
 
     Each slot entry is (u, v, pos_u, pos_v, w_uv, w_vu): endpoints, the
     slot's position inside each endpoint's clockwise rotation, and the two
-    optional directed base weights (non-negative ints, None for absent;
-    anything else, bools included, raises GraphError).
+    optional directed base weights (non-negative ints, None for absent).
+    Endpoints, positions and weights must be ints; anything else, bools
+    included, raises GraphError.
     Positions at each vertex must cover 0..degree-1 exactly once. Arc ids
     are assigned as 2*slot_index + direction.
     """
@@ -537,8 +479,8 @@ def build_graph(
     pairs: set[tuple[int, int]] = set()
     for sid, (u, v, pos_u, pos_v, w_uv, w_vu) in enumerate(slot_list):
         for x in (u, v):
-            if not 0 <= x < vertex_count:
-                raise GraphError(f"slot {sid}: vertex {x} out of range")
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < vertex_count:
+                raise GraphError(f"slot {sid}: vertex {x!r} out of range")
         if u == v:
             raise SelfLoopSlotError(f"slot {sid} joins {u} to itself")
         if w_uv is None and w_vu is None:
@@ -559,6 +501,8 @@ def build_graph(
         g.slots[sid] = EdgeSlot(u, v, arcs[0], arcs[1])
         g._next_slot = sid + 1
         for vertex, pos, end in ((u, pos_u, 0), (v, pos_v, 1)):
+            if isinstance(pos, bool) or not isinstance(pos, int):
+                raise BadRotationError(f"vertex {vertex}: position {pos!r} is not an int")
             spots = placed.setdefault(vertex, {})
             if pos in spots:
                 raise BadRotationError(f"vertex {vertex}: position {pos} used twice")

@@ -27,10 +27,6 @@ class SelfLoopSlotError(GraphError):
     """An input slot has equal endpoints."""
 
 
-class SelfLoopContractionError(GraphError):
-    """contract_slot was asked to contract a slot whose endpoints coincide."""
-
-
 class DartNotAtVertexError(GraphError):
     """A dart handed to a rotation query does not sit at the stated vertex."""
 

@@ -11,7 +11,6 @@ import heapq
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .embedded_graph import EmbeddedDigraph, build_graph
@@ -305,7 +304,6 @@ def verify(
     seed: int = 0,
     *,
     force_exhaustive: bool = False,
-    threads: int = 1,
     path_checks: int = 200,
     sample_pairs: int = 20000,
     instrument: bool | None = None,
@@ -370,11 +368,7 @@ def verify(
 
     t0 = time.perf_counter()
     js = [j for j, _ in pair_groups]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            brutes = dict(zip(js, pool.map(brute_for, js)))
-    else:
-        brutes = {j: brute_for(j) for j in js}
+    brutes = {j: brute_for(j) for j in js}
     report.brute_seconds = time.perf_counter() - t0
 
     w_big = norm.w_big

@@ -75,13 +75,15 @@ def graph_from_json(doc: Any) -> tuple[EmbeddedDigraph, int | None]:
         raw_slots = doc["slots"]
         raw_rotations = doc["rotations"]
         outer_face = doc.get("outer_face")
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise CorruptFileError("vertex_count must be a non-negative int")
         if len(raw_rotations) != n:
             raise CorruptFileError("rotations length differs from vertex_count")
         positions: dict[int, tuple[int, int]] = {}  # dart -> (vertex, pos)
         for v, rot in enumerate(raw_rotations):
             for pos, d in enumerate(rot):
+                if isinstance(d, bool) or not isinstance(d, int):
+                    raise CorruptFileError(f"dart {d!r} is not an int")
                 if d in positions:
                     raise CorruptFileError(f"dart {d} appears twice in rotations")
                 positions[d] = (v, pos)
@@ -98,7 +100,11 @@ def graph_from_json(doc: Any) -> tuple[EmbeddedDigraph, int | None]:
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptFileError(f"malformed graph document: {exc}") from exc
     if outer_face is not None:
-        if not isinstance(outer_face, int) or not 0 <= outer_face < g.face_count():
+        if (
+            isinstance(outer_face, bool)
+            or not isinstance(outer_face, int)
+            or not 0 <= outer_face < g.face_count()
+        ):
             raise CorruptFileError(f"outer_face {outer_face!r} is not a face index")
     return g, outer_face
 

@@ -92,6 +92,8 @@ class NormalizedInstance:
 
 def _resolve_face(walks: list[list[int]], face, graph: EmbeddedDigraph) -> list[int]:
     """Accept a face as an index into face_walks or as an explicit walk."""
+    if isinstance(face, bool):
+        raise FaceNotFoundError(f"face {face!r} is neither an index nor a walk")
     if isinstance(face, int):
         if not walks:
             if face == 0 and graph.vertex_count == 1:

@@ -114,10 +114,6 @@ class SSSPTree:
         """vertex -> dart at that vertex of its tree arc; no root entry."""
         return _VertexView(self.snap, self.par_dart, self.par_dart.__getitem__, self.reached - 1)
 
-    def __contains__(self, v: int) -> bool:
-        row = self.snap.row_of.get(v)
-        return row is not None and self.base[row] >= 0
-
 
 def sssp_tree(
     h: EmbeddedDigraph,
@@ -193,31 +189,8 @@ def sssp_tree(
 class SharedForest:
     """Rows whose tree arc is the same in two SSSP trees over one snapshot."""
 
-    tree: SSSPTree  # the first tree; its columns describe the shared arcs
-    shared: list[int]  # shared rows, ascending
     children: dict[int, list[int]]  # row -> shared child rows, ascending
     root_rows: list[int]  # rows with shared children but no shared parent
-
-    @property
-    def roots(self) -> list[int]:
-        vertices = self.tree.snap.vertices
-        return [vertices[r] for r in self.root_rows]
-
-    @property
-    def parent_dart(self) -> dict[int, int]:
-        """Shared vertex -> its shared parent dart."""
-        vertices = self.tree.snap.vertices
-        par_dart = self.tree.par_dart
-        return {vertices[r]: par_dart[r] for r in self.shared}
-
-    def subtree(self, v: int) -> Iterator[int]:
-        """Vertices of the forest subtree under v, v first (preorder)."""
-        vertices = self.tree.snap.vertices
-        stack = [self.tree.snap.row_of[v]]
-        while stack:
-            r = stack.pop()
-            yield vertices[r]
-            stack.extend(reversed(self.children.get(r, ())))
 
 
 def shared_forest(h: EmbeddedDigraph, t1: SSSPTree, t2: SSSPTree) -> SharedForest:
@@ -242,4 +215,4 @@ def shared_forest(h: EmbeddedDigraph, t1: SSSPTree, t2: SSSPTree) -> SharedFores
         else:
             kids.append(r)
     root_rows = sorted(p for p in children if pd1[p] < 0 or pd1[p] != pd2[p])
-    return SharedForest(t1, shared, children, root_rows)
+    return SharedForest(children, root_rows)

@@ -7,6 +7,7 @@ import pytest
 from planar_mssp import (
     LexWeight,
     NotATreeError,
+    PerturbationCollisionWarning,
     ZERO,
     build_graph,
     reverse_dart,
@@ -42,9 +43,9 @@ def test_selected_trees_structure(norm3):
     for i in range(len(trees) - 1):
         t_low, t_high = trees[i], trees[i + 1]
         forest = shared_forest(g, t_low, t_high)
-        for sel in select_trees(g, t_low, t_high, forest):
+        for sel in select_trees(g, t_low, t_high):
             s = sel.root
-            assert s in forest.roots
+            assert t_low.snap.row_of[s] in forest.root_rows
             assert not ring & set(sel.members)
             assert sel.order[0] == s
             assert len(sel) == len(sel.order) == len(sel.members)
@@ -99,19 +100,42 @@ def two_vertex_tree():
 def test_contract_tree_effects():
     g = build_graph(3, TRIANGLE)
     table: dict[int, RecordEntry] = {}
-    contract_tree(g, two_vertex_tree(), table)
+    contract_tree(g, two_vertex_tree(), table, lambda aid: ())
     g.check()
     assert sorted(g.vertices()) == [0, 2]
     # record entries: the root names itself, the member keeps its arc
     assert table[0] == RecordEntry(0, ZERO, -1, -1, ())
     assert table[1] == RecordEntry(0, LexWeight(2, 0), 0, 0, ())
     # the out-arc 1->2 (base 3) left the tree, so it gains delta 2 and
-    # beats the original 0->2 arc of base 10 in the dedup
-    assert g.arc_between(0, 2) == (5, 0, 2)
-    # the in-arc 2->1 (base 4) pointed into the tree and must be gone;
-    # 2->0 pointed at the root and survives untouched
-    assert g.arc_between(2, 0) == (5, 0, 5)
-    assert g.arc_count == 2
+    # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
+    # (base 4) pointed into the tree and must be gone; 2->0 pointed at the
+    # root and survives untouched
+    assert list(g.arc_items()) == [(0, 2, (5, 0, 2)), (2, 0, (5, 0, 5))]
+
+
+def test_contract_tree_tie_keeps_smaller_arc_id():
+    # reweighted, 1->2 (base 3, arc 4) costs 2 + 3, exactly the root's own
+    # 0->2 (base 5, arc 2); the dedup warns and keeps arc 2
+    g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)])
+    table: dict[int, RecordEntry] = {}
+    with pytest.warns(PerturbationCollisionWarning):
+        contract_tree(g, two_vertex_tree(), table, lambda aid: ())
+    g.check()
+    assert list(g.arc_items()) == [(0, 2, (5, 0, 2)), (2, 0, (6, 0, 3))]
+
+
+def test_contract_tree_deletes_slots_inside_the_tree():
+    # slot 1 joins root 0 and member 1 beside the tree slot 0; merging the
+    # tree would make it a self-loop at 0, so it must vanish
+    g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 1, 1, 1, None, 4), (1, 2, 2, 0, 3, 4)])
+    g.check()
+    assert g.face_count() == 2
+    contract_tree(g, two_vertex_tree(), {}, lambda aid: ())
+    g.check()
+    assert sorted(g.vertices()) == [0, 2]
+    assert g.slot_count == 1
+    assert g.face_count() == 1
+    assert list(g.arc_items()) == [(0, 2, (5, 0, 4))]
 
 
 def test_contract_tree_chain_fn():
@@ -137,15 +161,15 @@ def test_contract_tree_rejects_malformed_trees():
     }
     bad_order = SelectedTree(0, dict(members), [1, 0])
     with pytest.raises(NotATreeError, match="precede"):
-        contract_tree(build_graph(3, TRIANGLE), bad_order, {})
+        contract_tree(build_graph(3, TRIANGLE), bad_order, {}, lambda aid: ())
 
     short_order = SelectedTree(0, dict(members), [0])
     with pytest.raises(NotATreeError, match="disagree"):
-        contract_tree(build_graph(3, TRIANGLE), short_order, {})
+        contract_tree(build_graph(3, TRIANGLE), short_order, {}, lambda aid: ())
 
     rootless = SelectedTree(2, dict(members), [0, 1])
     with pytest.raises(NotATreeError):
-        contract_tree(build_graph(3, TRIANGLE), rootless, {})
+        contract_tree(build_graph(3, TRIANGLE), rootless, {}, lambda aid: ())
 
     cyclic = SelectedTree(
         0,
@@ -153,7 +177,7 @@ def test_contract_tree_rejects_malformed_trees():
         [0, 1],
     )
     with pytest.raises(NotATreeError, match="root"):
-        contract_tree(build_graph(3, TRIANGLE), cyclic, {})
+        contract_tree(build_graph(3, TRIANGLE), cyclic, {}, lambda aid: ())
 
 
 # ----------------------------------------------------------------------
@@ -168,12 +192,11 @@ def test_contraction_preserves_root_distances(norm3):
         table: dict[int, RecordEntry] = {}
         selected = select_trees(g, trees[i], trees[i + 1])
         for sel in selected:
-            contract_tree(g, sel, table)
+            contract_tree(g, sel, table, lambda aid: ())
             g.check()
         absorbed = {v for v, e in table.items() if v != e.root}
         assert absorbed == set(table) - {sel.root for sel in selected}
-        for v in absorbed:
-            assert not g.has_vertex(v)
+        assert absorbed.isdisjoint(g.vertices())
         # the two interval roots see identical distances to every survivor
         for r in (norm3.ring_roots[i], norm3.ring_roots[i + 1]):
             before = sssp_tree(norm3.graph, r, ring - {r})

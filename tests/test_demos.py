@@ -1,0 +1,24 @@
+"""Every demo script runs to the end and prints what it promises."""
+
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path))["main"]()
+    out = capsys.readouterr().out
+    assert out
+    if path.stem == "contraction_walkthrough":
+        # contraction leaves the interval root's distances unchanged
+        assert ": 0 changed" in out
+
+
+def test_demos_are_found():
+    assert [p.stem for p in DEMOS] == ["contraction_walkthrough", "grid_tour", "path_reporting"]

@@ -1,4 +1,4 @@
-"""Rotation-system digraph: structure, faces, contraction, validation."""
+"""Rotation-system digraph: structure, faces, copying, validation."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from planar_mssp import (
     DuplicateArcError,
     GraphError,
     NegativeWeightError,
-    PerturbationCollisionWarning,
     SelfLoopSlotError,
     build_graph,
     gen_random_planar,
     reverse_dart,
-    slot_of_dart,
 )
 from tests.conftest import TRI_ONEWAY_SLOTS
 
@@ -36,15 +34,14 @@ def test_dart_encoding_involution():
     for d in range(20):
         assert reverse_dart(reverse_dart(d)) == d
         assert reverse_dart(d) != d
-        assert slot_of_dart(d) == d // 2
-        assert slot_of_dart(reverse_dart(d)) == slot_of_dart(d)
+        assert reverse_dart(d) >> 1 == d >> 1
 
 
 def test_grid3_counts(grid3):
     g, outer = grid3
     assert g.vertex_count == 9
     assert g.slot_count == 12
-    assert g.arc_count == 24
+    assert len(list(g.arc_items())) == 24
     assert g.face_count() == len(GRID3_FACE_LENGTHS)
     g.check()
 
@@ -76,22 +73,18 @@ def test_rotation_matches_declared_positions():
     assert g.rotation(0) == [0, 4]
     assert g.rotation(1) == [1, 2]
     assert g.rotation(2) == [3, 5]
-    assert g.degree(0) == 2
+    assert len(g.rotation(0)) == 2
     assert [v for v in g.vertices()] == [0, 1, 2]
-    assert g.has_vertex(2) and not g.has_vertex(3)
 
 
 def test_arc_lookups(tri_oneway):
     g = tri_oneway
-    assert g.arc_between(0, 1) == (5, 0, 0)
-    assert g.arc_between(1, 0) is None
-    assert g.arc_between(0, 2) == (4, 0, 4)
-    # dart 1 sits at vertex 1 on slot 0; the arc 0->1 points into it
+    arcs = {(tail, head): arc for tail, head, arc in g.arc_items()}
+    assert arcs == {(0, 1): (5, 0, 0), (1, 2): (7, 0, 2), (0, 2): (4, 0, 4)}
+    # dart 1 sits at vertex 1 on slot 0; the arc 0->1 points into it, and
+    # no arc 1->0 points into its reverse
     assert g.arc_into(1) == (5, 0, 0)
-    assert g.arc_from(1) is None
-    outs = {head: arc for _, head, arc in g.out_arcs(0)}
-    assert set(outs) == {1, 2}
-    assert sorted(a[2] for _, _, a in g.arc_items()) == [0, 2, 4]
+    assert g.arc_into(1 ^ 1) is None
 
 
 def test_cw_order(grid3):
@@ -108,39 +101,6 @@ def test_cw_order(grid3):
         g.cw_order(center, d0, d0, d1)
 
 
-def test_contract_slot_merges_and_dedups():
-    # weights arranged so the two surviving 0->1 arcs tie exactly
-    g = build_graph(
-        3,
-        [
-            (0, 1, 0, 0, 5, 7),
-            (1, 2, 1, 0, 1, 1),
-            (0, 2, 1, 1, 5, 9),
-        ],
-    )
-    with pytest.warns(PerturbationCollisionWarning):
-        g.contract_slot(1, 1)
-    assert g.vertex_count == 2
-    assert g.slot_count == 1
-    # ties break to the smaller arc id; the cheaper 1->0 arc wins outright
-    assert g.arc_between(0, 1) == (5, 0, 0)
-    assert g.arc_between(1, 0) == (7, 0, 1)
-    g.check()
-
-
-def test_contract_slot_deletes_created_loops():
-    # two antiparallel slots between the same endpoints: contracting one
-    # turns the other into a self-loop, which must vanish
-    g = build_graph(2, [(0, 1, 0, 0, 3, None), (0, 1, 1, 1, None, 4)])
-    g.check()
-    assert g.face_count() == 2
-    g.contract_slot(0, 0)
-    assert g.vertex_count == 1
-    assert g.slot_count == 0
-    assert g.face_count() == 1
-    g.check()
-
-
 def test_copy_preserves_structure(grid3):
     g, _ = grid3
     h = g.copy()
@@ -155,10 +115,10 @@ def test_copy_preserves_structure(grid3):
 
 def test_copy_with_drops(grid3):
     g, _ = grid3
-    dropped_darts = {d for d in range(48) if slot_of_dart(d) in g.slots
+    dropped_darts = {d for d in range(48) if d >> 1 in g.slots
                      and g.dart_vertex(d) == 4}
     h = g.copy(drop_vertices={4})
-    assert not h.has_vertex(4)
+    assert 4 not in set(h.vertices())
     assert h.vertex_count == 8
     for sid, slot in g.slots.items():
         if 4 in (slot.v0, slot.v1):
@@ -195,6 +155,14 @@ def test_build_graph_validation():
             3,
             [(0, 1, 0, 0, 1, 1), (0, 2, 2, 0, 1, 1)],
         )
+
+
+def test_build_graph_rejects_bool_endpoints_and_positions():
+    # True == 1 and False == 0 as ints, but neither names a vertex or position
+    with pytest.raises(GraphError, match="vertex True"):
+        build_graph(2, [(0, True, 0, 0, 1, 1)])
+    with pytest.raises(BadRotationError, match="position False"):
+        build_graph(2, [(0, 1, False, 0, 1, 1)])
 
 
 def test_lone_vertex_has_one_face():

@@ -128,15 +128,6 @@ def test_verify_report_serialization(grid3):
     assert f"distance pairs: {report.pairs_checked}" in text
 
 
-def test_verify_threads_match_single(grid3):
-    g, outer = grid3
-    a = verify(g, outer, seed=1, threads=1, path_checks=20)
-    b = verify(g, outer, seed=1, threads=3, path_checks=20)
-    assert a.passed and b.passed
-    assert a.pairs_checked == b.pairs_checked
-    assert a.mismatch_count == b.mismatch_count == 0
-
-
 def test_verify_sampled_mode():
     # 252 rings x 4096 vertices crosses the exhaustive threshold, so the
     # verifier falls back to a random sample of pairs

@@ -89,7 +89,7 @@ def test_one_way_arcs_survive(tmp_path, tri_oneway):
     h, outer = load_graph(str(path))
     assert outer is None
     assert graphs_equal(tri_oneway, h)
-    assert h.arc_between(1, 0) is None
+    assert (1, 0) not in {(tail, head) for tail, head, _ in h.arc_items()}
 
 
 def test_slotless_graph_round_trip():
@@ -152,6 +152,24 @@ def test_structural_corruption_detected(grid3):
     doc = json.loads(json.dumps(base))
     del doc["slots"]
     with pytest.raises(CorruptFileError):
+        graph_from_json(doc)
+
+
+def test_bool_counts_and_faces_rejected(grid3):
+    # JSON true would pass as the int 1: face 1, a one-vertex graph
+    doc = graph_to_json(*grid3)
+    doc["outer_face"] = True
+    with pytest.raises(CorruptFileError, match="outer_face"):
+        graph_from_json(doc)
+    doc = graph_to_json(build_graph(1, []))
+    doc["vertex_count"] = True
+    with pytest.raises(CorruptFileError, match="vertex_count"):
+        graph_from_json(doc)
+    # dart 1 written as true
+    doc = graph_to_json(build_graph(2, [(0, 1, 0, 0, 1, 1)]))
+    assert doc["rotations"] == [[0], [1]]
+    doc["rotations"][1] = [True]
+    with pytest.raises(CorruptFileError, match="dart True"):
         graph_from_json(doc)
 
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -264,6 +267,38 @@ def test_build_determinism(norm3, oracle3):
     a["stats"].pop("build_seconds")
     b["stats"].pop("build_seconds")
     assert a == b
+
+
+def test_queries_from_several_threads_match_serial_answers():
+    # a built oracle is read-only apart from its arcs dict, made on first
+    # use; four threads race that and every query, switching often
+    g, outer = gen_grid(8, seed=0)
+    norm = normalize(g, outer, seed=0)
+    oracle = build(norm)
+    pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
+    serial = (
+        [oracle.query_dist(j, u) for j, u in pairs],
+        [oracle.query_path(j, u) for j, u in pairs],
+        norm.arcs,
+    )
+    start = threading.Barrier(4)
+
+    def answers(_):
+        start.wait(timeout=30)
+        return (
+            [oracle.query_dist(j, u) for j, u in pairs],
+            [oracle.query_path(j, u) for j, u in pairs],
+            oracle.arcs,
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(answers, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
 
 
 def test_round_trip_file_object(oracle3):

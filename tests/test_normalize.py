@@ -78,7 +78,7 @@ def assert_ring_vertices_pendant(norm):
     for r, b in zip(norm.ring_roots, norm.face_vertices):
         (d,) = g.rotation(r)
         assert g.arc_into(d) is None
-        arc = g.arc_from(d)
+        arc = g.arc_into(d ^ 1)
         assert g.dart_vertex(d ^ 1) == b
         assert norm.arcs[arc[2]].kind == ARC_SPOKE
 
@@ -96,7 +96,7 @@ def test_grid2_ring_rotations(norm2):
     assert g.vertex_count == 8
     g.check()
     for r in norm2.ring_roots:
-        assert g.degree(r) == 1
+        assert len(g.rotation(r)) == 1
 
 
 def test_perturbations_distinct_and_bounded(norm2):
@@ -191,6 +191,13 @@ def test_face_resolution_errors():
         normalize(g, walk[::-1], seed=0)
     with pytest.raises(FaceNotFoundError):
         normalize(g, [], seed=0)
+
+
+def test_bool_face_rejected():
+    # True == 1 as an int, but a bool names no face
+    g = build_graph(4, GRID2_SLOTS)
+    with pytest.raises(FaceNotFoundError):
+        normalize(g, True, seed=0)
 
 
 def test_disconnected_input_rejected():

@@ -46,10 +46,10 @@ def test_grid2_base_distances(norm2):
         got = [tree.dist[u].base for u in range(4)]
         assert got == GRID2_SSSP_BASE[b], f"ring over vertex {b}"
         assert tree.dist[tree.root] == ZERO
-        assert tree.root in tree
+        assert tree.root in tree.dist
         for other in norm2.ring_roots:
             if other != tree.root:
-                assert other not in tree
+                assert other not in tree.dist
 
 
 def test_parent_darts_form_tree(norm2):
@@ -60,7 +60,7 @@ def test_parent_darts_form_tree(norm2):
         for v, pd in tree.parent_dart.items():
             assert g.dart_vertex(pd) == v
             p = g.dart_vertex(reverse_dart(pd))
-            arc = g.arc_from(reverse_dart(pd))
+            arc = g.arc_into(pd)
             assert arc is not None
             assert tree.dist[p] + (arc[0], arc[1]) == tree.dist[v]
         for v in tree.dist:
@@ -89,7 +89,7 @@ def test_out_adjacency_matches_arc_items(norm2):
     snap = out_adjacency(g)
     assert snap.vertices == sorted(g.vertices())
     assert snap.row_of == {v: row for row, v in enumerate(snap.vertices)}
-    assert snap.arc_count == g.arc_count
+    assert snap.arc_count == len(list(g.arc_items()))
     flat = {(tail, a[0], a[1], head) for tail, head, a in g.arc_items()}
     spread = {
         (snap.vertices[row], base, pert, snap.vertices[head_row])
@@ -147,20 +147,28 @@ def test_shared_forest_on_adjacent_roots(norm3):
     for i in range(len(trees)):
         t1, t2 = trees[i], trees[(i + 1) % len(trees)]
         forest = shared_forest(g, t1, t2)
+        vertices = t1.snap.vertices
         # definition: exactly the vertices on which both parent darts agree
         expected = {
             v: d for v, d in t1.parent_dart.items() if t2.parent_dart.get(v) == d
         }
-        assert forest.parent_dart == expected
-        for r in forest.roots:
-            assert r not in forest.parent_dart
-        assert not ring & set(forest.parent_dart)
-        # subtree iteration visits each shared vertex exactly once
+        # each shared vertex hangs below the tail of its shared arc
+        for p, kids in forest.children.items():
+            assert kids == sorted(kids)
+            for c in kids:
+                assert g.dart_vertex(reverse_dart(expected[vertices[c]])) == vertices[p]
+        roots = {vertices[r] for r in forest.root_rows}
+        assert not roots & set(expected)
+        assert not ring & set(expected)
+        # walking down from the roots visits each shared vertex exactly once
         seen: list[int] = []
-        for r in forest.roots:
-            seen.extend(forest.subtree(r))
-        roots = set(forest.roots)
-        assert sorted(v for v in seen if v not in roots) == sorted(forest.parent_dart)
+        stack = list(forest.root_rows)
+        while stack:
+            r = stack.pop()
+            kids = forest.children.get(r, [])
+            seen.extend(vertices[c] for c in kids)
+            stack.extend(kids)
+        assert sorted(seen) == sorted(expected)
 
 
 def test_shared_forest_of_tree_with_itself(norm3):
@@ -168,5 +176,7 @@ def test_shared_forest_of_tree_with_itself(norm3):
     r = norm3.ring_roots[0]
     tree = sssp_tree(g, r, [x for x in norm3.ring_roots if x != r])
     forest = shared_forest(g, tree, tree)
-    assert forest.parent_dart == tree.parent_dart
-    assert forest.roots == [r]
+    vertices = tree.snap.vertices
+    shared = [vertices[c] for kids in forest.children.values() for c in kids]
+    assert sorted(shared) == sorted(tree.parent_dart)
+    assert [vertices[x] for x in forest.root_rows] == [r]
