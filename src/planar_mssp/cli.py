@@ -67,20 +67,24 @@ def _face_index(graph, stored_outer: int | None, face_arg: str) -> int:
 def _read_pairs(path: str) -> list[tuple[int, int]]:
     """Query pairs, one 'j u' per line; blank lines and # comments skipped."""
     out: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise CorruptFileError(f"{path}:{ln}: expected 'j u', got {line!r}")
-            try:
-                out.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise CorruptFileError(
-                    f"{path}:{ln}: expected two integers, got {line!r}"
-                ) from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    for ln, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise CorruptFileError(f"{path}:{ln}: expected 'j u', got {line!r}")
+        try:
+            out.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise CorruptFileError(
+                f"{path}:{ln}: expected two integers, got {line!r}"
+            ) from None
     return out
 
 

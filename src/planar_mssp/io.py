@@ -125,6 +125,8 @@ def load_graph(path: str) -> tuple[EmbeddedDigraph, int | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8;
+        # RecursionError, nesting deeper than the parser's stack
+        except (ValueError, RecursionError) as exc:
             raise CorruptFileError(f"invalid JSON: {exc}") from exc
     return graph_from_json(doc)

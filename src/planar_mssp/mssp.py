@@ -1,10 +1,16 @@
 """The multi-source shortest path oracle.
 
-Build recursion over root intervals [i1, i2]: compute shortest path trees
+Build recursion over root intervals [i1, i2]: take shortest path trees
 from the interval's endpoints and midpoint, then for each half restrict the
 graph to the half's own ring vertices, contract every tree selected by the
 clockwise rule, record where each contracted vertex went, and recurse. The
-intervals follow from the ring count alone, so they are not stored.
+intervals follow from the ring count alone, so they are not stored. Only
+the midpoint's tree is a new Dijkstra run: contraction keeps every
+distance from the child interval's roots, so a child inherits its two
+endpoint trees from its parent (sssp.inherit_tree), and only the root node
+runs its endpoints' trees. A leaf makes only the trees it stores, and a
+right child that is a leaf is not built at all: it would store no table,
+and no descent plan or tail chain reads its record.
 Records are keyed by (midpoint, side); midpoints are unique across the
 recursion, and the side distinguishes the two children, which may contract
 different trees through the same vertex. Inside the oracle a key is the
@@ -50,7 +56,7 @@ sssp.out_adjacency) and from each child's record dict once that child's
 contraction ends (_tree_block for both), and each node looks up a tail
 chain at most once per original tail.
 
-The oracle file is format "planar-mssp-oracle", version 5, little-endian:
+The oracle file is format "planar-mssp-oracle", version 6, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -115,11 +121,11 @@ from .normalize import (
     ArcInfo,
     NormalizedInstance,
 )
-from .sssp import SSSPTree, out_adjacency, sssp_tree
+from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 5
+ORACLE_VERSION = 6
 
 _PERT_SHIFT = 60
 _PERT_MASK = (1 << _PERT_SHIFT) - 1
@@ -619,21 +625,27 @@ class MsspOracle:
     def trace(self) -> dict:
         """Recursion structure as a plain dict, for external plotting.
 
-        The nodes follow from ring_count, level by level and left to right;
-        "roots" are the trees a node ran, not the tables it stored.
+        The nodes follow from ring_count, level by level and left to right.
+        Only the nodes build makes are listed: a right child that is a leaf
+        is not, as no query reads it. "roots" are the trees a node has, not
+        the tables it stored: an internal node's endpoints and midpoint, a
+        leaf's stored tables only.
         """
         nodes = []
         level = 0
-        intervals = [(0, self.ring_count - 1)]
+        last = self.ring_count - 1
+        intervals = [(0, last, sorted({0, last}))]  # (i1, i2, a leaf's roots)
         while intervals:
             below = []
-            for i1, i2 in intervals:
+            for i1, i2, leaf_roots in intervals:
                 mid = (i1 + i2) // 2
-                nodes.append(
-                    {"i1": i1, "i2": i2, "level": level, "roots": sorted({i1, mid, i2})}
-                )
+                roots = leaf_roots
                 if i2 - i1 > 1:
-                    below += [(i1, mid), (mid, i2)]
+                    roots = sorted({i1, mid, i2})
+                    below.append((i1, mid, [mid]))
+                    if i2 - mid > 1:
+                        below.append((mid, i2, []))
+                nodes.append({"i1": i1, "i2": i2, "level": level, "roots": roots})
             intervals = below
             level += 1
         recs = [
@@ -645,7 +657,7 @@ class MsspOracle:
     def to_json(self) -> dict:
         """The oracle's content as one logical JSON document.
 
-        Version 4's document with version 5, each tree's nodes in the file's
+        Version 4's document with version 6, each tree's nodes in the file's
         block order: header values, "arcs" as [id, tail, head, base, perturb,
         kind], "tables" as one [j, vertices, base, plo, phi, par_v, par_arc,
         chains] per root, where chains lists [row, [[midpoint, side, vertex],
@@ -700,7 +712,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 5) to a path or binary file object."""
+        """Write the oracle file (format version 6) to a path or binary file object."""
         if hasattr(sink, "write"):
             self._write(sink.write)
         else:
@@ -974,20 +986,25 @@ def build(
 ) -> MsspOracle:
     """Preprocess a normalized instance into a queryable oracle.
 
-    Every node runs three Dijkstra trees, which its tree selection and
-    children read, and stores, straight from their columns, only the tables
-    of the roots whose descent ends there: both endpoints at the root node,
-    the right endpoint (the parent's midpoint) at a left child, none at a
-    right child. That rule depends on position, not visit order. See the
-    module docstring. The last child processed takes over its parent's
-    graph instead of a copy.
+    Every internal node has the trees of its endpoints and midpoint, which
+    its tree selection and children read. It runs one Dijkstra, for the
+    midpoint, and inherits the endpoint trees from its parent
+    (sssp.inherit_tree); the root node runs all of its trees. A node
+    stores, straight from the trees' columns, only the tables of the roots
+    whose descent ends there: both endpoints at the root node, the right
+    endpoint (the parent's midpoint) at a left child, none at a right
+    child. A leaf makes only those trees, so a left leaf runs no Dijkstra,
+    and a right child that is a leaf is not built. These rules depend on
+    position, not visit order. See the module docstring. The last child
+    built takes over its parent's graph instead of a copy.
 
     right_first flips the child processing order (the result must not
     change; a test relies on that). instrument enables expensive internal
-    consistency checks after every contraction — meant for small graphs.
-    collect_edge_stats additionally counts, per level, how many of the trees
-    a node runs, stored or not, each arc appears in (stats key
-    "tree_arc_max").
+    consistency checks after every contraction, and compares every
+    inherited tree with a fresh Dijkstra on the child graph — meant for
+    small graphs. collect_edge_stats additionally counts, per level, how
+    many of the trees a node has, stored or not, each arc appears in
+    (stats key "tree_arc_max").
     """
     t0 = time.perf_counter()
     ring_roots = norm.ring_roots
@@ -1031,8 +1048,26 @@ def build(
                         f"{parent_tree.dist.get(v)} became {dv}"
                     )
 
+    def check_inherited(h, k, excluded, inherited):
+        fresh = sssp_tree(h, ring_roots[k], excluded, adj=inherited.snap)
+        for name in ("base", "pert", "par_dart", "par_row"):
+            got, want = getattr(inherited, name), getattr(fresh, name)
+            if got != want:
+                row = next(r for r, (a, b) in enumerate(zip(got, want)) if a != b)
+                raise MsspError(
+                    f"instrument: inherited tree of r_{k} has {name} {got[row]} at"
+                    f" vertex {inherited.snap.vertices[row]}, a fresh Dijkstra"
+                    f" {want[row]}"
+                )
+
     def rec(
-        i1: int, i2: int, h: EmbeddedDigraph, level: int, terminal: tuple[int, ...]
+        i1: int,
+        i2: int,
+        h: EmbeddedDigraph,
+        level: int,
+        terminal: tuple[int, ...],
+        parent_trees: dict[int, SSSPTree],
+        root_of: dict[int, int],
     ) -> None:
         stats.node_count += 1
         lvl = stats.level_entry(level)
@@ -1043,18 +1078,26 @@ def build(
         lvl["slots"] += h.slot_count
         lvl["arcs"] += adj.arc_count
         mid = (i1 + i2) // 2
-        ks = sorted({i1, i2, mid})
+        # a leaf needs only the trees it stores; the endpoint trees come
+        # from the parent, so only the root node runs them
+        ks = terminal if i2 - i1 <= 1 else sorted({i1, i2, mid})
         excluded_all = {ring_roots[k] for k in range(i1, i2 + 1)}
         trees: dict[int, SSSPTree] = {}
         for k in ks:
             rk = ring_roots[k]
-            trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
+            parent_tree = parent_trees.get(k)
+            if parent_tree is None:
+                trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
+            else:
+                trees[k] = inherit_tree(parent_tree, adj, root_of)
+                if instrument:
+                    check_inherited(h, k, excluded_all - {rk}, trees[k])
             lvl["tree_vertices"] += trees[k].reached
             lvl["tree_arcs"] += trees[k].reached - 1
         if collect_edge_stats:
             counter = edge_counters.setdefault(level, Counter())
-            for k in ks:
-                for pd in trees[k].parent_dart.values():
+            for t in trees.values():
+                for pd in t.parent_dart.values():
                     counter[h.arc_into(pd)[2]] += 1
         # chains by original tail, shared by this node's stored tables and by
         # the contractions into its children: absorbed_at is the same for all
@@ -1089,23 +1132,23 @@ def build(
         if i2 - i1 <= 1:
             return
         # a left child's right endpoint, this node's midpoint, ends its
-        # descent there; a right child ends none
-        children = [
-            (i1, mid, 0, trees[i1], trees[mid], (mid,)),
-            (mid, i2, 1, trees[mid], trees[i2], ()),
-        ]
+        # descent there; a right child ends none, so a right leaf, which
+        # also has no children, is not built
+        children = [(i1, mid, 0, (mid,))]
+        if i2 - mid > 1:
+            children.append((mid, i2, 1, ()))
         if right_first:
             children.reverse()
-        for n, (j1, j2, side, t_low, t_high, ends) in enumerate(children):
+        for n, (j1, j2, side, ends) in enumerate(children):
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
-            if n == 1 and not instrument:
+            if n == len(children) - 1 and not instrument:
                 # the last child takes h over: only instrument's check_child
                 # reads h after this point
                 h._drop_vertices(drop)
                 hj = h
             else:
                 hj = h.copy(drop)
-            selected = select_trees(hj, t_low, t_high)
+            selected = select_trees(hj, trees[j1], trees[j2])
             key = 2 * mid + side
             table: dict[int, RecordEntry] = {}
             if instrument:
@@ -1132,16 +1175,18 @@ def build(
                 )
             if instrument:
                 check_child(h, hj, i1, i2, j1, j2, trees)
-            added = [(u, e.root) for u, e in table.items() if e.root != u]
+            # where each vertex contracted away went: its record and root
+            # for tail chains, its root for the inherited trees
+            moved = {u: e.root for u, e in table.items() if e.root != u}
             del table, selected
-            for u, root in added:
+            for u, root in moved.items():
                 absorbed_at[u] = (key, root)
-            rec(j1, j2, hj, level + 1, ends)
-            for u, _ in added:
+            rec(j1, j2, hj, level + 1, ends, {j1: trees[j1], j2: trees[j2]}, moved)
+            for u in moved:
                 del absorbed_at[u]
 
     with _gc_paused():
-        rec(0, n_rings - 1, norm.graph.copy(), 0, tuple(sorted({0, n_rings - 1})))
+        rec(0, n_rings - 1, norm.graph.copy(), 0, tuple(sorted({0, n_rings - 1})), {}, {})
         # rec holds itself through its closure cell; emptying the cell lets
         # reference counting free the working graphs, not a later GC pass
         del rec

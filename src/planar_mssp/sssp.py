@@ -23,6 +23,13 @@ of its unique ingoing tree arc, the dart sitting at the vertex itself (so
 its reverse sits at the parent). The build turns the columns of the trees
 it stores straight into tables; `dist` and `parent_dart` are read-only
 vertex-keyed views of them for tests and consistency checks.
+
+inherit_tree carries a tree over to a contracted copy of its graph without
+a Dijkstra run. The build's contractions keep every distance from the
+child interval's endpoints, and an arc keeps its slot and dart ids when
+it moves to the contracted tree's root. So each surviving
+vertex keeps its distance and parent dart, and only a parent that was
+contracted away changes: it becomes the root it was contracted into.
 """
 
 from __future__ import annotations
@@ -183,6 +190,36 @@ def sssp_tree(
             f"root {root} reached {reached} of {expected} vertices"
         )
     return SSSPTree(root, adj, reached, base, pert, par_dart, par_row)
+
+
+def inherit_tree(tree: SSSPTree, adj: RowSnapshot, root_of: Mapping[int, int]) -> SSSPTree:
+    """tree's columns over the rows of adj, a contracted copy of its graph.
+
+    Every vertex of adj must be a row of tree's snapshot. root_of maps each
+    vertex that the contraction merged into another to that vertex, the
+    root of its contracted tree; a parent row is remapped through it. The
+    result equals a fresh sssp_tree on the contracted graph when the
+    contraction kept the distances from tree's root, as the build's
+    contractions do for the child interval's endpoints; build(instrument=
+    True) checks it.
+    """
+    rows = list(map(tree.snap.row_of.__getitem__, adj.vertices))
+    base = list(map(tree.base.__getitem__, rows))
+    parents = tree.snap.vertices
+    row_of = adj.row_of
+    par_row = [
+        -1 if p < 0 else row_of[root_of.get(parents[p], parents[p])]
+        for p in map(tree.par_row.__getitem__, rows)
+    ]
+    return SSSPTree(
+        tree.root,
+        adj,
+        len(base) - base.count(-1),
+        base,
+        list(map(tree.pert.__getitem__, rows)),
+        list(map(tree.par_dart.__getitem__, rows)),
+        par_row,
+    )
 
 
 @dataclass(eq=False, slots=True)

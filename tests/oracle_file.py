@@ -1,11 +1,12 @@
-"""An independent writer of oracle files (format version 5), for tests.
+"""An independent writer of oracle files (format version 6), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the README
 describes. It shares no code with the package's save(), so a test can
 damage a document the way a broken writer would and load the result, and
 the pinned digests in test_persistence.py were derived with it from the
-version 4 documents of the parent format.
+version 5 documents of the parent format. Versions 5 and 6 share the
+layout; version 6 builds hold fewer record tables.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact

@@ -218,6 +218,33 @@ def test_corrupt_oracle_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error CorruptFile: ")
 
 
+@pytest.mark.parametrize("cmd", ["build", "verify"])
+def test_graph_file_not_utf8(tmp_path, capsys, cmd):
+    g = tmp_path / "g.json"
+    g.write_bytes(b'\xff\xfe{"format": "planar-mssp-graph"}')
+    out = ["-o", str(tmp_path / "o.bin")] if cmd == "build" else []
+    assert main([cmd, "-i", str(g), *out]) == 1
+    assert capsys.readouterr().err.startswith("error CorruptFile: ")
+
+
+def test_graph_file_nested_too_deep(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text("[" * 200000)
+    assert main(["build", "-i", str(g), "-o", str(tmp_path / "o.bin")]) == 1
+    assert capsys.readouterr().err.startswith("error CorruptFile: ")
+
+
+@pytest.mark.parametrize("cmd", ["query", "path"])
+def test_pairs_file_not_utf8(tmp_path, grid3_files, capsys, cmd):
+    _, o = grid3_files
+    p = tmp_path / "pairs.txt"
+    p.write_bytes(b"0 1\n\xff 2\n")
+    capsys.readouterr()
+    assert main([cmd, "-i", str(o), "--pairs", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error CorruptFile: ") and "UTF-8" in err
+
+
 def test_verify_cli(tmp_path, grid3_files, capsys):
     g, _ = grid3_files
     report_path = tmp_path / "report.json"

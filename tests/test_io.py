@@ -74,12 +74,14 @@ def test_dump_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "66307c18643bd0a2ef6ad37aeaf586b61e7718cae82791b51fc92e1fa1012016"
     )
-    # the trace digest was derived from the trace of the build that
-    # stored three tables per node, with each node's "vertices" dropped
+    # the trace digest was derived from the trace of the build that built
+    # every node (format version 5): the right children that are leaves,
+    # and their records, dropped, and each left leaf's "roots" cut to its
+    # one stored table, its right endpoint
     buf = io.StringIO()
     dump_json(build(normalize(g, outer, seed=5)).trace(), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
-        "abf533753726dde9dfbd74d296ee35cca2753813459b7816ad4b3aef49b680f3"
+        "cc53904c847d98327384dd54491e2bfea052352bd96573a1f1564ce36bff06fc"
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from planar_mssp import (
     BadRootIndexError,
     CorruptFileError,
     FaceVertexQueryError,
+    MsspError,
     UNREACHABLE,
     UnreachableError,
     VersionMismatchError,
@@ -23,11 +25,12 @@ from planar_mssp import (
     load,
     normalize,
 )
+from planar_mssp import mssp
 from planar_mssp.mssp import BuildStats
 from planar_mssp.normalize import ARC_ORIGINAL, map_answer
 from tests.conftest import TRI_ONEWAY_SLOTS
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
-from tests.test_persistence import oneway_grid
+from tests.test_persistence import GATE_DIGESTS, gate_instance, oneway_grid
 
 from planar_mssp import build_graph
 
@@ -182,6 +185,48 @@ def test_stored_tables_are_the_read_tables(oracle5):
     table_chains = sum(len(hops) for table in doc["tables"] for _, hops in table[7])
     assert table_chains > 0
     assert s.chain_elements == record_chains + table_chains
+
+
+@pytest.mark.parametrize("right_first", (False, True))
+def test_nothing_stored_goes_unread(right_first):
+    # every record table is probed by some root's descent or named by a
+    # tail-chain hop, and every table is its root's terminal table and
+    # holds all the stored rows
+    for name in sorted(GATE_DIGESTS):
+        g, face, seed = gate_instance(name)
+        oracle = build(normalize(g, face, seed=seed), right_first=right_first)
+        read = {key for plan in oracle._plans for key, _ in plan.steps}
+        read.update(oracle._cols.hop_key)
+        assert set(oracle.records) <= read, name
+        assert len(oracle.tables) == oracle.ring_count
+        for plan, table in zip(oracle._plans, oracle.tables):
+            assert plan.index is table
+        assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
+
+
+def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
+    # the first parent tree a child inherits names the reverse dart as one
+    # surviving vertex's parent dart; an instrumented build compares the
+    # inherited tree with a fresh Dijkstra and stops there
+    inherit = mssp.inherit_tree
+    calls = []
+
+    def corrupted(tree, adj, root_of):
+        if not calls:
+            row_of = tree.snap.row_of
+            row = next(
+                row_of[v] for v in adj.vertices if tree.par_dart[row_of[v]] >= 0
+            )
+            par_dart = list(tree.par_dart)
+            par_dart[row] ^= 1
+            tree = dataclasses.replace(tree, par_dart=par_dart)
+        calls.append(tree.root)
+        return inherit(tree, adj, root_of)
+
+    monkeypatch.setattr(mssp, "inherit_tree", corrupted)
+    with pytest.raises(MsspError, match="instrument: inherited tree .* par_dart"):
+        build(norm3, instrument=True)
+    assert len(calls) == 1
 
 
 def test_explain_follows_the_descent(oracle5):
@@ -380,6 +425,13 @@ def test_stats_shape(oracle3):
     assert total_tree_vertices > 0
     rt = BuildStats.from_json(s.to_json())
     assert rt.to_json() == s.to_json()
+
+
+def test_edge_stats_count_every_level(norm5):
+    # every built node has a tree, so every level counts some arc, within
+    # acceptance criterion 2's bound of six trees per arc and level
+    stats = build(norm5, collect_edge_stats=True).stats
+    assert all(1 <= lv["tree_arc_max"] <= 6 for lv in stats.per_level), stats.per_level
 
 
 def test_single_vertex_instance():

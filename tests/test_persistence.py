@@ -34,25 +34,27 @@ from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 4 document of the same instance, as built
-# by the code before format version 5 (its to_json(), whose own file
-# digest was checked against the version 4 gate), by setting "version" to
-# 5 and encoding the document with tests/oracle_file.py, which shares no
-# code with save() and puts each tree's chained nodes first. Any change
-# to these bytes is a format change and needs a version bump.
+# was derived from the version 5 document of the same instance, as built
+# by the code before format version 6 (its to_json()): "version" set to 6,
+# the record tables of right children that are leaves deleted (no query
+# reads them, and version 6 builds no such child), "stats" taken from the
+# version 6 build, which matches the old stats but for lower node,
+# record-entry, chain-element and per-level counts, and the document
+# encoded with tests/oracle_file.py, which shares no code with save(). Any
+# change to these bytes is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "198c56b65ad210c05a073bc7b22aa796e6abdfa8ee4b1cd727aa408afc9e5b45",
-    "grid16-outer": "02f5dd83fcf9fbd8b6b20ffda9f6406b7f44df00b6b806901f3db3646b52969b",
-    "random10-outer": "86d026f0727b78b7d73830ad90b9452836c070e00c66b2dae18b622ae840a1dd",
-    "bowtie-inner": "dbee1e0d02fed062700a82c33f7bfe90069e5b05d3d8933ef5d11e7ebf0e5315",
-    "tri_oneway-inner": "1f45827da90e6580b80ffc4296aa94610b97d5befb3472a1320b34fba137b12f",
-    "grid32-outer": "717fa11d891ea40ddee30a40d1e9c559855eaf6a1c259528c1953196d549f8d1",
-    "grid16-oneway-inner": "794a054a39a4883a8d45f50af3e0d10a96bf6880720abef2ac1e2a9defca2ed2",
-    "random12-inner": "ec14959c0bfec2f2420dad80a6763db84061d3ca25e8065ee1b6a1a7c55714ce",
+    "grid8-outer": "51d1723a0a103b03fd768a114d3167332b07670bf8b7e79229abec8f6926219d",
+    "grid16-outer": "73ddc3e95ca091547e8ca63b67c0bc64144260c62f40f814ce1c8fd544aec197",
+    "random10-outer": "0fa263271fd79f7a1e9e7e4c936cbab9dcb21deb0cddcf4cc29c3c170e2fe1b6",
+    "bowtie-inner": "1ffa435c3078f97020b7eebdaf6865564c84f290df88f6145abf3f4392c1407c",
+    "tri_oneway-inner": "27860f68b3cc782ce78ec15cd3769b0c6c2fc0df3214d2ee767537a00cd5a1cc",
+    "grid32-outer": "959a5e69fb04db56bdb6a52bf7f50a4ac9b7543c1f41fa1dcadffb95388664c2",
+    "grid16-oneway-inner": "b4944ebd722f1952e332eaae7fe3fb693000731a146711a1533203c81cfa659a",
+    "random12-inner": "83629bd69e5ce6435b9a103ba8d6d5a5daa00896e9162904c0d0f39b07c41635",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "4a0a321f1dac1e2432ec14a44a95937961a19b04bbaa8fa39052c642312aceda"
+    "grid64-outer", "75c57a9e562453712df980ebe1f330baa4b59c6c75a8ae9f68965c81396d857a"
 )
 
 
@@ -156,8 +158,8 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_five():
-    assert ORACLE_VERSION == 5
+def test_oracle_version_is_six():
+    assert ORACLE_VERSION == 6
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -195,6 +197,15 @@ def test_version_four_file_is_rejected():
     doc = small_oracle().to_json()
     doc["version"] = 4
     with pytest.raises(VersionMismatchError, match="version 4"):
+        load_doc(doc)
+
+
+def test_version_five_file_is_rejected():
+    # version 5 files have the same layout; they also hold records no
+    # query reads
+    doc = small_oracle().to_json()
+    doc["version"] = 5
+    with pytest.raises(VersionMismatchError, match="version 5"):
         load_doc(doc)
 
 
@@ -558,8 +569,8 @@ def test_loaded_tables_and_records_are_not_tracked_by_gc():
 # error, fast
 
 _FUZZ_DATA = saved(small_oracle())
-# the one byte whose change is a version change: the digit of "version":5
-_VERSION_AT = _FUZZ_DATA.index(b'"version":5') + len(b'"version":')
+# the one byte whose change is a version change: the digit of "version":6
+_VERSION_AT = _FUZZ_DATA.index(b'"version":6') + len(b'"version":')
 
 
 def assert_rejected(data: bytes, version_byte_changed: bool) -> None:

@@ -13,7 +13,8 @@ from planar_mssp import (
     reverse_dart,
     sssp_tree,
 )
-from planar_mssp.sssp import out_adjacency, shared_forest
+from planar_mssp.contraction import contract_tree, select_trees
+from planar_mssp.sssp import inherit_tree, out_adjacency, shared_forest
 from planar_mssp.weights import ZERO
 from tests.test_normalize import GRID2_BOUNDARY, GRID2_SLOTS, outer_face_of
 
@@ -180,3 +181,32 @@ def test_shared_forest_of_tree_with_itself(norm3):
     shared = [vertices[c] for kids in forest.children.values() for c in kids]
     assert sorted(shared) == sorted(tree.parent_dart)
     assert [vertices[x] for x in forest.root_rows] == [r]
+
+
+def test_inherited_trees_equal_fresh_trees_after_contraction(norm3):
+    # a child interval [i, i + 1]: drop the other ring vertices, contract
+    # the selected trees, and carry the two endpoint trees over
+    g = norm3.graph
+    adj = out_adjacency(g)
+    ring = norm3.ring_roots
+    contracted = 0
+    for i in range(len(ring) - 1):
+        ends = (ring[i], ring[i + 1])
+        low, high = (
+            sssp_tree(g, r, [x for x in ring if x != r], adj=adj) for r in ends
+        )
+        h = g.copy([x for x in ring if x not in ends])
+        table = {}
+        for sel in select_trees(h, low, high):
+            contract_tree(h, sel, table, lambda aid: ())
+        root_of = {v: e.root for v, e in table.items() if e.root != v}
+        contracted += len(root_of)
+        child = out_adjacency(h)
+        for tree in (low, high):
+            got = inherit_tree(tree, child, root_of)
+            want = sssp_tree(h, tree.root, [x for x in ends if x != tree.root], adj=child)
+            assert got.root == want.root and got.snap is child
+            assert (got.reached, got.base, got.pert, got.par_dart, got.par_row) == (
+                want.reached, want.base, want.pert, want.par_dart, want.par_row
+            )
+    assert contracted > 0
