@@ -40,22 +40,21 @@ def main() -> None:
     trees = select_trees(h, t_lo, t_hi)
     print(f"selected {len(trees)} contractible trees:")
     for sel in trees:
-        print(f"  root {sel.root}: members {sel.order}")
+        print(f"  root {sel.root}: members {sel.vertex}")
 
-    records: dict[int, object] = {}
     before = h.vertex_count
-    for sel in trees:
-        # arcs of the input graph expand to themselves: empty tail chains
-        contract_tree(h, sel, records, lambda arc_id: ())
-        h.check()  # planarity bookkeeping must survive every contraction
-    absorbed = {v for v, e in records.items() if v != e.root}
+    # one call contracts every selected tree of the child; arcs of the
+    # input graph expand to themselves: empty tail chains
+    rec = contract_tree(h, trees, lambda arc_id: ())
+    h.check()  # planarity bookkeeping must survive the contraction
+    absorbed = [i for i, (v, root) in enumerate(zip(rec.vertex, rec.root)) if v != root]
     print(f"\ncontracted {before} -> {h.vertex_count} vertices"
           f" ({len(absorbed)} absorbed)")
 
     print("record entries (vertex: root, distance below root, tree arc):")
-    for v in sorted(absorbed):
-        e = records[v]
-        print(f"  {v}: root {e.root}, delta base {e.delta.base}, arc {e.arc}")
+    for i in sorted(absorbed, key=rec.vertex.__getitem__):
+        print(f"  {rec.vertex[i]}: root {rec.root[i]}, delta base {rec.dbase[i]},"
+              f" arc {rec.arc[i]}")
 
     # the whole point: distances from the interval's boundary roots are
     # unchanged for every surviving vertex

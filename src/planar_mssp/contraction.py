@@ -10,55 +10,67 @@ contracting it into s preserves all their distances, provided arcs leaving
 the tree at u are reweighted by the in-tree distance delta(u) and arcs
 entering the tree anywhere but s are dropped.
 
-contract_tree performs that reweighting, merges the tree's slots into the
-root (keeping the embedding intact), cleans up parallels, and writes one
-RecordEntry per tree vertex. The record is what queries later use to jump
-from a contracted vertex to its super-vertex, and what path expansion uses
-to re-inflate the jump into original arcs.
+select_trees gives each tree as flat columns in depth-first order, root
+first. contract_tree takes all of a child's trees in one call: it checks
+every tree against the graph before it changes anything, then contracts
+the trees one after another, in selection order, with one walk around
+each (EmbeddedDigraph._merge_tree), which reweights, drops, merges the
+tree's slots into the root and keeps the cheapest arc per ordered pair.
+It returns the child's record columns, one entry per tree vertex: what
+queries later use to jump from a contracted vertex to its super-vertex,
+and what path expansion uses to re-inflate the jump into original arcs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import NotATreeError
 from .sssp import SSSPTree, shared_forest
-from .weights import ZERO, LexWeight
 
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
 # vertex, record key, vertex, ...; contract_tree only stores it
 TailChain = tuple[int, ...]
 
 
-class RecordEntry(NamedTuple):
-    """Where a contracted vertex went and how to restore the tree path."""
-
-    root: int
-    delta: LexWeight  # in-tree distance from root
-    parent: int  # tree parent vertex; -1 at the root
-    arc: int  # arc id of the tree arc parent -> vertex; -1 at the root
-    chain: TailChain  # tail expansion of that arc; () at the root
-
-
-class _Member(NamedTuple):
-    parent: int
-    parent_dart: int  # dart at the member on the tree slot
-    delta: LexWeight
-
-
+@dataclass(eq=False, slots=True)
 class SelectedTree:
-    """One contractible tree: BFS order, per-vertex parent and delta."""
+    """One contractible tree as columns in depth-first order, root first.
 
-    __slots__ = ("root", "members", "order")
+    The root's entry has parent -1, dart -1 and a zero delta. Every other
+    member has its tree parent, the dart at the member of the slot joining
+    it to that parent, and its in-tree distance from the root.
+    """
 
-    def __init__(self, root: int, members: dict[int, _Member], order: list[int]):
-        self.root = root
-        self.members = members  # root maps to _Member(-1, -1, ZERO)
-        self.order = order  # BFS order, root first
+    vertex: list[int]
+    parent: list[int]
+    dart: list[int]
+    dbase: list[int]
+    dpert: list[int]
 
-    def __len__(self) -> int:
-        return len(self.order)
+    @property
+    def root(self) -> int:
+        return self.vertex[0]
+
+
+@dataclass(eq=False, slots=True)
+class Records:
+    """A child's record columns, one entry per vertex of its trees.
+
+    A root names itself with a zero delta, parent and arc -1 and no chain;
+    a member names its tree's root, its delta, its tree parent, the arc id
+    of the tree arc parent -> member and that arc's tail chain.
+    """
+
+    vertex: list[int]
+    root: list[int]
+    dbase: list[int]
+    dpert: list[int]
+    parent: list[int]
+    arc: list[int]
+    chain: list[TailChain]
 
 
 def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[SelectedTree]:
@@ -89,118 +101,90 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
         ]
         if not kept:
             continue
-        b0 = base[r_s]
-        p0 = pert[r_s]
-        members: dict[int, _Member] = {s: _Member(-1, -1, ZERO)}
-        order = [s]
+        rows = [r_s]
         stack = kept[::-1]
         while stack:
             r = stack.pop()
-            v = vertices[r]
-            members[v] = _Member(
-                vertices[par_row[r]], par_dart[r], LexWeight(base[r] - b0, pert[r] - p0)
-            )
-            order.append(v)
+            rows.append(r)
             kids = children.get(r)
             if kids is not None:
                 stack.extend(reversed(kids))
-        out.append(SelectedTree(s, members, order))
+        members = rows[1:]
+        b0 = base[r_s]
+        p0 = pert[r_s]
+        out.append(SelectedTree(
+            list(map(vertices.__getitem__, rows)),
+            [-1, *map(vertices.__getitem__, map(par_row.__getitem__, members))],
+            [-1, *map(par_dart.__getitem__, members)],
+            [b - b0 for b in map(base.__getitem__, rows)],
+            [p - p0 for p in map(pert.__getitem__, rows)],
+        ))
     return out
 
 
 def contract_tree(
     h: EmbeddedDigraph,
-    tree: SelectedTree,
-    table: dict[int, RecordEntry],
+    selected: list[SelectedTree],
     chain_fn: Callable[[int], TailChain],
-) -> None:
-    """Contract `tree` into its root in place and record every member.
+) -> Records:
+    """Contract every selected tree into its root in place; record them all.
 
-    Reweights arcs leaving the tree by the member's delta, deletes arcs
-    entering it anywhere but the root, merges the tree slots so the
-    embedding survives, and keeps only the cheapest arc per ordered pair
-    around the root. chain_fn maps an arc id to its current tail
-    expansion, which the member's RecordEntry stores.
+    The trees must be vertex-disjoint. Each is checked against the graph
+    before any changes it: parents precede children, and each member's
+    dart is at the member on a slot that carries an arc from its parent
+    to it. Then each tree in turn loses its arcs entering it anywhere but
+    the root, has the arcs leaving it reweighted by the member's delta,
+    is merged into its root so the embedding survives, and keeps only the
+    cheapest arc per ordered pair around the root. chain_fn maps an arc
+    id to its current tail expansion, which the member's entry stores.
     """
-    members = tree.members
-    s = tree.root
-    if s not in members or len(members) != len(tree.order):
-        raise NotATreeError("member map and order disagree")
-    # validate and record in one pass; the table changes only once the
-    # whole tree has passed
     slots = h.slots
-    seen_order: set[int] = set()
-    recorded: list[tuple[int, RecordEntry]] = []
-    tree_darts: list[int] = []  # per non-root member, its tree dart at it
-    for v in tree.order:
-        m = members[v]
-        if v == s:
-            if m.parent != -1:
-                raise NotATreeError("root must have no parent")
-            recorded.append((v, RecordEntry(s, ZERO, -1, -1, ())))
-        elif m.parent not in seen_order:
-            raise NotATreeError(f"parent of {v} does not precede it")
-        else:
-            pd = m.parent_dart
-            slot = slots.get(pd >> 1)
+    entry = h._entry
+    rec = Records([], [], [], [], [], [], [])
+    placed: set[int] = set()  # vertices of the trees checked so far
+    for tree in selected:
+        vertex, parent, dart = tree.vertex, tree.parent, tree.dart
+        n = len(vertex)
+        if not n:
+            raise NotATreeError("a tree needs a root")
+        if not len(parent) == len(dart) == len(tree.dbase) == len(tree.dpert) == n:
+            raise NotATreeError("tree columns disagree in length")
+        s = vertex[0]
+        if parent[0] != -1 or dart[0] != -1 or tree.dbase[0] or tree.dpert[0]:
+            raise NotATreeError("root must have no parent and no delta")
+        if s not in entry:
+            raise NotATreeError(f"root {s} is not in the graph")
+        seen = {s}
+        arcs = [-1]
+        members = zip(vertex, parent, dart)
+        next(members)
+        for v, p, d in members:
+            if p not in seen:
+                raise NotATreeError(f"parent of {v} does not precede it")
+            slot = slots.get(d >> 1)
             if slot is None:
                 raise NotATreeError(f"tree dart of {v} is not in the graph")
-            if pd & 1:
-                ends = (slot.v1, slot.v0)
-                arc = slot.a01
+            if d & 1:
+                arc = slot.a01 if slot.v1 == v and slot.v0 == p else None
             else:
-                ends = (slot.v0, slot.v1)
-                arc = slot.a10
-            if ends != (v, m.parent) or arc is None:
+                arc = slot.a10 if slot.v0 == v and slot.v1 == p else None
+            if arc is None:
                 raise NotATreeError(f"no tree arc from the parent of {v} to it")
-            recorded.append((v, RecordEntry(s, m.delta, m.parent, arc[2], chain_fn(arc[2]))))
-            tree_darts.append(pd)
-        seen_order.add(v)
-    table.update(recorded)
-
-    # reweight while walking the members' rotations; deletions wait until
-    # the walk is over, since deleting a slot changes a rotation
-    deletions: list[tuple[int, int]] = []
-    # slots joining two members, tree slots aside, would become self-loops
-    # at the root; the merge deletes them
-    tree_sids = {d >> 1 for d in tree_darts}
-    internal: list[int] = []
-    nxt = h._next
-    entry = h._entry
-    for v in tree.order:
-        delta = members[v].delta
-        shifted = delta is not ZERO
-        first = entry[v]
-        if first is None:
-            continue
-        d = first
-        while True:
-            slot = slots[d >> 1]
-            end = d & 1
-            if end:
-                head = slot.v0
-                out_arc = slot.a10
-                in_arc = slot.a01
-            else:
-                head = slot.v1
-                out_arc = slot.a01
-                in_arc = slot.a10
-            if head not in members:
-                if out_arc is not None and shifted:
-                    out_arc = (out_arc[0] + delta.base, out_arc[1] + delta.perturb, out_arc[2])
-                    if end:
-                        slot.a10 = out_arc
-                    else:
-                        slot.a01 = out_arc
-                if in_arc is not None and v != s:
-                    deletions.append((d >> 1, 1 - end))
-            elif not end and d >> 1 not in tree_sids:
-                internal.append(d >> 1)
-            d = nxt[d]
-            if d == first:
-                break
-    for sid, direction in deletions:
-        h.delete_arc(sid, direction)
-
-    h._merge_tree(s, tree_darts, internal)
-    h._dedup_at(s)
+            seen.add(v)
+            arcs.append(arc[2])
+        if len(seen) != n:
+            raise NotATreeError(f"tree of root {s} lists a vertex twice")
+        if not placed.isdisjoint(seen):
+            raise NotATreeError(f"tree of root {s} shares a vertex with another tree")
+        placed |= seen
+        rec.vertex += vertex
+        rec.root += [s] * n
+        rec.dbase += tree.dbase
+        rec.dpert += tree.dpert
+        rec.parent += parent
+        rec.arc += arcs
+        rec.chain.append(())
+        rec.chain += map(chain_fn, arcs[1:])
+    for tree in selected:
+        h._merge_tree(tree.vertex, tree.dart, tree.dbase, tree.dpert)
+    return rec

@@ -14,6 +14,15 @@ connected graph, #vertices - #slots + #faces == 2.
 Arcs are triples ``(base, perturb, arc_id)``. The arc id is assigned once
 (``2 * slot_id + direction``) and survives reweighting and contraction,
 which is what lets reported paths refer back to input arcs.
+
+Contraction (``_merge_tree``) merges a tree of slots into its root with
+one walk around the tree, so each dart at a tree vertex is looked at once.
+The darts that survive, in the order of that walk, become the root's
+rotation, which keeps the embedding planar. On the way, arcs leaving the
+tree are reweighted by their tree vertex's delta, arcs entering it below
+the root go, and so do slots between two tree vertices, which would become
+loops; of the arcs between the root and one neighbour in one direction,
+only the least stays. contraction.contract_tree checks the tree first.
 """
 
 from __future__ import annotations
@@ -246,105 +255,144 @@ class EmbeddedDigraph:
     # ------------------------------------------------------------------
     # contraction
 
-    def _merge_tree(self, s: int, tree_darts: list[int], inner_sids: Iterable[int]) -> None:
-        """Merge a tree of slots into its root s, splicing rotations in place.
+    def _merge_tree(
+        self, vertex: list[int], dart: list[int], dbase: list[int], dpert: list[int]
+    ) -> None:
+        """Contract a tree into its root vertex[0] with one walk around it.
 
-        tree_darts holds, for every other tree vertex, the dart at it of
-        the slot joining it to its tree parent. inner_sids are the other
-        slots joining two tree vertices; they would become self-loops and
-        are deleted instead. The merged rotation is the tour around the
-        tree: walking clockwise, each dart leading down to a child is
-        replaced by the child's darts after its own tree dart. No dedup.
+        dart[i] is, for every other tree vertex vertex[i], the dart at it of
+        the slot joining it to its tree parent, and (dbase[i], dpert[i]) its
+        delta; the caller has checked that these form a tree. The walk is
+        the tour around the tree: clockwise from the root, each dart
+        leading down to a child is replaced by the child's darts after its
+        own tree dart. On the way, each arc leaving the tree is reweighted
+        by its member's delta, each arc entering it anywhere but the root is
+        dropped, and each slot joining two tree vertices (tree slots aside,
+        which merge) is deleted, as it would become a loop at the root. The
+        surviving darts, in tour order, are the root's rotation. Of the arcs
+        between the root and one neighbour in one direction, only the least
+        (base, perturb, arc id) stays; equal weights warn.
         """
         nxt, prv, entry, slots = self._next, self._prev, self._entry, self.slots
-        below = {d ^ 1: d for d in tree_darts}  # dart at the parent -> at the child
-        inner = set(inner_sids)
+        s = vertex[0]
+        members = set(vertex)
+        below = {dart[i] ^ 1: i for i in range(1, len(vertex))}  # dart at the parent
+        gone: list[int] = []  # darts at tree vertices of slots that went
+        inner: list[int] = []  # slots joining two tree vertices, tree slots aside
         tour: list[int] = []
+        # the tour dart holding the arc out of / into s per neighbour so far,
+        # and each (dart, neighbour, 0 out / 1 in) that met a held one
+        best_out: dict[int, int] = {}
+        best_in: dict[int, int] = {}
+        clashes: list[tuple[int, int, int]] = []
         first = entry[s]
         if first is not None:
             # walk s's rotation once around; a dart leading down enters the
             # child, whose turn ends back at its own tree dart `stop`
-            resume: list[tuple[int, int]] = []
+            resume: list[tuple[int, int, int]] = []
+            i = b = p = 0  # the vertex walked and its delta
             d = stop = first
             while True:
-                down = below.get(d)
-                if down is None:
-                    if d >> 1 not in inner:
-                        tour.append(d)
-                    d = nxt[d]
+                if d in below:
+                    resume.append((d, stop, i))
+                    i = below[d]
+                    b = dbase[i]
+                    p = dpert[i]
+                    stop = dart[i]
+                    d = nxt[stop]
                 else:
-                    resume.append((d, stop))
-                    d = nxt[down]
-                    stop = down
+                    slot = slots[d >> 1]
+                    head = slot.v0 if d & 1 else slot.v1
+                    if head in members:
+                        if not d & 1:
+                            inner.append(d >> 1)
+                    elif i and (slot.a10 if d & 1 else slot.a01) is None:
+                        # its one arc enters the tree below the root
+                        del slots[d >> 1]
+                        gone.append(d)
+                        self._remove_dart(d ^ 1, head)
+                    else:
+                        if d & 1:
+                            out_arc = slot.a10
+                            in_arc = slot.a01
+                        else:
+                            out_arc = slot.a01
+                            in_arc = slot.a10
+                        if i:
+                            in_arc = None
+                            if b or p:
+                                out_arc = (out_arc[0] + b, out_arc[1] + p, out_arc[2])
+                            if d & 1:
+                                slot.v1 = s
+                                slot.a10 = out_arc
+                                slot.a01 = None
+                            else:
+                                slot.v0 = s
+                                slot.a01 = out_arc
+                                slot.a10 = None
+                        tour.append(d)
+                        if out_arc is not None:
+                            if head in best_out:
+                                clashes.append((d, head, 0))
+                            else:
+                                best_out[head] = d
+                        if in_arc is not None:
+                            if head in best_in:
+                                clashes.append((d, head, 1))
+                            else:
+                                best_in[head] = d
+                    d = nxt[d]
                 while d == stop and resume:
-                    up, stop = resume.pop()
+                    up, stop, i = resume.pop()
+                    b = dbase[i]
+                    p = dpert[i]
                     d = nxt[up]
                 if d == stop:
                     break
-        for d in tree_darts:
-            slot = slots.pop(d >> 1)
-            del entry[slot.v1 if d & 1 else slot.v0]
-            del nxt[d], nxt[d ^ 1], prv[d], prv[d ^ 1]
+        for d in dart[1:]:
+            del slots[d >> 1], nxt[d], nxt[d ^ 1], prv[d], prv[d ^ 1]
         for sid in inner:
-            del slots[sid]
             d = 2 * sid
-            del nxt[d], nxt[d + 1], prv[d], prv[d + 1]
+            del slots[sid], nxt[d], nxt[d + 1], prv[d], prv[d + 1]
+        for v in vertex[1:]:
+            del entry[v]
+        # of two arcs between s and one neighbour in one direction, the
+        # greater loses, and a slot left with no arc goes
+        for d, head, side in clashes:
+            best = best_in if side else best_out
+            held = best[head]
+            slot = slots[d >> 1]
+            held_slot = slots[held >> 1]
+            arc = slot.a10 if (d & 1) ^ side else slot.a01
+            held_arc = held_slot.a10 if (held & 1) ^ side else held_slot.a01
+            if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
+                warnings.warn(
+                    f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
+                    PerturbationCollisionWarning,
+                    stacklevel=3,
+                )
+            # equal weights fall through to the smaller arc id
+            if arc < held_arc:
+                best[head] = d
+                d, slot = held, held_slot
+            if (d & 1) ^ side:
+                slot.a10 = None
+            else:
+                slot.a01 = None
+            if slot.a01 is None and slot.a10 is None:
+                del slots[d >> 1]
+                gone.append(d)
+                self._remove_dart(d ^ 1, head)
+        for d in gone:
+            del nxt[d], prv[d]
+        if clashes:
+            tour = [d for d in tour if d >> 1 in slots]
         if not tour:
             entry[s] = None
             return
         nxt.update(zip(tour, tour[1:] + tour[:1]))
         prv.update(zip(tour, tour[-1:] + tour[:-1]))
         entry[s] = tour[0]
-        for d in tour:
-            if d & 1:
-                slots[d >> 1].v1 = s
-            else:
-                slots[d >> 1].v0 = s
-
-    def _dedup_at(self, s: int) -> None:
-        """Keep one arc per ordered pair at s; _merge_tree left no loop there."""
-        first = self._entry[s]
-        if first is None:
-            return
-        slots = self.slots
-        nxt = self._next
-        # best[(outgoing?, neighbor)] = (arc, sid, direction)
-        best: dict[tuple[bool, int], tuple[Arc, int, int]] = {}
-        losers: list[tuple[int, int]] = []
-        d = first
-        while True:
-            sid = d >> 1
-            slot = slots[sid]
-            out0 = slot.v0 == s
-            other = slot.v1 if out0 else slot.v0
-            for direction, arc, key in (
-                (0, slot.a01, (out0, other)),
-                (1, slot.a10, (not out0, other)),
-            ):
-                if arc is None:
-                    continue
-                held = best.get(key)
-                if held is None:
-                    best[key] = (arc, sid, direction)
-                    continue
-                held_arc = held[0]
-                if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
-                    warnings.warn(
-                        f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
-                        PerturbationCollisionWarning,
-                        stacklevel=3,
-                    )
-                # equal weights fall through to the smaller arc id
-                if arc < held_arc:
-                    best[key] = (arc, sid, direction)
-                    losers.append((held[1], held[2]))
-                else:
-                    losers.append((sid, direction))
-            d = nxt[d]
-            if d == first:
-                break
-        for sid, direction in losers:
-            self.delete_arc(sid, direction)
 
     # ------------------------------------------------------------------
     # copying and validation

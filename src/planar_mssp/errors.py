@@ -44,7 +44,8 @@ class UnreachableVertexError(MsspError):
 
 
 class NotATreeError(MsspError):
-    """A structure handed to contract_tree is not a tree rooted where claimed."""
+    """A tree handed to contract_tree is not a tree of the graph, or shares
+    a vertex with another tree of the same call."""
 
 
 class BadRootIndexError(MsspError):

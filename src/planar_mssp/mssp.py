@@ -52,9 +52,10 @@ only, so the garbage collector does not track them. One walk
 vertex for a table and the node's record root for a record, and serves
 the terminal tree and every record tree. The build fills its columns from
 the Dijkstra columns of the trees it stores (one row snapshot per node,
-sssp.out_adjacency) and from each child's record dict once that child's
-contraction ends (_tree_block for both), and each node looks up a tail
-chain at most once per original tail.
+sssp.out_adjacency) and from the record columns that one contract_tree
+call returns per child (_tree_block for both, which puts each block in
+order with one sort), and each node looks up a tail chain at most once
+per original tail.
 
 The oracle file is format "planar-mssp-oracle", version 6, little-endian:
 
@@ -98,11 +99,11 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import gt, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .contraction import RecordEntry, TailChain, contract_tree, select_trees
+from .contraction import TailChain, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
 from .errors import (
     BadRootIndexError,
@@ -917,11 +918,17 @@ class _Block(NamedTuple):
 
 def _tree_block(vertex, base, pert, parent, arc, chains, root=()) -> _Block:
     """A tree's columns, in block order: the nodes whose parent arc has a
-    tail chain (chains holds each node's, () for none) first, each part in
-    the order given."""
-    chained = [p for p, ch in enumerate(chains) if ch]
+    tail chain (chains holds each node's, () for none, or is empty when no
+    node has one) first, each part by ascending vertex. A table's columns
+    come sorted by vertex, a record's in the order contract_tree made them;
+    columns already in block order are not copied."""
+    order: range | list[int] = range(len(vertex))
+    if any(map(gt, vertex, islice(vertex, 1, None))):
+        order = sorted(order, key=vertex.__getitem__)
+    chained = [p for p in order if chains[p]] if chains else []
     if chained:
-        order = chained + [p for p, ch in enumerate(chains) if not ch]
+        order = chained + [p for p in order if not chains[p]]
+    if isinstance(order, list):
         vertex, base, pert, parent, arc = (
             [col[p] for p in order] for col in (vertex, base, pert, parent, arc)
         )
@@ -1000,7 +1007,7 @@ def build(
 
     right_first flips the child processing order (the result must not
     change; a test relies on that). instrument enables expensive internal
-    consistency checks after every contraction, and compares every
+    consistency checks after each child's contraction, and compares every
     inherited tree with a fresh Dijkstra on the child graph — meant for
     small graphs. collect_edge_stats additionally counts, per level, how
     many of the trees a node has, stored or not, each arc appears in
@@ -1150,35 +1157,33 @@ def build(
                 hj = h.copy(drop)
             selected = select_trees(hj, trees[j1], trees[j2])
             key = 2 * mid + side
-            table: dict[int, RecordEntry] = {}
             if instrument:
                 for tree in selected:
-                    hit = ring_vertex_set.intersection(tree.members)
+                    hit = ring_vertex_set.intersection(tree.vertex)
                     if hit:
                         raise MsspError(
                             f"instrument: ring vertices {sorted(hit)} selected"
                             " for contraction"
                         )
-            for tree in selected:
-                contract_tree(hj, tree, table, chain_at)
-                if instrument:
-                    hj.check()
-            lvl["record_entries"] += len(table)
-            lvl["contracted_vertices"] += sum(len(t) - 1 for t in selected)
-            stats.record_entries += len(table)
-            if table:
-                vs = sorted(table)
-                roots, deltas, parents, arcs, chains = zip(*map(table.__getitem__, vs))
-                dbase, dpert = zip(*deltas)
+            records = contract_tree(hj, selected, chain_at)
+            del selected
+            if instrument:
+                hj.check()
+            entries = len(records.vertex)
+            lvl["record_entries"] += entries
+            stats.record_entries += entries
+            if entries:
                 record_blocks[key] = _tree_block(
-                    vs, dbase, dpert, parents, arcs, chains, roots
+                    records.vertex, records.dbase, records.dpert, records.parent,
+                    records.arc, records.chain, records.root,
                 )
             if instrument:
                 check_child(h, hj, i1, i2, j1, j2, trees)
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees
-            moved = {u: e.root for u, e in table.items() if e.root != u}
-            del table, selected
+            moved = {u: r for u, r in zip(records.vertex, records.root) if u != r}
+            del records
+            lvl["contracted_vertices"] += len(moved)
             for u, root in moved.items():
                 absorbed_at[u] = (key, root)
             rec(j1, j2, hj, level + 1, ends, {j1: trees[j1], j2: trees[j2]}, moved)

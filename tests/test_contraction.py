@@ -10,16 +10,11 @@ from planar_mssp import (
     PerturbationCollisionWarning,
     ZERO,
     build_graph,
+    gen_grid,
     reverse_dart,
     sssp_tree,
 )
-from planar_mssp.contraction import (
-    RecordEntry,
-    SelectedTree,
-    _Member,
-    contract_tree,
-    select_trees,
-)
+from planar_mssp.contraction import Records, SelectedTree, contract_tree, select_trees
 from planar_mssp.sssp import out_adjacency, shared_forest
 
 
@@ -30,6 +25,18 @@ def ring_trees(norm):
         sssp_tree(g, r, [x for x in norm.ring_roots if x != r], adj=adj)
         for r in norm.ring_roots
     ]
+
+
+def entry(rec: Records, v: int):
+    """v's record entry: (root, delta, parent, arc, chain)."""
+    i = rec.vertex.index(v)
+    return (
+        rec.root[i],
+        LexWeight(rec.dbase[i], rec.dpert[i]),
+        rec.parent[i],
+        rec.arc[i],
+        rec.chain[i],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -46,24 +53,27 @@ def test_selected_trees_structure(norm3):
         for sel in select_trees(g, t_low, t_high):
             s = sel.root
             assert t_low.snap.row_of[s] in forest.root_rows
-            assert not ring & set(sel.members)
-            assert sel.order[0] == s
-            assert len(sel) == len(sel.order) == len(sel.members)
-            assert sel.members[s] == _Member(-1, -1, ZERO)
+            assert not ring & set(sel.vertex)
+            assert sel.vertex[0] == s
+            assert len(sel.vertex) == len(set(sel.vertex))
+            assert (sel.parent[0], sel.dart[0], sel.dbase[0], sel.dpert[0]) == (-1, -1, 0, 0)
             seen = {s}
-            for v in sel.order[1:]:
-                m = sel.members[v]
-                assert m.parent in seen  # parents precede children
+            for v, parent, dart, db, dp in zip(
+                sel.vertex, sel.parent, sel.dart, sel.dbase, sel.dpert
+            ):
+                if v == s:
+                    continue
+                assert parent in seen  # parents precede children
                 seen.add(v)
-                assert g.dart_vertex(m.parent_dart) == v
+                assert g.dart_vertex(dart) == v
                 # delta is the in-tree distance, consistent with both trees
                 for t in (t_low, t_high):
-                    assert t.dist[s] + m.delta == t.dist[v]
+                    assert t.dist[s] + LexWeight(db, dp) == t.dist[v]
                 # the subtree hangs off a child passing the clockwise test
-                if m.parent == s:
+                if parent == s:
                     assert g.cw_order(
                         s,
-                        reverse_dart(m.parent_dart),
+                        reverse_dart(dart),
                         t_low.parent_dart[s],
                         t_high.parent_dart[s],
                     )
@@ -75,7 +85,7 @@ def test_selection_is_deterministic(norm3):
     a = select_trees(g, trees[0], trees[1])
     b = select_trees(g, trees[0], trees[1])
     assert [t.root for t in a] == [t.root for t in b]
-    assert [t.order for t in a] == [t.order for t in b]
+    assert [t.vertex for t in a] == [t.vertex for t in b]
 
 
 # ----------------------------------------------------------------------
@@ -90,22 +100,17 @@ TRIANGLE = [
 
 def two_vertex_tree():
     # contract vertex 1 into root 0 along the arc 0 -> 1 (slot 0, dart 1)
-    members = {
-        0: _Member(-1, -1, ZERO),
-        1: _Member(0, 1, LexWeight(2, 0)),
-    }
-    return SelectedTree(0, members, [0, 1])
+    return SelectedTree([0, 1], [-1, 0], [-1, 1], [0, 2], [0, 0])
 
 
 def test_contract_tree_effects():
     g = build_graph(3, TRIANGLE)
-    table: dict[int, RecordEntry] = {}
-    contract_tree(g, two_vertex_tree(), table, lambda aid: ())
+    rec = contract_tree(g, [two_vertex_tree()], lambda aid: ())
     g.check()
     assert sorted(g.vertices()) == [0, 2]
     # record entries: the root names itself, the member keeps its arc
-    assert table[0] == RecordEntry(0, ZERO, -1, -1, ())
-    assert table[1] == RecordEntry(0, LexWeight(2, 0), 0, 0, ())
+    assert entry(rec, 0) == (0, ZERO, -1, -1, ())
+    assert entry(rec, 1) == (0, LexWeight(2, 0), 0, 0, ())
     # the out-arc 1->2 (base 3) left the tree, so it gains delta 2 and
     # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
     # (base 4) pointed into the tree and must be gone; 2->0 pointed at the
@@ -117,9 +122,8 @@ def test_contract_tree_tie_keeps_smaller_arc_id():
     # reweighted, 1->2 (base 3, arc 4) costs 2 + 3, exactly the root's own
     # 0->2 (base 5, arc 2); the dedup warns and keeps arc 2
     g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)])
-    table: dict[int, RecordEntry] = {}
     with pytest.warns(PerturbationCollisionWarning):
-        contract_tree(g, two_vertex_tree(), table, lambda aid: ())
+        contract_tree(g, [two_vertex_tree()], lambda aid: ())
     g.check()
     assert list(g.arc_items()) == [(0, 2, (5, 0, 2)), (2, 0, (6, 0, 3))]
 
@@ -130,7 +134,7 @@ def test_contract_tree_deletes_slots_inside_the_tree():
     g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 1, 1, 1, None, 4), (1, 2, 2, 0, 3, 4)])
     g.check()
     assert g.face_count() == 2
-    contract_tree(g, two_vertex_tree(), {}, lambda aid: ())
+    contract_tree(g, [two_vertex_tree()], lambda aid: ())
     g.check()
     assert sorted(g.vertices()) == [0, 2]
     assert g.slot_count == 1
@@ -140,44 +144,106 @@ def test_contract_tree_deletes_slots_inside_the_tree():
 
 def test_contract_tree_chain_fn():
     g = build_graph(3, TRIANGLE)
-    table: dict[int, RecordEntry] = {}
     calls: list[int] = []
 
     def chain_fn(aid: int):
         calls.append(aid)
         return (((7, 7), aid),)
 
-    contract_tree(g, two_vertex_tree(), table, chain_fn)
+    rec = contract_tree(g, [two_vertex_tree()], chain_fn)
     # chains are recorded for member arcs, never for the root self-entry
     assert calls == [0]
-    assert table[1].chain == (((7, 7), 0),)
-    assert table[0].chain == ()
+    assert entry(rec, 1)[4] == (((7, 7), 0),)
+    assert entry(rec, 0)[4] == ()
 
 
 def test_contract_tree_rejects_malformed_trees():
-    members = {
-        0: _Member(-1, -1, ZERO),
-        1: _Member(0, 1, LexWeight(2, 0)),
-    }
-    bad_order = SelectedTree(0, dict(members), [1, 0])
+    # the path 0 -> 1 -> 2 of TRIANGLE, listed with 2 before its parent 1
+    bad_order = SelectedTree([0, 2, 1], [-1, 1, 0], [-1, 3, 1], [0, 5, 2], [0, 0, 0])
     with pytest.raises(NotATreeError, match="precede"):
-        contract_tree(build_graph(3, TRIANGLE), bad_order, {}, lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [bad_order], lambda aid: ())
 
-    short_order = SelectedTree(0, dict(members), [0])
+    short_order = SelectedTree([0, 1], [-1, 0], [-1], [0, 2], [0, 0])
     with pytest.raises(NotATreeError, match="disagree"):
-        contract_tree(build_graph(3, TRIANGLE), short_order, {}, lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [short_order], lambda aid: ())
 
-    rootless = SelectedTree(2, dict(members), [0, 1])
+    rootless = SelectedTree([], [], [], [], [])
     with pytest.raises(NotATreeError):
-        contract_tree(build_graph(3, TRIANGLE), rootless, {}, lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [rootless], lambda aid: ())
 
-    cyclic = SelectedTree(
-        0,
-        {0: _Member(1, -1, ZERO), 1: _Member(0, 1, LexWeight(2, 0))},
-        [0, 1],
-    )
+    cyclic = SelectedTree([0, 1], [1, 0], [-1, 1], [0, 2], [0, 0])
     with pytest.raises(NotATreeError, match="root"):
-        contract_tree(build_graph(3, TRIANGLE), cyclic, {}, lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [cyclic], lambda aid: ())
+
+    absent_root = SelectedTree([7], [-1], [-1], [0], [0])
+    with pytest.raises(NotATreeError, match="not in the graph"):
+        contract_tree(build_graph(3, TRIANGLE), [absent_root], lambda aid: ())
+
+    twice = SelectedTree([0, 1, 1], [-1, 0, 0], [-1, 1, 1], [0, 2, 2], [0, 0, 0])
+    with pytest.raises(NotATreeError, match="twice"):
+        contract_tree(build_graph(3, TRIANGLE), [twice], lambda aid: ())
+
+    # every tree is checked before any is contracted: a bad second tree
+    # leaves the graph as it was
+    g = build_graph(3, TRIANGLE)
+    before = list(g.arc_items())
+    overlapping = SelectedTree([2, 1], [-1, 2], [-1, 2], [0, 4], [0, 0])
+    with pytest.raises(NotATreeError, match="another tree"):
+        contract_tree(g, [two_vertex_tree(), overlapping], lambda aid: ())
+    assert list(g.arc_items()) == before
+    assert sorted(g.vertices()) == [0, 1, 2]
+
+
+# ----------------------------------------------------------------------
+# two trees of one child, joined by slots
+
+
+def tree_along(g, root, edges, deltas):
+    """A SelectedTree over (parent, child) edges listed parents first."""
+    vertex, parent, dart = [root], [-1], [-1]
+    for p, v in edges:
+        d = next(
+            d for d in g.rotation(v)
+            if g.dart_vertex(d ^ 1) == p and g.arc_into(d) is not None
+        )
+        vertex.append(v)
+        parent.append(p)
+        dart.append(d)
+    return SelectedTree(
+        vertex, parent, dart, [0, *(b for b, _ in deltas)], [0, *(q for _, q in deltas)]
+    )
+
+
+def two_joined_trees(g):
+    # in the 3-grid (vertex r * 3 + c), tree A is 0 with members 1 and 3,
+    # tree B is 4 with members 5 and 2; slot 1-2 joins two members, and
+    # slots 1-4 and 3-4 join A's members to B's root
+    a = tree_along(g, 0, [(0, 1), (0, 3)], [(7, 1), (4, 2)])
+    b = tree_along(g, 4, [(4, 5), (5, 2)], [(3, 5), (9, 8)])
+    return a, b
+
+
+def test_one_call_on_two_joined_trees_equals_a_call_per_tree():
+    g_one, _ = gen_grid(3, seed=4)
+    g_two = g_one.copy()
+    a, b = two_joined_trees(g_one)
+    for u, v in ((1, 2), (1, 4), (3, 4)):
+        assert any(g_one.dart_vertex(d ^ 1) == v for d in g_one.rotation(u))
+    both = contract_tree(g_one, [a, b], lambda aid: (aid,))
+    g_one.check()
+    a2, b2 = two_joined_trees(g_two)
+    first = contract_tree(g_two, [a2], lambda aid: (aid,))
+    second = contract_tree(g_two, [b2], lambda aid: (aid,))
+    g_two.check()
+    assert sorted(g_one.vertices()) == [0, 4, 6, 7, 8]
+    assert list(g_one.arc_items()) == list(g_two.arc_items())
+    assert g_one.face_walks() == g_two.face_walks()
+    for name in ("vertex", "root", "dbase", "dpert", "parent", "arc", "chain"):
+        assert getattr(both, name) == getattr(first, name) + getattr(second, name), name
+    # A's contraction dropped the arcs 4 -> 1 and 4 -> 3 into its members
+    # and turned 1 -> 4 and 3 -> 4 into two arcs 0 -> 4; one stays
+    pairs = [(t, h) for t, h, _ in g_one.arc_items() if {t, h} == {0, 4}]
+    assert pairs == [(0, 4)]
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +255,12 @@ def test_contraction_preserves_root_distances(norm3):
     ring = set(norm3.ring_roots)
     for i in range(len(trees) - 1):
         g = norm3.graph.copy()
-        table: dict[int, RecordEntry] = {}
         selected = select_trees(g, trees[i], trees[i + 1])
-        for sel in selected:
-            contract_tree(g, sel, table, lambda aid: ())
-            g.check()
-        absorbed = {v for v, e in table.items() if v != e.root}
+        rec = contract_tree(g, selected, lambda aid: ())
+        g.check()
+        table = {v: entry(rec, v) for v in rec.vertex}
+        assert len(table) == len(rec.vertex)
+        absorbed = {v for v, e in table.items() if v != e[0]}
         assert absorbed == set(table) - {sel.root for sel in selected}
         assert absorbed.isdisjoint(g.vertices())
         # the two interval roots see identical distances to every survivor
@@ -205,12 +271,12 @@ def test_contraction_preserves_root_distances(norm3):
                 assert before.dist[v] == d
         # record entries re-derive each absorbed vertex's distance
         for v in absorbed:
-            e = table[v]
-            assert trees[i].dist[e.root] + e.delta == trees[i].dist[v]
+            root, delta, _, _, _ = table[v]
+            assert trees[i].dist[root] + delta == trees[i].dist[v]
             hops = 0
             cur = v
-            while table[cur].parent != -1:
-                cur = table[cur].parent
+            while table[cur][2] != -1:
+                cur = table[cur][2]
                 hops += 1
                 assert hops <= len(table)
-            assert cur == e.root
+            assert cur == root

@@ -196,10 +196,8 @@ def test_inherited_trees_equal_fresh_trees_after_contraction(norm3):
             sssp_tree(g, r, [x for x in ring if x != r], adj=adj) for r in ends
         )
         h = g.copy([x for x in ring if x not in ends])
-        table = {}
-        for sel in select_trees(h, low, high):
-            contract_tree(h, sel, table, lambda aid: ())
-        root_of = {v: e.root for v, e in table.items() if e.root != v}
+        rec = contract_tree(h, select_trees(h, low, high), lambda aid: ())
+        root_of = {v: r for v, r in zip(rec.vertex, rec.root) if r != v}
         contracted += len(root_of)
         child = out_adjacency(h)
         for tree in (low, high):
