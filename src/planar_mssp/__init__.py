@@ -22,7 +22,6 @@ from .errors import (
     BadRootIndexError,
     BadRotationError,
     CorruptFileError,
-    DartNotAtVertexError,
     DisconnectedInputError,
     DuplicateArcError,
     FaceNotFoundError,
@@ -65,7 +64,6 @@ __all__ = [
     "BadRotationError",
     "BuildStats",
     "CorruptFileError",
-    "DartNotAtVertexError",
     "DisconnectedInputError",
     "DuplicateArcError",
     "EmbeddedDigraph",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
-from .errors import NotATreeError
+from .errors import GraphError, NotATreeError
 from .sssp import SSSPTree, shared_forest
 
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
@@ -90,15 +90,21 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
     par_row = t_low.par_row
     high_dart = t_high.par_dart
     children = forest.children
+    nxt = h._next
     out: list[SelectedTree] = []
     for r_s in forest.root_rows:
-        s = vertices[r_s]
         d_low = par_dart[r_s]
         d_high = high_dart[r_s]
-        kept = [
-            r for r in children[r_s]
-            if h.cw_order(s, reverse_dart(par_dart[r]), d_low, d_high)
-        ]
+        # a child passes when its dart at s lies clockwise after d_high and
+        # before d_low: one walk of s's rotation decides every child
+        between: set[int] = set()
+        d = nxt[d_high]
+        while d != d_low:
+            if d == d_high:
+                raise GraphError(f"parent darts of {vertices[r_s]} are not on one rotation")
+            between.add(d)
+            d = nxt[d]
+        kept = [r for r in children[r_s] if reverse_dart(par_dart[r]) in between]
         if not kept:
             continue
         rows = [r_s]

@@ -15,6 +15,12 @@ Arcs are triples ``(base, perturb, arc_id)``. The arc id is assigned once
 (``2 * slot_id + direction``) and survives reweighting and contraction,
 which is what lets reported paths refer back to input arcs.
 
+``build_graph`` makes a valid graph from a slot list. The construction
+methods (``add_vertex``, ``add_slot``, ``set_arc``) do not check the
+input contract, so a graph built with them may break it; ``check()``
+validates it, and ``normalize`` checks the same rules on its input (the
+contract is written out in the normalize module docstring).
+
 Contraction (``_merge_tree``) merges a tree of slots into its root with
 one walk around the tree, so each dart at a tree vertex is looked at once.
 The darts that survive, in the order of that walk, become the root's
@@ -32,7 +38,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     BadRotationError,
-    DartNotAtVertexError,
+    DisconnectedInputError,
     DuplicateArcError,
     GraphError,
     NegativeWeightError,
@@ -185,23 +191,8 @@ class EmbeddedDigraph:
         else:
             self.slots[sid].a01 = arc
 
-    def delete_arc(self, sid: int, direction: int) -> None:
-        """Remove one directed arc; a slot with no arcs left is deleted."""
-        slot = self.slots[sid]
-        if direction:
-            slot.a10 = None
-        else:
-            slot.a01 = None
-        if slot.a01 is None and slot.a10 is None:
-            self.delete_slot(sid)
-
-    def delete_slot(self, sid: int) -> None:
-        slot = self.slots.pop(sid)
-        self._remove_dart(2 * sid, slot.v0)
-        self._remove_dart(2 * sid + 1, slot.v1)
-
     # ------------------------------------------------------------------
-    # faces and rotation queries
+    # faces
 
     def face_walks(self) -> list[list[int]]:
         """All face orbits of next_cw(reverse(d)), each from its least dart.
@@ -230,27 +221,6 @@ class EmbeddedDigraph:
             # a lone dartless vertex still bounds the one face of the sphere
             return 1 if self._entry else 0
         return len(self.face_walks())
-
-    def cw_order(self, s: int, d_start: int, d_a: int, d_b: int) -> bool:
-        """True iff walking clockwise from d_start hits d_a before d_b.
-
-        All three darts must be distinct and sit at s.
-        """
-        for d in (d_start, d_a, d_b):
-            if d >> 1 not in self.slots or self.dart_vertex(d) != s:
-                raise DartNotAtVertexError(f"dart {d} is not at vertex {s}")
-        if len({d_start, d_a, d_b}) != 3:
-            raise GraphError("cw_order requires three distinct darts")
-        nxt = self._next
-        cur = nxt[d_start]
-        while True:
-            if cur == d_a:
-                return True
-            if cur == d_b:
-                return False
-            if cur == d_start:  # pragma: no cover - guarded by the checks above
-                raise GraphError("cw_order darts not on one rotation")
-            cur = nxt[cur]
 
     # ------------------------------------------------------------------
     # contraction
@@ -444,66 +414,97 @@ class EmbeddedDigraph:
                         ent[w] = n
 
     def connected_undirected(self) -> bool:
-        if not self._entry:
+        """True iff the slots join all vertices; reads no rotation, so it
+        answers for any graph, however broken its rotations are."""
+        entry = self._entry
+        if not entry:
             return True
-        start = next(iter(self._entry))
+        nbrs: dict[int, list[int]] = {v: [] for v in entry}
+        for slot in self.slots.values():
+            at0 = nbrs.get(slot.v0)
+            at1 = nbrs.get(slot.v1)
+            if at0 is not None and at1 is not None:
+                at0.append(slot.v1)
+                at1.append(slot.v0)
+        start = next(iter(entry))
         seen = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for d in self.rotation(v):
-                w = self.dart_vertex(d ^ 1)
+            for w in nbrs[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self._entry)
+        return len(seen) == len(entry)
 
     def check(self) -> None:
-        """Validate structural invariants; raises GraphError on violation.
+        """Validate the input contract of the normalize module docstring.
 
-        Checks rotation/link consistency, slot-dart agreement, per-ordered-
-        pair arc uniqueness, non-negative weights, and — when
-        the graph is connected — Euler's formula.
+        Raises DisconnectedInputError if the graph is not connected, else
+        GraphError or a subclass of it on the first rule it breaks.
         """
+        if not self.connected_undirected():
+            raise DisconnectedInputError("underlying undirected graph is not connected")
+        self._check_rules(self.face_walks())
+
+    def _check_rules(self, walks: list[list[int]]) -> tuple[set[tuple[int, int]], int]:
+        """Check every rule of check() but connectivity, in one pass each
+        over the rotations and the slots; walks are face_walks().
+
+        Returns the ordered pairs that carry an arc and the largest base.
+        """
+        nxt, prv, slots = self._next, self._prev, self.slots
         darts_seen: dict[int, int] = {}
         for v, entry in self._entry.items():
             if entry is None:
                 continue
             d = entry
-            for _ in range(2 * len(self.slots) + 1):
+            for _ in range(2 * len(slots) + 1):
                 if d in darts_seen:
                     raise GraphError(f"dart {d} reached from two vertices")
                 darts_seen[d] = v
-                if self._prev[self._next[d]] != d:
+                n = nxt.get(d)
+                if n is None or prv.get(n) != d:
                     raise GraphError(f"broken links at dart {d}")
-                d = self._next[d]
+                d = n
                 if d == entry:
                     break
             else:
                 raise GraphError(f"rotation at {v} does not close")
         pairs: set[tuple[int, int]] = set()
-        for sid, slot in self.slots.items():
-            for end, vtx in ((0, slot.v0), (1, slot.v1)):
-                d = 2 * sid + end
-                if darts_seen.get(d) != vtx:
-                    raise GraphError(f"dart {d} not in rotation of {vtx}")
+        max_base = 0
+        for sid, slot in slots.items():
+            v0 = slot.v0
+            v1 = slot.v1
+            if darts_seen.get(2 * sid) != v0 or darts_seen.get(2 * sid + 1) != v1:
+                raise GraphError(f"darts of slot {sid} are not at its ends {v0} and {v1}")
+            if v0 == v1:
+                raise SelfLoopSlotError(f"slot {sid} joins {v0} to itself")
             if slot.a01 is None and slot.a10 is None:
                 raise GraphError(f"slot {sid} has no arcs")
-            for direction, arc in ((0, slot.a01), (1, slot.a10)):
+            for direction, arc, pair in ((0, slot.a01, (v0, v1)), (1, slot.a10, (v1, v0))):
                 if arc is None:
                     continue
+                if not (
+                    isinstance(arc, tuple) and len(arc) == 3
+                    and type(arc[0]) is int and type(arc[1]) is int and type(arc[2]) is int
+                ):
+                    raise GraphError(f"arc {pair} is {arc!r}, not an int triple")
                 if arc[0] < 0 or arc[1] < 0:
-                    raise GraphError(f"negative weight component on arc {arc}")
-                pair = (slot.endpoint(direction), slot.endpoint(1 - direction))
+                    raise NegativeWeightError(f"arc {pair} has weight {arc[:2]}")
+                if arc[2] != 2 * sid + direction:
+                    raise GraphError(f"arc {pair} has id {arc[2]}, not {2 * sid + direction}")
                 if pair in pairs:
-                    raise GraphError(f"two arcs for ordered pair {pair}")
+                    raise DuplicateArcError(f"second arc for ordered pair {pair}")
                 pairs.add(pair)
-        if len(darts_seen) != 2 * len(self.slots):
+                if arc[0] > max_base:
+                    max_base = arc[0]
+        if len(darts_seen) != 2 * len(slots):
             raise GraphError("orphan darts exist outside all rotations")
-        if self._entry and self.connected_undirected():
-            euler = self.vertex_count - self.slot_count + self.face_count()
-            if euler != 2:
-                raise GraphError(f"Euler characteristic {euler} != 2")
+        # a connected graph with no slots is one vertex in one face
+        euler = len(self._entry) - len(slots) + (len(walks) if slots else 1)
+        if euler != 2:
+            raise GraphError(f"Euler characteristic {euler} != 2")
+        return pairs, max_base
 
 
 def build_graph(

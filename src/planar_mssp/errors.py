@@ -20,15 +20,11 @@ class BadRotationError(GraphError):
 
 
 class NegativeWeightError(GraphError):
-    """An arc was given a negative base weight."""
+    """An arc was given a negative base weight or perturbation."""
 
 
 class SelfLoopSlotError(GraphError):
-    """An input slot has equal endpoints."""
-
-
-class DartNotAtVertexError(GraphError):
-    """A dart handed to a rotation query does not sit at the stated vertex."""
+    """A slot has equal endpoints."""
 
 
 class DisconnectedInputError(MsspError):

@@ -19,6 +19,27 @@ the walk's left, so the rest of the graph is on its right).
 
 ``map_answer`` folds a query result back to original-graph terms: any base
 distance reaching W_big means the target is unreachable in the input.
+
+Input contract. ``normalize`` checks these rules on its input graph, once,
+before it builds anything; ``EmbeddedDigraph.check`` checks the same rules
+on any graph:
+
+* rotations and links are consistent, and every slot's two darts sit in
+  the rotations of its two endpoints;
+* a slot joins two different vertices (else SelfLoopSlotError) and
+  carries at least one arc;
+* every arc is an (int, int, int) triple (base, perturb, id), bools
+  excluded, with a non-negative base and perturbation (else
+  NegativeWeightError) and the id 2 * slot_id + direction;
+* no ordered pair of vertices carries two arcs (else DuplicateArcError);
+* the graph is connected and its Euler characteristic is 2.
+
+Errors come in this order: an empty graph raises GraphError; a
+disconnected one DisconnectedInputError, whatever else is wrong with it;
+a face that is not one of the graph's face walks FaceNotFoundError; any
+other broken rule GraphError or a subclass of it. The rings, spokes,
+reverse arcs and perturbations keep every rule by construction, so the
+normalized graph is not checked again.
 """
 
 from __future__ import annotations
@@ -123,6 +144,11 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
     to one of them. `seed` drives the perturbation generator; equal seeds
     give identical instances.
 
+    The input must meet the contract in the module docstring. Errors come
+    in its order: GraphError for an empty graph, then
+    DisconnectedInputError, then FaceNotFoundError, then GraphError or a
+    subclass of it for any other broken rule and for the admission rule.
+
     Admission: with n input vertices and W_big = n * max_weight + 1, an
     instance is admitted only while 2 * n * W_big < 2**62, else GraphError.
     Every arc base is at most W_big (the added reverse arcs weigh exactly
@@ -149,97 +175,63 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
         raise GraphError("cannot normalize an empty graph")
     if not g.connected_undirected():
         raise DisconnectedInputError("underlying undirected graph is not connected")
-    work = g.copy()
-    walk = _resolve_face(work.face_walks(), face, work)
-    n_original = work.vertex_count
-
-    if walk:
-        b_list: list[int] = []
-        seen: set[int] = set()
-        for d in walk:
-            v = work.dart_vertex(d)
-            if v not in seen:
-                seen.add(v)
-                b_list.append(v)
-    else:
-        b_list = [next(iter(work.vertices()))]
-
-    max_base = max((arc[0] for _, _, arc in work.arc_items()), default=0)
+    walks = g.face_walks()
+    walk = _resolve_face(walks, face, g)
+    present, max_base = g._check_rules(walks)
+    n_original = g.vertex_count
     w_big = n_original * max_base + 1
     # a simple path has fewer than n arcs besides its spoke, each at most
     # w_big; the rule keeps a 2x margin over that (see the docstring)
     if 2 * n_original * w_big >= _MAX_PATH_BASE:
         raise GraphError("base weights too large for 62-bit path sums")
 
-    # strong connectivity: add the missing direction of single-arc slots,
-    # unless some other slot already carries that ordered pair
-    present: set[tuple[int, int]] = set()
-    for tail, head, _ in work.arc_items():
-        present.add((tail, head))
-    reverse_ids: set[int] = set()
-    for sid in sorted(work.slots):
-        slot = work.slots[sid]
-        for direction, arc, pair in (
-            (0, slot.a01, (slot.v0, slot.v1)),
-            (1, slot.a10, (slot.v1, slot.v0)),
-        ):
-            if arc is None and pair not in present:
-                aid = 2 * sid + direction
-                work.set_arc(sid, direction, (w_big, 0, aid))
-                reverse_ids.add(aid)
-                present.add(pair)
-
-    # ring vertices, one per distinct face vertex, id-allocated past the input
+    # one ring vertex per distinct face vertex b_i, in order of first
+    # appearance along the walk, id-allocated past the input. At b_i's
+    # first appearance the walk arrives on reverse_dart(w_{j-1}) and leaves
+    # on w_j, its immediate cw successor; the spoke dart goes between them,
+    # i.e. inside the face
+    work = g.copy()
+    corner: dict[int, int] = {}
+    for pos, d in enumerate(walk):
+        v = work.dart_vertex(d)
+        if v not in corner:
+            corner[v] = reverse_dart(walk[pos - 1])
+    b_list = list(corner) if walk else [next(iter(work.vertices()))]
     first_ring_id = max(work.vertices()) + 1
     rings = [first_ring_id + i for i in range(len(b_list))]
     for r in rings:
         work.add_vertex(r)
-
-    # spoke insertion corner: at b_i's first appearance the walk arrives on
-    # reverse_dart(w_{j-1}) and leaves on w_j, its immediate cw successor;
-    # the spoke dart goes between them, i.e. inside the face
-    corner: dict[int, int] = {}
-    if walk:
-        seen = set()
-        for pos, d in enumerate(walk):
-            v = work.dart_vertex(d)
-            if v not in seen:
-                seen.add(v)
-                corner[v] = reverse_dart(walk[pos - 1])
-
-    spoke_ids: set[int] = set()
+    first_spoke = work._next_slot
     for r, bv in zip(rings, b_list):
-        sid = work._next_slot
-        aid = 2 * sid
-        work.add_slot(r, bv, (0, 0, aid), None, None, corner.get(bv))
-        spoke_ids.add(aid)
+        work.add_slot(r, bv, (0, 0, 2 * work._next_slot), None, None, corner.get(bv))
 
-    # distinct perturbations on all arcs, in deterministic arc order
+    # in slot order: strong connectivity by the missing direction of each
+    # single-arc input slot, unless another slot carries that ordered pair
+    # (the input has one arc per pair, so no two slots add the same one);
+    # and a distinct perturbation on every arc
     rng = random.Random(seed)
     used: set[int] = set()
     arcs: dict[int, ArcInfo] = {}
     for sid in sorted(work.slots):
         slot = work.slots[sid]
-        for direction, arc in ((0, slot.a01), (1, slot.a10)):
-            if arc is None:
+        for direction, arc, tail, head in (
+            (0, slot.a01, slot.v0, slot.v1),
+            (1, slot.a10, slot.v1, slot.v0),
+        ):
+            if arc is not None:
+                kind = ARC_ORIGINAL if sid < first_spoke else ARC_SPOKE
+            elif sid < first_spoke and (tail, head) not in present:
+                arc = (w_big, 0, 2 * sid + direction)
+                kind = ARC_REVERSE
+            else:
                 continue
-            tail = slot.endpoint(direction)
-            head = slot.endpoint(1 - direction)
-            aid = arc[2]
             p = rng.getrandbits(63)
             while p in used:
                 p = rng.getrandbits(63)
             used.add(p)
-            work.set_arc(sid, direction, (arc[0], p, aid))
-            if aid in spoke_ids:
-                kind = ARC_SPOKE
-            elif aid in reverse_ids:
-                kind = ARC_REVERSE
-            else:
-                kind = ARC_ORIGINAL
-            arcs[aid] = ArcInfo(tail, head, arc[0], p, kind)
+            work.set_arc(sid, direction, (arc[0], p, arc[2]))
+            arcs[arc[2]] = ArcInfo(tail, head, arc[0], p, kind)
 
-    work.check()
     return NormalizedInstance(
         graph=work,
         ring_roots=rings,

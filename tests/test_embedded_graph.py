@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from planar_mssp import (
     BadRotationError,
-    DartNotAtVertexError,
     DuplicateArcError,
     GraphError,
     NegativeWeightError,
@@ -87,20 +86,6 @@ def test_arc_lookups(tri_oneway):
     assert g.arc_into(1 ^ 1) is None
 
 
-def test_cw_order(grid3):
-    g, _ = grid3
-    center = 4
-    d0, d1, d2, d3 = g.rotation(center)
-    assert g.cw_order(center, d0, d1, d2)
-    assert not g.cw_order(center, d0, d2, d1)
-    assert g.cw_order(center, d2, d3, d0)
-    assert g.cw_order(center, d3, d0, d2)
-    with pytest.raises(DartNotAtVertexError):
-        g.cw_order(center, d0, d1, g.rotation(0)[0])
-    with pytest.raises(GraphError):
-        g.cw_order(center, d0, d0, d1)
-
-
 def test_copy_preserves_structure(grid3):
     g, _ = grid3
     h = g.copy()
@@ -109,8 +94,10 @@ def test_copy_preserves_structure(grid3):
         assert h.rotation(v) == g.rotation(v)
     h.check()
     # independent storage: mutating the copy leaves the original alone
-    h.delete_slot(0)
-    assert 0 in g.slots
+    before = [(sid, s.v0, s.v1, s.a01, s.a10) for sid, s in g.slots.items()]
+    h.set_arc(0, 0, (999, 1, 0))
+    h.set_arc(1, 1, None)
+    assert [(sid, s.v0, s.v1, s.a01, s.a10) for sid, s in g.slots.items()] == before
 
 
 def test_copy_with_drops(grid3):

@@ -9,17 +9,26 @@ import pytest
 
 from planar_mssp import (
     DisconnectedInputError,
+    DuplicateArcError,
+    EmbeddedDigraph,
     FaceNotFoundError,
     GraphError,
+    NegativeWeightError,
+    SelfLoopSlotError,
     UNREACHABLE,
     LexWeight,
     build,
     build_graph,
+    gen_grid,
+    gen_random_planar,
     load,
     map_answer,
     normalize,
+    verify,
 )
 from planar_mssp.normalize import ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE
+from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
+from tests.test_persistence import oneway_grid
 
 # 2x2 grid, every arc weight 1, rotations laid out in the plane (row
 # major: 0 1 / 2 3). Its clockwise outer cycle is 0,1,3,2.
@@ -260,10 +269,127 @@ def test_huge_weight_is_too_large_not_absent():
             normalize(g, 0, seed=0)
 
 
+def hand_graph(n: int, slots) -> EmbeddedDigraph:
+    """A graph built only with EmbeddedDigraph's methods, as a caller could.
+
+    Each slot is (u, v, arc_uv, arc_vu) with whole arcs, ids included, and
+    its darts land wherever add_slot puts them by default.
+    """
+    g = EmbeddedDigraph()
+    for v in range(n):
+        g.add_vertex(v)
+    for u, v, arc_uv, arc_vu in slots:
+        g.add_slot(u, v, arc_uv, arc_vu)
+    return g
+
+
 @pytest.mark.parametrize("weight", [1.5, 2.0, True, False, "3"])
 def test_non_int_weight_rejected(weight):
     with pytest.raises(GraphError, match="not an int"):
         build_graph(2, [(0, 1, 0, 0, weight, 1)])
+    # a graph built by hand meets the same rule in normalize
+    g = hand_graph(2, [(0, 1, (weight, 0, 0), (1, 0, 1))])
+    with pytest.raises(GraphError, match="not an int"):
+        normalize(g, 0, seed=0)
+
+
+# a triangle with both directions on every slot, arc ids as build_graph
+# gives them; the third slot's darts sit where add_slot puts them
+HAND_TRI = [
+    (0, 1, (1, 0, 0), (2, 0, 1)),
+    (1, 2, (3, 0, 2), (4, 0, 3)),
+    (0, 2, (5, 0, 4), (6, 0, 5)),
+]
+
+
+def tri_with(sid: int, arc_uv, arc_vu=None):
+    """HAND_TRI with slot sid's arcs replaced."""
+    slots = list(HAND_TRI)
+    u, v, _, old_vu = slots[sid]
+    slots[sid] = (u, v, arc_uv, old_vu if arc_vu is None else arc_vu)
+    return slots
+
+
+K4 = [(u, v, (1, 0, 2 * i), (1, 0, 2 * i + 1))
+      for i, (u, v) in enumerate((u, v) for u in range(4) for v in range(u + 1, 4))]
+
+HOSTILE = {
+    "disconnected": (4, [(0, 1, (1, 0, 0), None), (2, 3, (1, 0, 2), None)], 0,
+                     DisconnectedInputError, "not connected"),
+    "disconnected-duplicate-pair": (
+        4, [(0, 1, (1, 0, 0), None), (0, 1, (2, 0, 2), None), (2, 3, (1, 0, 4), None)], 0,
+        DisconnectedInputError, "not connected"),
+    "k4-euler-0": (4, K4, 0, GraphError, "Euler characteristic 0"),
+    "duplicate-pair": (3, HAND_TRI + [(0, 1, (7, 0, 6), None)], 0,
+                       DuplicateArcError, r"pair \(0, 1\)"),
+    "negative-base": (3, tri_with(0, (-1, 0, 0)), 0, NegativeWeightError, "weight"),
+    "negative-perturbation": (3, tri_with(0, (1, -1, 0)), 0, NegativeWeightError, "weight"),
+    "bad-face-duplicate-pair": (3, HAND_TRI + [(0, 1, (7, 0, 6), None)], 99,
+                                FaceNotFoundError, "out of range"),
+    "shared-arc-id": (3, tri_with(1, (3, 0, 0)), 0, GraphError, "has id 0, not 2"),
+    "first-spoke-id": (3, tri_with(0, (1, 0, 6)), 0, GraphError, "has id 6, not 0"),
+    "pair-arc": (3, tri_with(0, (1, 0)), 0, GraphError, "not an int"),
+    "no-arcs": (3, [(0, 1, None, None), *HAND_TRI[1:]], 0, GraphError, "no arcs"),
+    "self-loop": (3, HAND_TRI + [(0, 0, (1, 0, 6), None)], 0, SelfLoopSlotError, "itself"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_fails_typed(name):
+    n, slots, face, error, message = HOSTILE[name]
+    g = hand_graph(n, slots)
+    if name == "k4-euler-0":
+        assert g.vertex_count - g.slot_count + g.face_count() == 0
+    with pytest.raises(error, match=message):
+        normalize(g, face, seed=0)
+    if error is not FaceNotFoundError:
+        with pytest.raises(error, match=message):
+            g.check()
+
+
+def test_hand_built_graph_is_accepted():
+    g = hand_graph(3, HAND_TRI)
+    g.check()
+    report = verify(g, 0, seed=1, force_exhaustive=True)
+    assert report.passed and report.pairs_checked
+
+
+def test_shared_arc_id_fails_before_any_query():
+    # two arcs with one id passed the old checks, and paths came out wrong
+    g, outer = gen_grid(3, seed=2)
+    h = g.copy()
+    arc = h.slots[1].a01
+    h.set_arc(1, 0, (arc[0], arc[1], h.slots[0].a01[2]))
+    with pytest.raises(GraphError, match="id"):
+        normalize(h, outer, seed=1)
+    with pytest.raises(GraphError, match="id"):
+        verify(h, outer, seed=1, path_checks=500)
+
+
+def normalized_corpus():
+    """(name, graph, faces) of the inputs whose normalized graphs are checked."""
+    for k in range(2, 6):
+        g, _ = gen_grid(k, seed=k)
+        yield f"grid{k}", g, range(g.face_count())
+    for seed in range(3):
+        g, _ = gen_random_planar(6, seed=seed, delete_prob=0.4)
+        yield f"random6-s{seed}", g, range(g.face_count())
+    for name, n, slots in (("bowtie", 5, BOWTIE_SLOTS), ("tri_oneway", 3, TRI_ONEWAY_SLOTS)):
+        g = build_graph(n, slots)
+        yield name, g, range(g.face_count())
+    yield "single", build_graph(1, []), [0]
+    g, centre = oneway_grid(16)
+    yield "grid16-oneway", g, [centre, 0]
+
+
+def test_normalized_instances_meet_the_contract():
+    # normalize checks its input only; its output keeps the contract by
+    # construction, which this checks
+    for name, g, faces in normalized_corpus():
+        for face in faces:
+            norm = normalize(g, face, seed=face)
+            norm.graph.check()
+            assert norm.graph.vertex_count == g.vertex_count + norm.root_count, (name, face)
 
 
 def test_map_answer():
