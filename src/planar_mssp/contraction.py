@@ -137,14 +137,16 @@ def contract_tree(
 
     The trees must be vertex-disjoint. Each is checked against the graph
     before any changes it: parents precede children, and each member's
-    dart is at the member on a slot that carries an arc from its parent
-    to it. Then each tree in turn loses its arcs entering it anywhere but
-    the root, has the arcs leaving it reweighted by the member's delta,
-    is merged into its root so the embedding survives, and keeps only the
-    cheapest arc per ordered pair around the root. chain_fn maps an arc
-    id to its current tail expansion, which the member's entry stores.
+    dart d sits at the member while d ^ 1 sits at its parent and carries
+    the tree arc, whose id is therefore d ^ 1. Then each tree in turn
+    loses its arcs entering it anywhere but the root, has the arcs
+    leaving it reweighted by the member's delta, is merged into its root
+    so the embedding survives, and keeps only the cheapest arc per
+    ordered pair around the root. chain_fn maps an arc id to its current
+    tail expansion, which the member's entry stores.
     """
-    slots = h.slots
+    at = h._at
+    arc_at = h._arc
     entry = h._entry
     rec = Records([], [], [], [], [], [], [])
     placed: set[int] = set()  # vertices of the trees checked so far
@@ -167,14 +169,10 @@ def contract_tree(
         for v, p, d in members:
             if p not in seen:
                 raise NotATreeError(f"parent of {v} does not precede it")
-            slot = slots.get(d >> 1)
-            if slot is None:
+            if d not in arc_at:
                 raise NotATreeError(f"tree dart of {v} is not in the graph")
-            if d & 1:
-                arc = slot.a01 if slot.v1 == v and slot.v0 == p else None
-            else:
-                arc = slot.a10 if slot.v0 == v and slot.v1 == p else None
-            if arc is None:
+            arc = arc_at[d ^ 1]
+            if arc is None or at[d] != v or at[d ^ 1] != p:
                 raise NotATreeError(f"no tree arc from the parent of {v} to it")
             seen.add(v)
             arcs.append(arc[2])

@@ -4,22 +4,34 @@ Vertices are integer ids. An undirected *slot* is one embedded curve
 between two distinct vertices and carries up to two directed arcs, one per
 direction; both arcs share the curve. A *dart* is one end of a slot,
 encoded as ``2 * slot_id + end`` where end 0 sits at the slot's first
-endpoint and end 1 at its second. Every vertex stores the cyclic clockwise
-order of the darts at it as a doubly linked circular list.
+endpoint and end 1 at its second, so ``d ^ 1`` is the dart at the other
+end.
+
+The graph is stored per dart. Two lists indexed by dart id hold each
+dart's vertex (``_at``) and its clockwise successor at that vertex
+(``_next``); they hold every dart ever made, and a dart that is gone reads
+None in both. The dict ``_arc``, keyed by the darts that exist, holds the
+arc leaving ``_at[d]`` along d, or None; both darts of a slot come and go
+together. ``_entry`` maps each vertex to one dart at it, or None. Each
+rotation is a singly linked circular list: taking a dart out of it walks
+the rotation once round to find the dart's predecessor.
 
 Faces are the orbits of ``d -> next_cw(reverse_dart(d))``; with clockwise
 rotations each face lies to the left of the darts on its walk. For a
 connected graph, #vertices - #slots + #faces == 2.
 
-Arcs are triples ``(base, perturb, arc_id)``. The arc id is assigned once
-(``2 * slot_id + direction``) and survives reweighting and contraction,
-which is what lets reported paths refer back to input arcs.
+Arcs are triples ``(base, perturb, arc_id)``. An arc's id is the dart at
+its tail, ``2 * slot_id + direction``; it is assigned once and survives
+reweighting and contraction, which keep the arc on the same dart. That is
+what lets reported paths refer back to input arcs.
 
 ``build_graph`` makes a valid graph from a slot list. The construction
 methods (``add_vertex``, ``add_slot``, ``set_arc``) do not check the
 input contract, so a graph built with them may break it; ``check()``
 validates it, and ``normalize`` checks the same rules on its input (the
-contract is written out in the normalize module docstring).
+contract is written out in the normalize module docstring). ``add_slot``
+does check that its endpoints and ``after`` darts exist before it changes
+anything.
 
 Contraction (``_merge_tree``) merges a tree of slots into its root with
 one walk around the tree, so each dart at a tree vertex is looked at once.
@@ -54,35 +66,16 @@ def reverse_dart(d: int) -> int:
     return d ^ 1
 
 
-class EdgeSlot:
-    """One embedded curve between v0 and v1 with up to two directed arcs."""
-
-    __slots__ = ("v0", "v1", "a01", "a10")
-
-    def __init__(self, v0: int, v1: int, a01: Arc | None, a10: Arc | None):
-        self.v0 = v0
-        self.v1 = v1
-        self.a01 = a01  # arc v0 -> v1
-        self.a10 = a10  # arc v1 -> v0
-
-    def endpoint(self, end: int) -> int:
-        return self.v1 if end else self.v0
-
-    def __repr__(self) -> str:
-        return f"EdgeSlot({self.v0}, {self.v1}, {self.a01}, {self.a10})"
-
-
 class EmbeddedDigraph:
     """Mutable embedded digraph; see the module docstring for conventions."""
 
-    __slots__ = ("slots", "_next", "_prev", "_entry", "_next_slot")
+    __slots__ = ("_at", "_next", "_arc", "_entry")
 
     def __init__(self) -> None:
-        self.slots: dict[int, EdgeSlot] = {}
-        self._next: dict[int, int] = {}  # clockwise successor per dart
-        self._prev: dict[int, int] = {}
+        self._at: list[int | None] = []  # dart -> its vertex
+        self._next: list[int | None] = []  # dart -> clockwise successor
+        self._arc: dict[int, Arc | None] = {}  # dart -> arc leaving along it
         self._entry: dict[int, int | None] = {}  # vertex -> any dart at it
-        self._next_slot = 0
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -96,10 +89,13 @@ class EmbeddedDigraph:
 
     @property
     def slot_count(self) -> int:
-        return len(self.slots)
+        return len(self._arc) // 2
 
     def dart_vertex(self, d: int) -> int:
-        return self.slots[d >> 1].endpoint(d & 1)
+        """The vertex dart d sits at; KeyError unless dart d exists."""
+        if d not in self._arc:
+            raise KeyError(f"no dart {d!r}")
+        return self._at[d]
 
     def rotation(self, v: int) -> list[int]:
         """Darts at v in clockwise order, starting at an arbitrary dart."""
@@ -115,18 +111,18 @@ class EmbeddedDigraph:
         return out
 
     def arc_into(self, d: int) -> Arc | None:
-        """The arc arriving at dart d's vertex along d's slot, if present."""
-        slot = self.slots[d >> 1]
-        return slot.a01 if d & 1 else slot.a10
+        """The arc arriving at dart d's vertex along d's slot, if present;
+        KeyError unless dart d exists."""
+        if d not in self._arc:
+            raise KeyError(f"no dart {d!r}")
+        return self._arc[d ^ 1]
 
     def arc_items(self) -> Iterator[tuple[int, int, Arc]]:
-        """Yields (tail, head, arc) for every arc, in slot-id order."""
-        for sid in sorted(self.slots):
-            slot = self.slots[sid]
-            if slot.a01 is not None:
-                yield slot.v0, slot.v1, slot.a01
-            if slot.a10 is not None:
-                yield slot.v1, slot.v0, slot.a10
+        """Yields (tail, head, arc) for every arc, in arc-id order."""
+        at, arcs = self._at, self._arc
+        for d in sorted(arcs):
+            if arcs[d] is not None:
+                yield at[d], at[d ^ 1], arcs[d]
 
     # ------------------------------------------------------------------
     # construction primitives
@@ -138,31 +134,36 @@ class EmbeddedDigraph:
 
     def _insert_dart(self, v: int, d: int, after: int | None) -> None:
         """Splice dart d into v's rotation right after `after` (clockwise)."""
+        nxt = self._next
         cur = self._entry[v]
         if cur is None:
             self._entry[v] = d
-            self._next[d] = d
-            self._prev[d] = d
+            nxt[d] = d
             return
         if after is None:
             after = cur
-        nxt = self._next[after]
-        self._next[after] = d
-        self._prev[d] = after
-        self._next[d] = nxt
-        self._prev[nxt] = d
+        nxt[d] = nxt[after]
+        nxt[after] = d
 
-    def _remove_dart(self, d: int, v: int) -> None:
-        """Unlink dart d from the rotation of v, the vertex it sits at."""
-        nxt = self._next.pop(d)
-        prv = self._prev.pop(d)
-        if nxt == d:
+    def _unlink(self, d: int) -> None:
+        """Take dart d out of its vertex's rotation and forget its place.
+
+        The rotation is walked once round to find d's predecessor. The
+        caller deletes the arcs of d's slot.
+        """
+        at, nxt = self._at, self._next
+        v = at[d]
+        n = nxt[d]
+        if n == d:
             self._entry[v] = None
-            return
-        self._next[prv] = nxt
-        self._prev[nxt] = prv
-        if self._entry[v] == d:
-            self._entry[v] = nxt
+        else:
+            p = n
+            while nxt[p] != d:
+                p = nxt[p]
+            nxt[p] = n
+            if self._entry[v] == d:
+                self._entry[v] = n
+        at[d] = nxt[d] = None
 
     def add_slot(
         self,
@@ -176,20 +177,29 @@ class EmbeddedDigraph:
         """Append a new slot; its darts are spliced in after the given darts.
 
         With after_X None the dart lands at an arbitrary position of X's
-        rotation (fine for fresh or degree<=1 vertices).
+        rotation (fine for fresh or degree<=1 vertices). Raises GraphError,
+        and changes nothing, unless both endpoints exist and each given
+        after_X is a dart at X.
         """
-        sid = self._next_slot
-        self._next_slot += 1
-        self.slots[sid] = EdgeSlot(u, v, arc_uv, arc_vu)
-        self._insert_dart(u, 2 * sid, after_u)
-        self._insert_dart(v, 2 * sid + 1, after_v)
-        return sid
+        for x, after in ((u, after_u), (v, after_v)):
+            if x not in self._entry:
+                raise GraphError(f"no vertex {x!r}")
+            if after is not None and (after not in self._arc or self._at[after] != x):
+                raise GraphError(f"dart {after!r} is not at vertex {x!r}")
+        d = len(self._at)
+        self._at += (u, v)
+        self._next += (None, None)
+        self._arc[d] = arc_uv
+        self._arc[d + 1] = arc_vu
+        self._insert_dart(u, d, after_u)
+        self._insert_dart(v, d + 1, after_v)
+        return d >> 1
 
     def set_arc(self, sid: int, direction: int, arc: Arc | None) -> None:
-        if direction:
-            self.slots[sid].a10 = arc
-        else:
-            self.slots[sid].a01 = arc
+        d = 2 * sid + (1 if direction else 0)
+        if d not in self._arc:
+            raise KeyError(f"no slot {sid!r}")
+        self._arc[d] = arc
 
     # ------------------------------------------------------------------
     # faces
@@ -203,21 +213,20 @@ class EmbeddedDigraph:
         nxt = self._next
         seen: set[int] = set()
         walks: list[list[int]] = []
-        for sid in sorted(self.slots):
-            for d in (2 * sid, 2 * sid + 1):
-                if d in seen:
-                    continue
-                walk = []
-                cur = d
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur)
-                    cur = nxt[cur ^ 1]
-                walks.append(walk)
+        for d in sorted(self._arc):
+            if d in seen:
+                continue
+            walk = []
+            cur = d
+            while cur not in seen:
+                seen.add(cur)
+                walk.append(cur)
+                cur = nxt[cur ^ 1]
+            walks.append(walk)
         return walks
 
     def face_count(self) -> int:
-        if not self.slots:
+        if not self._arc:
             # a lone dartless vertex still bounds the one face of the sphere
             return 1 if self._entry else 0
         return len(self.face_walks())
@@ -243,12 +252,12 @@ class EmbeddedDigraph:
         between the root and one neighbour in one direction, only the least
         (base, perturb, arc id) stays; equal weights warn.
         """
-        nxt, prv, entry, slots = self._next, self._prev, self._entry, self.slots
+        at, nxt, arcs, entry = self._at, self._next, self._arc, self._entry
         s = vertex[0]
         members = set(vertex)
         below = {dart[i] ^ 1: i for i in range(1, len(vertex))}  # dart at the parent
         gone: list[int] = []  # darts at tree vertices of slots that went
-        inner: list[int] = []  # slots joining two tree vertices, tree slots aside
+        inner: list[int] = []  # even darts of slots joining two tree vertices
         tour: list[int] = []
         # the tour dart holding the arc out of / into s per neighbour so far,
         # and each (dart, neighbour, 0 out / 1 in) that met a held one
@@ -271,35 +280,25 @@ class EmbeddedDigraph:
                     stop = dart[i]
                     d = nxt[stop]
                 else:
-                    slot = slots[d >> 1]
-                    head = slot.v0 if d & 1 else slot.v1
+                    head = at[d ^ 1]
                     if head in members:
                         if not d & 1:
-                            inner.append(d >> 1)
-                    elif i and (slot.a10 if d & 1 else slot.a01) is None:
+                            inner.append(d)
+                    elif i and arcs[d] is None:
                         # its one arc enters the tree below the root
-                        del slots[d >> 1]
+                        del arcs[d], arcs[d ^ 1]
                         gone.append(d)
-                        self._remove_dart(d ^ 1, head)
+                        self._unlink(d ^ 1)
                     else:
-                        if d & 1:
-                            out_arc = slot.a10
-                            in_arc = slot.a01
-                        else:
-                            out_arc = slot.a01
-                            in_arc = slot.a10
+                        out_arc = arcs[d]
+                        in_arc = arcs[d ^ 1]
                         if i:
                             in_arc = None
                             if b or p:
                                 out_arc = (out_arc[0] + b, out_arc[1] + p, out_arc[2])
-                            if d & 1:
-                                slot.v1 = s
-                                slot.a10 = out_arc
-                                slot.a01 = None
-                            else:
-                                slot.v0 = s
-                                slot.a01 = out_arc
-                                slot.a10 = None
+                            at[d] = s
+                            arcs[d] = out_arc
+                            arcs[d ^ 1] = None
                         tour.append(d)
                         if out_arc is not None:
                             if head in best_out:
@@ -319,11 +318,9 @@ class EmbeddedDigraph:
                     d = nxt[up]
                 if d == stop:
                     break
-        for d in dart[1:]:
-            del slots[d >> 1], nxt[d], nxt[d ^ 1], prv[d], prv[d ^ 1]
-        for sid in inner:
-            d = 2 * sid
-            del slots[sid], nxt[d], nxt[d + 1], prv[d], prv[d + 1]
+        for d in (*dart[1:], *inner):
+            del arcs[d], arcs[d ^ 1]
+            gone += (d, d ^ 1)
         for v in vertex[1:]:
             del entry[v]
         # of two arcs between s and one neighbour in one direction, the
@@ -331,10 +328,8 @@ class EmbeddedDigraph:
         for d, head, side in clashes:
             best = best_in if side else best_out
             held = best[head]
-            slot = slots[d >> 1]
-            held_slot = slots[held >> 1]
-            arc = slot.a10 if (d & 1) ^ side else slot.a01
-            held_arc = held_slot.a10 if (held & 1) ^ side else held_slot.a01
+            arc = arcs[d ^ side]
+            held_arc = arcs[held ^ side]
             if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
                 warnings.warn(
                     f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
@@ -344,24 +339,21 @@ class EmbeddedDigraph:
             # equal weights fall through to the smaller arc id
             if arc < held_arc:
                 best[head] = d
-                d, slot = held, held_slot
-            if (d & 1) ^ side:
-                slot.a10 = None
-            else:
-                slot.a01 = None
-            if slot.a01 is None and slot.a10 is None:
-                del slots[d >> 1]
+                d = held
+            arcs[d ^ side] = None
+            if arcs[d] is None and arcs[d ^ 1] is None:
+                del arcs[d], arcs[d ^ 1]
                 gone.append(d)
-                self._remove_dart(d ^ 1, head)
+                self._unlink(d ^ 1)
         for d in gone:
-            del nxt[d], prv[d]
+            at[d] = nxt[d] = None
         if clashes:
-            tour = [d for d in tour if d >> 1 in slots]
+            tour = [d for d in tour if d in arcs]
         if not tour:
             entry[s] = None
             return
-        nxt.update(zip(tour, tour[1:] + tour[:1]))
-        prv.update(zip(tour, tour[-1:] + tour[:-1]))
+        for d, n in zip(tour, tour[1:] + tour[:1]):
+            nxt[d] = n
         entry[s] = tour[0]
 
     # ------------------------------------------------------------------
@@ -374,11 +366,10 @@ class EmbeddedDigraph:
         rotation's relative order.
         """
         g = EmbeddedDigraph()
-        g._next_slot = self._next_slot
-        g.slots = {sid: EdgeSlot(s.v0, s.v1, s.a01, s.a10) for sid, s in self.slots.items()}
-        g._next = dict(self._next)
-        g._prev = dict(self._prev)
-        g._entry = dict(self._entry)
+        g._at = self._at[:]
+        g._next = self._next[:]
+        g._arc = self._arc.copy()
+        g._entry = self._entry.copy()
         g._drop_vertices(drop_vertices)
         return g
 
@@ -388,7 +379,7 @@ class EmbeddedDigraph:
         Vertices not in the graph are ignored. Surviving rotations keep
         their relative order.
         """
-        nxt, prv, ent, slots = self._next, self._prev, self._entry, self.slots
+        at, nxt, arcs, ent = self._at, self._next, self._arc, self._entry
         drop = {v for v in vertices if v in ent}
         rotations = [self.rotation(v) for v in drop]
         for v in drop:
@@ -397,21 +388,12 @@ class EmbeddedDigraph:
         # at a survivor is spliced out of the survivor's rotation
         for rotation in rotations:
             for d in rotation:
-                slot = slots.pop(d >> 1, None)
-                if slot is None:  # already removed from its other end
+                if d not in arcs:  # already removed from its other end
                     continue
-                for x, w in ((d & ~1, slot.v0), (d | 1, slot.v1)):
-                    n = nxt.pop(x)
-                    p = prv.pop(x)
-                    if w in drop:
-                        continue
-                    if n == x:
-                        ent[w] = None
-                        continue
-                    nxt[p] = n
-                    prv[n] = p
-                    if ent[w] == x:
-                        ent[w] = n
+                del arcs[d], arcs[d ^ 1]
+                if at[d ^ 1] not in drop:
+                    self._unlink(d ^ 1)
+                at[d] = at[d ^ 1] = nxt[d] = nxt[d ^ 1] = None
 
     def connected_undirected(self) -> bool:
         """True iff the slots join all vertices; reads no rotation, so it
@@ -419,13 +401,16 @@ class EmbeddedDigraph:
         entry = self._entry
         if not entry:
             return True
+        at = self._at
         nbrs: dict[int, list[int]] = {v: [] for v in entry}
-        for slot in self.slots.values():
-            at0 = nbrs.get(slot.v0)
-            at1 = nbrs.get(slot.v1)
+        for d in self._arc:
+            if d & 1:
+                continue
+            at0 = nbrs.get(at[d])
+            at1 = nbrs.get(at[d + 1])
             if at0 is not None and at1 is not None:
-                at0.append(slot.v1)
-                at1.append(slot.v0)
+                at0.append(at[d + 1])
+                at1.append(at[d])
         start = next(iter(entry))
         seen = {start}
         stack = [start]
@@ -452,36 +437,36 @@ class EmbeddedDigraph:
 
         Returns the ordered pairs that carry an arc and the largest base.
         """
-        nxt, prv, slots = self._next, self._prev, self.slots
-        darts_seen: dict[int, int] = {}
-        for v, entry in self._entry.items():
-            if entry is None:
-                continue
-            d = entry
-            for _ in range(2 * len(slots) + 1):
+        at, nxt, arcs = self._at, self._next, self._arc
+        darts_seen: set[int] = set()
+        for v, first in self._entry.items():
+            if type(v) is not int:
+                raise GraphError(f"vertex {v!r} is not an int")
+            d = first
+            while d is not None:
+                if d not in arcs or at[d] != v:
+                    raise GraphError(f"dart {d!r} in the rotation of {v} does not sit at it")
                 if d in darts_seen:
-                    raise GraphError(f"dart {d} reached from two vertices")
-                darts_seen[d] = v
-                n = nxt.get(d)
-                if n is None or prv.get(n) != d:
-                    raise GraphError(f"broken links at dart {d}")
-                d = n
-                if d == entry:
+                    raise GraphError(f"rotation at {v} does not close")
+                darts_seen.add(d)
+                d = nxt[d]
+                if d == first:
                     break
-            else:
-                raise GraphError(f"rotation at {v} does not close")
+        if len(darts_seen) != len(arcs):
+            raise GraphError("orphan darts exist outside all rotations")
         pairs: set[tuple[int, int]] = set()
         max_base = 0
-        for sid, slot in slots.items():
-            v0 = slot.v0
-            v1 = slot.v1
-            if darts_seen.get(2 * sid) != v0 or darts_seen.get(2 * sid + 1) != v1:
-                raise GraphError(f"darts of slot {sid} are not at its ends {v0} and {v1}")
-            if v0 == v1:
-                raise SelfLoopSlotError(f"slot {sid} joins {v0} to itself")
-            if slot.a01 is None and slot.a10 is None:
-                raise GraphError(f"slot {sid} has no arcs")
-            for direction, arc, pair in ((0, slot.a01, (v0, v1)), (1, slot.a10, (v1, v0))):
+        for d in arcs:
+            if d & 1:
+                continue
+            u = at[d]
+            v = at[d + 1]
+            if u == v:
+                raise SelfLoopSlotError(f"slot {d >> 1} joins {u} to itself")
+            if arcs[d] is None and arcs[d + 1] is None:
+                raise GraphError(f"slot {d >> 1} has no arcs")
+            for tail_dart, pair in ((d, (u, v)), (d + 1, (v, u))):
+                arc = arcs[tail_dart]
                 if arc is None:
                     continue
                 if not (
@@ -491,17 +476,15 @@ class EmbeddedDigraph:
                     raise GraphError(f"arc {pair} is {arc!r}, not an int triple")
                 if arc[0] < 0 or arc[1] < 0:
                     raise NegativeWeightError(f"arc {pair} has weight {arc[:2]}")
-                if arc[2] != 2 * sid + direction:
-                    raise GraphError(f"arc {pair} has id {arc[2]}, not {2 * sid + direction}")
+                if arc[2] != tail_dart:
+                    raise GraphError(f"arc {pair} has id {arc[2]}, not {tail_dart}")
                 if pair in pairs:
                     raise DuplicateArcError(f"second arc for ordered pair {pair}")
                 pairs.add(pair)
                 if arc[0] > max_base:
                     max_base = arc[0]
-        if len(darts_seen) != 2 * len(slots):
-            raise GraphError("orphan darts exist outside all rotations")
         # a connected graph with no slots is one vertex in one face
-        euler = len(self._entry) - len(slots) + (len(walks) if slots else 1)
+        euler = len(self._entry) - len(arcs) // 2 + (len(walks) if arcs else 1)
         if euler != 2:
             raise GraphError(f"Euler characteristic {euler} != 2")
         return pairs, max_base
@@ -534,10 +517,9 @@ def build_graph(
             raise SelfLoopSlotError(f"slot {sid} joins {u} to itself")
         if w_uv is None and w_vu is None:
             raise GraphError(f"slot {sid} carries no arcs")
-        arcs: list[Arc | None] = []
-        for direction, w, pair in ((0, w_uv, (u, v)), (1, w_vu, (v, u))):
+        for d, w, pair in ((2 * sid, w_uv, (u, v)), (2 * sid + 1, w_vu, (v, u))):
             if w is None:
-                arcs.append(None)
+                g._arc[d] = None
                 continue
             if isinstance(w, bool) or not isinstance(w, int):
                 raise GraphError(f"arc {pair} has weight {w!r}, not an int")
@@ -546,9 +528,8 @@ def build_graph(
             if pair in pairs:
                 raise DuplicateArcError(f"second arc for ordered pair {pair}")
             pairs.add(pair)
-            arcs.append((w, 0, 2 * sid + direction))
-        g.slots[sid] = EdgeSlot(u, v, arcs[0], arcs[1])
-        g._next_slot = sid + 1
+            g._arc[d] = (w, 0, d)
+        g._at += (u, v)
         for vertex, pos, end in ((u, pos_u, 0), (v, pos_v, 1)):
             if isinstance(pos, bool) or not isinstance(pos, int):
                 raise BadRotationError(f"vertex {vertex}: position {pos!r} is not an int")
@@ -556,13 +537,12 @@ def build_graph(
             if pos in spots:
                 raise BadRotationError(f"vertex {vertex}: position {pos} used twice")
             spots[pos] = 2 * sid + end
+    nxt = g._next = [None] * len(g._at)
     for v, spots in placed.items():
         if sorted(spots) != list(range(len(spots))):
             raise BadRotationError(f"vertex {v}: positions are not 0..{len(spots) - 1}")
         order = [spots[i] for i in range(len(spots))]
         g._entry[v] = order[0]
-        n = len(order)
-        for i, d in enumerate(order):
-            g._next[d] = order[(i + 1) % n]
-            g._prev[d] = order[(i - 1) % n]
+        for d, n in zip(order, order[1:] + order[:1]):
+            nxt[d] = n
     return g

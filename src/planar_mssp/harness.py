@@ -123,7 +123,7 @@ def _assemble_grid(
         u, v, wuv, wvu = raw[ri]
         slot_list.append((u, v, positions[(si, 0)], positions[(si, 1)], wuv, wvu))
     g = build_graph(n, slot_list)
-    if not g.slots:
+    if not g.slot_count:
         return g, 0
     best_face = 0
     best_area = math.inf

@@ -33,23 +33,17 @@ GRAPH_VERSION = 1
 
 
 def graph_to_json(g: EmbeddedDigraph, outer_face: int | None = None) -> dict[str, Any]:
-    sids = sorted(g.slots)
-    sid_index = {sid: i for i, sid in enumerate(sids)}
+    at, arcs = g._at, g._arc
+    # slots are renumbered densely, in slot-id order
+    darts = sorted(arcs)
+    renumbered = {d: i for i, d in enumerate(darts)}
     slots = []
-    for sid in sids:
-        slot = g.slots[sid]
-        slots.append(
-            [
-                slot.v0,
-                slot.v1,
-                None if slot.a01 is None else slot.a01[0],
-                None if slot.a10 is None else slot.a10[0],
-            ]
-        )
+    for d in darts[::2]:
+        w_uv = None if arcs[d] is None else arcs[d][0]
+        w_vu = None if arcs[d + 1] is None else arcs[d + 1][0]
+        slots.append([at[d], at[d + 1], w_uv, w_vu])
     vertices = sorted(g.vertices())
-    rotations = []
-    for v in vertices:
-        rotations.append([2 * sid_index[d >> 1] + (d & 1) for d in g.rotation(v)])
+    rotations = [[renumbered[d] for d in g.rotation(v)] for v in vertices]
     return {
         "format": GRAPH_FORMAT,
         "version": GRAPH_VERSION,

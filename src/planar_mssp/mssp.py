@@ -1009,7 +1009,8 @@ def build(
     change; a test relies on that). instrument enables expensive internal
     consistency checks after each child's contraction, and compares every
     inherited tree with a fresh Dijkstra on the child graph — meant for
-    small graphs. collect_edge_stats additionally counts, per level, how
+    small graphs. An instrumented build makes the same graphs as a plain
+    one. collect_edge_stats additionally counts, per level, how
     many of the trees a node has, stored or not, each arc appears in
     (stats key "tree_arc_max").
     """
@@ -1037,22 +1038,20 @@ def build(
             cur = root
         return tuple(out)
 
-    def check_child(h, hj, i1, i2, j1, j2, trees):
-        excl_i = {ring_roots[k] for k in range(i1, i2 + 1)}
+    def check_child(hj, j1, j2, parent_trees):
+        """Each of hj's roots has the distances of its tree in the parent."""
         excl_j = {ring_roots[k] for k in range(j1, j2 + 1)}
         for k in range(j1, j2 + 1):
             rk = ring_roots[k]
-            parent_tree = trees.get(k)
-            if parent_tree is None:
-                parent_tree = sssp_tree(h, rk, excl_i - {rk})
+            parent_dist = parent_trees[k].dist
             child_dist = sssp_tree(hj, rk, excl_j - {rk}).dist
             for v, dv in child_dist.items():
                 if v in excl_j or v == rk:
                     continue
-                if parent_tree.dist.get(v) != dv:
+                if parent_dist.get(v) != dv:
                     raise MsspError(
                         f"instrument: contraction changed dist(r_{k}, {v}): "
-                        f"{parent_tree.dist.get(v)} became {dv}"
+                        f"{parent_dist.get(v)} became {dv}"
                     )
 
     def check_inherited(h, k, excluded, inherited):
@@ -1105,7 +1104,7 @@ def build(
             counter = edge_counters.setdefault(level, Counter())
             for t in trees.values():
                 for pd in t.parent_dart.values():
-                    counter[h.arc_into(pd)[2]] += 1
+                    counter[pd ^ 1] += 1  # the tree arc's id, its tail dart
         # chains by original tail, shared by this node's stored tables and by
         # the contractions into its children: absorbed_at is the same for all
         chains_here: dict[int, TailChain] = {}
@@ -1119,13 +1118,10 @@ def build(
                 found = chains_here[tail] = chain_from(tail)
             return found
 
-        slots = h.slots
         for k in terminal:
             t = trees[k]
-            par_arc = [
-                -1 if d < 0 else (slots[d >> 1].a01 if d & 1 else slots[d >> 1].a10)[2]
-                for d in t.par_dart
-            ]
+            # a tree arc's id is its tail dart, the reverse of the parent dart
+            par_arc = [-1 if d < 0 else d ^ 1 for d in t.par_dart]
             table_blocks[k] = _tree_block(
                 vertices,
                 t.base,
@@ -1138,6 +1134,14 @@ def build(
             stats.stored_rows += len(vertices)
         if i2 - i1 <= 1:
             return
+        if instrument:
+            # the trees in h that check_child compares each child with,
+            # grown before the last child takes h over
+            ref_trees = dict(trees)
+            for k in range(i1, i2 + 1):
+                if k not in ref_trees:
+                    rk = ring_roots[k]
+                    ref_trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
         # a left child's right endpoint, this node's midpoint, ends its
         # descent there; a right child ends none, so a right leaf, which
         # also has no children, is not built
@@ -1148,9 +1152,8 @@ def build(
             children.reverse()
         for n, (j1, j2, side, ends) in enumerate(children):
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
-            if n == len(children) - 1 and not instrument:
-                # the last child takes h over: only instrument's check_child
-                # reads h after this point
+            if n == len(children) - 1:
+                # the last child takes h over
                 h._drop_vertices(drop)
                 hj = h
             else:
@@ -1178,7 +1181,7 @@ def build(
                     records.arc, records.chain, records.root,
                 )
             if instrument:
-                check_child(h, hj, i1, i2, j1, j2, trees)
+                check_child(hj, j1, j2, ref_trees)
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees
             moved = {u: r for u, r in zip(records.vertex, records.root) if u != r}

@@ -24,6 +24,7 @@ Input contract. ``normalize`` checks these rules on its input graph, once,
 before it builds anything; ``EmbeddedDigraph.check`` checks the same rules
 on any graph:
 
+* every vertex id is an int (bools excluded);
 * rotations and links are consistent, and every slot's two darts sit in
   the rotations of its two endpoints;
 * a slot joins two different vertices (else SelfLoopSlotError) and
@@ -201,36 +202,37 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
     rings = [first_ring_id + i for i in range(len(b_list))]
     for r in rings:
         work.add_vertex(r)
-    first_spoke = work._next_slot
+    # add_slot gives a new slot's first dart the next dart id, len(_at);
+    # a spoke leaves its ring vertex on that dart, so that is its arc id
+    first_spoke = len(work._at)
     for r, bv in zip(rings, b_list):
-        work.add_slot(r, bv, (0, 0, 2 * work._next_slot), None, None, corner.get(bv))
+        work.add_slot(r, bv, (0, 0, len(work._at)), None, None, corner.get(bv))
 
-    # in slot order: strong connectivity by the missing direction of each
+    # in dart order: strong connectivity by the missing direction of each
     # single-arc input slot, unless another slot carries that ordered pair
     # (the input has one arc per pair, so no two slots add the same one);
     # and a distinct perturbation on every arc
     rng = random.Random(seed)
     used: set[int] = set()
     arcs: dict[int, ArcInfo] = {}
-    for sid in sorted(work.slots):
-        slot = work.slots[sid]
-        for direction, arc, tail, head in (
-            (0, slot.a01, slot.v0, slot.v1),
-            (1, slot.a10, slot.v1, slot.v0),
-        ):
-            if arc is not None:
-                kind = ARC_ORIGINAL if sid < first_spoke else ARC_SPOKE
-            elif sid < first_spoke and (tail, head) not in present:
-                arc = (w_big, 0, 2 * sid + direction)
-                kind = ARC_REVERSE
-            else:
-                continue
+    at, arc_at = work._at, work._arc
+    for d in sorted(arc_at):
+        arc = arc_at[d]
+        tail = at[d]
+        head = at[d ^ 1]
+        if arc is not None:
+            kind = ARC_ORIGINAL if d < first_spoke else ARC_SPOKE
+        elif d < first_spoke and (tail, head) not in present:
+            arc = (w_big, 0, d)
+            kind = ARC_REVERSE
+        else:
+            continue
+        p = rng.getrandbits(63)
+        while p in used:
             p = rng.getrandbits(63)
-            while p in used:
-                p = rng.getrandbits(63)
-            used.add(p)
-            work.set_arc(sid, direction, (arc[0], p, arc[2]))
-            arcs[arc[2]] = ArcInfo(tail, head, arc[0], p, kind)
+        used.add(p)
+        arc_at[d] = (arc[0], p, arc[2])
+        arcs[arc[2]] = ArcInfo(tail, head, arc[0], p, kind)
 
     return NormalizedInstance(
         graph=work,

@@ -57,20 +57,19 @@ class RowSnapshot(NamedTuple):
 
 
 def out_adjacency(h: EmbeddedDigraph) -> RowSnapshot:
-    """Snapshot h's rows and arcs for several trees over the unchanged graph."""
+    """Snapshot h's rows and arcs for several trees over the unchanged graph.
+
+    One pass over h's darts: the arc leaving dart d, if any, goes to the
+    row of d's vertex with the row of its head and the head's dart d ^ 1.
+    A row's arcs come in dart order.
+    """
     vertices = sorted(h.vertices())
     row_of = {v: row for row, v in enumerate(vertices)}
     out: Adjacency = [[] for _ in vertices]
-    for sid, slot in h.slots.items():
-        d0 = sid << 1
-        r0 = row_of[slot.v0]
-        r1 = row_of[slot.v1]
-        a = slot.a01
+    at = h._at
+    for d, a in h._arc.items():
         if a is not None:
-            out[r0].append((a[0], a[1], r1, d0 | 1))
-        a = slot.a10
-        if a is not None:
-            out[r1].append((a[0], a[1], r0, d0))
+            out[row_of[at[d]]].append((a[0], a[1], row_of[at[d ^ 1]], d ^ 1))
     return RowSnapshot(vertices, row_of, out, sum(map(len, out)))
 
 

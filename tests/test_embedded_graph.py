@@ -14,6 +14,7 @@ from planar_mssp import (
     SelfLoopSlotError,
     build_graph,
     gen_random_planar,
+    graph_to_json,
     reverse_dart,
 )
 from tests.conftest import TRI_ONEWAY_SLOTS
@@ -27,6 +28,16 @@ GRID3_BOUNDARY = [0, 1, 2, 5, 8, 7, 6, 3]
 
 def rotations_of(cycle):
     return [cycle[i:] + cycle[:i] for i in range(len(cycle))]
+
+
+def all_darts(g):
+    """Every dart of g, ascending, read from the rotations."""
+    return sorted(d for v in g.vertices() for d in g.rotation(v))
+
+
+def dart_table(g):
+    """(dart, its vertex, the arc into it) for every dart of g."""
+    return [(d, g.dart_vertex(d), g.arc_into(d)) for d in all_darts(g)]
 
 
 def test_dart_encoding_involution():
@@ -61,9 +72,8 @@ def test_grid3_outer_walk_is_clockwise_boundary(grid3):
 def test_face_walks_partition_darts(grid3, bowtie):
     for g in (grid3[0], bowtie):
         darts = [d for w in g.face_walks() for d in w]
-        assert sorted(darts) == sorted(
-            2 * sid + e for sid in g.slots for e in (0, 1)
-        )
+        assert len(all_darts(g)) == 2 * g.slot_count
+        assert sorted(darts) == all_darts(g)
 
 
 def test_rotation_matches_declared_positions():
@@ -94,28 +104,53 @@ def test_copy_preserves_structure(grid3):
         assert h.rotation(v) == g.rotation(v)
     h.check()
     # independent storage: mutating the copy leaves the original alone
-    before = [(sid, s.v0, s.v1, s.a01, s.a10) for sid, s in g.slots.items()]
+    before = dart_table(g)
     h.set_arc(0, 0, (999, 1, 0))
     h.set_arc(1, 1, None)
-    assert [(sid, s.v0, s.v1, s.a01, s.a10) for sid, s in g.slots.items()] == before
+    assert dart_table(g) == before
 
 
 def test_copy_with_drops(grid3):
     g, _ = grid3
-    dropped_darts = {d for d in range(48) if d >> 1 in g.slots
-                     and g.dart_vertex(d) == 4}
+    dropped_darts = set(g.rotation(4))
     h = g.copy(drop_vertices={4})
     assert 4 not in set(h.vertices())
     assert h.vertex_count == 8
-    for sid, slot in g.slots.items():
-        if 4 in (slot.v0, slot.v1):
-            assert sid not in h.slots
+    kept_darts = set(all_darts(h))
+    for d in all_darts(g):
+        if d in dropped_darts or d ^ 1 in dropped_darts:
+            assert d not in kept_darts
         else:
-            assert sid in h.slots
+            assert d in kept_darts
     for v in h.vertices():
         kept = [d for d in g.rotation(v) if (d ^ 1) not in dropped_darts]
         assert h.rotation(v) == kept
     h.check()
+
+
+def test_accessors_reject_darts_that_do_not_exist(grid3):
+    g, _ = grid3
+    h = g.copy(drop_vertices={4})
+    gone = g.rotation(4)[0]
+    for d in (-1, -2, gone, gone ^ 1, 2 * g.slot_count):
+        with pytest.raises(KeyError):
+            h.dart_vertex(d)
+        with pytest.raises(KeyError):
+            h.arc_into(d)
+
+
+def test_add_slot_checks_before_it_changes_anything():
+    g = build_graph(3, TRI_ONEWAY_SLOTS)
+    before = (graph_to_json(g), list(g.arc_items()))
+    with pytest.raises(GraphError, match="no vertex 5"):
+        g.add_slot(0, 5, (1, 0, 6), None)
+    # dart 1 sits at vertex 1, and there is no dart 99
+    with pytest.raises(GraphError, match="not at vertex 0"):
+        g.add_slot(0, 2, (1, 0, 6), None, after_u=1)
+    with pytest.raises(GraphError, match="not at vertex 2"):
+        g.add_slot(0, 2, (1, 0, 6), None, after_v=99)
+    assert (graph_to_json(g), list(g.arc_items())) == before
+    g.check()
 
 
 def test_build_graph_validation():
@@ -173,4 +208,5 @@ def test_random_instances_are_planar(k, seed, tenths):
     # Euler's formula for a connected plane multigraph
     assert g.vertex_count - g.slot_count + len(walks) == 2
     darts = [d for w in walks for d in w]
-    assert sorted(darts) == sorted(2 * s + e for s in g.slots for e in (0, 1))
+    assert len(all_darts(g)) == 2 * g.slot_count
+    assert sorted(darts) == all_darts(g)

@@ -15,6 +15,7 @@ import pytest
 from planar_mssp import (
     BadRootIndexError,
     CorruptFileError,
+    EmbeddedDigraph,
     FaceVertexQueryError,
     MsspError,
     UNREACHABLE,
@@ -22,6 +23,7 @@ from planar_mssp import (
     VersionMismatchError,
     build,
     gen_grid,
+    graph_to_json,
     load,
     normalize,
 )
@@ -65,11 +67,8 @@ GRID3_DIST = {
 
 def test_grid3_weights_match_draw_contract(grid3):
     g, _ = grid3
-    got = []
-    for sid in sorted(g.slots):
-        slot = g.slots[sid]
-        got.append([slot.v0, slot.v1, slot.a01[0], slot.a10[0]])
-    assert got == GRID3_SLOTS
+    # the graph file lists each slot as [u, v, w_uv, w_vu], in slot order
+    assert graph_to_json(g)["slots"] == GRID3_SLOTS
 
 
 def test_grid3_distances_exact(oracle3):
@@ -227,6 +226,26 @@ def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
     with pytest.raises(MsspError, match="instrument: inherited tree .* par_dart"):
         build(norm3, instrument=True)
     assert len(calls) == 1
+
+
+def test_instrumented_build_takes_the_production_graph_path(monkeypatch):
+    # an instrumented build checks the graphs a plain build makes: its last
+    # child takes the parent's graph over in place, so both copy as often
+    g, outer = gen_grid(6, seed=1)
+    norm = normalize(g, outer, seed=1)
+    copies = []
+    copy = EmbeddedDigraph.copy
+
+    def counting(self, *args, **kwargs):
+        copies[-1] += 1
+        return copy(self, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddedDigraph, "copy", counting)
+    for instrument in (False, True):
+        copies.append(0)
+        build(norm, instrument=instrument)
+    assert copies[0] > 1
+    assert copies[1] == copies[0]
 
 
 def test_explain_follows_the_descent(oracle5):

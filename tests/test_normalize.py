@@ -21,6 +21,7 @@ from planar_mssp import (
     build_graph,
     gen_grid,
     gen_random_planar,
+    graph_to_json,
     load,
     map_answer,
     normalize,
@@ -96,7 +97,8 @@ def test_grid2_ring_cycle(norm2):
     # the ring vertices are not joined into a cycle: no slot joins two of
     # them, and each one's only dart is its spoke's
     ring = set(norm2.ring_roots)
-    assert not [s for s in norm2.graph.slots.values() if {s.v0, s.v1} <= ring]
+    g = norm2.graph
+    assert not [d for r in ring for d in g.rotation(r) if g.dart_vertex(d ^ 1) in ring]
     assert_ring_vertices_pendant(norm2)
 
 
@@ -129,9 +131,9 @@ def test_seed_determinism():
 
 def test_input_graph_untouched():
     g = build_graph(4, GRID2_SLOTS)
-    before = {sid: (s.v0, s.v1, s.a01, s.a10) for sid, s in g.slots.items()}
+    before = (graph_to_json(g), list(g.arc_items()))
     normalize(g, 0, seed=0)
-    assert {sid: (s.v0, s.v1, s.a01, s.a10) for sid, s in g.slots.items()} == before
+    assert (graph_to_json(g), list(g.arc_items())) == before
     assert g.vertex_count == 4
 
 
@@ -269,14 +271,15 @@ def test_huge_weight_is_too_large_not_absent():
             normalize(g, 0, seed=0)
 
 
-def hand_graph(n: int, slots) -> EmbeddedDigraph:
+def hand_graph(vertices, slots) -> EmbeddedDigraph:
     """A graph built only with EmbeddedDigraph's methods, as a caller could.
 
-    Each slot is (u, v, arc_uv, arc_vu) with whole arcs, ids included, and
-    its darts land wherever add_slot puts them by default.
+    vertices is a count n, for the vertices 0..n-1, or a list of vertex
+    ids. Each slot is (u, v, arc_uv, arc_vu) with whole arcs, ids
+    included, and its darts land wherever add_slot puts them by default.
     """
     g = EmbeddedDigraph()
-    for v in range(n):
+    for v in range(vertices) if isinstance(vertices, int) else vertices:
         g.add_vertex(v)
     for u, v, arc_uv, arc_vu in slots:
         g.add_slot(u, v, arc_uv, arc_vu)
@@ -331,6 +334,10 @@ HOSTILE = {
     "pair-arc": (3, tri_with(0, (1, 0)), 0, GraphError, "not an int"),
     "no-arcs": (3, [(0, 1, None, None), *HAND_TRI[1:]], 0, GraphError, "no arcs"),
     "self-loop": (3, HAND_TRI + [(0, 0, (1, 0, 6), None)], 0, SelfLoopSlotError, "itself"),
+    "str-vertex": (["a", "b"], [("a", "b", (1, 0, 0), (1, 0, 1))], 0,
+                   GraphError, "vertex 'a' is not an int"),
+    "bool-vertex": ([0, True], [(0, True, (1, 0, 0), (1, 0, 1))], 0,
+                    GraphError, "vertex True is not an int"),
 }
 
 
@@ -358,8 +365,9 @@ def test_shared_arc_id_fails_before_any_query():
     # two arcs with one id passed the old checks, and paths came out wrong
     g, outer = gen_grid(3, seed=2)
     h = g.copy()
-    arc = h.slots[1].a01
-    h.set_arc(1, 0, (arc[0], arc[1], h.slots[0].a01[2]))
+    # slot 1's arc in direction 0 leaves dart 2 and arrives at dart 3
+    arc = h.arc_into(3)
+    h.set_arc(1, 0, (arc[0], arc[1], h.arc_into(1)[2]))
     with pytest.raises(GraphError, match="id"):
         normalize(h, outer, seed=1)
     with pytest.raises(GraphError, match="id"):
