@@ -31,7 +31,7 @@ def main() -> None:
     t_hi = sssp_tree(h, rings[hi], excluded - {rings[hi]})
 
     # the forest is over rows; the tree's snapshot maps them to vertices
-    forest = shared_forest(h, t_lo, t_hi)
+    forest = shared_forest(t_lo, t_hi)
     shared = sum(map(len, forest.children.values()))
     roots = [t_lo.snap.vertices[r] for r in forest.root_rows]
     print(f"\nshared forest: {shared} vertices share their"

@@ -52,15 +52,15 @@ def _face_index(graph, stored_outer: int | None, face_arg: str) -> int:
         raise FaceNotFoundError(
             f"--face must be 'auto-outer', an index, or a vertex list, got {face_arg!r}"
         ) from None
-    walks = graph.face_walks()
-    for fi, walk in enumerate(walks):
-        seq = [graph.dart_vertex(d) for d in walk]
-        if len(seq) != len(target):
-            continue
-        if any(
-            seq[shift:] + seq[:shift] == target for shift in range(len(seq))
-        ):
-            return fi
+    # the list is a cyclic shift of a face's vertex walk exactly when it
+    # occurs in the walk written out twice; with "," around every vertex a
+    # substring search finds it in linear time
+    needle = f",{','.join(map(str, target))},"
+    for fi, walk in enumerate(graph.face_walks()):
+        if len(walk) == len(target):
+            seq = ",".join(str(graph.dart_vertex(d)) for d in walk)
+            if needle in f",{seq},{seq},":
+                return fi
     raise FaceNotFoundError(f"no face has boundary {target}")
 
 

@@ -82,7 +82,7 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
     deltas come from t_low's columns: shared arcs are tree arcs of t_low,
     so a member's delta is its t_low distance minus the root's.
     """
-    forest = shared_forest(h, t_low, t_high)
+    forest = shared_forest(t_low, t_high)
     vertices = t_low.snap.vertices
     base = t_low.base
     pert = t_low.pert

@@ -100,7 +100,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from bisect import bisect_right
 from itertools import accumulate, chain, islice, repeat
-from operator import gt, itemgetter, sub
+from operator import gt, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .contraction import TailChain, contract_tree, select_trees
@@ -956,14 +956,13 @@ def _flat_columns(
     c = _Columns()
     c.ring_roots = _column("i", norm.ring_roots)
     c.face_vertices = _column("i", norm.face_vertices)
-    ids = sorted(norm.arcs)
-    arcs = list(map(norm.arcs.__getitem__, ids))
+    ids, tails, heads, bases, perturbs, kinds = norm.arc_columns()
     c.arc_id = _column("i", ids)
-    c.arc_tail = _column("i", map(itemgetter(0), arcs))
-    c.arc_head = _column("i", map(itemgetter(1), arcs))
-    c.arc_base = _column("q", map(itemgetter(2), arcs))
-    c.arc_perturb = _column("q", map(itemgetter(3), arcs))
-    c.arc_kind = _column("b", map(_KINDS.index, map(itemgetter(4), arcs)))
+    c.arc_tail = _column("i", tails)
+    c.arc_head = _column("i", heads)
+    c.arc_base = _column("q", bases)
+    c.arc_perturb = _column("q", perturbs)
+    c.arc_kind = _column("b", map(_KINDS.index, kinds))
 
     keys = sorted(records)
     (vertex, base, plo, phi, parent, arc, root, chain_len, hop_key,
@@ -1005,6 +1004,14 @@ def build(
     position, not visit order. See the module docstring. The last child
     built takes over its parent's graph instead of a copy.
 
+    The build holds one root-to-node path of state. A node's out-lists
+    (sssp.Adjacency) serve only its own Dijkstra runs and go before its
+    tables are made; its trees keep only its rows. Before it builds a
+    child, a node drops every tree that no later child reads, and the
+    child drops the trees it was handed once it has inherited them. So
+    while a child is built, each ancestor holds only what its later
+    child reads: its graph and at most two trees.
+
     right_first flips the child processing order (the result must not
     change; a test relies on that). instrument enables expensive internal
     consistency checks after each child's contraction, and compares every
@@ -1023,10 +1030,10 @@ def build(
     table_blocks: list[_Block | None] = [None] * n_rings
     record_blocks: dict[int, _Block] = {}
     absorbed_at: dict[int, tuple[int, int]] = {}  # vertex -> (record key, its root)
-    arcs_info = norm.arcs
     edge_counters: dict[int, Counter] = {}
-
-    tails = {aid: a.tail for aid, a in arcs_info.items()}
+    # an arc's original tail: the vertex of its id, its tail dart, in the
+    # normalized graph, which the build does not change
+    original_at = norm.graph._at
 
     def chain_from(tail: int) -> TailChain:
         """Record key, vertex hops from an arc's original tail to its tail now."""
@@ -1054,8 +1061,8 @@ def build(
                         f"{parent_dist.get(v)} became {dv}"
                     )
 
-    def check_inherited(h, k, excluded, inherited):
-        fresh = sssp_tree(h, ring_roots[k], excluded, adj=inherited.snap)
+    def check_inherited(h, k, excluded, inherited, adj):
+        fresh = sssp_tree(h, ring_roots[k], excluded, adj=adj)
         for name in ("base", "pert", "par_dart", "par_row"):
             got, want = getattr(inherited, name), getattr(fresh, name)
             if got != want:
@@ -1078,39 +1085,51 @@ def build(
         stats.node_count += 1
         lvl = stats.level_entry(level)
         adj = out_adjacency(h)
-        vertices = adj.vertices
+        snap = adj.snap
+        vertices = snap.vertices
         lvl["nodes"] += 1
         lvl["vertices"] += len(vertices)
         lvl["slots"] += h.slot_count
-        lvl["arcs"] += adj.arc_count
+        lvl["arcs"] += snap.arc_count
         mid = (i1 + i2) // 2
+        leaf = i2 - i1 <= 1
         # a leaf needs only the trees it stores; the endpoint trees come
         # from the parent, so only the root node runs them
-        ks = terminal if i2 - i1 <= 1 else sorted({i1, i2, mid})
+        ks = terminal if leaf else sorted({i1, i2, mid})
         excluded_all = {ring_roots[k] for k in range(i1, i2 + 1)}
         trees: dict[int, SSSPTree] = {}
         for k in ks:
             rk = ring_roots[k]
-            parent_tree = parent_trees.get(k)
-            if parent_tree is None:
-                trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
-            else:
-                trees[k] = inherit_tree(parent_tree, adj, root_of)
+            if k in parent_trees:
+                trees[k] = inherit_tree(parent_trees[k], snap, root_of)
                 if instrument:
-                    check_inherited(h, k, excluded_all - {rk}, trees[k])
+                    check_inherited(h, k, excluded_all - {rk}, trees[k], adj)
+            else:
+                trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
             lvl["tree_vertices"] += trees[k].reached
             lvl["tree_arcs"] += trees[k].reached - 1
+        # the parent's trees are inherited: drop them
+        parent_trees.clear()
         if collect_edge_stats:
             counter = edge_counters.setdefault(level, Counter())
             for t in trees.values():
                 for pd in t.parent_dart.values():
                     counter[pd ^ 1] += 1  # the tree arc's id, its tail dart
+        if instrument and not leaf:
+            # the trees in h that check_child compares each child with,
+            # grown before h's out-lists go and the last child takes h over
+            for k in range(i1, i2 + 1):
+                if k not in trees:
+                    rk = ring_roots[k]
+                    trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
+        # the node's Dijkstra runs are done; no tree holds the out-lists
+        del adj
         # chains by original tail, shared by this node's stored tables and by
         # the contractions into its children: absorbed_at is the same for all
         chains_here: dict[int, TailChain] = {}
 
         def chain_at(arc_id: int) -> TailChain:
-            tail = tails[arc_id]
+            tail = original_at[arc_id]
             if tail not in absorbed_at:
                 return ()
             found = chains_here.get(tail)
@@ -1132,16 +1151,9 @@ def build(
                 if absorbed_at else (),
             )
             stats.stored_rows += len(vertices)
-        if i2 - i1 <= 1:
+        if leaf:
             return
-        if instrument:
-            # the trees in h that check_child compares each child with,
-            # grown before the last child takes h over
-            ref_trees = dict(trees)
-            for k in range(i1, i2 + 1):
-                if k not in ref_trees:
-                    rk = ring_roots[k]
-                    ref_trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
+        del snap, vertices
         # a left child's right endpoint, this node's midpoint, ends its
         # descent there; a right child ends none, so a right leaf, which
         # also has no children, is not built
@@ -1150,6 +1162,14 @@ def build(
             children.append((mid, i2, 1, ()))
         if right_first:
             children.reverse()
+        # a tree goes once no child still to be made reads it: a child
+        # reads the trees of its interval, its endpoints' and, under
+        # instrument, check_child's
+        last_reader = {
+            k: n for n, (j1, j2, _, _) in enumerate(children) for k in range(j1, j2 + 1)
+        }
+        for k in trees.keys() - last_reader.keys():
+            del trees[k]
         for n, (j1, j2, side, ends) in enumerate(children):
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
             if n == len(children) - 1:
@@ -1181,7 +1201,7 @@ def build(
                     records.arc, records.chain, records.root,
                 )
             if instrument:
-                check_child(hj, j1, j2, ref_trees)
+                check_child(hj, j1, j2, trees)
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees
             moved = {u: r for u, r in zip(records.vertex, records.root) if u != r}
@@ -1189,7 +1209,10 @@ def build(
             lvl["contracted_vertices"] += len(moved)
             for u, root in moved.items():
                 absorbed_at[u] = (key, root)
-            rec(j1, j2, hj, level + 1, ends, {j1: trees[j1], j2: trees[j2]}, moved)
+            handed = {j1: trees[j1], j2: trees[j2]}
+            for k in [k for k in trees if last_reader[k] == n]:
+                del trees[k]
+            rec(j1, j2, hj, level + 1, ends, handed, moved)
             for u in moved:
                 del absorbed_at[u]
 

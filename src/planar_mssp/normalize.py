@@ -20,6 +20,16 @@ the walk's left, so the rest of the graph is on its right).
 ``map_answer`` folds a query result back to original-graph terms: any base
 distance reaching W_big means the target is unreachable in the input.
 
+The normalized graph is the whole instance: ``normalize`` builds no arc
+table. ``NormalizedInstance.arcs``, arc id -> ArcInfo, is derived from the
+graph on first read (an arc's id is its tail dart), and so are the
+oracle's arc columns. An arc's kind follows from its tail and base: a
+spoke if its tail is a ring vertex, else a reverse arc if its base equals
+W_big, else an original arc. That is what ``normalize`` decides, because
+ring ids lie above every input id and only spokes leave ring vertices,
+and every original base is at most the input's maximum base, which is
+below W_big = n * max_base + 1.
+
 Input contract. ``normalize`` checks these rules on its input graph, once,
 before it builds anything; ``EmbeddedDigraph.check`` checks the same rules
 on any graph:
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
@@ -100,7 +111,6 @@ class NormalizedInstance:
     w_big: int
     seed: int
     n_original: int
-    arcs: dict[int, ArcInfo]  # arc id -> static info
     ring_index: dict[int, int] = field(default_factory=dict)  # r_i -> i
 
     def __post_init__(self) -> None:
@@ -110,6 +120,29 @@ class NormalizedInstance:
     @property
     def root_count(self) -> int:
         return len(self.ring_roots)
+
+    @cached_property
+    def arcs(self) -> dict[int, ArcInfo]:
+        """Arc id -> ArcInfo in id order, derived from graph on first read."""
+        ids, *columns = self.arc_columns()
+        return dict(zip(ids, map(ArcInfo, *columns)))
+
+    def arc_columns(self) -> tuple[list[int], list[int], list[int], list[int], list[int], list]:
+        """The arcs by increasing id as columns: id, tail, head, base, perturb, kind.
+
+        Read from graph; each kind by the rule in the module docstring.
+        """
+        at, arc_at = self.graph._at, self.graph._arc
+        ids = sorted(d for d, a in arc_at.items() if a is not None)
+        arcs = list(map(arc_at.__getitem__, ids))
+        tails = list(map(at.__getitem__, ids))
+        bases = [a[0] for a in arcs]
+        ring, w_big = self.ring_index, self.w_big
+        kinds = [
+            ARC_SPOKE if t in ring else ARC_REVERSE if b == w_big else ARC_ORIGINAL
+            for t, b in zip(tails, bases)
+        ]
+        return ids, tails, [at[d ^ 1] for d in ids], bases, [a[1] for a in arcs], kinds
 
 
 def _resolve_face(walks: list[list[int]], face, graph: EmbeddedDigraph) -> list[int]:
@@ -214,25 +247,18 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
     # and a distinct perturbation on every arc
     rng = random.Random(seed)
     used: set[int] = set()
-    arcs: dict[int, ArcInfo] = {}
     at, arc_at = work._at, work._arc
     for d in sorted(arc_at):
         arc = arc_at[d]
-        tail = at[d]
-        head = at[d ^ 1]
-        if arc is not None:
-            kind = ARC_ORIGINAL if d < first_spoke else ARC_SPOKE
-        elif d < first_spoke and (tail, head) not in present:
+        if arc is None:
+            if d >= first_spoke or (at[d], at[d ^ 1]) in present:
+                continue
             arc = (w_big, 0, d)
-            kind = ARC_REVERSE
-        else:
-            continue
         p = rng.getrandbits(63)
         while p in used:
             p = rng.getrandbits(63)
         used.add(p)
         arc_at[d] = (arc[0], p, arc[2])
-        arcs[arc[2]] = ArcInfo(tail, head, arc[0], p, kind)
 
     return NormalizedInstance(
         graph=work,
@@ -241,5 +267,4 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
         w_big=w_big,
         seed=seed,
         n_original=n_original,
-        arcs=arcs,
     )

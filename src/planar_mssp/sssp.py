@@ -1,13 +1,14 @@
 """Single-source shortest paths under lexicographic weights, over rows.
 
-out_adjacency takes one snapshot of a graph: its vertices sorted into rows
-0..m-1 (the same row index the oracle's tables use), the vertex -> row
-dict, and per row the outgoing arcs as (base, perturb, head row, dart at
-head), plus the arc count for the build's per-level stats.
+out_adjacency takes one snapshot of a graph in two parts. The rows
+(RowSnapshot) are its vertices sorted into rows 0..m-1 (the same row index
+the oracle's tables use), the vertex -> row dict, and the arc count for the
+build's per-level stats. The out-lists hold per row the outgoing arcs as
+(base, perturb, head row, dart at head). An Adjacency holds both.
 
-sssp_tree runs Dijkstra with a lazy-deletion binary heap over those rows
-and a bytearray settled set. Heap entries are flat tuples (base, perturb,
-tie, row) so comparisons stay in C; the tie
+sssp_tree runs Dijkstra with a lazy-deletion binary heap over an
+Adjacency's out-lists and a bytearray settled set. Heap entries are flat
+tuples (base, perturb, tie, row) so comparisons stay in C; the tie
 component is a plain counter by default, or random when the caller wants
 to probe that tie-breaking cannot change the result (it cannot when all
 path weights are distinct, which normalization arranges). The output
@@ -24,12 +25,18 @@ its reverse sits at the parent). The build turns the columns of the trees
 it stores straight into tables; `dist` and `parent_dart` are read-only
 vertex-keyed views of them for tests and consistency checks.
 
-inherit_tree carries a tree over to a contracted copy of its graph without
-a Dijkstra run. The build's contractions keep every distance from the
-child interval's endpoints, and an arc keeps its slot and dart ids when
-it moves to the contracted tree's root. So each surviving
-vertex keeps its distance and parent dart, and only a parent that was
-contracted away changes: it becomes the root it was contracted into.
+Who holds what: a tree holds its rows, which its views and inherit_tree
+read, and not the out-lists, which only Dijkstra reads. So the out-lists
+live as long as the caller keeps the Adjacency (in the build, one node's
+Dijkstra runs), and the rows as long as some tree over them is read.
+
+inherit_tree carries a tree over to the rows of a contracted copy of its
+graph without a Dijkstra run. The build's contractions keep every
+distance from the child interval's endpoints, and an arc keeps its slot
+and dart ids when it moves to the contracted tree's root. So each
+surviving vertex keeps its distance and parent dart, and only a parent
+that was contracted away changes: it becomes the root it was contracted
+into.
 """
 
 from __future__ import annotations
@@ -44,19 +51,25 @@ from .embedded_graph import EmbeddedDigraph
 from .errors import UnreachableVertexError
 from .weights import LexWeight
 
-Adjacency = list[list[tuple[int, int, int, int]]]  # row -> (base, perturb, head row, dart at head)
+OutLists = list[list[tuple[int, int, int, int]]]  # row -> (base, perturb, head row, dart at head)
 
 
 class RowSnapshot(NamedTuple):
-    """A graph's vertices as sorted rows, with each row's out-arcs."""
+    """A graph's vertices as sorted rows."""
 
     vertices: list[int]  # row -> vertex, ascending
     row_of: dict[int, int]  # vertex -> row
-    out: Adjacency
     arc_count: int
 
 
-def out_adjacency(h: EmbeddedDigraph) -> RowSnapshot:
+class Adjacency(NamedTuple):
+    """A row snapshot with each row's out-arcs, for Dijkstra runs over it."""
+
+    snap: RowSnapshot
+    out: OutLists
+
+
+def out_adjacency(h: EmbeddedDigraph) -> Adjacency:
     """Snapshot h's rows and arcs for several trees over the unchanged graph.
 
     One pass over h's darts: the arc leaving dart d, if any, goes to the
@@ -65,12 +78,12 @@ def out_adjacency(h: EmbeddedDigraph) -> RowSnapshot:
     """
     vertices = sorted(h.vertices())
     row_of = {v: row for row, v in enumerate(vertices)}
-    out: Adjacency = [[] for _ in vertices]
+    out: OutLists = [[] for _ in vertices]
     at = h._at
     for d, a in h._arc.items():
         if a is not None:
             out[row_of[at[d]]].append((a[0], a[1], row_of[at[d ^ 1]], d ^ 1))
-    return RowSnapshot(vertices, row_of, out, sum(map(len, out)))
+    return Adjacency(RowSnapshot(vertices, row_of, sum(map(len, out))), out)
 
 
 class _VertexView(Mapping):
@@ -126,22 +139,23 @@ def sssp_tree(
     root: int,
     excluded: Collection[int] = (),
     tie_rng=None,
-    adj: RowSnapshot | None = None,
+    adj: Adjacency | None = None,
 ) -> SSSPTree:
     """Exact shortest path tree from `root`, never entering `excluded`.
 
     Raises UnreachableVertexError unless every non-excluded vertex is
     reached; the callers' normalization invariant guarantees they all are,
     so a miss signals an upstream bug rather than a property of the input.
-    Pass adj=out_adjacency(h) to share the row snapshot across calls.
+    Pass adj=out_adjacency(h) to share the snapshot across calls; the
+    tree keeps adj's rows, not its out-lists.
     """
     if root in excluded:
         raise ValueError("root cannot be excluded")
     if adj is None:
         adj = out_adjacency(h)
-    row_of = adj.row_of
-    out = adj.out
-    n = len(adj.vertices)
+    snap, out = adj
+    row_of = snap.row_of
+    n = len(snap.vertices)
     # settled doubles as the exclusion filter: excluded rows are never
     # relaxed, exactly as if they had been settled before the run began
     settled = bytearray(n)
@@ -188,13 +202,13 @@ def sssp_tree(
         raise UnreachableVertexError(
             f"root {root} reached {reached} of {expected} vertices"
         )
-    return SSSPTree(root, adj, reached, base, pert, par_dart, par_row)
+    return SSSPTree(root, snap, reached, base, pert, par_dart, par_row)
 
 
-def inherit_tree(tree: SSSPTree, adj: RowSnapshot, root_of: Mapping[int, int]) -> SSSPTree:
-    """tree's columns over the rows of adj, a contracted copy of its graph.
+def inherit_tree(tree: SSSPTree, snap: RowSnapshot, root_of: Mapping[int, int]) -> SSSPTree:
+    """tree's columns over snap, the rows of a contracted copy of its graph.
 
-    Every vertex of adj must be a row of tree's snapshot. root_of maps each
+    Every vertex of snap must be a row of tree's snapshot. root_of maps each
     vertex that the contraction merged into another to that vertex, the
     root of its contracted tree; a parent row is remapped through it. The
     result equals a fresh sssp_tree on the contracted graph when the
@@ -202,17 +216,17 @@ def inherit_tree(tree: SSSPTree, adj: RowSnapshot, root_of: Mapping[int, int]) -
     contractions do for the child interval's endpoints; build(instrument=
     True) checks it.
     """
-    rows = list(map(tree.snap.row_of.__getitem__, adj.vertices))
+    rows = list(map(tree.snap.row_of.__getitem__, snap.vertices))
     base = list(map(tree.base.__getitem__, rows))
     parents = tree.snap.vertices
-    row_of = adj.row_of
+    row_of = snap.row_of
     par_row = [
         -1 if p < 0 else row_of[root_of.get(parents[p], parents[p])]
         for p in map(tree.par_row.__getitem__, rows)
     ]
     return SSSPTree(
         tree.root,
-        adj,
+        snap,
         len(base) - base.count(-1),
         base,
         list(map(tree.pert.__getitem__, rows)),
@@ -229,14 +243,14 @@ class SharedForest:
     root_rows: list[int]  # rows with shared children but no shared parent
 
 
-def shared_forest(h: EmbeddedDigraph, t1: SSSPTree, t2: SSSPTree) -> SharedForest:
+def shared_forest(t1: SSSPTree, t2: SSSPTree) -> SharedForest:
     """Intersection of two trees' parent arcs over the same snapshot.
 
     A row joins the forest when both trees give it the same parent dart
     (hence the same ingoing arc). Component roots are the rows with shared
     children but no shared parent; the two trees' parent arcs
-    automatically differ there. h is the graph both trees were grown on;
-    the trees' own columns carry everything the forest needs.
+    automatically differ there. The trees' own columns carry everything
+    the forest needs.
     """
     pd1 = t1.par_dart
     pd2 = t2.par_dart

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
-from planar_mssp import load, load_graph
-from planar_mssp.cli import main
+from planar_mssp import FaceNotFoundError, build_graph, load, load_graph
+from planar_mssp.cli import _face_index, main
 from tests.test_mssp import GRID3_DIST
 
 
@@ -176,6 +177,22 @@ def test_face_errors(tmp_path, grid3_files, capsys):
         "build", "-i", str(g), "-o", str(tmp_path / "x.json"), "--face", "abc",
     ]) == 1
     assert capsys.readouterr().err.startswith("error FaceNotFound: ")
+
+
+def test_face_list_match_is_linear_in_the_face_length():
+    # a 30 000-vertex cycle has two faces of that length; a list that is
+    # neither must fail fast, and a cyclic shift of a face names it
+    n = 30_000
+    graph = build_graph(n, [(i, (i + 1) % n, 0, 1, 1, 1) for i in range(n)])
+    walks = [[graph.dart_vertex(d) for d in w] for w in graph.face_walks()]
+    swapped = [*range(n - 2), n - 1, n - 2]
+    start = time.perf_counter()
+    with pytest.raises(FaceNotFoundError, match="no face has boundary"):
+        _face_index(graph, None, ",".join(map(str, swapped)))
+    assert time.perf_counter() - start < 2.0
+    for fi, walk in enumerate(walks):
+        shifted = walk[n // 3:] + walk[:n // 3]
+        assert _face_index(graph, None, ",".join(map(str, shifted))) == fi
 
 
 def test_seed_from_environment(tmp_path, monkeypatch, capsys):

@@ -60,7 +60,7 @@ def selection_outcomes(norm) -> set[bool]:
     outcomes = set()
     for i in range(len(trees) - 1):
         t_low, t_high = trees[i], trees[i + 1]
-        forest = shared_forest(g, t_low, t_high)
+        forest = shared_forest(t_low, t_high)
         kept: dict[int, set[int]] = {}  # root -> its children that were kept
         for sel in select_trees(g, t_low, t_high):
             s = sel.root

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -210,22 +211,53 @@ def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
     inherit = mssp.inherit_tree
     calls = []
 
-    def corrupted(tree, adj, root_of):
+    def corrupted(tree, snap, root_of):
         if not calls:
             row_of = tree.snap.row_of
             row = next(
-                row_of[v] for v in adj.vertices if tree.par_dart[row_of[v]] >= 0
+                row_of[v] for v in snap.vertices if tree.par_dart[row_of[v]] >= 0
             )
             par_dart = list(tree.par_dart)
             par_dart[row] ^= 1
             tree = dataclasses.replace(tree, par_dart=par_dart)
         calls.append(tree.root)
-        return inherit(tree, adj, root_of)
+        return inherit(tree, snap, root_of)
 
     monkeypatch.setattr(mssp, "inherit_tree", corrupted)
     with pytest.raises(MsspError, match="instrument: inherited tree .* par_dart"):
         build(norm3, instrument=True)
     assert len(calls) == 1
+
+
+class OutLists(list):
+    """Out-lists that a weak reference can follow."""
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"instrument": True}, {"right_first": True}],
+    ids=["plain", "instrument", "right_first"],
+)
+def test_one_node_out_lists_at_a_time(monkeypatch, options):
+    # a node's out-lists serve only its own Dijkstra runs, so none is
+    # alive when the next node takes its snapshot; the build pauses GC,
+    # so reference counting alone must free them
+    g, outer = gen_grid(12, seed=1)
+    norm = normalize(g, outer, seed=1)
+    adjacency = mssp.out_adjacency
+    made = []
+
+    def tracked(h):
+        assert all(ref() is None for ref in made), "an earlier node's out-lists are alive"
+        adj = adjacency(h)
+        adj = adj._replace(out=OutLists(adj.out))
+        made.append(weakref.ref(adj.out))
+        return adj
+
+    monkeypatch.setattr(mssp, "out_adjacency", tracked)
+    oracle = build(norm, **options)
+    assert len(made) == oracle.stats.node_count > 1
+    assert all(ref() is None for ref in made)
 
 
 def test_instrumented_build_takes_the_production_graph_path(monkeypatch):

@@ -27,7 +27,7 @@ from planar_mssp import (
     normalize,
     verify,
 )
-from planar_mssp.normalize import ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE
+from planar_mssp.normalize import ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE, ArcInfo
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 from tests.test_persistence import oneway_grid
 
@@ -398,6 +398,58 @@ def test_normalized_instances_meet_the_contract():
             norm = normalize(g, face, seed=face)
             norm.graph.check()
             assert norm.graph.vertex_count == g.vertex_count + norm.root_count, (name, face)
+
+
+def arc_table_by_position(g, norm) -> dict:
+    """norm's arc table by where each arc sits, as normalize decides kinds.
+
+    An arc on a dart the input lacks is a spoke; one on an input dart is
+    an original arc where the input has an arc there, and otherwise a
+    reverse arc, whose ordered pair the input does not carry.
+    """
+    input_darts = {d for v in g.vertices() for d in g.rotation(v)}
+    pairs = {(tail, head) for tail, head, _ in g.arc_items()}
+    table = {}
+    for tail, head, arc in norm.graph.arc_items():
+        d = arc[2]
+        if d not in input_darts:
+            kind = ARC_SPOKE
+        elif g.arc_into(d ^ 1) is not None:
+            assert g.arc_into(d ^ 1)[0] == arc[0]
+            kind = ARC_ORIGINAL
+        else:
+            assert (tail, head) not in pairs and arc[0] == norm.w_big
+            kind = ARC_REVERSE
+        table[d] = ArcInfo(tail, head, arc[0], arc[1], kind)
+    return table
+
+
+def derived_arc_corpus():
+    """normalized_corpus plus zero weights, alone (W_big 1) and one-way."""
+    yield from normalized_corpus()
+    g, _ = gen_grid(4, max_weight=0, seed=1)
+    yield "grid4-zero", g, range(g.face_count())
+    g = build_graph(3, [(u, v, pu, pv, 0, None) for u, v, pu, pv, _, _ in TRI_ONEWAY_SLOTS])
+    yield "tri_oneway-zero", g, range(g.face_count())
+
+
+def test_derived_arc_table():
+    # arcs is derived from the normalized graph by tail and base; it must
+    # equal, in key order, the table that dart positions and the input's
+    # pairs give, and a build must not derive it
+    w_bigs = set()
+    kinds = Counter()
+    for name, g, faces in derived_arc_corpus():
+        for face in faces:
+            norm = normalize(g, face, seed=face)
+            build(norm)
+            assert "arcs" not in vars(norm), (name, face)
+            want = arc_table_by_position(g, norm)
+            assert list(norm.arcs.items()) == list(want.items()), (name, face)
+            w_bigs.add(norm.w_big)
+            kinds.update(a.kind for a in want.values())
+    assert 1 in w_bigs
+    assert kinds.keys() == {ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE}
 
 
 def test_map_answer():

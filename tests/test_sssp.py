@@ -87,18 +87,19 @@ def test_no_ring_vertex_is_a_tree_parent(norm2):
 
 def test_out_adjacency_matches_arc_items(norm2):
     g = norm2.graph
-    snap = out_adjacency(g)
+    adj = out_adjacency(g)
+    snap = adj.snap
     assert snap.vertices == sorted(g.vertices())
     assert snap.row_of == {v: row for row, v in enumerate(snap.vertices)}
     assert snap.arc_count == len(list(g.arc_items()))
     flat = {(tail, a[0], a[1], head) for tail, head, a in g.arc_items()}
     spread = {
         (snap.vertices[row], base, pert, snap.vertices[head_row])
-        for row, arcs in enumerate(snap.out)
+        for row, arcs in enumerate(adj.out)
         for base, pert, head_row, _ in arcs
     }
     assert spread == flat
-    for arcs in snap.out:
+    for arcs in adj.out:
         for base, pert, head_row, dart_at_head in arcs:
             assert g.dart_vertex(dart_at_head) == snap.vertices[head_row]
             arc = g.arc_into(dart_at_head)
@@ -147,7 +148,7 @@ def test_shared_forest_on_adjacent_roots(norm3):
     ring = set(norm3.ring_roots)
     for i in range(len(trees)):
         t1, t2 = trees[i], trees[(i + 1) % len(trees)]
-        forest = shared_forest(g, t1, t2)
+        forest = shared_forest(t1, t2)
         vertices = t1.snap.vertices
         # definition: exactly the vertices on which both parent darts agree
         expected = {
@@ -176,7 +177,7 @@ def test_shared_forest_of_tree_with_itself(norm3):
     g = norm3.graph
     r = norm3.ring_roots[0]
     tree = sssp_tree(g, r, [x for x in norm3.ring_roots if x != r])
-    forest = shared_forest(g, tree, tree)
+    forest = shared_forest(tree, tree)
     vertices = tree.snap.vertices
     shared = [vertices[c] for kids in forest.children.values() for c in kids]
     assert sorted(shared) == sorted(tree.parent_dart)
@@ -201,9 +202,9 @@ def test_inherited_trees_equal_fresh_trees_after_contraction(norm3):
         contracted += len(root_of)
         child = out_adjacency(h)
         for tree in (low, high):
-            got = inherit_tree(tree, child, root_of)
+            got = inherit_tree(tree, child.snap, root_of)
             want = sssp_tree(h, tree.root, [x for x in ends if x != tree.root], adj=child)
-            assert got.root == want.root and got.snap is child
+            assert got.root == want.root and got.snap is child.snap
             assert (got.reached, got.base, got.pert, got.par_dart, got.par_row) == (
                 want.reached, want.base, want.pert, want.par_dart, want.par_row
             )
