@@ -30,24 +30,27 @@ walk's record hits and the terminal tree walk, expanding every arc's tail
 chain — the precomputed list of (record, vertex) hops between the arc's
 tail at contraction time and its original tail — deepest hop first, which
 yields original arc ids in path order with O(1) record probes per
-reported arc.
+reported arc. The oracle stores bases only: a distance's perturbation,
+the tie-breaker that normalize adds, is the sum over the arcs of its
+path, so query_dist walks the path that query_path reports.
 
 Everything stored is flat columns (_Columns), built and loaded alike.
 The K record tables and the N root tables are all trees over vertices
 with distances from a root, so they are K + N blocks of one set of node
-columns (vertex, base, perturbation, parent vertex, parent arc), divided
-by the CSR offsets tree_start: the records in key order, then the tables
-in root order; records add their keys and each node's record tree root,
-which the records' nodes, coming first, index directly.
+columns (vertex, base, parent vertex, parent arc), divided by the CSR
+offsets tree_start: the records in key order, then the tables in root
+order; records add their keys and each node's record tree root, which
+the records' nodes, coming first, index directly.
 Within a block the nodes whose parent arc has a tail chain come first, so
 node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
 when that offset is below the block's chain count, and one CSR pair
 (chain_hop_start, hops) holds every chain. Bases are int64 (-1 =
-unreached); perturbations are split at bit 60 into an int64 low and an
-int32 high half, so sums of 63-bit perturbations along long paths still
-fit. The only per-node Python objects are the vertex -> node dicts, one
-per block, made with dict(zip(...)) over the columns; they hold ints
-only, so the garbage collector does not track them. One walk
+unreached). The arc table holds only the arcs some node names as its
+parent arc, which are all the arcs a path can report; an arc's kind is
+not stored, as it follows from its tail and base (see normalize). The
+only per-node Python objects are the vertex -> node dicts, one per
+block, made with dict(zip(...)) over the columns; they hold ints only,
+so the garbage collector does not track them. One walk
 (MsspOracle._walk) follows parent vertices to a block's root, the ring
 vertex for a table and the node's record root for a record, and serves
 the terminal tree and every record tree. The build fills its columns from
@@ -57,7 +60,7 @@ call returns per child (_tree_block for both, which puts each block in
 order with one sort), and each node looks up a tail chain at most once
 per original tail.
 
-The oracle file is format "planar-mssp-oracle", version 6, little-endian:
+The oracle file is format "planar-mssp-oracle", version 7, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -77,10 +80,11 @@ table per root, no block with more chains than nodes, and that every
 parent arc id is in the arc table; then, block by block, that no block
 lists a vertex twice and that each table is rooted at its own ring
 vertex, over vertices of table 0, with one row whose parent is the ring
-vertex, whose parent arc is the root's spoke, which no other row's is,
-and which has no tail chain (so a path starts with the spoke). Path
-queries bound every parent walk, and raise CorruptFileError, not
-KeyError, when a damaged file names a vertex or record it does not hold.
+vertex, whose parent arc is the root's spoke (the arc whose tail is the
+ring vertex), which no other row's is, and which has no tail chain (so a
+path starts with the spoke). Path queries bound every parent walk, and
+raise CorruptFileError, not KeyError, when a damaged file names a vertex
+or record it does not hold.
 The plans and the dicts are not part of the file. to_json() gives the
 same content as one logical JSON document, for tests and tools.
 """
@@ -114,33 +118,21 @@ from .errors import (
     UnreachableError,
     VersionMismatchError,
 )
-from .normalize import (
-    ARC_ORIGINAL,
-    ARC_REVERSE,
-    ARC_SPOKE,
-    UNREACHABLE,
-    ArcInfo,
-    NormalizedInstance,
-)
+from .normalize import UNREACHABLE, ArcInfo, NormalizedInstance, arc_kind
 from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 6
-
-_PERT_SHIFT = 60
-_PERT_MASK = (1 << _PERT_SHIFT) - 1
+ORACLE_VERSION = 7
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 
 _MAGIC = b"\x89MSSP\r\n\x1a"
 _PRELUDE = struct.Struct("<8sII")  # magic, header length, header crc32
-_WIDTH = {"b": 1, "i": 4, "q": 8}
+_WIDTH = {"i": 4, "q": 8}
 if any(array(tc).itemsize != w for tc, w in _WIDTH.items()):
-    raise ImportError("array typecodes 'b', 'i', 'q' must be 1, 4 and 8 bytes wide")
+    raise ImportError("array typecodes 'i' and 'q' must be 4 and 8 bytes wide")
 _SWAP = sys.byteorder != "little"
-# arc kinds by their code in the arc_kind column
-_KINDS = (ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE)
 
 # Every column, in file order: (name, typecode). N roots, A arcs, K record
 # tables, M = K + N blocks (the record tables in key order, then the root
@@ -149,18 +141,15 @@ _KINDS = (ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE)
 _SECTIONS = (
     ("ring_roots", "i"),  # N ring vertices r_j
     ("face_vertices", "i"),  # N face vertices b_j
-    ("arc_id", "i"),  # A, increasing
+    ("arc_id", "i"),  # A, increasing: the arcs that node_arc names
     ("arc_tail", "i"),
     ("arc_head", "i"),
     ("arc_base", "q"),
     ("arc_perturb", "q"),
-    ("arc_kind", "b"),  # index into _KINDS
     ("record_key", "i"),  # K, increasing
     ("tree_start", "i"),  # M + 1: each block's nodes
     ("node_vertex", "i"),  # V; in each block the nodes with a tail chain first
     ("node_base", "q"),  # from the block's root: a table's distance, a record's delta
-    ("node_plo", "q"),
-    ("node_phi", "i"),
     ("node_parent", "i"),  # parent vertex; -1 at a root and where unreached
     ("node_arc", "i"),  # parent arc id; -1 likewise
     ("record_root", "i"),  # tree_start[K]: each record node's tree root
@@ -330,7 +319,8 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
 
     No block may list a vertex twice. Every table must hold its own ring
     vertex at distance 0, list only vertices of table 0, the root node's
-    tree, which holds every vertex, and start every path with its spoke.
+    tree, which holds every vertex, and start every path with its spoke,
+    the arc whose tail is the ring vertex.
     """
     start = c.tree_start
     vertex = c.node_vertex
@@ -343,13 +333,9 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
         trees.append(index)
     n = len(c.ring_roots)
     base, parents, arcs = c.node_base, c.node_parent, c.node_arc
-    # tail -> spoke, found by a byte search of the kind column
-    kinds, spoke = c.arc_kind.tobytes(), bytes([_KINDS.index(ARC_SPOKE)])
-    spoke_of = {}
-    at = kinds.find(spoke)
-    while at >= 0:
-        spoke_of[c.arc_tail[at]] = c.arc_id[at]
-        at = kinds.find(spoke, at + 1)
+    # ring vertex -> its spoke, the one arc that leaves it
+    ring = set(c.ring_roots)
+    spoke_of = {t: a for a, t in zip(c.arc_id, c.arc_tail) if t in ring}
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
     tables = trees[k:]
@@ -466,15 +452,22 @@ class MsspOracle:
 
     @property
     def arcs(self) -> dict[int, ArcInfo]:
-        """Arc id -> ArcInfo of the normalized graph, made on first use."""
+        """Arc id -> ArcInfo of the stored arcs, made on first use.
+
+        Only the arcs of the normalized graph that some stored tree names
+        as a parent arc are stored: every arc a path can report, not every
+        arc of the graph. Each kind follows from the arc's tail and base.
+        """
         arcs = self._arcs
         if arcs is None:
             c = self._cols
-            infos = map(
-                ArcInfo, c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb,
-                map(_KINDS.__getitem__, c.arc_kind),
-            )
-            arcs = self._arcs = dict(zip(c.arc_id, infos))
+            ring, w_big = self._ring_set, self.w_big
+            arcs = self._arcs = {
+                aid: ArcInfo(tail, head, base, perturb, arc_kind(tail, base, ring, w_big))
+                for aid, tail, head, base, perturb in zip(
+                    c.arc_id, c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb
+                )
+            }
         return arcs
 
     # ------------------------------------------------------------------
@@ -492,8 +485,7 @@ class MsspOracle:
         """The one query descent: reroute u along root j's plan.
 
         Returns u's node in the terminal table and the base of the distance.
-        Appends each record hit (key, vertex, node) to hits when given;
-        the perturbation of the distance adds up the hits' nodes.
+        Appends each record hit (key, vertex, node) to hits when given.
         """
         _, steps, index = self._plan(j)
         if u not in self._query_vertices:
@@ -520,15 +512,16 @@ class MsspOracle:
     def query_dist(self, j: int, u: int) -> LexWeight:
         """Exact normalized-graph distance from r_j to u as a LexWeight.
 
-        Apply map_answer (or use distance()) to interpret the result in
+        The file stores bases only, so the perturbation is summed over the
+        arcs of u's path, r_j's spoke included: a call walks the path and
+        costs O(path length), where distance() costs O(descent depth). It
+        answers for unreachable vertices too (base w_big or more). Apply
+        map_answer (or use distance()) to interpret the result in
         original-graph terms.
         """
-        hits: list[tuple[int, int, int]] = []
-        node, base = self._descend(j, u, hits)
-        c = self._cols
-        lo = c.node_plo[node] + sum(c.node_plo[e] for _, _, e in hits)
-        hi = c.node_phi[node] + sum(c.node_phi[e] for _, _, e in hits)
-        return LexWeight(base, (hi << _PERT_SHIFT) + lo)
+        path, base, _ = self._walked(j, u, False)
+        arcs = self.arcs
+        return LexWeight(base, sum(arcs[a].perturb for a in path))
 
     def distance(self, j: int, u: int):
         """Base distance from b_j to u in the original graph, or UNREACHABLE."""
@@ -553,14 +546,25 @@ class MsspOracle:
 
     def query_path(self, j: int, u: int) -> list[int]:
         """Original arc ids of the unique shortest b_j-to-u path."""
-        path, _ = self._query_path_counted(j, u)
-        return path
+        path, _, _ = self._walked(j, u, True)
+        # the first arc is r_j's spoke
+        return path[1:]
 
     def _query_path_counted(self, j: int, u: int) -> tuple[list[int], int]:
         """query_path plus the number of record/table entry probes used."""
+        path, _, probes = self._walked(j, u, True)
+        return path[1:], probes
+
+    def _walked(self, j: int, u: int, reachable: bool) -> tuple[list[int], int, int]:
+        """Descend for (j, u), then walk u's shortest path from r_j.
+
+        Returns the path's arc ids, r_j's spoke first, the base of its
+        distance and the record/table entry probes used. If reachable is
+        set, an unreachable u raises UnreachableError before any walk.
+        """
         hits: list[tuple[int, int, int]] = []
         node, base = self._descend(j, u, hits)
-        if base >= self.w_big:
+        if reachable and base >= self.w_big:
             raise UnreachableError(
                 f"vertex {u} is not reachable from face vertex {self.face_vertices[j]}"
             )
@@ -578,8 +582,7 @@ class MsspOracle:
         except RecursionError as exc:
             # chains nest one level per record; only a damaged file nests deeper
             raise CorruptFileError("tail chains of the path expand into each other") from exc
-        # the first arc is r_j's spoke
-        return out[1:], probes
+        return out, base, probes
 
     def _walk(self, block: tuple, v: int, out: list[int]) -> int:
         """Append the arcs of a block's tree path from its root to vertex v.
@@ -658,13 +661,13 @@ class MsspOracle:
     def to_json(self) -> dict:
         """The oracle's content as one logical JSON document.
 
-        Version 4's document with version 6, each tree's nodes in the file's
-        block order: header values, "arcs" as [id, tail, head, base, perturb,
-        kind], "tables" as one [j, vertices, base, plo, phi, par_v, par_arc,
-        chains] per root, where chains lists [row, [[midpoint, side, vertex],
-        ...]], and "records" as [midpoint, side, entries] per record table,
-        each entry [vertex, root, delta base, delta perturb, parent, arc,
-        chain]. Tests and tools read it; save() writes the columns instead.
+        Each tree's nodes in the file's block order: header values, "arcs"
+        as [id, tail, head, base, perturb], "tables" as one [j, vertices,
+        base, par_v, par_arc, chains] per root, where chains lists [row,
+        [[midpoint, side, vertex], ...]], and "records" as [midpoint, side,
+        entries] per record table, each entry [vertex, root, delta base,
+        parent, arc, chain]. Tests and tools read it; save() writes the
+        columns instead.
         """
         c = self._cols
         k = len(c.record_key)
@@ -682,16 +685,15 @@ class MsspOracle:
             a, z, chains = block(k + j)
             tables.append(
                 [j, *(col[a:z].tolist() for col in (
-                    c.node_vertex, c.node_base, c.node_plo, c.node_phi, c.node_parent,
-                    c.node_arc)), [[p, hops] for p, hops in enumerate(chains)]]
+                    c.node_vertex, c.node_base, c.node_parent, c.node_arc)),
+                 [[p, hops] for p, hops in enumerate(chains)]]
             )
         records = []
         for b, key in enumerate(c.record_key):
             a, z, chains = block(b)
             chains += [[] for _ in range(z - a - len(chains))]
             entries = [
-                [c.node_vertex[e], c.record_root[e], c.node_base[e],
-                 (c.node_phi[e] << _PERT_SHIFT) | c.node_plo[e], c.node_parent[e],
+                [c.node_vertex[e], c.record_root[e], c.node_base[e], c.node_parent[e],
                  c.node_arc[e], hops]
                 for e, hops in zip(range(a, z), chains)
             ]
@@ -705,7 +707,9 @@ class MsspOracle:
             "ring_roots": list(self.ring_roots),
             "face_vertices": list(self.face_vertices),
             "arcs": [
-                [aid, *info] for aid, info in self.arcs.items()
+                list(arc) for arc in zip(
+                    c.arc_id, c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb
+                )
             ],
             "stats": self.stats.to_json(),
             "tables": tables,
@@ -713,7 +717,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 6) to a path or binary file object."""
+        """Write the oracle file (format version 7) to a path or binary file object."""
         if hasattr(sink, "write"):
             self._write(sink.write)
         else:
@@ -807,21 +811,15 @@ def _check_columns(c: _Columns) -> None:
     if len(set(c.ring_roots)) != n:
         raise CorruptFileError("a ring root is listed twice")
     arcs = len(c.arc_id)
-    if any(len(col) != arcs for col in (
-        c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb, c.arc_kind
-    )):
+    if any(len(col) != arcs for col in (c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb)):
         raise CorruptFileError("arc columns differ in length")
-    if arcs and not 0 <= min(c.arc_kind) <= max(c.arc_kind) < len(_KINDS):
-        raise CorruptFileError("an arc kind is out of range")
     start = c.tree_start
     k = len(c.record_key)
     tables = len(start) - 1 - k
     if tables != n:
         raise CorruptFileError(f"{tables} tables for {n} roots; expected one per root")
     nodes = len(c.node_vertex)
-    if any(len(col) != nodes for col in (
-        c.node_base, c.node_plo, c.node_phi, c.node_parent, c.node_arc
-    )):
+    if any(len(col) != nodes for col in (c.node_base, c.node_parent, c.node_arc)):
         raise CorruptFileError(f"the node columns do not all have the {nodes} rows")
     _check_offsets(start, nodes, "tree nodes")
     if len(c.record_root) != start[k]:
@@ -906,8 +904,6 @@ class _Block(NamedTuple):
 
     vertex: array
     base: array
-    plo: array
-    phi: array
     parent: array
     arc: array
     root: array  # a record's only
@@ -916,7 +912,7 @@ class _Block(NamedTuple):
     hop_vertex: array
 
 
-def _tree_block(vertex, base, pert, parent, arc, chains, root=()) -> _Block:
+def _tree_block(vertex, base, parent, arc, chains, root=()) -> _Block:
     """A tree's columns, in block order: the nodes whose parent arc has a
     tail chain (chains holds each node's, () for none, or is empty when no
     node has one) first, each part by ascending vertex. A table's columns
@@ -929,8 +925,8 @@ def _tree_block(vertex, base, pert, parent, arc, chains, root=()) -> _Block:
     if chained:
         order = chained + [p for p in order if not chains[p]]
     if isinstance(order, list):
-        vertex, base, pert, parent, arc = (
-            [col[p] for p in order] for col in (vertex, base, pert, parent, arc)
+        vertex, base, parent, arc = (
+            [col[p] for p in order] for col in (vertex, base, parent, arc)
         )
         if root:
             root = [root[p] for p in order]
@@ -938,8 +934,6 @@ def _tree_block(vertex, base, pert, parent, arc, chains, root=()) -> _Block:
     return _Block(
         _column("i", vertex),
         _column("q", base),
-        _column("q", [p & _PERT_MASK for p in pert]),
-        _column("i", [p >> _PERT_SHIFT for p in pert]),
         _column("i", parent),
         _column("i", arc),
         _column("i", root),
@@ -952,27 +946,19 @@ def _tree_block(vertex, base, pert, parent, arc, chains, root=()) -> _Block:
 def _flat_columns(
     norm: NormalizedInstance, tables: list[_Block], records: dict[int, _Block]
 ) -> _Columns:
-    """Concatenate the build's blocks: records in key order, then tables in root order."""
+    """Concatenate the build's blocks: records in key order, then tables in
+    root order; then the arcs the blocks name, read from the normalized
+    graph, where an arc's id is its tail dart."""
     c = _Columns()
     c.ring_roots = _column("i", norm.ring_roots)
     c.face_vertices = _column("i", norm.face_vertices)
-    ids, tails, heads, bases, perturbs, kinds = norm.arc_columns()
-    c.arc_id = _column("i", ids)
-    c.arc_tail = _column("i", tails)
-    c.arc_head = _column("i", heads)
-    c.arc_base = _column("q", bases)
-    c.arc_perturb = _column("q", perturbs)
-    c.arc_kind = _column("b", map(_KINDS.index, kinds))
-
     keys = sorted(records)
-    (vertex, base, plo, phi, parent, arc, root, chain_len, hop_key,
+    (vertex, base, parent, arc, root, chain_len, hop_key,
      hop_vertex) = zip(*map(records.__getitem__, keys), *tables)
     c.record_key = _column("i", keys)
     c.tree_start = _offsets(map(len, vertex))
     c.node_vertex = _concat("i", vertex)
     c.node_base = _concat("q", base)
-    c.node_plo = _concat("q", plo)
-    c.node_phi = _concat("i", phi)
     c.node_parent = _concat("i", parent)
     c.node_arc = _concat("i", arc)
     c.record_root = _concat("i", root)
@@ -980,6 +966,17 @@ def _flat_columns(
     c.chain_hop_start = _offsets(_concat("i", chain_len))
     c.hop_key = _concat("i", hop_key)
     c.hop_vertex = _concat("i", hop_vertex)
+
+    used = set(c.node_arc)
+    used.discard(-1)
+    ids = sorted(used)
+    at, arc_at = norm.graph._at, norm.graph._arc
+    arcs = list(map(arc_at.__getitem__, ids))
+    c.arc_id = _column("i", ids)
+    c.arc_tail = _column("i", map(at.__getitem__, ids))
+    c.arc_head = _column("i", [at[d ^ 1] for d in ids])
+    c.arc_base = _column("q", [a[0] for a in arcs])
+    c.arc_perturb = _column("q", [a[1] for a in arcs])
     return c
 
 
@@ -1144,7 +1141,6 @@ def build(
             table_blocks[k] = _tree_block(
                 vertices,
                 t.base,
-                t.pert,
                 [-1 if r < 0 else vertices[r] for r in t.par_row],
                 par_arc,
                 [chain_at(aid) if aid >= 0 else () for aid in par_arc]
@@ -1197,8 +1193,8 @@ def build(
             stats.record_entries += entries
             if entries:
                 record_blocks[key] = _tree_block(
-                    records.vertex, records.dbase, records.dpert, records.parent,
-                    records.arc, records.chain, records.root,
+                    records.vertex, records.dbase, records.parent, records.arc,
+                    records.chain, records.root,
                 )
             if instrument:
                 check_child(hj, j1, j2, trees)

@@ -23,7 +23,8 @@ distance reaching W_big means the target is unreachable in the input.
 The normalized graph is the whole instance: ``normalize`` builds no arc
 table. ``NormalizedInstance.arcs``, arc id -> ArcInfo, is derived from the
 graph on first read (an arc's id is its tail dart), and so are the
-oracle's arc columns. An arc's kind follows from its tail and base: a
+oracle's arc columns. An arc's kind follows from its tail and base
+(``arc_kind``, which the oracle also uses, as its file stores no kinds): a
 spoke if its tail is a ring vertex, else a reverse arc if its base equals
 W_big, else an original arc. That is what ``normalize`` decides, because
 ring ids lie above every input id and only spokes leave ring vertices,
@@ -82,6 +83,11 @@ class ArcInfo(NamedTuple):
     kind: str
 
 
+def arc_kind(tail: int, base: int, ring, w_big: int) -> str:
+    """An arc's kind by the rule in the module docstring; ring holds the ring vertices."""
+    return ARC_SPOKE if tail in ring else ARC_REVERSE if base == w_big else ARC_ORIGINAL
+
+
 class _Unreachable:
     __slots__ = ()
 
@@ -124,25 +130,13 @@ class NormalizedInstance:
     @cached_property
     def arcs(self) -> dict[int, ArcInfo]:
         """Arc id -> ArcInfo in id order, derived from graph on first read."""
-        ids, *columns = self.arc_columns()
-        return dict(zip(ids, map(ArcInfo, *columns)))
-
-    def arc_columns(self) -> tuple[list[int], list[int], list[int], list[int], list[int], list]:
-        """The arcs by increasing id as columns: id, tail, head, base, perturb, kind.
-
-        Read from graph; each kind by the rule in the module docstring.
-        """
         at, arc_at = self.graph._at, self.graph._arc
-        ids = sorted(d for d, a in arc_at.items() if a is not None)
-        arcs = list(map(arc_at.__getitem__, ids))
-        tails = list(map(at.__getitem__, ids))
-        bases = [a[0] for a in arcs]
         ring, w_big = self.ring_index, self.w_big
-        kinds = [
-            ARC_SPOKE if t in ring else ARC_REVERSE if b == w_big else ARC_ORIGINAL
-            for t, b in zip(tails, bases)
-        ]
-        return ids, tails, [at[d ^ 1] for d in ids], bases, [a[1] for a in arcs], kinds
+        return {
+            d: ArcInfo(at[d], at[d ^ 1], a[0], a[1], arc_kind(at[d], a[0], ring, w_big))
+            for d in sorted(arc_at)
+            if (a := arc_at[d]) is not None
+        }
 
 
 def _resolve_face(walks: list[list[int]], face, graph: EmbeddedDigraph) -> list[int]:

@@ -1,12 +1,13 @@
-"""An independent writer of oracle files (format version 6), for tests.
+"""An independent writer of oracle files (format version 7), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the README
 describes. It shares no code with the package's save(), so a test can
 damage a document the way a broken writer would and load the result, and
 the pinned digests in test_persistence.py were derived with it from the
-version 5 documents of the parent format. Versions 5 and 6 share the
-layout; version 6 builds hold fewer record tables.
+version 6 documents of the parent format. Version 7 is version 6 without
+the perturbation columns (node_plo, node_phi), the arc kinds (arc_kind)
+and the arcs that no node refers to.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
@@ -30,17 +31,15 @@ import struct
 import zlib
 
 MAGIC = b"\x89MSSP\r\n\x1a"
-KINDS = ("arc", "reverse", "spoke")
-SHIFT = 60
-MASK = (1 << SHIFT) - 1
-NODE = ("node_vertex", "node_base", "node_plo", "node_phi", "node_parent", "node_arc")
+NODE = ("node_vertex", "node_base", "node_parent", "node_arc")
+ARC = ("arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb")
 COLUMNS = (  # name, struct format letter
     ("ring_roots", "i"), ("face_vertices", "i"),
     ("arc_id", "i"), ("arc_tail", "i"), ("arc_head", "i"), ("arc_base", "q"),
-    ("arc_perturb", "q"), ("arc_kind", "b"),
+    ("arc_perturb", "q"),
     ("record_key", "i"), ("tree_start", "i"),
-    ("node_vertex", "i"), ("node_base", "q"), ("node_plo", "q"), ("node_phi", "i"),
-    ("node_parent", "i"), ("node_arc", "i"), ("record_root", "i"),
+    ("node_vertex", "i"), ("node_base", "q"), ("node_parent", "i"), ("node_arc", "i"),
+    ("record_root", "i"),
     ("tree_chain_start", "i"), ("chain_hop_start", "i"), ("hop_key", "i"),
     ("hop_vertex", "i"),
 )
@@ -54,7 +53,7 @@ def _running(lengths) -> list[int]:
 
 
 def _add_tree(col: dict, nodes: list[tuple], hops_of: dict[int, list], roots=None) -> None:
-    """Append one block: nodes (vertex, base, plo, phi, parent, arc), chained first."""
+    """Append one block: nodes (vertex, base, parent, arc), chained first."""
     order = sorted(range(len(nodes)), key=lambda p: not hops_of.get(p))
     col["tree_start"].append(len(nodes))
     col["tree_chain_start"].append(sum(1 for p in order if hops_of.get(p)))
@@ -76,19 +75,15 @@ def columns_of(doc: dict) -> dict[str, list[int]]:
     col: dict[str, list[int]] = {name: [] for name, _ in COLUMNS}
     col["ring_roots"] = list(doc["ring_roots"])
     col["face_vertices"] = list(doc["face_vertices"])
-    for aid, tail, head, base, perturb, kind in doc["arcs"]:
-        for name, value in zip(
-            ("arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb", "arc_kind"),
-            (aid, tail, head, base, perturb, KINDS.index(kind)),
-        ):
+    for arc in doc["arcs"]:
+        for name, value in zip(ARC, arc, strict=True):
             col[name].append(value)
     for mid, side, entries in doc["records"]:
         col["record_key"].append(2 * mid + side)
         _add_tree(
             col,
-            [(v, dbase, dpert & MASK, dpert >> SHIFT, parent, arc)
-             for v, _, dbase, dpert, parent, arc, _ in entries],
-            {p: entry[6] for p, entry in enumerate(entries)},
+            [(v, dbase, parent, arc) for v, _, dbase, parent, arc, _ in entries],
+            {p: entry[5] for p, entry in enumerate(entries)},
             [entry[1] for entry in entries],
         )
     # tables: the item's own j is its place in the stream, so it is not written

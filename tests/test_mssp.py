@@ -15,6 +15,7 @@ import pytest
 
 from planar_mssp import (
     BadRootIndexError,
+    brute_distances,
     CorruptFileError,
     EmbeddedDigraph,
     FaceVertexQueryError,
@@ -181,8 +182,8 @@ def test_stored_tables_are_the_read_tables(oracle5):
     s = oracle.stats
     assert s.stored_rows == sum(len(t) for t in oracle.tables)
     doc = oracle.to_json()
-    record_chains = sum(len(e[6]) for _, _, entries in doc["records"] for e in entries)
-    table_chains = sum(len(hops) for table in doc["tables"] for _, hops in table[7])
+    record_chains = sum(len(e[5]) for _, _, entries in doc["records"] for e in entries)
+    table_chains = sum(len(hops) for table in doc["tables"] for _, hops in table[5])
     assert table_chains > 0
     assert s.chain_elements == record_chains + table_chains
 
@@ -190,8 +191,8 @@ def test_stored_tables_are_the_read_tables(oracle5):
 @pytest.mark.parametrize("right_first", (False, True))
 def test_nothing_stored_goes_unread(right_first):
     # every record table is probed by some root's descent or named by a
-    # tail-chain hop, and every table is its root's terminal table and
-    # holds all the stored rows
+    # tail-chain hop, every table is its root's terminal table and holds
+    # all the stored rows, and every stored arc is some node's parent arc
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
         oracle = build(normalize(g, face, seed=seed), right_first=right_first)
@@ -202,6 +203,7 @@ def test_nothing_stored_goes_unread(right_first):
         for plan, table in zip(oracle._plans, oracle.tables):
             assert plan.index is table
         assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
+        assert set(oracle.arcs) == set(oracle._cols.node_arc) - {-1}, name
 
 
 def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
@@ -312,14 +314,26 @@ def test_explain_follows_the_descent(oracle5):
 
 
 def test_distance_is_map_answer_of_query_dist():
+    # query_dist's perturbation is summed along the walked path; here it is
+    # exact against brute force on every pair, unreachable ones included,
+    # where query_path raises
     g, face = oneway_grid(16)
-    oracle = build(normalize(g, face, seed=7))
+    norm = normalize(g, face, seed=7)
+    oracle = build(norm)
+    snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
+    ring = set(norm.ring_roots)
     unreachable = 0
-    for j in range(oracle.ring_count):
+    for j, r in enumerate(norm.ring_roots):
+        expected = brute_distances(snap, r, ring - {r})
         for u in sorted(oracle.query_vertices):
+            full = oracle.query_dist(j, u)
+            assert (full.base, full.perturb) == expected[u], (j, u)
             got = oracle.distance(j, u)
-            assert got == map_answer(oracle.query_dist(j, u), oracle.w_big), (j, u)
-            unreachable += got is UNREACHABLE
+            assert got == map_answer(full, oracle.w_big), (j, u)
+            if got is UNREACHABLE:
+                unreachable += 1
+                with pytest.raises(UnreachableError):
+                    oracle.query_path(j, u)
     assert unreachable > 0
 
 
@@ -333,8 +347,6 @@ def test_probe_budget(oracle5):
 
 
 def test_exactness_on_5x5_against_brute(oracle5, norm5):
-    from planar_mssp import brute_distances
-
     snap = [(tail, head, a[0], a[1]) for tail, head, a in norm5.graph.arc_items()]
     ring = set(norm5.ring_roots)
     for j, r in enumerate(norm5.ring_roots):
@@ -367,15 +379,20 @@ def test_build_determinism(norm3, oracle3):
 
 def test_queries_from_several_threads_match_serial_answers():
     # a built oracle is read-only apart from its arcs dict, made on first
-    # use; four threads race that and every query, switching often
+    # use, which query_dist reads; four threads race that and every query,
+    # switching often; the serial answers come from a twin, so the dict is
+    # first made in the race. The oracle stores the arcs its trees name,
+    # each as the normalized graph has it
     g, outer = gen_grid(8, seed=0)
     norm = normalize(g, outer, seed=0)
-    oracle = build(norm)
+    oracle, twin = build(norm), build(norm)
     pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
+    stored = set(twin._cols.arc_id)
+    assert stored < norm.arcs.keys()
     serial = (
-        [oracle.query_dist(j, u) for j, u in pairs],
-        [oracle.query_path(j, u) for j, u in pairs],
-        norm.arcs,
+        [twin.query_dist(j, u) for j, u in pairs],
+        [twin.query_path(j, u) for j, u in pairs],
+        {aid: info for aid, info in norm.arcs.items() if aid in stored},
     )
     start = threading.Barrier(4)
 

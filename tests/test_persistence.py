@@ -34,27 +34,27 @@ from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 5 document of the same instance, as built
-# by the code before format version 6 (its to_json()): "version" set to 6,
-# the record tables of right children that are leaves deleted (no query
-# reads them, and version 6 builds no such child), "stats" taken from the
-# version 6 build, which matches the old stats but for lower node,
-# record-entry, chain-element and per-level counts, and the document
-# encoded with tests/oracle_file.py, which shares no code with save(). Any
-# change to these bytes is a format change and needs a version bump.
+# was derived from the version 6 document of the same instance, as built
+# by the code before format version 7 (its to_json()): "version" set to 7,
+# the tables' plo and phi lists, the record entries' delta perturbations
+# and the arcs' kinds deleted, every arc that no table row or record entry
+# names as its parent arc deleted, and the document encoded with
+# tests/oracle_file.py, which shares no code with save(). The stats are
+# the version 6 build's. Any change to these bytes is a format change and
+# needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "51d1723a0a103b03fd768a114d3167332b07670bf8b7e79229abec8f6926219d",
-    "grid16-outer": "73ddc3e95ca091547e8ca63b67c0bc64144260c62f40f814ce1c8fd544aec197",
-    "random10-outer": "0fa263271fd79f7a1e9e7e4c936cbab9dcb21deb0cddcf4cc29c3c170e2fe1b6",
-    "bowtie-inner": "1ffa435c3078f97020b7eebdaf6865564c84f290df88f6145abf3f4392c1407c",
-    "tri_oneway-inner": "27860f68b3cc782ce78ec15cd3769b0c6c2fc0df3214d2ee767537a00cd5a1cc",
-    "grid32-outer": "959a5e69fb04db56bdb6a52bf7f50a4ac9b7543c1f41fa1dcadffb95388664c2",
-    "grid16-oneway-inner": "b4944ebd722f1952e332eaae7fe3fb693000731a146711a1533203c81cfa659a",
-    "random12-inner": "83629bd69e5ce6435b9a103ba8d6d5a5daa00896e9162904c0d0f39b07c41635",
+    "grid8-outer": "a960dc866a2b685ac2c03e0475ee20657960d7b02208827893adcac6c7eef891",
+    "grid16-outer": "dd6ccd53c16891bc59b1590ddffe13f77097ba61ca03b44a8e584fc5ba9c8d56",
+    "random10-outer": "d3ff5bfe8bf867a8e4819b9810b56880199ec58ff082b2e882878fd836925d85",
+    "bowtie-inner": "a6a512979005cf4aea3b1a7bfde3f22f523f0e35b2f73b7f0a59281fa83c6542",
+    "tri_oneway-inner": "e6c8ccb18376368bddb5cc0e4844b804c0ecefb7cf5691b50cfa484aebc0b615",
+    "grid32-outer": "7fe8d4d08b69dac179e30990f69d76d9b313884f8f1c201c831243de154f2130",
+    "grid16-oneway-inner": "1088a921939d4cdc0de47156ee8e1d33c2e27c3e25aa854cfd8986474e9c208c",
+    "random12-inner": "924dc83939a8233e29e182ca91973ef7ca18bf0a54dfecc777da268544da2e67",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "75c57a9e562453712df980ebe1f330baa4b59c6c75a8ae9f68965c81396d857a"
+    "grid64-outer", "15fc27ac29255be770e86fcf53a5d803cd224ee54496eac2ce9e66bc38df7cd1"
 )
 
 
@@ -158,8 +158,8 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_six():
-    assert ORACLE_VERSION == 6
+def test_oracle_version_is_seven():
+    assert ORACLE_VERSION == 7
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -206,6 +206,15 @@ def test_version_five_file_is_rejected():
     doc = small_oracle().to_json()
     doc["version"] = 5
     with pytest.raises(VersionMismatchError, match="version 5"):
+        load_doc(doc)
+
+
+def test_version_six_file_is_rejected():
+    # version 6 files also held each distance's perturbation, the arc kinds
+    # and arcs no path reports
+    doc = small_oracle().to_json()
+    doc["version"] = 6
+    with pytest.raises(VersionMismatchError, match="version 6"):
         load_doc(doc)
 
 
@@ -363,15 +372,15 @@ def test_non_spoke_first_path_arc_is_rejected_at_load():
     other = min(set(oracle.arcs) - spokes)
     damaged = json.loads(json.dumps(doc))
     for table in damaged["tables"]:
-        table[6] = [other if a in spokes else a for a in table[6]]
+        table[4] = [other if a in spokes else a for a in table[4]]
     with pytest.raises(CorruptFileError, match="spoke"):
         load_doc(damaged)
     # a tail chain on the spoke's row would put record arcs before the spoke
     j, table = next(
-        (j, table) for j, table in enumerate(doc["tables"]) if table[7]
+        (j, table) for j, table in enumerate(doc["tables"]) if table[5]
     )
-    row = table[5].index(doc["ring_roots"][j])
-    table[7].append([row, table[7][0][1]])
+    row = table[3].index(doc["ring_roots"][j])
+    table[5].append([row, table[5][0][1]])
     with pytest.raises(CorruptFileError, match="spoke"):
         load_doc(doc)
 
@@ -382,7 +391,7 @@ def test_self_parent_table_raises_in_bounded_time():
     for r, table in zip(doc["ring_roots"], doc["tables"]):
         # every row its own parent, but those of the spoke rows, which load
         # checks
-        table[5] = [p if p in (-1, r) else v for v, p in zip(table[1], table[5])]
+        table[3] = [p if p in (-1, r) else v for v, p in zip(table[1], table[3])]
     loaded = load_doc(doc)
     j, u = 0, max(oracle.query_vertices, key=lambda v: len(oracle.query_path(0, v)))
     t0 = time.perf_counter()
@@ -395,14 +404,14 @@ def test_self_parent_record_raises_in_bounded_time():
     oracle = small_oracle()
     doc = oracle.to_json()
     parent = {
-        (mid, side, entry[0]): entry[4]
+        (mid, side, entry[0]): entry[3]
         for mid, side, entries in doc["records"]
         for entry in entries
     }
     for record in doc["records"]:
         for entry in record[2]:
             if entry[0] != entry[1]:  # not the record tree's root
-                entry[4] = entry[0]
+                entry[3] = entry[0]
     loaded = load_doc(doc)
     pair = next(
         (j, u)
@@ -437,13 +446,13 @@ def test_record_parent_outside_its_table_raises():
     for record in doc["records"]:
         for entry in record[2]:
             if entry[0] != entry[1]:  # not the record tree's root
-                entry[4] = 10**6
+                entry[3] = 10**6
     assert corrupt_path_answers(doc) > 0
 
 
 def test_chain_key_without_record_raises():
     doc = small_oracle().to_json()
-    chains = [chain for table in doc["tables"] for _, chain in table[7]]
+    chains = [chain for table in doc["tables"] for _, chain in table[5]]
     assert chains, "fixture oracle has no tail chains"
     for chain in chains:
         for hop in chain:
@@ -458,7 +467,7 @@ def test_chain_that_expands_into_itself_raises():
     for mid, side, entries in doc["records"]:
         for entry in entries:
             if entry[0] != entry[1]:  # not the record tree's root
-                entry[6] = [[mid, side, entry[0]]]
+                entry[5] = [[mid, side, entry[0]]]
     t0 = time.perf_counter()
     assert corrupt_path_answers(doc) > 0
     assert time.perf_counter() - t0 < 5.0
@@ -467,14 +476,14 @@ def test_chain_that_expands_into_itself_raises():
 def test_parent_vertex_outside_its_node_raises():
     doc = small_oracle().to_json()
     for r, table in zip(doc["ring_roots"], doc["tables"]):
-        table[5] = [p if p < 0 or p == r else 10**6 for p in table[5]]
+        table[3] = [p if p < 0 or p == r else 10**6 for p in table[3]]
     assert corrupt_path_answers(doc) > 0
 
 
 def test_parent_arc_outside_the_arc_list_raises():
     doc = small_oracle().to_json()
     for table in doc["tables"]:
-        table[6] = [-1 if a < 0 else 10**6 for a in table[6]]
+        table[4] = [-1 if a < 0 else 10**6 for a in table[4]]
     with pytest.raises(CorruptFileError, match="arc ids"):
         load_doc(doc)
 
@@ -486,8 +495,8 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
     doc = oracle.to_json()
     spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
     par_arc = next(
-        table[6] for table in doc["tables"]
-        if any(a >= 0 and a not in spokes for a in table[6])
+        table[4] for table in doc["tables"]
+        if any(a >= 0 and a not in spokes for a in table[4])
     )
     row = next(r for r, a in enumerate(par_arc) if a >= 0 and a not in spokes)
     par_arc[row] = 10**6
@@ -497,14 +506,14 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
 
 def test_unknown_record_arc_is_rejected_at_load():
     doc = small_oracle().to_json()
-    entry = next(e for rec in doc["records"] for e in rec[2] if e[5] >= 0)
-    entry[5] = 10**6
+    entry = next(e for rec in doc["records"] for e in rec[2] if e[4] >= 0)
+    entry[4] = 10**6
     with pytest.raises(CorruptFileError, match="arc ids"):
         load_doc(doc)
 
 
 def test_value_wider_than_its_column_raises_a_typed_error():
-    # ids and perturbation high halves are int32 in the file
+    # ids are int32 in the file, bases and arc perturbations int64
     with pytest.raises(FormatLimitError, match="32-bit"):
         _column("i", [0, 2**31])
     with pytest.raises(FormatLimitError, match="64-bit"):
@@ -569,8 +578,8 @@ def test_loaded_tables_and_records_are_not_tracked_by_gc():
 # error, fast
 
 _FUZZ_DATA = saved(small_oracle())
-# the one byte whose change is a version change: the digit of "version":6
-_VERSION_AT = _FUZZ_DATA.index(b'"version":6') + len(b'"version":')
+# the one byte whose change is a version change: the digit of "version":7
+_VERSION_AT = _FUZZ_DATA.index(b'"version":7') + len(b'"version":')
 
 
 def assert_rejected(data: bytes, version_byte_changed: bool) -> None:
