@@ -50,12 +50,12 @@ def main() -> None:
     # ring vertices outside the interval may enter a tree and go, so check
     # the graph without them, as the build's child graph is
     h.copy(excluded - {rings[lo], rings[hi]}).check()
-    absorbed = [i for i, (v, root) in enumerate(zip(rec.vertex, rec.root)) if v != root]
+    # one record entry per absorbed vertex: the tree roots stay in h
     print(f"\ncontracted {before} -> {h.vertex_count} vertices"
-          f" ({len(absorbed)} absorbed)")
+          f" ({len(rec.vertex)} absorbed)")
 
     print("record entries (vertex: root, distance below root, tree arc):")
-    for i in sorted(absorbed, key=rec.vertex.__getitem__):
+    for i in sorted(range(len(rec.vertex)), key=rec.vertex.__getitem__):
         print(f"  {rec.vertex[i]}: root {rec.root[i]}, delta base {rec.dbase[i]},"
               f" arc {rec.arc[i]}")
 

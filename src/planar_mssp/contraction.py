@@ -16,9 +16,10 @@ every tree against the graph before it changes anything, then contracts
 the trees one after another, in selection order, with one walk around
 each (EmbeddedDigraph._merge_tree), which reweights, drops, merges the
 tree's slots into the root and keeps the cheapest arc per ordered pair.
-It returns the child's record columns, one entry per tree vertex: what
-queries later use to jump from a contracted vertex to its super-vertex,
-and what path expansion uses to re-inflate the jump into original arcs.
+It returns the child's record columns, one entry per tree member (every
+tree vertex but the root): what queries later use to jump from a
+contracted vertex to its super-vertex, and what path expansion uses to
+re-inflate the jump into original arcs.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class SelectedTree:
 
 @dataclass(eq=False, slots=True)
 class Records:
-    """A child's record columns, one entry per vertex of its trees.
+    """A child's record columns, one entry per member of its trees.
 
-    A root names itself with a zero delta, parent and arc -1 and no chain;
-    a member names its tree's root, its delta, its tree parent, the arc id
-    of the tree arc parent -> member and that arc's tail chain.
+    A tree's root has no entry: it stays in the graph. A member names its
+    tree's root, its delta, its tree parent (the root or another member),
+    the arc id of the tree arc parent -> member and that arc's tail chain.
     """
 
     vertex: list[int]
@@ -143,7 +144,8 @@ def contract_tree(
     leaving it reweighted by the member's delta, is merged into its root
     so the embedding survives, and keeps only the cheapest arc per
     ordered pair around the root. chain_fn maps an arc id to its current
-    tail expansion, which the member's entry stores.
+    tail expansion, which the member's entry stores. The returned records
+    hold the members only, not the roots.
     """
     at = h._at
     arc_at = h._arc
@@ -163,10 +165,8 @@ def contract_tree(
         if s not in entry:
             raise NotATreeError(f"root {s} is not in the graph")
         seen = {s}
-        arcs = [-1]
-        members = zip(vertex, parent, dart)
-        next(members)
-        for v, p, d in members:
+        arcs: list[int] = []
+        for v, p, d in zip(vertex[1:], parent[1:], dart[1:]):
             if p not in seen:
                 raise NotATreeError(f"parent of {v} does not precede it")
             if d not in arc_at:
@@ -181,14 +181,13 @@ def contract_tree(
         if not placed.isdisjoint(seen):
             raise NotATreeError(f"tree of root {s} shares a vertex with another tree")
         placed |= seen
-        rec.vertex += vertex
-        rec.root += [s] * n
-        rec.dbase += tree.dbase
-        rec.dpert += tree.dpert
-        rec.parent += parent
+        rec.vertex += vertex[1:]
+        rec.root += [s] * (n - 1)
+        rec.dbase += tree.dbase[1:]
+        rec.dpert += tree.dpert[1:]
+        rec.parent += parent[1:]
         rec.arc += arcs
-        rec.chain.append(())
-        rec.chain += map(chain_fn, arcs[1:])
+        rec.chain += map(chain_fn, arcs)
     for tree in selected:
         h._merge_tree(tree.vertex, tree.dart, tree.dbase, tree.dpert)
     return rec

@@ -40,27 +40,33 @@ with distances from a root, so they are K + N blocks of one set of node
 columns (vertex, base, parent vertex, parent arc), divided by the CSR
 offsets tree_start: the records in key order, then the tables in root
 order; records add their keys and each node's record tree root, which
-the records' nodes, coming first, index directly.
+the records' nodes, coming first, index directly. A record block holds
+its trees' members only: a tree's root stays in the child graph, so it
+has no node there, and every record hit reroutes.
 Within a block the nodes whose parent arc has a tail chain come first, so
 node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
 when that offset is below the block's chain count, and one CSR pair
-(chain_hop_start, hops) holds every chain. Bases are int64 (-1 =
-unreached). The arc table holds only the arcs some node names as its
-parent arc, which are all the arcs a path can report; an arc's kind is
-not stored, as it follows from its tail and base (see normalize). The
-only per-node Python objects are the vertex -> node dicts, one per
-block, made with dict(zip(...)) over the columns; they hold ints only,
-so the garbage collector does not track them. One walk
-(MsspOracle._walk) follows parent vertices to a block's root, the ring
-vertex for a table and the node's record root for a record, and serves
-the terminal tree and every record tree. The build fills its columns from
-the Dijkstra columns of the trees it stores (one row snapshot per node,
-sssp.out_adjacency) and from the record columns that one contract_tree
-call returns per child (_tree_block for both, which puts each block in
-order with one sort), and each node looks up a tail chain at most once
-per original tail.
+(chain_hop_start, hops) holds every chain. Bases are int64 and never
+negative: a table holds only the rows its root's Dijkstra run reached,
+which leaves out the interval's other ring vertices, which no query
+names, so node_parent is -1 only at a table's root. The arc table holds
+only the arcs some node names as its parent arc, which are all the arcs
+a path can report; an arc's kind is not stored, as it follows from its
+tail and base (see normalize). The only per-node Python objects are the
+vertex -> node dicts, one per block, made with dict(zip(...)) over the
+columns; they hold ints only, so the garbage collector does not track
+them. One walk (MsspOracle._walk) follows parent vertices to a block's
+root, the ring vertex for a table and the node's record root for a
+record, comparing each parent with the root before it looks the parent
+up (a record does not hold its root), and serves the terminal tree and
+every record tree. The build fills its columns from the Dijkstra columns
+of the trees it stores (one row snapshot per node, sssp.out_adjacency)
+and from the record columns that one contract_tree call returns per
+child (_tree_block for both, which puts each block in order with one
+sort), and each node looks up a tail chain at most once per original
+tail.
 
-The oracle file is format "planar-mssp-oracle", version 7, little-endian:
+The oracle file is format "planar-mssp-oracle", version 8, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -76,12 +82,14 @@ oracle re-saves byte for byte. load() checks, in this order: the magic
 (a file that starts with "{" is a JSON oracle of versions 1 to 3 and
 raises VersionMismatchError), the format and version, the header and
 section checksums, the file length, the column lengths and offsets, one
-table per root, no block with more chains than nodes, and that every
-parent arc id is in the arc table; then, block by block, that no block
-lists a vertex twice and that each table is rooted at its own ring
-vertex, over vertices of table 0, with one row whose parent is the ring
-vertex, whose parent arc is the root's spoke (the arc whose tail is the
-ring vertex), which no other row's is, and which has no tail chain (so a
+table per root, no block with more chains than nodes, no negative base,
+no record node that is its own tree root, and that every parent arc id
+is in the arc table; then, block by block, that no block lists a vertex
+twice and that each table is rooted at its own ring vertex, over that
+vertex and vertices of table 0, which holds one row per original vertex
+and its own ring vertex, with one row whose parent is the ring vertex,
+whose parent arc is the root's spoke (the arc whose tail is the ring
+vertex), which no other row's is, and which has no tail chain (so a
 path starts with the spoke). Path queries bound every parent walk, and
 raise CorruptFileError, not KeyError, when a damaged file names a vertex
 or record it does not hold.
@@ -103,9 +111,9 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from bisect import bisect_right
-from itertools import accumulate, chain, islice, repeat
-from operator import gt, sub
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, gt, sub
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .contraction import TailChain, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
@@ -123,7 +131,7 @@ from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 7
+ORACLE_VERSION = 8
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 
@@ -149,10 +157,10 @@ _SECTIONS = (
     ("record_key", "i"),  # K, increasing
     ("tree_start", "i"),  # M + 1: each block's nodes
     ("node_vertex", "i"),  # V; in each block the nodes with a tail chain first
-    ("node_base", "q"),  # from the block's root: a table's distance, a record's delta
-    ("node_parent", "i"),  # parent vertex; -1 at a root and where unreached
+    ("node_base", "q"),  # >= 0 from the block's root: a table's distance, a record's delta
+    ("node_parent", "i"),  # parent vertex; -1 only at a table's root
     ("node_arc", "i"),  # parent arc id; -1 likewise
-    ("record_root", "i"),  # tree_start[K]: each record node's tree root
+    ("record_root", "i"),  # tree_start[K]: each record node's tree root, not itself
     ("tree_chain_start", "i"),  # M + 1: each block's chains, of its first nodes
     ("chain_hop_start", "i"),  # C + 1: each chain's hops
     ("hop_key", "i"),  # record key of each hop, innermost hop first
@@ -318,9 +326,10 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
     """Each block's vertex -> node dict, checking what a query relies on.
 
     No block may list a vertex twice. Every table must hold its own ring
-    vertex at distance 0, list only vertices of table 0, the root node's
-    tree, which holds every vertex, and start every path with its spoke,
-    the arc whose tail is the ring vertex.
+    vertex at distance 0, list only that vertex and vertices of table 0,
+    the root node's tree, which holds every original vertex and its own
+    ring vertex, and start every path with its spoke, the arc whose tail
+    is the ring vertex.
     """
     start = c.tree_start
     vertex = c.node_vertex
@@ -339,6 +348,8 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
     tables = trees[k:]
+    # table 0's vertices, and while table j is checked, also r_j
+    allowed = set(tables[0])
     for j, (r, index, a, z, chains) in enumerate(
         zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
     ):
@@ -350,15 +361,23 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
                 f"table {j} is not rooted at its labelled root {j}'s ring vertex {r}"
             )
         if j == 0:
-            if z - a != n_original + n:
+            if z - a != n_original + 1:
                 raise CorruptFileError(
-                    f"table 0 has {z - a} rows, not one per vertex ({n_original} + {n})"
+                    f"table 0 has {z - a} rows, not one per original vertex and"
+                    f" its ring vertex ({n_original} + 1)"
                 )
-        elif not index.keys() <= tables[0].keys():
-            stray = min(index.keys() - tables[0].keys())
-            raise CorruptFileError(
-                f"table {j} lists vertex {stray}, which table 0 does not hold"
-            )
+        else:
+            # table 0's one ring vertex is its own
+            if r in allowed:
+                raise CorruptFileError(f"table 0 lists root {j}'s ring vertex {r}")
+            allowed.add(r)
+            inside = index.keys() <= allowed
+            allowed.discard(r)
+            if not inside:
+                stray = min(index.keys() - allowed - {r})
+                raise CorruptFileError(
+                    f"table {j} lists vertex {stray}, which table 0 does not hold"
+                )
         # r is pendant, its spoke its one arc, so exactly one row, b_j's, has
         # r as its parent; its parent arc must be that spoke, which no other
         # row's is, and it must have no tail chain: so every path starts with
@@ -432,10 +451,11 @@ class MsspOracle:
         self._table_blocks = blocks[k:]
         self._record_blocks = dict(zip(cols.record_key, blocks))
         # the columns each query reads, bound once, and the bound on a walk's
-        # steps: a tree path has fewer arcs than the largest tree has nodes
+        # steps after its first node: a tree path has at most as many arcs as
+        # the largest block has nodes (a record does not hold its root)
         self._reroute = (cols.record_root, cols.node_base)
         self._walk_cols = (
-            cols.node_vertex, cols.node_parent, cols.node_arc, cols.record_root,
+            cols.node_parent, cols.node_arc, cols.record_root,
             cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_blocks,
             range(max(map(len, indexes))),
         )
@@ -497,17 +517,14 @@ class MsspOracle:
         for key, entries in steps:
             e = entries.get(u)
             if e is not None:
-                root = roots[e]
-                if root != u:
-                    acc += bases[e]
-                    if hits is not None:
-                        hits.append((key, u, e))
-                    u = root
+                acc += bases[e]
+                if hits is not None:
+                    hits.append((key, u, e))
+                u = roots[e]
         node = index.get(u)
-        base = -1 if node is None else bases[node]
-        if base < 0:
-            raise CorruptFileError(f"table {j} holds no reached row for vertex {u}")
-        return node, acc + base
+        if node is None:
+            raise CorruptFileError(f"table {j} holds no row for vertex {u}")
+        return node, acc + bases[node]
 
     def query_dist(self, j: int, u: int) -> LexWeight:
         """Exact normalized-graph distance from r_j to u as a LexWeight.
@@ -588,29 +605,31 @@ class MsspOracle:
         """Append the arcs of a block's tree path from its root to vertex v.
 
         The root is the ring vertex for a table and v's record root for a
-        record. Each arc's tail chain, the (record, vertex) hops between the
+        record; v is never the root. A record does not hold its root, so
+        each parent is compared with the root before it is looked up. Each
+        arc's tail chain, the (record, vertex) hops between the
         arc's tail at contraction time and its original tail, goes first,
         deepest hop first, each hop one walk of its record tree. Returns the
-        probes: one per node looked up, and at least one per walk.
+        probes: one per node on the path.
         """
         index, first_node, first_chain, chains, stop = block
-        (vertex, parent, arc, roots, hop_start, hop_key, hop_vertex, record_blocks,
+        (parent, arc, roots, hop_start, hop_key, hop_vertex, record_blocks,
          bound) = self._walk_cols
         node = index[v]
         if stop is None:
             stop = roots[node]
-        nodes: list[int] = []
+        nodes = [node]
         for _ in bound:
+            v = parent[node]
             if v == stop:
                 break
-            nodes.append(node)
-            v = parent[node]
             node = index[v]
+            nodes.append(node)
         else:
             # only the parent pointers of a damaged file walk this far: a cycle
             b = bisect_right(self._cols.tree_start, first_node) - 1
             raise CorruptFileError(f"parent pointers of {_tree_name(self._cols, b)} cycle")
-        probes = len(nodes) or 1
+        probes = len(nodes)
         nodes.reverse()
         for node in nodes:
             off = node - first_node
@@ -717,7 +736,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 7) to a path or binary file object."""
+        """Write the oracle file (format version 8) to a path or binary file object."""
         if hasattr(sink, "write"):
             self._write(sink.write)
         else:
@@ -801,7 +820,8 @@ def _check_offsets(off: array, count: int, what: str) -> None:
 
 
 def _check_columns(c: _Columns) -> None:
-    """Column lengths and offsets agree, and every arc id is known."""
+    """Column lengths and offsets agree, no base is negative, no record
+    node is its own root, and every arc id is known."""
     n = len(c.ring_roots)
     if n == 0 or len(c.face_vertices) != n:
         raise CorruptFileError(
@@ -834,13 +854,23 @@ def _check_columns(c: _Columns) -> None:
     if len(c.hop_vertex) != len(c.hop_key):
         raise CorruptFileError("chain hop columns differ in length")
     _check_offsets(c.chain_hop_start, len(c.hop_key), "chain hops")
+    # a table stores reached rows only and a record its trees' members
+    # only. _descend reroutes on every record hit, so a root's entry would
+    # add its delta to a distance. An int64's sign bit is in its most
+    # significant byte: one C-level pass over those bytes checks the bases
+    # without making an int per node
+    if not c.node_base.tobytes()[0 if _SWAP else 7::8].isascii():
+        raise CorruptFileError("a node has a negative base")
+    if any(map(eq, c.record_root, c.node_vertex)):
+        raise CorruptFileError("a record node is its own tree root")
     known = set(c.arc_id)
     if len(known) != arcs:
         raise CorruptFileError("an arc id is listed twice")
-    # every arc id a path walk can report, -1 (no arc) aside
-    unknown = set(c.node_arc).difference(known)
-    unknown.discard(-1)
-    if unknown:
+    # every arc id a path walk can report, and -1 (no arc) at a table's
+    # root; a subset test, which builds no set of the node column
+    known.add(-1)
+    if not known.issuperset(c.node_arc):
+        unknown = set(c.node_arc) - known
         raise CorruptFileError(
             f"{len(unknown)} parent or record arc ids are not in the arc"
             f" table, such as {min(unknown)}"
@@ -940,6 +970,26 @@ def _tree_block(vertex, base, parent, arc, chains, root=()) -> _Block:
         _column("i", [len(chains[p]) >> 1 for p in chained]),
         _column("i", hops[0::2]),
         _column("i", hops[1::2]),
+    )
+
+
+def _table_block(t: SSSPTree, chain_at: Callable[[int], TailChain] | None) -> _Block:
+    """A stored tree's table: the rows its run reached, in block order.
+
+    The rows it did not reach are the interval's other ring vertices,
+    which the run excluded and no query names. chain_at gives a parent
+    arc's tail chain; it is None while no vertex is contracted.
+    """
+    vertices = t.snap.vertices
+    reached = [b >= 0 for b in t.base]
+    # a tree arc's id is its tail dart, the reverse of the parent dart
+    par_arc = [-1 if d < 0 else d ^ 1 for d in compress(t.par_dart, reached)]
+    return _tree_block(
+        list(compress(vertices, reached)),
+        list(compress(t.base, reached)),
+        [-1 if r < 0 else vertices[r] for r in compress(t.par_row, reached)],
+        par_arc,
+        () if chain_at is None else [chain_at(a) if a >= 0 else () for a in par_arc],
     )
 
 
@@ -1135,18 +1185,8 @@ def build(
             return found
 
         for k in terminal:
-            t = trees[k]
-            # a tree arc's id is its tail dart, the reverse of the parent dart
-            par_arc = [-1 if d < 0 else d ^ 1 for d in t.par_dart]
-            table_blocks[k] = _tree_block(
-                vertices,
-                t.base,
-                [-1 if r < 0 else vertices[r] for r in t.par_row],
-                par_arc,
-                [chain_at(aid) if aid >= 0 else () for aid in par_arc]
-                if absorbed_at else (),
-            )
-            stats.stored_rows += len(vertices)
+            table_blocks[k] = block = _table_block(trees[k], chain_at if absorbed_at else None)
+            stats.stored_rows += len(block.vertex)
         if leaf:
             return
         del snap, vertices
@@ -1200,7 +1240,7 @@ def build(
                 check_child(hj, j1, j2, trees)
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees
-            moved = {u: r for u, r in zip(records.vertex, records.root) if u != r}
+            moved = dict(zip(records.vertex, records.root))
             del records
             lvl["contracted_vertices"] += len(moved)
             for u, root in moved.items():

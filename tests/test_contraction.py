@@ -8,7 +8,6 @@ from planar_mssp import (
     LexWeight,
     NotATreeError,
     PerturbationCollisionWarning,
-    ZERO,
     build_graph,
     gen_grid,
     normalize,
@@ -138,8 +137,9 @@ def test_contract_tree_effects():
     rec = contract_tree(g, [two_vertex_tree()], lambda aid: ())
     g.check()
     assert sorted(g.vertices()) == [0, 2]
-    # record entries: the root names itself, the member keeps its arc
-    assert entry(rec, 0) == (0, ZERO, -1, -1, ())
+    # record entries: the root, which stays, has none; the member names it
+    # and keeps its arc
+    assert rec.vertex == [1]
     assert entry(rec, 1) == (0, LexWeight(2, 0), 0, 0, ())
     # the out-arc 1->2 (base 3) left the tree, so it gains delta 2 and
     # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
@@ -181,10 +181,10 @@ def test_contract_tree_chain_fn():
         return (((7, 7), aid),)
 
     rec = contract_tree(g, [two_vertex_tree()], chain_fn)
-    # chains are recorded for member arcs, never for the root self-entry
+    # chains are recorded for member arcs; the root has no entry
     assert calls == [0]
     assert entry(rec, 1)[4] == (((7, 7), 0),)
-    assert entry(rec, 0)[4] == ()
+    assert 0 not in rec.vertex
 
 
 def test_contract_tree_rejects_malformed_trees():
@@ -292,8 +292,9 @@ def test_contraction_preserves_root_distances(norm3):
         g.copy(ring - {norm3.ring_roots[i], norm3.ring_roots[i + 1]}).check()
         table = {v: entry(rec, v) for v in rec.vertex}
         assert len(table) == len(rec.vertex)
-        absorbed = {v for v, e in table.items() if v != e[0]}
-        assert absorbed == set(table) - {sel.root for sel in selected}
+        # one entry per member: every entry's vertex was absorbed
+        absorbed = set(table)
+        assert absorbed == {v for sel in selected for v in sel.vertex[1:]}
         assert absorbed.isdisjoint(g.vertices())
         # the two interval roots see identical distances to every survivor
         for r in (norm3.ring_roots[i], norm3.ring_roots[i + 1]):
@@ -307,7 +308,7 @@ def test_contraction_preserves_root_distances(norm3):
             assert trees[i].dist[root] + delta == trees[i].dist[v]
             hops = 0
             cur = v
-            while table[cur][2] != -1:
+            while cur != root:
                 cur = table[cur][2]
                 hops += 1
                 assert hops <= len(table)

@@ -10,6 +10,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from operator import eq
 
 import pytest
 
@@ -192,7 +193,10 @@ def test_stored_tables_are_the_read_tables(oracle5):
 def test_nothing_stored_goes_unread(right_first):
     # every record table is probed by some root's descent or named by a
     # tail-chain hop, every table is its root's terminal table and holds
-    # all the stored rows, and every stored arc is some node's parent arc
+    # all the stored rows, and every stored arc is some node's parent arc;
+    # no record entry is its own tree root, no table row is unreached,
+    # table 0 holds each original vertex and its own ring vertex only, and
+    # the stats count every node the file holds
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
         oracle = build(normalize(g, face, seed=seed), right_first=right_first)
@@ -204,6 +208,78 @@ def test_nothing_stored_goes_unread(right_first):
             assert plan.index is table
         assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
         assert set(oracle.arcs) == set(oracle._cols.node_arc) - {-1}, name
+        c = oracle._cols
+        assert not any(map(eq, c.record_root, c.node_vertex)), name
+        assert min(c.node_base) >= 0, name
+        assert len(oracle.tables[0]) == oracle.n_original + 1, name
+        assert oracle.stats.stored_entries == len(c.node_vertex), name
+
+
+def test_walks_follow_the_tree_path_of_every_stored_node():
+    # every node of every block, walked as a path query walks it: the arcs
+    # run from the block's root to the node, through the node's tree path,
+    # each tree arc after its tail chain's arcs
+    for name in sorted(GATE_DIGESTS):
+        g, face, seed = gate_instance(name)
+        oracle = build(normalize(g, face, seed=seed))
+        c, arcs = oracle._cols, oracle.arcs
+        k = len(c.record_key)
+        # block order: the records in key order, then the tables
+        blocks = [*oracle._record_blocks.values(), *oracle._table_blocks]
+        for b, block in enumerate(blocks):
+            index = block[0]
+            for v, node in index.items():
+                root = block[4] if b >= k else c.record_root[node]
+                if v == root:
+                    continue  # a table's root row, which no walk starts at
+                tree_path, x = [], v
+                while x != root:
+                    e = index[x]
+                    tree_path.append(c.node_arc[e])
+                    x = c.node_parent[e]
+                    assert len(tree_path) <= len(index), (name, b, v)
+                out: list[int] = []
+                oracle._walk(block, v, out)
+                assert arcs[out[0]].tail == root and arcs[out[-1]].head == v, (name, b, v)
+                assert all(arcs[a].head == arcs[z].tail for a, z in zip(out, out[1:]))
+                assert out[-1] == tree_path[0]
+                rest = iter(out)
+                assert all(a in rest for a in reversed(tree_path)), (name, b, v)
+
+
+def test_walk_bound_fits_a_chain_as_long_as_its_block():
+    # a record tree that is one chain of m members: its deepest member's
+    # path has m arcs, as many as the block has nodes, as the block does not
+    # hold its root. The walk fits a bound of m steps; one step fewer
+    # reports a cycle, so the oracle's bound, the largest block's size,
+    # leaves no step to spare
+    g, face, seed = gate_instance("random10-outer")
+    oracle = build(normalize(g, face, seed=seed))
+    c = oracle._cols
+    walk_cols = oracle._walk_cols
+    assert len(walk_cols[-1]) == max(map(len, [*oracle.tables, *oracle.records.values()]))
+    chains = 0
+    try:
+        for block in oracle._record_blocks.values():
+            index, m = block[0], len(block[0])
+            parents = {c.node_parent[e] for e in index.values()}
+            roots = {c.record_root[e] for e in index.values()}
+            # one tree, each of whose vertices is at most one node's parent,
+            # and no tail chain, whose walks would take the bound too
+            if block[3] or len(roots) != 1 or m < 2 or len(parents) != m:
+                continue
+            deepest = next(v for v in index if v not in parents)
+            oracle._walk_cols = (*walk_cols[:-1], range(m))
+            out: list[int] = []
+            assert oracle._walk(block, deepest, out) == m
+            assert len(out) == m
+            oracle._walk_cols = (*walk_cols[:-1], range(m - 1))
+            with pytest.raises(CorruptFileError, match="cycle"):
+                oracle._walk(block, deepest, [])
+            chains += 1
+    finally:
+        oracle._walk_cols = walk_cols
+    assert chains
 
 
 def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
@@ -307,7 +383,7 @@ def test_explain_follows_the_descent(oracle5):
             v = u
             for key in probed:
                 root = roots[key].get(v)
-                if root is not None and root != v:
+                if root is not None:
                     hits.append((key, v))
                     v = root
             assert ex.hits == hits

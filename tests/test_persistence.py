@@ -34,27 +34,27 @@ from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 6 document of the same instance, as built
-# by the code before format version 7 (its to_json()): "version" set to 7,
-# the tables' plo and phi lists, the record entries' delta perturbations
-# and the arcs' kinds deleted, every arc that no table row or record entry
-# names as its parent arc deleted, and the document encoded with
-# tests/oracle_file.py, which shares no code with save(). The stats are
-# the version 6 build's. Any change to these bytes is a format change and
-# needs a version bump.
+# was derived from the version 7 document of the same instance, as built
+# by the code before format version 8 (its to_json()): "version" set to 8,
+# every record entry whose root is its own vertex deleted, every table row
+# with base -1 deleted (the chained rows, which come first, keep their
+# positions), stats.stored_rows, stats.record_entries and each level's
+# record_entries lowered by what was deleted, and the document encoded
+# with tests/oracle_file.py, which shares no code with save(). Any change
+# to these bytes is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "a960dc866a2b685ac2c03e0475ee20657960d7b02208827893adcac6c7eef891",
-    "grid16-outer": "dd6ccd53c16891bc59b1590ddffe13f77097ba61ca03b44a8e584fc5ba9c8d56",
-    "random10-outer": "d3ff5bfe8bf867a8e4819b9810b56880199ec58ff082b2e882878fd836925d85",
-    "bowtie-inner": "a6a512979005cf4aea3b1a7bfde3f22f523f0e35b2f73b7f0a59281fa83c6542",
-    "tri_oneway-inner": "e6c8ccb18376368bddb5cc0e4844b804c0ecefb7cf5691b50cfa484aebc0b615",
-    "grid32-outer": "7fe8d4d08b69dac179e30990f69d76d9b313884f8f1c201c831243de154f2130",
-    "grid16-oneway-inner": "1088a921939d4cdc0de47156ee8e1d33c2e27c3e25aa854cfd8986474e9c208c",
-    "random12-inner": "924dc83939a8233e29e182ca91973ef7ca18bf0a54dfecc777da268544da2e67",
+    "grid8-outer": "7f32f74714c0a58b64f13a1fd1aa34542b063994177abb5b8001eea75e7fb9e4",
+    "grid16-outer": "07546f130b15e5611174059a91a0f72a99bd08bea4273c60c1b11f178e6f255a",
+    "random10-outer": "a43af8045a47fc3acbbb13ef7ab3d4d3fa7612d36cab06e3e8873e96bb3ee4d9",
+    "bowtie-inner": "a3f75b569aad70ec9a999fb66b4f3255a355c781fb114f3d2de039812163b449",
+    "tri_oneway-inner": "114796b8b76e501ff481accac2bf02db60111ce24073b43190b456cb3706acc2",
+    "grid32-outer": "82d35d4d7cd5b941ff0fc468b35b393b74c0af94fe78b36a2266d4c63092d061",
+    "grid16-oneway-inner": "161d489f4dc93427eac67dddf0697cdeb6ced71a828c15eb00c3a2f50a0ccff5",
+    "random12-inner": "f167df3de7c4be7f90303d16cb6abe86603e53e1ed357a860de39e4eb73f9551",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "15fc27ac29255be770e86fcf53a5d803cd224ee54496eac2ce9e66bc38df7cd1"
+    "grid64-outer", "0d88436e5d318bc8842915b7df3ca0e8e653ed11c8fe04a856d172f1345ed7f7"
 )
 
 
@@ -158,8 +158,8 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_seven():
-    assert ORACLE_VERSION == 7
+def test_oracle_version_is_eight():
+    assert ORACLE_VERSION == 8
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -218,6 +218,16 @@ def test_version_six_file_is_rejected():
         load_doc(doc)
 
 
+def test_version_seven_file_is_rejected():
+    # version 7 files also held a record entry for each record tree's root
+    # and a table row, with base -1, for each ring vertex a table's root
+    # does not reach
+    doc = small_oracle().to_json()
+    doc["version"] = 7
+    with pytest.raises(VersionMismatchError, match="version 7"):
+        load_doc(doc)
+
+
 def test_header_without_a_version_number_is_corrupt():
     # one flipped bit in the "version" key: a damaged header, not a file of
     # another version
@@ -267,6 +277,16 @@ def test_table_out_of_root_order_is_rejected():
     doc = small_oracle().to_json()
     tables = doc["tables"]
     tables[1], tables[2] = tables[2], tables[1]
+    # a table holds no ring vertex but its own, so table 1 now lacks r_1
+    with pytest.raises(CorruptFileError, match="lacks its ring root"):
+        load_doc(doc)
+
+
+def test_table_root_off_distance_zero_is_rejected():
+    # every distance read from table 5 would be 7 too long
+    doc = small_oracle().to_json()
+    table = doc["tables"][5]
+    table[2][table[1].index(doc["ring_roots"][5])] = 7
     with pytest.raises(CorruptFileError, match="labelled root"):
         load_doc(doc)
 
@@ -288,9 +308,23 @@ def test_truncated_column_is_rejected():
     base = doc["tables"][0][2]
     del base[-3:]
     t0 = time.perf_counter()
-    with pytest.raises(CorruptFileError, match="rows"):
+    # the table loses its last three rows, its ring root, which sorts last,
+    # among them
+    with pytest.raises(CorruptFileError, match="lacks its ring root"):
         load_doc(doc)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_table_zero_missing_a_row_is_rejected():
+    # vertex 1 would silently stop being queryable: query_vertices is read
+    # from table 0
+    doc = small_oracle().to_json()
+    table = doc["tables"][0]
+    row = query_vertex_at(table)
+    for col in table[1:5]:
+        del col[row]
+    with pytest.raises(CorruptFileError, match="table 0 has .* rows"):
+        load_doc(doc)
 
 
 def test_truncated_file_is_rejected():
@@ -342,11 +376,54 @@ def test_table_zero_vertex_replaced_is_rejected():
         load_doc(doc)
 
 
+def test_table_zero_holding_another_ring_vertex_is_rejected():
+    # table 0 holds its own ring vertex and the original vertices only
+    doc = small_oracle().to_json()
+    table = doc["tables"][0]
+    table[1][query_vertex_at(table)] = doc["ring_roots"][1]
+    with pytest.raises(CorruptFileError, match="table 0 lists root 1's ring vertex"):
+        load_doc(doc)
+
+
+def test_table_missing_a_row_raises_at_query():
+    # a table other than table 0 may hold fewer vertices; a query that ends
+    # at the missing one raises a typed error, not a KeyError
+    doc = small_oracle().to_json()
+    table = doc["tables"][5]
+    row = query_vertex_at(table)
+    for col in table[1:5]:
+        del col[row]
+    loaded = load_doc(doc)
+    with pytest.raises(CorruptFileError, match="table 5 holds no row for vertex 1"):
+        loaded.distance(5, 1)
+
+
 def test_table_without_its_ring_root_is_rejected():
     doc = small_oracle().to_json()
     table = doc["tables"][5]
     table[1][table[1].index(doc["ring_roots"][5])] = 10**6
     with pytest.raises(CorruptFileError, match="lacks its ring root"):
+        load_doc(doc)
+
+
+def test_record_entry_that_is_its_own_root_is_rejected():
+    # _descend reroutes on every record hit: this entry would add its delta
+    # to every distance through its vertex, with no error
+    doc = small_oracle().to_json()
+    entry = doc["records"][0][2][0]
+    entry[1] = entry[0]
+    assert entry[2] != 0
+    with pytest.raises(CorruptFileError, match="own tree root"):
+        load_doc(doc)
+
+
+def test_negative_base_is_rejected():
+    # a version 7 unreached row: another ring vertex at base -1
+    doc = small_oracle().to_json()
+    table = doc["tables"][1]
+    for col, value in zip(table[1:5], (doc["ring_roots"][2], -1, -1, -1)):
+        col.append(value)
+    with pytest.raises(CorruptFileError, match="negative base"):
         load_doc(doc)
 
 
@@ -578,8 +655,8 @@ def test_loaded_tables_and_records_are_not_tracked_by_gc():
 # error, fast
 
 _FUZZ_DATA = saved(small_oracle())
-# the one byte whose change is a version change: the digit of "version":7
-_VERSION_AT = _FUZZ_DATA.index(b'"version":7') + len(b'"version":')
+# the one byte whose change is a version change: the digit of "version":8
+_VERSION_AT = _FUZZ_DATA.index(b'"version":8') + len(b'"version":')
 
 
 def assert_rejected(data: bytes, version_byte_changed: bool) -> None:

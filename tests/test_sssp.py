@@ -198,7 +198,7 @@ def test_inherited_trees_equal_fresh_trees_after_contraction(norm3):
         )
         h = g.copy([x for x in ring if x not in ends])
         rec = contract_tree(h, select_trees(h, low, high), lambda aid: ())
-        root_of = {v: r for v, r in zip(rec.vertex, rec.root) if r != v}
+        root_of = dict(zip(rec.vertex, rec.root))
         contracted += len(root_of)
         child = out_adjacency(h)
         for tree in (low, high):
