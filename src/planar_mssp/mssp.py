@@ -1,38 +1,34 @@
 """The multi-source shortest path oracle.
 
 Build recursion over root intervals [i1, i2]: take shortest path trees
-from the interval's endpoints and midpoint, then for each half restrict the
-graph to the half's own ring vertices, contract every tree selected by the
-clockwise rule, record where each contracted vertex went, and recurse. The
-intervals follow from the ring count alone, so they are not stored. Only
-the midpoint's tree is a new Dijkstra run: contraction keeps every
-distance from the child interval's roots, so a child inherits its two
-endpoint trees from its parent (sssp.inherit_tree), and only the root node
-runs its endpoints' trees. A leaf makes only the trees it stores, and a
-right child that is a leaf is not built at all: it would store no table,
-and no descent plan or tail chain reads its record.
-Records are keyed by (midpoint, side); midpoints are unique across the
-recursion, and the side distinguishes the two children, which may contract
-different trees through the same vertex. Inside the oracle a key is the
-int 2 * midpoint + side.
+from the interval's roots, then for each half restrict the graph to the
+half's own ring vertices, contract every tree selected by the clockwise
+rule, record where each contracted vertex went, and recurse. Which nodes
+there are, which trees each has and which tables each stores follow from
+the ring count alone: _schedule lists them and states the rules, and
+build, the descent plans and trace() read it, so nothing of it is stored.
+Contraction keeps every distance from the child interval's roots, so a
+child inherits its two endpoint trees from its parent (sssp.inherit_tree).
+A child's record is keyed by (its parent's midpoint, its side); the side
+distinguishes the two children, which may contract different trees
+through the same vertex. Inside the oracle a key is the int
+2 * midpoint + side.
 
 A distance query walks root-to-leaf through the intervals containing j,
 rerouting u through the records (u becomes its super-vertex, the in-tree
-delta accumulates) until j is an interval endpoint, then reads j's tree at
-that terminal node. That tree is the only one stored for j: a node keeps
-the tables of the roots whose descent ends there, one table per root in
-all, and its other trees serve only its own tree selection. The walk
-depends on j alone, so each root's descent is planned once, when the
-oracle is built or loaded: the record tables along it in order, and j's
-table. A query follows its root's plan (MsspOracle._descend), and
-explain() reports the same descent. A path query additionally replays the
-walk's record hits and the terminal tree walk, expanding every arc's tail
-chain — the precomputed list of (record, vertex) hops between the arc's
-tail at contraction time and its original tail — deepest hop first, which
-yields original arc ids in path order with O(1) record probes per
-reported arc. The oracle stores bases only: a distance's perturbation,
-the tie-breaker that normalize adds, is the sum over the arcs of its
-path, so query_dist walks the path that query_path reports.
+delta accumulates) down to the node that stores j's table, its only
+table, and reads it. The walk depends on j alone, so each root's descent
+is planned once, when the oracle is built or loaded: the record tables
+along it in order, and j's table. A query follows its root's plan
+(MsspOracle._descend), and explain() reports the same descent. A path
+query additionally replays the walk's record hits and the terminal tree
+walk, expanding every arc's tail chain — the precomputed list of
+(record, vertex) hops between the arc's tail at contraction time and its
+original tail — deepest hop first, which yields original arc ids in path
+order with O(1) record probes per reported arc. The oracle stores bases
+only: a distance's perturbation, the tie-breaker that normalize adds, is
+the sum over the arcs of its path, so query_dist walks the path that
+query_path reports.
 
 Everything stored is flat columns (_Columns), built and loaded alike.
 The K record tables and the N root tables are all trees over vertices
@@ -231,40 +227,95 @@ class Explanation(NamedTuple):
     probes: int  # record tables probed on the way down
 
 
+class _Node(NamedTuple):
+    """One node of the recursion, as _schedule yields it."""
+
+    interval: tuple[int, int]  # (i1, i2)
+    level: int  # the root node's is 0
+    key: int | None  # 2 * parent midpoint + side; the root node has no record
+    trees: tuple[int, ...]  # the roots whose trees it has, increasing
+    stores: tuple[int, ...]  # the roots whose tables it stores
+    children: tuple[tuple[int, int], ...]  # their intervals, in the order made
+
+
+def _schedule(n: int, right_first: bool = False) -> Iterator[_Node]:
+    """Every node build makes for n roots, in the order it makes them.
+
+    The recursion follows from n alone, and this is the one place that
+    spells out its rules. The root node has the interval [0, n - 1]. A
+    node [i1, i2] with i2 - i1 <= 1 is a leaf; any other has the midpoint
+    mid = (i1 + i2) // 2, a left child [i1, mid] (side 0) and a right
+    child [mid, i2] (side 1). A child's record key, under which build
+    stores its parent's contraction into it, is 2 * mid + side; midpoints
+    are unique, so keys are too.
+
+    Root j's descent ends at the first node, in preorder with the left
+    child first, that has j as an endpoint, and only that node stores j's
+    table: the root node stores both its endpoints, a left child its right
+    endpoint, the parent's midpoint, and a right child none. An internal
+    node has the trees of its endpoints and midpoint, which its tree
+    selection and its children read; a leaf has only the trees it stores.
+    So a right child that is a leaf stores nothing, has no children and
+    its record is read by no descent: it is not built and not listed. A
+    descent visits at most ceil(log2 n) + 1 nodes.
+
+    The nodes come in preorder: each node, then its children's subtrees,
+    the left child's first unless right_first. None of the rules above
+    depends on that order. A generator, which holds one path of the
+    recursion, not a list of its nodes.
+    """
+    last = n - 1
+    # (interval, level, key, stored roots) of the nodes still to come, the
+    # next one on top
+    stack = [((0, last), 0, None, tuple(sorted({0, last})))]
+    while stack:
+        interval, level, key, stores = stack.pop()
+        i1, i2 = interval
+        trees, children = stores, ()
+        if i2 - i1 > 1:
+            mid = (i1 + i2) // 2
+            trees = (i1, mid, i2)
+            left = ((i1, mid), level + 1, 2 * mid, (mid,))
+            if i2 - mid > 1:
+                right = ((mid, i2), level + 1, 2 * mid + 1, ())
+                first, then = (right, left) if right_first else (left, right)
+                children = (first[0], then[0])
+                stack += then, first
+            else:
+                children = (left[0],)
+                stack.append(left)
+        # tuple.__new__ skips _Node's Python-level __new__, which would
+        # take a third of a load's pass over the schedule
+        yield tuple.__new__(_Node, (interval, level, key, trees, stores, children))
+
+
 def _descent_plans(
     ring_count: int,
     records: dict[int, dict[int, int]],
     tables: list[dict[int, int]],
 ) -> list[_Plan]:
-    """Every root's descent plan, by one walk over the interval tree.
+    """Every root's descent plan, by one pass over the schedule.
 
-    A query for root j halves the interval toward j until j is an endpoint;
-    that path depends on j alone, so it is worked out here once. A root
-    ends its descent at the first interval that has it as an endpoint; a
-    midpoint, endpoint of both children, goes to the left one, which the
-    depth-first walk visits first. The intervals follow from ring_count
-    alone, so the walk looks up only record tables and tables[j].
+    Root j's plan is the intervals of the path to the node that stores j
+    (see _schedule), the record tables along that path that exist, and
+    tables[j]. A node's path is its parent's, extended: in preorder, the
+    parent of a node at level L is the last node seen at level L - 1.
     """
     plans: list[_Plan | None] = [None] * ring_count
-    # (interval, intervals above it, record steps above it); a stack, not a
-    # nested recursive function, whose closure cycle would keep the tables
-    # alive after the oracle is gone, until a GC pass
-    stack = [(0, ring_count - 1, (), ())]
-    while stack:
-        i1, i2, intervals, steps = stack.pop()
-        intervals = (*intervals, (i1, i2))
-        for j in (i1, i2):
-            if plans[j] is None:
-                plans[j] = _Plan(intervals, steps, tables[j])
-        if i2 - i1 <= 1:
-            continue
-        mid = (i1 + i2) // 2
-        for side, (j1, j2) in ((1, (mid, i2)), (0, (i1, mid))):  # left on top
-            key = 2 * mid + side
-            table = records.get(key)
-            stack.append(
-                (j1, j2, intervals, steps if table is None else (*steps, (key, table)))
-            )
+    # the intervals and the record steps of the path down to the last node
+    # seen at each level, one place on: the root node reads the empty path
+    intervals_to: dict[int, tuple] = {0: ()}
+    steps_to: dict[int, tuple] = {0: ()}
+    for interval, level, key, _, stores, _ in _schedule(ring_count):
+        intervals = intervals_to[level + 1] = (*intervals_to[level], interval)
+        steps = steps_to[level]
+        table = records.get(key)
+        if table is not None:
+            steps = (*steps, (key, table))
+        steps_to[level + 1] = steps
+        for j in stores:
+            # as in _schedule, tuple.__new__ skips the Python-level __new__
+            plans[j] = tuple.__new__(_Plan, (intervals, steps, tables[j]))
     return plans  # type: ignore[return-value]
 
 
@@ -285,25 +336,6 @@ class BuildStats:
     @property
     def stored_entries(self) -> int:
         return self.stored_rows + self.record_entries
-
-    def level_entry(self, level: int) -> dict:
-        while len(self.per_level) <= level:
-            self.per_level.append(
-                {
-                    "level": len(self.per_level),
-                    "nodes": 0,
-                    "vertices": 0,
-                    "slots": 0,
-                    "arcs": 0,
-                    "tree_vertices": 0,
-                    "tree_arcs": 0,
-                    "record_entries": 0,
-                    "contracted_vertices": 0,
-                }
-            )
-        if level > self.max_level:
-            self.max_level = level
-        return self.per_level[level]
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -508,7 +540,10 @@ class MsspOracle:
         Appends each record hit (key, vertex, node) to hits when given.
         """
         _, steps, index = self._plan(j)
-        if u not in self._query_vertices:
+        if type(u) is not int or u not in self._query_vertices:
+            if type(u) is not int:
+                # a bool or a float would otherwise hash as an int vertex
+                raise FaceVertexQueryError(f"vertex {u!r} is not an int")
             if u in self._ring_set:
                 raise FaceVertexQueryError(f"vertex {u} is a ring vertex, not queryable")
             raise FaceVertexQueryError(f"vertex {u!r} is not in the graph")
@@ -648,29 +683,17 @@ class MsspOracle:
     def trace(self) -> dict:
         """Recursion structure as a plain dict, for external plotting.
 
-        The nodes follow from ring_count, level by level and left to right.
-        Only the nodes build makes are listed: a right child that is a leaf
-        is not, as no query reads it. "roots" are the trees a node has, not
-        the tables it stored: an internal node's endpoints and midpoint, a
-        leaf's stored tables only.
+        "nodes" lists the nodes build makes (see _schedule), level by level
+        and left to right, each with its interval, its level and, as
+        "roots", the roots whose trees it has; "records" lists each record
+        table's key and size.
         """
-        nodes = []
-        level = 0
-        last = self.ring_count - 1
-        intervals = [(0, last, sorted({0, last}))]  # (i1, i2, a leaf's roots)
-        while intervals:
-            below = []
-            for i1, i2, leaf_roots in intervals:
-                mid = (i1 + i2) // 2
-                roots = leaf_roots
-                if i2 - i1 > 1:
-                    roots = sorted({i1, mid, i2})
-                    below.append((i1, mid, [mid]))
-                    if i2 - mid > 1:
-                        below.append((mid, i2, []))
-                nodes.append({"i1": i1, "i2": i2, "level": level, "roots": roots})
-            intervals = below
-            level += 1
+        nodes = [
+            {"i1": i1, "i2": i2, "level": level, "roots": list(trees)}
+            for (i1, i2), level, _, trees, _, _ in sorted(
+                _schedule(self.ring_count), key=lambda node: (node.level, node.interval)
+            )
+        ]
         recs = [
             {"midpoint": key >> 1, "side": key & 1, "entries": len(tab)}
             for key, tab in sorted(self.records.items())
@@ -1039,17 +1062,12 @@ def build(
 ) -> MsspOracle:
     """Preprocess a normalized instance into a queryable oracle.
 
-    Every internal node has the trees of its endpoints and midpoint, which
-    its tree selection and children read. It runs one Dijkstra, for the
-    midpoint, and inherits the endpoint trees from its parent
-    (sssp.inherit_tree); the root node runs all of its trees. A node
-    stores, straight from the trees' columns, only the tables of the roots
-    whose descent ends there: both endpoints at the root node, the right
-    endpoint (the parent's midpoint) at a left child, none at a right
-    child. A leaf makes only those trees, so a left leaf runs no Dijkstra,
-    and a right child that is a leaf is not built. These rules depend on
-    position, not visit order. See the module docstring. The last child
-    built takes over its parent's graph instead of a copy.
+    The build walks _schedule's nodes, which say which trees each node has
+    and which roots' tables it stores, each straight from its tree's
+    columns. A node inherits its endpoints' trees from its parent
+    (sssp.inherit_tree) and runs Dijkstra for the rest: its midpoint's at
+    an internal node, none at a leaf, all of the root node's. The last
+    child built takes over its parent's graph instead of a copy.
 
     The build holds one root-to-node path of state. A node's out-lists
     (sssp.Adjacency) serve only its own Dijkstra runs and go before its
@@ -1072,7 +1090,16 @@ def build(
     ring_roots = norm.ring_roots
     ring_vertex_set = set(ring_roots)
     n_rings = len(ring_roots)
-    stats = BuildStats(norm.n_original, n_rings)
+    nodes_at = Counter(node.level for node in _schedule(n_rings))
+    stats = BuildStats(
+        norm.n_original, n_rings, node_count=nodes_at.total(), max_level=len(nodes_at) - 1,
+        per_level=[
+            {"level": level, "nodes": nodes_at[level], "vertices": 0, "slots": 0,
+             "arcs": 0, "tree_vertices": 0, "tree_arcs": 0, "record_entries": 0,
+             "contracted_vertices": 0}
+            for level in range(len(nodes_at))
+        ],
+    )
     # the stored trees' columns: per root, then per record key
     table_blocks: list[_Block | None] = [None] * n_rings
     record_blocks: dict[int, _Block] = {}
@@ -1120,32 +1147,28 @@ def build(
                     f" {want[row]}"
                 )
 
+    # the nodes in the order they are made: rec takes each child's from
+    # here, after its earlier siblings have taken their subtrees'
+    schedule = _schedule(n_rings, right_first)
+
     def rec(
-        i1: int,
-        i2: int,
+        node: _Node,
         h: EmbeddedDigraph,
-        level: int,
-        terminal: tuple[int, ...],
         parent_trees: dict[int, SSSPTree],
         root_of: dict[int, int],
     ) -> None:
-        stats.node_count += 1
-        lvl = stats.level_entry(level)
+        i1, i2 = node.interval
+        level, children = node.level, node.children
+        lvl = stats.per_level[level]
         adj = out_adjacency(h)
         snap = adj.snap
         vertices = snap.vertices
-        lvl["nodes"] += 1
         lvl["vertices"] += len(vertices)
         lvl["slots"] += h.slot_count
         lvl["arcs"] += snap.arc_count
-        mid = (i1 + i2) // 2
-        leaf = i2 - i1 <= 1
-        # a leaf needs only the trees it stores; the endpoint trees come
-        # from the parent, so only the root node runs them
-        ks = terminal if leaf else sorted({i1, i2, mid})
         excluded_all = {ring_roots[k] for k in range(i1, i2 + 1)}
         trees: dict[int, SSSPTree] = {}
-        for k in ks:
+        for k in node.trees:
             rk = ring_roots[k]
             if k in parent_trees:
                 trees[k] = inherit_tree(parent_trees[k], snap, root_of)
@@ -1162,7 +1185,7 @@ def build(
             for t in trees.values():
                 for pd in t.parent_dart.values():
                     counter[pd ^ 1] += 1  # the tree arc's id, its tail dart
-        if instrument and not leaf:
+        if instrument and children:
             # the trees in h that check_child compares each child with,
             # grown before h's out-lists go and the last child takes h over
             for k in range(i1, i2 + 1):
@@ -1184,29 +1207,22 @@ def build(
                 found = chains_here[tail] = chain_from(tail)
             return found
 
-        for k in terminal:
+        for k in node.stores:
             table_blocks[k] = block = _table_block(trees[k], chain_at if absorbed_at else None)
             stats.stored_rows += len(block.vertex)
-        if leaf:
+        if not children:
             return
         del snap, vertices
-        # a left child's right endpoint, this node's midpoint, ends its
-        # descent there; a right child ends none, so a right leaf, which
-        # also has no children, is not built
-        children = [(i1, mid, 0, (mid,))]
-        if i2 - mid > 1:
-            children.append((mid, i2, 1, ()))
-        if right_first:
-            children.reverse()
         # a tree goes once no child still to be made reads it: a child
         # reads the trees of its interval, its endpoints' and, under
         # instrument, check_child's
         last_reader = {
-            k: n for n, (j1, j2, _, _) in enumerate(children) for k in range(j1, j2 + 1)
+            k: n for n, (j1, j2) in enumerate(children) for k in range(j1, j2 + 1)
         }
         for k in trees.keys() - last_reader.keys():
             del trees[k]
-        for n, (j1, j2, side, ends) in enumerate(children):
+        for n, (j1, j2) in enumerate(children):
+            child = next(schedule)
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
             if n == len(children) - 1:
                 # the last child takes h over
@@ -1215,7 +1231,6 @@ def build(
             else:
                 hj = h.copy(drop)
             selected = select_trees(hj, trees[j1], trees[j2])
-            key = 2 * mid + side
             if instrument:
                 for tree in selected:
                     hit = ring_vertex_set.intersection(tree.vertex)
@@ -1232,7 +1247,7 @@ def build(
             lvl["record_entries"] += entries
             stats.record_entries += entries
             if entries:
-                record_blocks[key] = _tree_block(
+                record_blocks[child.key] = _tree_block(
                     records.vertex, records.dbase, records.parent, records.arc,
                     records.chain, records.root,
                 )
@@ -1244,16 +1259,16 @@ def build(
             del records
             lvl["contracted_vertices"] += len(moved)
             for u, root in moved.items():
-                absorbed_at[u] = (key, root)
+                absorbed_at[u] = (child.key, root)
             handed = {j1: trees[j1], j2: trees[j2]}
             for k in [k for k in trees if last_reader[k] == n]:
                 del trees[k]
-            rec(j1, j2, hj, level + 1, ends, handed, moved)
+            rec(child, hj, handed, moved)
             for u in moved:
                 del absorbed_at[u]
 
     with _gc_paused():
-        rec(0, n_rings - 1, norm.graph.copy(), 0, tuple(sorted({0, n_rings - 1})), {}, {})
+        rec(next(schedule), norm.graph.copy(), {}, {})
         # rec holds itself through its closure cell; emptying the cell lets
         # reference counting free the working graphs, not a later GC pass
         del rec
@@ -1261,8 +1276,7 @@ def build(
         del table_blocks, record_blocks
     if collect_edge_stats:
         for level, counter in edge_counters.items():
-            entry = stats.level_entry(level)
-            entry["tree_arc_max"] = max(counter.values()) if counter else 0
+            stats.per_level[level]["tree_arc_max"] = max(counter.values()) if counter else 0
     stats.chain_elements = len(cols.hop_key)
     stats.build_seconds = time.perf_counter() - t0
     return MsspOracle(norm.n_original, norm.w_big, norm.seed, cols, stats)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import sys
 import threading
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from operator import eq
 
@@ -105,6 +107,14 @@ def test_query_argument_validation(oracle3):
     assert oracle3.query_vertices == frozenset(range(9))
 
 
+@pytest.mark.parametrize("bad", (True, 1.0, [1]), ids=("bool", "float", "list"))
+def test_query_vertex_that_is_not_an_int_is_rejected(oracle3, bad):
+    # True and 1.0 hash as vertex 1, and a list does not hash at all
+    for ask in (oracle3.distance, oracle3.query_dist, oracle3.query_path, oracle3.explain):
+        with pytest.raises(FaceVertexQueryError, match="not an int"):
+            ask(0, bad)
+
+
 def test_paths_are_shortest_contiguous_and_simple(oracle3, norm3):
     arcs = norm3.arcs
     for j, b in enumerate(oracle3.face_vertices):
@@ -171,6 +181,114 @@ def test_descent_intervals(oracle3):
     assert max(len(oracle3.descent_intervals(j)) for j in range(n)) == bound
     with pytest.raises(BadRootIndexError):
         oracle3.descent_intervals(n)
+
+
+# the ring counts the schedule is checked at: every count up to 600, 1 382,
+# the root-sweep benchmark's 1 548 and a power of two
+SCHEDULE_SIZES = (*range(1, 601), 1382, 1548, 4096)
+
+
+def schedule_tree(n: int, right_first: bool = False):
+    """The schedule for n roots, and each node's children's positions.
+
+    In preorder, a node's parent is the last node before it one level up;
+    each node must list its children's intervals in the order they come.
+    """
+    nodes = list(mssp._schedule(n, right_first))
+    below: list[list[int]] = [[] for _ in nodes]
+    last_at: dict[int, int] = {}
+    for c, node in enumerate(nodes):
+        if c:
+            below[last_at[node.level - 1]].append(c)
+        last_at[node.level] = c
+    for p, node in enumerate(nodes):
+        assert node.children == tuple(nodes[c].interval for c in below[p]), (n, p)
+    return nodes, below
+
+
+def test_schedule_is_a_preorder_tree_of_halved_intervals():
+    # preorder, left child first; each child halves its parent's interval,
+    # a leaf is an interval of one step or none, no right leaf is listed,
+    # and each record key is 2 * the parent's midpoint + side, once. The
+    # right-first order lists the same nodes, each child's subtree in turn
+    for n in SCHEDULE_SIZES:
+        nodes, below = schedule_tree(n)
+        root = nodes[0]
+        assert (root.interval, root.level, root.key) == ((0, n - 1), 0, None)
+        keys = [node.key for node in nodes[1:]]
+        assert len(set(keys)) == len(keys), n
+        # in preorder, the nodes of p's subtree are positions p to end[p] - 1
+        end = list(range(1, len(nodes) + 1))
+        for p in reversed(range(len(nodes))):
+            if below[p]:
+                end[p] = end[below[p][-1]]
+        for p, node in enumerate(nodes):
+            i1, i2 = node.interval
+            if i2 - i1 <= 1:
+                assert below[p] == [], (n, p)
+                continue
+            assert below[p] in ([p + 1], [p + 1, end[p + 1]]), (n, p)
+            left, *right = (nodes[c] for c in below[p])
+            mid = left.interval[1]
+            assert left.interval == (i1, i1 + (i2 - i1) // 2), (n, p)
+            assert left.key == 2 * mid
+            assert node.trees == (i1, mid, i2)
+            if i2 - mid > 1:
+                assert [(r.interval, r.key) for r in right] == [((mid, i2), 2 * mid + 1)]
+            else:
+                assert right == [], (n, p)  # a right leaf
+        flipped, _ = schedule_tree(n, right_first=True)
+        assert sorted(node._replace(children=node.children[::-1]) for node in flipped) == sorted(
+            nodes
+        ), n
+
+
+def test_schedule_stores_each_root_once_where_its_descent_ends():
+    # the first node in preorder with root j as an endpoint stores j's
+    # table, and no other does; a leaf has only the trees it stores. A
+    # descent is the path to that node: at most ceil(log2 n) + 1 nodes, and
+    # one fewer only where n - 1 is a power of two (the halves split evenly
+    # down to a right leaf, which is not built)
+    for n in SCHEDULE_SIZES:
+        nodes, below = schedule_tree(n)
+        first: dict[int, int] = {}
+        for p, node in enumerate(nodes):
+            for j in node.interval:
+                first.setdefault(j, p)
+        stored = Counter(j for node in nodes for j in node.stores)
+        assert stored == Counter(range(n)), n
+        for p, node in enumerate(nodes):
+            assert all(first[j] == p for j in node.stores), (n, p)
+            if not below[p]:
+                assert node.trees == node.stores, (n, p)
+        depth = max(nodes[first[j]].level + 1 for j in range(n))
+        bound = math.ceil(math.log2(n)) + 1
+        exact = 1 + math.ceil(math.log2(n - 1)) if n > 1 else 1
+        assert depth == exact <= bound, n
+        assert (exact < bound) == (n > 1 and (n - 1) & (n - 2) == 0), n
+
+
+# sha256 of every root's descent on every gate instance: per root j, as
+# compact JSON, [name, j, descent_intervals(j)] followed by [hits, probes]
+# of explain(j, u) for each query vertex u in increasing order. Derived
+# with the code before the recursion schedule (_schedule), whose plans
+# walked the interval tree on their own
+DESCENT_DIGEST = "616ee6afe681b27aa99c701c33bf21d2c9e64799bf9430fa352325a02dd93eee"
+
+
+def test_descents_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for name in sorted(GATE_DIGESTS):
+        g, face, seed = gate_instance(name)
+        oracle = build(normalize(g, face, seed=seed))
+        vertices = sorted(oracle.query_vertices)
+        for j in range(oracle.ring_count):
+            rows = [name, j, oracle.descent_intervals(j)]
+            for u in vertices:
+                ex = oracle.explain(j, u)
+                rows.append([ex.hits, ex.probes])
+            digest.update(json.dumps(rows, separators=(",", ":")).encode())
+    assert digest.hexdigest() == DESCENT_DIGEST
 
 
 def test_stored_tables_are_the_read_tables(oracle5):
