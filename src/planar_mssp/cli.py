@@ -128,7 +128,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     print(
         f"built {args.output}: {s.n_original} vertices, {s.ring_count} ring roots,"
         f" {s.node_count} nodes, {s.stored_entries} stored entries"
-        f" ({s.record_entries} records), max level {s.max_level},"
+        f" ({s.stored_rows} table rows, {s.record_entries} record entries),"
+        f" max level {s.max_level},"
         f" build {build_s:.2f}s, save {save_s:.2f}s"
     )
     return 0

@@ -240,7 +240,7 @@ class VerificationReport:
                 f"    level {entry['level']}: {entry['nodes']} nodes,"
                 f" {entry['vertices']} vertices, {entry['tree_vertices']} tree"
                 f" vertices (factor {entry['factor']:.3f}),"
-                f" {entry['record_entries']} record entries"
+                f" {entry['contracted_vertices']} vertices contracted"
             )
         for m in self.mismatches:
             lines.append(f"    mismatch {m}")

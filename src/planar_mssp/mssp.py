@@ -62,7 +62,7 @@ child (_tree_block for both, which puts each block in order with one
 sort), and each node looks up a tail chain at most once per original
 tail.
 
-The oracle file is format "planar-mssp-oracle", version 8, little-endian:
+The oracle file is format "planar-mssp-oracle", version 9, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -80,15 +80,20 @@ raises VersionMismatchError), the format and version, the header and
 section checksums, the file length, the column lengths and offsets, one
 table per root, no block with more chains than nodes, no negative base,
 no record node that is its own tree root, and that every parent arc id
-is in the arc table; then, block by block, that no block lists a vertex
-twice and that each table is rooted at its own ring vertex, over that
-vertex and vertices of table 0, which holds one row per original vertex
-and its own ring vertex, with one row whose parent is the ring vertex,
-whose parent arc is the root's spoke (the arc whose tail is the ring
-vertex), which no other row's is, and which has no tail chain (so a
-path starts with the spoke). Path queries bound every parent walk, and
-raise CorruptFileError, not KeyError, when a damaged file names a vertex
-or record it does not hold.
+is in the arc table; then that no block lists a vertex twice and that
+every record is keyed by a node of the schedule; then that root 0's
+descent, the records its plan reads and table 0, holds each original
+vertex once and its own ring vertex, n_original + 1 vertices in all
+(the original ones are the vertices queries accept), and that each
+table is rooted at its own ring vertex, over that vertex and vertices of
+root 0's descent, with one row whose parent is the ring vertex, whose
+parent arc is the root's spoke (the arc whose tail is the ring vertex),
+which no other row's is, and which has no tail chain (so a path starts
+with the spoke). Which node stores each table is not in the file: it
+follows from the ring count, so a file of another version raises
+VersionMismatchError even where its layout is the same. Path queries
+bound every parent walk, and raise CorruptFileError, not KeyError, when
+a damaged file names a vertex or record it does not hold.
 The plans and the dicts are not part of the file. to_json() gives the
 same content as one logical JSON document, for tests and tools.
 """
@@ -127,7 +132,7 @@ from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 8
+ORACLE_VERSION = 9
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 
@@ -249,15 +254,22 @@ def _schedule(n: int, right_first: bool = False) -> Iterator[_Node]:
     stores its parent's contraction into it, is 2 * mid + side; midpoints
     are unique, so keys are too.
 
-    Root j's descent ends at the first node, in preorder with the left
-    child first, that has j as an endpoint, and only that node stores j's
-    table: the root node stores both its endpoints, a left child its right
-    endpoint, the parent's midpoint, and a right child none. An internal
-    node has the trees of its endpoints and midpoint, which its tree
-    selection and its children read; a leaf has only the trees it stores.
-    So a right child that is a leaf stores nothing, has no children and
-    its record is read by no descent: it is not built and not listed. A
-    descent visits at most ceil(log2 n) + 1 nodes.
+    Root j's descent ends at a leaf, where the graph is smallest, and
+    only the node it ends at stores j's table. Each node carries one
+    flag, that its left endpoint is still owed a table: set at the root
+    node, inherited by a left child, and set at a right child [mid, i2]
+    unless its left sibling [i1, mid] is a leaf, which stores mid. A leaf
+    [a, a + 1] stores a + 1, and a too when the flag is set. A right child
+    that is a leaf has the flag clear (its left sibling is a leaf too), so
+    it would store only its right endpoint; off the rightmost path that is
+    an ancestor's midpoint, which a leaf further right stores. So no right
+    leaf is built or listed, and the node on the rightmost path whose
+    right child would be the leaf [n - 2, n - 1] stores n - 1 itself. No
+    other internal node stores anything. An internal node has the trees
+    of its endpoints and midpoint, which its tree selection and its
+    children read; a leaf has only the trees it stores, both inherited.
+    So each table is a tree of a leaf's graph, the smallest graphs of the
+    recursion, and a descent visits at most ceil(log2 n) + 1 nodes.
 
     The nodes come in preorder: each node, then its children's subtrees,
     the left child's first unless right_first. None of the rules above
@@ -265,25 +277,30 @@ def _schedule(n: int, right_first: bool = False) -> Iterator[_Node]:
     recursion, not a list of its nodes.
     """
     last = n - 1
-    # (interval, level, key, stored roots) of the nodes still to come, the
-    # next one on top
-    stack = [((0, last), 0, None, tuple(sorted({0, last})))]
+    # (interval, level, key, left endpoint owed) of the nodes still to
+    # come, the next one on top
+    stack = [((0, last), 0, None, True)]
     while stack:
-        interval, level, key, stores = stack.pop()
+        interval, level, key, owed = stack.pop()
         i1, i2 = interval
-        trees, children = stores, ()
+        children = ()
         if i2 - i1 > 1:
             mid = (i1 + i2) // 2
-            trees = (i1, mid, i2)
-            left = ((i1, mid), level + 1, 2 * mid, (mid,))
+            trees, stores = (i1, mid, i2), ()
+            left = ((i1, mid), level + 1, 2 * mid, owed)
             if i2 - mid > 1:
-                right = ((mid, i2), level + 1, 2 * mid + 1, ())
+                right = ((mid, i2), level + 1, 2 * mid + 1, mid - i1 > 1)
                 first, then = (right, left) if right_first else (left, right)
                 children = (first[0], then[0])
                 stack += then, first
             else:
                 children = (left[0],)
                 stack.append(left)
+                if i2 == last:
+                    stores = (last,)
+        else:
+            # a leaf, or the root node [0, 0] of a single root
+            trees = stores = (i1, i2) if owed and i1 < i2 else (i2,)
         # tuple.__new__ skips _Node's Python-level __new__, which would
         # take a third of a load's pass over the schedule
         yield tuple.__new__(_Node, (interval, level, key, trees, stores, children))
@@ -299,23 +316,32 @@ def _descent_plans(
     Root j's plan is the intervals of the path to the node that stores j
     (see _schedule), the record tables along that path that exist, and
     tables[j]. A node's path is its parent's, extended: in preorder, the
-    parent of a node at level L is the last node seen at level L - 1.
+    parent of a node at level L is the last node seen at level L - 1. A
+    record under a key that no node has would be read by no descent:
+    CorruptFileError.
     """
     plans: list[_Plan | None] = [None] * ring_count
     # the intervals and the record steps of the path down to the last node
     # seen at each level, one place on: the root node reads the empty path
     intervals_to: dict[int, tuple] = {0: ()}
     steps_to: dict[int, tuple] = {0: ()}
+    found = 0
     for interval, level, key, _, stores, _ in _schedule(ring_count):
         intervals = intervals_to[level + 1] = (*intervals_to[level], interval)
         steps = steps_to[level]
         table = records.get(key)
         if table is not None:
             steps = (*steps, (key, table))
+            found += 1
         steps_to[level + 1] = steps
         for j in stores:
             # as in _schedule, tuple.__new__ skips the Python-level __new__
             plans[j] = tuple.__new__(_Plan, (intervals, steps, tables[j]))
+    if found != len(records):
+        stray = min(records.keys() - {node.key for node in _schedule(ring_count)})
+        raise CorruptFileError(
+            f"record {stray >> 1, stray & 1} is keyed by no node of the recursion"
+        )
     return plans  # type: ignore[return-value]
 
 
@@ -354,15 +380,8 @@ def _tree_name(c: _Columns, b: int) -> str:
     return f"record {key >> 1, key & 1}"
 
 
-def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
-    """Each block's vertex -> node dict, checking what a query relies on.
-
-    No block may list a vertex twice. Every table must hold its own ring
-    vertex at distance 0, list only that vertex and vertices of table 0,
-    the root node's tree, which holds every original vertex and its own
-    ring vertex, and start every path with its spoke, the arc whose tail
-    is the ring vertex.
-    """
+def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
+    """Each block's vertex -> node dict; no block may list a vertex twice."""
     start = c.tree_start
     vertex = c.node_vertex
     trees: list[dict[int, int]] = []
@@ -372,16 +391,35 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
             # a repeated vertex would read another vertex's node
             raise CorruptFileError(f"{_tree_name(c, b)}: a vertex is listed twice")
         trees.append(index)
-    n = len(c.ring_roots)
+    return trees
+
+
+def _check_tables(
+    c: _Columns, n_original: int, tables: list[dict[int, int]], plan0: _Plan
+) -> frozenset[int]:
+    """Check what a query relies on in the tables; return the query vertices.
+
+    Root 0's descent, the records its plan reads and then table 0, holds
+    every vertex once: contraction moves a vertex from a node's graph into
+    a record, so those blocks must hold n_original + 1 vertices between
+    them, none twice, and no ring vertex but r_0. Their original vertices
+    are the query vertices. Every table must hold its own ring vertex at
+    distance 0, list only that vertex and vertices of root 0's descent,
+    and start every path with its spoke, the arc whose tail is the ring
+    vertex.
+    """
+    start = c.tree_start
     base, parents, arcs = c.node_base, c.node_parent, c.node_arc
     # ring vertex -> its spoke, the one arc that leaves it
     ring = set(c.ring_roots)
     spoke_of = {t: a for a, t in zip(c.arc_id, c.arc_tail) if t in ring}
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
-    tables = trees[k:]
-    # table 0's vertices, and while table j is checked, also r_j
-    allowed = set(tables[0])
+    # root 0's descent's vertices, and while table j is checked, also r_j
+    blocks = [entries for _, entries in plan0.steps]
+    blocks.append(tables[0])
+    allowed = set(chain.from_iterable(blocks))
+    held = sum(map(len, blocks))
     for j, (r, index, a, z, chains) in enumerate(
         zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
     ):
@@ -393,22 +431,23 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
                 f"table {j} is not rooted at its labelled root {j}'s ring vertex {r}"
             )
         if j == 0:
-            if z - a != n_original + 1:
+            if held != n_original + 1 or len(allowed) != held:
                 raise CorruptFileError(
-                    f"table 0 has {z - a} rows, not one per original vertex and"
-                    f" its ring vertex ({n_original} + 1)"
+                    f"root 0's descent holds {held} vertices, {len(allowed)} of them"
+                    f" distinct, not each original vertex and its ring vertex once"
+                    f" ({n_original} + 1)"
                 )
         else:
-            # table 0's one ring vertex is its own
+            # root 0's descent's one ring vertex is its own
             if r in allowed:
-                raise CorruptFileError(f"table 0 lists root {j}'s ring vertex {r}")
+                raise CorruptFileError(f"root 0's descent lists root {j}'s ring vertex {r}")
             allowed.add(r)
             inside = index.keys() <= allowed
             allowed.discard(r)
             if not inside:
                 stray = min(index.keys() - allowed - {r})
                 raise CorruptFileError(
-                    f"table {j} lists vertex {stray}, which table 0 does not hold"
+                    f"table {j} lists vertex {stray}, which root 0's descent does not hold"
                 )
         # r is pendant, its spoke its one arc, so exactly one row, b_j's, has
         # r as its parent; its parent arc must be that spoke, which no other
@@ -424,7 +463,7 @@ def _tree_indexes(c: _Columns, n_original: int) -> list[dict[int, int]]:
             f"table {j}: the row whose parent is the ring vertex is not the one"
             " row whose parent arc is the root's spoke, without a tail chain"
         )
-    return trees
+    return frozenset(allowed - ring)
 
 
 class MsspOracle:
@@ -466,7 +505,7 @@ class MsspOracle:
         # per block, its vertex -> node (a node of the node columns): the
         # records in key order, then the tables in root order
         k = len(cols.record_key)
-        indexes = _tree_indexes(cols, n_original)
+        indexes = _tree_indexes(cols)
         self.tables = indexes[k:]
         # record key (2 * midpoint + side) -> vertex -> node
         self.records = dict(zip(cols.record_key, indexes))
@@ -491,11 +530,10 @@ class MsspOracle:
             cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_blocks,
             range(max(map(len, indexes))),
         )
-        # root 0's table is the root node's tree, over every vertex
-        self._query_vertices = frozenset(self.tables[0]) - self._ring_set
         self._arcs: dict[int, ArcInfo] | None = None
         # immutable once built, so queries stay safe from several threads
         self._plans = _descent_plans(n, self.records, self.tables)
+        self._query_vertices = _check_tables(cols, n_original, self.tables, self._plans[0])
 
     @property
     def query_vertices(self) -> frozenset[int]:
@@ -759,7 +797,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 8) to a path or binary file object."""
+        """Write the oracle file (format version 9) to a path or binary file object."""
         if hasattr(sink, "write"):
             self._write(sink.write)
         else:
@@ -1095,8 +1133,7 @@ def build(
         norm.n_original, n_rings, node_count=nodes_at.total(), max_level=len(nodes_at) - 1,
         per_level=[
             {"level": level, "nodes": nodes_at[level], "vertices": 0, "slots": 0,
-             "arcs": 0, "tree_vertices": 0, "tree_arcs": 0, "record_entries": 0,
-             "contracted_vertices": 0}
+             "arcs": 0, "tree_vertices": 0, "tree_arcs": 0, "contracted_vertices": 0}
             for level in range(len(nodes_at))
         ],
     )
@@ -1244,7 +1281,6 @@ def build(
             if instrument:
                 hj.check()
             entries = len(records.vertex)
-            lvl["record_entries"] += entries
             stats.record_entries += entries
             if entries:
                 record_blocks[child.key] = _tree_block(

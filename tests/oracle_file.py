@@ -1,16 +1,18 @@
-"""An independent writer of oracle files (format version 8), for tests.
+"""An independent writer of oracle files (format version 9), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the README
 describes. It shares no code with the package's save(), so a test can
-damage a document the way a broken writer would and load the result, and
-the pinned digests in test_persistence.py were derived with it from the
-version 7 documents of the parent format. Version 8 is version 7 without
-the record entries whose root is their own vertex (each record tree's
-root) and without the table rows of base -1 (the ring vertices a table's
-root does not reach); the layout is unchanged. Version 7 is version 6
-without the perturbation columns (node_plo, node_phi), the arc kinds
-(arc_kind) and the arcs that no node refers to.
+damage a document the way a broken writer would and load the result.
+Version 9 has the layout of version 8; its root tables are other trees
+(each root's tree at the leaf its descent ends at, not at the first node
+that has the root as an endpoint), and its stats no longer list each
+level's record entries. Version 8 is version 7 without the record entries
+whose root is their own vertex (each record tree's root) and without the
+table rows of base -1 (the ring vertices a table's root does not reach);
+the layout is unchanged. Version 7 is version 6 without the perturbation
+columns (node_plo, node_phi), the arc kinds (arc_kind) and the arcs that
+no node refers to.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact

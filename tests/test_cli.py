@@ -57,6 +57,11 @@ def test_build_reports_stats(tmp_path, capsys):
     assert re.search(r"build \d+\.\d\ds, save \d+\.\d\ds$", msg.strip())
     oracle = load(str(o))
     assert oracle.ring_count == 8
+    s = oracle.stats
+    assert (
+        f"{s.stored_entries} stored entries ({s.stored_rows} table rows,"
+        f" {s.record_entries} record entries)"
+    ) in msg
 
 
 def test_query_chain_matches_frozen_distances(tmp_path, grid3_files, capsys):

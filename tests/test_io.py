@@ -79,11 +79,13 @@ def test_dump_bytes_are_pinned(tmp_path):
     # and their records, dropped, and each left leaf's "roots" cut to its
     # one stored table, its right endpoint; then (format version 8) each
     # record's "entries" lowered by its entries that were their own root,
-    # counted in the version 7 document
+    # counted in the version 7 document; then (format version 9) from the
+    # version 8 trace, each leaf's "roots" extended by its left endpoint
+    # where no leaf before it, left to right, has that endpoint
     buf = io.StringIO()
     dump_json(build(normalize(g, outer, seed=5)).trace(), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
-        "8162bba3e83ddbf3507e93a0b5eca351fc94cb447c87127a173d199023e0e9aa"
+        "123bdf94d36ebd15cd9a6bca57554b85896146604987e0799386e0bce57e7ce7"
     )
 
 

@@ -12,6 +12,7 @@ import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from operator import eq
 
 import pytest
@@ -171,13 +172,15 @@ def test_descent_intervals(oracle3):
         assert ivs[0] == (0, n - 1)
         assert len(ivs) <= bound
         for (a1, a2), (b1, b2) in zip(ivs, ivs[1:]):
-            # intervals nest, halve, keep j, and only the last may have j
-            # on its boundary (boundary roots answer without descending)
+            # intervals nest, halve and keep j
             assert a1 <= b1 <= b2 <= a2
             assert (b2 - b1) <= (a2 - a1 + 1) // 2 + 1
             assert b1 <= j <= b2
-            assert j not in (a1, a2)
+        # every descent ends at a leaf that has j as an endpoint, but root
+        # n - 1's, which ends where the right leaf [n - 2, n - 1] would be
+        b1, b2 = ivs[-1]
         assert j in ivs[-1]
+        assert b2 - b1 <= 1 or (j == b2 == n - 1 and b2 - (b1 + b2) // 2 == 1), (j, ivs)
     assert max(len(oracle3.descent_intervals(j)) for j in range(n)) == bound
     with pytest.raises(BadRootIndexError):
         oracle3.descent_intervals(n)
@@ -244,21 +247,30 @@ def test_schedule_is_a_preorder_tree_of_halved_intervals():
 
 
 def test_schedule_stores_each_root_once_where_its_descent_ends():
-    # the first node in preorder with root j as an endpoint stores j's
-    # table, and no other does; a leaf has only the trees it stores. A
-    # descent is the path to that node: at most ceil(log2 n) + 1 nodes, and
-    # one fewer only where n - 1 is a power of two (the halves split evenly
-    # down to a right leaf, which is not built)
+    # root j's table is stored once, at the first leaf in preorder with j
+    # as an endpoint; only n - 1 may have none, the right leaf [n - 2,
+    # n - 1] not being built, and then the node whose right child it would
+    # be stores n - 1. No other internal node stores anything, and a leaf
+    # has only the trees it stores. A descent is the path to the storing
+    # node: at most ceil(log2 n) + 1 nodes, and one fewer only where n - 1
+    # is a power of two (the halves split evenly down to a right leaf)
     for n in SCHEDULE_SIZES:
         nodes, below = schedule_tree(n)
         first: dict[int, int] = {}
         for p, node in enumerate(nodes):
-            for j in node.interval:
-                first.setdefault(j, p)
+            if not below[p]:
+                for j in node.interval:
+                    first.setdefault(j, p)
+        if n - 1 not in first:
+            first[n - 1] = next(
+                p for p, node in enumerate(nodes)
+                if below[p] and node.interval[1] == n - 1
+                and nodes[below[p][-1]].interval[1] != n - 1
+            )
         stored = Counter(j for node in nodes for j in node.stores)
         assert stored == Counter(range(n)), n
+        assert {j: p for p, node in enumerate(nodes) for j in node.stores} == first, n
         for p, node in enumerate(nodes):
-            assert all(first[j] == p for j in node.stores), (n, p)
             if not below[p]:
                 assert node.trees == node.stores, (n, p)
         depth = max(nodes[first[j]].level + 1 for j in range(n))
@@ -271,9 +283,11 @@ def test_schedule_stores_each_root_once_where_its_descent_ends():
 # sha256 of every root's descent on every gate instance: per root j, as
 # compact JSON, [name, j, descent_intervals(j)] followed by [hits, probes]
 # of explain(j, u) for each query vertex u in increasing order. Derived
-# with the code before the recursion schedule (_schedule), whose plans
-# walked the interval tree on their own
-DESCENT_DIGEST = "616ee6afe681b27aa99c701c33bf21d2c9e64799bf9430fa352325a02dd93eee"
+# with the version 8 code, whose records version 9 keeps, by a descent of
+# its own that takes each root down to the first built leaf with the root
+# as an endpoint, or, for root n - 1 alone, to the parent of the right
+# leaf [n - 2, n - 1] where that leaf is not built
+DESCENT_DIGEST = "b98eaaa95afabc68ac91a5724d74ee2276cd55fb5760250cd64d0ac2d9cc1ac9"
 
 
 def test_descents_match_the_pinned_digest():
@@ -313,8 +327,9 @@ def test_nothing_stored_goes_unread(right_first):
     # tail-chain hop, every table is its root's terminal table and holds
     # all the stored rows, and every stored arc is some node's parent arc;
     # no record entry is its own tree root, no table row is unreached,
-    # table 0 holds each original vertex and its own ring vertex only, and
-    # the stats count every node the file holds
+    # root 0's descent (its records, then table 0) holds each original
+    # vertex once and its own ring vertex, and the stats count every node
+    # the file holds
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
         oracle = build(normalize(g, face, seed=seed), right_first=right_first)
@@ -329,8 +344,38 @@ def test_nothing_stored_goes_unread(right_first):
         c = oracle._cols
         assert not any(map(eq, c.record_root, c.node_vertex)), name
         assert min(c.node_base) >= 0, name
-        assert len(oracle.tables[0]) == oracle.n_original + 1, name
+        descent = [*(entries for _, entries in oracle._plans[0].steps), oracle.tables[0]]
+        held = Counter(chain.from_iterable(descent))
+        assert set(held.values()) == {1}, name
+        assert held.keys() == set(range(oracle.n_original)) | {oracle.ring_roots[0]}, name
         assert oracle.stats.stored_entries == len(c.node_vertex), name
+
+
+def test_tables_hold_a_few_rows_per_vertex():
+    # every descent ends at a leaf, whose graph is small, so the tables
+    # hold under 3 rows per vertex (n_original + N); stored at the first
+    # node with the root as an endpoint, they held 9.7 to 14.3 on 32- to
+    # 256-grids
+    for name in [*sorted(GATE_DIGESTS), "grid64-outer"]:
+        g, face, seed = gate_instance(name)
+        s = build(normalize(g, face, seed=seed)).stats
+        assert s.stored_rows <= 3 * (s.n_original + s.ring_count), (name, s.stored_rows)
+
+
+def test_every_table_row_is_its_brute_force_distance():
+    # checked apart from build: each row's base is the distance from the
+    # table's ring vertex in the normalized graph, by plain Dijkstra over
+    # its arc list (contraction keeps the distances from a child's roots)
+    for name in sorted(GATE_DIGESTS):
+        g, face, seed = gate_instance(name)
+        norm = normalize(g, face, seed=seed)
+        doc = build(norm).to_json()
+        snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
+        ring = set(norm.ring_roots)
+        for r, (j, vertices, bases, *_) in zip(norm.ring_roots, doc["tables"]):
+            expected = brute_distances(snap, r, ring - {r})
+            for v, b in zip(vertices, bases):
+                assert b == expected[v][0], (name, j, v)
 
 
 def test_walks_follow_the_tree_path_of_every_stored_node():
@@ -681,6 +726,9 @@ def test_stats_shape(oracle3):
     assert s.max_level + 1 == len(s.per_level)
     assert s.stored_rows > 0
     assert s.record_entries == sum(len(t) for t in oracle3.records.values())
+    # each level counts its contracted vertices once, one per record entry
+    assert s.record_entries == sum(lv["contracted_vertices"] for lv in s.per_level)
+    assert not any("record_entries" in lv for lv in s.per_level)
     assert s.stored_entries == s.stored_rows + s.record_entries
     assert s.build_seconds >= 0
     total_tree_vertices = sum(lv["tree_vertices"] for lv in s.per_level)

@@ -33,29 +33,49 @@ from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 
-# SHA-256 of each saved oracle with stats.build_seconds set to 0.0. Each
-# was derived from the version 7 document of the same instance, as built
-# by the code before format version 8 (its to_json()): "version" set to 8,
-# every record entry whose root is its own vertex deleted, every table row
-# with base -1 deleted (the chained rows, which come first, keep their
-# positions), stats.stored_rows, stats.record_entries and each level's
-# record_entries lowered by what was deleted, and the document encoded
-# with tests/oracle_file.py, which shares no code with save(). Any change
+# SHA-256 of each saved oracle with stats.build_seconds set to 0.0, and of
+# the compact JSON of its to_json()["records"]. The record digests were
+# taken from the version 8 code, whose records version 9 keeps byte for
+# byte. The file digests were taken from the version 9 code once these
+# held for each instance: its records match the version 8 digest; every
+# table row's base is the brute-force distance from its root
+# (test_mssp.py); an instrumented build, which compares every inherited
+# tree with a fresh Dijkstra on its node's graph, saves the same bytes;
+# tests/oracle_file.py, which shares no code with save(), encodes its
+# to_json() to the same bytes; and its document differs from version 8's
+# only in "version", "tables" and "stats" (stored_rows, chain_elements,
+# each level's tree counts, and no per-level record_entries). Any change
 # to these bytes is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "7f32f74714c0a58b64f13a1fd1aa34542b063994177abb5b8001eea75e7fb9e4",
-    "grid16-outer": "07546f130b15e5611174059a91a0f72a99bd08bea4273c60c1b11f178e6f255a",
-    "random10-outer": "a43af8045a47fc3acbbb13ef7ab3d4d3fa7612d36cab06e3e8873e96bb3ee4d9",
-    "bowtie-inner": "a3f75b569aad70ec9a999fb66b4f3255a355c781fb114f3d2de039812163b449",
-    "tri_oneway-inner": "114796b8b76e501ff481accac2bf02db60111ce24073b43190b456cb3706acc2",
-    "grid32-outer": "82d35d4d7cd5b941ff0fc468b35b393b74c0af94fe78b36a2266d4c63092d061",
-    "grid16-oneway-inner": "161d489f4dc93427eac67dddf0697cdeb6ced71a828c15eb00c3a2f50a0ccff5",
-    "random12-inner": "f167df3de7c4be7f90303d16cb6abe86603e53e1ed357a860de39e4eb73f9551",
+    "grid8-outer": "08682638b786c2ba888fba1844889cfca00f3477f011338038ed8653a5c2d2ba",
+    "grid16-outer": "620ef0ffbd278841cbccad9de7650455797bf0622f40a61987882694a348c98b",
+    "random10-outer": "8b0f3965fe28613064352dbd791bffaf764389b3f571d0d0e2809cd10dc76fdb",
+    "bowtie-inner": "51d7edf1320e95bf2d8535357ae0bfd5f1ee2c527c898763617615c8ba6d57e8",
+    "tri_oneway-inner": "ddcc340797e438e4d895c6bfdfb566397bbb38986a4a90f67428d08e9c154afa",
+    "grid32-outer": "7e615ac523c9170cef87cb805ed99f5977df42c1720cfde74f7757dffb2b3c9e",
+    "grid16-oneway-inner": "03c08b7b7d26d2be4dae1f4530552c3366bf9342c27074231a16598ba57c647b",
+    "random12-inner": "5de49f60ad1893ff9da6640c3a3db7d50cfadb504ed2c560bed3e3c34820f734",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "0d88436e5d318bc8842915b7df3ca0e8e653ed11c8fe04a856d172f1345ed7f7"
+    "grid64-outer", "690e5c6e22b9fac30030b46c792fc656377d17fa227a804b9d0f8aeffa8ea005"
 )
+RECORD_DIGESTS = {
+    "grid8-outer": "aab28276d0668819350fb930d9fda6cd4dad0a0089fc26eaf4a49746533bf214",
+    "grid16-outer": "b710c8dbc710257f542b9955ae15704bafb9f6ab5f3776f78d34787b0e543308",
+    "random10-outer": "c440b8106eda4a0110506e546695e8f8386678f2bc73e8853034a8006fbbd7b5",
+    "bowtie-inner": "e51180325c9e4a16d6856887482a1aaea27c8a9f04d5f36cab983ee2ea8a410e",
+    "tri_oneway-inner": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "grid32-outer": "a93f9c1a243744eb4e9395ab6231686220c16b6c86a61ca65a4263baf2628dff",
+    "grid16-oneway-inner": "7277cd4581e2accd9ef49da4c08c590772f26a1e918a57006dc5b8229815f0b7",
+    "random12-inner": "2becf48b28287814a658ee51f716d8d8ee81b2e30c1106d839d8e561f59c1d2b",
+    "grid64-outer": "3592cf466651d538c786351b5a899a74525f541f60aa389f7f698b0c2b85d6e9",
+}
+
+
+def records_digest(oracle) -> str:
+    records = oracle.to_json()["records"]
+    return hashlib.sha256(json.dumps(records, separators=(",", ":")).encode()).hexdigest()
 
 
 def oneway_grid(k: int):
@@ -141,6 +161,7 @@ def test_saved_bytes_match_gate_digest(tmp_path, name):
     data = saved(oracle)
     assert path.read_bytes() == data
     assert encode_document(oracle.to_json()) == data
+    assert records_digest(oracle) == RECORD_DIGESTS[name]
     assert hashlib.sha256(data).hexdigest() == GATE_DIGESTS[name]
     # the stored tables depend on position, not on the order children are built
     other = build(norm, right_first=True)
@@ -154,12 +175,13 @@ def test_saved_bytes_match_gate_digest_large():
     oracle = build(normalize(g, face, seed=seed))
     oracle.stats.build_seconds = 0.0
     data = saved(oracle)
+    assert records_digest(oracle) == RECORD_DIGESTS[name]
     assert hashlib.sha256(data).hexdigest() == digest
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_eight():
-    assert ORACLE_VERSION == 8
+def test_oracle_version_is_nine():
+    assert ORACLE_VERSION == 9
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -225,6 +247,17 @@ def test_version_seven_file_is_rejected():
     doc = small_oracle().to_json()
     doc["version"] = 7
     with pytest.raises(VersionMismatchError, match="version 7"):
+        load_doc(doc)
+
+
+def test_version_eight_file_is_rejected():
+    # version 8 files have the layout of version 9 but store each root's
+    # table at the first node with the root as an endpoint; which node
+    # stores it follows from the ring count, not from the file, so a
+    # version 8 file read as version 9 could give wrong answers
+    doc = small_oracle().to_json()
+    doc["version"] = 8
+    with pytest.raises(VersionMismatchError, match="version 8"):
         load_doc(doc)
 
 
@@ -317,13 +350,13 @@ def test_truncated_column_is_rejected():
 
 def test_table_zero_missing_a_row_is_rejected():
     # vertex 1 would silently stop being queryable: query_vertices is read
-    # from table 0
+    # from root 0's descent, the records its plan reads and table 0
     doc = small_oracle().to_json()
     table = doc["tables"][0]
     row = query_vertex_at(table)
     for col in table[1:5]:
         del col[row]
-    with pytest.raises(CorruptFileError, match="table 0 has .* rows"):
+    with pytest.raises(CorruptFileError, match="root 0's descent holds 16 vertices"):
         load_doc(doc)
 
 
@@ -362,32 +395,39 @@ def test_table_vertex_outside_table_zero_is_rejected():
     doc = small_oracle().to_json()
     table = doc["tables"][5]
     table[1][query_vertex_at(table)] = 10**6
-    with pytest.raises(CorruptFileError, match="table 0 does not hold"):
+    with pytest.raises(
+        CorruptFileError, match="table 5 lists vertex 1000000, which root 0's descent"
+    ):
         load_doc(doc)
 
 
 def test_table_zero_vertex_replaced_is_rejected():
     # vertex 1 would silently stop being queryable: query_vertices is read
-    # from table 0
+    # from root 0's descent. Root 0's descent still holds 17 vertices, but
+    # table 1, stored at the same leaf, lists vertex 1
     doc = small_oracle().to_json()
     table = doc["tables"][0]
     table[1][query_vertex_at(table)] = 10**6
-    with pytest.raises(CorruptFileError, match="table 0 does not hold"):
+    with pytest.raises(
+        CorruptFileError, match="table 1 lists vertex 1, which root 0's descent"
+    ):
         load_doc(doc)
 
 
 def test_table_zero_holding_another_ring_vertex_is_rejected():
-    # table 0 holds its own ring vertex and the original vertices only
+    # root 0's descent holds its own ring vertex and the original vertices
+    # only
     doc = small_oracle().to_json()
     table = doc["tables"][0]
     table[1][query_vertex_at(table)] = doc["ring_roots"][1]
-    with pytest.raises(CorruptFileError, match="table 0 lists root 1's ring vertex"):
+    with pytest.raises(CorruptFileError, match="root 0's descent lists root 1's ring vertex"):
         load_doc(doc)
 
 
 def test_table_missing_a_row_raises_at_query():
-    # a table other than table 0 may hold fewer vertices; a query that ends
-    # at the missing one raises a typed error, not a KeyError
+    # a table other than table 0 may hold fewer vertices than root 0's
+    # descent; a query that ends at the missing one raises a typed error,
+    # not a KeyError
     doc = small_oracle().to_json()
     table = doc["tables"][5]
     row = query_vertex_at(table)
@@ -414,6 +454,16 @@ def test_record_entry_that_is_its_own_root_is_rejected():
     entry[1] = entry[0]
     assert entry[2] != 0
     with pytest.raises(CorruptFileError, match="own tree root"):
+        load_doc(doc)
+
+
+def test_record_under_a_key_of_no_node_is_rejected():
+    # key (1, 1) is the right leaf [1, 2] of the 12 roots' recursion, which
+    # is not built: no descent would read the record, yet it loaded
+    doc = small_oracle().to_json()
+    assert all((mid, side) != (1, 1) for mid, side, _ in doc["records"])
+    doc["records"].append([1, 1, [list(doc["records"][0][2][0])]])
+    with pytest.raises(CorruptFileError, match=r"record \(1, 1\) is keyed by no node"):
         load_doc(doc)
 
 
@@ -655,8 +705,8 @@ def test_loaded_tables_and_records_are_not_tracked_by_gc():
 # error, fast
 
 _FUZZ_DATA = saved(small_oracle())
-# the one byte whose change is a version change: the digit of "version":8
-_VERSION_AT = _FUZZ_DATA.index(b'"version":8') + len(b'"version":')
+# the one byte whose change is a version change: the digit of "version":9
+_VERSION_AT = _FUZZ_DATA.index(b'"version":9') + len(b'"version":')
 
 
 def assert_rejected(data: bytes, version_byte_changed: bool) -> None:
