@@ -37,17 +37,16 @@ def main() -> None:
         print(f"    walk {' '.join(hops) if hops else '(already there)'}"
               f" | weight sum {total}")
 
-    # cost accounting: a path of length L is reassembled from about
-    # L + log2(number of roots) stored entries
-    allowance = 2 * math.ceil(math.log2(n)) + 4
+    # cost accounting: a descent probes one record table per level below
+    # the top at most, and a path walk then reads one node per reported arc
+    bound = math.ceil(math.log2(n))
     worst = 0
     for _ in range(2000):
         j = rng.randrange(n)
         u = verts[rng.randrange(len(verts))]
-        path, probes = oracle._query_path_counted(j, u)
-        worst = max(worst, probes - len(path))
-    print(f"\nover 2000 random paths: probes never exceeded path length"
-          f" plus {worst} (allowance {allowance})")
+        worst = max(worst, oracle.explain(j, u).probes)
+    print(f"\nover 2000 random queries: at most {worst} record tables probed"
+          f" per descent (bound ceil(log2 N) = {bound})")
 
 
 if __name__ == "__main__":

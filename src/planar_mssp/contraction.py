@@ -61,14 +61,14 @@ class Records:
     """A child's record columns, one entry per member of its trees.
 
     A tree's root has no entry: it stays in the graph. A member names its
-    tree's root, its delta, its tree parent (the root or another member),
-    the arc id of the tree arc parent -> member and that arc's tail chain.
+    tree's root, the base of its delta, its tree parent (the root or
+    another member), the arc id of the tree arc parent -> member and that
+    arc's tail chain.
     """
 
     vertex: list[int]
     root: list[int]
     dbase: list[int]
-    dpert: list[int]
     parent: list[int]
     arc: list[int]
     chain: list[TailChain]
@@ -150,7 +150,7 @@ def contract_tree(
     at = h._at
     arc_at = h._arc
     entry = h._entry
-    rec = Records([], [], [], [], [], [], [])
+    rec = Records([], [], [], [], [], [])
     placed: set[int] = set()  # vertices of the trees checked so far
     for tree in selected:
         vertex, parent, dart = tree.vertex, tree.parent, tree.dart
@@ -184,7 +184,6 @@ def contract_tree(
         rec.vertex += vertex[1:]
         rec.root += [s] * (n - 1)
         rec.dbase += tree.dbase[1:]
-        rec.dpert += tree.dpert[1:]
         rec.parent += parent[1:]
         rec.arc += arcs
         rec.chain += map(chain_fn, arcs)

@@ -89,9 +89,10 @@ table is rooted at its own ring vertex, over that vertex and vertices of
 root 0's descent, with one row whose parent is the ring vertex, whose
 parent arc is the root's spoke (the arc whose tail is the ring vertex),
 which no other row's is, and which has no tail chain (so a path starts
-with the spoke). Which node stores each table is not in the file: it
-follows from the ring count, so a file of another version raises
-VersionMismatchError even where its layout is the same. Path queries
+with the spoke); last, that each original vertex of root 0's descent is
+the head of a stored arc. Which node stores each table is not in the
+file: it follows from the ring count, so a file of another version
+raises VersionMismatchError even where its layout is the same. Path queries
 bound every parent walk, and raise CorruptFileError, not KeyError, when
 a damaged file names a vertex or record it does not hold.
 The plans and the dicts are not part of the file. to_json() gives the
@@ -243,7 +244,7 @@ class _Node(NamedTuple):
     children: tuple[tuple[int, int], ...]  # their intervals, in the order made
 
 
-def _schedule(n: int, right_first: bool = False) -> Iterator[_Node]:
+def _schedule(n: int) -> Iterator[_Node]:
     """Every node build makes for n roots, in the order it makes them.
 
     The recursion follows from n alone, and this is the one place that
@@ -272,9 +273,11 @@ def _schedule(n: int, right_first: bool = False) -> Iterator[_Node]:
     recursion, and a descent visits at most ceil(log2 n) + 1 nodes.
 
     The nodes come in preorder: each node, then its children's subtrees,
-    the left child's first unless right_first. None of the rules above
-    depends on that order. A generator, which holds one path of the
-    recursion, not a list of its nodes.
+    the left child's first. None of the rules above depends on that
+    order, and build, _descent_plans and trace() read the schedule only
+    through this module's name for it, so a test can swap in another
+    preorder. A generator, which holds one path of the recursion, not a
+    list of its nodes.
     """
     last = n - 1
     # (interval, level, key, left endpoint owed) of the nodes still to
@@ -290,9 +293,8 @@ def _schedule(n: int, right_first: bool = False) -> Iterator[_Node]:
             left = ((i1, mid), level + 1, 2 * mid, owed)
             if i2 - mid > 1:
                 right = ((mid, i2), level + 1, 2 * mid + 1, mid - i1 > 1)
-                first, then = (right, left) if right_first else (left, right)
-                children = (first[0], then[0])
-                stack += then, first
+                children = (left[0], right[0])
+                stack += right, left
             else:
                 children = (left[0],)
                 stack.append(left)
@@ -402,11 +404,11 @@ def _check_tables(
     Root 0's descent, the records its plan reads and then table 0, holds
     every vertex once: contraction moves a vertex from a node's graph into
     a record, so those blocks must hold n_original + 1 vertices between
-    them, none twice, and no ring vertex but r_0. Their original vertices
-    are the query vertices. Every table must hold its own ring vertex at
-    distance 0, list only that vertex and vertices of root 0's descent,
-    and start every path with its spoke, the arc whose tail is the ring
-    vertex.
+    them, none twice, and no ring vertex but r_0, and each but r_0 must be
+    the head of a stored arc. Their original vertices are the query
+    vertices. Every table must hold its own ring vertex at distance 0,
+    list only that vertex and vertices of root 0's descent, and start
+    every path with its spoke, the arc whose tail is the ring vertex.
     """
     start = c.tree_start
     base, parents, arcs = c.node_base, c.node_parent, c.node_arc
@@ -463,7 +465,15 @@ def _check_tables(
             f"table {j}: the row whose parent is the ring vertex is not the one"
             " row whose parent arc is the root's spoke, without a tail chain"
         )
-    return frozenset(allowed - ring)
+    # every node but a table's root is the head of its parent arc, so a
+    # vertex that no stored arc enters is foreign to the graph
+    vertices = allowed - ring
+    foreign = vertices.difference(c.arc_head)
+    if foreign:
+        raise CorruptFileError(
+            f"root 0's descent lists vertex {min(foreign)}, which no stored arc enters"
+        )
+    return frozenset(vertices)
 
 
 class MsspOracle:
@@ -609,7 +619,7 @@ class MsspOracle:
         map_answer (or use distance()) to interpret the result in
         original-graph terms.
         """
-        path, base, _ = self._walked(j, u, False)
+        path, base = self._walked(j, u, False)
         arcs = self.arcs
         return LexWeight(base, sum(arcs[a].perturb for a in path))
 
@@ -636,21 +646,16 @@ class MsspOracle:
 
     def query_path(self, j: int, u: int) -> list[int]:
         """Original arc ids of the unique shortest b_j-to-u path."""
-        path, _, _ = self._walked(j, u, True)
+        path, _ = self._walked(j, u, True)
         # the first arc is r_j's spoke
         return path[1:]
 
-    def _query_path_counted(self, j: int, u: int) -> tuple[list[int], int]:
-        """query_path plus the number of record/table entry probes used."""
-        path, _, probes = self._walked(j, u, True)
-        return path[1:], probes
-
-    def _walked(self, j: int, u: int, reachable: bool) -> tuple[list[int], int, int]:
+    def _walked(self, j: int, u: int, reachable: bool) -> tuple[list[int], int]:
         """Descend for (j, u), then walk u's shortest path from r_j.
 
-        Returns the path's arc ids, r_j's spoke first, the base of its
-        distance and the record/table entry probes used. If reachable is
-        set, an unreachable u raises UnreachableError before any walk.
+        Returns the path's arc ids, r_j's spoke first, and the base of its
+        distance. If reachable is set, an unreachable u raises
+        UnreachableError before any walk.
         """
         hits: list[tuple[int, int, int]] = []
         node, base = self._descend(j, u, hits)
@@ -663,18 +668,17 @@ class MsspOracle:
         # arc ids and its spokes were checked at load
         try:
             # the terminal tree from r_j down to u, then each rerouting jump
-            probes = len(self._plans[j].steps)
-            probes += self._walk(self._table_blocks[j], self._cols.node_vertex[node], out)
+            self._walk(self._table_blocks[j], self._cols.node_vertex[node], out)
             for key, v, _ in reversed(hits):
-                probes += self._walk(self._record_blocks[key], v, out)
+                self._walk(self._record_blocks[key], v, out)
         except KeyError as exc:
             raise CorruptFileError(f"path walk met an unknown id: {exc}") from exc
         except RecursionError as exc:
             # chains nest one level per record; only a damaged file nests deeper
             raise CorruptFileError("tail chains of the path expand into each other") from exc
-        return out, base, probes
+        return out, base
 
-    def _walk(self, block: tuple, v: int, out: list[int]) -> int:
+    def _walk(self, block: tuple, v: int, out: list[int]) -> None:
         """Append the arcs of a block's tree path from its root to vertex v.
 
         The root is the ring vertex for a table and v's record root for a
@@ -682,8 +686,8 @@ class MsspOracle:
         each parent is compared with the root before it is looked up. Each
         arc's tail chain, the (record, vertex) hops between the
         arc's tail at contraction time and its original tail, goes first,
-        deepest hop first, each hop one walk of its record tree. Returns the
-        probes: one per node on the path.
+        deepest hop first, each hop one walk of its record tree. Each node
+        on the path is looked up once.
         """
         index, first_node, first_chain, chains, stop = block
         (parent, arc, roots, hop_start, hop_key, hop_vertex, record_blocks,
@@ -702,7 +706,6 @@ class MsspOracle:
             # only the parent pointers of a damaged file walk this far: a cycle
             b = bisect_right(self._cols.tree_start, first_node) - 1
             raise CorruptFileError(f"parent pointers of {_tree_name(self._cols, b)} cycle")
-        probes = len(nodes)
         nodes.reverse()
         for node in nodes:
             off = node - first_node
@@ -711,9 +714,8 @@ class MsspOracle:
                 h, last = hop_start[ch + 1], hop_start[ch]
                 while h > last:
                     h -= 1
-                    probes += self._walk(record_blocks[hop_key[h]], hop_vertex[h], out)
+                    self._walk(record_blocks[hop_key[h]], hop_vertex[h], out)
             out.append(arc[node])
-        return probes
 
     # ------------------------------------------------------------------
     # introspection and persistence
@@ -1005,14 +1007,14 @@ class _Block(NamedTuple):
 
 def _tree_block(vertex, base, parent, arc, chains, root=()) -> _Block:
     """A tree's columns, in block order: the nodes whose parent arc has a
-    tail chain (chains holds each node's, () for none, or is empty when no
-    node has one) first, each part by ascending vertex. A table's columns
-    come sorted by vertex, a record's in the order contract_tree made them;
-    columns already in block order are not copied."""
+    tail chain (chains holds each node's, () for none) first, each part by
+    ascending vertex. A table's columns come sorted by vertex, a record's
+    in the order contract_tree made them; columns already in block order
+    are not copied."""
     order: range | list[int] = range(len(vertex))
     if any(map(gt, vertex, islice(vertex, 1, None))):
         order = sorted(order, key=vertex.__getitem__)
-    chained = [p for p in order if chains[p]] if chains else []
+    chained = [p for p in order if chains[p]]
     if chained:
         order = chained + [p for p in order if not chains[p]]
     if isinstance(order, list):
@@ -1034,12 +1036,12 @@ def _tree_block(vertex, base, parent, arc, chains, root=()) -> _Block:
     )
 
 
-def _table_block(t: SSSPTree, chain_at: Callable[[int], TailChain] | None) -> _Block:
+def _table_block(t: SSSPTree, chain_at: Callable[[int], TailChain]) -> _Block:
     """A stored tree's table: the rows its run reached, in block order.
 
     The rows it did not reach are the interval's other ring vertices,
     which the run excluded and no query names. chain_at gives a parent
-    arc's tail chain; it is None while no vertex is contracted.
+    arc's tail chain.
     """
     vertices = t.snap.vertices
     reached = [b >= 0 for b in t.base]
@@ -1050,7 +1052,7 @@ def _table_block(t: SSSPTree, chain_at: Callable[[int], TailChain] | None) -> _B
         list(compress(t.base, reached)),
         [-1 if r < 0 else vertices[r] for r in compress(t.par_row, reached)],
         par_arc,
-        () if chain_at is None else [chain_at(a) if a >= 0 else () for a in par_arc],
+        [chain_at(a) if a >= 0 else () for a in par_arc],
     )
 
 
@@ -1094,7 +1096,6 @@ def _flat_columns(
 def build(
     norm: NormalizedInstance,
     *,
-    right_first: bool = False,
     instrument: bool = False,
     collect_edge_stats: bool = False,
 ) -> MsspOracle:
@@ -1115,14 +1116,15 @@ def build(
     while a child is built, each ancestor holds only what its later
     child reads: its graph and at most two trees.
 
-    right_first flips the child processing order (the result must not
-    change; a test relies on that). instrument enables expensive internal
-    consistency checks after each child's contraction, and compares every
-    inherited tree with a fresh Dijkstra on the child graph — meant for
-    small graphs. An instrumented build makes the same graphs as a plain
-    one. collect_edge_stats additionally counts, per level, how
-    many of the trees a node has, stored or not, each arc appears in
-    (stats key "tree_arc_max").
+    instrument enables expensive internal consistency checks, meant for
+    small graphs: no tree selected for contraction holds a ring vertex,
+    each contracted child graph is a valid embedding whose roots have the
+    distances they had before the contraction (fresh Dijkstra runs on the
+    child graph, before and after), and every inherited tree equals a
+    fresh Dijkstra. An instrumented build makes the same graphs and keeps
+    the same trees as a plain one. collect_edge_stats additionally counts,
+    per level, how many of the trees a node has, stored or not, each arc
+    appears in (stats key "tree_arc_max").
     """
     t0 = time.perf_counter()
     ring_roots = norm.ring_roots
@@ -1156,20 +1158,36 @@ def build(
             cur = root
         return tuple(out)
 
-    def check_child(hj, j1, j2, parent_trees):
-        """Each of hj's roots has the distances of its tree in the parent."""
+    def roots_dist(hj, j1, j2):
+        """The distances from each of hj's roots, by a fresh Dijkstra."""
         excl_j = {ring_roots[k] for k in range(j1, j2 + 1)}
-        for k in range(j1, j2 + 1):
-            rk = ring_roots[k]
-            parent_dist = parent_trees[k].dist
-            child_dist = sssp_tree(hj, rk, excl_j - {rk}).dist
+        return {
+            k: sssp_tree(hj, ring_roots[k], excl_j - {ring_roots[k]}).dist
+            for k in range(j1, j2 + 1)
+        }
+
+    def check_selected(hj, j1, j2, selected):
+        """No selected tree holds a ring vertex; returns the distances in hj,
+        which has lost the other ring vertices but is not yet contracted.
+        No arc enters a ring vertex, so they are the parent's distances."""
+        for tree in selected:
+            hit = ring_vertex_set.intersection(tree.vertex)
+            if hit:
+                raise MsspError(
+                    f"instrument: ring vertices {sorted(hit)} selected for contraction"
+                )
+        return roots_dist(hj, j1, j2)
+
+    def check_child(hj, j1, j2, before):
+        """hj is a valid embedding, and each of its roots still has the
+        distances it had before the contraction."""
+        hj.check()
+        for k, child_dist in roots_dist(hj, j1, j2).items():
             for v, dv in child_dist.items():
-                if v in excl_j or v == rk:
-                    continue
-                if parent_dist.get(v) != dv:
+                if before[k].get(v) != dv:
                     raise MsspError(
                         f"instrument: contraction changed dist(r_{k}, {v}): "
-                        f"{parent_dist.get(v)} became {dv}"
+                        f"{before[k].get(v)} became {dv}"
                     )
 
     def check_inherited(h, k, excluded, inherited, adj):
@@ -1186,7 +1204,7 @@ def build(
 
     # the nodes in the order they are made: rec takes each child's from
     # here, after its earlier siblings have taken their subtrees'
-    schedule = _schedule(n_rings, right_first)
+    schedule = _schedule(n_rings)
 
     def rec(
         node: _Node,
@@ -1220,15 +1238,8 @@ def build(
         if collect_edge_stats:
             counter = edge_counters.setdefault(level, Counter())
             for t in trees.values():
-                for pd in t.parent_dart.values():
-                    counter[pd ^ 1] += 1  # the tree arc's id, its tail dart
-        if instrument and children:
-            # the trees in h that check_child compares each child with,
-            # grown before h's out-lists go and the last child takes h over
-            for k in range(i1, i2 + 1):
-                if k not in trees:
-                    rk = ring_roots[k]
-                    trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
+                # the tree arc's id is its tail dart, the parent dart's reverse
+                counter.update(d ^ 1 for d in t.par_dart if d >= 0)
         # the node's Dijkstra runs are done; no tree holds the out-lists
         del adj
         # chains by original tail, shared by this node's stored tables and by
@@ -1245,17 +1256,14 @@ def build(
             return found
 
         for k in node.stores:
-            table_blocks[k] = block = _table_block(trees[k], chain_at if absorbed_at else None)
+            table_blocks[k] = block = _table_block(trees[k], chain_at)
             stats.stored_rows += len(block.vertex)
         if not children:
             return
         del snap, vertices
         # a tree goes once no child still to be made reads it: a child
-        # reads the trees of its interval, its endpoints' and, under
-        # instrument, check_child's
-        last_reader = {
-            k: n for n, (j1, j2) in enumerate(children) for k in range(j1, j2 + 1)
-        }
+        # reads its endpoints' trees
+        last_reader = {k: n for n, interval in enumerate(children) for k in interval}
         for k in trees.keys() - last_reader.keys():
             del trees[k]
         for n, (j1, j2) in enumerate(children):
@@ -1269,17 +1277,12 @@ def build(
                 hj = h.copy(drop)
             selected = select_trees(hj, trees[j1], trees[j2])
             if instrument:
-                for tree in selected:
-                    hit = ring_vertex_set.intersection(tree.vertex)
-                    if hit:
-                        raise MsspError(
-                            f"instrument: ring vertices {sorted(hit)} selected"
-                            " for contraction"
-                        )
+                before = check_selected(hj, j1, j2, selected)
             records = contract_tree(hj, selected, chain_at)
             del selected
             if instrument:
-                hj.check()
+                check_child(hj, j1, j2, before)
+                del before
             entries = len(records.vertex)
             stats.record_entries += entries
             if entries:
@@ -1287,8 +1290,6 @@ def build(
                     records.vertex, records.dbase, records.parent, records.arc,
                     records.chain, records.root,
                 )
-            if instrument:
-                check_child(hj, j1, j2, trees)
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees
             moved = dict(zip(records.vertex, records.root))

@@ -8,10 +8,7 @@ build's per-level stats. The out-lists hold per row the outgoing arcs as
 
 sssp_tree runs Dijkstra with a lazy-deletion binary heap over an
 Adjacency's out-lists and a bytearray settled set. Heap entries are flat
-tuples (base, perturb, tie, row) so comparisons stay in C; the tie
-component is a plain counter by default, or random when the caller wants
-to probe that tie-breaking cannot change the result (it cannot when all
-path weights are distinct, which normalization arranges). The output
+tuples (base, perturb, row) so comparisons stay in C. The output
 columns hold each row's best tentative distance and parent until the row
 is settled, and a relaxation is pushed only when it beats that distance.
 Vertices in `excluded` are marked settled before the run instead of
@@ -44,7 +41,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Collection, Iterator, NamedTuple
 
 from .embedded_graph import EmbeddedDigraph
@@ -138,7 +134,6 @@ def sssp_tree(
     h: EmbeddedDigraph,
     root: int,
     excluded: Collection[int] = (),
-    tie_rng=None,
     adj: Adjacency | None = None,
 ) -> SSSPTree:
     """Exact shortest path tree from `root`, never entering `excluded`.
@@ -171,18 +166,14 @@ def sssp_tree(
     pert = [0] * n
     par_dart = [-1] * n
     par_row = [-1] * n
-    if tie_rng is None:
-        next_tie = count().__next__
-    else:
-        next_tie = lambda: tie_rng.getrandbits(62)  # noqa: E731 - tiny closure
     r0 = row_of[root]
     base[r0] = 0
-    heap: list[tuple[int, int, int, int]] = [(0, 0, next_tie(), r0)]
+    heap: list[tuple[int, int, int]] = [(0, 0, r0)]
     push = heapq.heappush
     pop = heapq.heappop
     reached = 0
     while heap:
-        b, p, _, v = pop(heap)
+        b, p, v = pop(heap)
         if settled[v]:
             continue
         settled[v] = 1
@@ -197,7 +188,7 @@ def sssp_tree(
                     pert[head] = np
                     par_dart[head] = hd
                     par_row[head] = v
-                    push(heap, (nb, np, next_tie(), head))
+                    push(heap, (nb, np, head))
     if reached != expected:
         raise UnreachableVertexError(
             f"root {root} reached {reached} of {expected} vertices"

@@ -43,7 +43,7 @@ from planar_mssp import (
     normalize,
     verify,
 )
-from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, acceptance_lines
+from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, acceptance_lines, build_right_first
 from tests.test_persistence import oneway_grid
 
 GRID_SIDES = range(2, 13)
@@ -200,7 +200,7 @@ def test_criterion_4_child_graphs_preserve_distances():
     )
 
 
-def test_criterion_5_paths_and_probe_budget(corpus_reports):
+def test_criterion_5_paths_and_probe_budget(corpus_reports, counted_lookups):
     _, reports = corpus_reports
     spot_checks = sum(r.path_checks for *_, r in reports)
     spot_failures = [f for *_, r in reports for f in r.path_failures]
@@ -217,7 +217,8 @@ def test_criterion_5_paths_and_probe_budget(corpus_reports):
         for _ in range(budget_pairs):
             j = rng.randrange(oracle.ring_count)
             u = verts[rng.randrange(len(verts))]
-            path, probes = oracle._query_path_counted(j, u)
+            # probes: the query's vertex lookups in records and tables
+            path, probes = counted_lookups(oracle.query_path, j, u)
             counted += 1
             max_slack = max(max_slack, probes - len(path) - allowance + PROBE_SLACK)
             assert probes <= len(path) + allowance, (k, seed, j, u)
@@ -239,7 +240,7 @@ def test_criterion_6_contraction_safety_and_order_independence():
     compared = 0
     for _, _, _, norm in instrumented_builds():
         left = build(norm, instrument=True)
-        right = build(norm, right_first=True, instrument=True)
+        right = build_right_first(norm, instrument=True)
         instances += 1
         verts = sorted(left.query_vertices)
         for j in range(left.ring_count):

@@ -28,11 +28,11 @@ def ring_trees(norm):
 
 
 def entry(rec: Records, v: int):
-    """v's record entry: (root, delta, parent, arc, chain)."""
+    """v's record entry: (root, delta base, parent, arc, chain)."""
     i = rec.vertex.index(v)
     return (
         rec.root[i],
-        LexWeight(rec.dbase[i], rec.dpert[i]),
+        rec.dbase[i],
         rec.parent[i],
         rec.arc[i],
         rec.chain[i],
@@ -140,7 +140,7 @@ def test_contract_tree_effects():
     # record entries: the root, which stays, has none; the member names it
     # and keeps its arc
     assert rec.vertex == [1]
-    assert entry(rec, 1) == (0, LexWeight(2, 0), 0, 0, ())
+    assert entry(rec, 1) == (0, 2, 0, 0, ())
     # the out-arc 1->2 (base 3) left the tree, so it gains delta 2 and
     # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
     # (base 4) pointed into the tree and must be gone; 2->0 pointed at the
@@ -268,7 +268,7 @@ def test_one_call_on_two_joined_trees_equals_a_call_per_tree():
     assert sorted(g_one.vertices()) == [0, 4, 6, 7, 8]
     assert list(g_one.arc_items()) == list(g_two.arc_items())
     assert g_one.face_walks() == g_two.face_walks()
-    for name in ("vertex", "root", "dbase", "dpert", "parent", "arc", "chain"):
+    for name in ("vertex", "root", "dbase", "parent", "arc", "chain"):
         assert getattr(both, name) == getattr(first, name) + getattr(second, name), name
     # A's contraction dropped the arcs 4 -> 1 and 4 -> 3 into its members
     # and turned 1 -> 4 and 3 -> 4 into two arcs 0 -> 4; one stays
@@ -302,10 +302,18 @@ def test_contraction_preserves_root_distances(norm3):
             after = sssp_tree(g, r, ring - {r})
             for v, d in after.dist.items():
                 assert before.dist[v] == d
-        # record entries re-derive each absorbed vertex's distance
+        # each member's delta, the record's base and the selection's
+        # perturbation (which the contraction reweights by), re-derives its
+        # distance
+        deltas = {
+            v: LexWeight(b, p)
+            for sel in selected
+            for v, b, p in zip(sel.vertex, sel.dbase, sel.dpert)
+        }
         for v in absorbed:
-            root, delta, _, _, _ = table[v]
-            assert trees[i].dist[root] + delta == trees[i].dist[v]
+            root, delta_base, _, _, _ = table[v]
+            assert delta_base == deltas[v].base
+            assert trees[i].dist[root] + deltas[v] == trees[i].dist[v]
             hops = 0
             cur = v
             while cur != root:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import runpy
 from pathlib import Path
 
@@ -18,6 +19,11 @@ def test_demo_runs(path, capsys):
     if path.stem == "contraction_walkthrough":
         # contraction leaves the interval root's distances unchanged
         assert ": 0 changed" in out
+    if path.stem == "path_reporting":
+        # a descent probes at most one record table per level below the top
+        m = re.search(r"at most (\d+) record tables probed per descent"
+                      r" \(bound ceil\(log2 N\) = (\d+)\)", out)
+        assert m and 0 < int(m[1]) <= int(m[2])
 
 
 def test_demos_are_found():

@@ -36,7 +36,7 @@ from planar_mssp import (
 from planar_mssp import mssp
 from planar_mssp.mssp import BuildStats
 from planar_mssp.normalize import ARC_ORIGINAL, map_answer
-from tests.conftest import TRI_ONEWAY_SLOTS
+from tests.conftest import TRI_ONEWAY_SLOTS, build_right_first, schedule_children
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 from tests.test_persistence import GATE_DIGESTS, gate_instance, oneway_grid
 
@@ -191,19 +191,13 @@ def test_descent_intervals(oracle3):
 SCHEDULE_SIZES = (*range(1, 601), 1382, 1548, 4096)
 
 
-def schedule_tree(n: int, right_first: bool = False):
+def schedule_tree(n: int):
     """The schedule for n roots, and each node's children's positions.
 
-    In preorder, a node's parent is the last node before it one level up;
-    each node must list its children's intervals in the order they come.
+    Each node must list its children's intervals in the order they come.
     """
-    nodes = list(mssp._schedule(n, right_first))
-    below: list[list[int]] = [[] for _ in nodes]
-    last_at: dict[int, int] = {}
-    for c, node in enumerate(nodes):
-        if c:
-            below[last_at[node.level - 1]].append(c)
-        last_at[node.level] = c
+    nodes = list(mssp._schedule(n))
+    below = schedule_children(nodes)
     for p, node in enumerate(nodes):
         assert node.children == tuple(nodes[c].interval for c in below[p]), (n, p)
     return nodes, below
@@ -212,8 +206,7 @@ def schedule_tree(n: int, right_first: bool = False):
 def test_schedule_is_a_preorder_tree_of_halved_intervals():
     # preorder, left child first; each child halves its parent's interval,
     # a leaf is an interval of one step or none, no right leaf is listed,
-    # and each record key is 2 * the parent's midpoint + side, once. The
-    # right-first order lists the same nodes, each child's subtree in turn
+    # and each record key is 2 * the parent's midpoint + side, once
     for n in SCHEDULE_SIZES:
         nodes, below = schedule_tree(n)
         root = nodes[0]
@@ -240,10 +233,6 @@ def test_schedule_is_a_preorder_tree_of_halved_intervals():
                 assert [(r.interval, r.key) for r in right] == [((mid, i2), 2 * mid + 1)]
             else:
                 assert right == [], (n, p)  # a right leaf
-        flipped, _ = schedule_tree(n, right_first=True)
-        assert sorted(node._replace(children=node.children[::-1]) for node in flipped) == sorted(
-            nodes
-        ), n
 
 
 def test_schedule_stores_each_root_once_where_its_descent_ends():
@@ -332,7 +321,8 @@ def test_nothing_stored_goes_unread(right_first):
     # the file holds
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
-        oracle = build(normalize(g, face, seed=seed), right_first=right_first)
+        norm = normalize(g, face, seed=seed)
+        oracle = build_right_first(norm) if right_first else build(norm)
         read = {key for plan in oracle._plans for key, _ in plan.steps}
         read.update(oracle._cols.hop_key)
         assert set(oracle.records) <= read, name
@@ -434,7 +424,7 @@ def test_walk_bound_fits_a_chain_as_long_as_its_block():
             deepest = next(v for v in index if v not in parents)
             oracle._walk_cols = (*walk_cols[:-1], range(m))
             out: list[int] = []
-            assert oracle._walk(block, deepest, out) == m
+            oracle._walk(block, deepest, out)
             assert len(out) == m
             oracle._walk_cols = (*walk_cols[:-1], range(m - 1))
             with pytest.raises(CorruptFileError, match="cycle"):
@@ -470,16 +460,40 @@ def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("side", (3, 5, 6))
+def test_instrument_rejects_a_contraction_that_changes_distances(monkeypatch, side):
+    # the first tree merged with a nonzero delta is merged as if every
+    # member sat at its root: the arcs leaving it are not reweighted, so
+    # some distance from a child's root shrinks; an instrumented build
+    # compares the child graph with a fresh Dijkstra taken before the
+    # contraction and stops there
+    g, outer = gen_grid(side, seed=1)
+    norm = normalize(g, outer, seed=1)
+    merge = EmbeddedDigraph._merge_tree
+    zeroed = []
+
+    def unweighted(self, vertex, dart, dbase, dpert):
+        if not zeroed and (any(dbase) or any(dpert)):
+            zeroed.append(vertex[0])
+            dbase, dpert = [0] * len(dbase), [0] * len(dpert)
+        return merge(self, vertex, dart, dbase, dpert)
+
+    monkeypatch.setattr(EmbeddedDigraph, "_merge_tree", unweighted)
+    with pytest.raises(MsspError, match="instrument: contraction changed dist"):
+        build(norm, instrument=True)
+    assert zeroed
+
+
 class OutLists(list):
     """Out-lists that a weak reference can follow."""
 
 
 @pytest.mark.parametrize(
-    "options",
-    [{}, {"instrument": True}, {"right_first": True}],
+    "builder, options",
+    [(build, {}), (build, {"instrument": True}), (build_right_first, {})],
     ids=["plain", "instrument", "right_first"],
 )
-def test_one_node_out_lists_at_a_time(monkeypatch, options):
+def test_one_node_out_lists_at_a_time(monkeypatch, builder, options):
     # a node's out-lists serve only its own Dijkstra runs, so none is
     # alive when the next node takes its snapshot; the build pauses GC,
     # so reference counting alone must free them
@@ -496,7 +510,7 @@ def test_one_node_out_lists_at_a_time(monkeypatch, options):
         return adj
 
     monkeypatch.setattr(mssp, "out_adjacency", tracked)
-    oracle = build(norm, **options)
+    oracle = builder(norm, **options)
     assert len(made) == oracle.stats.node_count > 1
     assert all(ref() is None for ref in made)
 
@@ -576,12 +590,15 @@ def test_distance_is_map_answer_of_query_dist():
     assert unreachable > 0
 
 
-def test_probe_budget(oracle5):
-    n = oracle5.ring_count
+def test_probe_budget(norm5, counted_lookups):
+    # a path query looks up a vertex in a record or table at most
+    # 2 * ceil(log2 N) + 4 times more than it reports arcs
+    oracle = build(norm5)
+    n = oracle.ring_count
     allowance = 2 * math.ceil(math.log2(n)) + 4
     for j in range(n):
-        for u in oracle5.query_vertices:
-            path, probes = oracle5._query_path_counted(j, u)
+        for u in oracle.query_vertices:
+            path, probes = counted_lookups(oracle.query_path, j, u)
             assert probes <= len(path) + allowance, (j, u, probes, len(path))
 
 
@@ -596,7 +613,7 @@ def test_exactness_on_5x5_against_brute(oracle5, norm5):
 
 
 def test_build_order_independence(norm3, oracle3):
-    other = build(norm3, right_first=True)
+    other = build_right_first(norm3)
     for j in range(oracle3.ring_count):
         for u in range(9):
             assert oracle3.query_dist(j, u) == other.query_dist(j, u)

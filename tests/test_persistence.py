@@ -30,7 +30,7 @@ from planar_mssp import (
 )
 from planar_mssp.mssp import ORACLE_VERSION, _column
 from planar_mssp.normalize import ARC_SPOKE
-from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
+from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, build_right_first
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0, and of
@@ -164,7 +164,7 @@ def test_saved_bytes_match_gate_digest(tmp_path, name):
     assert records_digest(oracle) == RECORD_DIGESTS[name]
     assert hashlib.sha256(data).hexdigest() == GATE_DIGESTS[name]
     # the stored tables depend on position, not on the order children are built
-    other = build(norm, right_first=True)
+    other = build_right_first(norm)
     other.stats.build_seconds = 0.0
     assert saved(other) == data
 
@@ -464,6 +464,22 @@ def test_record_under_a_key_of_no_node_is_rejected():
     assert all((mid, side) != (1, 1) for mid, side, _ in doc["records"])
     doc["records"].append([1, 1, [list(doc["records"][0][2][0])]])
     with pytest.raises(CorruptFileError, match=r"record \(1, 1\) is keyed by no node"):
+        load_doc(doc)
+
+
+def test_foreign_vertex_on_root_zero_descent_is_rejected():
+    # record (2, 0) lies on root 0's descent; with its entry for vertex 5
+    # renamed 10**6, the descent still holds 17 distinct vertices, so it
+    # loaded, 10**6 became a query vertex and 5 stopped being one. Every
+    # node but a table's root is the head of its parent arc, and no stored
+    # arc enters 10**6
+    doc = small_oracle().to_json()
+    entries = next(e for mid, side, e in doc["records"] if (mid, side) == (2, 0))
+    entry = next(e for e in entries if e[0] == 5)
+    entry[0] = 10**6
+    with pytest.raises(
+        CorruptFileError, match="root 0's descent lists vertex 1000000, which no stored arc"
+    ):
         load_doc(doc)
 
 
