@@ -65,7 +65,7 @@ class CorruptFileError(MsspError):
 
 
 class FormatLimitError(MsspError):
-    """A value does not fit the width the oracle file gives its column."""
+    """A value does not fit int64, the widest column of the oracle file."""
 
 
 class PerturbationCollisionWarning(UserWarning):

@@ -42,10 +42,12 @@ has no node there, and every record hit reroutes.
 Within a block the nodes whose parent arc has a tail chain come first, so
 node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
 when that offset is below the block's chain count, and one CSR pair
-(chain_hop_start, hops) holds every chain. Bases are int64 and never
-negative: a table holds only the rows its root's Dijkstra run reached,
-which leaves out the interval's other ring vertices, which no query
-names, so node_parent is -1 only at a table's root. The arc table holds
+(chain_hop_start, hops) holds every chain. Each column is an array of the
+narrowest of int16, int32 and int64 that holds its values, in memory as
+in the file. Bases are never negative: a table holds only the rows its
+root's Dijkstra run reached, which leaves out the interval's other ring
+vertices, which no query names, so node_parent is -1 only at a table's
+root. The arc table holds
 only the arcs some node names as its parent arc, which are all the arcs
 a path can report; an arc's kind is not stored, as it follows from its
 tail and base (see normalize). The only per-node Python objects are the
@@ -60,24 +62,30 @@ of the trees it stores (one row snapshot per node, sssp.out_adjacency)
 and from the record columns that one contract_tree call returns per
 child (_tree_block for both, which puts each block in order with one
 sort), and each node looks up a tail chain at most once per original
-tail.
+tail. It makes the id columns of its blocks at the width of the ids'
+range, known before the recursion (_IdWidths), and each block's bases
+at their narrowest, so that a concatenated column needs no scan where
+that width is int16 (_flat_columns).
 
-The oracle file is format "planar-mssp-oracle", version 9, little-endian:
+The oracle file is format "planar-mssp-oracle", version 10, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
     4 bytes   uint32 zlib.crc32 of the header
     H bytes   header: compact, key-sorted UTF-8 JSON with format, version,
               n_original, w_big, seed, stats, and "sections", one
-              [name, item count, zlib.crc32] per column of _SECTIONS
+              [name, typecode, item count, zlib.crc32] per column of
+              _SECTIONS; the typecode is "h", "i" or "q" (int16, int32,
+              int64)
     ...       the columns' bytes, in _SECTIONS order, nothing between
 
 save() writes the columns as they are held, and load() reads the file into
-one bytes object and fills each column with array.frombytes, so a loaded
-oracle re-saves byte for byte. load() checks, in this order: the magic
-(a file that starts with "{" is a JSON oracle of versions 1 to 3 and
-raises VersionMismatchError), the format and version, the header and
-section checksums, the file length, the column lengths and offsets, one
+one bytes object and fills each column with array.frombytes at the
+typecode its section names, so a loaded oracle re-saves byte for byte.
+load() checks, in this order: the magic (a file that starts with "{" is a
+JSON oracle of versions 1 to 3 and raises VersionMismatchError), the
+format and version, the header checksum, each section's typecode and
+checksum, the file length, the column lengths and offsets, one
 table per root, no block with more chains than nodes, no negative base,
 no record node that is its own tree root, and that every parent arc id
 is in the arc table; then that no block lists a vertex twice and that
@@ -93,8 +101,9 @@ with the spoke); last, that each original vertex of root 0's descent is
 the head of a stored arc. Which node stores each table is not in the
 file: it follows from the ring count, so a file of another version
 raises VersionMismatchError even where its layout is the same. Path queries
-bound every parent walk, and raise CorruptFileError, not KeyError, when
-a damaged file names a vertex or record it does not hold.
+bound every parent walk and the path's length (n_original arcs, however
+the tail chains nest), and raise CorruptFileError, not KeyError, when a
+damaged file names a vertex or record it does not hold.
 The plans and the dicts are not part of the file. to_json() gives the
 same content as one logical JSON document, for tests and tools.
 """
@@ -115,7 +124,7 @@ from dataclasses import dataclass, field, fields
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, gt, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .contraction import TailChain, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
@@ -133,40 +142,43 @@ from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 9
+ORACLE_VERSION = 10
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 
 _MAGIC = b"\x89MSSP\r\n\x1a"
 _PRELUDE = struct.Struct("<8sII")  # magic, header length, header crc32
-_WIDTH = {"i": 4, "q": 8}
+_WIDTH = {"h": 2, "i": 4, "q": 8}  # the file's typecodes, narrowest first
 if any(array(tc).itemsize != w for tc, w in _WIDTH.items()):
-    raise ImportError("array typecodes 'i' and 'q' must be 4 and 8 bytes wide")
+    raise ImportError("array typecodes 'h', 'i' and 'q' must be 2, 4 and 8 bytes wide")
+# each typecode with the half-open range of values it holds
+_RANGES = tuple((tc, -(1 << 8 * w - 1), 1 << 8 * w - 1) for tc, w in _WIDTH.items())
 _SWAP = sys.byteorder != "little"
 
-# Every column, in file order: (name, typecode). N roots, A arcs, K record
-# tables, M = K + N blocks (the record tables in key order, then the root
-# tables in root order), V nodes, C tail chains; "start" columns are CSR
-# offsets, one more than the items they divide.
+# Every column, in file order. N roots, A arcs, K record tables, M = K + N
+# blocks (the record tables in key order, then the root tables in root
+# order), V nodes, C tail chains; "start" columns are CSR offsets, one more
+# than the items they divide. Each column is stored at the narrowest of
+# _WIDTH's typecodes that holds its values, which the header names.
 _SECTIONS = (
-    ("ring_roots", "i"),  # N ring vertices r_j
-    ("face_vertices", "i"),  # N face vertices b_j
-    ("arc_id", "i"),  # A, increasing: the arcs that node_arc names
-    ("arc_tail", "i"),
-    ("arc_head", "i"),
-    ("arc_base", "q"),
-    ("arc_perturb", "q"),
-    ("record_key", "i"),  # K, increasing
-    ("tree_start", "i"),  # M + 1: each block's nodes
-    ("node_vertex", "i"),  # V; in each block the nodes with a tail chain first
-    ("node_base", "q"),  # >= 0 from the block's root: a table's distance, a record's delta
-    ("node_parent", "i"),  # parent vertex; -1 only at a table's root
-    ("node_arc", "i"),  # parent arc id; -1 likewise
-    ("record_root", "i"),  # tree_start[K]: each record node's tree root, not itself
-    ("tree_chain_start", "i"),  # M + 1: each block's chains, of its first nodes
-    ("chain_hop_start", "i"),  # C + 1: each chain's hops
-    ("hop_key", "i"),  # record key of each hop, innermost hop first
-    ("hop_vertex", "i"),
+    "ring_roots",  # N ring vertices r_j
+    "face_vertices",  # N face vertices b_j
+    "arc_id",  # A, increasing: the arcs that node_arc names
+    "arc_tail",
+    "arc_head",
+    "arc_base",
+    "arc_perturb",
+    "record_key",  # K, increasing
+    "tree_start",  # M + 1: each block's nodes
+    "node_vertex",  # V; in each block the nodes with a tail chain first
+    "node_base",  # >= 0 from the block's root: a table's distance, a record's delta
+    "node_parent",  # parent vertex; -1 only at a table's root
+    "node_arc",  # parent arc id; -1 likewise
+    "record_root",  # tree_start[K]: each record node's tree root, not itself
+    "tree_chain_start",  # M + 1: each block's chains, of its first nodes
+    "chain_hop_start",  # C + 1: each chain's hops
+    "hop_key",  # record key of each hop, innermost hop first
+    "hop_vertex",
 )
 # how versions 1 to 3, key-sorted JSON documents, end
 _JSON_ORACLE_TAIL = re.compile(rb'"version":(\d+),"w_big":-?\d+\}\n?\Z')
@@ -191,29 +203,59 @@ def _gc_paused() -> Iterator[None]:
 class _Columns:
     """The oracle's stored content: one array per entry of _SECTIONS."""
 
-    __slots__ = tuple(name for name, _ in _SECTIONS)
+    __slots__ = _SECTIONS
 
 
-def _column(typecode: str, values: Iterable[int]) -> array:
-    """An array of the file's width for values; a typed error if one does not fit."""
+def _narrowest(lo: int, hi: int) -> str:
+    """The narrowest typecode of the file that holds every value in [lo, hi]."""
+    for tc, floor, ceiling in _RANGES:
+        if floor <= lo and hi < ceiling:
+            return tc
+    raise FormatLimitError(
+        f"a value does not fit a 64-bit column of the oracle file: {lo} .. {hi}"
+    )
+
+
+def _column(typecode: str, values: Sequence[int]) -> array:
+    """An array of values at typecode, or at the narrowest wider one that
+    holds them; FormatLimitError for a value beyond int64."""
     try:
         return array(typecode, values)
-    except OverflowError as exc:
-        raise FormatLimitError(
-            f"a value does not fit a {8 * _WIDTH[typecode]}-bit column of the"
-            f" oracle file: {exc}"
-        ) from exc
+    except OverflowError:
+        return array(_narrowest(min(values), max(values)), values)
 
 
-def _concat(typecode: str, parts: Iterable[array]) -> array:
-    out = array(typecode)
+def _fitted(values: Sequence[int]) -> array:
+    """values as an array of the narrowest typecode that holds them; an
+    array of that typecode is returned as it is, and an h array is not
+    scanned, as nothing is narrower. The typecode that holds 0 and the
+    largest value is the narrowest unless a value is below its range, and
+    _column widens past such a value, so no minimum is taken."""
+    if isinstance(values, array) and values.typecode == "h":
+        return values
+    tc = _narrowest(0, max(values, default=0))
+    if isinstance(values, array) and values.typecode == tc:
+        return values
+    return _column(tc, values)
+
+
+def _concat(parts: Sequence[array]) -> array:
+    """The parts end to end, at the widest of their typecodes: at the
+    narrowest typecode of the whole if each part has its own."""
+    out = array(max((part.typecode for part in parts), key=_WIDTH.__getitem__))
     for part in parts:
-        out.extend(part)
+        if part.typecode == out.typecode:
+            out.extend(part)
+        else:
+            out.fromlist(part.tolist())
     return out
 
 
 def _offsets(lengths: Iterable[int]) -> array:
-    return _column("i", accumulate(lengths, initial=0))
+    """CSR offsets at the narrowest typecode that holds them: their last,
+    largest, value decides it."""
+    off = list(accumulate(lengths, initial=0))
+    return array(_narrowest(0, off[-1]), off)
 
 
 class _Plan(NamedTuple):
@@ -531,14 +573,16 @@ class MsspOracle:
         ))
         self._table_blocks = blocks[k:]
         self._record_blocks = dict(zip(cols.record_key, blocks))
-        # the columns each query reads, bound once, and the bound on a walk's
-        # steps after its first node: a tree path has at most as many arcs as
-        # the largest block has nodes (a record does not hold its root)
+        # the columns each query reads, bound once; the most arcs a path
+        # has, n_original (it is simple and enters no ring vertex but r_j);
+        # and the bound on a walk's steps after its first node: a tree path
+        # has at most as many arcs as the largest block has nodes (a record
+        # does not hold its root)
         self._reroute = (cols.record_root, cols.node_base)
         self._walk_cols = (
             cols.node_parent, cols.node_arc, cols.record_root,
             cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_blocks,
-            range(max(map(len, indexes))),
+            n_original, range(max(map(len, indexes))),
         )
         self._arcs: dict[int, ArcInfo] | None = None
         # immutable once built, so queries stay safe from several threads
@@ -687,11 +731,13 @@ class MsspOracle:
         arc's tail chain, the (record, vertex) hops between the
         arc's tail at contraction time and its original tail, goes first,
         deepest hop first, each hop one walk of its record tree. Each node
-        on the path is looked up once.
+        on the path is looked up once. A hop's walk appends at least one
+        arc, so checking the path's length before each hop bounds a query
+        to n_original hop walks, however a damaged file nests its chains.
         """
         index, first_node, first_chain, chains, stop = block
         (parent, arc, roots, hop_start, hop_key, hop_vertex, record_blocks,
-         bound) = self._walk_cols
+         most_arcs, bound) = self._walk_cols
         node = index[v]
         if stop is None:
             stop = roots[node]
@@ -713,6 +759,11 @@ class MsspOracle:
                 ch = first_chain + off
                 h, last = hop_start[ch + 1], hop_start[ch]
                 while h > last:
+                    if len(out) >= most_arcs:
+                        raise CorruptFileError(
+                            f"tail chains expand the path past {most_arcs} arcs, the"
+                            " most a path of the graph has"
+                        )
                     h -= 1
                     self._walk(record_blocks[hop_key[h]], hop_vertex[h], out)
             out.append(arc[node])
@@ -799,7 +850,11 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 9) to a path or binary file object."""
+        """Write the oracle file (format version 10) to a path or binary file object.
+
+        Each column is written as it is held, at the narrowest typecode that
+        holds its values, which build chose and load kept.
+        """
         if hasattr(sink, "write"):
             self._write(sink.write)
         else:
@@ -807,7 +862,7 @@ class MsspOracle:
                 self._write(fh.write)
 
     def _write(self, write) -> None:
-        cols = [getattr(self._cols, name) for name, _ in _SECTIONS]
+        cols = [getattr(self._cols, name) for name in _SECTIONS]
         if _SWAP:
             cols = [_swapped(col) for col in cols]
         header = {
@@ -818,7 +873,8 @@ class MsspOracle:
             "seed": self.seed,
             "stats": self.stats.to_json(),
             "sections": [
-                [name, len(col), zlib.crc32(col)] for (name, _), col in zip(_SECTIONS, cols)
+                [name, col.typecode, len(col), zlib.crc32(col)]
+                for name, col in zip(_SECTIONS, cols)
             ],
         }
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -853,17 +909,22 @@ def _read_columns(raw: bytes, pos: int, sections) -> _Columns:
         )
     cols = _Columns()
     with memoryview(raw) as view:
-        for (name, typecode), item in zip(_SECTIONS, sections):
+        for name, item in zip(_SECTIONS, sections):
             if not (
-                isinstance(item, list) and len(item) == 3 and item[0] == name
-                and type(item[1]) is int and item[1] >= 0 and type(item[2]) is int
+                isinstance(item, list) and len(item) == 4 and item[0] == name
+                and type(item[2]) is int and item[2] >= 0 and type(item[3]) is int
             ):
                 raise CorruptFileError(f"bad header entry for section {name}: {item!r}")
-            end = pos + item[1] * _WIDTH[typecode]
+            typecode = item[1]
+            if type(typecode) is not str or typecode not in _WIDTH:
+                raise CorruptFileError(
+                    f"section {name} has typecode {typecode!r}, not one of 'h', 'i', 'q'"
+                )
+            end = pos + item[2] * _WIDTH[typecode]
             if end > len(raw):
                 raise CorruptFileError(f"the file ends inside section {name}")
             with view[pos:end] as chunk:
-                if zlib.crc32(chunk) != item[2]:
+                if zlib.crc32(chunk) != item[3]:
                     raise CorruptFileError(f"section {name} fails its checksum")
                 col = array(typecode)
                 col.frombytes(chunk)
@@ -919,10 +980,12 @@ def _check_columns(c: _Columns) -> None:
     _check_offsets(c.chain_hop_start, len(c.hop_key), "chain hops")
     # a table stores reached rows only and a record its trees' members
     # only. _descend reroutes on every record hit, so a root's entry would
-    # add its delta to a distance. An int64's sign bit is in its most
-    # significant byte: one C-level pass over those bytes checks the bases
-    # without making an int per node
-    if not c.node_base.tobytes()[0 if _SWAP else 7::8].isascii():
+    # add its delta to a distance. An item's sign bit is in its most
+    # significant byte, the last of its w in native little-endian order: one
+    # C-level pass over those bytes checks the bases without making an int
+    # per node
+    w = c.node_base.itemsize
+    if not c.node_base.tobytes()[0 if _SWAP else w - 1::w].isascii():
         raise CorruptFileError("a node has a negative base")
     if any(map(eq, c.record_root, c.node_vertex)):
         raise CorruptFileError("a record node is its own tree root")
@@ -992,6 +1055,16 @@ def load(source) -> MsspOracle:
     return MsspOracle(n_original, w_big, seed, cols, stats)
 
 
+class _IdWidths(NamedTuple):
+    """The typecodes build makes its id columns at, from ranges known before
+    the recursion: every vertex id and -1, every arc id (a dart of the
+    normalized graph) and -1, every record key (below 2N)."""
+
+    vertex: str
+    arc: str
+    key: str
+
+
 class _Block(NamedTuple):
     """One tree's node columns in block order, and its chains (see _tree_block)."""
 
@@ -1005,12 +1078,12 @@ class _Block(NamedTuple):
     hop_vertex: array
 
 
-def _tree_block(vertex, base, parent, arc, chains, root=()) -> _Block:
+def _tree_block(vertex, base, parent, arc, chains, widths: _IdWidths, root=()) -> _Block:
     """A tree's columns, in block order: the nodes whose parent arc has a
     tail chain (chains holds each node's, () for none) first, each part by
     ascending vertex. A table's columns come sorted by vertex, a record's
     in the order contract_tree made them; columns already in block order
-    are not copied."""
+    are not copied. Ids are made at widths, bases at their narrowest."""
     order: range | list[int] = range(len(vertex))
     if any(map(gt, vertex, islice(vertex, 1, None))):
         order = sorted(order, key=vertex.__getitem__)
@@ -1025,18 +1098,20 @@ def _tree_block(vertex, base, parent, arc, chains, root=()) -> _Block:
             root = [root[p] for p in order]
     hops = list(chain.from_iterable(map(chains.__getitem__, chained)))
     return _Block(
-        _column("i", vertex),
-        _column("q", base),
-        _column("i", parent),
-        _column("i", arc),
-        _column("i", root),
+        _column(widths.vertex, vertex),
+        _fitted(base),
+        _column(widths.vertex, parent),
+        _column(widths.arc, arc),
+        _column(widths.vertex, root),
         _column("i", [len(chains[p]) >> 1 for p in chained]),
-        _column("i", hops[0::2]),
-        _column("i", hops[1::2]),
+        _column(widths.key, hops[0::2]),
+        _column(widths.vertex, hops[1::2]),
     )
 
 
-def _table_block(t: SSSPTree, chain_at: Callable[[int], TailChain]) -> _Block:
+def _table_block(
+    t: SSSPTree, chain_at: Callable[[int], TailChain], widths: _IdWidths
+) -> _Block:
     """A stored tree's table: the rows its run reached, in block order.
 
     The rows it did not reach are the interval's other ring vertices,
@@ -1053,6 +1128,7 @@ def _table_block(t: SSSPTree, chain_at: Callable[[int], TailChain]) -> _Block:
         [-1 if r < 0 else vertices[r] for r in compress(t.par_row, reached)],
         par_arc,
         [chain_at(a) if a >= 0 else () for a in par_arc],
+        widths,
     )
 
 
@@ -1061,35 +1137,38 @@ def _flat_columns(
 ) -> _Columns:
     """Concatenate the build's blocks: records in key order, then tables in
     root order; then the arcs the blocks name, read from the normalized
-    graph, where an arc's id is its tail dart."""
+    graph, where an arc's id is its tail dart. Each column is made at the
+    narrowest typecode that holds it: the blocks' bases each have theirs,
+    so their concatenation has the widest of them, and an id column whose
+    blocks _IdWidths made h is not scanned."""
     c = _Columns()
-    c.ring_roots = _column("i", norm.ring_roots)
-    c.face_vertices = _column("i", norm.face_vertices)
+    c.ring_roots = _fitted(norm.ring_roots)
+    c.face_vertices = _fitted(norm.face_vertices)
     keys = sorted(records)
     (vertex, base, parent, arc, root, chain_len, hop_key,
      hop_vertex) = zip(*map(records.__getitem__, keys), *tables)
-    c.record_key = _column("i", keys)
+    c.record_key = _fitted(keys)
     c.tree_start = _offsets(map(len, vertex))
-    c.node_vertex = _concat("i", vertex)
-    c.node_base = _concat("q", base)
-    c.node_parent = _concat("i", parent)
-    c.node_arc = _concat("i", arc)
-    c.record_root = _concat("i", root)
+    c.node_vertex = _fitted(_concat(vertex))
+    c.node_base = _concat(base)
+    c.node_parent = _fitted(_concat(parent))
+    c.node_arc = _fitted(_concat(arc))
+    c.record_root = _fitted(_concat(root))
     c.tree_chain_start = _offsets(map(len, chain_len))
-    c.chain_hop_start = _offsets(_concat("i", chain_len))
-    c.hop_key = _concat("i", hop_key)
-    c.hop_vertex = _concat("i", hop_vertex)
+    c.chain_hop_start = _offsets(chain.from_iterable(chain_len))
+    c.hop_key = _fitted(_concat(hop_key))
+    c.hop_vertex = _fitted(_concat(hop_vertex))
 
     used = set(c.node_arc)
     used.discard(-1)
     ids = sorted(used)
     at, arc_at = norm.graph._at, norm.graph._arc
     arcs = list(map(arc_at.__getitem__, ids))
-    c.arc_id = _column("i", ids)
-    c.arc_tail = _column("i", map(at.__getitem__, ids))
-    c.arc_head = _column("i", [at[d ^ 1] for d in ids])
-    c.arc_base = _column("q", [a[0] for a in arcs])
-    c.arc_perturb = _column("q", [a[1] for a in arcs])
+    c.arc_id = _fitted(ids)
+    c.arc_tail = _fitted([at[d] for d in ids])
+    c.arc_head = _fitted([at[d ^ 1] for d in ids])
+    c.arc_base = _fitted([a[0] for a in arcs])
+    c.arc_perturb = _fitted([a[1] for a in arcs])
     return c
 
 
@@ -1134,8 +1213,8 @@ def build(
     stats = BuildStats(
         norm.n_original, n_rings, node_count=nodes_at.total(), max_level=len(nodes_at) - 1,
         per_level=[
-            {"level": level, "nodes": nodes_at[level], "vertices": 0, "slots": 0,
-             "arcs": 0, "tree_vertices": 0, "tree_arcs": 0, "contracted_vertices": 0}
+            {"level": level, "nodes": nodes_at[level], "vertices": 0, "tree_vertices": 0,
+             "contracted_vertices": 0}
             for level in range(len(nodes_at))
         ],
     )
@@ -1147,6 +1226,11 @@ def build(
     # an arc's original tail: the vertex of its id, its tail dart, in the
     # normalized graph, which the build does not change
     original_at = norm.graph._at
+    widths = _IdWidths(
+        _narrowest(min(-1, min(norm.graph.vertices())), max(norm.graph.vertices())),
+        _narrowest(-1, len(original_at) - 1),
+        _narrowest(0, 2 * n_rings),
+    )
 
     def chain_from(tail: int) -> TailChain:
         """Record key, vertex hops from an arc's original tail to its tail now."""
@@ -1219,8 +1303,6 @@ def build(
         snap = adj.snap
         vertices = snap.vertices
         lvl["vertices"] += len(vertices)
-        lvl["slots"] += h.slot_count
-        lvl["arcs"] += snap.arc_count
         excluded_all = {ring_roots[k] for k in range(i1, i2 + 1)}
         trees: dict[int, SSSPTree] = {}
         for k in node.trees:
@@ -1232,7 +1314,6 @@ def build(
             else:
                 trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
             lvl["tree_vertices"] += trees[k].reached
-            lvl["tree_arcs"] += trees[k].reached - 1
         # the parent's trees are inherited: drop them
         parent_trees.clear()
         if collect_edge_stats:
@@ -1256,7 +1337,7 @@ def build(
             return found
 
         for k in node.stores:
-            table_blocks[k] = block = _table_block(trees[k], chain_at)
+            table_blocks[k] = block = _table_block(trees[k], chain_at, widths)
             stats.stored_rows += len(block.vertex)
         if not children:
             return
@@ -1288,7 +1369,7 @@ def build(
             if entries:
                 record_blocks[child.key] = _tree_block(
                     records.vertex, records.dbase, records.parent, records.arc,
-                    records.chain, records.root,
+                    records.chain, widths, records.root,
                 )
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees

@@ -2,9 +2,9 @@
 
 out_adjacency takes one snapshot of a graph in two parts. The rows
 (RowSnapshot) are its vertices sorted into rows 0..m-1 (the same row index
-the oracle's tables use), the vertex -> row dict, and the arc count for the
-build's per-level stats. The out-lists hold per row the outgoing arcs as
-(base, perturb, head row, dart at head). An Adjacency holds both.
+the oracle's tables use) and the vertex -> row dict. The out-lists hold per
+row the outgoing arcs as (base, perturb, head row, dart at head). An
+Adjacency holds both.
 
 sssp_tree runs Dijkstra with a lazy-deletion binary heap over an
 Adjacency's out-lists and a bytearray settled set. Heap entries are flat
@@ -55,7 +55,6 @@ class RowSnapshot(NamedTuple):
 
     vertices: list[int]  # row -> vertex, ascending
     row_of: dict[int, int]  # vertex -> row
-    arc_count: int
 
 
 class Adjacency(NamedTuple):
@@ -79,7 +78,7 @@ def out_adjacency(h: EmbeddedDigraph) -> Adjacency:
     for d, a in h._arc.items():
         if a is not None:
             out[row_of[at[d]]].append((a[0], a[1], row_of[at[d ^ 1]], d ^ 1))
-    return Adjacency(RowSnapshot(vertices, row_of, sum(map(len, out))), out)
+    return Adjacency(RowSnapshot(vertices, row_of), out)
 
 
 class _VertexView(Mapping):

@@ -1,24 +1,30 @@
-"""An independent writer of oracle files (format version 9), for tests.
+"""An independent writer of oracle files (format version 10), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the README
 describes. It shares no code with the package's save(), so a test can
 damage a document the way a broken writer would and load the result.
-Version 9 has the layout of version 8; its root tables are other trees
-(each root's tree at the leaf its descent ends at, not at the first node
-that has the root as an endpoint), and its stats no longer list each
-level's record entries. Version 8 is version 7 without the record entries
-whose root is their own vertex (each record tree's root) and without the
-table rows of base -1 (the ring vertices a table's root does not reach);
-the layout is unchanged. Version 7 is version 6 without the perturbation
+Version 10 stores each column at the narrowest of int16, int32 and int64
+("h", "i", "q") that holds every value it has (int16 for an empty
+column), and names that typecode in the column's section entry; its
+stats no longer list each level's slots, arcs and tree arcs. Version 9
+stored every id as int32 and every base and perturbation as int64, with
+the columns' content of version 10. Version 9 has the layout of version
+8; its root tables are other trees (each root's tree at the leaf its
+descent ends at, not at the first node that has the root as an
+endpoint), and its stats no longer list each level's record entries.
+Version 8 is version 7 without the record entries whose root is their
+own vertex (each record tree's root) and without the table rows of base
+-1 (the ring vertices a table's root does not reach); the layout is
+unchanged. Version 7 is version 6 without the perturbation
 columns (node_plo, node_phi), the arc kinds (arc_kind) and the arcs that
 no node refers to.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
 key-sorted UTF-8 JSON: format, version, n_original, w_big, seed, stats,
-and "sections" as [name, count, crc32] per column), then the columns
-below in order, little-endian, with no padding.
+and "sections" as [name, typecode, count, crc32] per column), then the
+columns below in order, little-endian, with no padding.
 
 Every record table (in key order) and then every root table (in root
 order) is one block of the node columns. Within a block the nodes whose
@@ -38,16 +44,24 @@ import zlib
 MAGIC = b"\x89MSSP\r\n\x1a"
 NODE = ("node_vertex", "node_base", "node_parent", "node_arc")
 ARC = ("arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb")
-COLUMNS = (  # name, struct format letter
-    ("ring_roots", "i"), ("face_vertices", "i"),
-    ("arc_id", "i"), ("arc_tail", "i"), ("arc_head", "i"), ("arc_base", "q"),
-    ("arc_perturb", "q"),
-    ("record_key", "i"), ("tree_start", "i"),
-    ("node_vertex", "i"), ("node_base", "q"), ("node_parent", "i"), ("node_arc", "i"),
-    ("record_root", "i"),
-    ("tree_chain_start", "i"), ("chain_hop_start", "i"), ("hop_key", "i"),
-    ("hop_vertex", "i"),
+COLUMNS = (
+    "ring_roots", "face_vertices",
+    "arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb",
+    "record_key", "tree_start",
+    "node_vertex", "node_base", "node_parent", "node_arc", "record_root",
+    "tree_chain_start", "chain_hop_start", "hop_key", "hop_vertex",
 )
+TYPECODES = ("h", "i", "q")  # the file's widths, narrowest first: struct letters
+
+
+def narrowest(values) -> str:
+    """The narrowest typecode of the file that holds every value; "h" for none."""
+    lo, hi = min(values, default=0), max(values, default=0)
+    for letter in TYPECODES:
+        half = 1 << (8 * struct.calcsize(letter) - 1)
+        if -half <= lo and hi < half:
+            return letter
+    raise OverflowError(f"{lo} .. {hi} does not fit 64 bits")
 
 
 def _running(lengths) -> list[int]:
@@ -77,7 +91,7 @@ def _add_tree(col: dict, nodes: list[tuple], hops_of: dict[int, list], roots=Non
 
 def columns_of(doc: dict) -> dict[str, list[int]]:
     """Every column of the file, as lists of ints, from a logical document."""
-    col: dict[str, list[int]] = {name: [] for name, _ in COLUMNS}
+    col: dict[str, list[int]] = {name: [] for name in COLUMNS}
     col["ring_roots"] = list(doc["ring_roots"])
     col["face_vertices"] = list(doc["face_vertices"])
     for arc in doc["arcs"]:
@@ -99,22 +113,36 @@ def columns_of(doc: dict) -> dict[str, list[int]]:
     return col
 
 
-def encode_columns(head: dict, col: dict[str, list[int]], strict: bool = True) -> bytes:
+def encode_columns(
+    head: dict, col: dict[str, list[int]], strict: bool = True, typecodes: dict | None = None
+) -> bytes:
     """The file of header values (format, version, ...) and columns.
 
-    strict=False skips, rather than rejects, the columns col lacks.
+    Each column is written at its narrowest typecode. typecodes overrides
+    the typecode a column's section entry names, with any value: the
+    column is written at it if it is one of TYPECODES, else at its
+    narrowest. strict=False skips, rather than rejects, the columns col
+    lacks.
     """
-    packed = [
-        (name, len(col[name]), struct.pack(f"<{len(col[name])}{letter}", *col[name]))
-        for name, letter in COLUMNS
-        if strict or name in col
-    ]
+    typecodes = typecodes or {}
+    packed = []
+    for name in COLUMNS:
+        if not strict and name not in col:
+            continue
+        values = col[name]
+        named = typecodes.get(name, narrowest(values))
+        letter = named if named in TYPECODES else narrowest(values)
+        packed.append(
+            (name, named, len(values), struct.pack(f"<{len(values)}{letter}", *values))
+        )
     header = dict(head)
-    header["sections"] = [[name, n, zlib.crc32(data)] for name, n, data in packed]
+    header["sections"] = [
+        [name, named, n, zlib.crc32(data)] for name, named, n, data in packed
+    ]
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"".join(
         [MAGIC, struct.pack("<II", len(text), zlib.crc32(text)), text]
-        + [data for _, _, data in packed]
+        + [data for *_, data in packed]
     )
 
 

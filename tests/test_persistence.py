@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from planar_mssp import (
     CorruptFileError,
     FormatLimitError,
+    LexWeight,
     MsspError,
     VersionMismatchError,
+    brute_distances,
     build,
     build_graph,
     gen_grid,
@@ -31,12 +33,18 @@ from planar_mssp import (
 from planar_mssp.mssp import ORACLE_VERSION, _column
 from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, build_right_first
-from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
+from tests.oracle_file import (
+    columns_of,
+    encode_columns,
+    encode_document,
+    header_values,
+    narrowest,
+)
 
 # SHA-256 of each saved oracle with stats.build_seconds set to 0.0, and of
 # the compact JSON of its to_json()["records"]. The record digests were
-# taken from the version 8 code, whose records version 9 keeps byte for
-# byte. The file digests were taken from the version 9 code once these
+# taken from the version 8 code, whose records versions 9 and 10 keep byte
+# for byte. The file digests were taken from the version 9 code once these
 # held for each instance: its records match the version 8 digest; every
 # table row's base is the brute-force distance from its root
 # (test_mssp.py); an instrumented build, which compares every inherited
@@ -44,21 +52,26 @@ from tests.oracle_file import columns_of, encode_columns, encode_document, heade
 # tests/oracle_file.py, which shares no code with save(), encodes its
 # to_json() to the same bytes; and its document differs from version 8's
 # only in "version", "tables" and "stats" (stored_rows, chain_elements,
-# each level's tree counts, and no per-level record_entries). Any change
-# to these bytes is a format change and needs a version bump.
+# each level's tree counts, and no per-level record_entries). For version
+# 10 each instance's version 9 document, with "version" 10 and without
+# each level's "slots", "arcs" and "tree_arcs" stats, was encoded by
+# tests/oracle_file.py, which writes each column at its narrowest width;
+# the version 10 save() writes exactly those bytes, and its to_json() is
+# that document. Any change to these bytes is a format change and needs
+# a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "08682638b786c2ba888fba1844889cfca00f3477f011338038ed8653a5c2d2ba",
-    "grid16-outer": "620ef0ffbd278841cbccad9de7650455797bf0622f40a61987882694a348c98b",
-    "random10-outer": "8b0f3965fe28613064352dbd791bffaf764389b3f571d0d0e2809cd10dc76fdb",
-    "bowtie-inner": "51d7edf1320e95bf2d8535357ae0bfd5f1ee2c527c898763617615c8ba6d57e8",
-    "tri_oneway-inner": "ddcc340797e438e4d895c6bfdfb566397bbb38986a4a90f67428d08e9c154afa",
-    "grid32-outer": "7e615ac523c9170cef87cb805ed99f5977df42c1720cfde74f7757dffb2b3c9e",
-    "grid16-oneway-inner": "03c08b7b7d26d2be4dae1f4530552c3366bf9342c27074231a16598ba57c647b",
-    "random12-inner": "5de49f60ad1893ff9da6640c3a3db7d50cfadb504ed2c560bed3e3c34820f734",
+    "grid8-outer": "a30cf38597d8fa8aca3379275a31ce6d7b1e73d8168a3ed849c1f47f4b056df6",
+    "grid16-outer": "556b2f1592c57cc263994fe780a4ef61aa9815f1853aeeb0c70e41ea70e80f92",
+    "random10-outer": "045b8c4d3c7607fce7da53941cbc24f34eb7b6ba8f3473347ee5451965cf9225",
+    "bowtie-inner": "037de7b8778d8a18bbcac7faea2327a61fdd8f11f0b5937a5a8612cdff015a65",
+    "tri_oneway-inner": "802377ef14a8431aa658e45ecb79ad39689ae70f2b26e4c61f6b3bea10f535c2",
+    "grid32-outer": "576e06f7da369b3a9b81bff82e40d570b8581286768c966af7b411fb22949cb3",
+    "grid16-oneway-inner": "439e5e5321818bbfdc8a9504ea3e97994d4892a1bba54cb056c4efb6606719f4",
+    "random12-inner": "21c2e739d9c65518597e02906f1bd75a1a2924cec181ce6b3deda109dd5eee91",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "690e5c6e22b9fac30030b46c792fc656377d17fa227a804b9d0f8aeffa8ea005"
+    "grid64-outer", "f960206ecafe00ac01f373692eb1d5f2d8a453f482fbbc087cf2058719daff54"
 )
 RECORD_DIGESTS = {
     "grid8-outer": "aab28276d0668819350fb930d9fda6cd4dad0a0089fc26eaf4a49746533bf214",
@@ -180,8 +193,8 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_nine():
-    assert ORACLE_VERSION == 9
+def test_oracle_version_is_ten():
+    assert ORACLE_VERSION == 10
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -261,6 +274,15 @@ def test_version_eight_file_is_rejected():
         load_doc(doc)
 
 
+def test_version_nine_file_is_rejected():
+    # version 9 files hold the content of version 10 with every id int32
+    # and every base int64, and section entries without a typecode
+    doc = small_oracle().to_json()
+    doc["version"] = 9
+    with pytest.raises(VersionMismatchError, match="version 9"):
+        load_doc(doc)
+
+
 def test_header_without_a_version_number_is_corrupt():
     # one flipped bit in the "version" key: a damaged header, not a file of
     # another version
@@ -328,7 +350,7 @@ def test_empty_record_stream_round_trips():
     oracle = build(normalize(build_graph(1, []), 0, seed=0))
     assert not oracle.records
     data = saved(oracle)
-    sections = {name: count for name, count, _ in header_of(data)["sections"]}
+    sections = {name: count for name, _, count, _ in header_of(data)["sections"]}
     assert sections["record_key"] == 0 and sections["record_root"] == 0
     assert sections["tree_start"] == oracle.ring_count + 1  # the tables' blocks only
     loaded = load(io.BytesIO(data))
@@ -616,6 +638,51 @@ def test_chain_that_expands_into_itself_raises():
     assert time.perf_counter() - t0 < 5.0
 
 
+def nested_chains(d: int, m: int = 10) -> tuple[dict, int, int]:
+    """gen_grid(8, seed=1)'s document with tail chains nested d deep.
+
+    In record (1, 0), d entries become children of one tree root, and entry
+    i gets a chain of m hops into the record at entry i + 1's vertex, so a
+    walk of the first entry would expand m ** (d - 1) hops. One table row,
+    of an original vertex, gets a chain of one hop to the first entry's
+    vertex. Returns the document and the (root index, vertex) of a query
+    whose path walks that row.
+    """
+    g, outer = gen_grid(8, seed=1)
+    oracle = build(normalize(g, outer, seed=1))
+    doc = oracle.to_json()
+    entries = next(e for mid, side, e in doc["records"] if (mid, side) == (1, 0))
+    assert len(entries) >= d
+    root = entries[0][1]
+    nested = entries[:d]
+    for i, entry in enumerate(nested):
+        entry[1] = entry[3] = root
+        entry[5] = [[1, 0, nested[i + 1][0]]] * m if i + 1 < d else []
+    for j, (r, table) in enumerate(zip(doc["ring_roots"], doc["tables"])):
+        # a row without a chain whose parent is not the ring vertex: not the
+        # spoke's row, which load checks
+        for p in range(len(table[5]), len(table[1])):
+            if table[1][p] < oracle.n_original and table[3][p] != r:
+                table[5].append([p, [[1, 0, nested[0][0]]]])
+                return doc, j, table[1][p]
+    raise AssertionError("no table row to chain")
+
+
+def test_chains_nested_past_the_longest_path_raise():
+    # a path from r_j is simple and enters no other ring vertex, so it has
+    # at most n_original arcs; unbounded, the d = 6 file's path had 111 112
+    # arcs and d = 12 would hang
+    for d in (6, 12):
+        doc, j, u = nested_chains(d)
+        loaded = load_doc(doc)
+        t0 = time.perf_counter()
+        with pytest.raises(CorruptFileError, match="past 64 arcs"):
+            loaded.query_path(j, u)
+        with pytest.raises(CorruptFileError, match="past 64 arcs"):
+            loaded.query_dist(j, u)
+        assert time.perf_counter() - t0 < 1.0
+
+
 def test_parent_vertex_outside_its_node_raises():
     doc = small_oracle().to_json()
     for r, table in zip(doc["ring_roots"], doc["tables"]):
@@ -656,11 +723,81 @@ def test_unknown_record_arc_is_rejected_at_load():
 
 
 def test_value_wider_than_its_column_raises_a_typed_error():
-    # ids are int32 in the file, bases and arc perturbations int64
-    with pytest.raises(FormatLimitError, match="32-bit"):
-        _column("i", [0, 2**31])
+    # a column widens to the narrowest typecode that holds its values; only
+    # a value beyond int64 has no column
+    wide = _column("i", [0, 2**31])
+    assert wide.typecode == "q" and wide.tolist() == [0, 2**31]
     with pytest.raises(FormatLimitError, match="64-bit"):
         _column("q", [2**63])
+
+
+@pytest.mark.parametrize("name", [*sorted(GATE_DIGESTS), LARGE_GATE[0]])
+def test_each_column_is_stored_at_its_narrowest_width(name):
+    # the narrowest of int16, int32 and int64 that holds the column's
+    # minimum and maximum, named in its section entry; a loaded oracle holds
+    # the columns at the widths of its file
+    g, face, seed = gate_instance(name)
+    oracle = build(normalize(g, face, seed=seed))
+    data = saved(oracle)
+    loaded = load(io.BytesIO(data))
+    sections = header_of(data)["sections"]
+    assert [entry[0] for entry in sections] == list(columns_of(oracle.to_json()))
+    for section, typecode, count, _ in sections:
+        col = getattr(oracle._cols, section)
+        assert typecode == col.typecode == narrowest(col), (name, section)
+        assert getattr(loaded._cols, section).typecode == typecode, (name, section)
+        assert count == len(col)
+
+
+def test_bases_near_the_admission_cap_are_stored_as_int64():
+    # every weight just below the largest W_big that normalize admits, so
+    # distances and arc bases pass int32
+    n = 16
+    cap = ((1 << 62) - 1) // (2 * n)  # the largest W_big admitted
+    top = (cap - 1) // n  # the largest weight admitted
+    doc = graph_to_json(*gen_grid(4, seed=3))
+    for slot in doc["slots"]:
+        slot[2], slot[3] = top - slot[2], top - slot[3]
+    norm = normalize(*graph_from_json(doc), seed=1)
+    oracle = build(norm)
+    assert oracle._cols.node_base.typecode == oracle._cols.arc_base.typecode == "q"
+    data = saved(oracle)
+    loaded = load(io.BytesIO(data))
+    assert saved(loaded) == data
+    snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
+    ring = set(norm.ring_roots)
+    for j, r in enumerate(norm.ring_roots):
+        expected = brute_distances(snap, r, ring - {r})
+        for u in sorted(oracle.query_vertices):
+            want = LexWeight(*expected[u])
+            assert oracle.query_dist(j, u) == loaded.query_dist(j, u) == want, (j, u)
+
+
+@pytest.mark.parametrize("typecode", ["b", "Q", "d", "hh", 4])
+def test_section_of_another_typecode_is_rejected(typecode):
+    doc = small_oracle().to_json()
+    data = encode_columns(
+        header_values(doc), columns_of(doc), typecodes={"node_base": typecode}
+    )
+    with pytest.raises(CorruptFileError, match="typecode"):
+        load(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("typecode", ["h", "i", "q"])
+def test_negative_base_is_rejected_at_any_width(typecode):
+    # the sign test reads the most significant byte of each base, whatever
+    # its width; the same file without the negative base loads
+    oracle = small_oracle()
+    doc = oracle.to_json()
+    widths = {"node_base": typecode}
+    loaded = load(io.BytesIO(encode_columns(header_values(doc), columns_of(doc), True, widths)))
+    assert loaded._cols.node_base.typecode == typecode
+    assert loaded.to_json() == doc
+    table = doc["tables"][1]
+    for col, value in zip(table[1:5], (doc["ring_roots"][2], -1, -1, -1)):
+        col.append(value)
+    with pytest.raises(CorruptFileError, match="negative base"):
+        load(io.BytesIO(encode_columns(header_values(doc), columns_of(doc), True, widths)))
 
 
 class _FailingSink:
@@ -721,8 +858,12 @@ def test_loaded_tables_and_records_are_not_tracked_by_gc():
 # error, fast
 
 _FUZZ_DATA = saved(small_oracle())
-# the one byte whose change is a version change: the digit of "version":9
-_VERSION_AT = _FUZZ_DATA.index(b'"version":9') + len(b'"version":')
+# the bytes whose change is a version change: both digits of "version":10,
+# which may become "version":20 or "version":11
+_VERSION_AT = range(
+    _FUZZ_DATA.index(b'"version":10') + len(b'"version":'),
+    _FUZZ_DATA.index(b'"version":10') + len(b'"version":10'),
+)
 
 
 def assert_rejected(data: bytes, version_byte_changed: bool) -> None:
@@ -748,4 +889,4 @@ def test_fuzz_truncated_file_raises_a_typed_error(cut):
 def test_fuzz_flipped_byte_raises_a_typed_error(at, mask):
     data = bytearray(_FUZZ_DATA)
     data[at] ^= mask
-    assert_rejected(bytes(data), at == _VERSION_AT)
+    assert_rejected(bytes(data), at in _VERSION_AT)
