@@ -9,7 +9,6 @@ used; failing that, seed 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -233,16 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MsspError as exc:
+    except (MsspError, OSError) as exc:
         name = type(exc).__name__.removesuffix("Error")
         print(f"error {name}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        name = type(exc).__name__.removesuffix("Error")
-        print(f"error {name}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error CorruptFile: {exc}", file=sys.stderr)
         return 1
 
 

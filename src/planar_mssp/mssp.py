@@ -39,35 +39,35 @@ order; records add their keys and each node's record tree root, which
 the records' nodes, coming first, index directly. A record block holds
 its trees' members only: a tree's root stays in the child graph, so it
 has no node there, and every record hit reroutes.
-Within a block the nodes whose parent arc has a tail chain come first, so
-node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
+Within a block the nodes whose parent arc has a tail chain come first,
+so node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
 when that offset is below the block's chain count, and one CSR pair
-(chain_hop_start, hops) holds every chain. Each column is an array of the
-narrowest of int16, int32 and int64 that holds its values, in memory as
-in the file. Bases are never negative: a table holds only the rows its
-root's Dijkstra run reached, which leaves out the interval's other ring
-vertices, which no query names, so node_parent is -1 only at a table's
-root. The arc table holds
-only the arcs some node names as its parent arc, which are all the arcs
-a path can report; an arc's kind is not stored, as it follows from its
-tail and base (see normalize). The only per-node Python objects are the
-vertex -> node dicts, one per block, made with dict(zip(...)) over the
-columns; they hold ints only, so the garbage collector does not track
-them. One walk (MsspOracle._walk) follows parent vertices to a block's
-root, the ring vertex for a table and the node's record root for a
-record, comparing each parent with the root before it looks the parent
-up (a record does not hold its root), and serves the terminal tree and
-every record tree. The build fills its columns from the Dijkstra columns
-of the trees it stores (one row snapshot per node, sssp.out_adjacency)
-and from the record columns that one contract_tree call returns per
-child (_tree_block for both, which puts each block in order with one
-sort), and each node looks up a tail chain at most once per original
-tail. It makes the id columns of its blocks at the width of the ids'
-range, known before the recursion (_IdWidths), and each block's bases
-at their narrowest, so that a concatenated column needs no scan where
-that width is int16 (_flat_columns).
+(chain_hop_start, hops) holds every chain. Each column is an array of
+the narrowest of int16, int32 and int64 that holds its values, in memory
+as in the file. No block holds its tree's root: a table holds the rows
+its root's Dijkstra run reached but the ring vertex itself, which leaves
+out every ring vertex, which no query names, so every node has a parent
+vertex and a parent arc, and no column holds a negative value. The arc
+table holds only the arcs some node names as its parent arc, which are
+all the arcs a path can report; an arc's kind is not stored, as it
+follows from its tail and base (see normalize). The only per-node Python
+objects are the vertex -> node dicts, one per block, made with
+dict(zip(...)) over the columns; they hold ints only, so the garbage
+collector does not track them. One walk (MsspOracle._walk) follows
+parent vertices to a block's root, the ring vertex for a table and the
+node's record root for a record, comparing each parent with the root
+before it looks the parent up, and serves the terminal tree and every
+record tree. The build fills its columns from the Dijkstra columns of
+the trees it stores (one row snapshot per node, sssp.out_adjacency) and
+from the record columns that one contract_tree call returns per child
+(_tree_block for both, which puts each block in order with one sort),
+and each node looks up a tail chain at most once per original tail. It
+makes the id columns of its blocks at the width of the ids' range, known
+before the recursion (_IdWidths), and each block's bases at their
+narrowest, so that a concatenated column needs no scan where that width
+is int16 (_flat_columns).
 
-The oracle file is format "planar-mssp-oracle", version 10, little-endian:
+The oracle file is format "planar-mssp-oracle", version 11, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -79,33 +79,32 @@ The oracle file is format "planar-mssp-oracle", version 10, little-endian:
               int64)
     ...       the columns' bytes, in _SECTIONS order, nothing between
 
-save() writes the columns as they are held, and load() reads the file into
-one bytes object and fills each column with array.frombytes at the
+save() writes the columns as they are held, and load() reads the file
+into one bytes object and fills each column with array.frombytes at the
 typecode its section names, so a loaded oracle re-saves byte for byte.
-load() checks, in this order: the magic (a file that starts with "{" is a
-JSON oracle of versions 1 to 3 and raises VersionMismatchError), the
+load() checks, in this order: the magic (a file that starts with "{" is
+a JSON oracle of versions 1 to 3 and raises VersionMismatchError), the
 format and version, the header checksum, each section's typecode and
-checksum, the file length, the column lengths and offsets, one
-table per root, no block with more chains than nodes, no negative base,
-no record node that is its own tree root, and that every parent arc id
-is in the arc table; then that no block lists a vertex twice and that
-every record is keyed by a node of the schedule; then that root 0's
-descent, the records its plan reads and table 0, holds each original
-vertex once and its own ring vertex, n_original + 1 vertices in all
-(the original ones are the vertices queries accept), and that each
-table is rooted at its own ring vertex, over that vertex and vertices of
-root 0's descent, with one row whose parent is the ring vertex, whose
-parent arc is the root's spoke (the arc whose tail is the ring vertex),
-which no other row's is, and which has no tail chain (so a path starts
-with the spoke); last, that each original vertex of root 0's descent is
-the head of a stored arc. Which node stores each table is not in the
-file: it follows from the ring count, so a file of another version
-raises VersionMismatchError even where its layout is the same. Path queries
-bound every parent walk and the path's length (n_original arcs, however
-the tail chains nest), and raise CorruptFileError, not KeyError, when a
-damaged file names a vertex or record it does not hold.
-The plans and the dicts are not part of the file. to_json() gives the
-same content as one logical JSON document, for tests and tools.
+checksum, the file length, the column lengths and offsets, one table per
+root, no block with more chains than nodes, no negative base, no record
+node that is its own tree root, and that every parent arc id is in the
+arc table; then that no block lists a vertex twice and that every record
+is keyed by a node of the schedule; then that root 0's descent, the
+records its plan reads and table 0, holds n_original vertices, none
+twice and no ring vertex (they are the vertices queries accept), and
+that each table lists only vertices of root 0's descent, with one row
+whose parent is its ring vertex, whose parent arc is the root's spoke
+(the arc whose tail is the ring vertex), which no other row's is, and
+which has no tail chain (so a path starts with the spoke); last, that
+each vertex of root 0's descent is the head of a stored arc. Which node
+stores each table is not in the file: it follows from the ring count, so
+a file of another version raises VersionMismatchError even where its
+layout is the same. Path queries bound every parent walk and the path's
+length (n_original arcs, however the tail chains nest), and raise
+CorruptFileError, not KeyError, when a damaged file names a vertex or
+record it does not hold. The plans and the dicts are not part of the
+file. to_json() gives the same content as one logical JSON document, for
+tests and tools.
 """
 
 from __future__ import annotations
@@ -142,7 +141,7 @@ from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 10
+ORACLE_VERSION = 11
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 
@@ -151,15 +150,16 @@ _PRELUDE = struct.Struct("<8sII")  # magic, header length, header crc32
 _WIDTH = {"h": 2, "i": 4, "q": 8}  # the file's typecodes, narrowest first
 if any(array(tc).itemsize != w for tc, w in _WIDTH.items()):
     raise ImportError("array typecodes 'h', 'i' and 'q' must be 2, 4 and 8 bytes wide")
-# each typecode with the half-open range of values it holds
-_RANGES = tuple((tc, -(1 << 8 * w - 1), 1 << 8 * w - 1) for tc, w in _WIDTH.items())
+# each typecode with the least value it does not hold
+_CEILINGS = tuple((tc, 1 << 8 * w - 1) for tc, w in _WIDTH.items())
 _SWAP = sys.byteorder != "little"
 
 # Every column, in file order. N roots, A arcs, K record tables, M = K + N
 # blocks (the record tables in key order, then the root tables in root
 # order), V nodes, C tail chains; "start" columns are CSR offsets, one more
 # than the items they divide. Each column is stored at the narrowest of
-# _WIDTH's typecodes that holds its values, which the header names.
+# _WIDTH's typecodes that holds its values, which the header names; no
+# value is negative.
 _SECTIONS = (
     "ring_roots",  # N ring vertices r_j
     "face_vertices",  # N face vertices b_j
@@ -172,8 +172,8 @@ _SECTIONS = (
     "tree_start",  # M + 1: each block's nodes
     "node_vertex",  # V; in each block the nodes with a tail chain first
     "node_base",  # >= 0 from the block's root: a table's distance, a record's delta
-    "node_parent",  # parent vertex; -1 only at a table's root
-    "node_arc",  # parent arc id; -1 likewise
+    "node_parent",  # parent vertex; no block holds its tree's root
+    "node_arc",  # parent arc id
     "record_root",  # tree_start[K]: each record node's tree root, not itself
     "tree_chain_start",  # M + 1: each block's chains, of its first nodes
     "chain_hop_start",  # C + 1: each chain's hops
@@ -206,37 +206,25 @@ class _Columns:
     __slots__ = _SECTIONS
 
 
-def _narrowest(lo: int, hi: int) -> str:
-    """The narrowest typecode of the file that holds every value in [lo, hi]."""
-    for tc, floor, ceiling in _RANGES:
-        if floor <= lo and hi < ceiling:
+def _narrowest(hi: int) -> str:
+    """The narrowest typecode of the file that holds every value in [0, hi]."""
+    for tc, ceiling in _CEILINGS:
+        if hi < ceiling:
             return tc
-    raise FormatLimitError(
-        f"a value does not fit a 64-bit column of the oracle file: {lo} .. {hi}"
-    )
-
-
-def _column(typecode: str, values: Sequence[int]) -> array:
-    """An array of values at typecode, or at the narrowest wider one that
-    holds them; FormatLimitError for a value beyond int64."""
-    try:
-        return array(typecode, values)
-    except OverflowError:
-        return array(_narrowest(min(values), max(values)), values)
+    raise FormatLimitError(f"a value does not fit a 64-bit column of the oracle file: {hi}")
 
 
 def _fitted(values: Sequence[int]) -> array:
-    """values as an array of the narrowest typecode that holds them; an
-    array of that typecode is returned as it is, and an h array is not
-    scanned, as nothing is narrower. The typecode that holds 0 and the
-    largest value is the narrowest unless a value is below its range, and
-    _column widens past such a value, so no minimum is taken."""
+    """values, none negative, as an array of the narrowest typecode that
+    holds them, which their largest decides; an array of that typecode is
+    returned as it is, and an h array is not scanned, as nothing is
+    narrower. FormatLimitError for a value beyond int64."""
     if isinstance(values, array) and values.typecode == "h":
         return values
-    tc = _narrowest(0, max(values, default=0))
+    tc = _narrowest(max(values, default=0))
     if isinstance(values, array) and values.typecode == tc:
         return values
-    return _column(tc, values)
+    return array(tc, values)
 
 
 def _concat(parts: Sequence[array]) -> array:
@@ -255,7 +243,7 @@ def _offsets(lengths: Iterable[int]) -> array:
     """CSR offsets at the narrowest typecode that holds them: their last,
     largest, value decides it."""
     off = list(accumulate(lengths, initial=0))
-    return array(_narrowest(0, off[-1]), off)
+    return array(_narrowest(off[-1]), off)
 
 
 class _Plan(NamedTuple):
@@ -444,55 +432,40 @@ def _check_tables(
     """Check what a query relies on in the tables; return the query vertices.
 
     Root 0's descent, the records its plan reads and then table 0, holds
-    every vertex once: contraction moves a vertex from a node's graph into
-    a record, so those blocks must hold n_original + 1 vertices between
-    them, none twice, and no ring vertex but r_0, and each but r_0 must be
-    the head of a stored arc. Their original vertices are the query
-    vertices. Every table must hold its own ring vertex at distance 0,
-    list only that vertex and vertices of root 0's descent, and start
-    every path with its spoke, the arc whose tail is the ring vertex.
+    every original vertex once: contraction moves a vertex from a node's
+    graph into a record, and no block holds its tree's root, so those
+    blocks must hold n_original vertices between them, none twice and no
+    ring vertex, and each must be the head of a stored arc. They are the
+    query vertices. Every table must list only vertices of root 0's
+    descent and start every path with its spoke, the arc whose tail is the
+    ring vertex.
     """
     start = c.tree_start
-    base, parents, arcs = c.node_base, c.node_parent, c.node_arc
+    parents, arcs = c.node_parent, c.node_arc
     # ring vertex -> its spoke, the one arc that leaves it
     ring = set(c.ring_roots)
     spoke_of = {t: a for a, t in zip(c.arc_id, c.arc_tail) if t in ring}
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
-    # root 0's descent's vertices, and while table j is checked, also r_j
     blocks = [entries for _, entries in plan0.steps]
     blocks.append(tables[0])
-    allowed = set(chain.from_iterable(blocks))
+    vertices = set(chain.from_iterable(blocks))
     held = sum(map(len, blocks))
+    if held != n_original or len(vertices) != held:
+        raise CorruptFileError(
+            f"root 0's descent holds {held} vertices, {len(vertices)} of them distinct,"
+            f" not each original vertex once ({n_original})"
+        )
+    if not ring.isdisjoint(vertices):
+        raise CorruptFileError(f"root 0's descent lists ring vertex {min(ring & vertices)}")
     for j, (r, index, a, z, chains) in enumerate(
         zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
     ):
-        node = index.get(r)
-        if node is None:
-            raise CorruptFileError(f"table {j} lacks its ring root {r}")
-        if base[node] != 0:
+        if not index.keys() <= vertices:
+            stray = min(index.keys() - vertices)
             raise CorruptFileError(
-                f"table {j} is not rooted at its labelled root {j}'s ring vertex {r}"
+                f"table {j} lists vertex {stray}, which root 0's descent does not hold"
             )
-        if j == 0:
-            if held != n_original + 1 or len(allowed) != held:
-                raise CorruptFileError(
-                    f"root 0's descent holds {held} vertices, {len(allowed)} of them"
-                    f" distinct, not each original vertex and its ring vertex once"
-                    f" ({n_original} + 1)"
-                )
-        else:
-            # root 0's descent's one ring vertex is its own
-            if r in allowed:
-                raise CorruptFileError(f"root 0's descent lists root {j}'s ring vertex {r}")
-            allowed.add(r)
-            inside = index.keys() <= allowed
-            allowed.discard(r)
-            if not inside:
-                stray = min(index.keys() - allowed - {r})
-                raise CorruptFileError(
-                    f"table {j} lists vertex {stray}, which root 0's descent does not hold"
-                )
         # r is pendant, its spoke its one arc, so exactly one row, b_j's, has
         # r as its parent; its parent arc must be that spoke, which no other
         # row's is, and it must have no tail chain: so every path starts with
@@ -507,9 +480,8 @@ def _check_tables(
             f"table {j}: the row whose parent is the ring vertex is not the one"
             " row whose parent arc is the root's spoke, without a tail chain"
         )
-    # every node but a table's root is the head of its parent arc, so a
-    # vertex that no stored arc enters is foreign to the graph
-    vertices = allowed - ring
+    # every node is the head of its parent arc, so a vertex that no stored
+    # arc enters is foreign to the graph
     foreign = vertices.difference(c.arc_head)
     if foreign:
         raise CorruptFileError(
@@ -576,8 +548,8 @@ class MsspOracle:
         # the columns each query reads, bound once; the most arcs a path
         # has, n_original (it is simple and enters no ring vertex but r_j);
         # and the bound on a walk's steps after its first node: a tree path
-        # has at most as many arcs as the largest block has nodes (a record
-        # does not hold its root)
+        # has at most as many arcs as the largest block has nodes (no block
+        # holds its root)
         self._reroute = (cols.record_root, cols.node_base)
         self._walk_cols = (
             cols.node_parent, cols.node_arc, cols.record_root,
@@ -726,8 +698,8 @@ class MsspOracle:
         """Append the arcs of a block's tree path from its root to vertex v.
 
         The root is the ring vertex for a table and v's record root for a
-        record; v is never the root. A record does not hold its root, so
-        each parent is compared with the root before it is looked up. Each
+        record; v is never the root. No block holds its root, so each
+        parent is compared with the root before it is looked up. Each
         arc's tail chain, the (record, vertex) hops between the
         arc's tail at contraction time and its original tail, goes first,
         deepest hop first, each hop one walk of its record tree. Each node
@@ -850,7 +822,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 10) to a path or binary file object.
+        """Write the oracle file (format version 11) to a path or binary file object.
 
         Each column is written as it is held, at the narrowest typecode that
         holds its values, which build chose and load kept.
@@ -992,9 +964,8 @@ def _check_columns(c: _Columns) -> None:
     known = set(c.arc_id)
     if len(known) != arcs:
         raise CorruptFileError("an arc id is listed twice")
-    # every arc id a path walk can report, and -1 (no arc) at a table's
-    # root; a subset test, which builds no set of the node column
-    known.add(-1)
+    # every arc id a path walk can report; a subset test, which builds no
+    # set of the node column
     if not known.issuperset(c.node_arc):
         unknown = set(c.node_arc) - known
         raise CorruptFileError(
@@ -1057,8 +1028,8 @@ def load(source) -> MsspOracle:
 
 class _IdWidths(NamedTuple):
     """The typecodes build makes its id columns at, from ranges known before
-    the recursion: every vertex id and -1, every arc id (a dart of the
-    normalized graph) and -1, every record key (below 2N)."""
+    the recursion: every vertex id, every arc id (a dart of the normalized
+    graph), every record key (below 2N)."""
 
     vertex: str
     arc: str
@@ -1098,36 +1069,37 @@ def _tree_block(vertex, base, parent, arc, chains, widths: _IdWidths, root=()) -
             root = [root[p] for p in order]
     hops = list(chain.from_iterable(map(chains.__getitem__, chained)))
     return _Block(
-        _column(widths.vertex, vertex),
+        array(widths.vertex, vertex),
         _fitted(base),
-        _column(widths.vertex, parent),
-        _column(widths.arc, arc),
-        _column(widths.vertex, root),
-        _column("i", [len(chains[p]) >> 1 for p in chained]),
-        _column(widths.key, hops[0::2]),
-        _column(widths.vertex, hops[1::2]),
+        array(widths.vertex, parent),
+        array(widths.arc, arc),
+        array(widths.vertex, root),
+        array("i", [len(chains[p]) >> 1 for p in chained]),
+        array(widths.key, hops[0::2]),
+        array(widths.vertex, hops[1::2]),
     )
 
 
 def _table_block(
     t: SSSPTree, chain_at: Callable[[int], TailChain], widths: _IdWidths
 ) -> _Block:
-    """A stored tree's table: the rows its run reached, in block order.
+    """A stored tree's table: the rows its run reached but its root, which
+    are the rows that have a parent, in block order.
 
-    The rows it did not reach are the interval's other ring vertices,
-    which the run excluded and no query names. chain_at gives a parent
-    arc's tail chain.
+    The rows left out are the interval's ring vertices: the root, which
+    every walk stops at, and the others, which the run excluded. No query
+    names them. chain_at gives a parent arc's tail chain.
     """
     vertices = t.snap.vertices
-    reached = [b >= 0 for b in t.base]
+    kept = [r >= 0 for r in t.par_row]
     # a tree arc's id is its tail dart, the reverse of the parent dart
-    par_arc = [-1 if d < 0 else d ^ 1 for d in compress(t.par_dart, reached)]
+    par_arc = [d ^ 1 for d in compress(t.par_dart, kept)]
     return _tree_block(
-        list(compress(vertices, reached)),
-        list(compress(t.base, reached)),
-        [-1 if r < 0 else vertices[r] for r in compress(t.par_row, reached)],
+        list(compress(vertices, kept)),
+        list(compress(t.base, kept)),
+        [vertices[r] for r in compress(t.par_row, kept)],
         par_arc,
-        [chain_at(a) if a >= 0 else () for a in par_arc],
+        list(map(chain_at, par_arc)),
         widths,
     )
 
@@ -1159,9 +1131,7 @@ def _flat_columns(
     c.hop_key = _fitted(_concat(hop_key))
     c.hop_vertex = _fitted(_concat(hop_vertex))
 
-    used = set(c.node_arc)
-    used.discard(-1)
-    ids = sorted(used)
+    ids = sorted(set(c.node_arc))
     at, arc_at = norm.graph._at, norm.graph._arc
     arcs = list(map(arc_at.__getitem__, ids))
     c.arc_id = _fitted(ids)
@@ -1227,9 +1197,9 @@ def build(
     # normalized graph, which the build does not change
     original_at = norm.graph._at
     widths = _IdWidths(
-        _narrowest(min(-1, min(norm.graph.vertices())), max(norm.graph.vertices())),
-        _narrowest(-1, len(original_at) - 1),
-        _narrowest(0, 2 * n_rings),
+        _narrowest(max(norm.graph.vertices())),
+        _narrowest(len(original_at) - 1),
+        _narrowest(2 * n_rings),
     )
 
     def chain_from(tail: int) -> TailChain:

@@ -1,24 +1,26 @@
-"""An independent writer of oracle files (format version 10), for tests.
+"""An independent writer of oracle files (format version 11), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
-returns into the bytes of an oracle file, following the layout the README
-describes. It shares no code with the package's save(), so a test can
-damage a document the way a broken writer would and load the result.
-Version 10 stores each column at the narrowest of int16, int32 and int64
-("h", "i", "q") that holds every value it has (int16 for an empty
-column), and names that typecode in the column's section entry; its
-stats no longer list each level's slots, arcs and tree arcs. Version 9
-stored every id as int32 and every base and perturbation as int64, with
-the columns' content of version 10. Version 9 has the layout of version
-8; its root tables are other trees (each root's tree at the leaf its
-descent ends at, not at the first node that has the root as an
-endpoint), and its stats no longer list each level's record entries.
-Version 8 is version 7 without the record entries whose root is their
-own vertex (each record tree's root) and without the table rows of base
--1 (the ring vertices a table's root does not reach); the layout is
-unchanged. Version 7 is version 6 without the perturbation
-columns (node_plo, node_phi), the arc kinds (arc_kind) and the arcs that
-no node refers to.
+returns into the bytes of an oracle file, following the layout the
+README describes. It shares no code with the package's save(), so a test
+can damage a document the way a broken writer would and load the result.
+Version 11 is version 10 without each table's row of its ring vertex
+(base 0, parent and parent arc -1), so no block holds its tree's root
+and no column holds -1; the layout is unchanged. Version 10 stores each
+column at the narrowest of int16, int32 and int64 ("h", "i", "q") that
+holds every value it has (int16 for an empty column), and names that
+typecode in the column's section entry; its stats no longer list each
+level's slots, arcs and tree arcs. Version 9 stored every id as int32
+and every base and perturbation as int64, with the columns' content of
+version 10. Version 9 has the layout of version 8; its root tables are
+other trees (each root's tree at the leaf its descent ends at, not at
+the first node that has the root as an endpoint), and its stats no
+longer list each level's record entries. Version 8 is version 7 without
+the record entries whose root is their own vertex (each record tree's
+root) and without the table rows of base -1 (the ring vertices a table's
+root does not reach); the layout is unchanged. Version 7 is version 6
+without the perturbation columns (node_plo, node_phi), the arc kinds
+(arc_kind) and the arcs that no node refers to.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact

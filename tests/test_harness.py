@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_mssp import (
+    UNREACHABLE,
+    LexWeight,
+    MsspOracle,
+    UnreachableError,
     brute_distances,
+    build,
     gen_grid,
     gen_random_planar,
+    normalize,
     sssp_tree,
     verify,
 )
@@ -164,3 +170,57 @@ def test_verify_random_instances(seed, tenths):
     g, outer = gen_random_planar(4, seed=seed, delete_prob=tenths / 10)
     report = verify(g, outer, seed=seed, path_checks=30)
     assert report.passed, report.format_text()
+
+
+def test_verify_fails_on_distances_off_by_one(monkeypatch, grid3):
+    query_dist = MsspOracle.query_dist
+    monkeypatch.setattr(
+        MsspOracle, "query_dist",
+        lambda self, j, u: query_dist(self, j, u) + LexWeight(1, 0),
+    )
+    report = verify(*grid3, seed=1, path_checks=10)
+    assert not report.passed
+    assert report.mismatch_count == report.pairs_checked
+    m = report.mismatches[0]
+    assert m["got"] == [m["expected"][0] + 1, m["expected"][1]]
+    assert {m["j"], m["u"]} <= set(range(9))
+    text = report.format_text()
+    assert f"mismatch {m}" in text and "result: FAIL" in text
+
+
+def test_verify_fails_on_a_path_with_an_arc_dropped(monkeypatch, grid3):
+    query_path = MsspOracle.query_path
+    monkeypatch.setattr(MsspOracle, "query_path", lambda self, j, u: query_path(self, j, u)[:-1])
+    report = verify(*grid3, seed=1, path_checks=20)
+    assert not report.passed
+    assert report.path_failures
+    # the oracle verify built, and the arcs of each named pair's path
+    oracle = build(normalize(*grid3, seed=1))
+    text = report.format_text()
+    for failure in report.path_failures:
+        path = query_path(oracle, failure["j"], failure["u"])
+        assert path and failure["issue"] == f"path ends at {oracle.arcs[path[-1]].tail}"
+        assert f"path failure {failure}" in text
+    assert "result: FAIL" in text
+
+
+def test_verify_fails_on_a_path_for_an_unreachable_pair(monkeypatch, tri_oneway):
+    query_path = MsspOracle.query_path
+
+    def path_or_nothing(self, j, u):
+        try:
+            return query_path(self, j, u)
+        except UnreachableError:
+            return []
+
+    monkeypatch.setattr(MsspOracle, "query_path", path_or_nothing)
+    report = verify(tri_oneway, 0, seed=0)
+    assert not report.passed
+    assert report.path_failures
+    oracle = build(normalize(tri_oneway, 0, seed=0))
+    text = report.format_text()
+    for failure in report.path_failures:
+        assert oracle.distance(failure["j"], failure["u"]) is UNREACHABLE
+        assert failure["issue"] == "expected UnreachableError"
+        assert f"path failure {failure}" in text
+    assert "result: FAIL" in text

@@ -185,3 +185,16 @@ def test_duplicate_dart_in_rotations(grid3):
     doc["rotations"][0][0] = doc["rotations"][1][0]
     with pytest.raises(CorruptFileError):
         graph_from_json(doc)
+
+
+def test_slot_dart_missing_from_its_rotation(tmp_path, grid3):
+    # dart 0, the tail dart of slot 0, moved to the rotation of another
+    # vertex: every dart is still listed once
+    doc = graph_to_json(*grid3)
+    u = doc["slots"][0][0]
+    doc["rotations"][u].remove(0)
+    doc["rotations"][u + 1].append(0)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFileError, match=f"dart 0 missing from rotation of {u}"):
+        load_graph(str(path))

@@ -315,10 +315,11 @@ def test_nothing_stored_goes_unread(right_first):
     # every record table is probed by some root's descent or named by a
     # tail-chain hop, every table is its root's terminal table and holds
     # all the stored rows, and every stored arc is some node's parent arc;
-    # no record entry is its own tree root, no table row is unreached,
-    # root 0's descent (its records, then table 0) holds each original
-    # vertex once and its own ring vertex, and the stats count every node
-    # the file holds
+    # no record entry is its own tree root, no table row is unreached, no
+    # table lists a ring vertex and every node has a parent (no -1 is
+    # stored), root 0's descent (its records, then table 0) holds each
+    # original vertex once and nothing else, and the stats count every
+    # node the file holds
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
         norm = normalize(g, face, seed=seed)
@@ -330,14 +331,16 @@ def test_nothing_stored_goes_unread(right_first):
         for plan, table in zip(oracle._plans, oracle.tables):
             assert plan.index is table
         assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
-        assert set(oracle.arcs) == set(oracle._cols.node_arc) - {-1}, name
+        assert set(oracle.arcs) == set(oracle._cols.node_arc), name
         c = oracle._cols
         assert not any(map(eq, c.record_root, c.node_vertex)), name
         assert min(c.node_base) >= 0, name
         descent = [*(entries for _, entries in oracle._plans[0].steps), oracle.tables[0]]
         held = Counter(chain.from_iterable(descent))
         assert set(held.values()) == {1}, name
-        assert held.keys() == set(range(oracle.n_original)) | {oracle.ring_roots[0]}, name
+        assert held.keys() == set(range(oracle.n_original)), name
+        assert all(oracle._ring_set.isdisjoint(table) for table in oracle.tables), name
+        assert min(c.node_parent) >= 0, name
         assert oracle.stats.stored_entries == len(c.node_vertex), name
 
 
