@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .errors import CorruptFileError, FaceNotFoundError, MsspError, UnreachableError
-from .harness import gen_grid, gen_random_planar, verify
+from .harness import gen_random_planar, verify
 from .io import dump_json, load_graph, save_graph
 from .mssp import build as build_oracle, load as load_oracle
 from .normalize import normalize
@@ -93,12 +93,11 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if args.delete_prob > 0.0:
-        graph, outer = gen_random_planar(
-            args.grid, args.max_weight, seed, args.delete_prob
-        )
-    else:
-        graph, outer = gen_grid(args.grid, args.max_weight, seed)
+    try:
+        graph, outer = gen_random_planar(args.grid, args.max_weight, seed, args.delete_prob)
+    except ValueError as exc:
+        # the generator rejects a grid side, weight or probability out of range
+        return _report(exc)
     save_graph(graph, args.output, outer)
     print(
         f"wrote {args.output}: {graph.vertex_count} vertices,"
@@ -228,14 +227,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception) -> int:
+    """Print exc as the one error line on stderr; the exit code."""
+    name = type(exc).__name__.removesuffix("Error")
+    print(f"error {name}: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MsspError, OSError) as exc:
-        name = type(exc).__name__.removesuffix("Error")
-        print(f"error {name}: {exc}", file=sys.stderr)
-        return 1
+        return _report(exc)
 
 
 if __name__ == "__main__":

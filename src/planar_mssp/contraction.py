@@ -15,8 +15,10 @@ first. contract_tree takes all of a child's trees in one call: it checks
 every tree against the graph before it changes anything, then contracts
 the trees one after another, in selection order, with one walk around
 each (EmbeddedDigraph._merge_tree), which reweights, drops, merges the
-tree's slots into the root and keeps the cheapest arc per ordered pair.
-It returns the child's record columns, one entry per tree member (every
+tree's slots into the root and keeps the cheapest arc out of the root
+per neighbour. Arcs into the root need no such pass: an arc into a member
+is dropped, so the ones left are the root's own, at most one per
+neighbour already. It returns the child's record columns, one entry per tree member (every
 tree vertex but the root): what queries later use to jump from a
 contracted vertex to its super-vertex, and what path expansion uses to
 re-inflate the jump into original arcs.
@@ -142,8 +144,9 @@ def contract_tree(
     the tree arc, whose id is therefore d ^ 1. Then each tree in turn
     loses its arcs entering it anywhere but the root, has the arcs
     leaving it reweighted by the member's delta, is merged into its root
-    so the embedding survives, and keeps only the cheapest arc per
-    ordered pair around the root. chain_fn maps an arc id to its current
+    so the embedding survives, and keeps only the cheapest arc from the
+    root to each neighbour; the arcs into the root are its own, already
+    one per neighbour. chain_fn maps an arc id to its current
     tail expansion, which the member's entry stores. The returned records
     hold the members only, not the roots.
     """

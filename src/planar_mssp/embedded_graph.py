@@ -39,8 +39,10 @@ The darts that survive, in the order of that walk, become the root's
 rotation, which keeps the embedding planar. On the way, arcs leaving the
 tree are reweighted by their tree vertex's delta, arcs entering it below
 the root go, and so do slots between two tree vertices, which would become
-loops; of the arcs between the root and one neighbour in one direction,
-only the least stays. contraction.contract_tree checks the tree first.
+loops; of the arcs from the root to one neighbour, only the least stays.
+Arcs into the root cannot clash: those that survive are the arcs of the
+root's own darts, and the graph held at most one per neighbour before the
+merge. contraction.contract_tree checks the tree first.
 """
 
 from __future__ import annotations
@@ -249,8 +251,10 @@ class EmbeddedDigraph:
         dropped, and each slot joining two tree vertices (tree slots aside,
         which merge) is deleted, as it would become a loop at the root. The
         surviving darts, in tour order, are the root's rotation. Of the arcs
-        between the root and one neighbour in one direction, only the least
-        (base, perturb, arc id) stays; equal weights warn.
+        from the root to one neighbour, only the least (base, perturb, arc
+        id) stays; equal weights warn. Arcs into the root never clash: the
+        only ones left are those of the root's own darts, one per neighbour
+        at most, since an arc into a member is dropped.
         """
         at, nxt, arcs, entry = self._at, self._next, self._arc, self._entry
         s = vertex[0]
@@ -259,11 +263,10 @@ class EmbeddedDigraph:
         gone: list[int] = []  # darts at tree vertices of slots that went
         inner: list[int] = []  # even darts of slots joining two tree vertices
         tour: list[int] = []
-        # the tour dart holding the arc out of / into s per neighbour so far,
-        # and each (dart, neighbour, 0 out / 1 in) that met a held one
-        best_out: dict[int, int] = {}
-        best_in: dict[int, int] = {}
-        clashes: list[tuple[int, int, int]] = []
+        # the tour dart holding the arc out of s per neighbour so far, and
+        # each (dart, neighbour) whose arc out of s met a held one
+        best: dict[int, int] = {}
+        clashes: list[tuple[int, int]] = []
         first = entry[s]
         if first is not None:
             # walk s's rotation once around; a dart leading down enters the
@@ -291,9 +294,7 @@ class EmbeddedDigraph:
                         self._unlink(d ^ 1)
                     else:
                         out_arc = arcs[d]
-                        in_arc = arcs[d ^ 1]
                         if i:
-                            in_arc = None
                             if b or p:
                                 out_arc = (out_arc[0] + b, out_arc[1] + p, out_arc[2])
                             at[d] = s
@@ -301,15 +302,10 @@ class EmbeddedDigraph:
                             arcs[d ^ 1] = None
                         tour.append(d)
                         if out_arc is not None:
-                            if head in best_out:
-                                clashes.append((d, head, 0))
+                            if head in best:
+                                clashes.append((d, head))
                             else:
-                                best_out[head] = d
-                        if in_arc is not None:
-                            if head in best_in:
-                                clashes.append((d, head, 1))
-                            else:
-                                best_in[head] = d
+                                best[head] = d
                     d = nxt[d]
                 while d == stop and resume:
                     up, stop, i = resume.pop()
@@ -323,13 +319,12 @@ class EmbeddedDigraph:
             gone += (d, d ^ 1)
         for v in vertex[1:]:
             del entry[v]
-        # of two arcs between s and one neighbour in one direction, the
-        # greater loses, and a slot left with no arc goes
-        for d, head, side in clashes:
-            best = best_in if side else best_out
+        # of two arcs from s to one neighbour, the greater loses, and a slot
+        # left with no arc goes
+        for d, head in clashes:
             held = best[head]
-            arc = arcs[d ^ side]
-            held_arc = arcs[held ^ side]
+            arc = arcs[d]
+            held_arc = arcs[held]
             if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
                 warnings.warn(
                     f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
@@ -340,8 +335,8 @@ class EmbeddedDigraph:
             if arc < held_arc:
                 best[head] = d
                 d = held
-            arcs[d ^ side] = None
-            if arcs[d] is None and arcs[d ^ 1] is None:
+            arcs[d] = None
+            if arcs[d ^ 1] is None:
                 del arcs[d], arcs[d ^ 1]
                 gone.append(d)
                 self._unlink(d ^ 1)

@@ -55,8 +55,7 @@ def _grid_slot_weights(k: int, max_weight: int, rng: random.Random) -> list[list
 
     Canonical order: row by row, each cell emits its rightward slot then
     its downward slot. The deletion pass of gen_random_planar walks the
-    same order, so a delete probability of zero reproduces gen_grid draws
-    exactly.
+    same order.
     """
     out: list[list[int]] = []
     for r in range(k):
@@ -85,9 +84,7 @@ def _connected_after(n: int, raw: list[list[int]], alive: set[int]) -> bool:
     return len(seen) == n
 
 
-def _assemble_grid(
-    k: int, raw: list[list[int]], alive: set[int] | None = None
-) -> tuple[EmbeddedDigraph, int]:
+def _assemble_grid(k: int, raw: list[list[int]], alive: set[int]) -> tuple[EmbeddedDigraph, int]:
     """Build the embedded graph for grid slots and find its outer face.
 
     Rotations come from plane coordinates (column, -row): neighbours are
@@ -96,8 +93,6 @@ def _assemble_grid(
     the one walked clockwise when every face lies left of its own walk.
     """
     n = k * k
-    if alive is None:
-        alive = set(range(len(raw)))
     order = sorted(alive)
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for si, ri in enumerate(order):
@@ -140,15 +135,12 @@ def _assemble_grid(
 
 
 def gen_grid(k: int, max_weight: int = 100, seed: int = 0) -> tuple[EmbeddedDigraph, int]:
-    """A k-by-k grid with independent uniform weights per direction.
+    """A k-by-k grid with independent uniform weights per direction:
+    gen_random_planar with nothing deleted.
 
     Returns (graph, outer face index).
     """
-    if k < 1:
-        raise ValueError(f"grid side must be positive, got {k}")
-    rng = random.Random(seed)
-    raw = _grid_slot_weights(k, max_weight, rng)
-    return _assemble_grid(k, raw)
+    return gen_random_planar(k, max_weight, seed)
 
 
 def gen_random_planar(
@@ -157,22 +149,23 @@ def gen_random_planar(
     """A connected random subgraph of the k-by-k grid.
 
     Each slot is deleted with probability delete_prob, in canonical slot
-    order, except when the deletion would disconnect the graph. With
-    delete_prob zero this is exactly gen_grid for the same seed.
+    order, except when the deletion would disconnect the graph. Raises
+    ValueError for k < 1, max_weight < 0 or delete_prob outside [0, 1].
     """
     if not 0.0 <= delete_prob <= 1.0:
         raise ValueError(f"delete probability must be in [0, 1], got {delete_prob}")
     if k < 1:
         raise ValueError(f"grid side must be positive, got {k}")
+    if max_weight < 0:
+        raise ValueError(f"max weight must be non-negative, got {max_weight}")
     rng = random.Random(seed)
     raw = _grid_slot_weights(k, max_weight, rng)
     alive = set(range(len(raw)))
-    if delete_prob > 0.0:
-        for si in range(len(raw)):
-            if rng.random() < delete_prob:
-                alive.discard(si)
-                if not _connected_after(k * k, raw, alive):
-                    alive.add(si)
+    for si in range(len(raw)):
+        if rng.random() < delete_prob:
+            alive.discard(si)
+            if not _connected_after(k * k, raw, alive):
+                alive.add(si)
     return _assemble_grid(k, raw, alive)
 
 

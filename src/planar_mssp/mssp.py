@@ -123,7 +123,7 @@ from dataclasses import dataclass, field, fields
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, gt, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contraction import TailChain, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
@@ -237,13 +237,6 @@ def _concat(parts: Sequence[array]) -> array:
         else:
             out.fromlist(part.tolist())
     return out
-
-
-def _offsets(lengths: Iterable[int]) -> array:
-    """CSR offsets at the narrowest typecode that holds them: their last,
-    largest, value decides it."""
-    off = list(accumulate(lengths, initial=0))
-    return array(_narrowest(off[-1]), off)
 
 
 class _Plan(NamedTuple):
@@ -596,12 +589,12 @@ class MsspOracle:
         return self._plans[j]
 
     def _descend(
-        self, j: int, u: int, hits: list[tuple[int, int, int]] | None = None
+        self, j: int, u: int, hits: list[tuple[int, int]] | None = None
     ) -> tuple[int, int]:
         """The one query descent: reroute u along root j's plan.
 
         Returns u's node in the terminal table and the base of the distance.
-        Appends each record hit (key, vertex, node) to hits when given.
+        Appends each record hit (key, vertex) to hits when given.
         """
         _, steps, index = self._plan(j)
         if type(u) is not int or u not in self._query_vertices:
@@ -618,7 +611,7 @@ class MsspOracle:
             if e is not None:
                 acc += bases[e]
                 if hits is not None:
-                    hits.append((key, u, e))
+                    hits.append((key, u))
                 u = roots[e]
         node = index.get(u)
         if node is None:
@@ -650,12 +643,12 @@ class MsspOracle:
 
     def explain(self, j: int, u: int) -> Explanation:
         """How a query for (j, u) descends: intervals, record hits, probes."""
-        plan = self._plan(j)
-        hits: list[tuple[int, int, int]] = []
+        hits: list[tuple[int, int]] = []
         self._descend(j, u, hits)
+        plan = self._plans[j]
         return Explanation(
             list(plan.intervals),
-            [((key >> 1, key & 1), v) for key, v, _ in hits],
+            [((key >> 1, key & 1), v) for key, v in hits],
             plan.intervals[-1],
             len(plan.steps),
         )
@@ -673,7 +666,7 @@ class MsspOracle:
         distance. If reachable is set, an unreachable u raises
         UnreachableError before any walk.
         """
-        hits: list[tuple[int, int, int]] = []
+        hits: list[tuple[int, int]] = []
         node, base = self._descend(j, u, hits)
         if reachable and base >= self.w_big:
             raise UnreachableError(
@@ -685,7 +678,7 @@ class MsspOracle:
         try:
             # the terminal tree from r_j down to u, then each rerouting jump
             self._walk(self._table_blocks[j], self._cols.node_vertex[node], out)
-            for key, v, _ in reversed(hits):
+            for key, v in reversed(hits):
                 self._walk(self._record_blocks[key], v, out)
         except KeyError as exc:
             raise CorruptFileError(f"path walk met an unknown id: {exc}") from exc
@@ -1120,14 +1113,14 @@ def _flat_columns(
     (vertex, base, parent, arc, root, chain_len, hop_key,
      hop_vertex) = zip(*map(records.__getitem__, keys), *tables)
     c.record_key = _fitted(keys)
-    c.tree_start = _offsets(map(len, vertex))
+    c.tree_start = _fitted(list(accumulate(map(len, vertex), initial=0)))
     c.node_vertex = _fitted(_concat(vertex))
     c.node_base = _concat(base)
     c.node_parent = _fitted(_concat(parent))
     c.node_arc = _fitted(_concat(arc))
     c.record_root = _fitted(_concat(root))
-    c.tree_chain_start = _offsets(map(len, chain_len))
-    c.chain_hop_start = _offsets(chain.from_iterable(chain_len))
+    c.tree_chain_start = _fitted(list(accumulate(map(len, chain_len), initial=0)))
+    c.chain_hop_start = _fitted(list(accumulate(chain.from_iterable(chain_len), initial=0)))
     c.hop_key = _fitted(_concat(hop_key))
     c.hop_vertex = _fitted(_concat(hop_vertex))
 

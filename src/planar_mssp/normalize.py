@@ -117,11 +117,10 @@ class NormalizedInstance:
     w_big: int
     seed: int
     n_original: int
-    ring_index: dict[int, int] = field(default_factory=dict)  # r_i -> i
+    ring_index: dict[int, int] = field(init=False)  # r_i -> i
 
     def __post_init__(self) -> None:
-        if not self.ring_index:
-            self.ring_index = {r: i for i, r in enumerate(self.ring_roots)}
+        self.ring_index = {r: i for i, r in enumerate(self.ring_roots)}
 
     @property
     def root_count(self) -> int:

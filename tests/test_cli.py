@@ -226,6 +226,23 @@ def test_gen_delete_prob(tmp_path):
     g.check()
 
 
+@pytest.mark.parametrize(("flag", "value", "message"), [
+    ("--grid", "0", "grid side must be positive, got 0"),
+    ("--delete-prob", "1.5", "delete probability must be in [0, 1], got 1.5"),
+    ("--delete-prob", "-0.5", "delete probability must be in [0, 1], got -0.5"),
+    ("--delete-prob", "nan", "delete probability must be in [0, 1], got nan"),
+    ("--max-weight", "-1", "max weight must be non-negative, got -1"),
+])
+def test_gen_rejects_a_value_out_of_range(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "g.json"
+    args = {"--grid": "3", "--delete-prob": "0.0", "--max-weight": "100", flag: value}
+    assert main(["gen", *(f"{k}={v}" for k, v in args.items()), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error Value: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_input_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["query", "-i", missing, "--pairs", missing]) == 1

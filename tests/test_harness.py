@@ -10,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_mssp import (
-    UNREACHABLE,
     LexWeight,
     MsspOracle,
     UnreachableError,
     brute_distances,
     build,
+    build_graph,
     gen_grid,
     gen_random_planar,
     normalize,
     sssp_tree,
     verify,
 )
+from planar_mssp.normalize import ARC_SPOKE
+from tests.conftest import TRI_ONEWAY_SLOTS
 from tests.test_io import graphs_equal
 
 
@@ -56,6 +58,8 @@ def test_gen_arguments_validated():
         gen_random_planar(3, delete_prob=1.5)
     with pytest.raises(ValueError):
         gen_random_planar(0)
+    with pytest.raises(ValueError, match="max weight must be non-negative, got -1"):
+        gen_random_planar(3, max_weight=-1)
 
 
 def test_delete_prob_zero_is_gen_grid():
@@ -188,39 +192,99 @@ def test_verify_fails_on_distances_off_by_one(monkeypatch, grid3):
     assert f"mismatch {m}" in text and "result: FAIL" in text
 
 
-def test_verify_fails_on_a_path_with_an_arc_dropped(monkeypatch, grid3):
-    query_path = MsspOracle.query_path
-    monkeypatch.setattr(MsspOracle, "query_path", lambda self, j, u: query_path(self, j, u)[:-1])
-    report = verify(*grid3, seed=1, path_checks=20)
-    assert not report.passed
-    assert report.path_failures
-    # the oracle verify built, and the arcs of each named pair's path
-    oracle = build(normalize(*grid3, seed=1))
+_QUERY_PATH = MsspOracle.query_path
+_ARCS = MsspOracle.arcs.fget
+
+
+def _no_path(self, j, u):
+    raise UnreachableError(f"vertex {u} is not reachable")
+
+
+def _path_or_nothing(self, j, u):
+    try:
+        return _QUERY_PATH(self, j, u)
+    except UnreachableError:
+        return []
+
+
+def _arcs_with(change):
+    """The arcs property, with change applied to each arc's ArcInfo."""
+    return property(lambda self: {aid: change(a) for aid, a in _ARCS(self).items()})
+
+
+def _weight_issue(oracle, j, u, path):
+    if not path:
+        return None
+    base = sum(oracle.arcs[a].base for a in path)
+    perturb = sum(oracle.arcs[a].perturb for a in path)
+    return f"path weight ({base + len(path)}, {perturb}) does not match ({base}, {perturb})"
+
+
+# each case: the instance, the member of MsspOracle patched, its stand-in,
+# and the issue the judge must report for (j, u) given the true path from
+# b_j to u (None for an unreachable u), or None when that path passes
+@pytest.mark.parametrize(("instance", "member", "patch", "issue"), [
+    pytest.param(
+        "grid3", "query_path", _no_path,
+        lambda oracle, j, u, path: "unexpected UnreachableError",
+        id="unexpected-unreachable",
+    ),
+    pytest.param(
+        "tri_oneway", "query_path", _path_or_nothing,
+        lambda oracle, j, u, path: "expected UnreachableError" if path is None else None,
+        id="unreachable-not-raised",
+    ),
+    pytest.param(
+        "grid3", "query_path", lambda self, j, u: _QUERY_PATH(self, j, u)[:-1],
+        lambda oracle, j, u, path: f"path ends at {oracle.arcs[path[-1]].tail}" if path else None,
+        id="last-arc-dropped",
+    ),
+    pytest.param(
+        "grid3", "query_path", lambda self, j, u: [*_QUERY_PATH(self, j, u), 10**9],
+        lambda oracle, j, u, path: f"unknown arc id {10**9}",
+        id="unknown-arc",
+    ),
+    pytest.param(
+        "grid3", "arcs", _arcs_with(lambda a: a._replace(kind=ARC_SPOKE)),
+        lambda oracle, j, u, path: f"arc {path[0]} has kind {ARC_SPOKE}" if path else None,
+        id="wrong-kind",
+    ),
+    pytest.param(
+        "grid3", "query_path", lambda self, j, u: _QUERY_PATH(self, j, u)[::-1],
+        lambda oracle, j, u, path: (
+            f"arc {path[-1]} breaks the walk at {oracle.face_vertices[j]}"
+            if len(path) > 1 else None
+        ),
+        id="broken-walk",
+    ),
+    pytest.param(
+        "grid3", "arcs", _arcs_with(lambda a: a._replace(head=a.tail)),
+        lambda oracle, j, u, path: f"vertex {oracle.face_vertices[j]} repeated" if path else None,
+        id="repeated-vertex",
+    ),
+    pytest.param(
+        "grid3", "arcs", _arcs_with(lambda a: a._replace(base=a.base + 1)), _weight_issue,
+        id="wrong-weight",
+    ),
+])
+def test_verify_path_judge_reports_each_issue(monkeypatch, instance, member, patch, issue):
+    if instance == "grid3":
+        graph, face, seed = *gen_grid(3, seed=1), 1
+    else:
+        graph, face, seed = build_graph(3, TRI_ONEWAY_SLOTS), 0, 0
+    oracle = build(normalize(graph, face, seed=seed))
+    monkeypatch.setattr(MsspOracle, member, patch)
+    report = verify(graph, face, seed=seed, path_checks=30)
+    monkeypatch.undo()
+    assert report.passed is False
+    assert report.mismatch_count == 0 and report.path_failures
     text = report.format_text()
     for failure in report.path_failures:
-        path = query_path(oracle, failure["j"], failure["u"])
-        assert path and failure["issue"] == f"path ends at {oracle.arcs[path[-1]].tail}"
-        assert f"path failure {failure}" in text
-    assert "result: FAIL" in text
-
-
-def test_verify_fails_on_a_path_for_an_unreachable_pair(monkeypatch, tri_oneway):
-    query_path = MsspOracle.query_path
-
-    def path_or_nothing(self, j, u):
+        j, u = failure["j"], failure["u"]
         try:
-            return query_path(self, j, u)
+            path = oracle.query_path(j, u)
         except UnreachableError:
-            return []
-
-    monkeypatch.setattr(MsspOracle, "query_path", path_or_nothing)
-    report = verify(tri_oneway, 0, seed=0)
-    assert not report.passed
-    assert report.path_failures
-    oracle = build(normalize(tri_oneway, 0, seed=0))
-    text = report.format_text()
-    for failure in report.path_failures:
-        assert oracle.distance(failure["j"], failure["u"]) is UNREACHABLE
-        assert failure["issue"] == "expected UnreachableError"
+            path = None
+        assert failure["issue"] == issue(oracle, j, u, path)
         assert f"path failure {failure}" in text
     assert "result: FAIL" in text

@@ -34,6 +34,7 @@ from planar_mssp import (
     normalize,
 )
 from planar_mssp import mssp
+from planar_mssp.contraction import SelectedTree
 from planar_mssp.mssp import BuildStats
 from planar_mssp.normalize import ARC_ORIGINAL, map_answer
 from tests.conftest import TRI_ONEWAY_SLOTS, build_right_first, schedule_children
@@ -386,8 +387,6 @@ def test_walks_follow_the_tree_path_of_every_stored_node():
             index = block[0]
             for v, node in index.items():
                 root = block[4] if b >= k else c.record_root[node]
-                if v == root:
-                    continue  # a table's root row, which no walk starts at
                 tree_path, x = [], v
                 while x != root:
                     e = index[x]
@@ -461,6 +460,27 @@ def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
     with pytest.raises(MsspError, match="instrument: inherited tree .* par_dart"):
         build(norm3, instrument=True)
     assert len(calls) == 1
+
+
+def test_instrument_rejects_a_ring_vertex_selected_for_contraction(monkeypatch, norm3):
+    # the first child's selection gains a one-vertex tree at the ring vertex
+    # its high tree grows from; an instrumented build checks each selection
+    # before it contracts anything and stops there
+    select = mssp.select_trees
+    rings = []
+
+    def with_a_ring_tree(h, t_low, t_high):
+        selected = select(h, t_low, t_high)
+        if not rings:
+            rings.append(t_high.root)
+            selected.append(SelectedTree([t_high.root], [-1], [-1], [0], [0]))
+        return selected
+
+    monkeypatch.setattr(mssp, "select_trees", with_a_ring_tree)
+    with pytest.raises(MsspError) as exc:
+        build(norm3, instrument=True)
+    assert rings[0] in norm3.ring_roots
+    assert str(exc.value) == f"instrument: ring vertices [{rings[0]}] selected for contraction"
 
 
 @pytest.mark.parametrize("side", (3, 5, 6))

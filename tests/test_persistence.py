@@ -659,7 +659,7 @@ def test_self_parent_table_raises_in_bounded_time():
     for r, table in zip(doc["ring_roots"], doc["tables"]):
         # every row its own parent, but those of the spoke rows, which load
         # checks
-        table[3] = [p if p in (-1, r) else v for v, p in zip(table[1], table[3])]
+        table[3] = [p if p == r else v for v, p in zip(table[1], table[3])]
     loaded = load_doc(doc)
     j, u = 0, max(oracle.query_vertices, key=lambda v: len(oracle.query_path(0, v)))
     t0 = time.perf_counter()
@@ -741,6 +741,39 @@ def test_chain_that_expands_into_itself_raises():
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_chains_of_two_records_that_hop_into_each_other_raise():
+    # entries a and b, each a child of its record's root, in two records:
+    # a's chain hops to b and b's to a, every hop naming a real record and
+    # vertex, so the file loads. A walk through a expands its chain before
+    # it appends an arc, so the path never grows and the length bound never
+    # fires: the recursion limit ends it
+    oracle = small_oracle()
+    doc = oracle.to_json()
+    j, u, (key, v) = next(
+        (j, u, hit)
+        for j in range(oracle.ring_count)
+        for u in sorted(oracle.query_vertices)
+        for hit in oracle.explain(j, u).hits
+    )
+    records = {(mid, side): entries for mid, side, entries in doc["records"]}
+    by_vertex = {e[0]: e for e in records[key]}
+    a = by_vertex[v]
+    while a[3] != a[1]:  # climb to the child of the record's root
+        a = by_vertex[a[3]]
+    other, b = next(
+        (k, e) for k, entries in records.items() if k != key
+        for e in entries if e[3] == e[1]
+    )
+    a[5] = [[*other, b[0]]]
+    b[5] = [[*key, a[0]]]
+    loaded = load_doc(doc)
+    t0 = time.perf_counter()
+    with pytest.raises(CorruptFileError, match="tail chains of the path expand") as exc:
+        loaded.query_path(j, u)
+    assert time.perf_counter() - t0 < 1.0
+    assert isinstance(exc.value.__cause__, RecursionError)
+
+
 def nested_chains(d: int, m: int = 10) -> tuple[dict, int, int]:
     """gen_grid(8, seed=1)'s document with tail chains nested d deep.
 
@@ -789,14 +822,14 @@ def test_chains_nested_past_the_longest_path_raise():
 def test_parent_vertex_outside_its_node_raises():
     doc = small_oracle().to_json()
     for r, table in zip(doc["ring_roots"], doc["tables"]):
-        table[3] = [p if p < 0 or p == r else 10**6 for p in table[3]]
+        table[3] = [p if p == r else 10**6 for p in table[3]]
     assert corrupt_path_answers(doc) > 0
 
 
 def test_parent_arc_outside_the_arc_list_raises():
     doc = small_oracle().to_json()
     for table in doc["tables"]:
-        table[4] = [-1 if a < 0 else 10**6 for a in table[4]]
+        table[4] = [10**6] * len(table[4])
     with pytest.raises(CorruptFileError, match="arc ids"):
         load_doc(doc)
 
@@ -809,9 +842,9 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
     spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
     par_arc = next(
         table[4] for table in doc["tables"]
-        if any(a >= 0 and a not in spokes for a in table[4])
+        if any(a not in spokes for a in table[4])
     )
-    row = next(r for r, a in enumerate(par_arc) if a >= 0 and a not in spokes)
+    row = next(r for r, a in enumerate(par_arc) if a not in spokes)
     par_arc[row] = 10**6
     with pytest.raises(CorruptFileError, match="arc ids"):
         load_doc(doc)
@@ -819,7 +852,7 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
 
 def test_unknown_record_arc_is_rejected_at_load():
     doc = small_oracle().to_json()
-    entry = next(e for rec in doc["records"] for e in rec[2] if e[4] >= 0)
+    entry = doc["records"][0][2][0]
     entry[4] = 10**6
     with pytest.raises(CorruptFileError, match="arc ids"):
         load_doc(doc)
