@@ -43,9 +43,8 @@ def main() -> None:
         print(f"  root {sel.root}: members {sel.vertex}")
 
     before = h.vertex_count
-    # one call contracts every selected tree of the child; arcs of the
-    # input graph expand to themselves: empty tail chains
-    rec = contract_tree(h, trees, lambda arc_id: ())
+    # one call contracts every selected tree of the child
+    rec = contract_tree(h, trees)
     # planarity bookkeeping must survive the contraction; the spokes of
     # ring vertices outside the interval may enter a tree and go, so check
     # the graph without them, as the build's child graph is

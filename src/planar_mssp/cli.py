@@ -112,9 +112,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     face = _face_index(graph, stored_outer, args.face)
     norm = normalize(graph, face, seed)
     t0 = time.perf_counter()
-    oracle = build_oracle(
-        norm, instrument=args.instrument, collect_edge_stats=args.edge_stats
-    )
+    oracle = build_oracle(norm, instrument=args.instrument)
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     oracle.save(args.output)
@@ -200,8 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the recursion structure as JSON")
     p.add_argument("--instrument", action="store_true",
                    help="run internal consistency checks during the build (slow)")
-    p.add_argument("--edge-stats", action="store_true",
-                   help="collect per-level per-arc tree counts into the stats")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="answer distance queries from an oracle")

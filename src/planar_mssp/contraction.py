@@ -27,15 +27,10 @@ re-inflate the jump into original arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import GraphError, NotATreeError
 from .sssp import SSSPTree, shared_forest
-
-# the hops that re-inflate an arc's tail, innermost first, flat: record key,
-# vertex, record key, vertex, ...; contract_tree only stores it
-TailChain = tuple[int, ...]
 
 
 @dataclass(eq=False, slots=True)
@@ -64,8 +59,7 @@ class Records:
 
     A tree's root has no entry: it stays in the graph. A member names its
     tree's root, the base of its delta, its tree parent (the root or
-    another member), the arc id of the tree arc parent -> member and that
-    arc's tail chain.
+    another member) and the arc id of the tree arc parent -> member.
     """
 
     vertex: list[int]
@@ -73,7 +67,6 @@ class Records:
     dbase: list[int]
     parent: list[int]
     arc: list[int]
-    chain: list[TailChain]
 
 
 def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[SelectedTree]:
@@ -131,11 +124,7 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
     return out
 
 
-def contract_tree(
-    h: EmbeddedDigraph,
-    selected: list[SelectedTree],
-    chain_fn: Callable[[int], TailChain],
-) -> Records:
+def contract_tree(h: EmbeddedDigraph, selected: list[SelectedTree]) -> Records:
     """Contract every selected tree into its root in place; record them all.
 
     The trees must be vertex-disjoint. Each is checked against the graph
@@ -146,14 +135,13 @@ def contract_tree(
     leaving it reweighted by the member's delta, is merged into its root
     so the embedding survives, and keeps only the cheapest arc from the
     root to each neighbour; the arcs into the root are its own, already
-    one per neighbour. chain_fn maps an arc id to its current
-    tail expansion, which the member's entry stores. The returned records
-    hold the members only, not the roots.
+    one per neighbour. The returned records hold the members only, not
+    the roots.
     """
     at = h._at
     arc_at = h._arc
     entry = h._entry
-    rec = Records([], [], [], [], [], [])
+    rec = Records([], [], [], [], [])
     placed: set[int] = set()  # vertices of the trees checked so far
     for tree in selected:
         vertex, parent, dart = tree.vertex, tree.parent, tree.dart
@@ -189,7 +177,6 @@ def contract_tree(
         rec.dbase += tree.dbase[1:]
         rec.parent += parent[1:]
         rec.arc += arcs
-        rec.chain += map(chain_fn, arcs)
     for tree in selected:
         h._merge_tree(tree.vertex, tree.dart, tree.dbase, tree.dpert)
     return rec

@@ -67,13 +67,13 @@ before the recursion (_IdWidths), and each block's bases at their
 narrowest, so that a concatenated column needs no scan where that width
 is int16 (_flat_columns).
 
-The oracle file is format "planar-mssp-oracle", version 11, little-endian:
+The oracle file is format "planar-mssp-oracle", version 12, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
     4 bytes   uint32 zlib.crc32 of the header
     H bytes   header: compact, key-sorted UTF-8 JSON with format, version,
-              n_original, w_big, seed, stats, and "sections", one
+              n_original, w_big, seed and "sections", one
               [name, typecode, item count, zlib.crc32] per column of
               _SECTIONS; the typecode is "h", "i" or "q" (int16, int32,
               int64)
@@ -96,15 +96,19 @@ that each table lists only vertices of root 0's descent, with one row
 whose parent is its ring vertex, whose parent arc is the root's spoke
 (the arc whose tail is the ring vertex), which no other row's is, and
 which has no tail chain (so a path starts with the spoke); last, that
-each vertex of root 0's descent is the head of a stored arc. Which node
-stores each table is not in the file: it follows from the ring count, so
-a file of another version raises VersionMismatchError even where its
-layout is the same. Path queries bound every parent walk and the path's
-length (n_original arcs, however the tail chains nest), and raise
-CorruptFileError, not KeyError, when a damaged file names a vertex or
-record it does not hold. The plans and the dicts are not part of the
-file. to_json() gives the same content as one logical JSON document, for
-tests and tools.
+each vertex of root 0's descent is the head of a stored arc. The spoke
+runs to the root's face vertex b_j, so that row's vertex is b_j, and the
+file does not store the face vertices. Which node stores each table is
+not in the file either: it follows from the ring count, so a file of
+another version raises VersionMismatchError even where its layout is the
+same. The file holds no report on the build that made it (BuildStats): a
+saved oracle is a function of the graph, the face and the seed alone, and
+a loaded oracle's stats are None. Path queries bound every parent walk
+and the path's length (n_original arcs, however the tail chains nest),
+and raise CorruptFileError, not KeyError, when a damaged file names a
+vertex or record it does not hold. The plans and the dicts are not part
+of the file. to_json() gives the same content as one logical JSON
+document, for tests and tools.
 """
 
 from __future__ import annotations
@@ -119,13 +123,13 @@ import zlib
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, gt, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .contraction import TailChain, contract_tree, select_trees
+from .contraction import contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
 from .errors import (
     BadRootIndexError,
@@ -141,9 +145,12 @@ from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 11
+ORACLE_VERSION = 12
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
+# the hops that re-inflate an arc's tail, innermost first, flat: record key,
+# vertex, record key, vertex, ...
+TailChain = tuple[int, ...]
 
 _MAGIC = b"\x89MSSP\r\n\x1a"
 _PRELUDE = struct.Struct("<8sII")  # magic, header length, header crc32
@@ -162,7 +169,6 @@ _SWAP = sys.byteorder != "little"
 # value is negative.
 _SECTIONS = (
     "ring_roots",  # N ring vertices r_j
-    "face_vertices",  # N face vertices b_j
     "arc_id",  # A, increasing: the arcs that node_arc names
     "arc_tail",
     "arc_head",
@@ -372,7 +378,7 @@ def _descent_plans(
 
 @dataclass
 class BuildStats:
-    """Plain counters describing one build."""
+    """Plain counters describing one build; the oracle file does not hold them."""
 
     n_original: int
     ring_count: int
@@ -387,13 +393,6 @@ class BuildStats:
     @property
     def stored_entries(self) -> int:
         return self.stored_rows + self.record_entries
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BuildStats":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def _tree_name(c: _Columns, b: int) -> str:
@@ -421,8 +420,9 @@ def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
 
 def _check_tables(
     c: _Columns, n_original: int, tables: list[dict[int, int]], plan0: _Plan
-) -> frozenset[int]:
-    """Check what a query relies on in the tables; return the query vertices.
+) -> tuple[frozenset[int], list[int]]:
+    """Check what a query relies on in the tables; return the query vertices
+    and the face vertices.
 
     Root 0's descent, the records its plan reads and then table 0, holds
     every original vertex once: contraction moves a vertex from a node's
@@ -431,7 +431,8 @@ def _check_tables(
     ring vertex, and each must be the head of a stored arc. They are the
     query vertices. Every table must list only vertices of root 0's
     descent and start every path with its spoke, the arc whose tail is the
-    ring vertex.
+    ring vertex. The spoke's head is the root's face vertex b_j, so b_j is
+    the vertex of the one row whose parent is the ring vertex.
     """
     start = c.tree_start
     parents, arcs = c.node_parent, c.node_arc
@@ -451,6 +452,7 @@ def _check_tables(
         )
     if not ring.isdisjoint(vertices):
         raise CorruptFileError(f"root 0's descent lists ring vertex {min(ring & vertices)}")
+    faces: list[int] = []
     for j, (r, index, a, z, chains) in enumerate(
         zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
     ):
@@ -468,6 +470,7 @@ def _check_tables(
         if parent.count(r) == 1 and s is not None:
             p = parent.index(r)
             if p >= chains and arcs[a + p] == s and arcs[a:z].count(s) == 1:
+                faces.append(c.node_vertex[a + p])
                 continue
         raise CorruptFileError(
             f"table {j}: the row whose parent is the ring vertex is not the one"
@@ -480,7 +483,7 @@ def _check_tables(
         raise CorruptFileError(
             f"root 0's descent lists vertex {min(foreign)}, which no stored arc enters"
         )
-    return frozenset(vertices)
+    return frozenset(vertices), faces
 
 
 class MsspOracle:
@@ -508,15 +511,16 @@ class MsspOracle:
     )
 
     def __init__(
-        self, n_original: int, w_big: int, seed: int, cols: _Columns, stats: BuildStats
+        self, n_original: int, w_big: int, seed: int, cols: _Columns,
+        stats: BuildStats | None,
     ):
         self.n_original = n_original
         self.w_big = w_big
         self.seed = seed
+        # a built oracle's report on its build; a loaded one has none
         self.stats = stats
         self._cols = cols
         self.ring_roots = cols.ring_roots.tolist()
-        self.face_vertices = cols.face_vertices.tolist()
         n = self.ring_count = len(self.ring_roots)
         self._ring_set = frozenset(self.ring_roots)
         # per block, its vertex -> node (a node of the node columns): the
@@ -552,7 +556,9 @@ class MsspOracle:
         self._arcs: dict[int, ArcInfo] | None = None
         # immutable once built, so queries stay safe from several threads
         self._plans = _descent_plans(n, self.records, self.tables)
-        self._query_vertices = _check_tables(cols, n_original, self.tables, self._plans[0])
+        self._query_vertices, self.face_vertices = _check_tables(
+            cols, n_original, self.tables, self._plans[0]
+        )
 
     @property
     def query_vertices(self) -> frozenset[int]:
@@ -809,13 +815,12 @@ class MsspOracle:
                     c.arc_id, c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb
                 )
             ],
-            "stats": self.stats.to_json(),
             "tables": tables,
             "records": records,
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 11) to a path or binary file object.
+        """Write the oracle file (format version 12) to a path or binary file object.
 
         Each column is written as it is held, at the narrowest typecode that
         holds its values, which build chose and load kept.
@@ -836,7 +841,6 @@ class MsspOracle:
             "n_original": self.n_original,
             "w_big": self.w_big,
             "seed": self.seed,
-            "stats": self.stats.to_json(),
             "sections": [
                 [name, col.typecode, len(col), zlib.crc32(col)]
                 for name, col in zip(_SECTIONS, cols)
@@ -912,11 +916,8 @@ def _check_columns(c: _Columns) -> None:
     """Column lengths and offsets agree, no base is negative, no record
     node is its own root, and every arc id is known."""
     n = len(c.ring_roots)
-    if n == 0 or len(c.face_vertices) != n:
-        raise CorruptFileError(
-            f"{n} ring roots and {len(c.face_vertices)} face vertices; expected"
-            " one or more of each, as many of one as of the other"
-        )
+    if n == 0:
+        raise CorruptFileError("no ring roots; expected one or more")
     if len(set(c.ring_roots)) != n:
         raise CorruptFileError("a ring root is listed twice")
     arcs = len(c.arc_id)
@@ -1010,13 +1011,12 @@ def load(source) -> MsspOracle:
     del raw  # the columns are copies; free the file's bytes before the dicts
     try:
         n_original, w_big, seed = header["n_original"], header["w_big"], header["seed"]
-        stats = BuildStats.from_json(header["stats"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise CorruptFileError(f"malformed header: {exc!r}") from exc
     if not all(type(x) is int for x in (n_original, w_big, seed)):
         raise CorruptFileError("n_original, w_big and seed must be ints")
     _check_columns(cols)
-    return MsspOracle(n_original, w_big, seed, cols, stats)
+    return MsspOracle(n_original, w_big, seed, cols, None)
 
 
 class _IdWidths(NamedTuple):
@@ -1108,7 +1108,6 @@ def _flat_columns(
     blocks _IdWidths made h is not scanned."""
     c = _Columns()
     c.ring_roots = _fitted(norm.ring_roots)
-    c.face_vertices = _fitted(norm.face_vertices)
     keys = sorted(records)
     (vertex, base, parent, arc, root, chain_len, hop_key,
      hop_vertex) = zip(*map(records.__getitem__, keys), *tables)
@@ -1322,7 +1321,7 @@ def build(
             selected = select_trees(hj, trees[j1], trees[j2])
             if instrument:
                 before = check_selected(hj, j1, j2, selected)
-            records = contract_tree(hj, selected, chain_at)
+            records = contract_tree(hj, selected)
             del selected
             if instrument:
                 check_child(hj, j1, j2, before)
@@ -1330,9 +1329,11 @@ def build(
             entries = len(records.vertex)
             stats.record_entries += entries
             if entries:
+                # each tree arc's chain as of the contraction, before this
+                # child's members join absorbed_at
                 record_blocks[child.key] = _tree_block(
                     records.vertex, records.dbase, records.parent, records.arc,
-                    records.chain, widths, records.root,
+                    list(map(chain_at, records.arc)), widths, records.root,
                 )
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees

@@ -1,12 +1,16 @@
-"""An independent writer of oracle files (format version 11), for tests.
+"""An independent writer of oracle files (format version 12), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the
 README describes. It shares no code with the package's save(), so a test
 can damage a document the way a broken writer would and load the result.
-Version 11 is version 10 without each table's row of its ring vertex
-(base 0, parent and parent arc -1), so no block holds its tree's root
-and no column holds -1; the layout is unchanged. Version 10 stores each
+Version 12 is version 11 without the header's build report ("stats") and
+without the face_vertices column: a root's face vertex is the vertex of
+its table's one row whose parent is its ring vertex, so the document's
+"face_vertices" are not written. Version 11 is version 10 without each
+table's row of its ring vertex (base 0, parent and parent arc -1), so no
+block holds its tree's root and no column holds -1; the layout is
+unchanged. Version 10 stores each
 column at the narrowest of int16, int32 and int64 ("h", "i", "q") that
 holds every value it has (int16 for an empty column), and names that
 typecode in the column's section entry; its stats no longer list each
@@ -24,8 +28,8 @@ without the perturbation columns (node_plo, node_phi), the arc kinds
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
-key-sorted UTF-8 JSON: format, version, n_original, w_big, seed, stats,
-and "sections" as [name, typecode, count, crc32] per column), then the
+key-sorted UTF-8 JSON: format, version, n_original, w_big, seed and
+"sections" as [name, typecode, count, crc32] per column), then the
 columns below in order, little-endian, with no padding.
 
 Every record table (in key order) and then every root table (in root
@@ -47,7 +51,7 @@ MAGIC = b"\x89MSSP\r\n\x1a"
 NODE = ("node_vertex", "node_base", "node_parent", "node_arc")
 ARC = ("arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb")
 COLUMNS = (
-    "ring_roots", "face_vertices",
+    "ring_roots",
     "arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb",
     "record_key", "tree_start",
     "node_vertex", "node_base", "node_parent", "node_arc", "record_root",
@@ -95,7 +99,6 @@ def columns_of(doc: dict) -> dict[str, list[int]]:
     """Every column of the file, as lists of ints, from a logical document."""
     col: dict[str, list[int]] = {name: [] for name in COLUMNS}
     col["ring_roots"] = list(doc["ring_roots"])
-    col["face_vertices"] = list(doc["face_vertices"])
     for arc in doc["arcs"]:
         for name, value in zip(ARC, arc, strict=True):
             col[name].append(value)
@@ -150,8 +153,7 @@ def encode_columns(
 
 def header_values(doc: dict) -> dict:
     """The header values of a logical document, sections aside."""
-    return {key: doc[key] for key in ("format", "version", "n_original", "w_big", "seed",
-                                      "stats")}
+    return {key: doc[key] for key in ("format", "version", "n_original", "w_big", "seed")}
 
 
 def encode_document(doc: dict) -> bytes:

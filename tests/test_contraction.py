@@ -28,14 +28,13 @@ def ring_trees(norm):
 
 
 def entry(rec: Records, v: int):
-    """v's record entry: (root, delta base, parent, arc, chain)."""
+    """v's record entry: (root, delta base, parent, arc)."""
     i = rec.vertex.index(v)
     return (
         rec.root[i],
         rec.dbase[i],
         rec.parent[i],
         rec.arc[i],
-        rec.chain[i],
     )
 
 
@@ -134,13 +133,13 @@ def two_vertex_tree():
 
 def test_contract_tree_effects():
     g = build_graph(3, TRIANGLE)
-    rec = contract_tree(g, [two_vertex_tree()], lambda aid: ())
+    rec = contract_tree(g, [two_vertex_tree()])
     g.check()
     assert sorted(g.vertices()) == [0, 2]
     # record entries: the root, which stays, has none; the member names it
     # and keeps its arc
     assert rec.vertex == [1]
-    assert entry(rec, 1) == (0, 2, 0, 0, ())
+    assert entry(rec, 1) == (0, 2, 0, 0)
     # the out-arc 1->2 (base 3) left the tree, so it gains delta 2 and
     # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
     # (base 4) pointed into the tree and must be gone; 2->0 pointed at the
@@ -153,7 +152,7 @@ def test_contract_tree_tie_keeps_smaller_arc_id():
     # 0->2 (base 5, arc 2); the dedup warns and keeps arc 2
     g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)])
     with pytest.warns(PerturbationCollisionWarning):
-        contract_tree(g, [two_vertex_tree()], lambda aid: ())
+        contract_tree(g, [two_vertex_tree()])
     g.check()
     assert list(g.arc_items()) == [(0, 2, (5, 0, 2)), (2, 0, (6, 0, 3))]
 
@@ -164,7 +163,7 @@ def test_contract_tree_deletes_slots_inside_the_tree():
     g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 1, 1, 1, None, 4), (1, 2, 2, 0, 3, 4)])
     g.check()
     assert g.face_count() == 2
-    contract_tree(g, [two_vertex_tree()], lambda aid: ())
+    contract_tree(g, [two_vertex_tree()])
     g.check()
     assert sorted(g.vertices()) == [0, 2]
     assert g.slot_count == 1
@@ -172,46 +171,31 @@ def test_contract_tree_deletes_slots_inside_the_tree():
     assert list(g.arc_items()) == [(0, 2, (5, 0, 4))]
 
 
-def test_contract_tree_chain_fn():
-    g = build_graph(3, TRIANGLE)
-    calls: list[int] = []
-
-    def chain_fn(aid: int):
-        calls.append(aid)
-        return (((7, 7), aid),)
-
-    rec = contract_tree(g, [two_vertex_tree()], chain_fn)
-    # chains are recorded for member arcs; the root has no entry
-    assert calls == [0]
-    assert entry(rec, 1)[4] == (((7, 7), 0),)
-    assert 0 not in rec.vertex
-
-
 def test_contract_tree_rejects_malformed_trees():
     # the path 0 -> 1 -> 2 of TRIANGLE, listed with 2 before its parent 1
     bad_order = SelectedTree([0, 2, 1], [-1, 1, 0], [-1, 3, 1], [0, 5, 2], [0, 0, 0])
     with pytest.raises(NotATreeError, match="precede"):
-        contract_tree(build_graph(3, TRIANGLE), [bad_order], lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [bad_order])
 
     short_order = SelectedTree([0, 1], [-1, 0], [-1], [0, 2], [0, 0])
     with pytest.raises(NotATreeError, match="disagree"):
-        contract_tree(build_graph(3, TRIANGLE), [short_order], lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [short_order])
 
     rootless = SelectedTree([], [], [], [], [])
     with pytest.raises(NotATreeError):
-        contract_tree(build_graph(3, TRIANGLE), [rootless], lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [rootless])
 
     cyclic = SelectedTree([0, 1], [1, 0], [-1, 1], [0, 2], [0, 0])
     with pytest.raises(NotATreeError, match="root"):
-        contract_tree(build_graph(3, TRIANGLE), [cyclic], lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [cyclic])
 
     absent_root = SelectedTree([7], [-1], [-1], [0], [0])
     with pytest.raises(NotATreeError, match="not in the graph"):
-        contract_tree(build_graph(3, TRIANGLE), [absent_root], lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [absent_root])
 
     twice = SelectedTree([0, 1, 1], [-1, 0, 0], [-1, 1, 1], [0, 2, 2], [0, 0, 0])
     with pytest.raises(NotATreeError, match="twice"):
-        contract_tree(build_graph(3, TRIANGLE), [twice], lambda aid: ())
+        contract_tree(build_graph(3, TRIANGLE), [twice])
 
     # every tree is checked before any is contracted: a bad second tree
     # leaves the graph as it was
@@ -219,7 +203,7 @@ def test_contract_tree_rejects_malformed_trees():
     before = list(g.arc_items())
     overlapping = SelectedTree([2, 1], [-1, 2], [-1, 2], [0, 4], [0, 0])
     with pytest.raises(NotATreeError, match="another tree"):
-        contract_tree(g, [two_vertex_tree(), overlapping], lambda aid: ())
+        contract_tree(g, [two_vertex_tree(), overlapping])
     assert list(g.arc_items()) == before
     assert sorted(g.vertices()) == [0, 1, 2]
 
@@ -259,16 +243,16 @@ def test_one_call_on_two_joined_trees_equals_a_call_per_tree():
     a, b = two_joined_trees(g_one)
     for u, v in ((1, 2), (1, 4), (3, 4)):
         assert any(g_one.dart_vertex(d ^ 1) == v for d in g_one.rotation(u))
-    both = contract_tree(g_one, [a, b], lambda aid: (aid,))
+    both = contract_tree(g_one, [a, b])
     g_one.check()
     a2, b2 = two_joined_trees(g_two)
-    first = contract_tree(g_two, [a2], lambda aid: (aid,))
-    second = contract_tree(g_two, [b2], lambda aid: (aid,))
+    first = contract_tree(g_two, [a2])
+    second = contract_tree(g_two, [b2])
     g_two.check()
     assert sorted(g_one.vertices()) == [0, 4, 6, 7, 8]
     assert list(g_one.arc_items()) == list(g_two.arc_items())
     assert g_one.face_walks() == g_two.face_walks()
-    for name in ("vertex", "root", "dbase", "parent", "arc", "chain"):
+    for name in ("vertex", "root", "dbase", "parent", "arc"):
         assert getattr(both, name) == getattr(first, name) + getattr(second, name), name
     # A's contraction dropped the arcs 4 -> 1 and 4 -> 3 into its members
     # and turned 1 -> 4 and 3 -> 4 into two arcs 0 -> 4; one stays
@@ -286,7 +270,7 @@ def test_contraction_preserves_root_distances(norm3):
     for i in range(len(trees) - 1):
         g = norm3.graph.copy()
         selected = select_trees(g, trees[i], trees[i + 1])
-        rec = contract_tree(g, selected, lambda aid: ())
+        rec = contract_tree(g, selected)
         # the spokes of other ring vertices may enter a tree below its root
         # and go; build drops those ring vertices first, as done here
         g.copy(ring - {norm3.ring_roots[i], norm3.ring_roots[i + 1]}).check()
@@ -311,7 +295,7 @@ def test_contraction_preserves_root_distances(norm3):
             for v, b, p in zip(sel.vertex, sel.dbase, sel.dpert)
         }
         for v in absorbed:
-            root, delta_base, _, _, _ = table[v]
+            root, delta_base, _, _ = table[v]
             assert delta_base == deltas[v].base
             assert trees[i].dist[root] + deltas[v] == trees[i].dist[v]
             hops = 0

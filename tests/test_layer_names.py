@@ -56,4 +56,4 @@ def test_to_json_is_kept_for_the_tracer():
     assert callable(MsspOracle.to_json)
     g, outer = gen_grid(3, seed=1)
     doc = build(normalize(g, outer, seed=1)).to_json()
-    assert {"tables", "records", "arcs", "stats", "version"} <= doc.keys()
+    assert {"tables", "records", "arcs", "n_original", "version"} <= doc.keys()

@@ -35,7 +35,6 @@ from planar_mssp import (
 )
 from planar_mssp import mssp
 from planar_mssp.contraction import SelectedTree
-from planar_mssp.mssp import BuildStats
 from planar_mssp.normalize import ARC_ORIGINAL, map_answer
 from tests.conftest import TRI_ONEWAY_SLOTS, build_right_first, schedule_children
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
@@ -642,18 +641,11 @@ def test_build_order_independence(norm3, oracle3):
             assert oracle3.query_dist(j, u) == other.query_dist(j, u)
             assert oracle3.query_path(j, u) == other.query_path(j, u)
     # the stored tables depend on position, not on visit order
-    a, b = oracle3.to_json(), other.to_json()
-    a["stats"].pop("build_seconds")
-    b["stats"].pop("build_seconds")
-    assert a == b
+    assert oracle3.to_json() == other.to_json()
 
 
 def test_build_determinism(norm3, oracle3):
-    again = build(norm3)
-    a, b = oracle3.to_json(), again.to_json()
-    a["stats"].pop("build_seconds")
-    b["stats"].pop("build_seconds")
-    assert a == b
+    assert oracle3.to_json() == build(norm3).to_json()
 
 
 def test_queries_from_several_threads_match_serial_answers():
@@ -712,7 +704,9 @@ def test_round_trip_path(tmp_path, oracle3):
     oracle3.save(str(p))
     loaded = load(str(p))
     assert loaded.distance(0, 8) == oracle3.distance(0, 8)
-    assert loaded.stats.node_count == oracle3.stats.node_count
+    # the file holds no build report; the recursion follows from the ring count
+    assert loaded.stats is None
+    assert loaded.trace() == oracle3.trace()
 
 
 def test_load_rejects_bad_documents(tmp_path, oracle3):
@@ -773,8 +767,6 @@ def test_stats_shape(oracle3):
     assert s.build_seconds >= 0
     total_tree_vertices = sum(lv["tree_vertices"] for lv in s.per_level)
     assert total_tree_vertices > 0
-    rt = BuildStats.from_json(s.to_json())
-    assert rt.to_json() == s.to_json()
 
 
 def test_edge_stats_count_every_level(norm5):

@@ -45,11 +45,11 @@ from tests.oracle_file import (
     narrowest,
 )
 
-# SHA-256 of each saved oracle with stats.build_seconds set to 0.0, and of
-# the compact JSON of its to_json()["records"]. The record digests were
-# taken from the version 8 code, whose records versions 9 and 10 keep byte
-# for byte. The file digests were taken from the version 9 code once these
-# held for each instance: its records match the version 8 digest; every
+# SHA-256 of each saved oracle, and of the compact JSON of its
+# to_json()["records"]. The record digests were taken from the version 8
+# code, whose records versions 9 to 12 keep byte for byte. The file
+# digests were taken from the version 9 code once these held for each
+# instance: its records match the version 8 digest; every
 # table row's base is the brute-force distance from its root
 # (test_mssp.py); an instrumented build, which compares every inherited
 # tree with a fresh Dijkstra on its node's graph, saves the same bytes;
@@ -65,21 +65,27 @@ from tests.oracle_file import (
 # "version" 11, without each table's row of its ring vertex (which has no
 # chain, and the chained rows come before it) and with stats.stored_rows
 # less the ring count, was encoded the same way; the version 11 save()
-# writes exactly those bytes, and its to_json() is that document. Any
+# writes exactly those bytes, and its to_json() is that document. For
+# version 12 each instance's version 11 document, with "version" 12 and
+# without "stats", was encoded by tests/oracle_file.py, which no longer
+# writes the face_vertices column; the version 12 save() writes exactly
+# those bytes, an instrumented build with edge stats saves them too, and
+# its to_json() and its loaded oracle's are that document. The file holds
+# no build report, so no field is zeroed before a digest is taken. Any
 # change to these bytes is a format change and needs a version bump.
 GATE_DIGESTS = {
-    "grid8-outer": "8e2964ed7664fb9a5f5b9c56030089c086dbba51729899969c7bda5ba5f78cdb",
-    "grid16-outer": "9c4f6bd253ca238e198fd1aace23c6161d338c2a588f84949e8618fdc065f95a",
-    "random10-outer": "75c9146af9cf481a6ca5db8a15c83dfe7e29323bee4dbf83447e16a842630c33",
-    "bowtie-inner": "e3977c5005727a3b1fb1990a633ba5c028cbc4f3130f8b2a8536253a4c59bc4a",
-    "tri_oneway-inner": "df96471f75c371340de2364b1a8e65f518d17e8f0faf1fb191d99c67eba229de",
-    "grid32-outer": "8333691da416a754eab6b636df191d28b0f161acfd629b8283daf3a31acb8f83",
-    "grid16-oneway-inner": "004fba3b13de6fcd5a20fb04f02f843af3f03151f1da29b1d061c9a9e49767e6",
-    "random12-inner": "7b07066cfa2bab178775c2167845d8187c703ff14c43fd75b2decd0c7303064b",
+    "grid8-outer": "592a79a620c90fc24d5db6d7f3346e5dc80c46621484d9bf129faac2a348db5d",
+    "grid16-outer": "bcbd248f316689fb94a646d5bf812db0979b1a50b218261b072b405ebecee426",
+    "random10-outer": "5335b9c5eab8e2cb95734311f9d94ba7d109ba04e919974dfade5d00ea1ec7bc",
+    "bowtie-inner": "73204af5bc7d8961b0bca2e05230daf459f88fb1173e2f85d8a5a8cd62d18971",
+    "tri_oneway-inner": "ee11ac262f83649d22c86498be45c1a32dcc7dd55f672a563ce6a26c3d11a7cf",
+    "grid32-outer": "346e510b0e659cf063c036282e5007979206aa49ca6ea4ed3a1dd6f4147e06bd",
+    "grid16-oneway-inner": "544a8cc913b5b18bbdf20c2e46f41ec3c0754baef942566ad4824a40675ceb6f",
+    "random12-inner": "17c67cfd986d663e0addb8d253a1ac22150fe1b7b659c6bc9f40f1c9b5b96720",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "692af8e4ac0809809af9ce4081cab2e008bbdd4548e5858714c4400c4564db7f"
+    "grid64-outer", "e5ddcb3c643b6fd91c58323e2ca532f1b6712d3a9d91bd7c0216373071627273"
 )
 RECORD_DIGESTS = {
     "grid8-outer": "aab28276d0668819350fb930d9fda6cd4dad0a0089fc26eaf4a49746533bf214",
@@ -176,7 +182,6 @@ def test_saved_bytes_match_gate_digest(tmp_path, name):
     g, face, seed = gate_instance(name)
     norm = normalize(g, face, seed=seed)
     oracle = build(norm)
-    oracle.stats.build_seconds = 0.0
     path = tmp_path / "oracle.bin"
     oracle.save(str(path))
     data = saved(oracle)
@@ -186,23 +191,33 @@ def test_saved_bytes_match_gate_digest(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == GATE_DIGESTS[name]
     # the stored tables depend on position, not on the order children are built
     other = build_right_first(norm)
-    other.stats.build_seconds = 0.0
     assert saved(other) == data
+
+
+@pytest.mark.parametrize("name", ["grid8-outer", "random12-inner"])
+def test_equal_inputs_save_equal_bytes(name):
+    # the file holds no build report, so a plain build, an instrumented one
+    # that counts edge stats and one that makes its children right first
+    # save the same bytes, with no field zeroed
+    g, face, seed = gate_instance(name)
+    norm = normalize(g, face, seed=seed)
+    data = saved(build(norm))
+    assert saved(build(norm, collect_edge_stats=True, instrument=True)) == data
+    assert saved(build_right_first(norm)) == data
 
 
 def test_saved_bytes_match_gate_digest_large():
     name, digest = LARGE_GATE
     g, face, seed = gate_instance(name)
     oracle = build(normalize(g, face, seed=seed))
-    oracle.stats.build_seconds = 0.0
     data = saved(oracle)
     assert records_digest(oracle) == RECORD_DIGESTS[name]
     assert hashlib.sha256(data).hexdigest() == digest
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_eleven():
-    assert ORACLE_VERSION == 11
+def test_oracle_version_is_twelve():
+    assert ORACLE_VERSION == 12
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -212,91 +227,39 @@ def json_oracle_file(doc: dict) -> io.BytesIO:
     )
 
 
-def test_version_one_file_is_rejected():
+# what each earlier version held that this one does not, or held otherwise
+OLD_VERSIONS = {
+    1: "a JSON oracle file that still carried the ring cycle's arcs",
+    2: "a JSON oracle file with three tables per recursion node",
+    3: "a JSON oracle file; a binary file of another version says so too,"
+       " whatever its layout",
+    4: "tables and records in two sets of 12 columns",
+    5: "the same layout, with records no query reads",
+    6: "each distance's perturbation, the arc kinds and arcs no path reports",
+    7: "a record entry for each record tree's root and a table row, with base"
+       " -1, for each ring vertex a table's root does not reach",
+    8: "the layout of version 9, each root's table at the first node with the"
+       " root as an endpoint; which node stores it follows from the ring"
+       " count, not from the file, so read as version 9 it could give wrong"
+       " answers",
+    9: "the content of version 10 with every id int32 and every base int64,"
+       " and section entries without a typecode",
+    10: "each table's root row: its ring vertex, at base 0, with parent and"
+        " parent arc -1",
+    11: "the build report in the header and a face_vertices column",
+}
+
+
+@pytest.mark.parametrize(
+    "version, held", OLD_VERSIONS.items(), ids=[f"v{v}" for v in OLD_VERSIONS]
+)
+def test_file_of_an_earlier_version_is_rejected(version, held):
     doc = small_oracle().to_json()
-    doc["version"] = 1
-    with pytest.raises(VersionMismatchError):
-        load(json_oracle_file(doc))
-
-
-def test_version_two_file_is_rejected():
-    doc = small_oracle().to_json()
-    doc["version"] = 2
-    with pytest.raises(VersionMismatchError):
-        load(json_oracle_file(doc))
-
-
-def test_version_three_file_is_rejected():
-    doc = small_oracle().to_json()
-    doc["version"] = 3
-    with pytest.raises(VersionMismatchError, match="version 3"):
-        load(json_oracle_file(doc))
-    # a binary file of another version says so too, whatever its layout
-    with pytest.raises(VersionMismatchError, match="version 3"):
-        load_doc(doc)
-
-
-def test_version_four_file_is_rejected():
-    doc = small_oracle().to_json()
-    doc["version"] = 4
-    with pytest.raises(VersionMismatchError, match="version 4"):
-        load_doc(doc)
-
-
-def test_version_five_file_is_rejected():
-    # version 5 files have the same layout; they also hold records no
-    # query reads
-    doc = small_oracle().to_json()
-    doc["version"] = 5
-    with pytest.raises(VersionMismatchError, match="version 5"):
-        load_doc(doc)
-
-
-def test_version_six_file_is_rejected():
-    # version 6 files also held each distance's perturbation, the arc kinds
-    # and arcs no path reports
-    doc = small_oracle().to_json()
-    doc["version"] = 6
-    with pytest.raises(VersionMismatchError, match="version 6"):
-        load_doc(doc)
-
-
-def test_version_seven_file_is_rejected():
-    # version 7 files also held a record entry for each record tree's root
-    # and a table row, with base -1, for each ring vertex a table's root
-    # does not reach
-    doc = small_oracle().to_json()
-    doc["version"] = 7
-    with pytest.raises(VersionMismatchError, match="version 7"):
-        load_doc(doc)
-
-
-def test_version_eight_file_is_rejected():
-    # version 8 files have the layout of version 9 but store each root's
-    # table at the first node with the root as an endpoint; which node
-    # stores it follows from the ring count, not from the file, so a
-    # version 8 file read as version 9 could give wrong answers
-    doc = small_oracle().to_json()
-    doc["version"] = 8
-    with pytest.raises(VersionMismatchError, match="version 8"):
-        load_doc(doc)
-
-
-def test_version_nine_file_is_rejected():
-    # version 9 files hold the content of version 10 with every id int32
-    # and every base int64, and section entries without a typecode
-    doc = small_oracle().to_json()
-    doc["version"] = 9
-    with pytest.raises(VersionMismatchError, match="version 9"):
-        load_doc(doc)
-
-
-def test_version_ten_file_is_rejected():
-    # version 10 files also held each table's root row: its ring vertex,
-    # at base 0, with parent and parent arc -1
-    doc = small_oracle().to_json()
-    doc["version"] = 10
-    with pytest.raises(VersionMismatchError, match="version 10"):
+    doc["version"] = version
+    if version <= 3:
+        with pytest.raises(VersionMismatchError, match=rf"version {version}\b"):
+            load(json_oracle_file(doc))
+    with pytest.raises(VersionMismatchError, match=rf"version {version}\b"):
         load_doc(doc)
 
 
@@ -308,18 +271,6 @@ def test_header_without_a_version_number_is_corrupt():
     damaged = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
     with pytest.raises(CorruptFileError, match="no version number"):
         load(io.BytesIO(damaged))
-
-
-def test_header_stats_missing_a_field_or_not_an_object_is_rejected():
-    doc = small_oracle().to_json()
-    load_doc(doc)
-    del doc["stats"]["chain_elements"]
-    with pytest.raises(CorruptFileError, match="malformed header"):
-        load_doc(doc)
-    for stats in ([], "stats", 3, None):
-        doc["stats"] = stats
-        with pytest.raises(CorruptFileError, match="malformed header"):
-            load_doc(doc)
 
 
 def test_missing_terminal_table_is_rejected():
@@ -576,8 +527,8 @@ LOAD_RULES = {
         "columns", lambda c: c["tree_start"].insert(1, c["tree_start"].pop(2)),
         "tree nodes: offsets out of order",
     ),
-    "face-vertex-missing": (
-        "columns", lambda c: c["face_vertices"].pop(), "12 ring roots and 11 face vertices",
+    "no-ring-roots": (
+        "columns", lambda c: c["ring_roots"].clear(), "no ring roots",
     ),
     "ring-root-twice": (
         "columns", lambda c: c["ring_roots"].__setitem__(1, c["ring_roots"][0]),
@@ -611,6 +562,7 @@ LOAD_RULES = {
     "section-entry-of-three-fields": (
         "header", lambda h: h["sections"][0].pop(), "bad header entry for section ring_roots",
     ),
+    "seed-missing": ("header", lambda h: h.pop("seed"), "malformed header: KeyError"),
     "n-original-not-an-int": (
         "header", lambda h: h.update(n_original=16.0), "n_original, w_big and seed must be ints",
     ),

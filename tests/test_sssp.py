@@ -197,7 +197,7 @@ def test_inherited_trees_equal_fresh_trees_after_contraction(norm3):
             sssp_tree(g, r, [x for x in ring if x != r], adj=adj) for r in ends
         )
         h = g.copy([x for x in ring if x not in ends])
-        rec = contract_tree(h, select_trees(h, low, high), lambda aid: ())
+        rec = contract_tree(h, select_trees(h, low, high))
         root_of = dict(zip(rec.vertex, rec.root))
         contracted += len(root_of)
         child = out_adjacency(h)
