@@ -30,7 +30,6 @@ from .errors import (
     GraphError,
     MsspError,
     NegativeWeightError,
-    NotATreeError,
     PerturbationCollisionWarning,
     SelfLoopSlotError,
     UnreachableError,
@@ -76,7 +75,6 @@ __all__ = [
     "MsspOracle",
     "NegativeWeightError",
     "NormalizedInstance",
-    "NotATreeError",
     "PerturbationCollisionWarning",
     "SSSPTree",
     "SelfLoopSlotError",

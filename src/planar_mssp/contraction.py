@@ -11,17 +11,19 @@ the tree at u are reweighted by the in-tree distance delta(u) and arcs
 entering the tree anywhere but s are dropped.
 
 select_trees gives each tree as flat columns in depth-first order, root
-first. contract_tree takes all of a child's trees in one call: it checks
-every tree against the graph before it changes anything, then contracts
-the trees one after another, in selection order, with one walk around
-each (EmbeddedDigraph._merge_tree), which reweights, drops, merges the
-tree's slots into the root and keeps the cheapest arc out of the root
-per neighbour. Arcs into the root need no such pass: an arc into a member
-is dropped, so the ones left are the root's own, at most one per
-neighbour already. It returns the child's record columns, one entry per tree member (every
-tree vertex but the root): what queries later use to jump from a
-contracted vertex to its super-vertex, and what path expansion uses to
-re-inflate the jump into original arcs.
+first, built from t_low's columns; they are trees of the graph by
+construction, so contraction takes them as made. contract_tree takes all
+of a child's trees in one call: it reads each member's parent and tree arc
+off the member's dart, then contracts the trees one after another, in
+selection order, with one walk around each (EmbeddedDigraph._merge_tree),
+which reweights, drops, merges the tree's slots into the root and keeps
+the cheapest arc out of the root per neighbour. Arcs into the root need no
+such pass: an arc into a member is dropped, so the ones left are the
+root's own, at most one per neighbour already. It returns the child's
+record columns, one entry per tree member (every tree vertex but the
+root): what queries later use to jump from a contracted vertex to its
+super-vertex, and what path expansion uses to re-inflate the jump into
+original arcs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
-from .errors import GraphError, NotATreeError
+from .errors import GraphError
 from .sssp import SSSPTree, shared_forest
 
 
@@ -37,13 +39,13 @@ from .sssp import SSSPTree, shared_forest
 class SelectedTree:
     """One contractible tree as columns in depth-first order, root first.
 
-    The root's entry has parent -1, dart -1 and a zero delta. Every other
-    member has its tree parent, the dart at the member of the slot joining
-    it to that parent, and its in-tree distance from the root.
+    The root's entry has dart -1 and a zero delta. Every other member has
+    the dart at the member of the slot joining it to its tree parent, and
+    its in-tree distance from the root. The dart fixes the parent, the
+    vertex at its other end.
     """
 
     vertex: list[int]
-    parent: list[int]
     dart: list[int]
     dbase: list[int]
     dpert: list[int]
@@ -59,7 +61,9 @@ class Records:
 
     A tree's root has no entry: it stays in the graph. A member names its
     tree's root, the base of its delta, its tree parent (the root or
-    another member) and the arc id of the tree arc parent -> member.
+    another member) and the arc id of the tree arc parent -> member. With
+    d the member's tree dart, the parent sits at d ^ 1 and the tree arc
+    leaves it along d ^ 1, so its id is d ^ 1.
     """
 
     vertex: list[int]
@@ -74,16 +78,16 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
 
     t_low must be the tree rooted at the smaller ring index. A component
     root contributes the subtrees of exactly those children that pass the
-    clockwise test; roots with no passing child yield nothing. Parents and
+    clockwise test; roots with no passing child yield nothing. Darts and
     deltas come from t_low's columns: shared arcs are tree arcs of t_low,
-    so a member's delta is its t_low distance minus the root's.
+    so a member's dart is its t_low parent dart and its delta is its t_low
+    distance minus the root's.
     """
     forest = shared_forest(t_low, t_high)
     vertices = t_low.snap.vertices
     base = t_low.base
     pert = t_low.pert
     par_dart = t_low.par_dart
-    par_row = t_low.par_row
     high_dart = t_high.par_dart
     children = forest.children
     nxt = h._next
@@ -116,7 +120,6 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
         p0 = pert[r_s]
         out.append(SelectedTree(
             list(map(vertices.__getitem__, rows)),
-            [-1, *map(vertices.__getitem__, map(par_row.__getitem__, members))],
             [-1, *map(par_dart.__getitem__, members)],
             [b - b0 for b in map(base.__getitem__, rows)],
             [p - p0 for p in map(pert.__getitem__, rows)],
@@ -127,11 +130,10 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
 def contract_tree(h: EmbeddedDigraph, selected: list[SelectedTree]) -> Records:
     """Contract every selected tree into its root in place; record them all.
 
-    The trees must be vertex-disjoint. Each is checked against the graph
-    before any changes it: parents precede children, and each member's
-    dart d sits at the member while d ^ 1 sits at its parent and carries
-    the tree arc, whose id is therefore d ^ 1. Then each tree in turn
-    loses its arcs entering it anywhere but the root, has the arcs
+    The trees must be vertex-disjoint trees of h, as select_trees makes
+    them; nothing here checks that. Each member's parent and tree arc id
+    are read off its dart before any tree is merged. Then each tree in
+    turn loses its arcs entering it anywhere but the root, has the arcs
     leaving it reweighted by the member's delta, is merged into its root
     so the embedding survives, and keeps only the cheapest arc from the
     root to each neighbour; the arcs into the root are its own, already
@@ -139,44 +141,15 @@ def contract_tree(h: EmbeddedDigraph, selected: list[SelectedTree]) -> Records:
     the roots.
     """
     at = h._at
-    arc_at = h._arc
-    entry = h._entry
     rec = Records([], [], [], [], [])
-    placed: set[int] = set()  # vertices of the trees checked so far
     for tree in selected:
-        vertex, parent, dart = tree.vertex, tree.parent, tree.dart
-        n = len(vertex)
-        if not n:
-            raise NotATreeError("a tree needs a root")
-        if not len(parent) == len(dart) == len(tree.dbase) == len(tree.dpert) == n:
-            raise NotATreeError("tree columns disagree in length")
-        s = vertex[0]
-        if parent[0] != -1 or dart[0] != -1 or tree.dbase[0] or tree.dpert[0]:
-            raise NotATreeError("root must have no parent and no delta")
-        if s not in entry:
-            raise NotATreeError(f"root {s} is not in the graph")
-        seen = {s}
-        arcs: list[int] = []
-        for v, p, d in zip(vertex[1:], parent[1:], dart[1:]):
-            if p not in seen:
-                raise NotATreeError(f"parent of {v} does not precede it")
-            if d not in arc_at:
-                raise NotATreeError(f"tree dart of {v} is not in the graph")
-            arc = arc_at[d ^ 1]
-            if arc is None or at[d] != v or at[d ^ 1] != p:
-                raise NotATreeError(f"no tree arc from the parent of {v} to it")
-            seen.add(v)
-            arcs.append(arc[2])
-        if len(seen) != n:
-            raise NotATreeError(f"tree of root {s} lists a vertex twice")
-        if not placed.isdisjoint(seen):
-            raise NotATreeError(f"tree of root {s} shares a vertex with another tree")
-        placed |= seen
-        rec.vertex += vertex[1:]
-        rec.root += [s] * (n - 1)
+        # each member's tree dart at its parent, which holds the tree arc
+        up = [d ^ 1 for d in tree.dart[1:]]
+        rec.vertex += tree.vertex[1:]
+        rec.root += [tree.root] * len(up)
         rec.dbase += tree.dbase[1:]
-        rec.parent += parent[1:]
-        rec.arc += arcs
+        rec.parent += map(at.__getitem__, up)
+        rec.arc += up
     for tree in selected:
         h._merge_tree(tree.vertex, tree.dart, tree.dbase, tree.dpert)
     return rec

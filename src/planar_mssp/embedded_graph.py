@@ -42,7 +42,7 @@ the root go, and so do slots between two tree vertices, which would become
 loops; of the arcs from the root to one neighbour, only the least stays.
 Arcs into the root cannot clash: those that survive are the arcs of the
 root's own darts, and the graph held at most one per neighbour before the
-merge. contraction.contract_tree checks the tree first.
+merge. Nothing checks the tree: contraction.select_trees builds it.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class EmbeddedDigraph:
 
         dart[i] is, for every other tree vertex vertex[i], the dart at it of
         the slot joining it to its tree parent, and (dbase[i], dpert[i]) its
-        delta; the caller has checked that these form a tree. The walk is
+        delta; these must form a tree of the graph, unchecked. The walk is
         the tour around the tree: clockwise from the root, each dart
         leading down to a child is replaced by the child's darts after its
         own tree dart. On the way, each arc leaving the tree is reweighted

@@ -39,11 +39,6 @@ class UnreachableVertexError(MsspError):
     """A shortest-path tree failed to reach a vertex it was required to reach."""
 
 
-class NotATreeError(MsspError):
-    """A tree handed to contract_tree is not a tree of the graph, or shares
-    a vertex with another tree of the same call."""
-
-
 class BadRootIndexError(MsspError):
     """A query used a root index outside 0..N-1."""
 

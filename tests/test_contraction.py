@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from planar_mssp import (
+    GraphError,
     LexWeight,
-    NotATreeError,
     PerturbationCollisionWarning,
     build_graph,
     gen_grid,
@@ -50,8 +52,9 @@ def clockwise_between(rotation, d_from, d, d_to):
 
 
 def selection_outcomes(norm) -> set[bool]:
-    """Check every selected tree of norm's adjacent ring pairs; return the
-    clockwise test's outcomes over the forest roots' shared children."""
+    """Check every selected tree of norm's adjacent ring pairs, and the
+    records its contraction makes; return the clockwise test's outcomes
+    over the forest roots' shared children."""
     g = norm.graph
     trees = ring_trees(norm)
     ring = set(norm.ring_roots)
@@ -59,31 +62,41 @@ def selection_outcomes(norm) -> set[bool]:
     for i in range(len(trees) - 1):
         t_low, t_high = trees[i], trees[i + 1]
         forest = shared_forest(t_low, t_high)
+        vertices = t_low.snap.vertices
+        row_of = t_low.snap.row_of
         kept: dict[int, set[int]] = {}  # root -> its children that were kept
-        for sel in select_trees(g, t_low, t_high):
+        selected = select_trees(g, t_low, t_high)
+        for sel in selected:
             s = sel.root
-            assert t_low.snap.row_of[s] in forest.root_rows
+            assert row_of[s] in forest.root_rows
             assert not ring & set(sel.vertex)
             assert sel.vertex[0] == s
             assert len(sel.vertex) == len(set(sel.vertex))
-            assert (sel.parent[0], sel.dart[0], sel.dbase[0], sel.dpert[0]) == (-1, -1, 0, 0)
+            assert (sel.dart[0], sel.dbase[0], sel.dpert[0]) == (-1, 0, 0)
             seen = {s}
-            for v, parent, dart, db, dp in zip(
-                sel.vertex, sel.parent, sel.dart, sel.dbase, sel.dpert
-            ):
-                if v == s:
-                    continue
+            for v, dart, db, dp in zip(sel.vertex[1:], sel.dart[1:], sel.dbase[1:], sel.dpert[1:]):
+                assert g.dart_vertex(dart) == v
+                # the vertex at the dart's other end is v's t_low parent,
+                # and the tree arc into v leaves it along that end
+                parent = g.dart_vertex(dart ^ 1)
+                assert parent == vertices[t_low.par_row[row_of[v]]]
+                assert g.arc_into(dart)[2] == dart ^ 1
                 assert parent in seen  # parents precede children
                 seen.add(v)
-                assert g.dart_vertex(dart) == v
                 # delta is the in-tree distance, consistent with both trees
                 for t in (t_low, t_high):
                     assert t.dist[s] + LexWeight(db, dp) == t.dist[v]
                 if parent == s:
                     kept.setdefault(s, set()).add(v)
+        # each record names its member's t_low parent and tree arc
+        rec = contract_tree(g.copy(), selected)
+        assert rec.vertex == [v for sel in selected for v in sel.vertex[1:]]
+        for v, parent, arc in zip(rec.vertex, rec.parent, rec.arc):
+            row = row_of[v]
+            assert parent == vertices[t_low.par_row[row]]
+            assert arc == t_low.par_dart[row] ^ 1
         # a shared child is kept exactly when its dart at the root lies
         # clockwise after the root's t_high parent dart and before its t_low one
-        vertices = t_low.snap.vertices
         for r_s in forest.root_rows:
             s = vertices[r_s]
             rotation = g.rotation(s)
@@ -107,6 +120,19 @@ def test_selected_trees_structure(norm3, grid5):
     assert selection_outcomes(normalize(grid5[0], 1, seed=3)) == {True, False}
 
 
+def test_selection_rejects_parent_darts_on_two_rotations(norm3):
+    # t_high's parent dart at a forest root moved to a dart at another
+    # vertex: the walk from it never meets t_low's, and must stop
+    g = norm3.graph
+    t_low, t_high = ring_trees(norm3)[:2]
+    r_s = shared_forest(t_low, t_high).root_rows[0]
+    par_dart = t_high.par_dart[:]
+    par_dart[r_s] = t_low.par_dart[r_s] ^ 1
+    assert g.dart_vertex(par_dart[r_s]) != t_low.snap.vertices[r_s]
+    with pytest.raises(GraphError, match="not on one rotation"):
+        select_trees(g, t_low, replace(t_high, par_dart=par_dart))
+
+
 def test_selection_is_deterministic(norm3):
     g = norm3.graph
     trees = ring_trees(norm3)
@@ -128,7 +154,7 @@ TRIANGLE = [
 
 def two_vertex_tree():
     # contract vertex 1 into root 0 along the arc 0 -> 1 (slot 0, dart 1)
-    return SelectedTree([0, 1], [-1, 0], [-1, 1], [0, 2], [0, 0])
+    return SelectedTree([0, 1], [-1, 1], [0, 2], [0, 0])
 
 
 def test_contract_tree_effects():
@@ -171,60 +197,22 @@ def test_contract_tree_deletes_slots_inside_the_tree():
     assert list(g.arc_items()) == [(0, 2, (5, 0, 4))]
 
 
-def test_contract_tree_rejects_malformed_trees():
-    # the path 0 -> 1 -> 2 of TRIANGLE, listed with 2 before its parent 1
-    bad_order = SelectedTree([0, 2, 1], [-1, 1, 0], [-1, 3, 1], [0, 5, 2], [0, 0, 0])
-    with pytest.raises(NotATreeError, match="precede"):
-        contract_tree(build_graph(3, TRIANGLE), [bad_order])
-
-    short_order = SelectedTree([0, 1], [-1, 0], [-1], [0, 2], [0, 0])
-    with pytest.raises(NotATreeError, match="disagree"):
-        contract_tree(build_graph(3, TRIANGLE), [short_order])
-
-    rootless = SelectedTree([], [], [], [], [])
-    with pytest.raises(NotATreeError):
-        contract_tree(build_graph(3, TRIANGLE), [rootless])
-
-    cyclic = SelectedTree([0, 1], [1, 0], [-1, 1], [0, 2], [0, 0])
-    with pytest.raises(NotATreeError, match="root"):
-        contract_tree(build_graph(3, TRIANGLE), [cyclic])
-
-    absent_root = SelectedTree([7], [-1], [-1], [0], [0])
-    with pytest.raises(NotATreeError, match="not in the graph"):
-        contract_tree(build_graph(3, TRIANGLE), [absent_root])
-
-    twice = SelectedTree([0, 1, 1], [-1, 0, 0], [-1, 1, 1], [0, 2, 2], [0, 0, 0])
-    with pytest.raises(NotATreeError, match="twice"):
-        contract_tree(build_graph(3, TRIANGLE), [twice])
-
-    # every tree is checked before any is contracted: a bad second tree
-    # leaves the graph as it was
-    g = build_graph(3, TRIANGLE)
-    before = list(g.arc_items())
-    overlapping = SelectedTree([2, 1], [-1, 2], [-1, 2], [0, 4], [0, 0])
-    with pytest.raises(NotATreeError, match="another tree"):
-        contract_tree(g, [two_vertex_tree(), overlapping])
-    assert list(g.arc_items()) == before
-    assert sorted(g.vertices()) == [0, 1, 2]
-
-
 # ----------------------------------------------------------------------
 # two trees of one child, joined by slots
 
 
 def tree_along(g, root, edges, deltas):
     """A SelectedTree over (parent, child) edges listed parents first."""
-    vertex, parent, dart = [root], [-1], [-1]
+    vertex, dart = [root], [-1]
     for p, v in edges:
         d = next(
             d for d in g.rotation(v)
             if g.dart_vertex(d ^ 1) == p and g.arc_into(d) is not None
         )
         vertex.append(v)
-        parent.append(p)
         dart.append(d)
     return SelectedTree(
-        vertex, parent, dart, [0, *(b for b, _ in deltas)], [0, *(q for _, q in deltas)]
+        vertex, dart, [0, *(b for b, _ in deltas)], [0, *(q for _, q in deltas)]
     )
 
 

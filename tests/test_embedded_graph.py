@@ -153,6 +153,14 @@ def test_add_slot_checks_before_it_changes_anything():
     g.check()
 
 
+def test_add_vertex_rejects_a_present_vertex():
+    g = build_graph(3, TRI_ONEWAY_SLOTS)
+    before = graph_to_json(g)
+    with pytest.raises(GraphError, match="vertex 2 already present"):
+        g.add_vertex(2)
+    assert graph_to_json(g) == before
+
+
 def test_build_graph_validation():
     with pytest.raises(GraphError, match="out of range"):
         build_graph(2, [(0, 2, 0, 0, 1, 1)])

@@ -472,7 +472,7 @@ def test_instrument_rejects_a_ring_vertex_selected_for_contraction(monkeypatch, 
         selected = select(h, t_low, t_high)
         if not rings:
             rings.append(t_high.root)
-            selected.append(SelectedTree([t_high.root], [-1], [-1], [0], [0]))
+            selected.append(SelectedTree([t_high.root], [-1], [0], [0]))
         return selected
 
     monkeypatch.setattr(mssp, "select_trees", with_a_ring_tree)

@@ -354,6 +354,27 @@ def test_hostile_input_fails_typed(name):
             g.check()
 
 
+def break_rotation(g, rule: str) -> None:
+    """Break one rotation rule of g, a gen_grid(3) graph, in place."""
+    rot = g.rotation(4)
+    if rule == "does not sit at it":
+        g._entry[0] = rot[0]  # vertex 0's rotation starts at vertex 4
+    elif rule == "does not close":
+        g._next[rot[-1]] = rot[1]  # the walk from rot[0] never returns
+    else:
+        g._next[rot[0]] = rot[2]  # rot[1] is in no rotation
+
+
+@pytest.mark.parametrize("rule", ["does not sit at it", "does not close", "orphan darts"])
+def test_broken_rotation_fails_typed(rule):
+    g, outer = gen_grid(3, seed=1)
+    break_rotation(g, rule)
+    with pytest.raises(GraphError, match=rule):
+        normalize(g, outer, seed=1)
+    with pytest.raises(GraphError, match=rule):
+        g.check()
+
+
 def test_hand_built_graph_is_accepted():
     g = hand_graph(3, HAND_TRI)
     g.check()
