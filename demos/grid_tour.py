@@ -5,7 +5,7 @@ Run:  python3 demos/grid_tour.py
 
 from __future__ import annotations
 
-from planar_mssp import brute_distances, build, gen_grid, normalize
+from planar_mssp import UNREACHABLE, brute_distances, build, gen_grid, normalize
 
 
 def main() -> None:
@@ -32,16 +32,25 @@ def main() -> None:
         row = [oracle.distance(j, u) for u in range(g.vertex_count)]
         print(f"  from b_{j} (vertex {oracle.face_vertices[j]}): {row}")
 
-    # the same numbers the slow way, straight Dijkstra per source
+    # the same numbers the slow way, straight Dijkstra per source over
+    # (base, perturbation) weights; a base from W_big up is UNREACHABLE.
+    # Each reported path, from the spoke r_j -> b_j on, weighs exactly that
     snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
     ring = set(norm.ring_roots)
     agreements = 0
     for j in (0, far):
         src = norm.ring_roots[j]
         flat = brute_distances(snap, src, ring - {src})
+        spoke = next(a for a in norm.arcs.values() if a.tail == src)
         for u in range(g.vertex_count):
-            got = oracle.query_dist(j, u)
-            assert flat[u] == (got.base, got.perturb)
+            base, perturb = flat[u]
+            if base >= norm.w_big:
+                assert oracle.distance(j, u) is UNREACHABLE
+            else:
+                assert oracle.distance(j, u) == base
+                arcs = [norm.arcs[aid] for aid in oracle.query_path(j, u)]
+                assert sum(a.base for a in arcs) == base
+                assert spoke.perturb + sum(a.perturb for a in arcs) == perturb
             agreements += 1
     print(f"\nbrute-force cross-check: {agreements} answers, all equal")
 

@@ -49,7 +49,6 @@ from .normalize import (
     UNREACHABLE,
     ArcInfo,
     NormalizedInstance,
-    map_answer,
     normalize,
 )
 from .sssp import SSSPTree, sssp_tree
@@ -94,7 +93,6 @@ __all__ = [
     "graph_to_json",
     "load",
     "load_graph",
-    "map_answer",
     "normalize",
     "reverse_dart",
     "save_graph",

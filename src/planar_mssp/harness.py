@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .embedded_graph import EmbeddedDigraph, build_graph
 from .errors import UnreachableError
 from .mssp import MsspOracle, build
-from .normalize import ARC_ORIGINAL, ARC_SPOKE, UNREACHABLE, normalize
+from .normalize import ARC_ORIGINAL, ARC_SPOKE, UNREACHABLE, ArcInfo, normalize
 
 ArcTuple = tuple[int, int, int, int]  # (tail, head, base, perturb)
 
@@ -243,14 +243,34 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _path_weight(
+    oracle: MsspOracle, arcs: dict[int, ArcInfo], j: int, u: int, spoke_perturb: int
+) -> tuple[int, int] | None:
+    """The (base, perturbation) of query_path(j, u) over arcs, r_j's spoke
+    included; None if it raises UnreachableError or names an arc not in arcs."""
+    try:
+        path = oracle.query_path(j, u)
+    except UnreachableError:
+        return None
+    infos = list(map(arcs.get, path))
+    if None in infos:
+        return None
+    return sum(a.base for a in infos), spoke_perturb + sum(a.perturb for a in infos)
+
+
 def _check_path(
     oracle: MsspOracle,
+    arcs: dict[int, ArcInfo],
     j: int,
     u: int,
     expected: tuple[int, int],
     spoke_perturb: int,
 ) -> dict | None:
-    """Validate one reported path against the brute-force distance."""
+    """Validate one reported path against the brute-force distance.
+
+    The path's arcs are read from arcs, the normalized graph's, not from
+    the oracle's own table, so a damaged stored arc cannot vouch for it.
+    """
     if expected[0] >= oracle.w_big:
         try:
             oracle.query_path(j, u)
@@ -266,7 +286,7 @@ def _check_path(
     tb = 0
     tp = 0
     for aid in path:
-        a = oracle.arcs.get(aid)
+        a = arcs.get(aid)
         if a is None:
             return {"j": j, "u": u, "issue": f"unknown arc id {aid}"}
         if a.kind != ARC_ORIGINAL:
@@ -303,12 +323,16 @@ def verify(
 ) -> VerificationReport:
     """Build an oracle for (graph, face, seed) and check it end to end.
 
-    Distance answers (query_dist's full weight, and distance()'s base or
-    UNREACHABLE from w_big up) are compared against brute-force Dijkstra
-    for every (root, vertex) pair when ring_count * vertices <= 1e6 (or
-    always, with force_exhaustive), else for sample_pairs random pairs. Reported
-    paths are spot-checked for walk validity, simplicity, and weight.
-    instrument defaults to on for graphs up to 200 vertices.
+    Answers are compared against brute-force Dijkstra for every (root,
+    vertex) pair when ring_count * vertices <= 1e6 (or always, with
+    force_exhaustive), else for sample_pairs random pairs: distance()'s
+    base, or UNREACHABLE from w_big up, on every pair, and on each
+    reachable pair the full (base, perturbation) weight of query_path's
+    arcs, summed over norm.arcs, r_j's spoke included. The oracle stores
+    no perturbation, so an unreachable pair's is visible through no call
+    and is not compared. Reported paths are spot-checked for walk
+    validity, simplicity, and weight. instrument defaults to on for
+    graphs up to 200 vertices.
     """
     norm = normalize(graph, face, seed)
     if instrument is None:
@@ -365,18 +389,21 @@ def verify(
     report.brute_seconds = time.perf_counter() - t0
 
     w_big = norm.w_big
+    arcs = norm.arcs
     for j, us in pair_groups:
         bd = brutes[j]
         for u in us:
             expected = bd.get(u)
-            got = oracle.query_dist(j, u)
-            # distance() sums bases only; it must agree with the full weight
             got_base = oracle.distance(j, u)
             report.pairs_checked += 1
+            # a reachable pair's full weight, along its reported path
+            got = None
+            if expected is not None and expected[0] < w_big:
+                got = _path_weight(oracle, arcs, j, u, spoke_perturbs[j])
             if (
                 expected is None
-                or expected != (got.base, got.perturb)
                 or got_base != (UNREACHABLE if expected[0] >= w_big else expected[0])
+                or (expected[0] < w_big and got != expected)
             ):
                 report.mismatch_count += 1
                 if len(report.mismatches) < 50:
@@ -385,7 +412,7 @@ def verify(
                             "j": j,
                             "u": u,
                             "expected": list(expected) if expected else None,
-                            "got": [got.base, got.perturb],
+                            "got": list(got) if got else None,
                             "distance": repr(got_base),
                         }
                     )
@@ -398,7 +425,7 @@ def verify(
         if expected is None:
             continue
         report.path_checks += 1
-        failure = _check_path(oracle, j, u, expected, spoke_perturbs[j])
+        failure = _check_path(oracle, arcs, j, u, expected, spoke_perturbs[j])
         if failure is not None:
             report.path_failures.append(failure)
 

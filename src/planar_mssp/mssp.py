@@ -26,9 +26,8 @@ walk, expanding every arc's tail chain — the precomputed list of
 (record, vertex) hops between the arc's tail at contraction time and its
 original tail — deepest hop first, which yields original arc ids in path
 order with O(1) record probes per reported arc. The oracle stores bases
-only: a distance's perturbation, the tie-breaker that normalize adds, is
-the sum over the arcs of its path, so query_dist walks the path that
-query_path reports.
+only, no perturbation: normalize's tie-breaker makes shortest paths
+unique while they are built, and no query reads it.
 
 Everything stored is flat columns (_Columns), built and loaded alike.
 The K record tables and the N root tables are all trees over vertices
@@ -67,7 +66,7 @@ before the recursion (_IdWidths), and each block's bases at their
 narrowest, so that a concatenated column needs no scan where that width
 is int16 (_flat_columns).
 
-The oracle file is format "planar-mssp-oracle", version 12, little-endian:
+The oracle file is format "planar-mssp-oracle", version 13, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -140,12 +139,11 @@ from .errors import (
     UnreachableError,
     VersionMismatchError,
 )
-from .normalize import UNREACHABLE, ArcInfo, NormalizedInstance, arc_kind
+from .normalize import UNREACHABLE, NormalizedInstance, arc_kind
 from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
-from .weights import LexWeight
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 12
+ORACLE_VERSION = 13
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
@@ -173,7 +171,6 @@ _SECTIONS = (
     "arc_tail",
     "arc_head",
     "arc_base",
-    "arc_perturb",
     "record_key",  # K, increasing
     "tree_start",  # M + 1: each block's nodes
     "node_vertex",  # V; in each block the nodes with a tail chain first
@@ -243,6 +240,15 @@ def _concat(parts: Sequence[array]) -> array:
         else:
             out.fromlist(part.tolist())
     return out
+
+
+class StoredArc(NamedTuple):
+    """One arc of the oracle's arc table (MsspOracle.arcs)."""
+
+    tail: int
+    head: int
+    base: int
+    kind: str  # not stored: it follows from tail and base (normalize.arc_kind)
 
 
 class _Plan(NamedTuple):
@@ -553,7 +559,7 @@ class MsspOracle:
             cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_blocks,
             n_original, range(max(map(len, indexes))),
         )
-        self._arcs: dict[int, ArcInfo] | None = None
+        self._arcs: dict[int, StoredArc] | None = None
         # immutable once built, so queries stay safe from several threads
         self._plans = _descent_plans(n, self.records, self.tables)
         self._query_vertices, self.face_vertices = _check_tables(
@@ -566,8 +572,8 @@ class MsspOracle:
         return self._query_vertices
 
     @property
-    def arcs(self) -> dict[int, ArcInfo]:
-        """Arc id -> ArcInfo of the stored arcs, made on first use.
+    def arcs(self) -> dict[int, StoredArc]:
+        """Arc id -> StoredArc of the stored arcs, made on first use.
 
         Only the arcs of the normalized graph that some stored tree names
         as a parent arc are stored: every arc a path can report, not every
@@ -578,10 +584,8 @@ class MsspOracle:
             c = self._cols
             ring, w_big = self._ring_set, self.w_big
             arcs = self._arcs = {
-                aid: ArcInfo(tail, head, base, perturb, arc_kind(tail, base, ring, w_big))
-                for aid, tail, head, base, perturb in zip(
-                    c.arc_id, c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb
-                )
+                aid: StoredArc(tail, head, base, arc_kind(tail, base, ring, w_big))
+                for aid, tail, head, base in zip(c.arc_id, c.arc_tail, c.arc_head, c.arc_base)
             }
         return arcs
 
@@ -624,20 +628,6 @@ class MsspOracle:
             raise CorruptFileError(f"table {j} holds no row for vertex {u}")
         return node, acc + bases[node]
 
-    def query_dist(self, j: int, u: int) -> LexWeight:
-        """Exact normalized-graph distance from r_j to u as a LexWeight.
-
-        The file stores bases only, so the perturbation is summed over the
-        arcs of u's path, r_j's spoke included: a call walks the path and
-        costs O(path length), where distance() costs O(descent depth). It
-        answers for unreachable vertices too (base w_big or more). Apply
-        map_answer (or use distance()) to interpret the result in
-        original-graph terms.
-        """
-        path, base = self._walked(j, u, False)
-        arcs = self.arcs
-        return LexWeight(base, sum(arcs[a].perturb for a in path))
-
     def distance(self, j: int, u: int):
         """Base distance from b_j to u in the original graph, or UNREACHABLE."""
         _, base = self._descend(j, u)
@@ -660,21 +650,13 @@ class MsspOracle:
         )
 
     def query_path(self, j: int, u: int) -> list[int]:
-        """Original arc ids of the unique shortest b_j-to-u path."""
-        path, _ = self._walked(j, u, True)
-        # the first arc is r_j's spoke
-        return path[1:]
+        """Original arc ids of the unique shortest b_j-to-u path.
 
-    def _walked(self, j: int, u: int, reachable: bool) -> tuple[list[int], int]:
-        """Descend for (j, u), then walk u's shortest path from r_j.
-
-        Returns the path's arc ids, r_j's spoke first, and the base of its
-        distance. If reachable is set, an unreachable u raises
-        UnreachableError before any walk.
+        An unreachable u raises UnreachableError before any walk.
         """
         hits: list[tuple[int, int]] = []
         node, base = self._descend(j, u, hits)
-        if reachable and base >= self.w_big:
+        if base >= self.w_big:
             raise UnreachableError(
                 f"vertex {u} is not reachable from face vertex {self.face_vertices[j]}"
             )
@@ -691,7 +673,8 @@ class MsspOracle:
         except RecursionError as exc:
             # chains nest one level per record; only a damaged file nests deeper
             raise CorruptFileError("tail chains of the path expand into each other") from exc
-        return out, base
+        # the first arc is r_j's spoke
+        return out[1:]
 
     def _walk(self, block: tuple, v: int, out: list[int]) -> None:
         """Append the arcs of a block's tree path from its root to vertex v.
@@ -766,7 +749,7 @@ class MsspOracle:
         """The oracle's content as one logical JSON document.
 
         Each tree's nodes in the file's block order: header values, "arcs"
-        as [id, tail, head, base, perturb], "tables" as one [j, vertices,
+        as [id, tail, head, base], "tables" as one [j, vertices,
         base, par_v, par_arc, chains] per root, where chains lists [row,
         [[midpoint, side, vertex], ...]], and "records" as [midpoint, side,
         entries] per record table, each entry [vertex, root, delta base,
@@ -810,17 +793,13 @@ class MsspOracle:
             "seed": self.seed,
             "ring_roots": list(self.ring_roots),
             "face_vertices": list(self.face_vertices),
-            "arcs": [
-                list(arc) for arc in zip(
-                    c.arc_id, c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb
-                )
-            ],
+            "arcs": [list(arc) for arc in zip(c.arc_id, c.arc_tail, c.arc_head, c.arc_base)],
             "tables": tables,
             "records": records,
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 12) to a path or binary file object.
+        """Write the oracle file (format version 13) to a path or binary file object.
 
         Each column is written as it is held, at the narrowest typecode that
         holds its values, which build chose and load kept.
@@ -921,7 +900,7 @@ def _check_columns(c: _Columns) -> None:
     if len(set(c.ring_roots)) != n:
         raise CorruptFileError("a ring root is listed twice")
     arcs = len(c.arc_id)
-    if any(len(col) != arcs for col in (c.arc_tail, c.arc_head, c.arc_base, c.arc_perturb)):
+    if any(len(col) != arcs for col in (c.arc_tail, c.arc_head, c.arc_base)):
         raise CorruptFileError("arc columns differ in length")
     start = c.tree_start
     k = len(c.record_key)
@@ -1125,12 +1104,10 @@ def _flat_columns(
 
     ids = sorted(set(c.node_arc))
     at, arc_at = norm.graph._at, norm.graph._arc
-    arcs = list(map(arc_at.__getitem__, ids))
     c.arc_id = _fitted(ids)
     c.arc_tail = _fitted([at[d] for d in ids])
     c.arc_head = _fitted([at[d ^ 1] for d in ids])
-    c.arc_base = _fitted([a[0] for a in arcs])
-    c.arc_perturb = _fitted([a[1] for a in arcs])
+    c.arc_base = _fitted([arc_at[d][0] for d in ids])
     return c
 
 

@@ -17,8 +17,8 @@ Ring vertices are enumerated by the first appearance of their face vertex
 along the face walk, in the orbit order of ``face_walks`` (face kept on
 the walk's left, so the rest of the graph is on its right).
 
-``map_answer`` folds a query result back to original-graph terms: any base
-distance reaching W_big means the target is unreachable in the input.
+A distance whose base reaches W_big uses a reverse arc, so its target is
+unreachable in the input: the oracle's ``distance`` answers UNREACHABLE.
 
 The normalized graph is the whole instance: ``normalize`` builds no arc
 table. ``NormalizedInstance.arcs``, arc id -> ArcInfo, is derived from the
@@ -63,7 +63,6 @@ from typing import NamedTuple
 
 from .embedded_graph import EmbeddedDigraph, reverse_dart
 from .errors import DisconnectedInputError, FaceNotFoundError, GraphError
-from .weights import LexWeight
 
 # path base weights must stay well inside 64-bit range for table storage
 _MAX_PATH_BASE = 1 << 62
@@ -96,17 +95,6 @@ class _Unreachable:
 
 
 UNREACHABLE = _Unreachable()
-
-
-def map_answer(d: LexWeight, w_big: int):
-    """Fold a normalized-graph distance back to the original graph.
-
-    Returns the base distance, or UNREACHABLE when the distance relies
-    on augmentation arcs (base >= w_big).
-    """
-    if d.base >= w_big:
-        return UNREACHABLE
-    return d.base
 
 
 @dataclass

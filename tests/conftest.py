@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from planar_mssp import build, build_graph, gen_grid, mssp, normalize
+from planar_mssp import UnreachableError, build, build_graph, gen_grid, mssp, normalize
 
 # verdict lines queued by the acceptance tests; printed after capture
 # ends so they are visible in every pytest run
@@ -109,6 +109,26 @@ BOWTIE_SLOTS = [
     (3, 4, 1, 0, 1, 1),
     (4, 0, 1, 1, 1, 1),
 ]
+
+
+def answers(oracle, j: int, u: int) -> tuple:
+    """distance(j, u) and query_path(j, u), the path None where query_path
+    raises UnreachableError. Equal paths weigh the same, perturbations
+    included, so oracles whose answers agree agree on the full weight of
+    every reachable pair."""
+    try:
+        path = oracle.query_path(j, u)
+    except UnreachableError:
+        path = None
+    return oracle.distance(j, u), path
+
+
+def path_weight(norm, oracle, j: int, u: int) -> tuple[int, int]:
+    """The (base, perturbation) of r_j's spoke and query_path(j, u)'s arcs,
+    read from norm.arcs: u's full distance from r_j."""
+    spoke = norm.arcs[norm.graph.rotation(norm.ring_roots[j])[0]]
+    arcs = [norm.arcs[aid] for aid in oracle.query_path(j, u)]
+    return sum(a.base for a in arcs), spoke.perturb + sum(a.perturb for a in arcs)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
-"""An independent writer of oracle files (format version 12), for tests.
+"""An independent writer of oracle files (format version 13), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the
 README describes. It shares no code with the package's save(), so a test
 can damage a document the way a broken writer would and load the result.
-Version 12 is version 11 without the header's build report ("stats") and
+Version 13 is version 12 without the arc_perturb column: each stored arc
+is [id, tail, head, base], with no perturbation. Version 12 is version 11 without the header's build report ("stats") and
 without the face_vertices column: a root's face vertex is the vertex of
 its table's one row whose parent is its ring vertex, so the document's
 "face_vertices" are not written. Version 11 is version 10 without each
@@ -49,10 +50,10 @@ import zlib
 
 MAGIC = b"\x89MSSP\r\n\x1a"
 NODE = ("node_vertex", "node_base", "node_parent", "node_arc")
-ARC = ("arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb")
+ARC = ("arc_id", "arc_tail", "arc_head", "arc_base")
 COLUMNS = (
     "ring_roots",
-    "arc_id", "arc_tail", "arc_head", "arc_base", "arc_perturb",
+    "arc_id", "arc_tail", "arc_head", "arc_base",
     "record_key", "tree_start",
     "node_vertex", "node_base", "node_parent", "node_arc", "record_root",
     "tree_chain_start", "chain_hop_start", "hop_key", "hop_vertex",

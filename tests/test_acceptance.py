@@ -43,7 +43,13 @@ from planar_mssp import (
     normalize,
     verify,
 )
-from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, acceptance_lines, build_right_first
+from tests.conftest import (
+    BOWTIE_SLOTS,
+    TRI_ONEWAY_SLOTS,
+    acceptance_lines,
+    answers,
+    build_right_first,
+)
 from tests.test_persistence import oneway_grid
 
 GRID_SIDES = range(2, 13)
@@ -245,17 +251,12 @@ def test_criterion_6_contraction_safety_and_order_independence():
         verts = sorted(left.query_vertices)
         for j in range(left.ring_count):
             for u in verts:
-                assert left.query_dist(j, u) == right.query_dist(j, u)
+                assert answers(left, j, u) == answers(right, j, u)
                 compared += 1
-        rng = random.Random(f"order:{instances}")
-        for _ in range(25):
-            j = rng.randrange(left.ring_count)
-            u = verts[rng.randrange(len(verts))]
-            assert left.query_path(j, u) == right.query_path(j, u)
     announce(
         f"[PRIMARY 6] contraction safety and order independence:"
-        f" {instances} instances, {compared} distances and"
-        f" {instances * 25} paths compared across recursion orders: PASS"
+        f" {instances} instances, {compared} distances and paths"
+        f" compared across recursion orders: PASS"
     )
 
 
@@ -289,20 +290,15 @@ def test_criterion_7_save_load_round_trip():
         verts = sorted(oracle.query_vertices)
         for j in range(oracle.ring_count):
             for u in verts:
-                assert loaded.query_dist(j, u) == oracle.query_dist(j, u)
+                assert answers(loaded, j, u) == answers(oracle, j, u)
                 compared += 1
-        rng = random.Random(f"roundtrip:{k}:{seed}")
-        for _ in range(20):
-            j = rng.randrange(oracle.ring_count)
-            u = verts[rng.randrange(len(verts))]
-            assert loaded.query_path(j, u) == oracle.query_path(j, u)
         again = io.BytesIO()
         loaded.save(again)
         assert again.getvalue() == buf.getvalue()
         instances += 1
     announce(
         f"[PRIMARY 7] persistence round-trip: {instances} instances,"
-        f" {compared} distances re-answered identically,"
+        f" {compared} distances and paths re-answered identically,"
         f" re-saves byte-identical: PASS"
     )
 

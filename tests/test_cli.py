@@ -10,6 +10,7 @@ import pytest
 
 from planar_mssp import FaceNotFoundError, build, build_graph, load, load_graph, normalize
 from planar_mssp.cli import _face_index, main
+from tests.conftest import answers
 from tests.test_mssp import GRID3_DIST
 
 
@@ -151,7 +152,7 @@ def test_face_by_vertex_list_and_index(tmp_path, grid3_files, capsys):
     a = load(str(o))
     b = load(str(by_list))
     assert a.face_vertices == b.face_vertices
-    assert a.query_dist(0, 8) == b.query_dist(0, 8)
+    assert answers(a, 0, 8) == answers(b, 0, 8)
 
     _, stored = load_graph(str(g))
     by_index = tmp_path / "by-index.json"
@@ -160,7 +161,7 @@ def test_face_by_vertex_list_and_index(tmp_path, grid3_files, capsys):
         "--face", str(stored), "--seed", "1",
     ]) == 0
     c = load(str(by_index))
-    assert a.query_dist(3, 4) == c.query_dist(3, 4)
+    assert answers(a, 3, 4) == answers(c, 3, 4)
 
 
 def test_face_errors(tmp_path, grid3_files, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_mssp import (
-    LexWeight,
     MsspOracle,
     UnreachableError,
     brute_distances,
@@ -177,23 +177,27 @@ def test_verify_random_instances(seed, tenths):
 
 
 def test_verify_fails_on_distances_off_by_one(monkeypatch, grid3):
-    query_dist = MsspOracle.query_dist
-    monkeypatch.setattr(
-        MsspOracle, "query_dist",
-        lambda self, j, u: query_dist(self, j, u) + LexWeight(1, 0),
-    )
+    distance = MsspOracle.distance
+    monkeypatch.setattr(MsspOracle, "distance", lambda self, j, u: distance(self, j, u) + 1)
     report = verify(*grid3, seed=1, path_checks=10)
     assert not report.passed
     assert report.mismatch_count == report.pairs_checked
     m = report.mismatches[0]
-    assert m["got"] == [m["expected"][0] + 1, m["expected"][1]]
+    # the path still weighs the brute-force distance; distance() does not
+    assert m["got"] == m["expected"]
+    assert m["distance"] == repr(m["expected"][0] + 1)
     assert {m["j"], m["u"]} <= set(range(9))
     text = report.format_text()
     assert f"mismatch {m}" in text and "result: FAIL" in text
 
 
 _QUERY_PATH = MsspOracle.query_path
-_ARCS = MsspOracle.arcs.fget
+
+
+@functools.cache
+def _reweighted_grid3():
+    """grid3's oracle for other weights: the same darts, rings and faces."""
+    return build(normalize(*gen_grid(3, seed=2), seed=1))
 
 
 def _no_path(self, j, u):
@@ -207,77 +211,103 @@ def _path_or_nothing(self, j, u):
         return []
 
 
-def _arcs_with(change):
-    """The arcs property, with change applied to each arc's ArcInfo."""
-    return property(lambda self: {aid: change(a) for aid, a in _ARCS(self).items()})
+def _spoke(oracle, j):
+    return next(aid for aid, a in oracle.arcs.items() if a.tail == oracle.ring_roots[j])
 
 
-def _weight_issue(oracle, j, u, path):
-    if not path:
+def _there_and_back(self, j, u):
+    """The path after a step along its first arc and back (grid3 has both)."""
+    path = _QUERY_PATH(self, j, u)
+    return [path[0], path[0] ^ 1, *path] if path else path
+
+
+def _weight_issue(norm, j, u, path):
+    """The judge's issue with the reweighted grid's path to u, if it is another."""
+    other = _QUERY_PATH(_reweighted_grid3(), j, u)
+    if other == path:
         return None
-    base = sum(oracle.arcs[a].base for a in path)
-    perturb = sum(oracle.arcs[a].perturb for a in path)
-    return f"path weight ({base + len(path)}, {perturb}) does not match ({base}, {perturb})"
+    got, want = ([norm.arcs[a] for a in p] for p in (other, path))
+    tb, tp = sum(a.base for a in got), sum(a.perturb for a in got)
+    base, perturb = sum(a.base for a in want), sum(a.perturb for a in want)
+    return f"path weight ({tb}, {tp}) does not match ({base}, {perturb})"
 
 
-# each case: the instance, the member of MsspOracle patched, its stand-in,
-# and the issue the judge must report for (j, u) given the true path from
-# b_j to u (None for an unreachable u), or None when that path passes
-@pytest.mark.parametrize(("instance", "member", "patch", "issue"), [
+# each case: the instance, the stand-in for MsspOracle.query_path, the
+# issue the judge must report for (j, u) given the normalized instance
+# and the true path from b_j to u (None for an unreachable u), or None
+# when that path passes, and whether the per-pair check, which weighs each
+# reachable pair's query_path, finds mismatches too
+@pytest.mark.parametrize(("instance", "patch", "issue", "mismatched"), [
     pytest.param(
-        "grid3", "query_path", _no_path,
-        lambda oracle, j, u, path: "unexpected UnreachableError",
+        "grid3", _no_path,
+        lambda norm, j, u, path: "unexpected UnreachableError", True,
         id="unexpected-unreachable",
     ),
     pytest.param(
-        "tri_oneway", "query_path", _path_or_nothing,
-        lambda oracle, j, u, path: "expected UnreachableError" if path is None else None,
+        "tri_oneway", _path_or_nothing,
+        lambda norm, j, u, path: "expected UnreachableError" if path is None else None, False,
         id="unreachable-not-raised",
     ),
     pytest.param(
-        "grid3", "query_path", lambda self, j, u: _QUERY_PATH(self, j, u)[:-1],
-        lambda oracle, j, u, path: f"path ends at {oracle.arcs[path[-1]].tail}" if path else None,
+        "grid3", lambda self, j, u: _QUERY_PATH(self, j, u)[:-1],
+        lambda norm, j, u, path: f"path ends at {norm.arcs[path[-1]].tail}" if path else None,
+        True,
         id="last-arc-dropped",
     ),
     pytest.param(
-        "grid3", "query_path", lambda self, j, u: [*_QUERY_PATH(self, j, u), 10**9],
-        lambda oracle, j, u, path: f"unknown arc id {10**9}",
+        "grid3", lambda self, j, u: [*_QUERY_PATH(self, j, u), 10**9],
+        lambda norm, j, u, path: f"unknown arc id {10**9}", True,
         id="unknown-arc",
     ),
     pytest.param(
-        "grid3", "arcs", _arcs_with(lambda a: a._replace(kind=ARC_SPOKE)),
-        lambda oracle, j, u, path: f"arc {path[0]} has kind {ARC_SPOKE}" if path else None,
+        "grid3", lambda self, j, u: [_spoke(self, j), *_QUERY_PATH(self, j, u)],
+        lambda norm, j, u, path: (
+            f"arc {norm.graph.rotation(norm.ring_roots[j])[0]} has kind {ARC_SPOKE}"
+        ),
+        True,
         id="wrong-kind",
     ),
     pytest.param(
-        "grid3", "query_path", lambda self, j, u: _QUERY_PATH(self, j, u)[::-1],
-        lambda oracle, j, u, path: (
-            f"arc {path[-1]} breaks the walk at {oracle.face_vertices[j]}"
+        "grid3", lambda self, j, u: _QUERY_PATH(self, j, u)[::-1],
+        lambda norm, j, u, path: (
+            f"arc {path[-1]} breaks the walk at {norm.face_vertices[j]}"
             if len(path) > 1 else None
         ),
+        False,
         id="broken-walk",
     ),
     pytest.param(
-        "grid3", "arcs", _arcs_with(lambda a: a._replace(head=a.tail)),
-        lambda oracle, j, u, path: f"vertex {oracle.face_vertices[j]} repeated" if path else None,
+        "grid3", _there_and_back,
+        lambda norm, j, u, path: f"vertex {norm.face_vertices[j]} repeated" if path else None,
+        True,
         id="repeated-vertex",
     ),
     pytest.param(
-        "grid3", "arcs", _arcs_with(lambda a: a._replace(base=a.base + 1)), _weight_issue,
+        "grid3", lambda self, j, u: _QUERY_PATH(_reweighted_grid3(), j, u),
+        _weight_issue, True,
         id="wrong-weight",
     ),
 ])
-def test_verify_path_judge_reports_each_issue(monkeypatch, instance, member, patch, issue):
+def test_verify_path_judge_reports_each_issue(
+    monkeypatch, instance, patch, issue, mismatched
+):
     if instance == "grid3":
         graph, face, seed = *gen_grid(3, seed=1), 1
     else:
         graph, face, seed = build_graph(3, TRI_ONEWAY_SLOTS), 0, 0
-    oracle = build(normalize(graph, face, seed=seed))
-    monkeypatch.setattr(MsspOracle, member, patch)
+    norm = normalize(graph, face, seed=seed)
+    oracle = build(norm)
+    monkeypatch.setattr(MsspOracle, "query_path", patch)
     report = verify(graph, face, seed=seed, path_checks=30)
     monkeypatch.undo()
     assert report.passed is False
-    assert report.mismatch_count == 0 and report.path_failures
+    assert report.path_failures
+    # the judge reads the arcs of norm.arcs, and so does the per-pair
+    # weight check, which now weighs every reachable pair's query_path:
+    # a patch that changes a path's weight fails it too, but distance()
+    # is not patched
+    assert (report.mismatch_count > 0) == mismatched
+    assert all(m["distance"] == repr(m["expected"][0]) for m in report.mismatches)
     text = report.format_text()
     for failure in report.path_failures:
         j, u = failure["j"], failure["u"]
@@ -285,6 +315,6 @@ def test_verify_path_judge_reports_each_issue(monkeypatch, instance, member, pat
             path = oracle.query_path(j, u)
         except UnreachableError:
             path = None
-        assert failure["issue"] == issue(oracle, j, u, path)
+        assert failure["issue"] == issue(norm, j, u, path)
         assert f"path failure {failure}" in text
     assert "result: FAIL" in text

@@ -35,10 +35,16 @@ from planar_mssp import (
 )
 from planar_mssp import mssp
 from planar_mssp.contraction import SelectedTree
-from planar_mssp.normalize import ARC_ORIGINAL, map_answer
-from tests.conftest import TRI_ONEWAY_SLOTS, build_right_first, schedule_children
+from planar_mssp.normalize import ARC_ORIGINAL
+from tests.conftest import (
+    TRI_ONEWAY_SLOTS,
+    answers,
+    build_right_first,
+    path_weight,
+    schedule_children,
+)
 from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
-from tests.test_persistence import GATE_DIGESTS, gate_instance, oneway_grid
+from tests.test_persistence import GATE_DIGESTS, gate_instance
 
 from planar_mssp import build_graph
 
@@ -84,20 +90,9 @@ def test_grid3_distances_exact(oracle3):
             assert oracle3.distance(j, u) == GRID3_DIST[b][u], (j, b, u)
 
 
-def test_query_dist_carries_perturbation(oracle3, norm3):
-    for j, b in enumerate(oracle3.face_vertices):
-        d = oracle3.query_dist(j, b)
-        # distance to the root's own face vertex is the spoke alone
-        spoke = next(
-            a for a in norm3.arcs.values()
-            if a.kind == "spoke" and a.tail == norm3.ring_roots[j]
-        )
-        assert (d.base, d.perturb) == (0, spoke.perturb)
-
-
 def test_query_argument_validation(oracle3):
     ring_vertex = oracle3.ring_roots[0]
-    for ask in (oracle3.query_dist, oracle3.distance, oracle3.query_path, oracle3.explain):
+    for ask in (oracle3.distance, oracle3.query_path, oracle3.explain):
         for bad in (-1, 8, 10**9, True, "0"):
             with pytest.raises(BadRootIndexError):
                 ask(bad, 0)
@@ -111,7 +106,7 @@ def test_query_argument_validation(oracle3):
 @pytest.mark.parametrize("bad", (True, 1.0, [1]), ids=("bool", "float", "list"))
 def test_query_vertex_that_is_not_an_int_is_rejected(oracle3, bad):
     # True and 1.0 hash as vertex 1, and a list does not hash at all
-    for ask in (oracle3.distance, oracle3.query_dist, oracle3.query_path, oracle3.explain):
+    for ask in (oracle3.distance, oracle3.query_path, oracle3.explain):
         with pytest.raises(FaceVertexQueryError, match="not an int"):
             ask(0, bad)
 
@@ -135,17 +130,16 @@ def test_paths_are_shortest_contiguous_and_simple(oracle3, norm3):
             assert sum(i.base for i in infos) == GRID3_DIST[b][u]
 
 
-def test_path_perturbation_sums_to_query_dist(oracle3, norm3):
-    for j, b in enumerate(oracle3.face_vertices):
-        spoke = next(
-            a for a in norm3.arcs.values()
-            if a.kind == "spoke" and a.tail == norm3.ring_roots[j]
-        )
+def test_path_perturbation_sums_to_brute_force(oracle3, norm3):
+    # the spoke's perturbation plus that of the path's arcs, read from
+    # norm.arcs, is the full distance from r_j; for u = b_j the path is
+    # empty and the spoke alone is the distance
+    snap = [(tail, head, a[0], a[1]) for tail, head, a in norm3.graph.arc_items()]
+    ring = set(norm3.ring_roots)
+    for j, r in enumerate(norm3.ring_roots):
+        expected = brute_distances(snap, r, ring - {r})
         for u in range(9):
-            d = oracle3.query_dist(j, u)
-            infos = [norm3.arcs[aid] for aid in oracle3.query_path(j, u)]
-            assert sum(i.base for i in infos) == d.base
-            assert spoke.perturb + sum(i.perturb for i in infos) == d.perturb
+            assert path_weight(norm3, oracle3, j, u) == expected[u], (j, u)
 
 
 def test_one_way_triangle_unreachable():
@@ -159,6 +153,7 @@ def test_one_way_triangle_unreachable():
     assert oracle.distance(by_vertex[1], 0) is UNREACHABLE
     assert oracle.distance(by_vertex[2], 0) is UNREACHABLE
     assert oracle.distance(by_vertex[2], 1) is UNREACHABLE
+    assert repr(UNREACHABLE) == "UNREACHABLE"
     assert oracle.query_path(by_vertex[0], 2) == [4]
     with pytest.raises(UnreachableError):
         oracle.query_path(by_vertex[1], 0)
@@ -588,30 +583,6 @@ def test_explain_follows_the_descent(oracle5):
             assert ex.hits == hits
 
 
-def test_distance_is_map_answer_of_query_dist():
-    # query_dist's perturbation is summed along the walked path; here it is
-    # exact against brute force on every pair, unreachable ones included,
-    # where query_path raises
-    g, face = oneway_grid(16)
-    norm = normalize(g, face, seed=7)
-    oracle = build(norm)
-    snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
-    ring = set(norm.ring_roots)
-    unreachable = 0
-    for j, r in enumerate(norm.ring_roots):
-        expected = brute_distances(snap, r, ring - {r})
-        for u in sorted(oracle.query_vertices):
-            full = oracle.query_dist(j, u)
-            assert (full.base, full.perturb) == expected[u], (j, u)
-            got = oracle.distance(j, u)
-            assert got == map_answer(full, oracle.w_big), (j, u)
-            if got is UNREACHABLE:
-                unreachable += 1
-                with pytest.raises(UnreachableError):
-                    oracle.query_path(j, u)
-    assert unreachable > 0
-
-
 def test_probe_budget(norm5, counted_lookups):
     # a path query looks up a vertex in a record or table at most
     # 2 * ceil(log2 N) + 4 times more than it reports arcs
@@ -630,16 +601,15 @@ def test_exactness_on_5x5_against_brute(oracle5, norm5):
     for j, r in enumerate(norm5.ring_roots):
         expected = brute_distances(snap, r, ring - {r})
         for u in range(norm5.n_original):
-            got = oracle5.query_dist(j, u)
-            assert (got.base, got.perturb) == expected[u], (j, u)
+            assert oracle5.distance(j, u) == expected[u][0], (j, u)
+            assert path_weight(norm5, oracle5, j, u) == expected[u], (j, u)
 
 
 def test_build_order_independence(norm3, oracle3):
     other = build_right_first(norm3)
     for j in range(oracle3.ring_count):
         for u in range(9):
-            assert oracle3.query_dist(j, u) == other.query_dist(j, u)
-            assert oracle3.query_path(j, u) == other.query_path(j, u)
+            assert answers(oracle3, j, u) == answers(other, j, u)
     # the stored tables depend on position, not on visit order
     assert oracle3.to_json() == other.to_json()
 
@@ -650,10 +620,11 @@ def test_build_determinism(norm3, oracle3):
 
 def test_queries_from_several_threads_match_serial_answers():
     # a built oracle is read-only apart from its arcs dict, made on first
-    # use, which query_dist reads; four threads race that and every query,
-    # switching often; the serial answers come from a twin, so the dict is
-    # first made in the race. The oracle stores the arcs its trees name,
-    # each as the normalized graph has it
+    # use, which no query reads; four threads race its first making against
+    # every distance and path query, switching often; the serial answers
+    # come from a twin, so the dict is first made in the race. The oracle
+    # stores the arcs its trees name, each as the normalized graph has it,
+    # less the perturbation
     g, outer = gen_grid(8, seed=0)
     norm = normalize(g, outer, seed=0)
     oracle, twin = build(norm), build(norm)
@@ -661,16 +632,19 @@ def test_queries_from_several_threads_match_serial_answers():
     stored = set(twin._cols.arc_id)
     assert stored < norm.arcs.keys()
     serial = (
-        [twin.query_dist(j, u) for j, u in pairs],
+        [twin.distance(j, u) for j, u in pairs],
         [twin.query_path(j, u) for j, u in pairs],
-        {aid: info for aid, info in norm.arcs.items() if aid in stored},
+        {
+            aid: (info.tail, info.head, info.base, info.kind)
+            for aid, info in norm.arcs.items() if aid in stored
+        },
     )
     start = threading.Barrier(4)
 
-    def answers(_):
+    def race(_):
         start.wait(timeout=30)
         return (
-            [oracle.query_dist(j, u) for j, u in pairs],
+            [oracle.distance(j, u) for j, u in pairs],
             [oracle.query_path(j, u) for j, u in pairs],
             oracle.arcs,
         )
@@ -679,7 +653,7 @@ def test_queries_from_several_threads_match_serial_answers():
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(answers, range(4), timeout=60))
+            results = list(pool.map(race, range(4), timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert all(r == serial for r in results)
@@ -691,8 +665,7 @@ def test_round_trip_file_object(oracle3):
     loaded = load(io.BytesIO(buf.getvalue()))
     for j in range(oracle3.ring_count):
         for u in range(9):
-            assert loaded.query_dist(j, u) == oracle3.query_dist(j, u)
-            assert loaded.query_path(j, u) == oracle3.query_path(j, u)
+            assert answers(loaded, j, u) == answers(oracle3, j, u)
     again = io.BytesIO()
     loaded.save(again)
     assert again.getvalue() == buf.getvalue()
@@ -802,4 +775,4 @@ def test_larger_grid_round_trip_identity(oracle5):
     loaded = load(io.BytesIO(buf.getvalue()))
     for j in (0, oracle5.ring_count - 1):
         for u in oracle5.query_vertices:
-            assert loaded.query_dist(j, u) == oracle5.query_dist(j, u)
+            assert answers(loaded, j, u) == answers(oracle5, j, u)

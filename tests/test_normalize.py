@@ -15,15 +15,12 @@ from planar_mssp import (
     GraphError,
     NegativeWeightError,
     SelfLoopSlotError,
-    UNREACHABLE,
-    LexWeight,
     build,
     build_graph,
     gen_grid,
     gen_random_planar,
     graph_to_json,
     load,
-    map_answer,
     normalize,
     verify,
 )
@@ -251,8 +248,9 @@ def test_path_at_the_admission_cap_is_exact():
     for j, b in enumerate(oracle.face_vertices):
         for u in range(n):
             assert oracle.distance(j, u) == abs(b - u) * top
-            assert oracle.query_dist(j, u).base == abs(b - u) * top
-            assert len(oracle.query_path(j, u)) == abs(b - u)
+            path = oracle.query_path(j, u)
+            assert sum(norm.arcs[a].base for a in path) == abs(b - u) * top
+            assert len(path) == abs(b - u)
     ends = oracle.face_vertices.index(0)
     assert oracle.distance(ends, n - 1) == (n - 1) * top
 
@@ -471,10 +469,3 @@ def test_derived_arc_table():
             kinds.update(a.kind for a in want.values())
     assert 1 in w_bigs
     assert kinds.keys() == {ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE}
-
-
-def test_map_answer():
-    assert map_answer(LexWeight(4, 123), 5) == 4
-    assert map_answer(LexWeight(5, 0), 5) is UNREACHABLE
-    assert map_answer(LexWeight(6, 0), 5) is UNREACHABLE
-    assert repr(UNREACHABLE) == "UNREACHABLE"
