@@ -28,9 +28,9 @@ def main() -> None:
         path = oracle.query_path(j, u)
         hops = []
         for aid in path:
-            a = oracle.arcs[aid]
+            a = norm.arcs[aid]
             hops.append(f"{a.tail}-({a.base})->{a.head}")
-        total = sum(oracle.arcs[aid].base for aid in path)
+        total = sum(norm.arcs[aid].base for aid in path)
         print(f"  b_{j} (vertex {oracle.face_vertices[j]}) to {u}:"
               f" dist {oracle.distance(j, u)}")
         print(f"    arcs {path}")

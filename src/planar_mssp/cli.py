@@ -2,14 +2,12 @@
 
 Subcommands: gen, build, query, path, verify. Every failure is
 reported as one line "error {Kind}: {message}" on stderr with a nonzero
-exit code. When --seed is omitted, the MSSP_SEED environment variable is
-used; failing that, seed 0.
+exit code. --seed defaults to 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -19,18 +17,6 @@ from .harness import gen_random_planar, verify
 from .io import dump_json, load_graph, save_graph
 from .mssp import build as build_oracle, load as load_oracle
 from .normalize import normalize
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("MSSP_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise CorruptFileError(f"MSSP_SEED is not an integer: {env!r}") from None
 
 
 def _face_index(graph, stored_outer: int | None, face_arg: str) -> int:
@@ -92,9 +78,8 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     try:
-        graph, outer = gen_random_planar(args.grid, args.max_weight, seed, args.delete_prob)
+        graph, outer = gen_random_planar(args.grid, args.max_weight, args.seed, args.delete_prob)
     except ValueError as exc:
         # the generator rejects a grid side, weight or probability out of range
         return _report(exc)
@@ -107,10 +92,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     graph, stored_outer = load_graph(args.input)
     face = _face_index(graph, stored_outer, args.face)
-    norm = normalize(graph, face, seed)
+    norm = normalize(graph, face, args.seed)
     t0 = time.perf_counter()
     oracle = build_oracle(norm, instrument=args.instrument)
     build_s = time.perf_counter() - t0
@@ -151,13 +135,12 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     graph, stored_outer = load_graph(args.input)
     face = _face_index(graph, stored_outer, args.face)
     report = verify(
         graph,
         face,
-        seed,
+        args.seed,
         force_exhaustive=args.exhaustive,
         path_checks=args.path_checks,
     )
@@ -184,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, default=100)
     p.add_argument("--delete-prob", type=float, default=0.0,
                    help="per-slot deletion probability (keeps the graph connected)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -193,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="oracle file")
     p.add_argument("--face", default="auto-outer",
                    help="'auto-outer', a face index, or a comma-separated boundary vertex list")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-trace", metavar="PATH",
                    help="also write the recursion structure as JSON")
     p.add_argument("--instrument", action="store_true",
@@ -213,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an oracle against brute force")
     p.add_argument("-i", "--input", required=True, help="graph JSON file")
     p.add_argument("--face", default="auto-outer")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="check every pair even on large instances")
     p.add_argument("--path-checks", type=int, default=200)

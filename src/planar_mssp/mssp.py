@@ -56,15 +56,14 @@ collector does not track them. One walk (MsspOracle._walk) follows
 parent vertices to a block's root, the ring vertex for a table and the
 node's record root for a record, comparing each parent with the root
 before it looks the parent up, and serves the terminal tree and every
-record tree. The build fills its columns from the Dijkstra columns of
-the trees it stores (one row snapshot per node, sssp.out_adjacency) and
-from the record columns that one contract_tree call returns per child
-(_tree_block for both, which puts each block in order with one sort),
-and each node looks up a tail chain at most once per original tail. It
-makes the id columns of its blocks at the width of the ids' range, known
-before the recursion (_IdWidths), and each block's bases at their
-narrowest, so that a concatenated column needs no scan where that width
-is int16 (_flat_columns).
+record tree. The build appends each tree it stores, as it makes it, to
+one build-wide array per column (_Store): a table from its Dijkstra
+columns (one row snapshot per node, sssp.out_adjacency), a record from
+the columns that one contract_tree call returns per child, each put in
+block order with one sort; each node looks up a tail chain at most once
+per original tail. The arrays are made at widths known before the
+recursion, and at the end the store lays the blocks out in file order
+and narrows each column once.
 
 The oracle file is format "planar-mssp-oracle", version 13, little-endian:
 
@@ -128,7 +127,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, gt, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .contraction import contract_tree, select_trees
+from .contraction import Records, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
 from .errors import (
     BadRootIndexError,
@@ -139,7 +138,7 @@ from .errors import (
     UnreachableError,
     VersionMismatchError,
 )
-from .normalize import UNREACHABLE, NormalizedInstance, arc_kind
+from .normalize import UNREACHABLE, NormalizedInstance
 from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 
 ORACLE_FORMAT = "planar-mssp-oracle"
@@ -228,27 +227,6 @@ def _fitted(values: Sequence[int]) -> array:
     if isinstance(values, array) and values.typecode == tc:
         return values
     return array(tc, values)
-
-
-def _concat(parts: Sequence[array]) -> array:
-    """The parts end to end, at the widest of their typecodes: at the
-    narrowest typecode of the whole if each part has its own."""
-    out = array(max((part.typecode for part in parts), key=_WIDTH.__getitem__))
-    for part in parts:
-        if part.typecode == out.typecode:
-            out.extend(part)
-        else:
-            out.fromlist(part.tolist())
-    return out
-
-
-class StoredArc(NamedTuple):
-    """One arc of the oracle's arc table (MsspOracle.arcs)."""
-
-    tail: int
-    head: int
-    base: int
-    kind: str  # not stored: it follows from tail and base (normalize.arc_kind)
 
 
 class _Plan(NamedTuple):
@@ -506,13 +484,12 @@ class MsspOracle:
         "tables",
         "stats",
         "_cols",
-        "_table_blocks",
-        "_record_blocks",
+        "_table_walks",
+        "_record_walks",
         "_reroute",
         "_walk_cols",
         "_ring_set",
         "_query_vertices",
-        "_arcs",
         "_plans",
     )
 
@@ -542,12 +519,12 @@ class MsspOracle:
         # first chain and chain count, and a table's ring vertex (a record's
         # tree roots are per node); per root and per record key
         start, chain_start = cols.tree_start, cols.tree_chain_start
-        blocks = list(zip(
+        walks = list(zip(
             indexes, start, chain_start, map(sub, chain_start[1:], chain_start),
             chain(repeat(None, k), self.ring_roots),
         ))
-        self._table_blocks = blocks[k:]
-        self._record_blocks = dict(zip(cols.record_key, blocks))
+        self._table_walks = walks[k:]
+        self._record_walks = dict(zip(cols.record_key, walks))
         # the columns each query reads, bound once; the most arcs a path
         # has, n_original (it is simple and enters no ring vertex but r_j);
         # and the bound on a walk's steps after its first node: a tree path
@@ -556,10 +533,9 @@ class MsspOracle:
         self._reroute = (cols.record_root, cols.node_base)
         self._walk_cols = (
             cols.node_parent, cols.node_arc, cols.record_root,
-            cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_blocks,
+            cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_walks,
             n_original, range(max(map(len, indexes))),
         )
-        self._arcs: dict[int, StoredArc] | None = None
         # immutable once built, so queries stay safe from several threads
         self._plans = _descent_plans(n, self.records, self.tables)
         self._query_vertices, self.face_vertices = _check_tables(
@@ -570,24 +546,6 @@ class MsspOracle:
     def query_vertices(self) -> frozenset[int]:
         """The vertices distance queries accept: all original vertices."""
         return self._query_vertices
-
-    @property
-    def arcs(self) -> dict[int, StoredArc]:
-        """Arc id -> StoredArc of the stored arcs, made on first use.
-
-        Only the arcs of the normalized graph that some stored tree names
-        as a parent arc are stored: every arc a path can report, not every
-        arc of the graph. Each kind follows from the arc's tail and base.
-        """
-        arcs = self._arcs
-        if arcs is None:
-            c = self._cols
-            ring, w_big = self._ring_set, self.w_big
-            arcs = self._arcs = {
-                aid: StoredArc(tail, head, base, arc_kind(tail, base, ring, w_big))
-                for aid, tail, head, base in zip(c.arc_id, c.arc_tail, c.arc_head, c.arc_base)
-            }
-        return arcs
 
     # ------------------------------------------------------------------
     # queries
@@ -665,9 +623,9 @@ class MsspOracle:
         # arc ids and its spokes were checked at load
         try:
             # the terminal tree from r_j down to u, then each rerouting jump
-            self._walk(self._table_blocks[j], self._cols.node_vertex[node], out)
+            self._walk(self._table_walks[j], self._cols.node_vertex[node], out)
             for key, v in reversed(hits):
-                self._walk(self._record_blocks[key], v, out)
+                self._walk(self._record_walks[key], v, out)
         except KeyError as exc:
             raise CorruptFileError(f"path walk met an unknown id: {exc}") from exc
         except RecursionError as exc:
@@ -690,7 +648,7 @@ class MsspOracle:
         to n_original hop walks, however a damaged file nests its chains.
         """
         index, first_node, first_chain, chains, stop = block
-        (parent, arc, roots, hop_start, hop_key, hop_vertex, record_blocks,
+        (parent, arc, roots, hop_start, hop_key, hop_vertex, record_walks,
          most_arcs, bound) = self._walk_cols
         node = index[v]
         if stop is None:
@@ -719,7 +677,7 @@ class MsspOracle:
                             " most a path of the graph has"
                         )
                     h -= 1
-                    self._walk(record_blocks[hop_key[h]], hop_vertex[h], out)
+                    self._walk(record_walks[hop_key[h]], hop_vertex[h], out)
             out.append(arc[node])
 
     # ------------------------------------------------------------------
@@ -998,117 +956,125 @@ def load(source) -> MsspOracle:
     return MsspOracle(n_original, w_big, seed, cols, None)
 
 
-class _IdWidths(NamedTuple):
-    """The typecodes build makes its id columns at, from ranges known before
-    the recursion: every vertex id, every arc id (a dart of the normalized
-    graph), every record key (below 2N)."""
+class _Store:
+    """The trees a build stores, appended block by block as they are made
+    to one build-wide array per column (_add), so that no block keeps an
+    array or object of its own, and laid out in file order at the end
+    (columns), which narrows each column once.
 
-    vertex: str
-    arc: str
-    key: str
-
-
-class _Block(NamedTuple):
-    """One tree's node columns in block order, and its chains (see _tree_block)."""
-
-    vertex: array
-    base: array
-    parent: array
-    arc: array
-    root: array  # a record's only
-    chain_len: array  # hops per chain
-    hop_key: array
-    hop_vertex: array
-
-
-def _tree_block(vertex, base, parent, arc, chains, widths: _IdWidths, root=()) -> _Block:
-    """A tree's columns, in block order: the nodes whose parent arc has a
-    tail chain (chains holds each node's, () for none) first, each part by
-    ascending vertex. A table's columns come sorted by vertex, a record's
-    in the order contract_tree made them; columns already in block order
-    are not copied. Ids are made at widths, bases at their narrowest."""
-    order: range | list[int] = range(len(vertex))
-    if any(map(gt, vertex, islice(vertex, 1, None))):
-        order = sorted(order, key=vertex.__getitem__)
-    chained = [p for p in order if chains[p]]
-    if chained:
-        order = chained + [p for p in order if not chains[p]]
-    if isinstance(order, list):
-        vertex, base, parent, arc = (
-            [col[p] for p in order] for col in (vertex, base, parent, arc)
-        )
-        if root:
-            root = [root[p] for p in order]
-    hops = list(chain.from_iterable(map(chains.__getitem__, chained)))
-    return _Block(
-        array(widths.vertex, vertex),
-        _fitted(base),
-        array(widths.vertex, parent),
-        array(widths.arc, arc),
-        array(widths.vertex, root),
-        array("i", [len(chains[p]) >> 1 for p in chained]),
-        array(widths.key, hops[0::2]),
-        array(widths.vertex, hops[1::2]),
-    )
-
-
-def _table_block(
-    t: SSSPTree, chain_at: Callable[[int], TailChain], widths: _IdWidths
-) -> _Block:
-    """A stored tree's table: the rows its run reached but its root, which
-    are the rows that have a parent, in block order.
-
-    The rows left out are the interval's ring vertices: the root, which
-    every walk stops at, and the others, which the run excluded. No query
-    names them. chain_at gives a parent arc's tail chain.
+    The arrays are made at widths known before the recursion: the vertex
+    columns at that of the largest vertex id, the arc column at that of
+    the largest dart (an arc's id is its tail dart), the hop keys at that
+    of 2N (a record key is below it), and the bases at that of n_original
+    * W_big, which normalize's admission rule puts above every stored base.
     """
-    vertices = t.snap.vertices
-    kept = [r >= 0 for r in t.par_row]
-    # a tree arc's id is its tail dart, the reverse of the parent dart
-    par_arc = [d ^ 1 for d in compress(t.par_dart, kept)]
-    return _tree_block(
-        list(compress(vertices, kept)),
-        list(compress(t.base, kept)),
-        [vertices[r] for r in compress(t.par_row, kept)],
-        par_arc,
-        list(map(chain_at, par_arc)),
-        widths,
-    )
 
+    def __init__(self, norm: NormalizedInstance):
+        vertex = _narrowest(max(norm.graph.vertices()))
+        self.vertex, self.parent, self.root, self.hop_vertex = (array(vertex) for _ in range(4))
+        self.base = array(_narrowest(norm.n_original * norm.w_big))
+        self.arc = array(_narrowest(len(norm.graph._at) - 1))
+        # hops per chain: a chain has one hop per level at most
+        self.chain_len = array("h")
+        self.tables_from = 2 * len(norm.ring_roots)
+        self.hop_key = array(_narrowest(self.tables_from))
+        # per block, in the order added: its place in the file, a record's
+        # key or tables_from plus a table's root, and CSR offsets of its
+        # nodes, record roots, chains and hops
+        self.place = array("q")
+        self.node_off, self.root_off, self.chain_off, self.hop_off = (
+            array("q", [0]) for _ in range(4)
+        )
 
-def _flat_columns(
-    norm: NormalizedInstance, tables: list[_Block], records: dict[int, _Block]
-) -> _Columns:
-    """Concatenate the build's blocks: records in key order, then tables in
-    root order; then the arcs the blocks name, read from the normalized
-    graph, where an arc's id is its tail dart. Each column is made at the
-    narrowest typecode that holds it: the blocks' bases each have theirs,
-    so their concatenation has the widest of them, and an id column whose
-    blocks _IdWidths made h is not scanned."""
-    c = _Columns()
-    c.ring_roots = _fitted(norm.ring_roots)
-    keys = sorted(records)
-    (vertex, base, parent, arc, root, chain_len, hop_key,
-     hop_vertex) = zip(*map(records.__getitem__, keys), *tables)
-    c.record_key = _fitted(keys)
-    c.tree_start = _fitted(list(accumulate(map(len, vertex), initial=0)))
-    c.node_vertex = _fitted(_concat(vertex))
-    c.node_base = _concat(base)
-    c.node_parent = _fitted(_concat(parent))
-    c.node_arc = _fitted(_concat(arc))
-    c.record_root = _fitted(_concat(root))
-    c.tree_chain_start = _fitted(list(accumulate(map(len, chain_len), initial=0)))
-    c.chain_hop_start = _fitted(list(accumulate(chain.from_iterable(chain_len), initial=0)))
-    c.hop_key = _fitted(_concat(hop_key))
-    c.hop_vertex = _fitted(_concat(hop_vertex))
+    def add_table(self, j: int, t: SSSPTree, chain_at: Callable[[int], TailChain]) -> None:
+        """Root j's table: the rows its run reached but its root, which are
+        the rows that have a parent.
 
-    ids = sorted(set(c.node_arc))
-    at, arc_at = norm.graph._at, norm.graph._arc
-    c.arc_id = _fitted(ids)
-    c.arc_tail = _fitted([at[d] for d in ids])
-    c.arc_head = _fitted([at[d ^ 1] for d in ids])
-    c.arc_base = _fitted([arc_at[d][0] for d in ids])
-    return c
+        The rows left out are the interval's ring vertices: the root, which
+        every walk stops at, and the others, which the run excluded. No
+        query names them. chain_at gives a parent arc's tail chain.
+        """
+        vertices = t.snap.vertices
+        kept = [r >= 0 for r in t.par_row]
+        self._add(
+            self.tables_from + j,
+            list(compress(vertices, kept)),
+            list(compress(t.base, kept)),
+            [vertices[r] for r in compress(t.par_row, kept)],
+            # a tree arc's id is its tail dart, the reverse of the parent dart
+            [d ^ 1 for d in compress(t.par_dart, kept)],
+            chain_at,
+        )
+
+    def add_record(self, key: int, rec: Records, chain_at: Callable[[int], TailChain]) -> None:
+        """The record of the child keyed key, as contract_tree returns it."""
+        self._add(key, rec.vertex, rec.dbase, rec.parent, rec.arc, chain_at, rec.root)
+
+    def _add(self, place, vertex, base, parent, arc, chain_at, root=None) -> None:
+        """Append a tree's nodes in block order: those whose parent arc has
+        a tail chain first, each part by ascending vertex. A table's columns
+        come sorted by vertex, a record's in the order contract_tree made
+        them."""
+        chains = list(map(chain_at, arc))
+        order: range | list[int] = range(len(vertex))
+        if any(map(gt, vertex, islice(vertex, 1, None))):
+            order = sorted(order, key=vertex.__getitem__)
+        chained = [p for p in order if chains[p]]
+        if chained:
+            order = chained + [p for p in order if not chains[p]]
+        parts = [(self.vertex, vertex), (self.base, base), (self.parent, parent), (self.arc, arc)]
+        if root is not None:
+            parts.append((self.root, root))
+        for col, values in parts:
+            col.extend(values if type(order) is range else map(values.__getitem__, order))
+        hops = list(chain.from_iterable(map(chains.__getitem__, chained)))
+        self.chain_len.extend([len(chains[p]) >> 1 for p in chained])
+        self.hop_key.extend(hops[0::2])
+        self.hop_vertex.extend(hops[1::2])
+        self.place.append(place)
+        self.node_off.append(len(self.vertex))
+        self.root_off.append(len(self.root))
+        self.chain_off.append(len(self.chain_len))
+        self.hop_off.append(len(self.hop_key))
+
+    def columns(self, norm: NormalizedInstance) -> _Columns:
+        """The file's columns: the blocks in file order, records by key and
+        then tables by root, each column at its narrowest; then the arcs the
+        blocks name, read from the normalized graph, where an arc's id is
+        its tail dart."""
+        order = sorted(range(len(self.place)), key=self.place.__getitem__)
+
+        def laid_out(col: array, off: array) -> array:
+            out = array(col.typecode)
+            for b in order:
+                out += col[off[b]:off[b + 1]]
+            return _fitted(out)
+
+        def starts(off: array) -> array:
+            return _fitted(list(accumulate((off[b + 1] - off[b] for b in order), initial=0)))
+
+        c = _Columns()
+        c.ring_roots = _fitted(norm.ring_roots)
+        c.record_key = _fitted(sorted(p for p in self.place if p < self.tables_from))
+        c.tree_start = starts(self.node_off)
+        c.node_vertex = laid_out(self.vertex, self.node_off)
+        c.node_base = laid_out(self.base, self.node_off)
+        c.node_parent = laid_out(self.parent, self.node_off)
+        c.node_arc = laid_out(self.arc, self.node_off)
+        c.record_root = laid_out(self.root, self.root_off)
+        c.tree_chain_start = starts(self.chain_off)
+        chain_len = laid_out(self.chain_len, self.chain_off)
+        c.chain_hop_start = _fitted(list(accumulate(chain_len, initial=0)))
+        c.hop_key = laid_out(self.hop_key, self.hop_off)
+        c.hop_vertex = laid_out(self.hop_vertex, self.hop_off)
+
+        ids = sorted(set(c.node_arc))
+        at, arc_at = norm.graph._at, norm.graph._arc
+        c.arc_id = _fitted(ids)
+        c.arc_tail = _fitted([at[d] for d in ids])
+        c.arc_head = _fitted([at[d ^ 1] for d in ids])
+        c.arc_base = _fitted([arc_at[d][0] for d in ids])
+        return c
 
 
 def build(
@@ -1157,19 +1123,12 @@ def build(
             for level in range(len(nodes_at))
         ],
     )
-    # the stored trees' columns: per root, then per record key
-    table_blocks: list[_Block | None] = [None] * n_rings
-    record_blocks: dict[int, _Block] = {}
+    store = _Store(norm)
     absorbed_at: dict[int, tuple[int, int]] = {}  # vertex -> (record key, its root)
     edge_counters: dict[int, Counter] = {}
     # an arc's original tail: the vertex of its id, its tail dart, in the
     # normalized graph, which the build does not change
     original_at = norm.graph._at
-    widths = _IdWidths(
-        _narrowest(max(norm.graph.vertices())),
-        _narrowest(len(original_at) - 1),
-        _narrowest(2 * n_rings),
-    )
 
     def chain_from(tail: int) -> TailChain:
         """Record key, vertex hops from an arc's original tail to its tail now."""
@@ -1276,8 +1235,7 @@ def build(
             return found
 
         for k in node.stores:
-            table_blocks[k] = block = _table_block(trees[k], chain_at, widths)
-            stats.stored_rows += len(block.vertex)
+            store.add_table(k, trees[k], chain_at)
         if not children:
             return
         del snap, vertices
@@ -1303,15 +1261,10 @@ def build(
             if instrument:
                 check_child(hj, j1, j2, before)
                 del before
-            entries = len(records.vertex)
-            stats.record_entries += entries
-            if entries:
+            if records.vertex:
                 # each tree arc's chain as of the contraction, before this
                 # child's members join absorbed_at
-                record_blocks[child.key] = _tree_block(
-                    records.vertex, records.dbase, records.parent, records.arc,
-                    list(map(chain_at, records.arc)), widths, records.root,
-                )
+                store.add_record(child.key, records, chain_at)
             # where each vertex contracted away went: its record and root
             # for tail chains, its root for the inherited trees
             moved = dict(zip(records.vertex, records.root))
@@ -1331,11 +1284,13 @@ def build(
         # rec holds itself through its closure cell; emptying the cell lets
         # reference counting free the working graphs, not a later GC pass
         del rec
-        cols = _flat_columns(norm, table_blocks, record_blocks)  # type: ignore[arg-type]
-        del table_blocks, record_blocks
+        cols = store.columns(norm)
+        del store
     if collect_edge_stats:
         for level, counter in edge_counters.items():
             stats.per_level[level]["tree_arc_max"] = max(counter.values()) if counter else 0
+    stats.record_entries = len(cols.record_root)
+    stats.stored_rows = len(cols.node_vertex) - stats.record_entries
     stats.chain_elements = len(cols.hop_key)
     stats.build_seconds = time.perf_counter() - t0
     return MsspOracle(norm.n_original, norm.w_big, norm.seed, cols, stats)

@@ -24,12 +24,12 @@ The normalized graph is the whole instance: ``normalize`` builds no arc
 table. ``NormalizedInstance.arcs``, arc id -> ArcInfo, is derived from the
 graph on first read (an arc's id is its tail dart), and so are the
 oracle's arc columns. An arc's kind follows from its tail and base
-(``arc_kind``, which the oracle also uses, as its file stores no kinds): a
-spoke if its tail is a ring vertex, else a reverse arc if its base equals
-W_big, else an original arc. That is what ``normalize`` decides, because
-ring ids lie above every input id and only spokes leave ring vertices,
-and every original base is at most the input's maximum base, which is
-below W_big = n * max_base + 1.
+(``arc_kind``; the oracle file stores no kinds): a spoke if its tail is
+a ring vertex, else a reverse arc if its base equals W_big, else an
+original arc. That is what ``normalize`` decides, because ring ids lie
+above every input id and only spokes leave ring vertices, and every
+original base is at most the input's maximum base, which is below
+W_big = n * max_base + 1.
 
 Input contract. ``normalize`` checks these rules on its input graph, once,
 before it builds anything; ``EmbeddedDigraph.check`` checks the same rules

@@ -202,19 +202,14 @@ def test_face_list_match_is_linear_in_the_face_length():
         assert _face_index(graph, None, ",".join(map(str, shifted))) == fi
 
 
-def test_seed_from_environment(tmp_path, monkeypatch, capsys):
+def test_seed_defaults_to_zero(tmp_path, monkeypatch):
+    # --seed is the one way to set the seed: the environment does not
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     monkeypatch.setenv("MSSP_SEED", "7")
     assert main(["gen", "--grid", "4", "-o", str(a)]) == 0
-    monkeypatch.delenv("MSSP_SEED")
-    assert main(["gen", "--grid", "4", "--seed", "7", "-o", str(b)]) == 0
+    assert main(["gen", "--grid", "4", "--seed", "0", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-    monkeypatch.setenv("MSSP_SEED", "not-a-number")
-    capsys.readouterr()
-    assert main(["gen", "--grid", "4", "-o", str(a)]) == 1
-    assert capsys.readouterr().err.startswith("error CorruptFile: ")
 
 
 def test_gen_delete_prob(tmp_path):

@@ -212,7 +212,8 @@ def _path_or_nothing(self, j, u):
 
 
 def _spoke(oracle, j):
-    return next(aid for aid, a in oracle.arcs.items() if a.tail == oracle.ring_roots[j])
+    r = oracle.ring_roots[j]
+    return next(aid for aid, tail, _, _ in oracle.to_json()["arcs"] if tail == r)
 
 
 def _there_and_back(self, j, u):

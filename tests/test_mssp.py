@@ -309,7 +309,8 @@ def test_stored_tables_are_the_read_tables(oracle5):
 def test_nothing_stored_goes_unread(right_first):
     # every record table is probed by some root's descent or named by a
     # tail-chain hop, every table is its root's terminal table and holds
-    # all the stored rows, and every stored arc is some node's parent arc;
+    # all the stored rows, and every stored arc is some node's parent arc,
+    # as the normalized graph has it, less the perturbation;
     # no record entry is its own tree root, no table row is unreached, no
     # table lists a ring vertex and every node has a parent (no -1 is
     # stored), root 0's descent (its records, then table 0) holds each
@@ -326,8 +327,10 @@ def test_nothing_stored_goes_unread(right_first):
         for plan, table in zip(oracle._plans, oracle.tables):
             assert plan.index is table
         assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
-        assert set(oracle.arcs) == set(oracle._cols.node_arc), name
         c = oracle._cols
+        assert set(c.arc_id) == set(c.node_arc), name
+        stored = zip(c.arc_id, c.arc_tail, c.arc_head, c.arc_base)
+        assert all(norm.arcs[a][:3] == (t, h, b) for a, t, h, b in stored), name
         assert not any(map(eq, c.record_root, c.node_vertex)), name
         assert min(c.node_base) >= 0, name
         descent = [*(entries for _, entries in oracle._plans[0].steps), oracle.tables[0]]
@@ -372,11 +375,12 @@ def test_walks_follow_the_tree_path_of_every_stored_node():
     # each tree arc after its tail chain's arcs
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
-        oracle = build(normalize(g, face, seed=seed))
-        c, arcs = oracle._cols, oracle.arcs
+        norm = normalize(g, face, seed=seed)
+        oracle = build(norm)
+        c, arcs = oracle._cols, norm.arcs
         k = len(c.record_key)
         # block order: the records in key order, then the tables
-        blocks = [*oracle._record_blocks.values(), *oracle._table_blocks]
+        blocks = [*oracle._record_walks.values(), *oracle._table_walks]
         for b, block in enumerate(blocks):
             index = block[0]
             for v, node in index.items():
@@ -409,7 +413,7 @@ def test_walk_bound_fits_a_chain_as_long_as_its_block():
     assert len(walk_cols[-1]) == max(map(len, [*oracle.tables, *oracle.records.values()]))
     chains = 0
     try:
-        for block in oracle._record_blocks.values():
+        for block in oracle._record_walks.values():
             index, m = block[0], len(block[0])
             parents = {c.node_parent[e] for e in index.values()}
             roots = {c.record_root[e] for e in index.values()}
@@ -619,25 +623,15 @@ def test_build_determinism(norm3, oracle3):
 
 
 def test_queries_from_several_threads_match_serial_answers():
-    # a built oracle is read-only apart from its arcs dict, made on first
-    # use, which no query reads; four threads race its first making against
-    # every distance and path query, switching often; the serial answers
-    # come from a twin, so the dict is first made in the race. The oracle
-    # stores the arcs its trees name, each as the normalized graph has it,
-    # less the perturbation
+    # a built oracle is read-only; four threads race every distance and
+    # path query, switching often, and must give a twin's serial answers
     g, outer = gen_grid(8, seed=0)
     norm = normalize(g, outer, seed=0)
     oracle, twin = build(norm), build(norm)
     pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
-    stored = set(twin._cols.arc_id)
-    assert stored < norm.arcs.keys()
     serial = (
         [twin.distance(j, u) for j, u in pairs],
         [twin.query_path(j, u) for j, u in pairs],
-        {
-            aid: (info.tail, info.head, info.base, info.kind)
-            for aid, info in norm.arcs.items() if aid in stored
-        },
     )
     start = threading.Barrier(4)
 
@@ -646,7 +640,6 @@ def test_queries_from_several_threads_match_serial_answers():
         return (
             [oracle.distance(j, u) for j, u in pairs],
             [oracle.query_path(j, u) for j, u in pairs],
-            oracle.arcs,
         )
 
     interval = sys.getswitchinterval()

@@ -33,8 +33,7 @@ from planar_mssp import (
     mssp,
     normalize,
 )
-from planar_mssp.mssp import ORACLE_VERSION, _fitted
-from planar_mssp.normalize import ARC_SPOKE
+from planar_mssp.mssp import ORACLE_VERSION, _fitted, _narrowest
 from tests.conftest import (
     BOWTIE_SLOTS,
     TRI_ONEWAY_SLOTS,
@@ -597,10 +596,10 @@ def test_each_load_rule_rejects_its_damage(rule):
 def test_non_spoke_first_path_arc_is_rejected_at_load():
     # every path's first arc is its root's spoke, which query_path drops;
     # with another arc there, every path raised a bare internal MsspError
-    oracle = small_oracle()
-    doc = oracle.to_json()
-    spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
-    other = min(set(oracle.arcs) - spokes)
+    doc = small_oracle().to_json()
+    ring = set(doc["ring_roots"])
+    spokes = {aid for aid, tail, _, _ in doc["arcs"] if tail in ring}
+    other = min({aid for aid, _, _, _ in doc["arcs"]} - spokes)
     damaged = json.loads(json.dumps(doc))
     for table in damaged["tables"]:
         table[4] = [other if a in spokes else a for a in table[4]]
@@ -798,9 +797,9 @@ def test_parent_arc_outside_the_arc_list_raises():
 def test_unknown_arc_later_in_a_path_is_rejected_at_load():
     # one parent arc that is never a path's first arc (not a spoke): a
     # path walk would report it after the arcs before it
-    oracle = small_oracle()
-    doc = oracle.to_json()
-    spokes = {aid for aid, a in oracle.arcs.items() if a.kind == ARC_SPOKE}
+    doc = small_oracle().to_json()
+    ring = set(doc["ring_roots"])
+    spokes = {aid for aid, tail, _, _ in doc["arcs"] if tail in ring}
     par_arc = next(
         table[4] for table in doc["tables"]
         if any(a not in spokes for a in table[4])
@@ -820,12 +819,22 @@ def test_unknown_record_arc_is_rejected_at_load():
 
 
 def test_value_wider_than_its_column_raises_a_typed_error():
-    # a column is made at the narrowest typecode that holds its values; only
-    # a value beyond int64 has no column
-    wide = _fitted([0, 2**31])
-    assert wide.typecode == "q" and wide.tolist() == [0, 2**31]
-    with pytest.raises(FormatLimitError, match="64-bit"):
-        _fitted([2**63])
+    # build makes a column at the narrowest typecode that holds its range,
+    # and the file holds it at the narrowest that holds its values; only a
+    # value beyond int64 has no column. Each ceiling, and one past it:
+    for hi, typecode in [
+        (2**15 - 1, "h"), (2**15, "i"), (2**31 - 1, "i"), (2**31, "q"), (2**63 - 1, "q"),
+        (2**63, None),
+    ]:
+        if typecode is None:
+            with pytest.raises(FormatLimitError, match="64-bit"):
+                _narrowest(hi)
+            with pytest.raises(FormatLimitError, match="64-bit"):
+                _fitted([0, hi])
+            continue
+        assert _narrowest(hi) == typecode, hi
+        wide = _fitted([0, hi])
+        assert wide.typecode == typecode and wide.tolist() == [0, hi], hi
 
 
 @pytest.mark.parametrize("name", [*sorted(GATE_DIGESTS), LARGE_GATE[0]])
