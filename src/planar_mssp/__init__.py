@@ -52,7 +52,6 @@ from .normalize import (
     normalize,
 )
 from .sssp import SSSPTree, sssp_tree
-from .weights import ZERO, LexWeight
 
 __version__ = "0.1.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "FaceVertexQueryError",
     "FormatLimitError",
     "GraphError",
-    "LexWeight",
     "MsspError",
     "MsspOracle",
     "NegativeWeightError",
@@ -82,7 +80,6 @@ __all__ = [
     "UnreachableVertexError",
     "VerificationReport",
     "VersionMismatchError",
-    "ZERO",
     "brute_distances",
     "build",
     "build_graph",

@@ -142,7 +142,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         face,
         args.seed,
         force_exhaustive=args.exhaustive,
-        path_checks=args.path_checks,
     )
     print(report.format_text())
     if args.json:
@@ -199,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true",
                    help="check every pair even on large instances")
-    p.add_argument("--path-checks", type=int, default=200)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.set_defaults(func=_cmd_verify)
 

@@ -20,13 +20,13 @@ Faces are the orbits of ``d -> next_cw(reverse_dart(d))``; with clockwise
 rotations each face lies to the left of the darts on its walk. For a
 connected graph, #vertices - #slots + #faces == 2.
 
-Arcs are triples ``(base, perturb, arc_id)``. An arc's id is the dart at
-its tail, ``2 * slot_id + direction``; it is assigned once and survives
-reweighting and contraction, which keep the arc on the same dart. That is
-what lets reported paths refer back to input arcs.
+Arcs are pairs ``(base, perturb)`` of ints. An arc's id is the dart at
+its tail, ``2 * slot_id + direction``, and is stored nowhere: reweighting
+and contraction keep the arc on the same dart. That is what lets reported
+paths refer back to input arcs.
 
 ``build_graph`` makes a valid graph from a slot list. The construction
-methods (``add_vertex``, ``add_slot``, ``set_arc``) do not check the
+methods (``add_vertex``, ``add_slot``) do not check the
 input contract, so a graph built with them may break it; ``check()``
 validates it, and ``normalize`` checks the same rules on its input (the
 contract is written out in the normalize module docstring). ``add_slot``
@@ -60,7 +60,7 @@ from .errors import (
     SelfLoopSlotError,
 )
 
-Arc = tuple[int, int, int]  # (base, perturb, arc_id)
+Arc = tuple[int, int]  # (base, perturb); its id is its tail dart
 
 
 def reverse_dart(d: int) -> int:
@@ -197,12 +197,6 @@ class EmbeddedDigraph:
         self._insert_dart(v, d + 1, after_v)
         return d >> 1
 
-    def set_arc(self, sid: int, direction: int, arc: Arc | None) -> None:
-        d = 2 * sid + (1 if direction else 0)
-        if d not in self._arc:
-            raise KeyError(f"no slot {sid!r}")
-        self._arc[d] = arc
-
     # ------------------------------------------------------------------
     # faces
 
@@ -210,7 +204,8 @@ class EmbeddedDigraph:
         """All face orbits of next_cw(reverse(d)), each from its least dart.
 
         Orbits are listed by ascending least dart id, which makes face
-        indices deterministic for a given graph.
+        indices deterministic for a given graph. A walk ends early at a
+        dart with no successor, which only a broken rotation has.
         """
         nxt = self._next
         seen: set[int] = set()
@@ -220,7 +215,7 @@ class EmbeddedDigraph:
                 continue
             walk = []
             cur = d
-            while cur not in seen:
+            while cur is not None and cur not in seen:
                 seen.add(cur)
                 walk.append(cur)
                 cur = nxt[cur ^ 1]
@@ -251,10 +246,11 @@ class EmbeddedDigraph:
         dropped, and each slot joining two tree vertices (tree slots aside,
         which merge) is deleted, as it would become a loop at the root. The
         surviving darts, in tour order, are the root's rotation. Of the arcs
-        from the root to one neighbour, only the least (base, perturb, arc
-        id) stays; equal weights warn. Arcs into the root never clash: the
-        only ones left are those of the root's own darts, one per neighbour
-        at most, since an arc into a member is dropped.
+        from the root to one neighbour, only the least (base, perturb)
+        stays, the one on the smaller dart if weights are equal, which
+        warns. Arcs into the root never clash: the only ones left are those
+        of the root's own darts, one per neighbour at most, since an arc
+        into a member is dropped.
         """
         at, nxt, arcs, entry = self._at, self._next, self._arc, self._entry
         s = vertex[0]
@@ -296,7 +292,7 @@ class EmbeddedDigraph:
                         out_arc = arcs[d]
                         if i:
                             if b or p:
-                                out_arc = (out_arc[0] + b, out_arc[1] + p, out_arc[2])
+                                out_arc = (out_arc[0] + b, out_arc[1] + p)
                             at[d] = s
                             arcs[d] = out_arc
                             arcs[d ^ 1] = None
@@ -325,14 +321,14 @@ class EmbeddedDigraph:
             held = best[head]
             arc = arcs[d]
             held_arc = arcs[held]
-            if arc[0] == held_arc[0] and arc[1] == held_arc[1]:
+            if arc == held_arc:
                 warnings.warn(
-                    f"equal LexWeight {arc[:2]} on arcs {held_arc[2]} and {arc[2]}",
+                    f"equal weight {arc} on the arcs of darts {held} and {d}",
                     PerturbationCollisionWarning,
                     stacklevel=3,
                 )
-            # equal weights fall through to the smaller arc id
-            if arc < held_arc:
+            # equal weights fall through to the smaller dart, the arc's id
+            if (arc, d) < (held_arc, held):
                 best[head] = d
                 d = held
             arcs[d] = None
@@ -465,14 +461,12 @@ class EmbeddedDigraph:
                 if arc is None:
                     continue
                 if not (
-                    isinstance(arc, tuple) and len(arc) == 3
-                    and type(arc[0]) is int and type(arc[1]) is int and type(arc[2]) is int
+                    isinstance(arc, tuple) and len(arc) == 2
+                    and type(arc[0]) is int and type(arc[1]) is int
                 ):
-                    raise GraphError(f"arc {pair} is {arc!r}, not an int triple")
+                    raise GraphError(f"arc {pair} is {arc!r}, not an int pair")
                 if arc[0] < 0 or arc[1] < 0:
-                    raise NegativeWeightError(f"arc {pair} has weight {arc[:2]}")
-                if arc[2] != tail_dart:
-                    raise GraphError(f"arc {pair} has id {arc[2]}, not {tail_dart}")
+                    raise NegativeWeightError(f"arc {pair} has weight {arc}")
                 if pair in pairs:
                     raise DuplicateArcError(f"second arc for ordered pair {pair}")
                 pairs.add(pair)
@@ -496,8 +490,9 @@ def build_graph(
     optional directed base weights (non-negative ints, None for absent).
     Endpoints, positions and weights must be ints; anything else, bools
     included, raises GraphError.
-    Positions at each vertex must cover 0..degree-1 exactly once. Arc ids
-    are assigned as 2*slot_index + direction.
+    Positions at each vertex must cover 0..degree-1 exactly once. Each
+    arc is the pair (weight, 0); its id is its tail dart,
+    2 * slot_index + direction.
     """
     g = EmbeddedDigraph()
     for v in range(vertex_count):
@@ -523,7 +518,7 @@ def build_graph(
             if pair in pairs:
                 raise DuplicateArcError(f"second arc for ordered pair {pair}")
             pairs.add(pair)
-            g._arc[d] = (w, 0, d)
+            g._arc[d] = (w, 0)
         g._at += (u, v)
         for vertex, pos, end in ((u, pos_u, 0), (v, pos_v, 1)):
             if isinstance(pos, bool) or not isinstance(pos, int):

@@ -64,8 +64,9 @@ class FormatLimitError(MsspError):
 
 
 class PerturbationCollisionWarning(UserWarning):
-    """Two arcs compared equal under LexWeight during dedup.
+    """Two arcs from one vertex to one neighbour had equal (base, perturb)
+    weights during contraction's dedup.
 
     With random perturbation this should essentially never happen; the
-    smaller original arc id is kept and this diagnostic is emitted.
+    arc on the smaller dart, its id, is kept and this diagnostic is emitted.
     """

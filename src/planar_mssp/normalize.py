@@ -40,9 +40,9 @@ on any graph:
   the rotations of its two endpoints;
 * a slot joins two different vertices (else SelfLoopSlotError) and
   carries at least one arc;
-* every arc is an (int, int, int) triple (base, perturb, id), bools
-  excluded, with a non-negative base and perturbation (else
-  NegativeWeightError) and the id 2 * slot_id + direction;
+* every arc is an (int, int) pair (base, perturb), bools excluded, with
+  a non-negative base and perturbation (else NegativeWeightError); its
+  id is its tail dart, 2 * slot_id + direction, and is stored nowhere;
 * no ordered pair of vertices carries two arcs (else DuplicateArcError);
 * the graph is connected and its Euler characteristic is 2.
 
@@ -216,11 +216,11 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
     rings = [first_ring_id + i for i in range(len(b_list))]
     for r in rings:
         work.add_vertex(r)
-    # add_slot gives a new slot's first dart the next dart id, len(_at);
-    # a spoke leaves its ring vertex on that dart, so that is its arc id
+    # add_slot gives a new slot's first dart the next dart id, len(_at), so
+    # the spokes' darts are those from first_spoke on
     first_spoke = len(work._at)
     for r, bv in zip(rings, b_list):
-        work.add_slot(r, bv, (0, 0, len(work._at)), None, None, corner.get(bv))
+        work.add_slot(r, bv, (0, 0), None, None, corner.get(bv))
 
     # in dart order: strong connectivity by the missing direction of each
     # single-arc input slot, unless another slot carries that ordered pair
@@ -234,12 +234,12 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
         if arc is None:
             if d >= first_spoke or (at[d], at[d ^ 1]) in present:
                 continue
-            arc = (w_big, 0, d)
+            arc = (w_big, 0)
         p = rng.getrandbits(63)
         while p in used:
             p = rng.getrandbits(63)
         used.add(p)
-        arc_at[d] = (arc[0], p, arc[2])
+        arc_at[d] = (arc[0], p)
 
     return NormalizedInstance(
         graph=work,

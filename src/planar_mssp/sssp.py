@@ -45,7 +45,6 @@ from typing import Callable, Collection, Iterator, NamedTuple
 
 from .embedded_graph import EmbeddedDigraph
 from .errors import UnreachableVertexError
-from .weights import LexWeight
 
 OutLists = list[list[tuple[int, int, int, int]]]  # row -> (base, perturb, head row, dart at head)
 
@@ -119,9 +118,10 @@ class SSSPTree:
     par_row: list[int]
 
     @property
-    def dist(self) -> Mapping[int, LexWeight]:
+    def dist(self) -> Mapping[int, tuple[int, int]]:
+        """vertex -> its (base, perturb) distance; reached vertices only."""
         base, pert = self.base, self.pert
-        return _VertexView(self.snap, base, lambda r: LexWeight(base[r], pert[r]), self.reached)
+        return _VertexView(self.snap, base, lambda r: (base[r], pert[r]), self.reached)
 
     @property
     def parent_dart(self) -> Mapping[int, int]:

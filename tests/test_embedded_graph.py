@@ -17,7 +17,7 @@ from planar_mssp import (
     graph_to_json,
     reverse_dart,
 )
-from tests.conftest import TRI_ONEWAY_SLOTS
+from tests.conftest import TRI_ONEWAY_SLOTS, arcs_by_id
 
 # Derived by tests/oracles/face_orbits.py (independent rotation code):
 # the 3x3 grid has five faces, walk lengths 4,4,4,4,8, and its length-8
@@ -89,10 +89,12 @@ def test_rotation_matches_declared_positions():
 def test_arc_lookups(tri_oneway):
     g = tri_oneway
     arcs = {(tail, head): arc for tail, head, arc in g.arc_items()}
-    assert arcs == {(0, 1): (5, 0, 0), (1, 2): (7, 0, 2), (0, 2): (4, 0, 4)}
+    assert arcs == {(0, 1): (5, 0), (1, 2): (7, 0), (0, 2): (4, 0)}
+    # each arc's id is its tail dart
+    assert [d for d, *_ in arcs_by_id(g)] == [0, 2, 4]
     # dart 1 sits at vertex 1 on slot 0; the arc 0->1 points into it, and
     # no arc 1->0 points into its reverse
-    assert g.arc_into(1) == (5, 0, 0)
+    assert g.arc_into(1) == (5, 0)
     assert g.arc_into(1 ^ 1) is None
 
 
@@ -105,8 +107,8 @@ def test_copy_preserves_structure(grid3):
     h.check()
     # independent storage: mutating the copy leaves the original alone
     before = dart_table(g)
-    h.set_arc(0, 0, (999, 1, 0))
-    h.set_arc(1, 1, None)
+    h._arc[0] = (999, 1)
+    h._arc[3] = None
     assert dart_table(g) == before
 
 
@@ -143,12 +145,12 @@ def test_add_slot_checks_before_it_changes_anything():
     g = build_graph(3, TRI_ONEWAY_SLOTS)
     before = (graph_to_json(g), list(g.arc_items()))
     with pytest.raises(GraphError, match="no vertex 5"):
-        g.add_slot(0, 5, (1, 0, 6), None)
+        g.add_slot(0, 5, (1, 0), None)
     # dart 1 sits at vertex 1, and there is no dart 99
     with pytest.raises(GraphError, match="not at vertex 0"):
-        g.add_slot(0, 2, (1, 0, 6), None, after_u=1)
+        g.add_slot(0, 2, (1, 0), None, after_u=1)
     with pytest.raises(GraphError, match="not at vertex 2"):
-        g.add_slot(0, 2, (1, 0, 6), None, after_v=99)
+        g.add_slot(0, 2, (1, 0), None, after_v=99)
     assert (graph_to_json(g), list(g.arc_items())) == before
     g.check()
 

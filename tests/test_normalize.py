@@ -25,7 +25,7 @@ from planar_mssp import (
     verify,
 )
 from planar_mssp.normalize import ARC_ORIGINAL, ARC_REVERSE, ARC_SPOKE, ArcInfo
-from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS
+from tests.conftest import BOWTIE_SLOTS, TRI_ONEWAY_SLOTS, arcs_by_id
 from tests.test_persistence import oneway_grid
 
 # 2x2 grid, every arc weight 1, rotations laid out in the plane (row
@@ -85,9 +85,9 @@ def assert_ring_vertices_pendant(norm):
     for r, b in zip(norm.ring_roots, norm.face_vertices):
         (d,) = g.rotation(r)
         assert g.arc_into(d) is None
-        arc = g.arc_into(d ^ 1)
+        assert g.arc_into(d ^ 1) is not None
         assert g.dart_vertex(d ^ 1) == b
-        assert norm.arcs[arc[2]].kind == ARC_SPOKE
+        assert norm.arcs[d].kind == ARC_SPOKE
 
 
 def test_grid2_ring_cycle(norm2):
@@ -273,8 +273,8 @@ def hand_graph(vertices, slots) -> EmbeddedDigraph:
     """A graph built only with EmbeddedDigraph's methods, as a caller could.
 
     vertices is a count n, for the vertices 0..n-1, or a list of vertex
-    ids. Each slot is (u, v, arc_uv, arc_vu) with whole arcs, ids
-    included, and its darts land wherever add_slot puts them by default.
+    ids. Each slot is (u, v, arc_uv, arc_vu) with whole (base, perturb)
+    arcs, and its darts land wherever add_slot puts them by default.
     """
     g = EmbeddedDigraph()
     for v in range(vertices) if isinstance(vertices, int) else vertices:
@@ -289,17 +289,17 @@ def test_non_int_weight_rejected(weight):
     with pytest.raises(GraphError, match="not an int"):
         build_graph(2, [(0, 1, 0, 0, weight, 1)])
     # a graph built by hand meets the same rule in normalize
-    g = hand_graph(2, [(0, 1, (weight, 0, 0), (1, 0, 1))])
+    g = hand_graph(2, [(0, 1, (weight, 0), (1, 0))])
     with pytest.raises(GraphError, match="not an int"):
         normalize(g, 0, seed=0)
 
 
-# a triangle with both directions on every slot, arc ids as build_graph
-# gives them; the third slot's darts sit where add_slot puts them
+# a triangle with both directions on every slot; the third slot's darts
+# sit where add_slot puts them
 HAND_TRI = [
-    (0, 1, (1, 0, 0), (2, 0, 1)),
-    (1, 2, (3, 0, 2), (4, 0, 3)),
-    (0, 2, (5, 0, 4), (6, 0, 5)),
+    (0, 1, (1, 0), (2, 0)),
+    (1, 2, (3, 0), (4, 0)),
+    (0, 2, (5, 0), (6, 0)),
 ]
 
 
@@ -311,38 +311,48 @@ def tri_with(sid: int, arc_uv, arc_vu=None):
     return slots
 
 
-K4 = [(u, v, (1, 0, 2 * i), (1, 0, 2 * i + 1))
-      for i, (u, v) in enumerate((u, v) for u in range(4) for v in range(u + 1, 4))]
+K4 = [(u, v, (1, 0), (1, 0)) for u in range(4) for v in range(u + 1, 4)]
+
+
+def none_successor_grid3():
+    """gen_grid(3, seed=1)'s graph with one rotation link at vertex 4 None."""
+    g, _ = gen_grid(3, seed=1)
+    g._next[g.rotation(4)[0]] = None
+    return g
+
 
 HOSTILE = {
-    "disconnected": (4, [(0, 1, (1, 0, 0), None), (2, 3, (1, 0, 2), None)], 0,
+    "disconnected": (4, [(0, 1, (1, 0), None), (2, 3, (1, 0), None)], 0,
                      DisconnectedInputError, "not connected"),
     "disconnected-duplicate-pair": (
-        4, [(0, 1, (1, 0, 0), None), (0, 1, (2, 0, 2), None), (2, 3, (1, 0, 4), None)], 0,
+        4, [(0, 1, (1, 0), None), (0, 1, (2, 0), None), (2, 3, (1, 0), None)], 0,
         DisconnectedInputError, "not connected"),
     "k4-euler-0": (4, K4, 0, GraphError, "Euler characteristic 0"),
-    "duplicate-pair": (3, HAND_TRI + [(0, 1, (7, 0, 6), None)], 0,
+    "duplicate-pair": (3, HAND_TRI + [(0, 1, (7, 0), None)], 0,
                        DuplicateArcError, r"pair \(0, 1\)"),
-    "negative-base": (3, tri_with(0, (-1, 0, 0)), 0, NegativeWeightError, "weight"),
-    "negative-perturbation": (3, tri_with(0, (1, -1, 0)), 0, NegativeWeightError, "weight"),
-    "bad-face-duplicate-pair": (3, HAND_TRI + [(0, 1, (7, 0, 6), None)], 99,
+    "negative-base": (3, tri_with(0, (-1, 0)), 0, NegativeWeightError, "weight"),
+    "negative-perturbation": (3, tri_with(0, (1, -1)), 0, NegativeWeightError, "weight"),
+    "bad-face-duplicate-pair": (3, HAND_TRI + [(0, 1, (7, 0), None)], 99,
                                 FaceNotFoundError, "out of range"),
-    "shared-arc-id": (3, tri_with(1, (3, 0, 0)), 0, GraphError, "has id 0, not 2"),
-    "first-spoke-id": (3, tri_with(0, (1, 0, 6)), 0, GraphError, "has id 6, not 0"),
-    "pair-arc": (3, tri_with(0, (1, 0)), 0, GraphError, "not an int"),
+    "pair-arc": (3, tri_with(0, (1, 0, 0)), 0, GraphError, "not an int pair"),
     "no-arcs": (3, [(0, 1, None, None), *HAND_TRI[1:]], 0, GraphError, "no arcs"),
-    "self-loop": (3, HAND_TRI + [(0, 0, (1, 0, 6), None)], 0, SelfLoopSlotError, "itself"),
-    "str-vertex": (["a", "b"], [("a", "b", (1, 0, 0), (1, 0, 1))], 0,
+    "self-loop": (3, HAND_TRI + [(0, 0, (1, 0), None)], 0, SelfLoopSlotError, "itself"),
+    "str-vertex": (["a", "b"], [("a", "b", (1, 0), (1, 0))], 0,
                    GraphError, "vertex 'a' is not an int"),
-    "bool-vertex": ([0, True], [(0, True, (1, 0, 0), (1, 0, 1))], 0,
+    "bool-vertex": ([0, True], [(0, True, (1, 0), (1, 0))], 0,
                     GraphError, "vertex True is not an int"),
+    # a face walk stops at the missing link, and then the rotation check
+    # finds the darts it no longer reaches
+    "none-successor": (none_successor_grid3, None, 0, GraphError, "orphan darts"),
+    "bad-face-none-successor": (none_successor_grid3, None, 99,
+                                FaceNotFoundError, "out of range"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_hostile_input_fails_typed(name):
     n, slots, face, error, message = HOSTILE[name]
-    g = hand_graph(n, slots)
+    g = n() if callable(n) else hand_graph(n, slots)
     if name == "k4-euler-0":
         assert g.vertex_count - g.slot_count + g.face_count() == 0
     with pytest.raises(error, match=message):
@@ -378,19 +388,6 @@ def test_hand_built_graph_is_accepted():
     g.check()
     report = verify(g, 0, seed=1, force_exhaustive=True)
     assert report.passed and report.pairs_checked
-
-
-def test_shared_arc_id_fails_before_any_query():
-    # two arcs with one id passed the old checks, and paths came out wrong
-    g, outer = gen_grid(3, seed=2)
-    h = g.copy()
-    # slot 1's arc in direction 0 leaves dart 2 and arrives at dart 3
-    arc = h.arc_into(3)
-    h.set_arc(1, 0, (arc[0], arc[1], h.arc_into(1)[2]))
-    with pytest.raises(GraphError, match="id"):
-        normalize(h, outer, seed=1)
-    with pytest.raises(GraphError, match="id"):
-        verify(h, outer, seed=1, path_checks=500)
 
 
 def normalized_corpus():
@@ -429,8 +426,7 @@ def arc_table_by_position(g, norm) -> dict:
     input_darts = {d for v in g.vertices() for d in g.rotation(v)}
     pairs = {(tail, head) for tail, head, _ in g.arc_items()}
     table = {}
-    for tail, head, arc in norm.graph.arc_items():
-        d = arc[2]
+    for d, tail, head, arc in arcs_by_id(norm.graph):
         if d not in input_darts:
             kind = ARC_SPOKE
         elif g.arc_into(d ^ 1) is not None:

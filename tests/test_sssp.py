@@ -13,7 +13,6 @@ from planar_mssp import (
 )
 from planar_mssp.contraction import contract_tree, select_trees
 from planar_mssp.sssp import inherit_tree, out_adjacency, shared_forest
-from planar_mssp.weights import ZERO
 from tests.test_normalize import GRID2_BOUNDARY, GRID2_SLOTS, outer_face_of
 
 # Derived by tests/oracles/grid2_normalized_sssp.py (standalone
@@ -42,9 +41,9 @@ def ring_tree(norm, i, **kw):
 def test_grid2_base_distances(norm2):
     for i, b in enumerate(norm2.face_vertices):
         tree = ring_tree(norm2, i)
-        got = [tree.dist[u].base for u in range(4)]
+        got = [tree.dist[u][0] for u in range(4)]
         assert got == GRID2_SSSP_BASE[b], f"ring over vertex {b}"
-        assert tree.dist[tree.root] == ZERO
+        assert tree.dist[tree.root] == (0, 0)
         assert tree.root in tree.dist
         for other in norm2.ring_roots:
             if other != tree.root:
@@ -61,7 +60,8 @@ def test_parent_darts_form_tree(norm2):
             p = g.dart_vertex(reverse_dart(pd))
             arc = g.arc_into(pd)
             assert arc is not None
-            assert tree.dist[p] + (arc[0], arc[1]) == tree.dist[v]
+            pb, pp = tree.dist[p]
+            assert (pb + arc[0], pp + arc[1]) == tree.dist[v]
         for v in tree.dist:
             hops = 0
             while v != tree.root:
@@ -101,7 +101,7 @@ def test_out_adjacency_matches_arc_items(norm2):
         for base, pert, head_row, dart_at_head in arcs:
             assert g.dart_vertex(dart_at_head) == snap.vertices[head_row]
             arc = g.arc_into(dart_at_head)
-            assert (arc[0], arc[1]) == (base, pert)
+            assert arc == (base, pert)
 
 
 def test_shared_adjacency_gives_identical_trees(norm2):
@@ -135,7 +135,7 @@ def test_unreachable_vertex_raises():
     with pytest.raises(UnreachableVertexError, match="reached"):
         sssp_tree(g, 0, {1})
     tree = sssp_tree(g, 0)
-    assert tree.dist[2].base == 2
+    assert tree.dist[2][0] == 2
 
 
 def test_shared_forest_on_adjacent_roots(norm3):
