@@ -32,12 +32,14 @@ unique while they are built, and no query reads it.
 Everything stored is flat columns (_Columns), built and loaded alike.
 The K record tables and the N root tables are all trees over vertices
 with distances from a root, so they are K + N blocks of one set of node
-columns (vertex, base, parent vertex, parent arc), divided by the CSR
-offsets tree_start: the records in key order, then the tables in root
-order; records add their keys and each node's record tree root, which
-the records' nodes, coming first, index directly. A record block holds
-its trees' members only: a tree's root stays in the child graph, so it
-has no node there, and every record hit reroutes.
+columns (base, parent vertex, parent arc), divided by the CSR offsets
+tree_start: the records in key order, then the tables in root order;
+records add their keys and each node's record tree root, which the
+records' nodes, coming first, index directly. A node's vertex is its
+parent arc's head (a contraction moves tails, never heads), which the
+pass that makes the vertex -> node dicts reads. A record block holds its
+trees' members only: a tree's root stays in the child graph, so it has
+no node there, and every record hit reroutes.
 Within a block the nodes whose parent arc has a tail chain come first,
 so node p of block b has chain tree_chain_start[b] + (p - tree_start[b])
 when that offset is below the block's chain count, and one CSR pair
@@ -48,8 +50,8 @@ its root's Dijkstra run reached but the ring vertex itself, which leaves
 out every ring vertex, which no query names, so every node has a parent
 vertex and a parent arc, and no column holds a negative value. The arc
 table holds only the arcs some node names as its parent arc, which are
-all the arcs a path can report; an arc's kind is not stored, as it
-follows from its tail and base (see normalize). The only per-node Python
+all the arcs a path can report, as (id, tail, head): no query reads an
+arc's base or kind, which norm.arcs holds. The only per-node Python
 objects are the vertex -> node dicts, one per block, made with
 dict(zip(...)) over the columns; they hold ints only, so the garbage
 collector does not track them. One walk (MsspOracle._walk) follows
@@ -65,7 +67,7 @@ per original tail. The arrays are made at widths known before the
 recursion, and at the end the store lays the blocks out in file order
 and narrows each column once.
 
-The oracle file is format "planar-mssp-oracle", version 13, little-endian:
+The oracle file is format "planar-mssp-oracle", version 14, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -83,30 +85,33 @@ typecode its section names, so a loaded oracle re-saves byte for byte.
 load() checks, in this order: the magic (a file that starts with "{" is
 a JSON oracle of versions 1 to 3 and raises VersionMismatchError), the
 format and version, the header checksum, each section's typecode and
-checksum, the file length, the column lengths and offsets, one table per
-root, no block with more chains than nodes, no negative base, no record
-node that is its own tree root, and that every parent arc id is in the
-arc table; then that no block lists a vertex twice and that every record
-is keyed by a node of the schedule; then that root 0's descent, the
-records its plan reads and table 0, holds n_original vertices, none
-twice and no ring vertex (they are the vertices queries accept), and
-that each table lists only vertices of root 0's descent, with one row
-whose parent is its ring vertex, whose parent arc is the root's spoke
-(the arc whose tail is the ring vertex), which no other row's is, and
-which has no tail chain (so a path starts with the spoke); last, that
-each vertex of root 0's descent is the head of a stored arc. The spoke
-runs to the root's face vertex b_j, so that row's vertex is b_j, and the
-file does not store the face vertices. Which node stores each table is
-not in the file either: it follows from the ring count, so a file of
-another version raises VersionMismatchError even where its layout is the
-same. The file holds no report on the build that made it (BuildStats): a
-saved oracle is a function of the graph, the face and the seed alone, and
-a loaded oracle's stats are None. Path queries bound every parent walk
-and the path's length (n_original arcs, however the tail chains nest),
-and raise CorruptFileError, not KeyError, when a damaged file names a
-vertex or record it does not hold. The plans and the dicts are not part
-of the file. to_json() gives the same content as one logical JSON
-document, for tests and tools.
+checksum, the file length, the header's n_original and w_big (as
+normalize sets and admits them), the column lengths and offsets, one
+table per root, no block with more chains than nodes and no negative
+base; then, as it derives the node vertices, that no arc id is listed
+twice or missing, that no block lists a vertex twice and that no record
+node is its own tree root; then that no record key is listed twice and
+that every record is keyed by a node of the schedule; then that root 0's
+descent, the records its plan reads and table 0, holds n_original
+vertices, none twice and no ring vertex (they are the vertices queries
+accept), and that each table lists only vertices of root 0's descent,
+with one row whose parent is its ring vertex, whose parent arc is the
+root's spoke (the arc whose tail is the ring vertex), which no other
+row's is, and which has no tail chain (so a path starts with the spoke);
+last, that each vertex of root 0's descent is below the least ring
+vertex, as normalize numbers the ring vertices past every input id. The
+spoke runs to the root's face vertex b_j, so b_j is the spoke's head,
+and the file does not store the face vertices. Which node stores each
+table is not in the file either: it follows from the ring count, so a
+file of another version raises VersionMismatchError even where its
+layout is the same. The file holds no report on the build that made it
+(BuildStats): a saved oracle is a function of the graph, the face and
+the seed alone, and a loaded oracle's stats are None. Path queries bound
+every parent walk and the path's length (n_original arcs, however the
+tail chains nest), and raise CorruptFileError, not KeyError, when a
+damaged file names a vertex or record it does not hold. The plans and
+the dicts are not part of the file. to_json() gives the same content as
+one logical JSON document, for tests and tools.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ from .normalize import UNREACHABLE, NormalizedInstance
 from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 13
+ORACLE_VERSION = 14
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
@@ -168,12 +173,10 @@ _SECTIONS = (
     "ring_roots",  # N ring vertices r_j
     "arc_id",  # A, increasing: the arcs that node_arc names
     "arc_tail",
-    "arc_head",
-    "arc_base",
+    "arc_head",  # each node's vertex is its parent arc's head
     "record_key",  # K, increasing
-    "tree_start",  # M + 1: each block's nodes
-    "node_vertex",  # V; in each block the nodes with a tail chain first
-    "node_base",  # >= 0 from the block's root: a table's distance, a record's delta
+    "tree_start",  # M + 1: each block's nodes, those with a tail chain first
+    "node_base",  # V, >= 0 from the block's root: a table's distance, a record's delta
     "node_parent",  # parent vertex; no block holds its tree's root
     "node_arc",  # parent arc id
     "record_root",  # tree_start[K]: each record node's tree root, not itself
@@ -389,16 +392,27 @@ def _tree_name(c: _Columns, b: int) -> str:
 
 
 def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
-    """Each block's vertex -> node dict; no block may list a vertex twice."""
-    start = c.tree_start
-    vertex = c.node_vertex
+    """Each block's vertex -> node dict, a node's vertex being its parent
+    arc's head. No arc id may be listed twice or be missing, no block may
+    list a vertex twice, and no record node may be its own tree root."""
+    head = dict(zip(c.arc_id, c.arc_head))
+    if len(head) != len(c.arc_id):
+        raise CorruptFileError("an arc id is listed twice")
+    vertex_of, arcs, start = head.__getitem__, c.node_arc, c.tree_start
     trees: list[dict[int, int]] = []
     for b, (a, z) in enumerate(zip(start, start[1:])):
-        index = dict(zip(vertex[a:z], range(a, z)))
+        try:
+            index = dict(zip(map(vertex_of, arcs[a:z]), range(a, z)))
+        except KeyError as exc:
+            # every arc id a path walk can report
+            raise CorruptFileError(f"arc ids not in the arc table, such as {exc}") from None
         if len(index) != z - a:
             # a repeated vertex would read another vertex's node
             raise CorruptFileError(f"{_tree_name(c, b)}: a vertex is listed twice")
         trees.append(index)
+    # each block's dict lists its vertices in node order, the records first
+    if any(map(eq, c.record_root, chain.from_iterable(trees))):
+        raise CorruptFileError("a record node is its own tree root")
     return trees
 
 
@@ -411,18 +425,18 @@ def _check_tables(
     Root 0's descent, the records its plan reads and then table 0, holds
     every original vertex once: contraction moves a vertex from a node's
     graph into a record, and no block holds its tree's root, so those
-    blocks must hold n_original vertices between them, none twice and no
-    ring vertex, and each must be the head of a stored arc. They are the
-    query vertices. Every table must list only vertices of root 0's
-    descent and start every path with its spoke, the arc whose tail is the
-    ring vertex. The spoke's head is the root's face vertex b_j, so b_j is
-    the vertex of the one row whose parent is the ring vertex.
+    blocks must hold n_original vertices between them, none twice, each
+    below the least ring vertex (normalize numbers the ring vertices past
+    every input id). They are the query vertices. Every table must list
+    only vertices of root 0's descent and start every path with its spoke,
+    the arc whose tail is the ring vertex. The spoke's head is the root's
+    face vertex b_j, the vertex of the one row whose parent is r_j.
     """
     start = c.tree_start
     parents, arcs = c.node_parent, c.node_arc
-    # ring vertex -> its spoke, the one arc that leaves it
+    # ring vertex -> its spoke, the one arc that leaves it, and the spoke's head
     ring = set(c.ring_roots)
-    spoke_of = {t: a for a, t in zip(c.arc_id, c.arc_tail) if t in ring}
+    spoke_of = {t: (a, h) for a, t, h in zip(c.arc_id, c.arc_tail, c.arc_head) if t in ring}
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
     blocks = [entries for _, entries in plan0.steps]
@@ -450,22 +464,21 @@ def _check_tables(
         # row's is, and it must have no tail chain: so every path starts with
         # the spoke, which query_path drops
         parent = parents[a:z]
-        s = spoke_of.get(r)
+        s, face = spoke_of.get(r, (None, None))
         if parent.count(r) == 1 and s is not None:
             p = parent.index(r)
             if p >= chains and arcs[a + p] == s and arcs[a:z].count(s) == 1:
-                faces.append(c.node_vertex[a + p])
+                faces.append(face)
                 continue
         raise CorruptFileError(
             f"table {j}: the row whose parent is the ring vertex is not the one"
             " row whose parent arc is the root's spoke, without a tail chain"
         )
-    # every node is the head of its parent arc, so a vertex that no stored
-    # arc enters is foreign to the graph
-    foreign = vertices.difference(c.arc_head)
-    if foreign:
+    # an id at or past the least ring vertex is foreign to the graph
+    top, least = max(vertices), min(ring)
+    if top >= least:
         raise CorruptFileError(
-            f"root 0's descent lists vertex {min(foreign)}, which no stored arc enters"
+            f"root 0's descent lists vertex {top}, not below the least ring vertex {least}"
         )
     return frozenset(vertices), faces
 
@@ -561,8 +574,8 @@ class MsspOracle:
     ) -> tuple[int, int]:
         """The one query descent: reroute u along root j's plan.
 
-        Returns u's node in the terminal table and the base of the distance.
-        Appends each record hit (key, vertex) to hits when given.
+        Returns the rerouted vertex in the terminal table and the base of
+        the distance. Appends each record hit (key, vertex) to hits when given.
         """
         _, steps, index = self._plan(j)
         if type(u) is not int or u not in self._query_vertices:
@@ -584,7 +597,7 @@ class MsspOracle:
         node = index.get(u)
         if node is None:
             raise CorruptFileError(f"table {j} holds no row for vertex {u}")
-        return node, acc + bases[node]
+        return u, acc + bases[node]
 
     def distance(self, j: int, u: int):
         """Base distance from b_j to u in the original graph, or UNREACHABLE."""
@@ -613,7 +626,7 @@ class MsspOracle:
         An unreachable u raises UnreachableError before any walk.
         """
         hits: list[tuple[int, int]] = []
-        node, base = self._descend(j, u, hits)
+        v, base = self._descend(j, u, hits)
         if base >= self.w_big:
             raise UnreachableError(
                 f"vertex {u} is not reachable from face vertex {self.face_vertices[j]}"
@@ -623,7 +636,7 @@ class MsspOracle:
         # arc ids and its spokes were checked at load
         try:
             # the terminal tree from r_j down to u, then each rerouting jump
-            self._walk(self._table_walks[j], self._cols.node_vertex[node], out)
+            self._walk(self._table_walks[j], v, out)
             for key, v in reversed(hits):
                 self._walk(self._record_walks[key], v, out)
         except KeyError as exc:
@@ -707,12 +720,12 @@ class MsspOracle:
         """The oracle's content as one logical JSON document.
 
         Each tree's nodes in the file's block order: header values, "arcs"
-        as [id, tail, head, base], "tables" as one [j, vertices,
-        base, par_v, par_arc, chains] per root, where chains lists [row,
-        [[midpoint, side, vertex], ...]], and "records" as [midpoint, side,
-        entries] per record table, each entry [vertex, root, delta base,
-        parent, arc, chain]. Tests and tools read it; save() writes the
-        columns instead.
+        as [id, tail, head], "tables" as one [j, vertices, base, par_v,
+        par_arc, chains] per root, where chains lists [row, [[midpoint,
+        side, vertex], ...]], and "records" as [midpoint, side, entries]
+        per record table, each entry [vertex, root, delta base, parent,
+        arc, chain], where a vertex is its arc's head. Tests and tools read
+        it; save() writes the columns instead.
         """
         c = self._cols
         k = len(c.record_key)
@@ -729,8 +742,8 @@ class MsspOracle:
         for j in range(self.ring_count):
             a, z, chains = block(k + j)
             tables.append(
-                [j, *(col[a:z].tolist() for col in (
-                    c.node_vertex, c.node_base, c.node_parent, c.node_arc)),
+                [j, list(self.tables[j]),
+                 *(col[a:z].tolist() for col in (c.node_base, c.node_parent, c.node_arc)),
                  [[p, hops] for p, hops in enumerate(chains)]]
             )
         records = []
@@ -738,9 +751,8 @@ class MsspOracle:
             a, z, chains = block(b)
             chains += [[] for _ in range(z - a - len(chains))]
             entries = [
-                [c.node_vertex[e], c.record_root[e], c.node_base[e], c.node_parent[e],
-                 c.node_arc[e], hops]
-                for e, hops in zip(range(a, z), chains)
+                [v, c.record_root[e], c.node_base[e], c.node_parent[e], c.node_arc[e], hops]
+                for v, e, hops in zip(self.records[key], range(a, z), chains)
             ]
             records.append([key >> 1, key & 1, entries])
         return {
@@ -751,13 +763,13 @@ class MsspOracle:
             "seed": self.seed,
             "ring_roots": list(self.ring_roots),
             "face_vertices": list(self.face_vertices),
-            "arcs": [list(arc) for arc in zip(c.arc_id, c.arc_tail, c.arc_head, c.arc_base)],
+            "arcs": [list(arc) for arc in zip(c.arc_id, c.arc_tail, c.arc_head)],
             "tables": tables,
             "records": records,
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 13) to a path or binary file object.
+        """Write the oracle file (format version 14) to a path or binary file object.
 
         Each column is written as it is held, at the narrowest typecode that
         holds its values, which build chose and load kept.
@@ -850,23 +862,21 @@ def _check_offsets(off: array, count: int, what: str) -> None:
 
 
 def _check_columns(c: _Columns) -> None:
-    """Column lengths and offsets agree, no base is negative, no record
-    node is its own root, and every arc id is known."""
+    """Column lengths and offsets agree, and no base is negative."""
     n = len(c.ring_roots)
     if n == 0:
         raise CorruptFileError("no ring roots; expected one or more")
     if len(set(c.ring_roots)) != n:
         raise CorruptFileError("a ring root is listed twice")
-    arcs = len(c.arc_id)
-    if any(len(col) != arcs for col in (c.arc_tail, c.arc_head, c.arc_base)):
+    if any(len(col) != len(c.arc_id) for col in (c.arc_tail, c.arc_head)):
         raise CorruptFileError("arc columns differ in length")
     start = c.tree_start
     k = len(c.record_key)
     tables = len(start) - 1 - k
     if tables != n:
         raise CorruptFileError(f"{tables} tables for {n} roots; expected one per root")
-    nodes = len(c.node_vertex)
-    if any(len(col) != nodes for col in (c.node_base, c.node_parent, c.node_arc)):
+    nodes = len(c.node_arc)
+    if any(len(col) != nodes for col in (c.node_base, c.node_parent)):
         raise CorruptFileError(f"the node columns do not all have the {nodes} rows")
     _check_offsets(start, nodes, "tree nodes")
     if len(c.record_root) != start[k]:
@@ -890,19 +900,6 @@ def _check_columns(c: _Columns) -> None:
     w = c.node_base.itemsize
     if not c.node_base.tobytes()[0 if _SWAP else w - 1::w].isascii():
         raise CorruptFileError("a node has a negative base")
-    if any(map(eq, c.record_root, c.node_vertex)):
-        raise CorruptFileError("a record node is its own tree root")
-    known = set(c.arc_id)
-    if len(known) != arcs:
-        raise CorruptFileError("an arc id is listed twice")
-    # every arc id a path walk can report; a subset test, which builds no
-    # set of the node column
-    if not known.issuperset(c.node_arc):
-        unknown = set(c.node_arc) - known
-        raise CorruptFileError(
-            f"{len(unknown)} parent or record arc ids are not in the arc"
-            f" table, such as {min(unknown)}"
-        )
 
 
 def _read_file(raw: bytes) -> tuple[dict, _Columns]:
@@ -952,6 +949,10 @@ def load(source) -> MsspOracle:
         raise CorruptFileError(f"malformed header: {exc!r}") from exc
     if not all(type(x) is int for x in (n_original, w_big, seed)):
         raise CorruptFileError("n_original, w_big and seed must be ints")
+    # normalize sets W_big = n * max_weight + 1, n >= 1, and admits it only
+    # while 2 * n * W_big < 2**62
+    if n_original < 1 or w_big < 1 or (w_big - 1) % n_original or n_original * w_big >> 61:
+        raise CorruptFileError(f"n_original {n_original} and w_big {w_big} break normalize's rule")
     _check_columns(cols)
     return MsspOracle(n_original, w_big, seed, cols, None)
 
@@ -971,7 +972,7 @@ class _Store:
 
     def __init__(self, norm: NormalizedInstance):
         vertex = _narrowest(max(norm.graph.vertices()))
-        self.vertex, self.parent, self.root, self.hop_vertex = (array(vertex) for _ in range(4))
+        self.parent, self.root, self.hop_vertex = (array(vertex) for _ in range(3))
         self.base = array(_narrowest(norm.n_original * norm.w_big))
         self.arc = array(_narrowest(len(norm.graph._at) - 1))
         # hops per chain: a chain has one hop per level at most
@@ -1014,7 +1015,7 @@ class _Store:
         """Append a tree's nodes in block order: those whose parent arc has
         a tail chain first, each part by ascending vertex. A table's columns
         come sorted by vertex, a record's in the order contract_tree made
-        them."""
+        them. The vertices only order the nodes: each is its arc's head."""
         chains = list(map(chain_at, arc))
         order: range | list[int] = range(len(vertex))
         if any(map(gt, vertex, islice(vertex, 1, None))):
@@ -1022,7 +1023,7 @@ class _Store:
         chained = [p for p in order if chains[p]]
         if chained:
             order = chained + [p for p in order if not chains[p]]
-        parts = [(self.vertex, vertex), (self.base, base), (self.parent, parent), (self.arc, arc)]
+        parts = [(self.base, base), (self.parent, parent), (self.arc, arc)]
         if root is not None:
             parts.append((self.root, root))
         for col, values in parts:
@@ -1032,7 +1033,7 @@ class _Store:
         self.hop_key.extend(hops[0::2])
         self.hop_vertex.extend(hops[1::2])
         self.place.append(place)
-        self.node_off.append(len(self.vertex))
+        self.node_off.append(len(self.arc))
         self.root_off.append(len(self.root))
         self.chain_off.append(len(self.chain_len))
         self.hop_off.append(len(self.hop_key))
@@ -1057,7 +1058,6 @@ class _Store:
         c.ring_roots = _fitted(norm.ring_roots)
         c.record_key = _fitted(sorted(p for p in self.place if p < self.tables_from))
         c.tree_start = starts(self.node_off)
-        c.node_vertex = laid_out(self.vertex, self.node_off)
         c.node_base = laid_out(self.base, self.node_off)
         c.node_parent = laid_out(self.parent, self.node_off)
         c.node_arc = laid_out(self.arc, self.node_off)
@@ -1069,11 +1069,10 @@ class _Store:
         c.hop_vertex = laid_out(self.hop_vertex, self.hop_off)
 
         ids = sorted(set(c.node_arc))
-        at, arc_at = norm.graph._at, norm.graph._arc
+        at = norm.graph._at
         c.arc_id = _fitted(ids)
         c.arc_tail = _fitted([at[d] for d in ids])
         c.arc_head = _fitted([at[d ^ 1] for d in ids])
-        c.arc_base = _fitted([arc_at[d][0] for d in ids])
         return c
 
 
@@ -1290,7 +1289,7 @@ def build(
         for level, counter in edge_counters.items():
             stats.per_level[level]["tree_arc_max"] = max(counter.values()) if counter else 0
     stats.record_entries = len(cols.record_root)
-    stats.stored_rows = len(cols.node_vertex) - stats.record_entries
+    stats.stored_rows = len(cols.node_arc) - stats.record_entries
     stats.chain_elements = len(cols.hop_key)
     stats.build_seconds = time.perf_counter() - t0
     return MsspOracle(norm.n_original, norm.w_big, norm.seed, cols, stats)

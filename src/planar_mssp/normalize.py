@@ -178,8 +178,8 @@ def normalize(g: EmbeddedDigraph, face, seed: int = 0) -> NormalizedInstance:
       lies in [0, (n - 1) * W_big];
     * reweighted arcs: contraction adds those deltas to arc bases inside
       the build, where bases are Python ints and do not overflow; what is
-      stored of them is distances and deltas again, and arc bases are
-      stored as normalized, at most W_big.
+      stored of them is distances and deltas again, and the oracle file
+      stores no arc base.
 
     So every stored base, and every sum a query forms (a stored delta
     sum plus a table base is a distance), is below n * W_big < 2**61,

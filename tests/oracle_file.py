@@ -1,11 +1,17 @@
-"""An independent writer of oracle files (format version 13), for tests.
+"""An independent writer of oracle files (format version 14), for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the
 README describes. It shares no code with the package's save(), so a test
 can damage a document the way a broken writer would and load the result.
-Version 13 is version 12 without the arc_perturb column: each stored arc
-is [id, tail, head, base], with no perturbation. Version 12 is version 11 without the header's build report ("stats") and
+Version 14 is version 13 without the node vertex and arc base columns:
+each stored arc is [id, tail, head], and a node's vertex is the head of
+its parent arc, so the document's node vertices are not written. A
+document whose node vertex is not the head of that node's arc, where the
+document lists the arc, raises ValueError: a damage to a vertex alone
+would be a silent no-op. Version 13 is version 12 without the
+arc_perturb column: each stored arc was [id, tail, head, base], with no
+perturbation. Version 12 is version 11 without the header's build report ("stats") and
 without the face_vertices column: a root's face vertex is the vertex of
 its table's one row whose parent is its ring vertex, so the document's
 "face_vertices" are not written. Version 11 is version 10 without each
@@ -49,13 +55,13 @@ import struct
 import zlib
 
 MAGIC = b"\x89MSSP\r\n\x1a"
-NODE = ("node_vertex", "node_base", "node_parent", "node_arc")
-ARC = ("arc_id", "arc_tail", "arc_head", "arc_base")
+NODE = ("node_base", "node_parent", "node_arc")
+ARC = ("arc_id", "arc_tail", "arc_head")
 COLUMNS = (
     "ring_roots",
-    "arc_id", "arc_tail", "arc_head", "arc_base",
+    "arc_id", "arc_tail", "arc_head",
     "record_key", "tree_start",
-    "node_vertex", "node_base", "node_parent", "node_arc", "record_root",
+    "node_base", "node_parent", "node_arc", "record_root",
     "tree_chain_start", "chain_hop_start", "hop_key", "hop_vertex",
 )
 TYPECODES = ("h", "i", "q")  # the file's widths, narrowest first: struct letters
@@ -78,13 +84,21 @@ def _running(lengths) -> list[int]:
     return out
 
 
-def _add_tree(col: dict, nodes: list[tuple], hops_of: dict[int, list], roots=None) -> None:
-    """Append one block: nodes (vertex, base, parent, arc), chained first."""
+def _add_tree(
+    col: dict, head: dict[int, int], nodes: list[tuple], hops_of: dict[int, list], roots=None
+) -> None:
+    """Append one block: nodes (vertex, base, parent, arc), chained first.
+    The vertex is not written; it must be the head of the node's arc, if
+    the arc is in head."""
     order = sorted(range(len(nodes)), key=lambda p: not hops_of.get(p))
     col["tree_start"].append(len(nodes))
     col["tree_chain_start"].append(sum(1 for p in order if hops_of.get(p)))
     for p in order:
-        for name, value in zip(NODE, nodes[p]):
+        vertex, *values = nodes[p]
+        arc = values[-1]
+        if head.get(arc, vertex) != vertex:
+            raise ValueError(f"node vertex {vertex} is not the head {head[arc]} of its arc {arc}")
+        for name, value in zip(NODE, values):
             col[name].append(value)
         if roots is not None:
             col["record_root"].append(roots[p])
@@ -103,17 +117,19 @@ def columns_of(doc: dict) -> dict[str, list[int]]:
     for arc in doc["arcs"]:
         for name, value in zip(ARC, arc, strict=True):
             col[name].append(value)
+    head = dict(zip(col["arc_id"], col["arc_head"]))
     for mid, side, entries in doc["records"]:
         col["record_key"].append(2 * mid + side)
         _add_tree(
             col,
+            head,
             [(v, dbase, parent, arc) for v, _, dbase, parent, arc, _ in entries],
             {p: entry[5] for p, entry in enumerate(entries)},
             [entry[1] for entry in entries],
         )
     # tables: the item's own j is its place in the stream, so it is not written
     for _, *rows, chains in doc["tables"]:
-        _add_tree(col, list(zip(*rows)), dict(chains))
+        _add_tree(col, head, list(zip(*rows)), dict(chains))
     for name in ("tree_start", "tree_chain_start", "chain_hop_start"):
         col[name] = _running(col[name])
     return col

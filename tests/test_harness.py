@@ -211,7 +211,7 @@ def _path_or_nothing(self, j, u):
 
 def _spoke(oracle, j):
     r = oracle.ring_roots[j]
-    return next(aid for aid, tail, _, _ in oracle.to_json()["arcs"] if tail == r)
+    return next(aid for aid, tail, _ in oracle.to_json()["arcs"] if tail == r)
 
 
 def _there_and_back(self, j, u):

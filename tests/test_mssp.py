@@ -310,7 +310,7 @@ def test_nothing_stored_goes_unread(right_first):
     # every record table is probed by some root's descent or named by a
     # tail-chain hop, every table is its root's terminal table and holds
     # all the stored rows, and every stored arc is some node's parent arc,
-    # as the normalized graph has it, less the perturbation;
+    # as (id, tail, head) of the normalized graph's arc;
     # no record entry is its own tree root, no table row is unreached, no
     # table lists a ring vertex and every node has a parent (no -1 is
     # stored), root 0's descent (its records, then table 0) holds each
@@ -329,9 +329,10 @@ def test_nothing_stored_goes_unread(right_first):
         assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
         c = oracle._cols
         assert set(c.arc_id) == set(c.node_arc), name
-        stored = zip(c.arc_id, c.arc_tail, c.arc_head, c.arc_base)
-        assert all(norm.arcs[a][:3] == (t, h, b) for a, t, h, b in stored), name
-        assert not any(map(eq, c.record_root, c.node_vertex)), name
+        stored = zip(c.arc_id, c.arc_tail, c.arc_head)
+        assert all(norm.arcs[a][:2] == (t, h) for a, t, h in stored), name
+        record_vertices = chain.from_iterable(oracle.records[key] for key in c.record_key)
+        assert not any(map(eq, c.record_root, record_vertices)), name
         assert min(c.node_base) >= 0, name
         descent = [*(entries for _, entries in oracle._plans[0].steps), oracle.tables[0]]
         held = Counter(chain.from_iterable(descent))
@@ -339,7 +340,7 @@ def test_nothing_stored_goes_unread(right_first):
         assert held.keys() == set(range(oracle.n_original)), name
         assert all(oracle._ring_set.isdisjoint(table) for table in oracle.tables), name
         assert min(c.node_parent) >= 0, name
-        assert oracle.stats.stored_entries == len(c.node_vertex), name
+        assert oracle.stats.stored_entries == len(c.node_arc), name
 
 
 def test_tables_hold_a_few_rows_per_vertex():
@@ -698,7 +699,7 @@ def test_load_rejects_bad_documents(tmp_path, oracle3):
 
     # the header lists no table sections
     columns = columns_of(doc)
-    for name in ("tree_start", "node_vertex"):
+    for name in ("tree_start", "node_arc"):
         del columns[name]
     with pytest.raises(CorruptFileError, match="sections"):
         load(io.BytesIO(encode_columns(header_values(doc), columns, strict=False)))

@@ -51,7 +51,7 @@ from tests.oracle_file import (
 
 # SHA-256 of each saved oracle, and of the compact JSON of its
 # to_json()["records"]. The record digests were taken from the version 8
-# code, whose records versions 9 to 13 keep byte for byte. The file
+# code, whose records versions 9 to 14 keep byte for byte. The file
 # digests were taken from the version 9 code once these held for each
 # instance: its records match the version 8 digest; every
 # table row's base is the brute-force distance from its root
@@ -79,22 +79,28 @@ from tests.oracle_file import (
 # [id, tail, head, base] without its perturbation, was encoded by
 # tests/oracle_file.py, which no longer writes the arc_perturb column; the
 # version 13 save() writes exactly those bytes, and its to_json() and its
-# loaded oracle's are that document. The file holds no build report, so
-# no field is zeroed before a digest is taken. Any change to these bytes
-# is a format change and needs a version bump.
+# loaded oracle's are that document. For version 14 each instance's
+# version 13 document, with "version" 14 and each arc [id, tail, head]
+# without its base, was encoded by tests/oracle_file.py, which no longer
+# writes the node vertex and arc base columns (and checks that each node's
+# vertex is its arc's head); the version 14 save() writes exactly those
+# bytes, and its to_json() and its loaded oracle's are that document. The
+# file holds no build report, so no field is zeroed before a digest is
+# taken. Any change to these bytes is a format change and needs a version
+# bump.
 GATE_DIGESTS = {
-    "grid8-outer": "9291758ed1c55d1a5f99e1374166335010699c50af06952ec348c7e7a8ea8e39",
-    "grid16-outer": "e15279bded66baffa350297141a0341a5131963df23b1212ccd5c51ffd337a77",
-    "random10-outer": "849aeb94772d7e17ae1459eea0508263187992a3d1ca4a7beb2621b10c909efb",
-    "bowtie-inner": "7726ce5138070cdaea8eb07111fbe90d4e930d1403346dcdef0d6504f13cf0b6",
-    "tri_oneway-inner": "b7010e08cfa9a90eb2c32cd9e1c5e5b0c324f5cdb5d882ec1c5a89bd2f58357e",
-    "grid32-outer": "beab9974d7e7fc7f8f517348234558b0926566fe2772e9a7d3a915573c35b9c7",
-    "grid16-oneway-inner": "3ed7da2f14454cb973a517a2f2b59bfc272697dd36857baaa09ca2c0768f42f2",
-    "random12-inner": "c378c66688abff06bd8117858c5fcdbbc4e8673918dc6db81671e65a162e8823",
+    "grid8-outer": "d38257fa0d51280c2d29cec6ddc4380b070646a8ab3021402ef21172adfbb77e",
+    "grid16-outer": "095d7d6ac3bde279b702bc09184901b2ab73c32b014675ef81e05a71844ee0ec",
+    "random10-outer": "e9c4114b355008130ba544624cf1e1236d9827b06fd8d31be019f830d2b84389",
+    "bowtie-inner": "96d40bc4501ae807124fb113b5a8badd81dc447f1227b651f39f47f0fe1bfb6f",
+    "tri_oneway-inner": "fae84c364120ec80fb211847627bc58f5aa253ca7c286630decf0adabbeb1367",
+    "grid32-outer": "4e9d445d3ff1048fe19972fa8b172d2b6e5e9376eee16e6093fcb077b4e387e2",
+    "grid16-oneway-inner": "da659aece71fff9d3712ff089a6bcef1c6da5d40ae24db545b72f6963d1cad6f",
+    "random12-inner": "9be090114c4d23f608de7afc8881a938417fb5316668e7cbfc5ee73d1e28673e",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "f4fb2e92cbbabfb7f3518944247191f11024cbab0f86da79465c50c692dfd304"
+    "grid64-outer", "3d1a3975a9fd754ffb011392cec3b668187ba7d0fbb1c71f87e57d641578f12b"
 )
 RECORD_DIGESTS = {
     "grid8-outer": "aab28276d0668819350fb930d9fda6cd4dad0a0089fc26eaf4a49746533bf214",
@@ -225,8 +231,8 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_thirteen():
-    assert ORACLE_VERSION == 13
+def test_oracle_version_is_fourteen():
+    assert ORACLE_VERSION == 14
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -257,6 +263,8 @@ OLD_VERSIONS = {
         " parent arc -1",
     11: "the build report in the header and a face_vertices column",
     12: "each stored arc's perturbation, in an arc_perturb column",
+    13: "each node's vertex, which is its parent arc's head, and each stored"
+        " arc's base, which nothing read",
 }
 
 
@@ -369,10 +377,11 @@ def test_flipped_column_byte_fails_its_checksum():
 
 
 def test_vertex_listed_twice_is_rejected():
-    # the later row would answer for the repeated vertex, without an error
+    # the later row would answer for the repeated vertex, without an error:
+    # a node given its sibling's arc has its sibling's vertex, the arc's head
     doc = small_oracle().to_json()
-    vertices = doc["tables"][5][1]
-    vertices[1] = vertices[0]
+    _, vertices, _, _, arcs, _ = doc["tables"][5]
+    vertices[1], arcs[1] = vertices[0], arcs[0]
     with pytest.raises(CorruptFileError, match="listed twice"):
         load_doc(doc)
 
@@ -382,11 +391,34 @@ def query_vertex_at(table: list) -> int:
     return next(pos for pos, v in enumerate(table[1]) if v == 1)
 
 
+def new_arc(doc: dict, tail: int, head: int) -> int:
+    """Add an arc from tail to head to a document's arc table, under an id
+    past every stored one; return its id."""
+    aid = doc["arcs"][-1][0] + 1
+    doc["arcs"].append([aid, tail, head])
+    return aid
+
+
+def move_row(doc: dict, table: list, vertex: int) -> None:
+    """Move table's row of vertex 1 to vertex, by a new arc from the row's
+    parent into vertex."""
+    row = query_vertex_at(table)
+    table[1][row], table[4][row] = vertex, new_arc(doc, table[3][row], vertex)
+
+
+def test_encoder_rejects_a_vertex_that_is_not_its_arcs_head():
+    # the file stores no node vertex, so a damage to a vertex alone would
+    # encode to the undamaged file
+    doc = small_oracle().to_json()
+    doc["tables"][5][1][0] = 10**6
+    with pytest.raises(ValueError, match="node vertex 1000000 is not the head"):
+        encode_document(doc)
+
+
 def test_table_vertex_outside_table_zero_is_rejected():
     # distance(5, 1) raised a bare internal MsspError when this loaded
     doc = small_oracle().to_json()
-    table = doc["tables"][5]
-    table[1][query_vertex_at(table)] = 10**6
+    move_row(doc, doc["tables"][5], 10**6)
     with pytest.raises(
         CorruptFileError, match="table 5 lists vertex 1000000, which root 0's descent"
     ):
@@ -398,8 +430,7 @@ def test_table_zero_vertex_replaced_is_rejected():
     # from root 0's descent. Root 0's descent still holds 17 vertices, but
     # table 1, stored at the same leaf, lists vertex 1
     doc = small_oracle().to_json()
-    table = doc["tables"][0]
-    table[1][query_vertex_at(table)] = 10**6
+    move_row(doc, doc["tables"][0], 10**6)
     with pytest.raises(
         CorruptFileError, match="table 1 lists vertex 1, which root 0's descent"
     ):
@@ -409,8 +440,7 @@ def test_table_zero_vertex_replaced_is_rejected():
 def test_table_zero_holding_another_ring_vertex_is_rejected():
     # root 0's descent holds the original vertices only
     doc = small_oracle().to_json()
-    table = doc["tables"][0]
-    table[1][query_vertex_at(table)] = doc["ring_roots"][1]
+    move_row(doc, doc["tables"][0], doc["ring_roots"][1])
     with pytest.raises(
         CorruptFileError, match=f"root 0's descent lists ring vertex {doc['ring_roots'][1]}"
     ):
@@ -420,11 +450,12 @@ def test_table_zero_holding_another_ring_vertex_is_rejected():
 @pytest.mark.parametrize("j", [0, 5])
 def test_table_listing_its_own_ring_vertex_is_rejected(j):
     # no stored tree holds its root: a row for r_j, at base 0 under its
-    # face vertex b_j, with a stored arc, is one vertex too many for table 0
-    # and a vertex of no descent for table 5
+    # face vertex b_j, with an arc from b_j to r_j, is one vertex too many
+    # for table 0 and a vertex of no descent for table 5
     doc = small_oracle().to_json()
     table = doc["tables"][j]
-    row = (doc["ring_roots"][j], 0, doc["face_vertices"][j], doc["arcs"][0][0])
+    r, b = doc["ring_roots"][j], doc["face_vertices"][j]
+    row = (r, 0, b, new_arc(doc, b, r))
     for col, value in zip(table[1:5], row):
         col.append(value)
     match = (
@@ -483,16 +514,18 @@ def test_record_under_a_key_of_no_node_is_rejected():
 
 def test_foreign_vertex_on_root_zero_descent_is_rejected():
     # record (2, 0) lies on root 0's descent; with its entry for vertex 5
-    # renamed 10**6, the descent still holds 17 distinct vertices, so it
-    # loaded, 10**6 became a query vertex and 5 stopped being one. Every
-    # node but a table's root is the head of its parent arc, and no stored
-    # arc enters 10**6
+    # given an arc into 10**6, the descent still holds 17 distinct
+    # vertices, so it loaded, 10**6 became a query vertex and 5 stopped
+    # being one. normalize numbers the ring vertices past every input id,
+    # so no query vertex reaches the least of them
     doc = small_oracle().to_json()
     entries = next(e for mid, side, e in doc["records"] if (mid, side) == (2, 0))
     entry = next(e for e in entries if e[0] == 5)
-    entry[0] = 10**6
+    entry[0], entry[4] = 10**6, new_arc(doc, entry[3], 10**6)
+    least = min(doc["ring_roots"])
     with pytest.raises(
-        CorruptFileError, match="root 0's descent lists vertex 1000000, which no stored arc"
+        CorruptFileError,
+        match=f"root 0's descent lists vertex 1000000, not below the least ring vertex {least}",
     ):
         load_doc(doc)
 
@@ -545,7 +578,7 @@ LOAD_RULES = {
         "a ring root is listed twice",
     ),
     "arc-column-short": (
-        "columns", lambda c: c["arc_base"].pop(), "arc columns differ in length",
+        "columns", lambda c: c["arc_head"].pop(), "arc columns differ in length",
     ),
     "node-column-short": (
         "columns", lambda c: c["node_arc"].pop(), "node columns do not all have",
@@ -576,6 +609,21 @@ LOAD_RULES = {
     "n-original-not-an-int": (
         "header", lambda h: h.update(n_original=16.0), "n_original, w_big and seed must be ints",
     ),
+    # normalize sets W_big = n * max_weight + 1, n >= 1, and admits it
+    # while 2 * n * W_big < 2**62; with w_big 0, -5 or 1, distance(0, 5)
+    # answered UNREACHABLE, not 80
+    "n-original-below-one": (
+        "header", lambda h: h.update(n_original=0), "n_original 0 and w_big 1601 break",
+    ),
+    "w-big-below-one": (
+        "header", lambda h: h.update(w_big=-15), "n_original 16 and w_big -15 break",
+    ),
+    "w-big-not-one-past-a-multiple-of-n": (
+        "header", lambda h: h.update(w_big=82), "n_original 16 and w_big 82 break",
+    ),
+    "w-big-past-the-admission-cap": (
+        "header", lambda h: h.update(w_big=(1 << 57) + 1), "n_original 16 and w_big 144115188",
+    ),
 }
 
 
@@ -593,16 +641,52 @@ def test_each_load_rule_rejects_its_damage(rule):
         load(io.BytesIO(data))
 
 
+def answer_or_error(oracle, j: int, u: int):
+    """answers(oracle, j, u), or the type of the MsspError it raised."""
+    try:
+        return answers(oracle, j, u)
+    except MsspError as exc:
+        return type(exc)
+
+
+def test_every_stored_section_is_read():
+    # a column that no load rule and no query reads could go from the file
+    # without a trace: each section has a value whose change, by one, load
+    # rejects or that changes some answer over all (j, u)
+    oracle = small_oracle()
+    doc = oracle.to_json()
+    pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
+    expected = [answers(oracle, j, u) for j, u in pairs]
+    cols = columns_of(doc)
+    inert = []
+    for name in mssp._SECTIONS:
+        for i in range(len(cols[name])):
+            damaged = dict(cols, **{name: list(cols[name])})
+            damaged[name][i] += 1
+            try:
+                loaded = load(io.BytesIO(encode_columns(header_values(doc), damaged)))
+            except CorruptFileError:
+                break
+            if [answer_or_error(loaded, j, u) for j, u in pairs] != expected:
+                break
+        else:
+            inert.append(name)
+    assert not inert
+
+
 def test_non_spoke_first_path_arc_is_rejected_at_load():
     # every path's first arc is its root's spoke, which query_path drops;
     # with another arc there, every path raised a bare internal MsspError
     doc = small_oracle().to_json()
     ring = set(doc["ring_roots"])
-    spokes = {aid for aid, tail, _, _ in doc["arcs"] if tail in ring}
-    other = min({aid for aid, _, _, _ in doc["arcs"]} - spokes)
+    spokes = {aid for aid, tail, _ in doc["arcs"] if tail in ring}
     damaged = json.loads(json.dumps(doc))
+    # each spoke row's arc becomes one into the same face vertex from a
+    # vertex that is no ring vertex: the vertex itself
     for table in damaged["tables"]:
-        table[4] = [other if a in spokes else a for a in table[4]]
+        table[4] = [
+            new_arc(damaged, v, v) if a in spokes else a for v, a in zip(table[1], table[4])
+        ]
     with pytest.raises(CorruptFileError, match="spoke"):
         load_doc(damaged)
     # a tail chain on the spoke's row would put record arcs before the spoke
@@ -799,7 +883,7 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
     # path walk would report it after the arcs before it
     doc = small_oracle().to_json()
     ring = set(doc["ring_roots"])
-    spokes = {aid for aid, tail, _, _ in doc["arcs"] if tail in ring}
+    spokes = {aid for aid, tail, _ in doc["arcs"] if tail in ring}
     par_arc = next(
         table[4] for table in doc["tables"]
         if any(a not in spokes for a in table[4])
@@ -857,7 +941,7 @@ def test_each_column_is_stored_at_its_narrowest_width(name):
 
 def test_bases_near_the_admission_cap_are_stored_as_int64():
     # every weight just below the largest W_big that normalize admits, so
-    # distances and arc bases pass int32
+    # distances pass int32, and that W_big passes load's rules
     n = 16
     cap = ((1 << 62) - 1) // (2 * n)  # the largest W_big admitted
     top = (cap - 1) // n  # the largest weight admitted
@@ -866,7 +950,7 @@ def test_bases_near_the_admission_cap_are_stored_as_int64():
         slot[2], slot[3] = top - slot[2], top - slot[3]
     norm = normalize(*graph_from_json(doc), seed=1)
     oracle = build(norm)
-    assert oracle._cols.node_base.typecode == oracle._cols.arc_base.typecode == "q"
+    assert oracle._cols.node_base.typecode == "q"
     data = saved(oracle)
     loaded = load(io.BytesIO(data))
     assert saved(loaded) == data
