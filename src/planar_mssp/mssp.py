@@ -20,7 +20,9 @@ delta accumulates) down to the node that stores j's table, its only
 table, and reads it. The walk depends on j alone, so each root's descent
 is planned once, when the oracle is built or loaded: the record tables
 along it in order, and j's table. A query follows its root's plan
-(MsspOracle._descend), and explain() reports the same descent. A path
+(MsspOracle._descend), and explain() reports the same descent. It tests
+j and u in one condition; a failure goes to _checked, which raises for a
+bad root index, then a non-int, ring or unknown vertex. A path
 query additionally replays the walk's record hits and the terminal tree
 walk, expanding every arc's tail chain — the precomputed list of
 (record, vertex) hops between the arc's tail at contraction time and its
@@ -93,25 +95,24 @@ twice or missing, that no block lists a vertex twice and that no record
 node is its own tree root; then that no record key is listed twice and
 that every record is keyed by a node of the schedule; then that root 0's
 descent, the records its plan reads and table 0, holds n_original
-vertices, none twice and no ring vertex (they are the vertices queries
-accept), and that each table lists only vertices of root 0's descent,
-with one row whose parent is its ring vertex, whose parent arc is the
-root's spoke (the arc whose tail is the ring vertex), which no other
-row's is, and which has no tail chain (so a path starts with the spoke);
-last, that each vertex of root 0's descent is below the least ring
-vertex, as normalize numbers the ring vertices past every input id. The
-spoke runs to the root's face vertex b_j, so b_j is the spoke's head,
-and the file does not store the face vertices. Which node stores each
-table is not in the file either: it follows from the ring count, so a
-file of another version raises VersionMismatchError even where its
-layout is the same. The file holds no report on the build that made it
-(BuildStats): a saved oracle is a function of the graph, the face and
-the seed alone, and a loaded oracle's stats are None. Path queries bound
-every parent walk and the path's length (n_original arcs, however the
-tail chains nest), and raise CorruptFileError, not KeyError, when a
-damaged file names a vertex or record it does not hold. The plans and
-the dicts are not part of the file. to_json() gives the same content as
-one logical JSON document, for tests and tools.
+vertices, none twice and each below the least ring vertex, as normalize
+numbers the ring vertices past every input id (they are the vertices
+queries accept); last, that each table lists only vertices of root 0's
+descent, with one row whose parent is its ring vertex, whose parent arc
+is the root's spoke (the arc whose tail is the ring vertex), which no
+other row's is, and which has no tail chain (so a path starts with the
+spoke). The spoke runs to the root's face vertex b_j, so b_j is the
+spoke's head, and the file does not store the face vertices. Which node
+stores each table is not in the file either: it follows from the ring
+count, so a file of another version raises VersionMismatchError even
+where its layout is the same. The file holds no report on the build
+that made it (BuildStats): a saved oracle is a function of the graph,
+the face and the seed alone, and a loaded oracle's stats are None. Path
+queries bound every parent walk and the path's length (n_original arcs,
+however the tail chains nest), and raise CorruptFileError, not
+KeyError, when a damaged file names a vertex or record it does not
+hold. The plans and the dicts are not part of the file. to_json() gives
+the same content as one logical JSON document, for tests and tools.
 """
 
 from __future__ import annotations
@@ -448,8 +449,12 @@ def _check_tables(
             f"root 0's descent holds {held} vertices, {len(vertices)} of them distinct,"
             f" not each original vertex once ({n_original})"
         )
-    if not ring.isdisjoint(vertices):
-        raise CorruptFileError(f"root 0's descent lists ring vertex {min(ring & vertices)}")
+    # an id at or past the least ring vertex is foreign to the graph
+    top, least = max(vertices), min(ring)
+    if top >= least:
+        raise CorruptFileError(
+            f"root 0's descent lists vertex {top}, not below the least ring vertex {least}"
+        )
     faces: list[int] = []
     for j, (r, index, a, z, chains) in enumerate(
         zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
@@ -474,12 +479,6 @@ def _check_tables(
             f"table {j}: the row whose parent is the ring vertex is not the one"
             " row whose parent arc is the root's spoke, without a tail chain"
         )
-    # an id at or past the least ring vertex is foreign to the graph
-    top, least = max(vertices), min(ring)
-    if top >= least:
-        raise CorruptFileError(
-            f"root 0's descent lists vertex {top}, not below the least ring vertex {least}"
-        )
     return frozenset(vertices), faces
 
 
@@ -501,8 +500,7 @@ class MsspOracle:
         "_record_walks",
         "_reroute",
         "_walk_cols",
-        "_ring_set",
-        "_query_vertices",
+        "query_vertices",
         "_plans",
     )
 
@@ -518,7 +516,6 @@ class MsspOracle:
         self._cols = cols
         self.ring_roots = cols.ring_roots.tolist()
         n = self.ring_count = len(self.ring_roots)
-        self._ring_set = frozenset(self.ring_roots)
         # per block, its vertex -> node (a node of the node columns): the
         # records in key order, then the tables in root order
         k = len(cols.record_key)
@@ -551,23 +548,28 @@ class MsspOracle:
         )
         # immutable once built, so queries stay safe from several threads
         self._plans = _descent_plans(n, self.records, self.tables)
-        self._query_vertices, self.face_vertices = _check_tables(
+        # the vertices distance queries accept: all original vertices
+        self.query_vertices, self.face_vertices = _check_tables(
             cols, n_original, self.tables, self._plans[0]
         )
-
-    @property
-    def query_vertices(self) -> frozenset[int]:
-        """The vertices distance queries accept: all original vertices."""
-        return self._query_vertices
 
     # ------------------------------------------------------------------
     # queries
 
-    def _plan(self, j: int) -> _Plan:
-        """Root j's descent plan, once j is checked to be a root index."""
+    def _checked(self, j, *vertex) -> int:
+        """j as a plain int, once j and the vertex, if one is given, pass a
+        query's checks; raises the first that fails."""
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.ring_count:
             raise BadRootIndexError(f"root index {j!r} not in [0, {self.ring_count})")
-        return self._plans[j]
+        for u in vertex:
+            if type(u) is not int:
+                # a bool or a float would otherwise hash as an int vertex
+                raise FaceVertexQueryError(f"vertex {u!r} is not an int")
+            if u in self.ring_roots:
+                raise FaceVertexQueryError(f"vertex {u} is a ring vertex, not queryable")
+            if u not in self.query_vertices:
+                raise FaceVertexQueryError(f"vertex {u!r} is not in the graph")
+        return int(j)
 
     def _descend(
         self, j: int, u: int, hits: list[tuple[int, int]] | None = None
@@ -577,14 +579,12 @@ class MsspOracle:
         Returns the rerouted vertex in the terminal table and the base of
         the distance. Appends each record hit (key, vertex) to hits when given.
         """
-        _, steps, index = self._plan(j)
-        if type(u) is not int or u not in self._query_vertices:
-            if type(u) is not int:
-                # a bool or a float would otherwise hash as an int vertex
-                raise FaceVertexQueryError(f"vertex {u!r} is not an int")
-            if u in self._ring_set:
-                raise FaceVertexQueryError(f"vertex {u} is a ring vertex, not queryable")
-            raise FaceVertexQueryError(f"vertex {u!r} is not in the graph")
+        if not (
+            type(j) is int and 0 <= j < self.ring_count
+            and type(u) is int and u in self.query_vertices
+        ):
+            j = self._checked(j, u)
+        _, steps, index = self._plans[j]
         roots, bases = self._reroute
         acc = 0
         for key, entries in steps:
@@ -606,7 +606,7 @@ class MsspOracle:
 
     def descent_intervals(self, j: int) -> list[tuple[int, int]]:
         """The intervals a query for root j visits, outermost first."""
-        return list(self._plan(j).intervals)
+        return list(self._plans[self._checked(j)].intervals)
 
     def explain(self, j: int, u: int) -> Explanation:
         """How a query for (j, u) descends: intervals, record hits, probes."""

@@ -19,10 +19,10 @@ the distance (-1 and 0 where unreached), and the parent dart and parent
 row (-1 at the root and where unreached). A vertex is recorded by the dart
 of its unique ingoing tree arc, the dart sitting at the vertex itself (so
 its reverse sits at the parent). The build turns the columns of the trees
-it stores straight into tables; `dist` and `parent_dart` are read-only
-vertex-keyed views of them for tests and consistency checks.
+it stores straight into tables; `dist` and `parent_dart` build a new
+vertex-keyed dict of them on each read, for tests and consistency checks.
 
-Who holds what: a tree holds its rows, which its views and inherit_tree
+Who holds what: a tree holds its rows, which those dicts and inherit_tree
 read, and not the out-lists, which only Dijkstra reads. So the out-lists
 live as long as the caller keeps the Adjacency (in the build, one node's
 Dijkstra runs), and the rows as long as some tree over them is read.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, NamedTuple
+from typing import Collection, NamedTuple
 
 from .embedded_graph import EmbeddedDigraph
 from .errors import UnreachableVertexError
@@ -80,31 +80,6 @@ def out_adjacency(h: EmbeddedDigraph) -> Adjacency:
     return Adjacency(RowSnapshot(vertices, row_of), out)
 
 
-class _VertexView(Mapping):
-    """Read-only vertex-keyed view of the rows where `present` is >= 0."""
-
-    __slots__ = ("_snap", "_present", "_value", "_len")
-
-    def __init__(self, snap: RowSnapshot, present: list[int], value: Callable[[int], object], size: int):
-        self._snap = snap
-        self._present = present
-        self._value = value
-        self._len = size
-
-    def __getitem__(self, v: int):
-        row = self._snap.row_of[v]
-        if self._present[row] < 0:
-            raise KeyError(v)
-        return self._value(row)
-
-    def __iter__(self) -> Iterator[int]:
-        vertices = self._snap.vertices
-        return (vertices[row] for row, x in enumerate(self._present) if x >= 0)
-
-    def __len__(self) -> int:
-        return self._len
-
-
 @dataclass(eq=False, slots=True)
 class SSSPTree:
     """Shortest path tree as per-row columns over one row snapshot."""
@@ -118,15 +93,14 @@ class SSSPTree:
     par_row: list[int]
 
     @property
-    def dist(self) -> Mapping[int, tuple[int, int]]:
+    def dist(self) -> dict[int, tuple[int, int]]:
         """vertex -> its (base, perturb) distance; reached vertices only."""
-        base, pert = self.base, self.pert
-        return _VertexView(self.snap, base, lambda r: (base[r], pert[r]), self.reached)
+        return {v: (b, p) for v, b, p in zip(self.snap.vertices, self.base, self.pert) if b >= 0}
 
     @property
-    def parent_dart(self) -> Mapping[int, int]:
+    def parent_dart(self) -> dict[int, int]:
         """vertex -> dart at that vertex of its tree arc; no root entry."""
-        return _VertexView(self.snap, self.par_dart, self.par_dart.__getitem__, self.reached - 1)
+        return {v: d for v, d in zip(self.snap.vertices, self.par_dart) if d >= 0}
 
 
 def sssp_tree(

@@ -4,34 +4,16 @@ encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the
 README describes. It shares no code with the package's save(), so a test
 can damage a document the way a broken writer would and load the result.
-Version 14 is version 13 without the node vertex and arc base columns:
-each stored arc is [id, tail, head], and a node's vertex is the head of
+Each stored arc is [id, tail, head], and a node's vertex is the head of
 its parent arc, so the document's node vertices are not written. A
 document whose node vertex is not the head of that node's arc, where the
 document lists the arc, raises ValueError: a damage to a vertex alone
-would be a silent no-op. Version 13 is version 12 without the
-arc_perturb column: each stored arc was [id, tail, head, base], with no
-perturbation. Version 12 is version 11 without the header's build report ("stats") and
-without the face_vertices column: a root's face vertex is the vertex of
-its table's one row whose parent is its ring vertex, so the document's
-"face_vertices" are not written. Version 11 is version 10 without each
-table's row of its ring vertex (base 0, parent and parent arc -1), so no
-block holds its tree's root and no column holds -1; the layout is
-unchanged. Version 10 stores each
-column at the narrowest of int16, int32 and int64 ("h", "i", "q") that
-holds every value it has (int16 for an empty column), and names that
-typecode in the column's section entry; its stats no longer list each
-level's slots, arcs and tree arcs. Version 9 stored every id as int32
-and every base and perturbation as int64, with the columns' content of
-version 10. Version 9 has the layout of version 8; its root tables are
-other trees (each root's tree at the leaf its descent ends at, not at
-the first node that has the root as an endpoint), and its stats no
-longer list each level's record entries. Version 8 is version 7 without
-the record entries whose root is their own vertex (each record tree's
-root) and without the table rows of base -1 (the ring vertices a table's
-root does not reach); the layout is unchanged. Version 7 is version 6
-without the perturbation columns (node_plo, node_phi), the arc kinds
-(arc_kind) and the arcs that no node refers to.
+would be a silent no-op. Nor are the document's "face_vertices" written:
+a root's face vertex is the vertex of its table's one row whose parent
+is its ring vertex. No block holds its tree's root. Each column is
+stored at the narrowest of int16, int32 and int64 ("h", "i", "q") that
+holds every value it has (int16 for an empty column), and its section
+entry names that typecode.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
@@ -43,9 +25,9 @@ Every record table (in key order) and then every root table (in root
 order) is one block of the node columns. Within a block the nodes whose
 parent arc has a non-empty tail chain come first, each part in the
 document's order, and the block's chains follow the same order. The
-document's own node order and chain rows are therefore free: a version 4
-document (vertices ascending) and a version 5 one (block order) of the
-same oracle encode to the same bytes.
+document's own node order and chain rows are therefore free: a document
+with its nodes by ascending vertex and one in block order, of the same
+oracle, encode to the same bytes.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from planar_mssp import (
     NegativeWeightError,
     SelfLoopSlotError,
     build_graph,
+    gen_grid,
     gen_random_planar,
     graph_to_json,
     reverse_dart,
@@ -127,6 +128,19 @@ def test_copy_with_drops(grid3):
     for v in h.vertices():
         kept = [d for d in g.rotation(v) if (d ^ 1) not in dropped_darts]
         assert h.rotation(v) == kept
+    h.check()
+
+
+def test_copy_dropping_two_adjacent_vertices():
+    # the slot 0-1 goes with vertex 0's rotation, so vertex 1's rotation
+    # meets its dart already gone: 12 slots less 2 + 3 - 1
+    g, _ = gen_grid(3, seed=1)
+    assert g.rotation(0)[0] ^ 1 in g.rotation(1)
+    h = g.copy([0, 1])
+    assert sorted(h.vertices()) == [2, 3, 4, 5, 6, 7, 8]
+    assert (h.vertex_count, h.slot_count, h.face_count()) == (7, 8, 3)
+    for v in h.vertices():
+        assert h.rotation(v) == [d for d in g.rotation(v) if g.dart_vertex(d ^ 1) > 1]
     h.check()
 
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from enum import IntEnum
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from operator import eq
@@ -109,6 +110,21 @@ def test_query_vertex_that_is_not_an_int_is_rejected(oracle3, bad):
     for ask in (oracle3.distance, oracle3.query_path, oracle3.explain):
         with pytest.raises(FaceVertexQueryError, match="not an int"):
             ask(0, bad)
+
+
+def test_root_index_off_the_fast_path(oracle3):
+    # an int subclass is a root index, read as its int value, and every
+    # query that names a root rejects a non-int or out-of-range one
+    Root = IntEnum("Root", [(f"r{j}", j) for j in range(oracle3.ring_count)])
+    for j in Root:
+        assert oracle3.descent_intervals(j) == oracle3.descent_intervals(int(j))
+        for u in range(9):
+            assert oracle3.distance(j, u) == oracle3.distance(int(j), u)
+            assert oracle3.explain(j, u) == oracle3.explain(int(j), u)
+            assert oracle3.query_path(j, u) == oracle3.query_path(int(j), u)
+    for bad in (-1, oracle3.ring_count, True, "0", 1.0):
+        with pytest.raises(BadRootIndexError):
+            oracle3.descent_intervals(bad)
 
 
 def test_paths_are_shortest_contiguous_and_simple(oracle3, norm3):
@@ -338,7 +354,7 @@ def test_nothing_stored_goes_unread(right_first):
         held = Counter(chain.from_iterable(descent))
         assert set(held.values()) == {1}, name
         assert held.keys() == set(range(oracle.n_original)), name
-        assert all(oracle._ring_set.isdisjoint(table) for table in oracle.tables), name
+        assert all(set(oracle.ring_roots).isdisjoint(table) for table in oracle.tables), name
         assert min(c.node_parent) >= 0, name
         assert oracle.stats.stored_entries == len(c.node_arc), name
 

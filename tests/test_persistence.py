@@ -428,21 +428,25 @@ def test_table_vertex_outside_table_zero_is_rejected():
 def test_table_zero_vertex_replaced_is_rejected():
     # vertex 1 would silently stop being queryable: query_vertices is read
     # from root 0's descent. Root 0's descent still holds 17 vertices, but
-    # table 1, stored at the same leaf, lists vertex 1
+    # one of them is past every input id (and table 1, stored at the same
+    # leaf, lists vertex 1)
     doc = small_oracle().to_json()
     move_row(doc, doc["tables"][0], 10**6)
     with pytest.raises(
-        CorruptFileError, match="table 1 lists vertex 1, which root 0's descent"
+        CorruptFileError, match="root 0's descent lists vertex 1000000, not below the least"
     ):
         load_doc(doc)
 
 
 def test_table_zero_holding_another_ring_vertex_is_rejected():
-    # root 0's descent holds the original vertices only
+    # root 0's descent holds the original vertices only, each below the
+    # least ring vertex
     doc = small_oracle().to_json()
-    move_row(doc, doc["tables"][0], doc["ring_roots"][1])
+    ring = doc["ring_roots"]
+    move_row(doc, doc["tables"][0], ring[1])
     with pytest.raises(
-        CorruptFileError, match=f"root 0's descent lists ring vertex {doc['ring_roots'][1]}"
+        CorruptFileError,
+        match=f"root 0's descent lists vertex {ring[1]}, not below the least ring vertex {min(ring)}",
     ):
         load_doc(doc)
 
