@@ -11,8 +11,8 @@ import sys
 import threading
 import weakref
 from collections import Counter
-from enum import IntEnum
 from concurrent.futures import ThreadPoolExecutor
+from enum import IntEnum
 from itertools import chain
 from operator import eq
 
