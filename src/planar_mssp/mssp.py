@@ -19,17 +19,20 @@ rerouting u through the records (u becomes its super-vertex, the in-tree
 delta accumulates) down to the node that stores j's table, its only
 table, and reads it. The walk depends on j alone, so each root's descent
 is planned once, when the oracle is built or loaded: the record tables
-along it in order, and j's table. A query follows its root's plan
-(MsspOracle._descend), and explain() reports the same descent. It tests
-j and u in one condition; a failure goes to _checked, which raises for a
-bad root index, then a non-int, ring or unknown vertex. A path
-query additionally replays the walk's record hits and the terminal tree
-walk, expanding every arc's tail chain — the precomputed list of
-(record, vertex) hops between the arc's tail at contraction time and its
-original tail — deepest hop first, which yields original arc ids in path
-order with O(1) record probes per reported arc. The oracle stores bases
-only, no perturbation: normalize's tie-breaker makes shortest paths
-unique while they are built, and no query reads it.
+along it in order, and j's table. distance() runs that descent inline,
+one Python frame per call; explain() and a path query run it through
+MsspOracle._descend, which also records each record hit. Each tests j
+and u in one condition. distance() sends any failure, a missing table
+row too, to _descend, and _descend sends a failed check to _checked,
+which raises for a bad root index, then a non-int, ring or unknown
+vertex. A path query additionally replays the walk's record hits and
+the terminal tree walk, expanding every arc's tail chain — the
+precomputed list of (record, vertex) hops between the arc's tail at
+contraction time and its original tail — deepest hop first, which yields
+original arc ids in path order with O(1) record probes per reported arc.
+The oracle stores bases only, no perturbation: normalize's tie-breaker
+makes shortest paths unique while they are built, and no query reads
+it.
 
 Everything stored is flat columns (_Columns), built and loaded alike.
 The K record tables and the N root tables are all trees over vertices
@@ -237,7 +240,8 @@ class _Plan(NamedTuple):
     """One root's descent, worked out once; references, no copies."""
 
     intervals: tuple[tuple[int, int], ...]  # outermost first; the last is terminal
-    steps: tuple[tuple[int, dict[int, int]], ...]  # (record key, vertex -> entry), in order
+    keys: tuple[int, ...]  # the record keys it probes, in order
+    probes: tuple[dict[int, int], ...]  # those records: vertex -> entry, in order
     index: dict[int, int]  # this root's table: vertex -> row
 
 
@@ -340,22 +344,24 @@ def _descent_plans(
     CorruptFileError.
     """
     plans: list[_Plan | None] = [None] * ring_count
-    # the intervals and the record steps of the path down to the last node
-    # seen at each level, one place on: the root node reads the empty path
+    # the intervals, record keys and record tables of the path down to the
+    # last node seen at each level, one place on: the root node reads the
+    # empty path
     intervals_to: dict[int, tuple] = {0: ()}
-    steps_to: dict[int, tuple] = {0: ()}
+    keys_to: dict[int, tuple] = {0: ()}
+    probes_to: dict[int, tuple] = {0: ()}
     found = 0
     for interval, level, key, _, stores, _ in _schedule(ring_count):
         intervals = intervals_to[level + 1] = (*intervals_to[level], interval)
-        steps = steps_to[level]
+        keys, probes = keys_to[level], probes_to[level]
         table = records.get(key)
         if table is not None:
-            steps = (*steps, (key, table))
+            keys, probes = (*keys, key), (*probes, table)
             found += 1
-        steps_to[level + 1] = steps
+        keys_to[level + 1], probes_to[level + 1] = keys, probes
         for j in stores:
             # as in _schedule, tuple.__new__ skips the Python-level __new__
-            plans[j] = tuple.__new__(_Plan, (intervals, steps, tables[j]))
+            plans[j] = tuple.__new__(_Plan, (intervals, keys, probes, tables[j]))
     if found != len(records):
         stray = min(records.keys() - {node.key for node in _schedule(ring_count)})
         raise CorruptFileError(
@@ -440,8 +446,7 @@ def _check_tables(
     spoke_of = {t: (a, h) for a, t, h in zip(c.arc_id, c.arc_tail, c.arc_head) if t in ring}
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
-    blocks = [entries for _, entries in plan0.steps]
-    blocks.append(tables[0])
+    blocks = [*plan0.probes, tables[0]]
     vertices = set(chain.from_iterable(blocks))
     held = sum(map(len, blocks))
     if held != n_original or len(vertices) != held:
@@ -571,28 +576,26 @@ class MsspOracle:
                 raise FaceVertexQueryError(f"vertex {u!r} is not in the graph")
         return int(j)
 
-    def _descend(
-        self, j: int, u: int, hits: list[tuple[int, int]] | None = None
-    ) -> tuple[int, int]:
-        """The one query descent: reroute u along root j's plan.
+    def _descend(self, j: int, u: int, hits: list[tuple[int, int]]) -> tuple[int, int]:
+        """Root j's descent, recording each record hit (key, vertex) in hits.
 
         Returns the rerouted vertex in the terminal table and the base of
-        the distance. Appends each record hit (key, vertex) to hits when given.
+        the distance. distance() runs the same loop inline, without hits,
+        and calls this only to raise or to take an int subclass as j.
         """
         if not (
             type(j) is int and 0 <= j < self.ring_count
             and type(u) is int and u in self.query_vertices
         ):
             j = self._checked(j, u)
-        _, steps, index = self._plans[j]
+        _, keys, probes, index = self._plans[j]
         roots, bases = self._reroute
         acc = 0
-        for key, entries in steps:
+        for key, entries in zip(keys, probes):
             e = entries.get(u)
             if e is not None:
                 acc += bases[e]
-                if hits is not None:
-                    hits.append((key, u))
+                hits.append((key, u))
                 u = roots[e]
         node = index.get(u)
         if node is None:
@@ -601,8 +604,27 @@ class MsspOracle:
 
     def distance(self, j: int, u: int):
         """Base distance from b_j to u in the original graph, or UNREACHABLE."""
-        _, base = self._descend(j, u)
-        return UNREACHABLE if base >= self.w_big else base
+        # _descend's check and loop, inline: one frame per answer
+        if (
+            type(j) is int and 0 <= j < self.ring_count
+            and type(u) is int and u in self.query_vertices
+        ):
+            _, _, probes, index = self._plans[j]
+            roots, bases = self._reroute
+            v, acc = u, 0
+            for entries in probes:
+                e = entries.get(v)
+                if e is not None:
+                    acc += bases[e]
+                    v = roots[e]
+            node = index.get(v)
+            if node is not None:
+                acc += bases[node]
+                return UNREACHABLE if acc >= self.w_big else acc
+        # a failed check or a missing table row, which _descend raises, or
+        # an int subclass as j, which it answers
+        _, acc = self._descend(j, u, [])
+        return UNREACHABLE if acc >= self.w_big else acc
 
     def descent_intervals(self, j: int) -> list[tuple[int, int]]:
         """The intervals a query for root j visits, outermost first."""
@@ -617,7 +639,7 @@ class MsspOracle:
             list(plan.intervals),
             [((key >> 1, key & 1), v) for key, v in hits],
             plan.intervals[-1],
-            len(plan.steps),
+            len(plan.probes),
         )
 
     def query_path(self, j: int, u: int) -> list[int]:
@@ -892,7 +914,7 @@ def _check_columns(c: _Columns) -> None:
         raise CorruptFileError("chain hop columns differ in length")
     _check_offsets(c.chain_hop_start, len(c.hop_key), "chain hops")
     # a table stores reached rows only and a record its trees' members
-    # only. _descend reroutes on every record hit, so a root's entry would
+    # only. A descent reroutes on every record hit, so a root's entry would
     # add its delta to a distance. An item's sign bit is in its most
     # significant byte, the last of its w in native little-endian order: one
     # C-level pass over those bytes checks the bases without making an int

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import threading
 import weakref
@@ -125,6 +126,70 @@ def test_root_index_off_the_fast_path(oracle3):
     for bad in (-1, oracle3.ring_count, True, "0", 1.0):
         with pytest.raises(BadRootIndexError):
             oracle3.descent_intervals(bad)
+
+
+def test_a_bad_root_is_reported_before_a_bad_vertex(oracle3):
+    # distance's inline descent and _descend raise in one order: the root
+    # first, then the vertex, whichever way the root fails
+    ring_vertex = oracle3.ring_roots[0]
+    messages = {
+        999: "vertex 999 is not in the graph",
+        1.0: "vertex 1.0 is not an int",
+        ring_vertex: f"vertex {ring_vertex} is a ring vertex, not queryable",
+    }
+    Root = IntEnum("Root", [("r0", 0)])
+    for ask in (oracle3.distance, oracle3.explain, oracle3.query_path):
+        for u, message in messages.items():
+            for bad in (-1, True):
+                with pytest.raises(BadRootIndexError):
+                    ask(bad, u)
+            with pytest.raises(FaceVertexQueryError, match=f"^{re.escape(message)}$"):
+                ask(Root.r0, u)
+
+
+def test_distance_is_the_base_of_the_reported_path():
+    # the inline descent of distance and the recording one of query_path
+    # agree: UNREACHABLE exactly where the path is unreachable, else the
+    # base of r_j's spoke and the reported arcs over norm.arcs, the sum
+    # verify takes
+    for name in sorted(GATE_DIGESTS):
+        g, face, seed = gate_instance(name)
+        norm = normalize(g, face, seed=seed)
+        oracle = build(norm)
+        arcs = norm.arcs
+        for j, r in enumerate(norm.ring_roots):
+            spoke = arcs[norm.graph.rotation(r)[0]]
+            assert spoke.base == 0, (name, j)
+            for u in sorted(oracle.query_vertices):
+                d = oracle.distance(j, u)
+                try:
+                    path = oracle.query_path(j, u)
+                except UnreachableError:
+                    assert d == UNREACHABLE, (name, j, u)
+                    continue
+                assert d == spoke.base + sum(arcs[a].base for a in path), (name, j, u)
+
+
+def test_distance_runs_in_one_python_frame(oracle3):
+    # distance answers a valid pair without a Python-level call of its
+    # own: one "call" event per answer (C calls such as dict.get are
+    # "c_call" events and not counted)
+    pairs = [(j, u) for j in range(oracle3.ring_count) for u in sorted(oracle3.query_vertices)]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    distance = oracle3.distance
+    sys.setprofile(profile)
+    try:
+        for j, u in pairs:
+            distance(j, u)
+    finally:
+        sys.setprofile(None)
+    assert calls == len(pairs)
 
 
 def test_paths_are_shortest_contiguous_and_simple(oracle3, norm3):
@@ -336,7 +401,7 @@ def test_nothing_stored_goes_unread(right_first):
         g, face, seed = gate_instance(name)
         norm = normalize(g, face, seed=seed)
         oracle = build_right_first(norm) if right_first else build(norm)
-        read = {key for plan in oracle._plans for key, _ in plan.steps}
+        read = {key for plan in oracle._plans for key in plan.keys}
         read.update(oracle._cols.hop_key)
         assert set(oracle.records) <= read, name
         assert len(oracle.tables) == oracle.ring_count
@@ -350,7 +415,7 @@ def test_nothing_stored_goes_unread(right_first):
         record_vertices = chain.from_iterable(oracle.records[key] for key in c.record_key)
         assert not any(map(eq, c.record_root, record_vertices)), name
         assert min(c.node_base) >= 0, name
-        descent = [*(entries for _, entries in oracle._plans[0].steps), oracle.tables[0]]
+        descent = [*oracle._plans[0].probes, oracle.tables[0]]
         held = Counter(chain.from_iterable(descent))
         assert set(held.values()) == {1}, name
         assert held.keys() == set(range(oracle.n_original)), name
