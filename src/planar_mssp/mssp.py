@@ -37,7 +37,7 @@ it.
 Everything stored is flat columns (_Columns), built and loaded alike.
 The K record tables and the N root tables are all trees over vertices
 with distances from a root, so they are K + N blocks of one set of node
-columns (base, parent vertex, parent arc), divided by the CSR offsets
+columns (base, parent offset, parent arc), divided by the CSR offsets
 tree_start: the records in key order, then the tables in root order;
 records add their keys and each node's record tree root, which the
 records' nodes, coming first, index directly. A node's vertex is its
@@ -53,26 +53,28 @@ the narrowest of int16, int32 and int64 that holds its values, in memory
 as in the file. No block holds its tree's root: a table holds the rows
 its root's Dijkstra run reached but the ring vertex itself, which leaves
 out every ring vertex, which no query names, so every node has a parent
-vertex and a parent arc, and no column holds a negative value. The arc
+and a parent arc, and no column holds a negative value. A node's parent
+is stored as its offset in the block; a node whose parent is the block's
+root, which the block does not hold, stores its own offset. The arc
 table holds only the arcs some node names as its parent arc, which are
 all the arcs a path can report, as (id, tail, head): no query reads an
 arc's base or kind, which norm.arcs holds. The only per-node Python
 objects are the vertex -> node dicts, one per block, made with
 dict(zip(...)) over the columns; they hold ints only, so the garbage
-collector does not track them. One walk (MsspOracle._walk) follows
-parent vertices to a block's root, the ring vertex for a table and the
-node's record root for a record, comparing each parent with the root
-before it looks the parent up, and serves the terminal tree and every
-record tree. The build appends each tree it stores, as it makes it, to
-one build-wide array per column (_Store): a table from its Dijkstra
-columns (one row snapshot per node, sssp.out_adjacency), a record from
-the columns that one contract_tree call returns per child, each put in
-block order with one sort; each node looks up a tail chain at most once
-per original tail. The arrays are made at widths known before the
+collector does not track them. One walk (MsspOracle._walk) looks its
+start vertex up in the block's dict, once, then climbs by parent
+offsets to the node that holds its own offset, the child of the block's
+root (the ring vertex for a table, the node's record root for a
+record), and serves the terminal tree and every record tree. The build
+appends each tree it stores, as it makes it, to one build-wide array per
+column (_Store): a table from its Dijkstra columns (one row snapshot per
+node, sssp.out_adjacency), a record from the columns that one
+contract_tree call returns per child, each put in block order with one
+sort; each node looks up a tail chain at most once per original tail. The arrays are made at widths known before the
 recursion, and at the end the store lays the blocks out in file order
 and narrows each column once.
 
-The oracle file is format "planar-mssp-oracle", version 14, little-endian:
+The oracle file is format "planar-mssp-oracle", version 15, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -92,19 +94,20 @@ a JSON oracle of versions 1 to 3 and raises VersionMismatchError), the
 format and version, the header checksum, each section's typecode and
 checksum, the file length, the header's n_original and w_big (as
 normalize sets and admits them), the column lengths and offsets, one
-table per root, no block with more chains than nodes and no negative
-base; then, as it derives the node vertices, that no arc id is listed
+table per root, no block with more chains than nodes, no negative
+base and every parent offset inside its block; then, as it derives the node vertices, that no arc id is listed
 twice or missing, that no block lists a vertex twice and that no record
 node is its own tree root; then that no record key is listed twice and
 that every record is keyed by a node of the schedule; then that root 0's
 descent, the records its plan reads and table 0, holds n_original
 vertices, none twice and each below the least ring vertex, as normalize
 numbers the ring vertices past every input id (they are the vertices
-queries accept); last, that each table lists only vertices of root 0's
-descent, with one row whose parent is its ring vertex, whose parent arc
-is the root's spoke (the arc whose tail is the ring vertex), which no
-other row's is, and which has no tail chain (so a path starts with the
-spoke). The spoke runs to the root's face vertex b_j, so b_j is the
+queries accept); last, that no ring vertex is the tail of a stored arc
+but its spoke, and that each table lists only vertices of root 0's
+descent, with one row whose parent is its ring vertex (the one row that
+holds its own offset), whose parent arc is the root's spoke (the arc
+whose tail is the ring vertex), which no other row's is, and which has
+no tail chain (so a path starts with the spoke). The spoke runs to the root's face vertex b_j, so b_j is the
 spoke's head, and the file does not store the face vertices. Which node
 stores each table is not in the file either: it follows from the ring
 count, so a file of another version raises VersionMismatchError even
@@ -132,8 +135,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, gt, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, ge, gt, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contraction import Records, contract_tree, select_trees
@@ -151,7 +154,7 @@ from .normalize import UNREACHABLE, NormalizedInstance
 from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 14
+ORACLE_VERSION = 15
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
@@ -181,7 +184,7 @@ _SECTIONS = (
     "record_key",  # K, increasing
     "tree_start",  # M + 1: each block's nodes, those with a tail chain first
     "node_base",  # V, >= 0 from the block's root: a table's distance, a record's delta
-    "node_parent",  # parent vertex; no block holds its tree's root
+    "node_parent",  # parent's offset in the block; its own for the block's root
     "node_arc",  # parent arc id
     "record_root",  # tree_start[K]: each record node's tree root, not itself
     "tree_chain_start",  # M + 1: each block's chains, of its first nodes
@@ -436,14 +439,13 @@ def _check_tables(
     below the least ring vertex (normalize numbers the ring vertices past
     every input id). They are the query vertices. Every table must list
     only vertices of root 0's descent and start every path with its spoke,
-    the arc whose tail is the ring vertex. The spoke's head is the root's
-    face vertex b_j, the vertex of the one row whose parent is r_j.
+    the one stored arc whose tail is the ring vertex. The spoke's head is
+    the root's face vertex b_j, the vertex of the one row whose parent is
+    r_j, the row that holds its own offset.
     """
     start = c.tree_start
     parents, arcs = c.node_parent, c.node_arc
-    # ring vertex -> its spoke, the one arc that leaves it, and the spoke's head
     ring = set(c.ring_roots)
-    spoke_of = {t: (a, h) for a, t, h in zip(c.arc_id, c.arc_tail, c.arc_head) if t in ring}
     k = len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
     blocks = [*plan0.probes, tables[0]]
@@ -460,31 +462,48 @@ def _check_tables(
         raise CorruptFileError(
             f"root 0's descent lists vertex {top}, not below the least ring vertex {least}"
         )
+    # ring vertex -> its spoke, the one arc that leaves it, and the spoke's head
+    spokes = [(t, a, h) for a, t, h in zip(c.arc_id, c.arc_tail, c.arc_head) if t in ring]
+    spoke_of = {t: (a, h) for t, a, h in spokes}
+    if len(spoke_of) != len(spokes):
+        twice = min(t for t, n in Counter(t for t, _, _ in spokes).items() if n > 1)
+        raise CorruptFileError(
+            f"ring vertex {twice} is the tail of more than one stored arc, not of its spoke alone"
+        )
+    # r is pendant, its spoke its one arc, so exactly one row of table j,
+    # b_j's, has r as its parent and holds its own offset; its parent arc
+    # must be that spoke, and it must have no tail chain: so every path
+    # starts with the spoke, which query_path drops. No other row's parent
+    # arc is the spoke, as its vertex would be listed twice. One C-level
+    # pass finds the marked rows of all tables, in node order: n of them,
+    # with table j holding the j-th, is one per table
+    n, at = len(c.ring_roots), start[k]
+    offsets = chain.from_iterable(map(range, map(sub, start[k + 1:], start[k:])))
+    marked = list(compress(count(at), map(eq, parents[at:], offsets)))
+    if len(marked) != n:
+        marks_of = Counter(bisect_right(start, m) - 1 - k for m in marked)
+        raise _spoke_row_error(next(j for j in range(n) if marks_of[j] != 1))
     faces: list[int] = []
-    for j, (r, index, a, z, chains) in enumerate(
-        zip(c.ring_roots, tables, start[k:], start[k + 1:], chained)
+    for j, (r, index, a, z, chains, m) in enumerate(
+        zip(c.ring_roots, tables, start[k:], start[k + 1:], chained, marked)
     ):
         if not index.keys() <= vertices:
             stray = min(index.keys() - vertices)
             raise CorruptFileError(
                 f"table {j} lists vertex {stray}, which root 0's descent does not hold"
             )
-        # r is pendant, its spoke its one arc, so exactly one row, b_j's, has
-        # r as its parent; its parent arc must be that spoke, which no other
-        # row's is, and it must have no tail chain: so every path starts with
-        # the spoke, which query_path drops
-        parent = parents[a:z]
         s, face = spoke_of.get(r, (None, None))
-        if parent.count(r) == 1 and s is not None:
-            p = parent.index(r)
-            if p >= chains and arcs[a + p] == s and arcs[a:z].count(s) == 1:
-                faces.append(face)
-                continue
-        raise CorruptFileError(
-            f"table {j}: the row whose parent is the ring vertex is not the one"
-            " row whose parent arc is the root's spoke, without a tail chain"
-        )
+        if not (a <= m < z and m - a >= chains and arcs[m] == s):
+            raise _spoke_row_error(j)
+        faces.append(face)
     return frozenset(vertices), faces
+
+
+def _spoke_row_error(j: int) -> CorruptFileError:
+    return CorruptFileError(
+        f"table {j}: the row whose parent is the ring vertex is not the one"
+        " row whose parent arc is the root's spoke, without a tail chain"
+    )
 
 
 class MsspOracle:
@@ -531,13 +550,9 @@ class MsspOracle:
         if len(self.records) != k:
             raise CorruptFileError("a record key is listed twice")
         # per block, what a walk of its tree reads: its index, first node,
-        # first chain and chain count, and a table's ring vertex (a record's
-        # tree roots are per node); per root and per record key
+        # first chain and chain count; per root and per record key
         start, chain_start = cols.tree_start, cols.tree_chain_start
-        walks = list(zip(
-            indexes, start, chain_start, map(sub, chain_start[1:], chain_start),
-            chain(repeat(None, k), self.ring_roots),
-        ))
+        walks = list(zip(indexes, start, chain_start, map(sub, chain_start[1:], chain_start)))
         self._table_walks = walks[k:]
         self._record_walks = dict(zip(cols.record_key, walks))
         # the columns each query reads, bound once; the most arcs a path
@@ -547,7 +562,7 @@ class MsspOracle:
         # holds its root)
         self._reroute = (cols.record_root, cols.node_base)
         self._walk_cols = (
-            cols.node_parent, cols.node_arc, cols.record_root,
+            cols.node_parent, cols.node_arc,
             cols.chain_hop_start, cols.hop_key, cols.hop_vertex, self._record_walks,
             n_original, range(max(map(len, indexes))),
         )
@@ -673,37 +688,38 @@ class MsspOracle:
         """Append the arcs of a block's tree path from its root to vertex v.
 
         The root is the ring vertex for a table and v's record root for a
-        record; v is never the root. No block holds its root, so each
-        parent is compared with the root before it is looked up. Each
-        arc's tail chain, the (record, vertex) hops between the
-        arc's tail at contraction time and its original tail, goes first,
-        deepest hop first, each hop one walk of its record tree. Each node
-        on the path is looked up once. A hop's walk appends at least one
-        arc, so checking the path's length before each hop bounds a query
-        to n_original hop walks, however a damaged file nests its chains.
+        record; v is never the root. The walk looks v up in the block's
+        dict, its one probe, and climbs by parent offsets, each added to the
+        block's first node, up to the node that holds its own offset, whose
+        parent is the root, which no block holds. Load checked that every
+        offset lies in its block. Each arc's tail chain, the (record,
+        vertex) hops between the arc's tail at contraction time and its
+        original tail, goes first, deepest hop first, each hop one walk of
+        its record tree. A hop's walk appends at least one arc, so checking
+        the path's length before each hop bounds a query to n_original hop
+        walks, however a damaged file nests its chains.
         """
-        index, first_node, first_chain, chains, stop = block
-        (parent, arc, roots, hop_start, hop_key, hop_vertex, record_walks,
+        index, first_node, first_chain, chains = block
+        (parent, arc, hop_start, hop_key, hop_vertex, record_walks,
          most_arcs, bound) = self._walk_cols
         node = index[v]
-        if stop is None:
-            stop = roots[node]
         nodes = [node]
         for _ in bound:
-            v = parent[node]
-            if v == stop:
+            p = first_node + parent[node]
+            if p == node:
                 break
-            node = index[v]
+            node = p
             nodes.append(node)
         else:
             # only the parent pointers of a damaged file walk this far: a cycle
             b = bisect_right(self._cols.tree_start, first_node) - 1
             raise CorruptFileError(f"parent pointers of {_tree_name(self._cols, b)} cycle")
         nodes.reverse()
+        # the block's chained nodes come first
+        chained = first_node + chains
         for node in nodes:
-            off = node - first_node
-            if off < chains:
-                ch = first_chain + off
+            if node < chained:
+                ch = first_chain + node - first_node
                 h, last = hop_start[ch + 1], hop_start[ch]
                 while h > last:
                     if len(out) >= most_arcs:
@@ -746,8 +762,9 @@ class MsspOracle:
         par_arc, chains] per root, where chains lists [row, [[midpoint,
         side, vertex], ...]], and "records" as [midpoint, side, entries]
         per record table, each entry [vertex, root, delta base, parent,
-        arc, chain], where a vertex is its arc's head. Tests and tools read
-        it; save() writes the columns instead.
+        arc, chain], where a vertex is its arc's head and a parent is a
+        vertex, the root's for a node that holds its own offset. Tests and
+        tools read it; save() writes the columns instead.
         """
         c = self._cols
         k = len(c.record_key)
@@ -760,21 +777,31 @@ class MsspOracle:
                 for ch in range(c.tree_chain_start[b], c.tree_chain_start[b + 1])
             ]
 
+        def parents(a: int, z: int, vertices: list[int], roots) -> list[int]:
+            """The parent vertices of nodes a to z, of the given vertices."""
+            return [
+                root if off == p else vertices[off]
+                for p, (off, root) in enumerate(zip(c.node_parent[a:z], roots))
+            ]
+
         tables = []
-        for j in range(self.ring_count):
+        for j, r in enumerate(self.ring_roots):
             a, z, chains = block(k + j)
+            vertices = list(self.tables[j])
             tables.append(
-                [j, list(self.tables[j]),
-                 *(col[a:z].tolist() for col in (c.node_base, c.node_parent, c.node_arc)),
-                 [[p, hops] for p, hops in enumerate(chains)]]
+                [j, vertices, c.node_base[a:z].tolist(), parents(a, z, vertices, repeat(r)),
+                 c.node_arc[a:z].tolist(), [[p, hops] for p, hops in enumerate(chains)]]
             )
         records = []
         for b, key in enumerate(c.record_key):
             a, z, chains = block(b)
             chains += [[] for _ in range(z - a - len(chains))]
+            vertices = list(self.records[key])
             entries = [
-                [v, c.record_root[e], c.node_base[e], c.node_parent[e], c.node_arc[e], hops]
-                for v, e, hops in zip(self.records[key], range(a, z), chains)
+                [v, c.record_root[e], c.node_base[e], par, c.node_arc[e], hops]
+                for v, e, par, hops in zip(
+                    vertices, range(a, z), parents(a, z, vertices, c.record_root[a:z]), chains
+                )
             ]
             records.append([key >> 1, key & 1, entries])
         return {
@@ -791,7 +818,7 @@ class MsspOracle:
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 14) to a path or binary file object.
+        """Write the oracle file (format version 15) to a path or binary file object.
 
         Each column is written as it is held, at the narrowest typecode that
         holds its values, which build chose and load kept.
@@ -915,13 +942,27 @@ def _check_columns(c: _Columns) -> None:
     _check_offsets(c.chain_hop_start, len(c.hop_key), "chain hops")
     # a table stores reached rows only and a record its trees' members
     # only. A descent reroutes on every record hit, so a root's entry would
-    # add its delta to a distance. An item's sign bit is in its most
-    # significant byte, the last of its w in native little-endian order: one
-    # C-level pass over those bytes checks the bases without making an int
-    # per node
-    w = c.node_base.itemsize
-    if not c.node_base.tobytes()[0 if _SWAP else w - 1::w].isascii():
+    # add its delta to a distance
+    if not _none_negative(c.node_base):
         raise CorruptFileError("a node has a negative base")
+    # a walk adds its block's first node to each parent offset: every offset
+    # must lie in its block, each non-empty block's largest below its size
+    sizes = list(map(sub, start[1:], start))
+    blocks = map(c.node_parent.__getitem__, compress(map(slice, start, start[1:]), sizes))
+    if not _none_negative(c.node_parent) or any(map(ge, map(max, blocks), filter(None, sizes))):
+        b = next(
+            b for b, (a, z) in enumerate(zip(start, start[1:]))
+            if any(not 0 <= off < z - a for off in c.node_parent[a:z])
+        )
+        raise CorruptFileError(f"{_tree_name(c, b)}: a parent offset lies outside the block")
+
+
+def _none_negative(col: array) -> bool:
+    """No item of col is negative. An item's sign bit is in its most
+    significant byte, the last of its w in native little-endian order: one
+    C-level pass over those bytes, without an int per item."""
+    w = col.itemsize
+    return col.tobytes()[0 if _SWAP else w - 1::w].isascii()
 
 
 def _read_file(raw: bytes) -> tuple[dict, _Columns]:
@@ -986,10 +1027,12 @@ class _Store:
     (columns), which narrows each column once.
 
     The arrays are made at widths known before the recursion: the vertex
-    columns at that of the largest vertex id, the arc column at that of
-    the largest dart (an arc's id is its tail dart), the hop keys at that
-    of 2N (a record key is below it), and the bases at that of n_original
-    * W_big, which normalize's admission rule puts above every stored base.
+    columns and the parent offsets at that of the largest vertex id (a
+    block holds fewer nodes than the graph has vertices), the arc column
+    at that of the largest dart (an arc's id is its tail dart), the hop
+    keys at that of 2N (a record key is below it), and the bases at that
+    of n_original * W_big, which normalize's admission rule puts above
+    every stored base.
     """
 
     def __init__(self, norm: NormalizedInstance):
@@ -1037,7 +1080,8 @@ class _Store:
         """Append a tree's nodes in block order: those whose parent arc has
         a tail chain first, each part by ascending vertex. A table's columns
         come sorted by vertex, a record's in the order contract_tree made
-        them. The vertices only order the nodes: each is its arc's head."""
+        them. The vertices order the nodes and give each parent's offset in
+        the block; none is stored, as each is its arc's head."""
         chains = list(map(chain_at, arc))
         order: range | list[int] = range(len(vertex))
         if any(map(gt, vertex, islice(vertex, 1, None))):
@@ -1045,11 +1089,21 @@ class _Store:
         chained = [p for p in order if chains[p]]
         if chained:
             order = chained + [p for p in order if not chains[p]]
-        parts = [(self.base, base), (self.parent, parent), (self.arc, arc)]
+
+        def laid(values):
+            return values if type(order) is range else map(values.__getitem__, order)
+
+        # a parent's offset in the block; the block's root, which it does
+        # not hold, is the parent of the nodes that hold their own offset
+        at = dict(zip(laid(vertex), count()))
+        parts = [
+            (self.base, laid(base)), (self.parent, map(at.get, laid(parent), count())),
+            (self.arc, laid(arc)),
+        ]
         if root is not None:
-            parts.append((self.root, root))
+            parts.append((self.root, laid(root)))
         for col, values in parts:
-            col.extend(values if type(order) is range else map(values.__getitem__, order))
+            col.extend(values)
         hops = list(chain.from_iterable(map(chains.__getitem__, chained)))
         self.chain_len.extend([len(chains[p]) >> 1 for p in chained])
         self.hop_key.extend(hops[0::2])

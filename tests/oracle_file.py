@@ -67,22 +67,34 @@ def _running(lengths) -> list[int]:
 
 
 def _add_tree(
-    col: dict, head: dict[int, int], nodes: list[tuple], hops_of: dict[int, list], roots=None
+    col: dict, head: dict[int, int], nodes: list[tuple], hops_of: dict[int, list], roots: list,
+    record: bool,
 ) -> None:
-    """Append one block: nodes (vertex, base, parent, arc), chained first.
-    The vertex is not written; it must be the head of the node's arc, if
-    the arc is in head."""
+    """Append one block: nodes (vertex, base, parent, arc), chained first,
+    under roots, each node's tree root; a record's are written too. The
+    vertex is not written; it must be the head of the node's arc, if the
+    arc is in head. A parent is written as its offset in the block, and a
+    node whose parent is its root gets its own offset."""
     order = sorted(range(len(nodes)), key=lambda p: not hops_of.get(p))
+    offset = {nodes[p][0]: i for i, p in enumerate(order)}
     col["tree_start"].append(len(nodes))
     col["tree_chain_start"].append(sum(1 for p in order if hops_of.get(p)))
-    for p in order:
-        vertex, *values = nodes[p]
-        arc = values[-1]
+    for i, p in enumerate(order):
+        vertex, base, parent, arc = nodes[p]
         if head.get(arc, vertex) != vertex:
             raise ValueError(f"node vertex {vertex} is not the head {head[arc]} of its arc {arc}")
-        for name, value in zip(NODE, values):
+        if parent == roots[p]:
+            parent = i
+        elif parent in offset:
+            parent = offset[parent]
+        else:
+            raise ValueError(
+                f"parent {parent} of node vertex {vertex} is neither in its block nor its"
+                f" root {roots[p]}"
+            )
+        for name, value in zip(NODE, (base, parent, arc)):
             col[name].append(value)
-        if roots is not None:
+        if record:
             col["record_root"].append(roots[p])
         hops = hops_of.get(p)
         if hops:
@@ -108,10 +120,13 @@ def columns_of(doc: dict) -> dict[str, list[int]]:
             [(v, dbase, parent, arc) for v, _, dbase, parent, arc, _ in entries],
             {p: entry[5] for p, entry in enumerate(entries)},
             [entry[1] for entry in entries],
+            True,
         )
-    # tables: the item's own j is its place in the stream, so it is not written
-    for _, *rows, chains in doc["tables"]:
-        _add_tree(col, head, list(zip(*rows)), dict(chains))
+    # tables: the item's own j is its place in the stream, so it is not
+    # written, but its tree's root is r_j
+    for j, *rows, chains in doc["tables"]:
+        nodes = list(zip(*rows))
+        _add_tree(col, head, nodes, dict(chains), [doc["ring_roots"][j]] * len(nodes), False)
     for name in ("tree_start", "tree_chain_start", "chain_hop_start"):
         col[name] = _running(col[name])
     return col
@@ -158,3 +173,68 @@ def header_values(doc: dict) -> dict:
 def encode_document(doc: dict) -> bytes:
     """The oracle file of a logical document, as save() would write it."""
     return encode_columns(header_values(doc), columns_of(doc))
+
+
+def decode_columns(raw: bytes) -> tuple[dict, dict[str, list[int]]]:
+    """The header values and the columns of an oracle file, as lists of
+    ints; the inverse of encode_columns, for a file it wrote. Checksums
+    and the layout's rules are not checked: load does that."""
+    (length,) = struct.unpack_from("<I", raw, len(MAGIC))
+    pos = len(MAGIC) + 8
+    header = json.loads(raw[pos:pos + length])
+    pos += length
+    col = {}
+    for name, letter, n, _ in header.pop("sections"):
+        col[name] = list(struct.unpack_from(f"<{n}{letter}", raw, pos))
+        pos += n * struct.calcsize(letter)
+    return header, col
+
+
+def decode(raw: bytes) -> dict:
+    """The logical document of an oracle file, as MsspOracle.to_json()
+    gives it: each node's vertex is its arc's head, each parent a vertex
+    (the tree's root, r_j for a table and the record root for a record,
+    for a node that holds its own offset), and each root's face vertex is
+    the vertex of its table's root-marked row."""
+    header, col = decode_columns(raw)
+    head = dict(zip(col["arc_id"], col["arc_head"]))
+    start, chain_start, hop_start = col["tree_start"], col["tree_chain_start"], col["chain_hop_start"]
+
+    def block(b: int, roots: list[int]) -> tuple[list[list[int]], ...]:
+        """Block b's vertices, bases, parents, arcs and each chain's hops."""
+        a, z = start[b], start[b + 1]
+        arcs = col["node_arc"][a:z]
+        vertices = [head[arc] for arc in arcs]
+        parents = [
+            root if off == p else vertices[off]
+            for p, (off, root) in enumerate(zip(col["node_parent"][a:z], roots))
+        ]
+        chains = [
+            [[col["hop_key"][h] >> 1, col["hop_key"][h] & 1, col["hop_vertex"][h]]
+             for h in range(hop_start[ch], hop_start[ch + 1])]
+            for ch in range(chain_start[b], chain_start[b + 1])
+        ]
+        return vertices, col["node_base"][a:z], parents, arcs, chains
+
+    records = []
+    for b, key in enumerate(col["record_key"]):
+        roots = col["record_root"][start[b]:start[b + 1]]
+        vertices, bases, parents, arcs, chains = block(b, roots)
+        chains += [[] for _ in range(len(vertices) - len(chains))]
+        records.append([key >> 1, key & 1, [list(entry) for entry in zip(
+            vertices, roots, bases, parents, arcs, chains
+        )]])
+    tables, faces = [], []
+    k = len(col["record_key"])
+    for j, r in enumerate(col["ring_roots"]):
+        vertices, bases, parents, arcs, chains = block(k + j, [r] * (start[k + j + 1] - start[k + j]))
+        tables.append([j, vertices, bases, parents, arcs, [[p, hops] for p, hops in enumerate(chains)]])
+        faces.append(next(v for v, parent in zip(vertices, parents) if parent == r))
+    return {
+        **header,
+        "ring_roots": col["ring_roots"],
+        "face_vertices": faces,
+        "arcs": [list(arc) for arc in zip(*(col[name] for name in ARC))],
+        "tables": tables,
+        "records": records,
+    }

@@ -464,14 +464,14 @@ def test_walks_follow_the_tree_path_of_every_stored_node():
         # block order: the records in key order, then the tables
         blocks = [*oracle._record_walks.values(), *oracle._table_walks]
         for b, block in enumerate(blocks):
-            index = block[0]
+            index, first = block[0], block[1]
             for v, node in index.items():
-                root = block[4] if b >= k else c.record_root[node]
-                tree_path, x = [], v
-                while x != root:
-                    e = index[x]
+                root = oracle.ring_roots[b - k] if b >= k else c.record_root[node]
+                # up by parent offsets to the node that holds its own
+                tree_path, e = [c.node_arc[node]], node
+                while first + c.node_parent[e] != e:
+                    e = first + c.node_parent[e]
                     tree_path.append(c.node_arc[e])
-                    x = c.node_parent[e]
                     assert len(tree_path) <= len(index), (name, b, v)
                 out: list[int] = []
                 oracle._walk(block, v, out)
@@ -496,14 +496,19 @@ def test_walk_bound_fits_a_chain_as_long_as_its_block():
     chains = 0
     try:
         for block in oracle._record_walks.values():
-            index, m = block[0], len(block[0])
-            parents = {c.node_parent[e] for e in index.values()}
+            index, first, m = block[0], block[1], len(block[0])
+            # the offsets the nodes name as parents, but their own offsets,
+            # which mark a child of the record's root
+            named = {
+                c.node_parent[e] for e in index.values() if c.node_parent[e] != e - first
+            }
             roots = {c.record_root[e] for e in index.values()}
-            # one tree, each of whose vertices is at most one node's parent,
-            # and no tail chain, whose walks would take the bound too
-            if block[3] or len(roots) != 1 or m < 2 or len(parents) != m:
+            # one tree, each of whose nodes is at most one node's parent and
+            # only one of which is the root's child, and no tail chain, whose
+            # walks would take the bound too
+            if block[3] or len(roots) != 1 or m < 2 or len(named) != m - 1:
                 continue
-            deepest = next(v for v in index if v not in parents)
+            deepest = next(v for v, e in index.items() if e - first not in named)
             oracle._walk_cols = (*walk_cols[:-1], range(m))
             out: list[int] = []
             oracle._walk(block, deepest, out)

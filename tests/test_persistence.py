@@ -43,6 +43,7 @@ from tests.conftest import (
 )
 from tests.oracle_file import (
     columns_of,
+    decode,
     encode_columns,
     encode_document,
     header_values,
@@ -89,18 +90,18 @@ from tests.oracle_file import (
 # taken. Any change to these bytes is a format change and needs a version
 # bump.
 GATE_DIGESTS = {
-    "grid8-outer": "d38257fa0d51280c2d29cec6ddc4380b070646a8ab3021402ef21172adfbb77e",
-    "grid16-outer": "095d7d6ac3bde279b702bc09184901b2ab73c32b014675ef81e05a71844ee0ec",
-    "random10-outer": "e9c4114b355008130ba544624cf1e1236d9827b06fd8d31be019f830d2b84389",
-    "bowtie-inner": "96d40bc4501ae807124fb113b5a8badd81dc447f1227b651f39f47f0fe1bfb6f",
-    "tri_oneway-inner": "fae84c364120ec80fb211847627bc58f5aa253ca7c286630decf0adabbeb1367",
-    "grid32-outer": "4e9d445d3ff1048fe19972fa8b172d2b6e5e9376eee16e6093fcb077b4e387e2",
-    "grid16-oneway-inner": "da659aece71fff9d3712ff089a6bcef1c6da5d40ae24db545b72f6963d1cad6f",
-    "random12-inner": "9be090114c4d23f608de7afc8881a938417fb5316668e7cbfc5ee73d1e28673e",
+    "grid8-outer": "6502c35d29c169bce301ab52e434ee50f0a952c2c4e5f986aa48c89eb83beb11",
+    "grid16-outer": "457b1b296be294d637efd810f948d7031577cac3e74dc6b2cc67d8af1c2f1819",
+    "random10-outer": "915f9ffc4aed3cad686204a5969bdfcba3687afd71fe386b102aab9b6ba394c2",
+    "bowtie-inner": "30ab479032a763a8dceec78fc4611fca9e124cc2375b337e8ac487933a92e855",
+    "tri_oneway-inner": "5d54c2ae6dbb19ca673da94a06dab93f1761151f4e3f2d4fec587fbc78a7ffad",
+    "grid32-outer": "cf349730655ba4d491e2852ddded0f0a151282d15587c2d76769cf4fb67e6124",
+    "grid16-oneway-inner": "4aed71b7ff8dfcd0f7f900eaebafdbbf63fd31c060496e813b9f04a0fca11938",
+    "random12-inner": "70022e4761378364bf760d274b0dcc4570e2b1c82172d2118dec44d38554cd58",
 }
 # the 4096-vertex grid of the benchmark's grid-outer workload; one save only
 LARGE_GATE = (
-    "grid64-outer", "3d1a3975a9fd754ffb011392cec3b668187ba7d0fbb1c71f87e57d641578f12b"
+    "grid64-outer", "0fb912a4329f23380d009b5fd23e175bc82b50f9c52c235ef29d1a42ea443231"
 )
 RECORD_DIGESTS = {
     "grid8-outer": "aab28276d0668819350fb930d9fda6cd4dad0a0089fc26eaf4a49746533bf214",
@@ -231,8 +232,21 @@ def test_saved_bytes_match_gate_digest_large():
     assert saved(load(io.BytesIO(data))) == data
 
 
-def test_oracle_version_is_fourteen():
-    assert ORACLE_VERSION == 14
+@pytest.mark.parametrize("name", [*sorted(GATE_DIGESTS), LARGE_GATE[0]])
+def test_decoded_file_is_the_logical_document(name):
+    # tests/oracle_file.py reads the file with struct alone, so the
+    # document the package gives and the bytes it saves are checked against
+    # an independent reader, both ways
+    g, face, seed = gate_instance(name)
+    oracle = build(normalize(g, face, seed=seed))
+    data = saved(oracle)
+    doc = decode(data)
+    assert doc == oracle.to_json()
+    assert encode_document(doc) == data
+
+
+def test_oracle_version_is_fifteen():
+    assert ORACLE_VERSION == 15
 
 
 def json_oracle_file(doc: dict) -> io.BytesIO:
@@ -265,6 +279,9 @@ OLD_VERSIONS = {
     12: "each stored arc's perturbation, in an arc_perturb column",
     13: "each node's vertex, which is its parent arc's head, and each stored"
         " arc's base, which nothing read",
+    14: "each node's parent as a vertex, which the path walk looked up in the"
+        " block's dict at every arc, where this version stores its offset in"
+        " the block",
 }
 
 
@@ -336,13 +353,24 @@ def test_empty_record_stream_round_trips():
     assert saved(loaded) == data
 
 
+def drop_rows(table: list, rows) -> None:
+    """Delete the given rows of a table item, its chains renumbered."""
+    keep = [p for p in range(len(table[1])) if p not in rows]
+    for col in table[1:5]:
+        col[:] = [col[p] for p in keep]
+    where = {p: i for i, p in enumerate(keep)}
+    table[5][:] = [[where[p], hops] for p, hops in table[5] if p in where]
+
+
 def test_truncated_column_is_rejected():
     doc = small_oracle().to_json()
-    base = doc["tables"][0][2]
-    del base[-3:]
+    table = doc["tables"][0]
+    # the table loses three rows, the last that no row has as its parent
+    # (a parent must be in the block for the encoder to write its offset),
+    # so root 0's descent holds three vertices too few
+    leaves = [p for p, v in enumerate(table[1]) if v not in table[3]]
+    drop_rows(table, leaves[-3:])
     t0 = time.perf_counter()
-    # the document's table loses its last three rows, as its columns are
-    # zipped, so root 0's descent holds three vertices too few
     with pytest.raises(CorruptFileError, match="root 0's descent holds 13 vertices"):
         load_doc(doc)
     assert time.perf_counter() - t0 < 1.0
@@ -471,11 +499,12 @@ def test_table_listing_its_own_ring_vertex_is_rejected(j):
 
 
 def test_node_arc_of_minus_one_is_rejected():
-    # a version 10 table root row (r_j, base 0, parent and arc -1): -1 is
-    # no arc id
+    # a version 10 table root row (r_j, base 0, parent and arc -1), with
+    # the root as its parent, as an offset cannot name -1: -1 is no arc id
     doc = small_oracle().to_json()
     table = doc["tables"][5]
-    for col, value in zip(table[1:5], (doc["ring_roots"][5], 0, -1, -1)):
+    r = doc["ring_roots"][5]
+    for col, value in zip(table[1:5], (r, 0, r, -1)):
         col.append(value)
     with pytest.raises(CorruptFileError, match="not in the arc table, such as -1"):
         load_doc(doc)
@@ -500,7 +529,9 @@ def test_record_entry_that_is_its_own_root_is_rejected():
     # to every distance through its vertex, with no error
     doc = small_oracle().to_json()
     entry = doc["records"][0][2][0]
-    entry[1] = entry[0]
+    # its parent is its tree's root, so it holds its own offset, as it did
+    assert entry[3] == entry[1]
+    entry[1] = entry[3] = entry[0]
     assert entry[2] != 0
     with pytest.raises(CorruptFileError, match="own tree root"):
         load_doc(doc)
@@ -535,10 +566,12 @@ def test_foreign_vertex_on_root_zero_descent_is_rejected():
 
 
 def test_negative_base_is_rejected():
-    # a version 7 unreached row: another ring vertex at base -1
+    # a version 7 unreached row: another ring vertex at base -1, with the
+    # root as its parent, as an offset cannot name -1
     doc = small_oracle().to_json()
     table = doc["tables"][1]
-    for col, value in zip(table[1:5], (doc["ring_roots"][2], -1, -1, -1)):
+    ring = doc["ring_roots"]
+    for col, value in zip(table[1:5], (ring[2], -1, ring[1], -1)):
         col.append(value)
     with pytest.raises(CorruptFileError, match="negative base"):
         load_doc(doc)
@@ -704,38 +737,42 @@ def test_non_spoke_first_path_arc_is_rejected_at_load():
 
 
 def test_self_parent_table_raises_in_bounded_time():
+    # a node that holds its own offset is a child of the block's root, so a
+    # cycle takes two nodes or more
     oracle = small_oracle()
     doc = oracle.to_json()
     for r, table in zip(doc["ring_roots"], doc["tables"]):
-        # every row its own parent, but those of the spoke rows, which load
-        # checks
-        table[3] = [p if p == r else v for v, p in zip(table[1], table[3])]
+        # every row but the spoke row, which load checks, in one cycle: each
+        # row's parent is the next row's vertex
+        rows = [p for p, par in enumerate(table[3]) if par != r]
+        if len(rows) > 1:
+            for p, q in zip(rows, rows[1:] + rows[:1]):
+                table[3][p] = table[1][q]
     loaded = load_doc(doc)
     j, u = 0, max(oracle.query_vertices, key=lambda v: len(oracle.query_path(0, v)))
     t0 = time.perf_counter()
-    with pytest.raises(CorruptFileError, match="cycle"):
+    with pytest.raises(CorruptFileError, match="table 0 cycle"):
         loaded.query_path(j, u)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_self_parent_record_raises_in_bounded_time():
+    # as for a table, the entries of every record of two or more entries in
+    # one cycle: each entry's parent is the next entry's vertex
     oracle = small_oracle()
     doc = oracle.to_json()
-    parent = {
-        (mid, side, entry[0]): entry[3]
-        for mid, side, entries in doc["records"]
-        for entry in entries
-    }
-    for record in doc["records"]:
-        for entry in record[2]:
-            if entry[0] != entry[1]:  # not the record tree's root
-                entry[3] = entry[0]
+    cycled = set()
+    for mid, side, entries in doc["records"]:
+        if len(entries) > 1:
+            cycled.add((mid, side))
+            for entry, after in zip(entries, entries[1:] + entries[:1]):
+                entry[3] = after[0]
     loaded = load_doc(doc)
     pair = next(
         (j, u)
         for j in range(oracle.ring_count)
         for u in sorted(oracle.query_vertices)
-        if any(vert != parent[(*key, vert)] for key, vert in oracle.explain(j, u).hits)
+        if any(key in cycled for key, _ in oracle.explain(j, u).hits)
     )
     t0 = time.perf_counter()
     with pytest.raises(CorruptFileError, match="cycle"):
@@ -759,13 +796,57 @@ def corrupt_path_answers(doc: dict) -> int:
     return raised
 
 
+def offsets_damaged(doc: dict, damage) -> bytes:
+    """The file of doc with each node's parent offset set to damage(offset,
+    own offset, block size, block); blocks are numbered records first."""
+    col = columns_of(doc)
+    start, parent = col["tree_start"], col["node_parent"]
+    for b, (a, z) in enumerate(zip(start, start[1:])):
+        for node in range(a, z):
+            parent[node] = damage(parent[node], node - a, z - a, b)
+    return encode_columns(header_values(doc), col)
+
+
 def test_record_parent_outside_its_table_raises():
+    # a parent offset can name no node of another block: every record
+    # node's offset one past its block's last is rejected at load
     doc = small_oracle().to_json()
-    for record in doc["records"]:
-        for entry in record[2]:
-            if entry[0] != entry[1]:  # not the record tree's root
-                entry[3] = 10**6
-    assert corrupt_path_answers(doc) > 0
+    k = len(doc["records"])
+    data = offsets_damaged(doc, lambda off, p, size, b: size if b < k else off)
+    with pytest.raises(CorruptFileError, match=r"record \(\d+, \d\): a parent offset lies outside"):
+        load(io.BytesIO(data))
+
+
+def test_fuzz_parent_offsets_fail_typed_or_answer():
+    # every parent offset of the fixture, one at a time, one up, one down,
+    # to a random offset in its block and to one outside it: load rejects
+    # the file, or every (j, u) answers or raises an MsspError; an
+    # IndexError or a KeyError fails the test
+    oracle = small_oracle()
+    doc = oracle.to_json()
+    col = columns_of(doc)
+    pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
+    start, parent = col["tree_start"], col["node_parent"]
+    rng = random.Random(15)
+    t0 = time.perf_counter()
+    rejected = answered = 0
+    for a, z in zip(start, start[1:]):
+        size = z - a
+        for node in range(a, z):
+            off = parent[node]
+            outside = rng.choice((-1 - rng.randrange(size), size + rng.randrange(size)))
+            for value in (off + 1, off - 1, rng.randrange(size), outside):
+                damaged = dict(col, node_parent=parent[:node] + [value] + parent[node + 1:])
+                try:
+                    loaded = load(io.BytesIO(encode_columns(header_values(doc), damaged)))
+                except CorruptFileError:
+                    rejected += 1
+                    continue
+                answered += 1
+                for j, u in pairs:
+                    answer_or_error(loaded, j, u)
+    assert time.perf_counter() - t0 < 2.0
+    assert rejected and answered and rejected + answered == 4 * len(parent)
 
 
 def test_chain_key_without_record_raises():
@@ -868,10 +949,63 @@ def test_chains_nested_past_the_longest_path_raise():
 
 
 def test_parent_vertex_outside_its_node_raises():
+    # every table row's offset but the spoke row's, one past its block's
+    # last, is rejected at load
     doc = small_oracle().to_json()
-    for r, table in zip(doc["ring_roots"], doc["tables"]):
-        table[3] = [p if p == r else 10**6 for p in table[3]]
-    assert corrupt_path_answers(doc) > 0
+    k = len(doc["records"])
+    data = offsets_damaged(doc, lambda off, p, size, b: size if b >= k and off != p else off)
+    with pytest.raises(CorruptFileError, match="table 0: a parent offset lies outside"):
+        load(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("block", ["first", "last"])
+@pytest.mark.parametrize("offset", ["negative", "block size"])
+def test_one_parent_offset_outside_its_block_is_rejected(block, offset):
+    # the first block is a record and the last a table; the block's last
+    # node gets offset -1 or the block's size, one past its last node
+    doc = small_oracle().to_json()
+    col = columns_of(doc)
+    start = col["tree_start"]
+    b = 0 if block == "first" else len(start) - 2
+    size = start[b + 1] - start[b]
+    col["node_parent"][start[b + 1] - 1] = -1 if offset == "negative" else size
+    name = "record" if block == "first" else f"table {len(doc['tables']) - 1}"
+    with pytest.raises(CorruptFileError, match=f"{name}.*: a parent offset lies outside the block"):
+        load(io.BytesIO(encode_columns(header_values(doc), col)))
+
+
+def test_second_root_marked_row_in_a_table_is_rejected():
+    # a row that holds its own offset has the ring vertex as its parent:
+    # one more such row in table 3 would start a path without the spoke
+    doc = small_oracle().to_json()
+    col = columns_of(doc)
+    start, k = col["tree_start"], len(doc["records"])
+    a, z = start[k + 3], start[k + 4]
+    marked = [p for p in range(z - a) if col["node_parent"][a + p] == p]
+    assert len(marked) == 1 and z - a > 1
+    other = next(p for p in range(z - a) if p not in marked)
+    col["node_parent"][a + other] = other
+    with pytest.raises(CorruptFileError, match="table 3: the row whose parent is the ring vertex"):
+        load(io.BytesIO(encode_columns(header_values(doc), col)))
+
+
+def test_ring_vertex_as_the_tail_of_another_arc_is_rejected():
+    # only r_j's spoke leaves r_j. Another stored arc with r_j as its tail
+    # was read by no rule, as the spoke's larger id hid it; here one arc's
+    # id is below its ring vertex's spoke's and a new arc's is above it
+    doc = small_oracle().to_json()
+    ring = doc["ring_roots"]
+    spoke = {tail: aid for aid, tail, _ in doc["arcs"] if tail in ring}
+    below = json.loads(json.dumps(doc))
+    arc = next(arc for arc in below["arcs"] if arc[1] not in ring)
+    arc[1] = ring[0]
+    above = json.loads(json.dumps(doc))
+    assert new_arc(above, ring[-1], 0) > spoke[ring[-1]] > arc[0]
+    for r, damaged in ((ring[0], below), (ring[-1], above)):
+        with pytest.raises(
+            CorruptFileError, match=f"ring vertex {r} is the tail of more than one stored arc"
+        ):
+            load_doc(damaged)
 
 
 def test_parent_arc_outside_the_arc_list_raises():
@@ -989,7 +1123,8 @@ def test_negative_base_is_rejected_at_any_width(typecode):
     assert loaded._cols.node_base.typecode == typecode
     assert loaded.to_json() == doc
     table = doc["tables"][1]
-    for col, value in zip(table[1:5], (doc["ring_roots"][2], -1, -1, -1)):
+    ring = doc["ring_roots"]
+    for col, value in zip(table[1:5], (ring[2], -1, ring[1], -1)):
         col.append(value)
     with pytest.raises(CorruptFileError, match="negative base"):
         load(io.BytesIO(encode_columns(header_values(doc), columns_of(doc), True, widths)))
