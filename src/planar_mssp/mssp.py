@@ -70,9 +70,10 @@ appends each tree it stores, as it makes it, to one build-wide array per
 column (_Store): a table from its Dijkstra columns (one row snapshot per
 node, sssp.out_adjacency), a record from the columns that one
 contract_tree call returns per child, each put in block order with one
-sort; each node looks up a tail chain at most once per original tail. The arrays are made at widths known before the
-recursion, and at the end the store lays the blocks out in file order
-and narrows each column once.
+sort; each node looks up a tail chain at most once per original tail.
+The arrays are made at widths known before the recursion, and at the
+end the store lays the blocks out in file order and narrows each column
+once.
 
 The oracle file is format "planar-mssp-oracle", version 15, little-endian:
 
@@ -94,31 +95,32 @@ a JSON oracle of versions 1 to 3 and raises VersionMismatchError), the
 format and version, the header checksum, each section's typecode and
 checksum, the file length, the header's n_original and w_big (as
 normalize sets and admits them), the column lengths and offsets, one
-table per root, no block with more chains than nodes, no negative
-base and every parent offset inside its block; then, as it derives the node vertices, that no arc id is listed
-twice or missing, that no block lists a vertex twice and that no record
-node is its own tree root; then that no record key is listed twice and
-that every record is keyed by a node of the schedule; then that root 0's
-descent, the records its plan reads and table 0, holds n_original
-vertices, none twice and each below the least ring vertex, as normalize
-numbers the ring vertices past every input id (they are the vertices
-queries accept); last, that no ring vertex is the tail of a stored arc
-but its spoke, and that each table lists only vertices of root 0's
-descent, with one row whose parent is its ring vertex (the one row that
-holds its own offset), whose parent arc is the root's spoke (the arc
-whose tail is the ring vertex), which no other row's is, and which has
-no tail chain (so a path starts with the spoke). The spoke runs to the root's face vertex b_j, so b_j is the
+table per root, no block with more chains than nodes, no negative base
+and every parent offset inside its block; then, as it derives the node
+vertices, that no arc id is listed twice or missing, that no block lists
+a vertex twice and that no record node is its own tree root; then that
+no record key is listed twice and that every record is keyed by a node
+of the schedule; then that root 0's descent, the records its plan reads
+and table 0, holds n_original vertices, none twice and each below the
+least ring vertex, as normalize numbers the ring vertices past every
+input id (they are the vertices queries accept); last, that no ring
+vertex is the tail of a stored arc but its spoke, and that each table
+lists only vertices of root 0's descent, with one row whose parent is
+its ring vertex (the one row that holds its own offset), whose parent
+arc is the root's spoke (the arc whose tail is the ring vertex), which
+no other row's is, and which has no tail chain (so a path starts with
+the spoke). The spoke runs to the root's face vertex b_j, so b_j is the
 spoke's head, and the file does not store the face vertices. Which node
 stores each table is not in the file either: it follows from the ring
 count, so a file of another version raises VersionMismatchError even
-where its layout is the same. The file holds no report on the build
-that made it (BuildStats): a saved oracle is a function of the graph,
-the face and the seed alone, and a loaded oracle's stats are None. Path
+where its layout is the same. The file holds no report on the build that
+made it (BuildStats): a saved oracle is a function of the graph, the
+face and the seed alone, and a loaded oracle's stats are None. Path
 queries bound every parent walk and the path's length (n_original arcs,
-however the tail chains nest), and raise CorruptFileError, not
-KeyError, when a damaged file names a vertex or record it does not
-hold. The plans and the dicts are not part of the file. to_json() gives
-the same content as one logical JSON document, for tests and tools.
+however the tail chains nest), and raise CorruptFileError, not KeyError,
+when a damaged file names a vertex or record it does not hold. The plans
+and the dicts are not part of the file. to_json() gives the same content
+as one logical JSON document, for tests and tools.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ge, gt, sub
+from operator import eq, gt, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contraction import Records, contract_tree, select_trees
@@ -946,10 +948,9 @@ def _check_columns(c: _Columns) -> None:
     if not _none_negative(c.node_base):
         raise CorruptFileError("a node has a negative base")
     # a walk adds its block's first node to each parent offset: every offset
-    # must lie in its block, each non-empty block's largest below its size
+    # must lie in its block
     sizes = list(map(sub, start[1:], start))
-    blocks = map(c.node_parent.__getitem__, compress(map(slice, start, start[1:]), sizes))
-    if not _none_negative(c.node_parent) or any(map(ge, map(max, blocks), filter(None, sizes))):
+    if not (_none_negative(c.node_parent) and _below_block_sizes(c.node_parent, sizes)):
         b = next(
             b for b, (a, z) in enumerate(zip(start, start[1:]))
             if any(not 0 <= off < z - a for off in c.node_parent[a:z])
@@ -963,6 +964,32 @@ def _none_negative(col: array) -> bool:
     C-level pass over those bytes, without an int per item."""
     w = col.itemsize
     return col.tobytes()[0 if _SWAP else w - 1::w].isascii()
+
+
+# a byte with bit 7 flipped: a translated run is ASCII where each byte had it
+_FLIP = bytes(range(128, 256)) + bytes(range(128))
+
+
+def _below_block_sizes(col: array, sizes: list[int]) -> bool:
+    """Each item of col, none negative, is below the size of its block,
+    sizes giving the blocks' item counts in order.
+
+    C-level passes over bytes and two big ints, without an int per item.
+    Item i gets a lane of 2w bytes, for items of w bytes: one int holds
+    its block's size - 1 + 2**(16w - 1) in each lane, another the item,
+    and their difference borrows across no lane, as each lane's is in
+    [0, 2**16w). A lane's top bit is set exactly where item <= size - 1.
+    """
+    w = col.itemsize
+    lane, bias = 2 * w, 1 << 16 * w - 1
+    per_block = [(size - 1 + bias).to_bytes(lane, "little") for size in sizes]
+    tops = b"".join(map(mul, per_block, sizes))
+    items = bytearray(len(tops))
+    raw = (_swapped(col) if _SWAP else col).tobytes()
+    for k in range(w):
+        items[k::lane] = raw[k::w]
+    lanes = int.from_bytes(tops, "little") - int.from_bytes(items, "little")
+    return lanes.to_bytes(len(tops), "little")[lane - 1::lane].translate(_FLIP).isascii()
 
 
 def _read_file(raw: bytes) -> tuple[dict, _Columns]:

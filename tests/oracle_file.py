@@ -1,19 +1,26 @@
-"""An independent writer of oracle files (format version 14), for tests.
+"""An independent writer and reader of oracle files (format version 15),
+for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
 returns into the bytes of an oracle file, following the layout the
-README describes. It shares no code with the package's save(), so a test
-can damage a document the way a broken writer would and load the result.
-Each stored arc is [id, tail, head], and a node's vertex is the head of
-its parent arc, so the document's node vertices are not written. A
-document whose node vertex is not the head of that node's arc, where the
-document lists the arc, raises ValueError: a damage to a vertex alone
-would be a silent no-op. Nor are the document's "face_vertices" written:
-a root's face vertex is the vertex of its table's one row whose parent
-is its ring vertex. No block holds its tree's root. Each column is
-stored at the narrowest of int16, int32 and int64 ("h", "i", "q") that
-holds every value it has (int16 for an empty column), and its section
-entry names that typecode.
+README describes, and decode turns the bytes back into that document.
+Neither shares code with the package's save() or load(), so a test can
+damage a document the way a broken writer would and load the result,
+and check the package's document against its own file. Each stored arc
+is [id, tail, head], and a node's vertex is the head of its parent arc,
+so the document's node vertices are not written. A document whose node
+vertex is not the head of that node's arc, where the document lists the
+arc, raises ValueError: a damage to a vertex alone would be a silent
+no-op. A node's parent, a vertex in the document, is written as its
+offset in the block, in block order, and a node whose parent is its
+tree's root (r_j for table j, the entry's root for a record entry)
+gets its own offset; a parent that is neither in the block nor the
+root has no offset and raises ValueError. Nor are the document's
+"face_vertices" written: a root's face vertex is the vertex of its
+table's one row whose parent is its ring vertex. No block holds its
+tree's root. Each column is stored at the narrowest of int16, int32 and
+int64 ("h", "i", "q") that holds every value it has (int16 for an empty
+column), and its section entry names that typecode.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
@@ -198,7 +205,8 @@ def decode(raw: bytes) -> dict:
     the vertex of its table's root-marked row."""
     header, col = decode_columns(raw)
     head = dict(zip(col["arc_id"], col["arc_head"]))
-    start, chain_start, hop_start = col["tree_start"], col["tree_chain_start"], col["chain_hop_start"]
+    start, chain_start = col["tree_start"], col["tree_chain_start"]
+    hop_start = col["chain_hop_start"]
 
     def block(b: int, roots: list[int]) -> tuple[list[list[int]], ...]:
         """Block b's vertices, bases, parents, arcs and each chain's hops."""
@@ -227,8 +235,10 @@ def decode(raw: bytes) -> dict:
     tables, faces = [], []
     k = len(col["record_key"])
     for j, r in enumerate(col["ring_roots"]):
-        vertices, bases, parents, arcs, chains = block(k + j, [r] * (start[k + j + 1] - start[k + j]))
-        tables.append([j, vertices, bases, parents, arcs, [[p, hops] for p, hops in enumerate(chains)]])
+        size = start[k + j + 1] - start[k + j]
+        vertices, bases, parents, arcs, chains = block(k + j, [r] * size)
+        rows = [[p, hops] for p, hops in enumerate(chains)]
+        tables.append([j, vertices, bases, parents, arcs, rows])
         faces.append(next(v for v, parent in zip(vertices, parents) if parent == r))
     return {
         **header,

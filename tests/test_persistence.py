@@ -813,7 +813,7 @@ def test_record_parent_outside_its_table_raises():
     doc = small_oracle().to_json()
     k = len(doc["records"])
     data = offsets_damaged(doc, lambda off, p, size, b: size if b < k else off)
-    with pytest.raises(CorruptFileError, match=r"record \(\d+, \d\): a parent offset lies outside"):
+    with pytest.raises(CorruptFileError, match=r"record \(\d+, \d\): a parent offset lies"):
         load(io.BytesIO(data))
 
 
@@ -970,8 +970,35 @@ def test_one_parent_offset_outside_its_block_is_rejected(block, offset):
     size = start[b + 1] - start[b]
     col["node_parent"][start[b + 1] - 1] = -1 if offset == "negative" else size
     name = "record" if block == "first" else f"table {len(doc['tables']) - 1}"
-    with pytest.raises(CorruptFileError, match=f"{name}.*: a parent offset lies outside the block"):
+    with pytest.raises(CorruptFileError, match=f"{name}.*: a parent offset lies outside"):
         load(io.BytesIO(encode_columns(header_values(doc), col)))
+
+
+@pytest.mark.parametrize("typecode", ["h", "i", "q"])
+def test_offset_range_check_matches_a_plain_loop(typecode):
+    # load's C-level range check against the per-item loop it replaces, on
+    # blocks of 0 to 40 items, each item at, just under or past its
+    # block's size, or random, up to the typecode's largest value
+    rng = random.Random(typecode)
+    top = (1 << 8 * array(typecode).itemsize - 1) - 1
+    for _ in range(300):
+        sizes = [rng.choice((0, 1, 2, rng.randrange(41))) for _ in range(rng.randrange(1, 6))]
+        items = []
+        for size in sizes:
+            for _ in range(size):
+                items.append(rng.choice((size, size - 1, rng.randrange(size + 2), top)))
+        col = array(typecode, items)
+        expected = all(
+            x < size for size, block in zip(sizes, _blocks(items, sizes)) for x in block
+        )
+        assert mssp._below_block_sizes(col, sizes) == expected, (sizes, items)
+
+
+def _blocks(items: list[int], sizes: list[int]):
+    at = 0
+    for size in sizes:
+        yield items[at:at + size]
+        at += size
 
 
 def test_second_root_marked_row_in_a_table_is_rejected():
@@ -982,9 +1009,9 @@ def test_second_root_marked_row_in_a_table_is_rejected():
     start, k = col["tree_start"], len(doc["records"])
     a, z = start[k + 3], start[k + 4]
     marked = [p for p in range(z - a) if col["node_parent"][a + p] == p]
-    assert len(marked) == 1 and z - a > 1
-    other = next(p for p in range(z - a) if p not in marked)
-    col["node_parent"][a + other] = other
+    # a row after the spoke row's, so that the spoke row is the first mark
+    assert len(marked) == 1 and marked[0] < z - a - 1
+    col["node_parent"][z - 1] = z - a - 1
     with pytest.raises(CorruptFileError, match="table 3: the row whose parent is the ring vertex"):
         load(io.BytesIO(encode_columns(header_values(doc), col)))
 
