@@ -11,6 +11,7 @@ import struct
 import time
 import zlib
 from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -529,7 +530,8 @@ def test_record_entry_that_is_its_own_root_is_rejected():
     # to every distance through its vertex, with no error
     doc = small_oracle().to_json()
     entry = doc["records"][0][2][0]
-    # its parent is its tree's root, so it holds its own offset, as it did
+    # it is its root's child, so it keeps its own offset and only its
+    # record root changes
     assert entry[3] == entry[1]
     entry[1] = entry[3] = entry[0]
     assert entry[2] != 0
@@ -987,18 +989,9 @@ def test_offset_range_check_matches_a_plain_loop(typecode):
         for size in sizes:
             for _ in range(size):
                 items.append(rng.choice((size, size - 1, rng.randrange(size + 2), top)))
-        col = array(typecode, items)
-        expected = all(
-            x < size for size, block in zip(sizes, _blocks(items, sizes)) for x in block
-        )
-        assert mssp._below_block_sizes(col, sizes) == expected, (sizes, items)
-
-
-def _blocks(items: list[int], sizes: list[int]):
-    at = 0
-    for size in sizes:
-        yield items[at:at + size]
-        at += size
+        starts = accumulate(sizes, initial=0)
+        expected = all(x < size for size, a in zip(sizes, starts) for x in items[a:a + size])
+        assert mssp._below_block_sizes(array(typecode, items), sizes) == expected, (sizes, items)
 
 
 def test_second_root_marked_row_in_a_table_is_rejected():
@@ -1026,8 +1019,9 @@ def test_ring_vertex_as_the_tail_of_another_arc_is_rejected():
     below = json.loads(json.dumps(doc))
     arc = next(arc for arc in below["arcs"] if arc[1] not in ring)
     arc[1] = ring[0]
+    assert arc[0] < spoke[ring[0]]
     above = json.loads(json.dumps(doc))
-    assert new_arc(above, ring[-1], 0) > spoke[ring[-1]] > arc[0]
+    assert new_arc(above, ring[-1], 0) > spoke[ring[-1]]
     for r, damaged in ((ring[0], below), (ring[-1], above)):
         with pytest.raises(
             CorruptFileError, match=f"ring vertex {r} is the tail of more than one stored arc"
