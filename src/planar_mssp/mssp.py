@@ -57,8 +57,8 @@ and a parent arc, and no column holds a negative value. A node's parent
 is stored as its offset in the block; a node whose parent is the block's
 root, which the block does not hold, stores its own offset. The arc
 table holds only the arcs some node names as its parent arc, which are
-all the arcs a path can report, as (id, tail, head): no query reads an
-arc's base or kind, which norm.arcs holds. The only per-node Python
+all the arcs a path can report, as (id, head): no query reads an arc's
+tail, base or kind, which norm.arcs holds. The only per-node Python
 objects are the vertex -> node dicts, one per block, made with
 dict(zip(...)) over the columns; they hold ints only, so the garbage
 collector does not track them. One walk (MsspOracle._walk) looks its
@@ -75,7 +75,7 @@ The arrays are made at widths known before the recursion, and at the
 end the store lays the blocks out in file order and narrows each column
 once.
 
-The oracle file is format "planar-mssp-oracle", version 15, little-endian:
+The oracle file is format "planar-mssp-oracle", version 16, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
     4 bytes   uint32 length H of the header
@@ -101,17 +101,15 @@ vertices, that no arc id is listed twice or missing, that no block lists
 a vertex twice and that no record node is its own tree root; then that
 no record key is listed twice and that every record is keyed by a node
 of the schedule; then that root 0's descent, the records its plan reads
-and table 0, holds n_original vertices, none twice and each below the
-least ring vertex, as normalize numbers the ring vertices past every
-input id (they are the vertices queries accept); last, that no ring
-vertex is the tail of a stored arc but its spoke, and that each table
-lists only vertices of root 0's descent, with one row whose parent is
-its ring vertex (the one row that holds its own offset), whose parent
-arc is the root's spoke (the arc whose tail is the ring vertex), which
-no other row's is, and which has no tail chain (so a path starts with
-the spoke). The spoke runs to the root's face vertex b_j, so b_j is the
-spoke's head, and the file does not store the face vertices. Which node
-stores each table is not in the file either: it follows from the ring
+and table 0, holds n_original vertices, none twice (they are the
+vertices queries accept), and that the ring roots are the N ids after
+the largest, as normalize numbers them; last, that each table lists only
+vertices of root 0's descent, with one row whose parent is its ring
+vertex (the one row that holds its own offset), without a tail chain,
+whose parent arc is the root's spoke r_j -> b_j, spoke 0's id plus 2j as
+normalize numbers the spokes' darts, and whose vertex, b_j, no record on
+the root's descent holds. The file stores neither the face vertices nor
+any arc's tail. Which node stores each table is not in the file either: it follows from the ring
 count, so a file of another version raises VersionMismatchError even
 where its layout is the same. The file holds no report on the build that
 made it (BuildStats): a saved oracle is a function of the graph, the
@@ -138,7 +136,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, gt, mul, sub
+from operator import contains, eq, gt, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contraction import Records, contract_tree, select_trees
@@ -156,7 +154,7 @@ from .normalize import UNREACHABLE, NormalizedInstance
 from .sssp import SSSPTree, inherit_tree, out_adjacency, sssp_tree
 
 ORACLE_FORMAT = "planar-mssp-oracle"
-ORACLE_VERSION = 15
+ORACLE_VERSION = 16
 
 RecordKey = tuple[int, int]  # (midpoint, side); side 0 = left child
 # the hops that re-inflate an arc's tail, innermost first, flat: record key,
@@ -179,10 +177,9 @@ _SWAP = sys.byteorder != "little"
 # _WIDTH's typecodes that holds its values, which the header names; no
 # value is negative.
 _SECTIONS = (
-    "ring_roots",  # N ring vertices r_j
+    "ring_roots",  # N ring vertices r_j, the N ids after every original vertex
     "arc_id",  # A, increasing: the arcs that node_arc names
-    "arc_tail",
-    "arc_head",  # each node's vertex is its parent arc's head
+    "arc_head",  # each node's vertex is its parent arc's head; no tail is stored
     "record_key",  # K, increasing
     "tree_start",  # M + 1: each block's nodes, those with a tail chain first
     "node_base",  # V, >= 0 from the block's root: a table's distance, a record's delta
@@ -403,10 +400,11 @@ def _tree_name(c: _Columns, b: int) -> str:
     return f"record {key >> 1, key & 1}"
 
 
-def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
+def _tree_indexes(c: _Columns) -> tuple[list[dict[int, int]], dict[int, int]]:
     """Each block's vertex -> node dict, a node's vertex being its parent
-    arc's head. No arc id may be listed twice or be missing, no block may
-    list a vertex twice, and no record node may be its own tree root."""
+    arc's head, and the arc id -> head dict. No arc id may be listed twice
+    or be missing, no block may list a vertex twice, and no record node may
+    be its own tree root."""
     head = dict(zip(c.arc_id, c.arc_head))
     if len(head) != len(c.arc_id):
         raise CorruptFileError("an arc id is listed twice")
@@ -425,32 +423,30 @@ def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
     # each block's dict lists its vertices in node order, the records first
     if any(map(eq, c.record_root, chain.from_iterable(trees))):
         raise CorruptFileError("a record node is its own tree root")
-    return trees
+    return trees, head
 
 
 def _check_tables(
-    c: _Columns, n_original: int, tables: list[dict[int, int]], plan0: _Plan
+    c: _Columns, n_original: int, plans: list[_Plan], head: dict[int, int]
 ) -> tuple[frozenset[int], list[int]]:
     """Check what a query relies on in the tables; return the query vertices
     and the face vertices.
 
     Root 0's descent, the records its plan reads and then table 0, holds
     every original vertex once: contraction moves a vertex from a node's
-    graph into a record, and no block holds its tree's root, so those
-    blocks must hold n_original vertices between them, none twice, each
-    below the least ring vertex (normalize numbers the ring vertices past
-    every input id). They are the query vertices. Every table must list
-    only vertices of root 0's descent and start every path with its spoke,
-    the one stored arc whose tail is the ring vertex. The spoke's head is
-    the root's face vertex b_j, the vertex of the one row whose parent is
-    r_j, the row that holds its own offset.
+    graph into a record, and no block holds its tree's root. They are the
+    query vertices, and normalize numbers the ring vertices from one past
+    the largest of them. Every path of table j starts with r_j's spoke, the
+    parent arc of the one row whose parent is r_j (the row that holds its
+    own offset), so that row's vertex is the face vertex b_j, which no
+    record on j's descent holds (the spoke keeps it in every graph there).
+    normalize adds the spokes' slots last, in root order, so spoke j's id,
+    its tail dart, is spoke 0's plus 2j: that ties table j to r_j.
     """
-    start = c.tree_start
-    parents, arcs = c.node_parent, c.node_arc
-    ring = set(c.ring_roots)
-    k = len(c.record_key)
+    start, arcs = c.tree_start, c.node_arc
+    n, k = len(c.ring_roots), len(c.record_key)
     chained = map(sub, c.tree_chain_start[k + 1:], c.tree_chain_start[k:])
-    blocks = [*plan0.probes, tables[0]]
+    blocks = [*plans[0].probes, plans[0].index]
     vertices = set(chain.from_iterable(blocks))
     held = sum(map(len, blocks))
     if held != n_original or len(vertices) != held:
@@ -458,53 +454,44 @@ def _check_tables(
             f"root 0's descent holds {held} vertices, {len(vertices)} of them distinct,"
             f" not each original vertex once ({n_original})"
         )
-    # an id at or past the least ring vertex is foreign to the graph
-    top, least = max(vertices), min(ring)
-    if top >= least:
+    top = max(vertices)
+    if c.ring_roots.tolist() != list(range(top + 1, top + 1 + n)):
         raise CorruptFileError(
-            f"root 0's descent lists vertex {top}, not below the least ring vertex {least}"
+            f"the ring roots are not the {n} ids that follow {top}, the largest vertex"
+            " of root 0's descent"
         )
-    # ring vertex -> its spoke, the one arc that leaves it, and the spoke's head
-    spokes = [(t, a, h) for a, t, h in zip(c.arc_id, c.arc_tail, c.arc_head) if t in ring]
-    spoke_of = {t: (a, h) for t, a, h in spokes}
-    if len(spoke_of) != len(spokes):
-        twice = min(t for t, n in Counter(t for t, _, _ in spokes).items() if n > 1)
-        raise CorruptFileError(
-            f"ring vertex {twice} is the tail of more than one stored arc, not of its spoke alone"
-        )
-    # r is pendant, its spoke its one arc, so exactly one row of table j,
-    # b_j's, has r as its parent and holds its own offset; its parent arc
-    # must be that spoke, and it must have no tail chain: so every path
-    # starts with the spoke, which query_path drops. No other row's parent
-    # arc is the spoke, as its vertex would be listed twice. One C-level
-    # pass finds the marked rows of all tables, in node order: n of them,
-    # with table j holding the j-th, is one per table
-    n, at = len(c.ring_roots), start[k]
+    # one C-level pass finds the marked rows of all tables, in node order:
+    # n of them, with table j holding the j-th, is one per table
+    at = start[k]
     offsets = chain.from_iterable(map(range, map(sub, start[k + 1:], start[k:])))
-    marked = list(compress(count(at), map(eq, parents[at:], offsets)))
+    marked = list(compress(count(at), map(eq, c.node_parent[at:], offsets)))
     if len(marked) != n:
         marks_of = Counter(bisect_right(start, m) - 1 - k for m in marked)
         raise _spoke_row_error(next(j for j in range(n) if marks_of[j] != 1))
     faces: list[int] = []
-    for j, (r, index, a, z, chains, m) in enumerate(
-        zip(c.ring_roots, tables, start[k:], start[k + 1:], chained, marked)
+    for j, (plan, a, z, chains, m, spoke) in enumerate(
+        zip(plans, start[k:], start[k + 1:], chained, marked, count(arcs[marked[0]], 2))
     ):
-        if not index.keys() <= vertices:
-            stray = min(index.keys() - vertices)
+        if not plan.index.keys() <= vertices:
+            stray = min(plan.index.keys() - vertices)
             raise CorruptFileError(
                 f"table {j} lists vertex {stray}, which root 0's descent does not hold"
             )
-        s, face = spoke_of.get(r, (None, None))
-        if not (a <= m < z and m - a >= chains and arcs[m] == s):
+        # no tail chain on the spoke's row: a path starts with the spoke,
+        # which query_path drops
+        if not (a <= m < z and m - a >= chains and arcs[m] == spoke):
             raise _spoke_row_error(j)
+        face = head[spoke]
+        if any(map(contains, plan.probes, repeat(face))):
+            raise CorruptFileError(f"a record on root {j}'s descent holds its face vertex {face}")
         faces.append(face)
     return frozenset(vertices), faces
 
 
 def _spoke_row_error(j: int) -> CorruptFileError:
     return CorruptFileError(
-        f"table {j}: the row whose parent is the ring vertex is not the one"
-        " row whose parent arc is the root's spoke, without a tail chain"
+        f"table {j}: the row whose parent is the ring vertex is not one row without a"
+        f" tail chain whose parent arc, the spoke, has spoke 0's id plus {2 * j}"
     )
 
 
@@ -545,7 +532,7 @@ class MsspOracle:
         # per block, its vertex -> node (a node of the node columns): the
         # records in key order, then the tables in root order
         k = len(cols.record_key)
-        indexes = _tree_indexes(cols)
+        indexes, head = _tree_indexes(cols)
         self.tables = indexes[k:]
         # record key (2 * midpoint + side) -> vertex -> node
         self.records = dict(zip(cols.record_key, indexes))
@@ -572,7 +559,7 @@ class MsspOracle:
         self._plans = _descent_plans(n, self.records, self.tables)
         # the vertices distance queries accept: all original vertices
         self.query_vertices, self.face_vertices = _check_tables(
-            cols, n_original, self.tables, self._plans[0]
+            cols, n_original, self._plans, head
         )
 
     # ------------------------------------------------------------------
@@ -760,7 +747,7 @@ class MsspOracle:
         """The oracle's content as one logical JSON document.
 
         Each tree's nodes in the file's block order: header values, "arcs"
-        as [id, tail, head], "tables" as one [j, vertices, base, par_v,
+        as [id, head], "tables" as one [j, vertices, base, par_v,
         par_arc, chains] per root, where chains lists [row, [[midpoint,
         side, vertex], ...]], and "records" as [midpoint, side, entries]
         per record table, each entry [vertex, root, delta base, parent,
@@ -814,13 +801,13 @@ class MsspOracle:
             "seed": self.seed,
             "ring_roots": list(self.ring_roots),
             "face_vertices": list(self.face_vertices),
-            "arcs": [list(arc) for arc in zip(c.arc_id, c.arc_tail, c.arc_head)],
+            "arcs": [list(arc) for arc in zip(c.arc_id, c.arc_head)],
             "tables": tables,
             "records": records,
         }
 
     def save(self, sink) -> None:
-        """Write the oracle file (format version 15) to a path or binary file object.
+        """Write the oracle file (format version 16) to a path or binary file object.
 
         Each column is written as it is held, at the narrowest typecode that
         holds its values, which build chose and load kept.
@@ -917,9 +904,7 @@ def _check_columns(c: _Columns) -> None:
     n = len(c.ring_roots)
     if n == 0:
         raise CorruptFileError("no ring roots; expected one or more")
-    if len(set(c.ring_roots)) != n:
-        raise CorruptFileError("a ring root is listed twice")
-    if any(len(col) != len(c.arc_id) for col in (c.arc_tail, c.arc_head)):
+    if len(c.arc_head) != len(c.arc_id):
         raise CorruptFileError("arc columns differ in length")
     start = c.tree_start
     k = len(c.record_key)
@@ -1174,7 +1159,6 @@ class _Store:
         ids = sorted(set(c.node_arc))
         at = norm.graph._at
         c.arc_id = _fitted(ids)
-        c.arc_tail = _fitted([at[d] for d in ids])
         c.arc_head = _fitted([at[d ^ 1] for d in ids])
         return c
 

@@ -80,7 +80,12 @@ def counted_lookups(monkeypatch):
     node dicts, one per block (mssp._tree_indexes wrapped). Returns
     counted(call, *args): call's result and the lookups it made in them."""
     indexes = mssp._tree_indexes
-    monkeypatch.setattr(mssp, "_tree_indexes", lambda c: list(map(CountingDict, indexes(c))))
+
+    def counting_indexes(c):
+        trees, head = indexes(c)
+        return list(map(CountingDict, trees)), head
+
+    monkeypatch.setattr(mssp, "_tree_indexes", counting_indexes)
 
     def counted(call, *args):
         before = CountingDict.lookups

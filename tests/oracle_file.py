@@ -1,4 +1,4 @@
-"""An independent writer and reader of oracle files (format version 15),
+"""An independent writer and reader of oracle files (format version 16),
 for tests.
 
 encode_document turns the logical document that MsspOracle.to_json()
@@ -7,8 +7,8 @@ README describes, and decode turns the bytes back into that document.
 Neither shares code with the package's save() or load(), so a test can
 damage a document the way a broken writer would and load the result,
 and check the package's document against its own file. Each stored arc
-is [id, tail, head], and a node's vertex is the head of its parent arc,
-so the document's node vertices are not written. A document whose node
+is [id, head], and a node's vertex is the head of its parent arc, so the
+document's node vertices are not written. A document whose node
 vertex is not the head of that node's arc, where the document lists the
 arc, raises ValueError: a damage to a vertex alone would be a silent
 no-op. A node's parent, a vertex in the document, is written as its
@@ -17,10 +17,12 @@ tree's root (r_j for table j, the entry's root for a record entry)
 gets its own offset; a parent that is neither in the block nor the
 root has no offset and raises ValueError. Nor are the document's
 "face_vertices" written: a root's face vertex is the vertex of its
-table's one row whose parent is its ring vertex. No block holds its
-tree's root. Each column is stored at the narrowest of int16, int32 and
-int64 ("h", "i", "q") that holds every value it has (int16 for an empty
-column), and its section entry names that typecode.
+table's one row whose parent is its ring vertex: the head of the root's
+spoke, the one arc that leaves the ring vertex. No arc's tail is
+written. No block holds its tree's root. Each column is stored at the
+narrowest of int16, int32 and int64 ("h", "i", "q") that holds every
+value it has (int16 for an empty column), and its section entry names
+that typecode.
 
 Layout: the magic b"\\x89MSSP\\r\\n\\x1a", the header length and the
 zlib.crc32 of the header as little-endian uint32, the header (compact
@@ -45,10 +47,10 @@ import zlib
 
 MAGIC = b"\x89MSSP\r\n\x1a"
 NODE = ("node_base", "node_parent", "node_arc")
-ARC = ("arc_id", "arc_tail", "arc_head")
+ARC = ("arc_id", "arc_head")
 COLUMNS = (
     "ring_roots",
-    "arc_id", "arc_tail", "arc_head",
+    "arc_id", "arc_head",
     "record_key", "tree_start",
     "node_base", "node_parent", "node_arc", "record_root",
     "tree_chain_start", "chain_hop_start", "hop_key", "hop_vertex",

@@ -210,8 +210,9 @@ def _path_or_nothing(self, j, u):
 
 
 def _spoke(oracle, j):
-    r = oracle.ring_roots[j]
-    return next(aid for aid, tail, _ in oracle.to_json()["arcs"] if tail == r)
+    """Root j's spoke: the parent arc of table j's row whose parent is r_j."""
+    _, _, _, parents, arcs, _ = oracle.to_json()["tables"][j]
+    return arcs[parents.index(oracle.ring_roots[j])]
 
 
 def _there_and_back(self, j, u):

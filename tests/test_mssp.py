@@ -391,7 +391,7 @@ def test_nothing_stored_goes_unread(right_first):
     # every record table is probed by some root's descent or named by a
     # tail-chain hop, every table is its root's terminal table and holds
     # all the stored rows, and every stored arc is some node's parent arc,
-    # as (id, tail, head) of the normalized graph's arc;
+    # as (id, head) of the normalized graph's arc;
     # no record entry is its own tree root, no table row is unreached, no
     # table lists a ring vertex and every node has a parent (no -1 is
     # stored), root 0's descent (its records, then table 0) holds each
@@ -410,8 +410,7 @@ def test_nothing_stored_goes_unread(right_first):
         assert oracle.stats.stored_rows == sum(map(len, oracle.tables)), name
         c = oracle._cols
         assert set(c.arc_id) == set(c.node_arc), name
-        stored = zip(c.arc_id, c.arc_tail, c.arc_head)
-        assert all(norm.arcs[a][:2] == (t, h) for a, t, h in stored), name
+        assert all(norm.arcs[a].head == h for a, h in zip(c.arc_id, c.arc_head)), name
         record_vertices = chain.from_iterable(oracle.records[key] for key in c.record_key)
         assert not any(map(eq, c.record_root, record_vertices)), name
         assert min(c.node_base) >= 0, name
