@@ -400,11 +400,10 @@ def _tree_name(c: _Columns, b: int) -> str:
     return f"record {key >> 1, key & 1}"
 
 
-def _tree_indexes(c: _Columns) -> tuple[list[dict[int, int]], dict[int, int]]:
+def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
     """Each block's vertex -> node dict, a node's vertex being its parent
-    arc's head, and the arc id -> head dict. No arc id may be listed twice
-    or be missing, no block may list a vertex twice, and no record node may
-    be its own tree root."""
+    arc's head. No arc id may be listed twice or be missing, no block may
+    list a vertex twice, and no record node may be its own tree root."""
     head = dict(zip(c.arc_id, c.arc_head))
     if len(head) != len(c.arc_id):
         raise CorruptFileError("an arc id is listed twice")
@@ -423,12 +422,10 @@ def _tree_indexes(c: _Columns) -> tuple[list[dict[int, int]], dict[int, int]]:
     # each block's dict lists its vertices in node order, the records first
     if any(map(eq, c.record_root, chain.from_iterable(trees))):
         raise CorruptFileError("a record node is its own tree root")
-    return trees, head
+    return trees
 
 
-def _check_tables(
-    c: _Columns, n_original: int, plans: list[_Plan], head: dict[int, int]
-) -> tuple[frozenset[int], list[int]]:
+def _check_tables(c: _Columns, n_original: int, plans: list[_Plan]) -> tuple[frozenset[int], list[int]]:
     """Check what a query relies on in the tables; return the query vertices
     and the face vertices.
 
@@ -481,7 +478,8 @@ def _check_tables(
         # which query_path drops
         if not (a <= m < z and m - a >= chains and arcs[m] == spoke):
             raise _spoke_row_error(j)
-        face = head[spoke]
+        # the row's vertex: the dict lists the block's vertices in node order
+        face = next(islice(plan.index, m - a, None))
         if any(map(contains, plan.probes, repeat(face))):
             raise CorruptFileError(f"a record on root {j}'s descent holds its face vertex {face}")
         faces.append(face)
@@ -532,7 +530,7 @@ class MsspOracle:
         # per block, its vertex -> node (a node of the node columns): the
         # records in key order, then the tables in root order
         k = len(cols.record_key)
-        indexes, head = _tree_indexes(cols)
+        indexes = _tree_indexes(cols)
         self.tables = indexes[k:]
         # record key (2 * midpoint + side) -> vertex -> node
         self.records = dict(zip(cols.record_key, indexes))
@@ -558,9 +556,7 @@ class MsspOracle:
         # immutable once built, so queries stay safe from several threads
         self._plans = _descent_plans(n, self.records, self.tables)
         # the vertices distance queries accept: all original vertices
-        self.query_vertices, self.face_vertices = _check_tables(
-            cols, n_original, self._plans, head
-        )
+        self.query_vertices, self.face_vertices = _check_tables(cols, n_original, self._plans)
 
     # ------------------------------------------------------------------
     # queries

@@ -80,12 +80,7 @@ def counted_lookups(monkeypatch):
     node dicts, one per block (mssp._tree_indexes wrapped). Returns
     counted(call, *args): call's result and the lookups it made in them."""
     indexes = mssp._tree_indexes
-
-    def counting_indexes(c):
-        trees, head = indexes(c)
-        return list(map(CountingDict, trees)), head
-
-    monkeypatch.setattr(mssp, "_tree_indexes", counting_indexes)
+    monkeypatch.setattr(mssp, "_tree_indexes", lambda c: list(map(CountingDict, indexes(c))))
 
     def counted(call, *args):
         before = CountingDict.lookups

@@ -90,9 +90,9 @@ from tests.oracle_file import (
 # version 16 each instance's version 15 file, read with tests/oracle_file.py
 # and without its arc_tail column, was written as version 16 by that
 # module's encoder (tests/oracles/v16_digests.py); the version 16 save()
-# writes exactly those bytes. The file holds no build report, so no field is zeroed before a digest is
-# taken. Any change to these bytes is a format change and needs a version
-# bump.
+# writes exactly those bytes. The file holds no build report, so no field
+# is zeroed before a digest is taken. Any change to these bytes is a
+# format change and needs a version bump.
 GATE_DIGESTS = {
     "grid8-outer": "0404e0ddc37e48f4d2834abe55958167219ab4af243e5629601f87b3a521a689",
     "grid16-outer": "495e1cb07058c452982a286a14b6e80f91424578ddc6698c07fd72f7d2c8ea6e",
@@ -492,7 +492,7 @@ def test_table_zero_holding_another_ring_vertex_is_rejected():
 @pytest.mark.parametrize("j", [0, 5])
 def test_table_listing_its_own_ring_vertex_is_rejected(j):
     # no stored tree holds its root: a row for r_j, at base 0 under its
-    # face vertex b_j, with an arc from b_j to r_j, is one vertex too many
+    # face vertex b_j, with a new arc into r_j, is one vertex too many
     # for table 0 and a vertex of no descent for table 5
     doc = small_oracle().to_json()
     table = doc["tables"][j]
