@@ -109,11 +109,12 @@ vertex (the one row that holds its own offset), without a tail chain,
 whose parent arc is the root's spoke r_j -> b_j, spoke 0's id plus 2j as
 normalize numbers the spokes' darts, and whose vertex, b_j, no record on
 the root's descent holds. The file stores neither the face vertices nor
-any arc's tail. Which node stores each table is not in the file either: it follows from the ring
-count, so a file of another version raises VersionMismatchError even
-where its layout is the same. The file holds no report on the build that
-made it (BuildStats): a saved oracle is a function of the graph, the
-face and the seed alone, and a loaded oracle's stats are None. Path
+any arc's tail. Which node stores each table is not in the file either:
+it follows from the ring count, so a file of another version raises
+VersionMismatchError even where its layout is the same. The file holds
+no report on the build that made it (BuildStats): a saved oracle is a
+function of the graph, the face and the seed alone, and a loaded
+oracle's stats are None. Path
 queries bound every parent walk and the path's length (n_original arcs,
 however the tail chains nest), and raise CorruptFileError, not KeyError,
 when a damaged file names a vertex or record it does not hold. The plans
@@ -425,7 +426,9 @@ def _tree_indexes(c: _Columns) -> list[dict[int, int]]:
     return trees
 
 
-def _check_tables(c: _Columns, n_original: int, plans: list[_Plan]) -> tuple[frozenset[int], list[int]]:
+def _check_tables(
+    c: _Columns, n_original: int, plans: list[_Plan]
+) -> tuple[frozenset[int], list[int]]:
     """Check what a query relies on in the tables; return the query vertices
     and the face vertices.
 
