@@ -21,6 +21,7 @@ be version 15; derive needs no package at all.
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -34,8 +35,6 @@ NAMES = (
 
 def save(out: Path) -> None:
     """Save every gate instance's oracle with the version 15 code."""
-    import io
-
     from planar_mssp import build, normalize
     from planar_mssp.mssp import ORACLE_VERSION
     from tests.test_persistence import gate_instance
