@@ -31,7 +31,7 @@ def main() -> None:
     t_hi = sssp_tree(h, rings[hi], excluded - {rings[hi]})
 
     # the forest is over rows; the tree's snapshot maps them to vertices
-    forest = shared_forest(t_lo, t_hi)
+    forest = shared_forest(h, t_lo, t_hi)
     shared = sum(map(len, forest.children.values()))
     roots = [t_lo.snap.vertices[r] for r in forest.root_rows]
     print(f"\nshared forest: {shared} vertices share their"
@@ -42,21 +42,28 @@ def main() -> None:
     for sel in trees:
         print(f"  root {sel.root}: members {sel.vertex}")
 
+    # the child's record is read off its selected trees before they are
+    # contracted: each member's tree arc leaves its parent along the
+    # reverse of the member's dart, and its id is that dart
+    entries = sorted(
+        (v, sel.root, db, d ^ 1)
+        for sel in trees
+        for v, d, db in zip(sel.vertex[1:], sel.dart[1:], sel.dbase[1:])
+    )
     before = h.vertex_count
     # one call contracts every selected tree of the child
-    rec = contract_tree(h, trees)
+    contract_tree(h, trees)
     # planarity bookkeeping must survive the contraction; the spokes of
     # ring vertices outside the interval may enter a tree and go, so check
     # the graph without them, as the build's child graph is
     h.copy(excluded - {rings[lo], rings[hi]}).check()
     # one record entry per absorbed vertex: the tree roots stay in h
     print(f"\ncontracted {before} -> {h.vertex_count} vertices"
-          f" ({len(rec.vertex)} absorbed)")
+          f" ({len(entries)} absorbed)")
 
     print("record entries (vertex: root, distance below root, tree arc):")
-    for i in sorted(range(len(rec.vertex)), key=rec.vertex.__getitem__):
-        print(f"  {rec.vertex[i]}: root {rec.root[i]}, delta base {rec.dbase[i]},"
-              f" arc {rec.arc[i]}")
+    for v, root, db, arc in entries:
+        print(f"  {v}: root {root}, delta base {db}, arc {arc}")
 
     # the whole point: distances from the interval's boundary roots are
     # unchanged for every surviving vertex

@@ -13,17 +13,16 @@ entering the tree anywhere but s are dropped.
 select_trees gives each tree as flat columns in depth-first order, root
 first, built from t_low's columns; they are trees of the graph by
 construction, so contraction takes them as made. contract_tree takes all
-of a child's trees in one call: it reads each member's parent and tree arc
-off the member's dart, then contracts the trees one after another, in
+of a child's trees in one call and contracts them one after another, in
 selection order, with one walk around each (EmbeddedDigraph._merge_tree),
 which reweights, drops, merges the tree's slots into the root and keeps
 the cheapest arc out of the root per neighbour. Arcs into the root need no
 such pass: an arc into a member is dropped, so the ones left are the
-root's own, at most one per neighbour already. It returns the child's
-record columns, one entry per tree member (every tree vertex but the
-root): what queries later use to jump from a contracted vertex to its
-super-vertex, and what path expansion uses to re-inflate the jump into
-original arcs.
+root's own, at most one per neighbour already. The selected trees are
+also the child's record, one entry per tree member (every tree vertex but
+the root), which the build stores before it contracts them: what queries
+later use to jump from a contracted vertex to its super-vertex, and what
+path expansion uses to re-inflate the jump into original arcs.
 """
 
 from __future__ import annotations
@@ -55,24 +54,6 @@ class SelectedTree:
         return self.vertex[0]
 
 
-@dataclass(eq=False, slots=True)
-class Records:
-    """A child's record columns, one entry per member of its trees.
-
-    A tree's root has no entry: it stays in the graph. A member names its
-    tree's root, the base of its delta, its tree parent (the root or
-    another member) and the arc id of the tree arc parent -> member. With
-    d the member's tree dart, the parent sits at d ^ 1 and the tree arc
-    leaves it along d ^ 1, so its id is d ^ 1.
-    """
-
-    vertex: list[int]
-    root: list[int]
-    dbase: list[int]
-    parent: list[int]
-    arc: list[int]
-
-
 def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[SelectedTree]:
     """Contractible trees for the child interval [low, high].
 
@@ -83,7 +64,7 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
     so a member's dart is its t_low parent dart and its delta is its t_low
     distance minus the root's.
     """
-    forest = shared_forest(t_low, t_high)
+    forest = shared_forest(h, t_low, t_high)
     vertices = t_low.snap.vertices
     base = t_low.base
     pert = t_low.pert
@@ -127,29 +108,16 @@ def select_trees(h: EmbeddedDigraph, t_low: SSSPTree, t_high: SSSPTree) -> list[
     return out
 
 
-def contract_tree(h: EmbeddedDigraph, selected: list[SelectedTree]) -> Records:
-    """Contract every selected tree into its root in place; record them all.
+def contract_tree(h: EmbeddedDigraph, selected: list[SelectedTree]) -> None:
+    """Contract every selected tree into its root in place.
 
     The trees must be vertex-disjoint trees of h, as select_trees makes
-    them; nothing here checks that. Each member's parent and tree arc id
-    are read off its dart before any tree is merged. Then each tree in
-    turn loses its arcs entering it anywhere but the root, has the arcs
-    leaving it reweighted by the member's delta, is merged into its root
-    so the embedding survives, and keeps only the cheapest arc from the
-    root to each neighbour; the arcs into the root are its own, already
-    one per neighbour. The returned records hold the members only, not
-    the roots.
+    them; nothing here checks that. Each tree in turn loses its arcs
+    entering it anywhere but the root, has the arcs leaving it reweighted
+    by the member's delta, is merged into its root so the embedding
+    survives, and keeps only the cheapest arc from the root to each
+    neighbour; the arcs into the root are its own, already one per
+    neighbour.
     """
-    at = h._at
-    rec = Records([], [], [], [], [])
-    for tree in selected:
-        # each member's tree dart at its parent, which holds the tree arc
-        up = [d ^ 1 for d in tree.dart[1:]]
-        rec.vertex += tree.vertex[1:]
-        rec.root += [tree.root] * len(up)
-        rec.dbase += tree.dbase[1:]
-        rec.parent += map(at.__getitem__, up)
-        rec.arc += up
     for tree in selected:
         h._merge_tree(tree.vertex, tree.dart, tree.dbase, tree.dpert)
-    return rec

@@ -68,9 +68,11 @@ root (the ring vertex for a table, the node's record root for a
 record), and serves the terminal tree and every record tree. The build
 appends each tree it stores, as it makes it, to one build-wide array per
 column (_Store): a table from its Dijkstra columns (one row snapshot per
-node, sssp.out_adjacency), a record from the columns that one
-contract_tree call returns per child, each put in block order with one
-sort; each node looks up a tail chain at most once per original tail.
+node, sssp.out_adjacency), a record from the trees selected for a child
+before contract_tree merges them, each put in block order with one sort,
+its vertices and parents read as its arcs' heads and tails in the graph
+the tree was made in; each node looks up a tail chain at most once per
+original tail.
 The arrays are made at widths known before the recursion, and at the
 end the store lays the blocks out in file order and narrows each column
 once.
@@ -137,10 +139,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import contains, eq, gt, mul, sub
+from operator import contains, eq, gt, mul, sub, xor
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .contraction import Records, contract_tree, select_trees
+from .contraction import SelectedTree, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
 from .errors import (
     BadRootIndexError,
@@ -1057,42 +1059,59 @@ class _Store:
         self.hop_key = array(_narrowest(self.tables_from))
         # per block, in the order added: its place in the file, a record's
         # key or tables_from plus a table's root, and CSR offsets of its
-        # nodes, record roots, chains and hops
+        # nodes, record roots (one per record member), chains and hops
         self.place = array("q")
-        self.node_off, self.root_off, self.chain_off, self.hop_off = (
+        self.node_off, self.member_off, self.chain_off, self.hop_off = (
             array("q", [0]) for _ in range(4)
         )
 
-    def add_table(self, j: int, t: SSSPTree, chain_at: Callable[[int], TailChain]) -> None:
+    def add_table(
+        self, j: int, t: SSSPTree, at: list[int | None], chain_at: Callable[[int], TailChain]
+    ) -> None:
         """Root j's table: the rows its run reached but its root, which are
-        the rows that have a parent.
+        the rows that have a parent dart; at maps t's graph's darts to vertices.
 
         The rows left out are the interval's ring vertices: the root, which
         every walk stops at, and the others, which the run excluded. No
         query names them. chain_at gives a parent arc's tail chain.
         """
-        vertices = t.snap.vertices
-        kept = [r >= 0 for r in t.par_row]
+        kept = [d >= 0 for d in t.par_dart]
         self._add(
             self.tables_from + j,
-            list(compress(vertices, kept)),
             list(compress(t.base, kept)),
-            [vertices[r] for r in compress(t.par_row, kept)],
             # a tree arc's id is its tail dart, the reverse of the parent dart
-            [d ^ 1 for d in compress(t.par_dart, kept)],
+            list(map(xor, compress(t.par_dart, kept), repeat(1))),
+            at,
             chain_at,
         )
 
-    def add_record(self, key: int, rec: Records, chain_at: Callable[[int], TailChain]) -> None:
-        """The record of the child keyed key, as contract_tree returns it."""
-        self._add(key, rec.vertex, rec.dbase, rec.parent, rec.arc, chain_at, rec.root)
+    def add_record(
+        self,
+        key: int,
+        selected: list[SelectedTree],
+        at: list[int | None],
+        chain_at: Callable[[int], TailChain],
+    ) -> None:
+        """The record of the child keyed key: an entry per member of its
+        trees, read before they are contracted; at maps their graph's darts
+        to vertices."""
+        base: list[int] = []
+        arc: list[int] = []
+        root: list[int] = []
+        for tree in selected:
+            # a member's tree arc leaves its parent along its dart's reverse
+            arc += map(xor, islice(tree.dart, 1, None), repeat(1))
+            base += islice(tree.dbase, 1, None)
+            root += repeat(tree.root, len(tree.dart) - 1)
+        self._add(key, base, arc, at, chain_at, root)
 
-    def _add(self, place, vertex, base, parent, arc, chain_at, root=None) -> None:
+    def _add(self, place, base, arc, at, chain_at, root=None) -> None:
         """Append a tree's nodes in block order: those whose parent arc has
-        a tail chain first, each part by ascending vertex. A table's columns
-        come sorted by vertex, a record's in the order contract_tree made
-        them. The vertices order the nodes and give each parent's offset in
-        the block; none is stored, as each is its arc's head."""
+        a tail chain first, each part by ascending vertex. A node's vertex
+        and parent are its arc's head and tail, at[arc ^ 1] and at[arc], in
+        the graph the tree was made in; they order the nodes and give each
+        parent's offset in the block, and neither is stored."""
+        vertex = list(map(at.__getitem__, map(xor, arc, repeat(1))))
         chains = list(map(chain_at, arc))
         order: range | list[int] = range(len(vertex))
         if any(map(gt, vertex, islice(vertex, 1, None))):
@@ -1106,9 +1125,10 @@ class _Store:
 
         # a parent's offset in the block; the block's root, which it does
         # not hold, is the parent of the nodes that hold their own offset
-        at = dict(zip(laid(vertex), count()))
+        offset = dict(zip(laid(vertex), count()))
+        parents = map(at.__getitem__, laid(arc))
         parts = [
-            (self.base, laid(base)), (self.parent, map(at.get, laid(parent), count())),
+            (self.base, laid(base)), (self.parent, map(offset.get, parents, count())),
             (self.arc, laid(arc)),
         ]
         if root is not None:
@@ -1121,7 +1141,7 @@ class _Store:
         self.hop_vertex.extend(hops[1::2])
         self.place.append(place)
         self.node_off.append(len(self.arc))
-        self.root_off.append(len(self.root))
+        self.member_off.append(len(self.root))
         self.chain_off.append(len(self.chain_len))
         self.hop_off.append(len(self.hop_key))
 
@@ -1148,7 +1168,7 @@ class _Store:
         c.node_base = laid_out(self.base, self.node_off)
         c.node_parent = laid_out(self.parent, self.node_off)
         c.node_arc = laid_out(self.arc, self.node_off)
-        c.record_root = laid_out(self.root, self.root_off)
+        c.record_root = laid_out(self.root, self.member_off)
         c.tree_chain_start = starts(self.chain_off)
         chain_len = laid_out(self.chain_len, self.chain_off)
         c.chain_hop_start = _fitted(list(accumulate(chain_len, initial=0)))
@@ -1259,7 +1279,7 @@ def build(
 
     def check_inherited(h, k, excluded, inherited, adj):
         fresh = sssp_tree(h, ring_roots[k], excluded, adj=adj)
-        for name in ("base", "pert", "par_dart", "par_row"):
+        for name in ("base", "pert", "par_dart"):
             got, want = getattr(inherited, name), getattr(fresh, name)
             if got != want:
                 row = next(r for r, (a, b) in enumerate(zip(got, want)) if a != b)
@@ -1273,12 +1293,7 @@ def build(
     # here, after its earlier siblings have taken their subtrees'
     schedule = _schedule(n_rings)
 
-    def rec(
-        node: _Node,
-        h: EmbeddedDigraph,
-        parent_trees: dict[int, SSSPTree],
-        root_of: dict[int, int],
-    ) -> None:
+    def rec(node: _Node, h: EmbeddedDigraph, parent_trees: dict[int, SSSPTree]) -> None:
         i1, i2 = node.interval
         level, children = node.level, node.children
         lvl = stats.per_level[level]
@@ -1291,7 +1306,7 @@ def build(
         for k in node.trees:
             rk = ring_roots[k]
             if k in parent_trees:
-                trees[k] = inherit_tree(parent_trees[k], snap, root_of)
+                trees[k] = inherit_tree(parent_trees[k], snap)
                 if instrument:
                     check_inherited(h, k, excluded_all - {rk}, trees[k], adj)
             else:
@@ -1320,7 +1335,7 @@ def build(
             return found
 
         for k in node.stores:
-            store.add_table(k, trees[k], chain_at)
+            store.add_table(k, trees[k], h._at, chain_at)
         if not children:
             return
         del snap, vertices
@@ -1341,31 +1356,31 @@ def build(
             selected = select_trees(hj, trees[j1], trees[j2])
             if instrument:
                 before = check_selected(hj, j1, j2, selected)
-            records = contract_tree(hj, selected)
+            if selected:
+                # each tree arc's tail and chain as of the contraction, before
+                # the merge and before this child's members join absorbed_at
+                store.add_record(child.key, selected, hj._at, chain_at)
+            # where each vertex contracted away went, for tail chains: its
+            # record and its tree's root
+            moved: dict[int, tuple[int, int]] = {}
+            for tree in selected:
+                moved.update(zip(islice(tree.vertex, 1, None), repeat((child.key, tree.root))))
+            contract_tree(hj, selected)
             del selected
             if instrument:
                 check_child(hj, j1, j2, before)
                 del before
-            if records.vertex:
-                # each tree arc's chain as of the contraction, before this
-                # child's members join absorbed_at
-                store.add_record(child.key, records, chain_at)
-            # where each vertex contracted away went: its record and root
-            # for tail chains, its root for the inherited trees
-            moved = dict(zip(records.vertex, records.root))
-            del records
             lvl["contracted_vertices"] += len(moved)
-            for u, root in moved.items():
-                absorbed_at[u] = (child.key, root)
+            absorbed_at.update(moved)
             handed = {j1: trees[j1], j2: trees[j2]}
             for k in [k for k in trees if last_reader[k] == n]:
                 del trees[k]
-            rec(child, hj, handed, moved)
+            rec(child, hj, handed)
             for u in moved:
                 del absorbed_at[u]
 
     with _gc_paused():
-        rec(next(schedule), norm.graph.copy(), {}, {})
+        rec(next(schedule), norm.graph.copy(), {})
         # rec holds itself through its closure cell; emptying the cell lets
         # reference counting free the working graphs, not a later GC pass
         del rec

@@ -14,13 +14,14 @@ is settled, and a relaxation is pushed only when it beats that distance.
 Vertices in `excluded` are marked settled before the run instead of
 being removed from the graph.
 
-The resulting SSSPTree is four per-row columns: base and perturbation of
-the distance (-1 and 0 where unreached), and the parent dart and parent
-row (-1 at the root and where unreached). A vertex is recorded by the dart
-of its unique ingoing tree arc, the dart sitting at the vertex itself (so
-its reverse sits at the parent). The build turns the columns of the trees
-it stores straight into tables; `dist` and `parent_dart` build a new
-vertex-keyed dict of them on each read, for tests and consistency checks.
+The resulting SSSPTree is three per-row columns: base and perturbation of
+the distance (-1 and 0 where unreached), and the parent dart (-1 at the
+root and where unreached). A vertex is recorded by the dart of its unique
+ingoing tree arc, the dart sitting at the vertex itself, so its reverse
+sits at the parent: the graph the tree lives in gives the parent, and no
+column repeats it. The build turns the columns of the trees it stores
+straight into tables; `dist` and `parent_dart` build a new vertex-keyed
+dict of them on each read, for tests and consistency checks.
 
 Who holds what: a tree holds its rows, which those dicts and inherit_tree
 read, and not the out-lists, which only Dijkstra reads. So the out-lists
@@ -31,15 +32,14 @@ inherit_tree carries a tree over to the rows of a contracted copy of its
 graph without a Dijkstra run. The build's contractions keep every
 distance from the child interval's endpoints, and an arc keeps its slot
 and dart ids when it moves to the contracted tree's root. So each
-surviving vertex keeps its distance and parent dart, and only a parent
-that was contracted away changes: it becomes the root it was contracted
-into.
+surviving vertex keeps its distance and parent dart. A parent that was
+contracted away is read, in the contracted graph, as the root it went
+into, since that root now holds the dart's other end.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
@@ -90,7 +90,6 @@ class SSSPTree:
     base: list[int]
     pert: list[int]
     par_dart: list[int]
-    par_row: list[int]
 
     @property
     def dist(self) -> dict[int, tuple[int, int]]:
@@ -138,7 +137,6 @@ def sssp_tree(
     base = [-1] * n
     pert = [0] * n
     par_dart = [-1] * n
-    par_row = [-1] * n
     r0 = row_of[root]
     base[r0] = 0
     heap: list[tuple[int, int, int]] = [(0, 0, r0)]
@@ -160,21 +158,20 @@ def sssp_tree(
                     base[head] = nb
                     pert[head] = np
                     par_dart[head] = hd
-                    par_row[head] = v
                     push(heap, (nb, np, head))
     if reached != expected:
         raise UnreachableVertexError(
             f"root {root} reached {reached} of {expected} vertices"
         )
-    return SSSPTree(root, snap, reached, base, pert, par_dart, par_row)
+    return SSSPTree(root, snap, reached, base, pert, par_dart)
 
 
-def inherit_tree(tree: SSSPTree, snap: RowSnapshot, root_of: Mapping[int, int]) -> SSSPTree:
+def inherit_tree(tree: SSSPTree, snap: RowSnapshot) -> SSSPTree:
     """tree's columns over snap, the rows of a contracted copy of its graph.
 
-    Every vertex of snap must be a row of tree's snapshot. root_of maps each
-    vertex that the contraction merged into another to that vertex, the
-    root of its contracted tree; a parent row is remapped through it. The
+    Every vertex of snap must be a row of tree's snapshot. Each row keeps
+    its distance and parent dart; in the contracted graph the dart's other
+    end is the parent, or the root the parent was contracted into. The
     result equals a fresh sssp_tree on the contracted graph when the
     contraction kept the distances from tree's root, as the build's
     contractions do for the child interval's endpoints; build(instrument=
@@ -182,12 +179,6 @@ def inherit_tree(tree: SSSPTree, snap: RowSnapshot, root_of: Mapping[int, int]) 
     """
     rows = list(map(tree.snap.row_of.__getitem__, snap.vertices))
     base = list(map(tree.base.__getitem__, rows))
-    parents = tree.snap.vertices
-    row_of = snap.row_of
-    par_row = [
-        -1 if p < 0 else row_of[root_of.get(parents[p], parents[p])]
-        for p in map(tree.par_row.__getitem__, rows)
-    ]
     return SSSPTree(
         tree.root,
         snap,
@@ -195,7 +186,6 @@ def inherit_tree(tree: SSSPTree, snap: RowSnapshot, root_of: Mapping[int, int]) 
         base,
         list(map(tree.pert.__getitem__, rows)),
         list(map(tree.par_dart.__getitem__, rows)),
-        par_row,
     )
 
 
@@ -207,22 +197,23 @@ class SharedForest:
     root_rows: list[int]  # rows with shared children but no shared parent
 
 
-def shared_forest(t1: SSSPTree, t2: SSSPTree) -> SharedForest:
-    """Intersection of two trees' parent arcs over the same snapshot.
+def shared_forest(h: EmbeddedDigraph, t1: SSSPTree, t2: SSSPTree) -> SharedForest:
+    """Intersection of two trees' parent arcs over the same snapshot of h.
 
     A row joins the forest when both trees give it the same parent dart
-    (hence the same ingoing arc). Component roots are the rows with shared
+    (hence the same ingoing arc). Its parent is the row of the vertex at
+    the dart's other end in h. Component roots are the rows with shared
     children but no shared parent; the two trees' parent arcs
-    automatically differ there. The trees' own columns carry everything
-    the forest needs.
+    automatically differ there.
     """
     pd1 = t1.par_dart
     pd2 = t2.par_dart
     shared = [r for r, d in enumerate(pd1) if d >= 0 and d == pd2[r]]
-    par_row = t1.par_row
+    row_of = t1.snap.row_of
+    at = h._at
     children: dict[int, list[int]] = {}
     for r in shared:
-        p = par_row[r]
+        p = row_of[at[pd1[r] ^ 1]]
         kids = children.get(p)
         if kids is None:
             children[p] = [r]

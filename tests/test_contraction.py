@@ -15,7 +15,8 @@ from planar_mssp import (
     reverse_dart,
     sssp_tree,
 )
-from planar_mssp.contraction import Records, SelectedTree, contract_tree, select_trees
+from planar_mssp.contraction import SelectedTree, contract_tree, select_trees
+from planar_mssp.mssp import _Store
 from planar_mssp.sssp import out_adjacency, shared_forest
 from tests.conftest import arcs_by_id
 
@@ -27,17 +28,6 @@ def ring_trees(norm):
         sssp_tree(g, r, [x for x in norm.ring_roots if x != r], adj=adj)
         for r in norm.ring_roots
     ]
-
-
-def entry(rec: Records, v: int):
-    """v's record entry: (root, delta base, parent, arc)."""
-    i = rec.vertex.index(v)
-    return (
-        rec.root[i],
-        rec.dbase[i],
-        rec.parent[i],
-        rec.arc[i],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -52,16 +42,15 @@ def clockwise_between(rotation, d_from, d, d_to):
 
 
 def selection_outcomes(norm) -> set[bool]:
-    """Check every selected tree of norm's adjacent ring pairs, and the
-    records its contraction makes; return the clockwise test's outcomes
-    over the forest roots' shared children."""
+    """Check every selected tree of norm's adjacent ring pairs; return the
+    clockwise test's outcomes over the forest roots' shared children."""
     g = norm.graph
     trees = ring_trees(norm)
     ring = set(norm.ring_roots)
     outcomes = set()
     for i in range(len(trees) - 1):
         t_low, t_high = trees[i], trees[i + 1]
-        forest = shared_forest(t_low, t_high)
+        forest = shared_forest(g, t_low, t_high)
         vertices = t_low.snap.vertices
         row_of = t_low.snap.row_of
         kept: dict[int, set[int]] = {}  # root -> its children that were kept
@@ -76,10 +65,11 @@ def selection_outcomes(norm) -> set[bool]:
             seen = {s}
             for v, dart, db, dp in zip(sel.vertex[1:], sel.dart[1:], sel.dbase[1:], sel.dpert[1:]):
                 assert g.dart_vertex(dart) == v
-                # the vertex at the dart's other end is v's t_low parent,
-                # and the tree arc into v leaves it along that end
+                # the dart is v's t_low parent dart, so the vertex at its
+                # other end is v's t_low parent, and the tree arc into v
+                # leaves it along that end
+                assert dart == t_low.parent_dart[v]
                 parent = g.dart_vertex(dart ^ 1)
-                assert parent == vertices[t_low.par_row[row_of[v]]]
                 assert g.arc_into(dart) is not None
                 assert parent in seen  # parents precede children
                 seen.add(v)
@@ -89,13 +79,6 @@ def selection_outcomes(norm) -> set[bool]:
                     assert (sb + db, sp + dp) == t.dist[v]
                 if parent == s:
                     kept.setdefault(s, set()).add(v)
-        # each record names its member's t_low parent and tree arc
-        rec = contract_tree(g.copy(), selected)
-        assert rec.vertex == [v for sel in selected for v in sel.vertex[1:]]
-        for v, parent, arc in zip(rec.vertex, rec.parent, rec.arc):
-            row = row_of[v]
-            assert parent == vertices[t_low.par_row[row]]
-            assert arc == t_low.par_dart[row] ^ 1
         # a shared child is kept exactly when its dart at the root lies
         # clockwise after the root's t_high parent dart and before its t_low one
         for r_s in forest.root_rows:
@@ -126,12 +109,46 @@ def test_selection_rejects_parent_darts_on_two_rotations(norm3):
     # vertex: the walk from it never meets t_low's, and must stop
     g = norm3.graph
     t_low, t_high = ring_trees(norm3)[:2]
-    r_s = shared_forest(t_low, t_high).root_rows[0]
+    r_s = shared_forest(g, t_low, t_high).root_rows[0]
     par_dart = t_high.par_dart[:]
     par_dart[r_s] = t_low.par_dart[r_s] ^ 1
     assert g.dart_vertex(par_dart[r_s]) != t_low.snap.vertices[r_s]
     with pytest.raises(GraphError, match="not on one rotation"):
         select_trees(g, t_low, replace(t_high, par_dart=par_dart))
+
+
+def test_store_reads_each_record_entry_off_its_selected_tree(norm3):
+    # the build stores a child's record straight from its selected trees,
+    # before they are contracted: a member's vertex and parent are its tree
+    # arc's head and tail in the graph the trees were selected in
+    g = norm3.graph
+    trees = ring_trees(norm3)
+    laid = 0
+    for i in range(len(trees) - 1):
+        t_low, t_high = trees[i], trees[i + 1]
+        selected = select_trees(g, t_low, t_high)
+        if not selected:
+            continue
+        store = _Store(norm3)
+        store.add_record(2 * i, selected, g._at, lambda arc: ())
+        root_of_member = {v: sel.root for sel in selected for v in sel.vertex[1:]}
+        # one entry per member, by ascending vertex: no arc has a tail chain
+        vertex = [g.dart_vertex(arc ^ 1) for arc in store.arc]
+        assert vertex == sorted(root_of_member)
+        assert list(store.place) == [2 * i]
+        assert list(store.node_off) == list(store.member_off) == [0, len(vertex)]
+        offset = {v: p for p, v in enumerate(vertex)}
+        for p, v in enumerate(vertex):
+            root = root_of_member[v]
+            assert store.root[p] == root
+            assert store.base[p] == t_low.dist[v][0] - t_low.dist[root][0]
+            assert store.arc[p] == t_low.parent_dart[v] ^ 1
+            # a parent is stored as its offset; the tree's root, which the
+            # block does not hold, as the entry's own offset
+            tail = g.dart_vertex(store.arc[p])
+            assert store.parent[p] == (p if tail == root else offset[tail])
+        laid += len(vertex)
+    assert laid > 0
 
 
 def test_selection_is_deterministic(norm3):
@@ -160,13 +177,12 @@ def two_vertex_tree():
 
 def test_contract_tree_effects():
     g = build_graph(3, TRIANGLE)
-    rec = contract_tree(g, [two_vertex_tree()])
+    # the member's record is read off the tree before the merge: its dart
+    # 1 sits at it, and its tree arc, id 0, leaves the root along dart 0
+    assert (g.dart_vertex(1), g.dart_vertex(0)) == (1, 0)
+    assert contract_tree(g, [two_vertex_tree()]) is None
     g.check()
     assert sorted(g.vertices()) == [0, 2]
-    # record entries: the root, which stays, has none; the member names it
-    # and keeps its arc
-    assert rec.vertex == [1]
-    assert entry(rec, 1) == (0, 2, 0, 0)
     # the out-arc 1->2 (base 3) left the tree, so it gains delta 2 and
     # beats the original 0->2 arc of base 10 in the dedup; the in-arc 2->1
     # (base 4) pointed into the tree and must be gone; 2->0 pointed at the
@@ -213,6 +229,18 @@ def test_contract_tree_deletes_slots_inside_the_tree():
     assert arcs_by_id(g) == [(4, 0, 2, (5, 0))]
 
 
+def test_contracting_the_only_neighbour_of_a_root_leaves_it_no_darts():
+    # the one slot joins root 0 and member 1: merged, it would be a
+    # self-loop, so it goes, and the root's tour is empty
+    g = build_graph(2, [(0, 1, 0, 0, 3, 4)])
+    contract_tree(g, [SelectedTree([0, 1], [-1, 1], [0, 3], [0, 0])])
+    g.check()
+    assert sorted(g.vertices()) == [0]
+    assert g.rotation(0) == []
+    assert g.slot_count == 0
+    assert g.face_count() == 1
+
+
 # ----------------------------------------------------------------------
 # two trees of one child, joined by slots
 
@@ -247,17 +275,20 @@ def test_one_call_on_two_joined_trees_equals_a_call_per_tree():
     a, b = two_joined_trees(g_one)
     for u, v in ((1, 2), (1, 4), (3, 4)):
         assert any(g_one.dart_vertex(d ^ 1) == v for d in g_one.rotation(u))
-    both = contract_tree(g_one, [a, b])
+    # the build reads both trees' records off g_one before one call merges
+    # them; B's tree darts keep their ends through A's merge, so reading B
+    # between two calls would give the same record
+    ends = [(g_one.dart_vertex(d), g_one.dart_vertex(d ^ 1)) for d in b.dart[1:]]
+    contract_tree(g_one, [a, b])
     g_one.check()
     a2, b2 = two_joined_trees(g_two)
-    first = contract_tree(g_two, [a2])
-    second = contract_tree(g_two, [b2])
+    contract_tree(g_two, [a2])
+    assert [(g_two.dart_vertex(d), g_two.dart_vertex(d ^ 1)) for d in b2.dart[1:]] == ends
+    contract_tree(g_two, [b2])
     g_two.check()
     assert sorted(g_one.vertices()) == [0, 4, 6, 7, 8]
     assert list(g_one.arc_items()) == list(g_two.arc_items())
     assert g_one.face_walks() == g_two.face_walks()
-    for name in ("vertex", "root", "dbase", "parent", "arc"):
-        assert getattr(both, name) == getattr(first, name) + getattr(second, name), name
     # A's contraction dropped the arcs 4 -> 1 and 4 -> 3 into its members
     # and turned 1 -> 4 and 3 -> 4 into two arcs 0 -> 4; one stays
     pairs = [(t, h) for t, h, _ in g_one.arc_items() if {t, h} == {0, 4}]
@@ -274,15 +305,20 @@ def test_contraction_preserves_root_distances(norm3):
     for i in range(len(trees) - 1):
         g = norm3.graph.copy()
         selected = select_trees(g, trees[i], trees[i + 1])
-        rec = contract_tree(g, selected)
+        # each member's record entry as the build reads it before the merge:
+        # (root, delta, parent), the parent at its tree dart's other end
+        table = {
+            v: (sel.root, (db, dp), g.dart_vertex(d ^ 1))
+            for sel in selected
+            for v, d, db, dp in zip(sel.vertex[1:], sel.dart[1:], sel.dbase[1:], sel.dpert[1:])
+        }
+        contract_tree(g, selected)
         # the spokes of other ring vertices may enter a tree below its root
         # and go; build drops those ring vertices first, as done here
         g.copy(ring - {norm3.ring_roots[i], norm3.ring_roots[i + 1]}).check()
-        table = {v: entry(rec, v) for v in rec.vertex}
-        assert len(table) == len(rec.vertex)
         # one entry per member: every entry's vertex was absorbed
         absorbed = set(table)
-        assert absorbed == {v for sel in selected for v in sel.vertex[1:]}
+        assert len(absorbed) == sum(len(sel.vertex) - 1 for sel in selected)
         assert absorbed.isdisjoint(g.vertices())
         # the two interval roots see identical distances to every survivor
         for r in (norm3.ring_roots[i], norm3.ring_roots[i + 1]):
@@ -292,16 +328,9 @@ def test_contraction_preserves_root_distances(norm3):
                 assert before.dist[v] == d
         # each member's delta, the record's base and the selection's
         # perturbation (which the contraction reweights by), re-derives its
-        # distance
-        deltas = {
-            v: (b, p)
-            for sel in selected
-            for v, b, p in zip(sel.vertex, sel.dbase, sel.dpert)
-        }
+        # distance, and its parents lead to its root
         for v in absorbed:
-            root, delta_base, _, _ = table[v]
-            db, dp = deltas[v]
-            assert delta_base == db
+            root, (db, dp), _ = table[v]
             rb, rp = trees[i].dist[root]
             assert (rb + db, rp + dp) == trees[i].dist[v]
             hops = 0

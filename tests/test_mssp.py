@@ -528,7 +528,7 @@ def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
     inherit = mssp.inherit_tree
     calls = []
 
-    def corrupted(tree, snap, root_of):
+    def corrupted(tree, snap):
         if not calls:
             row_of = tree.snap.row_of
             row = next(
@@ -538,7 +538,7 @@ def test_instrument_rejects_a_wrong_inherited_tree(monkeypatch, norm3):
             par_dart[row] ^= 1
             tree = dataclasses.replace(tree, par_dart=par_dart)
         calls.append(tree.root)
-        return inherit(tree, snap, root_of)
+        return inherit(tree, snap)
 
     monkeypatch.setattr(mssp, "inherit_tree", corrupted)
     with pytest.raises(MsspError, match="instrument: inherited tree .* par_dart"):

@@ -179,6 +179,16 @@ def test_single_vertex():
     assert kinds == {ARC_SPOKE: 1}
 
 
+def test_single_vertex_face_is_index_0_or_the_empty_walk():
+    # a lone vertex has one face and no darts: index 0 and the empty walk
+    # name it, and no other index does
+    with pytest.raises(FaceNotFoundError, match="^face index 1 out of range$"):
+        normalize(build_graph(1, []), 1, seed=0)
+    norm = normalize(build_graph(1, []), [], seed=0)
+    assert norm.face_vertices == [0]
+    assert build(norm).distance(0, 0) == 0
+
+
 def test_face_given_as_rotated_walk():
     g = build_graph(4, GRID2_SLOTS)
     outer = outer_face_of(g, GRID2_BOUNDARY)

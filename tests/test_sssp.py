@@ -121,7 +121,7 @@ def test_out_list_order_cannot_change_trees(norm2):
     for i in range(norm2.root_count):
         a = ring_tree(norm2, i, adj=adj)
         b = ring_tree(norm2, i, adj=flipped)
-        assert (a.base, a.pert, a.par_dart, a.par_row) == (b.base, b.pert, b.par_dart, b.par_row)
+        assert (a.base, a.pert, a.par_dart) == (b.base, b.pert, b.par_dart)
 
 
 def test_excluded_root_rejected(norm2):
@@ -148,7 +148,7 @@ def test_shared_forest_on_adjacent_roots(norm3):
     ring = set(norm3.ring_roots)
     for i in range(len(trees)):
         t1, t2 = trees[i], trees[(i + 1) % len(trees)]
-        forest = shared_forest(t1, t2)
+        forest = shared_forest(g, t1, t2)
         vertices = t1.snap.vertices
         # definition: exactly the vertices on which both parent darts agree
         expected = {
@@ -177,7 +177,7 @@ def test_shared_forest_of_tree_with_itself(norm3):
     g = norm3.graph
     r = norm3.ring_roots[0]
     tree = sssp_tree(g, r, [x for x in norm3.ring_roots if x != r])
-    forest = shared_forest(tree, tree)
+    forest = shared_forest(g, tree, tree)
     vertices = tree.snap.vertices
     shared = [vertices[c] for kids in forest.children.values() for c in kids]
     assert sorted(shared) == sorted(tree.parent_dart)
@@ -197,15 +197,20 @@ def test_inherited_trees_equal_fresh_trees_after_contraction(norm3):
             sssp_tree(g, r, [x for x in ring if x != r], adj=adj) for r in ends
         )
         h = g.copy([x for x in ring if x not in ends])
-        rec = contract_tree(h, select_trees(h, low, high))
-        root_of = dict(zip(rec.vertex, rec.root))
-        contracted += len(root_of)
+        selected = select_trees(h, low, high)
+        contract_tree(h, selected)
+        contracted += sum(len(sel.vertex) - 1 for sel in selected)
         child = out_adjacency(h)
         for tree in (low, high):
-            got = inherit_tree(tree, child.snap, root_of)
+            got = inherit_tree(tree, child.snap)
             want = sssp_tree(h, tree.root, [x for x in ends if x != tree.root], adj=child)
             assert got.root == want.root and got.snap is child.snap
-            assert (got.reached, got.base, got.pert, got.par_dart, got.par_row) == (
-                want.reached, want.base, want.pert, want.par_dart, want.par_row
+            assert (got.reached, got.base, got.pert, got.par_dart) == (
+                want.reached, want.base, want.pert, want.par_dart
             )
+            # equal darts give equal parents, each read off the dart's other
+            # end in h: the parent, or the root it was contracted into
+            for v, d in got.parent_dart.items():
+                assert h.dart_vertex(d) == v
+                assert h.dart_vertex(d ^ 1) in child.snap.row_of
     assert contracted > 0
