@@ -105,12 +105,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
             dump_json(oracle.trace(), fh)
     s = oracle.stats
+    # a build that forked reports its worker process
+    worker = (
+        "" if s.worker_cpu_seconds is None else
+        f" (worker {s.worker_cpu_seconds:.2f} CPU s, peak RSS {s.worker_peak_rss_mb:.1f} MB)"
+    )
     print(
         f"built {args.output}: {s.n_original} vertices, {s.ring_count} ring roots,"
         f" {s.node_count} nodes, {s.stored_entries} stored entries"
         f" ({s.stored_rows} table rows, {s.record_entries} record entries),"
         f" max level {s.max_level},"
-        f" build {build_s:.2f}s, save {save_s:.2f}s"
+        f" build {build_s:.2f}s{worker}, save {save_s:.2f}s"
     )
     return 0
 

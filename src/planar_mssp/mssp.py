@@ -77,6 +77,19 @@ The arrays are made at widths known before the recursion, and at the
 end the store lays the blocks out in file order and narrows each column
 once.
 
+Below the root node the two halves of the recursion share nothing: each
+child has its own graph and inherits only its own endpoint trees. So when
+the root node has two children, the graph is large enough, a second CPU
+is usable and the caller runs one thread (build's docstring gives the
+rule), build forks one worker process for the first child made. The
+worker makes that child's graph, record and whole subtree into a store of
+its own while the parent builds the second child. It sends back, pickled
+over a pipe, its store's blocks, its per-level counts and its edge
+counters, and the parent appends them to its own before the store lays
+the blocks out. As the layout follows each block's place, not the order
+blocks were made, the saved bytes and every stat are those of a build in
+one process; only BuildStats' worker fields tell the two apart.
+
 The oracle file is format "planar-mssp-oracle", version 16, little-endian:
 
     8 bytes   magic b"\\x89MSSP\\r\\n\\x1a"
@@ -128,10 +141,14 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
+import signal
 import struct
 import sys
+import threading
 import time
+import warnings
 import zlib
 from array import array
 from collections import Counter
@@ -140,7 +157,7 @@ from dataclasses import dataclass, field
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import contains, eq, gt, mul, sub, xor
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .contraction import SelectedTree, contract_tree, select_trees
 from .embedded_graph import EmbeddedDigraph
@@ -388,6 +405,12 @@ class BuildStats:
     record_entries: int = 0
     chain_elements: int = 0
     per_level: list[dict] = field(default_factory=list)
+    # the CPU seconds and peak RSS of the process that built the root
+    # node's first child (see build), from its rusage; None for a build
+    # that ran in one process. The peak counts the pages the worker
+    # shared with its parent copy-on-write.
+    worker_cpu_seconds: float | None = None
+    worker_peak_rss_mb: float | None = None
 
     @property
     def stored_entries(self) -> int:
@@ -1145,6 +1168,19 @@ class _Store:
         self.chain_off.append(len(self.chain_len))
         self.hop_off.append(len(self.hop_key))
 
+    def merge(self, other: _Store) -> None:
+        """Append the blocks of other, a store of the same instance, after
+        this store's own; each offset column continues from its last value."""
+        self.place += other.place
+        for off, cols in (
+            ("node_off", ("base", "parent", "arc")), ("member_off", ("root",)),
+            ("chain_off", ("chain_len",)), ("hop_off", ("hop_key", "hop_vertex")),
+        ):
+            mine, theirs = getattr(self, off), getattr(other, off)
+            mine.extend(map(mine[-1].__add__, islice(theirs, 1, None)))
+            for col in cols:
+                getattr(self, col).extend(getattr(other, col))
+
     def columns(self, norm: NormalizedInstance) -> _Columns:
         """The file's columns: the blocks in file order, records by key and
         then tables by root, each column at its narrowest; then the arcs the
@@ -1182,6 +1218,123 @@ class _Store:
         return c
 
 
+# the per-level counts of BuildStats.per_level that build adds up
+_LEVEL_COUNTS = ("vertices", "tree_vertices", "contracted_vertices")
+
+# The fewest vertices, ring vertices included, of a normalized graph whose
+# build forks a worker (see build). Below it the fork, the worker's reply
+# and the merge cost more than the second core saves. On a 2-core VM
+# (grids on the outer face, min of 9 builds each way) forking broke even
+# near 130 vertices in a small process, and near 200 to 300 in one that
+# held 300 MB more, whose page tables fork copies.
+_FORK_MIN_VERTICES = 400
+
+
+def _can_fork(vertices: int) -> bool:
+    """Whether build runs the root node's first child in a worker: the
+    platform forks, two CPUs are usable, the caller has one thread (fork
+    copies only the calling thread) and the graph has vertices enough."""
+    if not hasattr(os, "fork") or vertices < _FORK_MIN_VERTICES:
+        return False
+    if threading.active_count() > 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+class _Worker:
+    """A forked process that runs one call and sends back what it gave.
+
+    The process inherits the caller's memory, so the call takes no
+    arguments, and it leaves only through os._exit (_serve), never through
+    the caller's frames. join() reads the reply, reaps the process and
+    returns the call's result, re-raising its exception and issuing again
+    the warnings it recorded; kill() ends and reaps a process that join()
+    has not reaped. One of the two must run before the caller returns.
+    """
+
+    def __init__(self, call: Callable[[], object]):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(read)
+                _serve(call, write)
+            finally:
+                os._exit(1)
+        os.close(write)
+        self._pipe = os.fdopen(read, "rb")
+        self.rusage = None  # os.wait4's, once the process is reaped
+
+    def join(self) -> object:
+        # pickle and traceback are imported where a build forks: a process
+        # that only loads and queries oracles is 0.5 MB smaller without them
+        import pickle
+
+        with self._pipe:
+            reply = self._pipe.read()
+        _, status, self.rusage = os.wait4(self.pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise MsspError(f"the build's worker process ended without a result ({how})")
+        # the bytes _serve wrote, in a process this one forked
+        result, error, warned = pickle.loads(reply)
+        for category, message, filename, lineno in warned:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            pickled, text, trace = error
+            try:
+                exc = pickle.loads(pickled)
+            except Exception:
+                exc = None
+            if not isinstance(exc, BaseException):
+                raise MsspError(f"the build's worker process raised {text}")
+            if hasattr(exc, "add_note"):  # Python 3.11 on
+                exc.add_note(f"raised in the build's worker process:\n{trace}")
+            raise exc
+        return result
+
+    def kill(self) -> None:
+        """SIGKILL and reap the process, unless join() has reaped it."""
+        if self.rusage is None:
+            os.kill(self.pid, signal.SIGKILL)
+            _, _, self.rusage = os.wait4(self.pid, 0)
+        self._pipe.close()
+
+
+def _serve(call: Callable[[], object], fd: int) -> NoReturn:
+    """In a worker: run call and write to fd, pickled, (result, error,
+    warnings), the error None or (the exception pickled, or None if it
+    does not pickle; its repr; its traceback) and each warning (category,
+    message, filename, line); then exit, 0 once the reply is written."""
+    code = 1
+    try:
+        import pickle
+        import traceback
+
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result, error = call(), None
+            except BaseException as exc:
+                try:
+                    pickled = pickle.dumps(exc)
+                except Exception:
+                    pickled = None
+                result, error = None, (pickled, repr(exc), traceback.format_exc())
+        warned = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps((result, error, warned)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def build(
     norm: NormalizedInstance,
     *,
@@ -1214,6 +1367,23 @@ def build(
     the same trees as a plain one. collect_edge_stats additionally counts,
     per level, how many of the trees a node has, stored or not, each arc
     appears in (stats key "tree_arc_max").
+
+    When the root node has two children, the first child made and its
+    subtree are built in a worker process (os.fork), alongside the second
+    child in this one, if the platform forks, at least two CPUs are usable
+    (os.sched_getaffinity), the caller runs a single thread and the
+    normalized graph has at least _FORK_MIN_VERTICES vertices; otherwise
+    all of it runs here. The worker returns its stored blocks, rebased
+    onto the parent's when merged, its per-level counts and its edge
+    counters. The oracle, its saved bytes and its stats are the same either
+    way, but stats.worker_cpu_seconds and stats.worker_peak_rss_mb, which
+    report the worker and are None for a build in one process. An exception
+    in the worker is raised here with its type and message (MsspError with
+    its repr if it does not pickle), its warnings are issued again here, and
+    a worker that ends without a result raises MsspError naming its exit
+    status. build neither returns nor raises while its worker runs or is
+    unreaped: on any exception, KeyboardInterrupt too, it kills the worker
+    (SIGKILL) and reaps it.
     """
     t0 = time.perf_counter()
     ring_roots = norm.ring_roots
@@ -1223,8 +1393,7 @@ def build(
     stats = BuildStats(
         norm.n_original, n_rings, node_count=nodes_at.total(), max_level=len(nodes_at) - 1,
         per_level=[
-            {"level": level, "nodes": nodes_at[level], "vertices": 0, "tree_vertices": 0,
-             "contracted_vertices": 0}
+            {"level": level, "nodes": nodes_at[level], **dict.fromkeys(_LEVEL_COUNTS, 0)}
             for level in range(len(nodes_at))
         ],
     )
@@ -1294,6 +1463,7 @@ def build(
     schedule = _schedule(n_rings)
 
     def rec(node: _Node, h: EmbeddedDigraph, parent_trees: dict[int, SSSPTree]) -> None:
+        nonlocal worker
         i1, i2 = node.interval
         level, children = node.level, node.children
         lvl = stats.per_level[level]
@@ -1344,16 +1514,18 @@ def build(
         last_reader = {k: n for n, interval in enumerate(children) for k in interval}
         for k in trees.keys() - last_reader.keys():
             del trees[k]
-        for n, (j1, j2) in enumerate(children):
-            child = next(schedule)
+
+        def make(child: _Node, handed: dict[int, SSSPTree], last: bool) -> None:
+            """Make child's graph from h, store its record, then build its
+            subtree from the trees handed to it. The last child takes h over."""
+            j1, j2 = child.interval
             drop = [ring_roots[k] for k in range(i1, i2 + 1) if not j1 <= k <= j2]
-            if n == len(children) - 1:
-                # the last child takes h over
+            if last:
                 h._drop_vertices(drop)
                 hj = h
             else:
                 hj = h.copy(drop)
-            selected = select_trees(hj, trees[j1], trees[j2])
+            selected = select_trees(hj, handed[j1], handed[j2])
             if instrument:
                 before = check_selected(hj, j1, j2, selected)
             if selected:
@@ -1372,20 +1544,67 @@ def build(
                 del before
             lvl["contracted_vertices"] += len(moved)
             absorbed_at.update(moved)
-            handed = {j1: trees[j1], j2: trees[j2]}
-            for k in [k for k in trees if last_reader[k] == n]:
-                del trees[k]
             rec(child, hj, handed)
             for u in moved:
                 del absorbed_at[u]
 
+        for n, (j1, j2) in enumerate(children):
+            child = next(schedule)
+            handed = {j1: trees[j1], j2: trees[j2]}
+            for k in [k for k in trees if last_reader[k] == n]:
+                del trees[k]
+            if forks and level == 0 and n < len(children) - 1:
+                try:
+                    worker = _Worker(lambda: in_worker(lambda: make(child, handed, False)))
+                except OSError:
+                    pass  # no process to spare: the child is made here
+                else:
+                    # pass over the worker's subtree: its nodes come next
+                    owed = len(child.children)
+                    while owed:
+                        owed += len(next(schedule).children) - 1
+                    continue
+            make(child, handed, n == len(children) - 1)
+
+    def in_worker(make_child: Callable[[], None]) -> tuple:
+        """Run make_child in the worker, into a store, level counts and edge
+        counters of its own, and return them for the parent to merge."""
+        nonlocal store
+        store = _Store(norm)
+        for lvl in stats.per_level:
+            lvl.update(dict.fromkeys(_LEVEL_COUNTS, 0))
+        edge_counters.clear()
+        make_child()
+        return store, [[lvl[c] for c in _LEVEL_COUNTS] for lvl in stats.per_level], edge_counters
+
+    forks = _can_fork(norm.graph.vertex_count)
+    worker: _Worker | None = None
     with _gc_paused():
-        rec(next(schedule), norm.graph.copy(), {})
+        try:
+            rec(next(schedule), norm.graph.copy(), {})
+            if worker is not None:
+                theirs, counts, edges = worker.join()
+                store.merge(theirs)
+                del theirs
+                for lvl, got in zip(stats.per_level, counts):
+                    for c, x in zip(_LEVEL_COUNTS, got):
+                        lvl[c] += x
+                for level, counter in edges.items():
+                    edge_counters.setdefault(level, Counter()).update(counter)
+        finally:
+            # on any failure, KeyboardInterrupt too, no worker outlives build
+            if worker is not None:
+                worker.kill()
         # rec holds itself through its closure cell; emptying the cell lets
         # reference counting free the working graphs, not a later GC pass
         del rec
         cols = store.columns(norm)
         del store
+    if worker is not None:
+        usage = worker.rusage
+        stats.worker_cpu_seconds = usage.ru_utime + usage.ru_stime
+        # ru_maxrss is in kB, but in bytes on macOS
+        stats.worker_peak_rss_mb = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1024)
     if collect_edge_stats:
         for level, counter in edge_counters.items():
             stats.per_level[level]["tree_arc_max"] = max(counter.values()) if counter else 0

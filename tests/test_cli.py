@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import time
 
 import pytest
 
-from planar_mssp import FaceNotFoundError, build, build_graph, load, load_graph, normalize
+from planar_mssp import FaceNotFoundError, build, build_graph, load, load_graph, mssp, normalize
 from planar_mssp.cli import _face_index, main
 from tests.conftest import answers
 from tests.test_mssp import GRID3_DIST
@@ -64,6 +65,22 @@ def test_build_reports_stats(tmp_path, capsys):
         f"{s.stored_entries} stored entries ({s.stored_rows} table rows,"
         f" {s.record_entries} record entries)"
     ) in msg
+
+
+def test_build_reports_its_worker(tmp_path, capsys, monkeypatch):
+    # a build that forks prints its worker's CPU time and peak RSS
+    g = tmp_path / "g.json"
+    assert main(["gen", "--grid", "3", "--seed", "1", "-o", str(g)]) == 0
+    if not mssp._can_fork(sys.maxsize):
+        pytest.skip("this process cannot fork a worker: one CPU or one of several threads")
+    monkeypatch.setattr(mssp, "_FORK_MIN_VERTICES", 0)
+    capsys.readouterr()
+    assert main(["build", "-i", str(g), "-o", str(tmp_path / "o.bin"), "--seed", "1"]) == 0
+    msg = capsys.readouterr().out
+    assert re.search(
+        r"build \d+\.\d\ds \(worker \d+\.\d\d CPU s, peak RSS \d+\.\d MB\), save \d+\.\d\ds$",
+        msg.strip(),
+    ), msg
 
 
 def test_query_chain_matches_frozen_distances(tmp_path, grid3_files, capsys):

@@ -7,9 +7,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import sys
 import threading
+import warnings
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +29,7 @@ from planar_mssp import (
     EmbeddedDigraph,
     FaceVertexQueryError,
     MsspError,
+    PerturbationCollisionWarning,
     UNREACHABLE,
     UnreachableError,
     VersionMismatchError,
@@ -640,6 +644,154 @@ def test_instrumented_build_takes_the_production_graph_path(monkeypatch):
         build(norm, instrument=instrument)
     assert copies[0] > 1
     assert copies[1] == copies[0]
+
+
+@pytest.fixture
+def fork_at(monkeypatch):
+    """fork_at(forked): make the next builds fork their root node's first
+    child (mssp._FORK_MIN_VERTICES 0) or run in one process (a threshold
+    no graph reaches). A machine that cannot fork skips the test."""
+    if not mssp._can_fork(sys.maxsize):
+        pytest.skip("this process cannot fork a worker: one CPU or one of several threads")
+
+    def fork_at(forked: bool) -> None:
+        monkeypatch.setattr(mssp, "_FORK_MIN_VERTICES", 0 if forked else sys.maxsize)
+
+    return fork_at
+
+
+def saved_bytes(oracle) -> bytes:
+    buf = io.BytesIO()
+    oracle.save(buf)
+    return buf.getvalue()
+
+
+def on_side(side: str, call, original):
+    """call in place of original in the worker (side "worker") or in this
+    process (side "parent"), original on the other side."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        here = "parent" if os.getpid() == parent else "worker"
+        return (call if here == side else original)(*args)
+
+    return wrapped
+
+
+def raising(exc):
+    def call(*args):
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize("name", ["grid8-outer", "random12-inner"])
+@pytest.mark.parametrize(
+    "builder, options",
+    [(build, {}), (build, {"instrument": True, "collect_edge_stats": True}),
+     (build_right_first, {})],
+    ids=["plain", "instrument_edge_stats", "right_first"],
+)
+def test_forked_build_matches_the_serial_build(fork_at, name, builder, options):
+    # the worker's blocks, level counts and edge counters merge into the
+    # parent's, and the file lays blocks out by place: the same bytes
+    g, face, seed = gate_instance(name)
+    norm = normalize(g, face, seed=seed)
+    fork_at(False)
+    serial = builder(norm, **options)
+    fork_at(True)
+    forked = builder(norm, **options)
+    assert serial.stats.worker_cpu_seconds is serial.stats.worker_peak_rss_mb is None
+    assert forked.stats.worker_cpu_seconds >= 0 and forked.stats.worker_peak_rss_mb > 0
+    assert saved_bytes(forked) == saved_bytes(serial)
+    assert forked.stats.per_level == serial.stats.per_level
+    assert dataclasses.replace(
+        forked.stats, build_seconds=0, worker_cpu_seconds=None, worker_peak_rss_mb=None
+    ) == dataclasses.replace(serial.stats, build_seconds=0)
+
+
+def test_only_a_large_graph_forks():
+    # below mssp._FORK_MIN_VERTICES no worker is forked; the benchmark's
+    # grid, pinned by LARGE_GATE, is above it
+    g, face, seed = gate_instance("grid8-outer")
+    norm = normalize(g, face, seed=seed)
+    assert norm.graph.vertex_count < mssp._FORK_MIN_VERTICES
+    assert build(norm).stats.worker_cpu_seconds is None
+    g, face, seed = gate_instance("grid64-outer")
+    assert normalize(g, face, seed=seed).graph.vertex_count >= mssp._FORK_MIN_VERTICES
+
+
+class Unpicklable(Exception):
+    """An exception that pickles but does not unpickle: its __init__
+    takes two arguments, its args hold one."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def test_worker_errors_and_warnings_reach_the_caller(monkeypatch, fork_at):
+    g, face, seed = gate_instance("grid8-outer")
+    norm = normalize(g, face, seed=seed)
+    fork_at(True)
+    select = mssp.select_trees
+
+    def in_worker(call):
+        monkeypatch.setattr(mssp, "select_trees", on_side("worker", call, select))
+
+    in_worker(raising(ValueError("injected in the worker")))
+    with pytest.raises(ValueError, match="injected in the worker") as info:
+        build(norm)
+    if sys.version_info >= (3, 11):
+        assert "raised in the build's worker process" in "".join(info.value.__notes__)
+    in_worker(raising(Unpicklable("injected", "the worker")))
+    with pytest.raises(MsspError, match=r"raised Unpicklable\('injected at the worker'\)"):
+        build(norm)
+
+    def warning(*args):
+        warnings.warn("injected in the worker", PerturbationCollisionWarning)
+        return select(*args)
+
+    in_worker(warning)
+    with pytest.warns(PerturbationCollisionWarning, match="injected in the worker"):
+        oracle = build(norm)
+    fork_at(False)
+    assert saved_bytes(oracle) == saved_bytes(build(norm))
+
+
+def test_a_killed_worker_raises_mssp_error(monkeypatch, fork_at):
+    g, face, seed = gate_instance("grid8-outer")
+    norm = normalize(g, face, seed=seed)
+    fork_at(True)
+
+    def killed(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(mssp, "select_trees", on_side("worker", killed, mssp.select_trees))
+    with pytest.raises(MsspError, match=r"without a result \(killed by signal 9\)"):
+        build(norm)
+
+
+@pytest.mark.parametrize("exc", [ValueError("injected in the parent"), KeyboardInterrupt()])
+def test_a_failure_in_the_parents_half_reaps_the_worker(monkeypatch, fork_at, exc):
+    g, face, seed = gate_instance("random12-inner")
+    norm = normalize(g, face, seed=seed)
+    fork_at(True)
+    workers = []
+
+    class Recorded(mssp._Worker):
+        def __init__(self, call):
+            super().__init__(call)
+            workers.append(self)
+
+    monkeypatch.setattr(mssp, "_Worker", Recorded)
+    # after the fork, the parent's first tree selection is for its own child
+    monkeypatch.setattr(mssp, "select_trees", on_side("parent", raising(exc), mssp.select_trees))
+    with pytest.raises(type(exc)):
+        build(norm)
+    (worker,) = workers
+    assert worker.rusage is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(worker.pid, os.WNOHANG)
 
 
 def test_explain_follows_the_descent(oracle5):
