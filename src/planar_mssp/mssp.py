@@ -1224,22 +1224,39 @@ _LEVEL_COUNTS = ("vertices", "tree_vertices", "contracted_vertices")
 # The fewest vertices, ring vertices included, of a normalized graph whose
 # build forks a worker (see build). Below it the fork, the worker's reply
 # and the merge cost more than the second core saves. On a 2-core VM
-# (grids on the outer face, min of 9 builds each way) forking broke even
-# near 130 vertices in a small process, and near 200 to 300 in one that
-# held 300 MB more, whose page tables fork copies.
+# (grids on the outer face, min of 15 builds each way, twice; all runs in
+# BENCH_36.json, in_process.break_even) forking saved 5 to 7 % at 188
+# vertices in a 19 MB process. In one holding 320 MB, whose page tables
+# fork copies, it broke even at 316 vertices (-1 and +2 %), saved 4 % at
+# 392 and 13 to 18 % at 476.
 _FORK_MIN_VERTICES = 400
 
 
 def _can_fork(vertices: int) -> bool:
     """Whether build runs the root node's first child in a worker: the
     platform forks, two CPUs are usable, the caller has one thread (fork
-    copies only the calling thread) and the graph has vertices enough."""
+    copies only the calling thread), the graph has vertices enough and
+    no layer function is rebound (_layers_rebound)."""
     if not hasattr(os, "fork") or vertices < _FORK_MIN_VERTICES:
         return False
-    if threading.active_count() > 1:
+    if threading.active_count() > 1 or _layers_rebound():
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (cpus or 1) >= 2
+
+
+def _layers_rebound() -> bool:
+    """Whether a layer function build calls is bound, where build calls it,
+    to a function from outside the package. Such a wrapper (a tracer that
+    times each layer, a test that counts calls) records into this process,
+    and the calls a worker made would be lost to it."""
+    from . import contraction
+
+    layers = (
+        out_adjacency, sssp_tree, inherit_tree, select_trees, contract_tree,
+        contraction.shared_forest, EmbeddedDigraph.copy,
+    )
+    return not all(getattr(f, "__module__", "").startswith(f"{__package__}.") for f in layers)
 
 
 class _Worker:
@@ -1267,9 +1284,18 @@ class _Worker:
                 _serve(call, write)
             finally:
                 os._exit(1)
-        os.close(write)
-        self._pipe = os.fdopen(read, "rb")
         self.rusage = None  # os.wait4's, once the process is reaped
+        try:
+            os.close(write)
+            self._pipe = os.fdopen(read, "rb")
+        except BaseException:
+            # the caller is not handed a worker to kill: end it here
+            self._end()
+            raise
+
+    def _end(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        _, _, self.rusage = os.wait4(self.pid, 0)
 
     def join(self) -> object:
         # pickle and traceback are imported where a build forks: a process
@@ -1303,8 +1329,7 @@ class _Worker:
     def kill(self) -> None:
         """SIGKILL and reap the process, unless join() has reaped it."""
         if self.rusage is None:
-            os.kill(self.pid, signal.SIGKILL)
-            _, _, self.rusage = os.wait4(self.pid, 0)
+            self._end()
         self._pipe.close()
 
 
@@ -1371,9 +1396,13 @@ def build(
     When the root node has two children, the first child made and its
     subtree are built in a worker process (os.fork), alongside the second
     child in this one, if the platform forks, at least two CPUs are usable
-    (os.sched_getaffinity), the caller runs a single thread and the
-    normalized graph has at least _FORK_MIN_VERTICES vertices; otherwise
-    all of it runs here. The worker returns its stored blocks, rebased
+    (os.sched_getaffinity), the caller runs a single thread, the
+    normalized graph has at least _FORK_MIN_VERTICES vertices and none of
+    the layer functions build calls (out_adjacency, sssp_tree,
+    inherit_tree, select_trees, contract_tree, shared_forest,
+    EmbeddedDigraph.copy) is rebound to a wrapper from outside the
+    package, which would not see the worker's calls; otherwise all of it
+    runs here. The worker returns its stored blocks, rebased
     onto the parent's when merged, its per-level counts and its edge
     counters. The oracle, its saved bytes and its stats are the same either
     way, but stats.worker_cpu_seconds and stats.worker_peak_rss_mb, which
@@ -1555,7 +1584,8 @@ def build(
                 del trees[k]
             if forks and level == 0 and n < len(children) - 1:
                 try:
-                    worker = _Worker(lambda: in_worker(lambda: make(child, handed, False)))
+                    # the worker's copy of h is its own: its child takes it over
+                    worker = _Worker(lambda: in_worker(lambda: make(child, handed, True)))
                 except OSError:
                     pass  # no process to spare: the child is made here
                 else:

@@ -39,7 +39,7 @@ from planar_mssp import (
     load,
     normalize,
 )
-from planar_mssp import mssp
+from planar_mssp import contraction, mssp
 from planar_mssp.contraction import SelectedTree
 from planar_mssp.normalize import ARC_ORIGINAL
 from tests.conftest import (
@@ -730,13 +730,15 @@ class Unpicklable(Exception):
 
 
 def test_worker_errors_and_warnings_reach_the_caller(monkeypatch, fork_at):
+    # faults go in through the store: a rebound layer function would keep
+    # the build in one process (mssp._layers_rebound)
     g, face, seed = gate_instance("grid8-outer")
     norm = normalize(g, face, seed=seed)
     fork_at(True)
-    select = mssp.select_trees
+    add_record = mssp._Store.add_record
 
     def in_worker(call):
-        monkeypatch.setattr(mssp, "select_trees", on_side("worker", call, select))
+        monkeypatch.setattr(mssp._Store, "add_record", on_side("worker", call, add_record))
 
     in_worker(raising(ValueError("injected in the worker")))
     with pytest.raises(ValueError, match="injected in the worker") as info:
@@ -749,7 +751,7 @@ def test_worker_errors_and_warnings_reach_the_caller(monkeypatch, fork_at):
 
     def warning(*args):
         warnings.warn("injected in the worker", PerturbationCollisionWarning)
-        return select(*args)
+        return add_record(*args)
 
     in_worker(warning)
     with pytest.warns(PerturbationCollisionWarning, match="injected in the worker"):
@@ -766,7 +768,9 @@ def test_a_killed_worker_raises_mssp_error(monkeypatch, fork_at):
     def killed(*args):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(mssp, "select_trees", on_side("worker", killed, mssp.select_trees))
+    monkeypatch.setattr(
+        mssp._Store, "add_record", on_side("worker", killed, mssp._Store.add_record)
+    )
     with pytest.raises(MsspError, match=r"without a result \(killed by signal 9\)"):
         build(norm)
 
@@ -784,14 +788,50 @@ def test_a_failure_in_the_parents_half_reaps_the_worker(monkeypatch, fork_at, ex
             workers.append(self)
 
     monkeypatch.setattr(mssp, "_Worker", Recorded)
-    # after the fork, the parent's first tree selection is for its own child
-    monkeypatch.setattr(mssp, "select_trees", on_side("parent", raising(exc), mssp.select_trees))
+    # the parent stores its first record, its own child's, after the fork
+    monkeypatch.setattr(
+        mssp._Store, "add_record", on_side("parent", raising(exc), mssp._Store.add_record)
+    )
     with pytest.raises(type(exc)):
         build(norm)
     (worker,) = workers
     assert worker.rusage is not None
     with pytest.raises(ChildProcessError):
         os.waitpid(worker.pid, os.WNOHANG)
+
+
+def test_a_failure_after_the_fork_reaps_the_worker(monkeypatch, fork_at):
+    # the parent fails between the fork and handing the worker to build
+    g, face, seed = gate_instance("grid8-outer")
+    norm = normalize(g, face, seed=seed)
+    fork_at(True)
+    monkeypatch.setattr(os, "fdopen", on_side("parent", raising(KeyboardInterrupt()), os.fdopen))
+    with pytest.raises(KeyboardInterrupt):
+        build(norm)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_rebound_layer_function_keeps_the_build_in_process(monkeypatch, fork_at):
+    # a wrapper from outside the package, as a tracer installs, sees every
+    # call only if the build runs here
+    g, face, seed = gate_instance("grid8-outer")
+    norm = normalize(g, face, seed=seed)
+    fork_at(True)
+    assert build(norm).stats.worker_cpu_seconds is not None
+    for owner, name in [(mssp, "select_trees"), (contraction, "shared_forest"),
+                        (EmbeddedDigraph, "copy")]:
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, counting)
+            oracle = build(norm)
+        assert calls and oracle.stats.worker_cpu_seconds is None
 
 
 def test_explain_follows_the_descent(oracle5):
