@@ -30,7 +30,7 @@ from .errors import (
     GraphError,
     MsspError,
     NegativeWeightError,
-    PerturbationCollisionWarning,
+    PerturbationTieError,
     SelfLoopSlotError,
     UnreachableError,
     UnreachableVertexError,
@@ -72,7 +72,7 @@ __all__ = [
     "MsspOracle",
     "NegativeWeightError",
     "NormalizedInstance",
-    "PerturbationCollisionWarning",
+    "PerturbationTieError",
     "SSSPTree",
     "SelfLoopSlotError",
     "UNREACHABLE",

@@ -39,15 +39,15 @@ The darts that survive, in the order of that walk, become the root's
 rotation, which keeps the embedding planar. On the way, arcs leaving the
 tree are reweighted by their tree vertex's delta, arcs entering it below
 the root go, and so do slots between two tree vertices, which would become
-loops; of the arcs from the root to one neighbour, only the least stays.
-Arcs into the root cannot clash: those that survive are the arcs of the
-root's own darts, and the graph held at most one per neighbour before the
-merge. Nothing checks the tree: contraction.select_trees builds it.
+loops; of the arcs from the root to one neighbour, only the least stays,
+and two of equal weight raise PerturbationTieError. Arcs into the root
+cannot clash: those that survive are the arcs of the root's own darts,
+and the graph held at most one per neighbour before the merge. Nothing
+checks the tree: contraction.select_trees builds it.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -56,7 +56,7 @@ from .errors import (
     DuplicateArcError,
     GraphError,
     NegativeWeightError,
-    PerturbationCollisionWarning,
+    PerturbationTieError,
     SelfLoopSlotError,
 )
 
@@ -247,10 +247,10 @@ class EmbeddedDigraph:
         which merge) is deleted, as it would become a loop at the root. The
         surviving darts, in tour order, are the root's rotation. Of the arcs
         from the root to one neighbour, only the least (base, perturb)
-        stays, the one on the smaller dart if weights are equal, which
-        warns. Arcs into the root never clash: the only ones left are those
-        of the root's own darts, one per neighbour at most, since an arc
-        into a member is dropped.
+        stays; two of equal weight raise PerturbationTieError, as the
+        shortest paths through them are not unique. Arcs into the root
+        never clash: the only ones left are those of the root's own darts,
+        one per neighbour at most, since an arc into a member is dropped.
         """
         at, nxt, arcs, entry = self._at, self._next, self._arc, self._entry
         s = vertex[0]
@@ -322,13 +322,10 @@ class EmbeddedDigraph:
             arc = arcs[d]
             held_arc = arcs[held]
             if arc == held_arc:
-                warnings.warn(
-                    f"equal weight {arc} on the arcs of darts {held} and {d}",
-                    PerturbationCollisionWarning,
-                    stacklevel=3,
+                raise PerturbationTieError(
+                    f"equal weight {arc} on the arcs of darts {held} and {d}"
                 )
-            # equal weights fall through to the smaller dart, the arc's id
-            if (arc, d) < (held_arc, held):
+            if arc < held_arc:
                 best[head] = d
                 d = held
             arcs[d] = None

@@ -63,10 +63,10 @@ class FormatLimitError(MsspError):
     """A value does not fit int64, the widest column of the oracle file."""
 
 
-class PerturbationCollisionWarning(UserWarning):
+class PerturbationTieError(MsspError):
     """Two arcs from one vertex to one neighbour had equal (base, perturb)
-    weights during contraction's dedup.
+    weights in contraction's dedup, so shortest paths are not unique.
 
-    With random perturbation this should essentially never happen; the
-    arc on the smaller dart, its id, is kept and this diagnostic is emitted.
+    normalize's random 63-bit perturbations make a tie vanishingly
+    unlikely; a graph whose perturbations were set by hand can meet one.
     """

@@ -83,12 +83,13 @@ the root node has two children, the graph is large enough, a second CPU
 is usable and the caller runs one thread (build's docstring gives the
 rule), build forks one worker process for the first child made. The
 worker makes that child's graph, record and whole subtree into a store of
-its own while the parent builds the second child. It sends back, pickled
-over a pipe, its store's blocks, its per-level counts and its edge
-counters, and the parent appends them to its own before the store lays
-the blocks out. As the layout follows each block's place, not the order
-blocks were made, the saved bytes and every stat are those of a build in
-one process; only BuildStats' worker fields tell the two apart.
+its own while the parent builds the second child. It sends that store
+back, pickled over a pipe: its blocks, and what it counted for BuildStats
+per level. The parent appends the blocks to its own store and adds the
+counts to its own before the store lays the blocks out. As the layout
+follows each block's place, not the order blocks were made, the saved
+bytes and every stat are those of a build in one process; only
+BuildStats' worker fields tell the two apart.
 
 The oracle file is format "planar-mssp-oracle", version 16, little-endian:
 
@@ -133,8 +134,9 @@ oracle's stats are None. Path
 queries bound every parent walk and the path's length (n_original arcs,
 however the tail chains nest), and raise CorruptFileError, not KeyError,
 when a damaged file names a vertex or record it does not hold. The plans
-and the dicts are not part of the file. to_json() gives the same content
-as one logical JSON document, for tests and tools.
+and the dicts are not part of the file. to_json() gives the header values
+and the columns as lists of ints; decode in tests/oracle_file.py gives
+the same content as one nested document, for tests.
 """
 
 from __future__ import annotations
@@ -148,7 +150,6 @@ import struct
 import sys
 import threading
 import time
-import warnings
 import zlib
 from array import array
 from collections import Counter
@@ -768,66 +769,21 @@ class MsspOracle:
         return {"ring_count": self.ring_count, "nodes": nodes, "records": recs}
 
     def to_json(self) -> dict:
-        """The oracle's content as one logical JSON document.
+        """The header values and every column of the file, as lists of ints;
+        decode in tests/oracle_file.py gives them as one nested document."""
+        return {
+            **self._header(),
+            **{name: getattr(self._cols, name).tolist() for name in _SECTIONS},
+        }
 
-        Each tree's nodes in the file's block order: header values, "arcs"
-        as [id, head], "tables" as one [j, vertices, base, par_v,
-        par_arc, chains] per root, where chains lists [row, [[midpoint,
-        side, vertex], ...]], and "records" as [midpoint, side, entries]
-        per record table, each entry [vertex, root, delta base, parent,
-        arc, chain], where a vertex is its arc's head and a parent is a
-        vertex, the root's for a node that holds its own offset. Tests and
-        tools read it; save() writes the columns instead.
-        """
-        c = self._cols
-        k = len(c.record_key)
-
-        def block(b: int) -> tuple[int, int, list[list[list[int]]]]:
-            """Block b's node range and each of its chains' hops."""
-            return c.tree_start[b], c.tree_start[b + 1], [
-                [[c.hop_key[h] >> 1, c.hop_key[h] & 1, c.hop_vertex[h]]
-                 for h in range(c.chain_hop_start[ch], c.chain_hop_start[ch + 1])]
-                for ch in range(c.tree_chain_start[b], c.tree_chain_start[b + 1])
-            ]
-
-        def parents(a: int, z: int, vertices: list[int], roots) -> list[int]:
-            """The parent vertices of nodes a to z, of the given vertices."""
-            return [
-                root if off == p else vertices[off]
-                for p, (off, root) in enumerate(zip(c.node_parent[a:z], roots))
-            ]
-
-        tables = []
-        for j, r in enumerate(self.ring_roots):
-            a, z, chains = block(k + j)
-            vertices = list(self.tables[j])
-            tables.append(
-                [j, vertices, c.node_base[a:z].tolist(), parents(a, z, vertices, repeat(r)),
-                 c.node_arc[a:z].tolist(), [[p, hops] for p, hops in enumerate(chains)]]
-            )
-        records = []
-        for b, key in enumerate(c.record_key):
-            a, z, chains = block(b)
-            chains += [[] for _ in range(z - a - len(chains))]
-            vertices = list(self.records[key])
-            entries = [
-                [v, c.record_root[e], c.node_base[e], par, c.node_arc[e], hops]
-                for v, e, par, hops in zip(
-                    vertices, range(a, z), parents(a, z, vertices, c.record_root[a:z]), chains
-                )
-            ]
-            records.append([key >> 1, key & 1, entries])
+    def _header(self) -> dict:
+        """The file's header values, its sections aside."""
         return {
             "format": ORACLE_FORMAT,
             "version": ORACLE_VERSION,
             "n_original": self.n_original,
             "w_big": self.w_big,
             "seed": self.seed,
-            "ring_roots": list(self.ring_roots),
-            "face_vertices": list(self.face_vertices),
-            "arcs": [list(arc) for arc in zip(c.arc_id, c.arc_head)],
-            "tables": tables,
-            "records": records,
         }
 
     def save(self, sink) -> None:
@@ -846,17 +802,10 @@ class MsspOracle:
         cols = [getattr(self._cols, name) for name in _SECTIONS]
         if _SWAP:
             cols = [_swapped(col) for col in cols]
-        header = {
-            "format": ORACLE_FORMAT,
-            "version": ORACLE_VERSION,
-            "n_original": self.n_original,
-            "w_big": self.w_big,
-            "seed": self.seed,
-            "sections": [
-                [name, col.typecode, len(col), zlib.crc32(col)]
-                for name, col in zip(_SECTIONS, cols)
-            ],
-        }
+        header = self._header()
+        header["sections"] = [
+            [name, col.typecode, len(col), zlib.crc32(col)] for name, col in zip(_SECTIONS, cols)
+        ]
         head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         write(_PRELUDE.pack(_MAGIC, len(head), zlib.crc32(head)))
         write(head)
@@ -1087,6 +1036,11 @@ class _Store:
         self.node_off, self.member_off, self.chain_off, self.hop_off = (
             array("q", [0]) for _ in range(4)
         )
+        # BuildStats' counts of the nodes made into this store, per (level,
+        # one of _LEVEL_COUNTS), and per level each arc's count of trees
+        # (build's collect_edge_stats)
+        self.counts: Counter[tuple[int, str]] = Counter()
+        self.edges: dict[int, Counter] = {}
 
     def add_table(
         self, j: int, t: SSSPTree, at: list[int | None], chain_at: Callable[[int], TailChain]
@@ -1170,7 +1124,11 @@ class _Store:
 
     def merge(self, other: _Store) -> None:
         """Append the blocks of other, a store of the same instance, after
-        this store's own; each offset column continues from its last value."""
+        this store's own, and add its counts to this store's; each offset
+        column continues from its last value."""
+        self.counts.update(other.counts)
+        for level, counter in other.edges.items():
+            self.edges.setdefault(level, Counter()).update(counter)
         self.place += other.place
         for off, cols in (
             ("node_off", ("base", "parent", "arc")), ("member_off", ("root",)),
@@ -1218,8 +1176,8 @@ class _Store:
         return c
 
 
-# the per-level counts of BuildStats.per_level that build adds up
-_LEVEL_COUNTS = ("vertices", "tree_vertices", "contracted_vertices")
+# the counts of each level of BuildStats.per_level, which _Store counts
+_LEVEL_COUNTS = ("nodes", "vertices", "tree_vertices", "contracted_vertices")
 
 # The fewest vertices, ring vertices included, of a normalized graph whose
 # build forks a worker (see build). Below it the fork, the worker's reply
@@ -1265,9 +1223,9 @@ class _Worker:
     The process inherits the caller's memory, so the call takes no
     arguments, and it leaves only through os._exit (_serve), never through
     the caller's frames. join() reads the reply, reaps the process and
-    returns the call's result, re-raising its exception and issuing again
-    the warnings it recorded; kill() ends and reaps a process that join()
-    has not reaped. One of the two must run before the caller returns.
+    returns the call's result or re-raises its exception; kill() ends and
+    reaps a process that join() has not reaped. One of the two must run
+    before the caller returns.
     """
 
     def __init__(self, call: Callable[[], object]):
@@ -1310,9 +1268,7 @@ class _Worker:
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise MsspError(f"the build's worker process ended without a result ({how})")
         # the bytes _serve wrote, in a process this one forked
-        result, error, warned = pickle.loads(reply)
-        for category, message, filename, lineno in warned:
-            warnings.warn_explicit(message, category, filename, lineno)
+        result, error = pickle.loads(reply)
         if error is not None:
             pickled, text, trace = error
             try:
@@ -1334,27 +1290,25 @@ class _Worker:
 
 
 def _serve(call: Callable[[], object], fd: int) -> NoReturn:
-    """In a worker: run call and write to fd, pickled, (result, error,
-    warnings), the error None or (the exception pickled, or None if it
-    does not pickle; its repr; its traceback) and each warning (category,
-    message, filename, line); then exit, 0 once the reply is written."""
+    """In a worker: run call and write to fd, pickled, (result, error),
+    the error None or (the exception pickled, or None if it does not
+    pickle; its repr; its traceback); then exit, 0 once the reply is
+    written."""
     code = 1
     try:
         import pickle
         import traceback
 
-        with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, error = call(), None
+        except BaseException as exc:
             try:
-                result, error = call(), None
-            except BaseException as exc:
-                try:
-                    pickled = pickle.dumps(exc)
-                except Exception:
-                    pickled = None
-                result, error = None, (pickled, repr(exc), traceback.format_exc())
-        warned = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+                pickled = pickle.dumps(exc)
+            except Exception:
+                pickled = None
+            result, error = None, (pickled, repr(exc), traceback.format_exc())
         with os.fdopen(fd, "wb") as pipe:
-            pipe.write(pickle.dumps((result, error, warned)))
+            pipe.write(pickle.dumps((result, error)))
         code = 0
     finally:
         os._exit(code)
@@ -1393,6 +1347,9 @@ def build(
     per level, how many of the trees a node has, stored or not, each arc
     appears in (stats key "tree_arc_max").
 
+    Two arcs from a contracted tree's root to one neighbour with equal
+    (base, perturb) weights raise PerturbationTieError.
+
     When the root node has two children, the first child made and its
     subtree are built in a worker process (os.fork), alongside the second
     child in this one, if the platform forks, at least two CPUs are usable
@@ -1402,15 +1359,15 @@ def build(
     inherit_tree, select_trees, contract_tree, shared_forest,
     EmbeddedDigraph.copy) is rebound to a wrapper from outside the
     package, which would not see the worker's calls; otherwise all of it
-    runs here. The worker returns its stored blocks, rebased
-    onto the parent's when merged, its per-level counts and its edge
-    counters. The oracle, its saved bytes and its stats are the same either
-    way, but stats.worker_cpu_seconds and stats.worker_peak_rss_mb, which
-    report the worker and are None for a build in one process. An exception
-    in the worker is raised here with its type and message (MsspError with
-    its repr if it does not pickle), its warnings are issued again here, and
-    a worker that ends without a result raises MsspError naming its exit
-    status. build neither returns nor raises while its worker runs or is
+    runs here, as it does when os.fork raises OSError. The worker returns
+    its store, whose blocks are rebased onto the parent's and whose counts
+    are added to the parent's when merged. The oracle, its saved bytes and
+    its stats are the same either way, but stats.worker_cpu_seconds and
+    stats.worker_peak_rss_mb, which report the worker and are None for a
+    build in one process. An exception in the worker is raised here with
+    its type and message (MsspError with its repr if it does not pickle),
+    and a worker that ends without a result raises MsspError naming its
+    exit status. build neither returns nor raises while its worker runs or is
     unreaped: on any exception, KeyboardInterrupt too, it kills the worker
     (SIGKILL) and reaps it.
     """
@@ -1418,17 +1375,8 @@ def build(
     ring_roots = norm.ring_roots
     ring_vertex_set = set(ring_roots)
     n_rings = len(ring_roots)
-    nodes_at = Counter(node.level for node in _schedule(n_rings))
-    stats = BuildStats(
-        norm.n_original, n_rings, node_count=nodes_at.total(), max_level=len(nodes_at) - 1,
-        per_level=[
-            {"level": level, "nodes": nodes_at[level], **dict.fromkeys(_LEVEL_COUNTS, 0)}
-            for level in range(len(nodes_at))
-        ],
-    )
     store = _Store(norm)
     absorbed_at: dict[int, tuple[int, int]] = {}  # vertex -> (record key, its root)
-    edge_counters: dict[int, Counter] = {}
     # an arc's original tail: the vertex of its id, its tail dart, in the
     # normalized graph, which the build does not change
     original_at = norm.graph._at
@@ -1495,11 +1443,11 @@ def build(
         nonlocal worker
         i1, i2 = node.interval
         level, children = node.level, node.children
-        lvl = stats.per_level[level]
         adj = out_adjacency(h)
         snap = adj.snap
         vertices = snap.vertices
-        lvl["vertices"] += len(vertices)
+        store.counts[level, "nodes"] += 1
+        store.counts[level, "vertices"] += len(vertices)
         excluded_all = {ring_roots[k] for k in range(i1, i2 + 1)}
         trees: dict[int, SSSPTree] = {}
         for k in node.trees:
@@ -1510,11 +1458,11 @@ def build(
                     check_inherited(h, k, excluded_all - {rk}, trees[k], adj)
             else:
                 trees[k] = sssp_tree(h, rk, excluded_all - {rk}, adj=adj)
-            lvl["tree_vertices"] += trees[k].reached
+            store.counts[level, "tree_vertices"] += trees[k].reached
         # the parent's trees are inherited: drop them
         parent_trees.clear()
         if collect_edge_stats:
-            counter = edge_counters.setdefault(level, Counter())
+            counter = store.edges.setdefault(level, Counter())
             for t in trees.values():
                 # the tree arc's id is its tail dart, the parent dart's reverse
                 counter.update(d ^ 1 for d in t.par_dart if d >= 0)
@@ -1571,7 +1519,9 @@ def build(
             if instrument:
                 check_child(hj, j1, j2, before)
                 del before
-            lvl["contracted_vertices"] += len(moved)
+            # into store as bound now: a worker counts the root node's
+            # first child into its own (in_worker)
+            store.counts[level, "contracted_vertices"] += len(moved)
             absorbed_at.update(moved)
             rec(child, hj, handed)
             for u in moved:
@@ -1596,16 +1546,13 @@ def build(
                     continue
             make(child, handed, n == len(children) - 1)
 
-    def in_worker(make_child: Callable[[], None]) -> tuple:
-        """Run make_child in the worker, into a store, level counts and edge
-        counters of its own, and return them for the parent to merge."""
+    def in_worker(make_child: Callable[[], None]) -> _Store:
+        """Run make_child in the worker, into a store of its own, and return
+        it for the parent to merge."""
         nonlocal store
         store = _Store(norm)
-        for lvl in stats.per_level:
-            lvl.update(dict.fromkeys(_LEVEL_COUNTS, 0))
-        edge_counters.clear()
         make_child()
-        return store, [[lvl[c] for c in _LEVEL_COUNTS] for lvl in stats.per_level], edge_counters
+        return store
 
     forks = _can_fork(norm.graph.vertex_count)
     worker: _Worker | None = None
@@ -1613,14 +1560,7 @@ def build(
         try:
             rec(next(schedule), norm.graph.copy(), {})
             if worker is not None:
-                theirs, counts, edges = worker.join()
-                store.merge(theirs)
-                del theirs
-                for lvl, got in zip(stats.per_level, counts):
-                    for c, x in zip(_LEVEL_COUNTS, got):
-                        lvl[c] += x
-                for level, counter in edges.items():
-                    edge_counters.setdefault(level, Counter()).update(counter)
+                store.merge(worker.join())
         finally:
             # on any failure, KeyboardInterrupt too, no worker outlives build
             if worker is not None:
@@ -1629,17 +1569,25 @@ def build(
         # reference counting free the working graphs, not a later GC pass
         del rec
         cols = store.columns(norm)
+        counts, edges = store.counts, store.edges
         del store
+    per_level = [
+        {"level": level, **{c: counts[level, c] for c in _LEVEL_COUNTS}}
+        for level in range(1 + max(level for level, _ in counts))
+    ]
+    if collect_edge_stats:
+        for level, counter in edges.items():
+            per_level[level]["tree_arc_max"] = max(counter.values()) if counter else 0
+    record_entries = len(cols.record_root)
+    stats = BuildStats(
+        norm.n_original, n_rings, node_count=sum(lvl["nodes"] for lvl in per_level),
+        max_level=len(per_level) - 1, stored_rows=len(cols.node_arc) - record_entries,
+        record_entries=record_entries, chain_elements=len(cols.hop_key), per_level=per_level,
+    )
     if worker is not None:
         usage = worker.rusage
         stats.worker_cpu_seconds = usage.ru_utime + usage.ru_stime
         # ru_maxrss is in kB, but in bytes on macOS
         stats.worker_peak_rss_mb = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1024)
-    if collect_edge_stats:
-        for level, counter in edge_counters.items():
-            stats.per_level[level]["tree_arc_max"] = max(counter.values()) if counter else 0
-    stats.record_entries = len(cols.record_root)
-    stats.stored_rows = len(cols.node_arc) - stats.record_entries
-    stats.chain_elements = len(cols.hop_key)
     stats.build_seconds = time.perf_counter() - t0
     return MsspOracle(norm.n_original, norm.w_big, norm.seed, cols, stats)

@@ -1,24 +1,30 @@
 """An independent writer and reader of oracle files (format version 16),
 for tests.
 
-encode_document turns the logical document that MsspOracle.to_json()
-returns into the bytes of an oracle file, following the layout the
-README describes, and decode turns the bytes back into that document.
-Neither shares code with the package's save() or load(), so a test can
-damage a document the way a broken writer would and load the result,
-and check the package's document against its own file. Each stored arc
-is [id, head], and a node's vertex is the head of its parent arc, so the
-document's node vertices are not written. A document whose node
-vertex is not the head of that node's arc, where the document lists the
-arc, raises ValueError: a damage to a vertex alone would be a silent
-no-op. A node's parent, a vertex in the document, is written as its
-offset in the block, in block order, and a node whose parent is its
-tree's root (r_j for table j, the entry's root for a record entry)
-gets its own offset; a parent that is neither in the block nor the
-root has no offset and raises ValueError. Nor are the document's
-"face_vertices" written: a root's face vertex is the vertex of its
-table's one row whose parent is its ring vertex: the head of the root's
-spoke, the one arc that leaves the ring vertex. No arc's tail is
+decode turns the bytes of an oracle file, following the layout the
+README describes, into one logical document, a nested JSON view of the
+stored trees, and encode_document turns such a document back into
+bytes; document(oracle) decodes the bytes an oracle saves. The two share
+no code with the package's save() or load(), so a test can damage a
+document the way a broken writer would and load the result, and check
+the package's columns and dicts against its own reading. The document
+holds the header values; "ring_roots"; "face_vertices"; "arcs" as [id,
+head]; "tables" as one [j, vertices, bases, parents, arcs, chains] per
+root, where chains lists [row, [[midpoint, side, vertex], ...]]; and
+"records" as [midpoint, side, entries] per record table, each entry
+[vertex, root, delta base, parent, arc, chain]; each tree's nodes in the
+file's block order. Each stored arc is [id, head], and a node's vertex
+is the head of its parent arc, so the document's node vertices are not
+written. A document whose node vertex is not the head of that node's
+arc, where the document lists the arc, raises ValueError: a damage to a
+vertex alone would be a silent no-op. A node's parent, a vertex in the
+document, is written as its offset in the block, in block order, and a
+node whose parent is its tree's root (r_j for table j, the entry's root
+for a record entry) gets its own offset; a parent that is neither in
+the block nor the root has no offset and raises ValueError. Nor are the
+document's "face_vertices" written: a root's face vertex is the vertex
+of its table's one row whose parent is its ring vertex: the head of the
+root's spoke, the one arc that leaves the ring vertex. No arc's tail is
 written. No block holds its tree's root. Each column is stored at the
 narrowest of int16, int32 and int64 ("h", "i", "q") that holds every
 value it has (int16 for an empty column), and its section entry names
@@ -41,6 +47,7 @@ oracle, encode to the same bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import zlib
@@ -200,11 +207,11 @@ def decode_columns(raw: bytes) -> tuple[dict, dict[str, list[int]]]:
 
 
 def decode(raw: bytes) -> dict:
-    """The logical document of an oracle file, as MsspOracle.to_json()
-    gives it: each node's vertex is its arc's head, each parent a vertex
-    (the tree's root, r_j for a table and the record root for a record,
-    for a node that holds its own offset), and each root's face vertex is
-    the vertex of its table's root-marked row."""
+    """The logical document of an oracle file: each node's vertex is its
+    arc's head, each parent a vertex (the tree's root, r_j for a table and
+    the record root for a record, for a node that holds its own offset),
+    and each root's face vertex is the vertex of its table's root-marked
+    row."""
     header, col = decode_columns(raw)
     head = dict(zip(col["arc_id"], col["arc_head"]))
     start, chain_start = col["tree_start"], col["tree_chain_start"]
@@ -250,3 +257,10 @@ def decode(raw: bytes) -> dict:
         "tables": tables,
         "records": records,
     }
+
+
+def document(oracle) -> dict:
+    """The logical document of the file oracle.save() writes."""
+    buf = io.BytesIO()
+    oracle.save(buf)
+    return decode(buf.getvalue())

@@ -8,7 +8,7 @@ import pytest
 
 from planar_mssp import (
     GraphError,
-    PerturbationCollisionWarning,
+    PerturbationTieError,
     build_graph,
     gen_grid,
     normalize,
@@ -190,29 +190,19 @@ def test_contract_tree_effects():
     assert arcs_by_id(g) == [(2, 0, 2, (5, 0)), (5, 2, 0, (5, 0))]
 
 
-def test_contract_tree_tie_keeps_smaller_arc_id():
+def test_contract_tree_tie_raises():
     # reweighted, 1->2 (base 3) costs 2 + 3, exactly the root's own 0->2
-    # (base 5); the dedup warns and keeps the arc on the smaller dart. The
-    # tour meets the member's arc first: on dart 4 the root's arc on dart 2
-    # displaces it, and in the mirror, with the two slots into 2 listed the
-    # other way round, it sits on dart 2 and stays
-    for slots, message, arcs in (
-        (
-            [(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)],
-            "darts 4 and 2",
-            [(2, 0, 2, (5, 0)), (3, 2, 0, (6, 0))],
-        ),
-        (
-            [(0, 1, 0, 0, 2, None), (1, 2, 1, 1, 3, 4), (0, 2, 1, 0, 5, 6)],
-            "darts 2 and 4",
-            [(2, 0, 2, (5, 0)), (5, 2, 0, (6, 0))],
-        ),
+    # (base 5): the shortest paths through them are not unique, so the
+    # dedup raises a typed error, whichever of the two the tour meets first
+    # (the member's arc on dart 4 first, then in the mirror, with the two
+    # slots into 2 listed the other way round, on dart 2)
+    for slots, message in (
+        ([(0, 1, 0, 0, 2, None), (0, 2, 1, 0, 5, 6), (1, 2, 1, 1, 3, 4)], "darts 4 and 2"),
+        ([(0, 1, 0, 0, 2, None), (1, 2, 1, 1, 3, 4), (0, 2, 1, 0, 5, 6)], "darts 2 and 4"),
     ):
         g = build_graph(3, slots)
-        with pytest.warns(PerturbationCollisionWarning, match=message):
+        with pytest.raises(PerturbationTieError, match=rf"equal weight \(5, 0\) .* {message}"):
             contract_tree(g, [two_vertex_tree()])
-        g.check()
-        assert arcs_by_id(g) == arcs
 
 
 def test_contract_tree_deletes_slots_inside_the_tree():

@@ -24,6 +24,7 @@ from planar_mssp import (
 )
 from planar_mssp.normalize import ARC_SPOKE
 from tests.conftest import TRI_ONEWAY_SLOTS
+from tests.oracle_file import document
 from tests.test_io import graphs_equal
 
 
@@ -211,7 +212,7 @@ def _path_or_nothing(self, j, u):
 
 def _spoke(oracle, j):
     """Root j's spoke: the parent arc of table j's row whose parent is r_j."""
-    _, _, _, parents, arcs, _ = oracle.to_json()["tables"][j]
+    _, _, _, parents, arcs, _ = document(oracle)["tables"][j]
     return arcs[parents.index(oracle.ring_roots[j])]
 
 

@@ -14,6 +14,7 @@ from collections import Counter
 import planar_mssp.contraction as contraction_mod
 import planar_mssp.mssp as mssp_mod
 from planar_mssp import EmbeddedDigraph, MsspOracle, build, gen_grid, normalize
+from tests.oracle_file import COLUMNS, columns_of, document, header_values
 
 MSSP_LAYERS = ("sssp_tree", "out_adjacency", "select_trees", "contract_tree")
 
@@ -53,7 +54,10 @@ def test_build_calls_every_wrapped_layer(monkeypatch):
 
 
 def test_to_json_is_kept_for_the_tracer():
+    # the header values and every column of the file, as saved
     assert callable(MsspOracle.to_json)
     g, outer = gen_grid(3, seed=1)
-    doc = build(normalize(g, outer, seed=1)).to_json()
-    assert {"tables", "records", "arcs", "n_original", "version"} <= doc.keys()
+    oracle = build(normalize(g, outer, seed=1))
+    doc = oracle.to_json()
+    assert doc == {**header_values(document(oracle)), **columns_of(document(oracle))}
+    assert list(doc) == ["format", "version", "n_original", "w_big", "seed", *COLUMNS]

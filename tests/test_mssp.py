@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import sys
 import threading
-import warnings
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from planar_mssp import (
     EmbeddedDigraph,
     FaceVertexQueryError,
     MsspError,
-    PerturbationCollisionWarning,
+    PerturbationTieError,
     UNREACHABLE,
     UnreachableError,
     VersionMismatchError,
@@ -49,7 +50,13 @@ from tests.conftest import (
     path_weight,
     schedule_children,
 )
-from tests.oracle_file import columns_of, encode_columns, encode_document, header_values
+from tests.oracle_file import (
+    columns_of,
+    document,
+    encode_columns,
+    encode_document,
+    header_values,
+)
 from tests.test_persistence import GATE_DIGESTS, gate_instance
 
 from planar_mssp import build_graph
@@ -383,7 +390,7 @@ def test_stored_tables_are_the_read_tables(oracle5):
         assert oracle._plans[j].index is oracle.tables[j]
     s = oracle.stats
     assert s.stored_rows == sum(len(t) for t in oracle.tables)
-    doc = oracle.to_json()
+    doc = document(oracle)
     record_chains = sum(len(e[5]) for _, _, entries in doc["records"] for e in entries)
     table_chains = sum(len(hops) for table in doc["tables"] for _, hops in table[5])
     assert table_chains > 0
@@ -445,7 +452,7 @@ def test_every_table_row_is_its_brute_force_distance():
     for name in sorted(GATE_DIGESTS):
         g, face, seed = gate_instance(name)
         norm = normalize(g, face, seed=seed)
-        doc = build(norm).to_json()
+        doc = document(build(norm))
         snap = [(tail, head, a[0], a[1]) for tail, head, a in norm.graph.arc_items()]
         ring = set(norm.ring_roots)
         for r, (j, vertices, bases, *_) in zip(norm.ring_roots, doc["tables"]):
@@ -729,7 +736,7 @@ class Unpicklable(Exception):
         super().__init__(f"{what} at {where}")
 
 
-def test_worker_errors_and_warnings_reach_the_caller(monkeypatch, fork_at):
+def test_worker_errors_reach_the_caller(monkeypatch, fork_at):
     # faults go in through the store: a rebound layer function would keep
     # the build in one process (mssp._layers_rebound)
     g, face, seed = gate_instance("grid8-outer")
@@ -748,16 +755,38 @@ def test_worker_errors_and_warnings_reach_the_caller(monkeypatch, fork_at):
     in_worker(raising(Unpicklable("injected", "the worker")))
     with pytest.raises(MsspError, match=r"raised Unpicklable\('injected at the worker'\)"):
         build(norm)
+    # a tie in the worker's contractions reaches the caller typed
+    in_worker(raising(PerturbationTieError("injected in the worker")))
+    with pytest.raises(PerturbationTieError, match="injected in the worker"):
+        build(norm)
 
-    def warning(*args):
-        warnings.warn("injected in the worker", PerturbationCollisionWarning)
-        return add_record(*args)
 
-    in_worker(warning)
-    with pytest.warns(PerturbationCollisionWarning, match="injected in the worker"):
-        oracle = build(norm)
+def test_a_failed_fork_makes_the_child_here(monkeypatch, fork_at):
+    # os.fork failing for want of a process: the build makes the child in
+    # this process, saves the serial bytes, reports no worker and leaves
+    # neither a child process nor a pipe's fd behind
+    g, face, seed = gate_instance("grid8-outer")
+    norm = normalize(g, face, seed=seed)
     fork_at(False)
-    assert saved_bytes(oracle) == saved_bytes(build(norm))
+    serial = saved_bytes(build(norm))
+    fork_at(True)
+    tried = []
+
+    def no_fork():
+        tried.append(errno.EAGAIN)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = "/proc/self/fd"
+    before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+    oracle = build(norm)
+    assert tried == [errno.EAGAIN]
+    assert saved_bytes(oracle) == serial
+    assert oracle.stats.worker_cpu_seconds is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert sorted(os.listdir(fds)) == before
 
 
 def test_a_killed_worker_raises_mssp_error(monkeypatch, fork_at):
@@ -839,7 +868,7 @@ def test_explain_follows_the_descent(oracle5):
     # record key -> vertex -> the root of its record tree
     roots = {
         (mid, side): {e[0]: e[1] for e in entries}
-        for mid, side, entries in oracle5.to_json()["records"]
+        for mid, side, entries in document(oracle5)["records"]
     }
     for j in range(n):
         intervals = oracle5.descent_intervals(j)
@@ -893,11 +922,51 @@ def test_build_order_independence(norm3, oracle3):
         for u in range(9):
             assert answers(oracle3, j, u) == answers(other, j, u)
     # the stored tables depend on position, not on visit order
-    assert oracle3.to_json() == other.to_json()
+    assert saved_bytes(oracle3) == saved_bytes(other)
 
 
 def test_build_determinism(norm3, oracle3):
-    assert oracle3.to_json() == build(norm3).to_json()
+    assert saved_bytes(oracle3) == saved_bytes(build(norm3))
+
+
+def test_forced_perturbation_ties_raise_a_typed_error_or_answer_exactly():
+    # grids of weights 0 to 3 whose perturbations are redrawn from {0},
+    # {0, 1} or {0, ..., 3}, so that many arcs tie: each build raises an
+    # MsspError, never another error, or answers every distance, and every
+    # path from b_j to u with its base, exactly. A tie that contraction's
+    # dedup let through could leave a stored arc on a deleted dart, which
+    # the store then read as None (TypeError)
+    outcomes = Counter()
+    for k in (4, 5, 6):
+        for s in range(14):
+            g, outer = gen_grid(k, max_weight=3, seed=s)
+            norm = normalize(g, outer, seed=s)
+            h = norm.graph
+            for top in (0, 1, 3):
+                rng = random.Random(100 * s + k)
+                for d in sorted(h._arc):
+                    if h._arc[d] is not None:
+                        h._arc[d] = (h._arc[d][0], rng.randint(0, top))
+                try:
+                    oracle = build(norm)
+                except MsspError as exc:
+                    outcomes[type(exc).__name__] += 1
+                    continue
+                snap = [(tail, head, a[0], a[1]) for tail, head, a in h.arc_items()]
+                ring = set(norm.ring_roots)
+                for j, (r, b) in enumerate(zip(norm.ring_roots, norm.face_vertices)):
+                    expected = brute_distances(snap, r, ring - {r})
+                    for u in range(norm.n_original):
+                        path = oracle.query_path(j, u)
+                        at = b
+                        for a in path:
+                            assert h.dart_vertex(a) == at, (k, s, top, j, u)
+                            at = h.dart_vertex(a ^ 1)
+                        assert at == u, (k, s, top, j, u)
+                        base = sum(h._arc[a][0] for a in path)
+                        assert oracle.distance(j, u) == base == expected[u][0], (k, s, top, j, u)
+                outcomes["exact"] += 1
+    assert outcomes["PerturbationTieError"] and outcomes["exact"], outcomes
 
 
 def test_queries_from_several_threads_match_serial_answers():
@@ -940,7 +1009,6 @@ def test_round_trip_file_object(oracle3):
     again = io.BytesIO()
     loaded.save(again)
     assert again.getvalue() == buf.getvalue()
-    assert loaded.to_json() == oracle3.to_json()
 
 
 def test_round_trip_path(tmp_path, oracle3):
@@ -954,7 +1022,7 @@ def test_round_trip_path(tmp_path, oracle3):
 
 
 def test_load_rejects_bad_documents(tmp_path, oracle3):
-    doc = oracle3.to_json()
+    doc = document(oracle3)
 
     wrong_version = json.loads(json.dumps(doc))
     wrong_version["version"] = 99

@@ -46,47 +46,50 @@ from tests.oracle_file import (
     columns_of,
     decode,
     encode_columns,
+    document,
     encode_document,
     header_values,
     narrowest,
 )
 
-# SHA-256 of each saved oracle, and of the compact JSON of its
-# to_json()["records"]. The record digests were taken from the version 8
-# code, whose records versions 9 to 14 keep byte for byte. The file
+# SHA-256 of each saved oracle, and of the compact JSON of its logical
+# document's "records" (document(), which decodes the saved file; up to
+# version 16 the package's to_json gave the same document, and "its
+# document" below is that one). The record digests were taken from the
+# version 8 code, whose records versions 9 to 14 keep byte for byte. The file
 # digests were taken from the version 9 code once these held for each
 # instance: its records match the version 8 digest; every
 # table row's base is the brute-force distance from its root
 # (test_mssp.py); an instrumented build, which compares every inherited
 # tree with a fresh Dijkstra on its node's graph, saves the same bytes;
 # tests/oracle_file.py, which shares no code with save(), encodes its
-# to_json() to the same bytes; and its document differs from version 8's
+# document to the same bytes; and its document differs from version 8's
 # only in "version", "tables" and "stats" (stored_rows, chain_elements,
 # each level's tree counts, and no per-level record_entries). For version
 # 10 each instance's version 9 document, with "version" 10 and without
 # each level's "slots", "arcs" and "tree_arcs" stats, was encoded by
 # tests/oracle_file.py, which writes each column at its narrowest width;
-# the version 10 save() writes exactly those bytes, and its to_json() is
-# that document. For version 11 each instance's version 10 document, with
+# the version 10 save() writes exactly those bytes, and its document is
+# that one. For version 11 each instance's version 10 document, with
 # "version" 11, without each table's row of its ring vertex (which has no
 # chain, and the chained rows come before it) and with stats.stored_rows
 # less the ring count, was encoded the same way; the version 11 save()
-# writes exactly those bytes, and its to_json() is that document. For
+# writes exactly those bytes, and its document is that one. For
 # version 12 each instance's version 11 document, with "version" 12 and
 # without "stats", was encoded by tests/oracle_file.py, which no longer
 # writes the face_vertices column; the version 12 save() writes exactly
 # those bytes, an instrumented build with edge stats saves them too, and
-# its to_json() and its loaded oracle's are that document. For version
+# its document and its loaded oracle's are that document. For version
 # 13 each instance's version 12 document, with "version" 13 and each arc
 # [id, tail, head, base] without its perturbation, was encoded by
 # tests/oracle_file.py, which no longer writes the arc_perturb column; the
-# version 13 save() writes exactly those bytes, and its to_json() and its
+# version 13 save() writes exactly those bytes, and its document and its
 # loaded oracle's are that document. For version 14 each instance's
 # version 13 document, with "version" 14 and each arc [id, tail, head]
 # without its base, was encoded by tests/oracle_file.py, which no longer
 # writes the node vertex and arc base columns (and checks that each node's
 # vertex is its arc's head); the version 14 save() writes exactly those
-# bytes, and its to_json() and its loaded oracle's are that document. For
+# bytes, and its document and its loaded oracle's are that document. For
 # version 16 each instance's version 15 file, read with tests/oracle_file.py
 # and without its arc_tail column, was written as version 16 by that
 # module's encoder (tests/oracles/v16_digests.py); the version 16 save()
@@ -121,7 +124,7 @@ RECORD_DIGESTS = {
 
 
 def records_digest(oracle) -> str:
-    records = oracle.to_json()["records"]
+    records = document(oracle)["records"]
     return hashlib.sha256(json.dumps(records, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -206,7 +209,7 @@ def test_saved_bytes_match_gate_digest(tmp_path, name):
     oracle.save(str(path))
     data = saved(oracle)
     assert path.read_bytes() == data
-    assert encode_document(oracle.to_json()) == data
+    assert encode_document(document(oracle)) == data
     assert records_digest(oracle) == RECORD_DIGESTS[name]
     assert hashlib.sha256(data).hexdigest() == GATE_DIGESTS[name]
     # the stored tables depend on position, not on the order children are built
@@ -238,14 +241,22 @@ def test_saved_bytes_match_gate_digest_large():
 
 @pytest.mark.parametrize("name", [*sorted(GATE_DIGESTS), LARGE_GATE[0]])
 def test_decoded_file_is_the_logical_document(name):
-    # tests/oracle_file.py reads the file with struct alone, so the
-    # document the package gives and the bytes it saves are checked against
-    # an independent reader, both ways
+    # tests/oracle_file.py reads the file with struct alone, so the package
+    # is checked against an independent reader, both ways: the document it
+    # decodes holds the oracle's face vertices and, block by block, the
+    # vertices of its vertex -> node dicts in block order, and the same
+    # columns (to_json lists the oracle's), for the built oracle and the
+    # loaded one; and it encodes back to the saved bytes
     g, face, seed = gate_instance(name)
     oracle = build(normalize(g, face, seed=seed))
     data = saved(oracle)
     doc = decode(data)
-    assert doc == oracle.to_json()
+    for held in (oracle, load(io.BytesIO(data))):
+        assert doc["face_vertices"] == list(held.face_vertices)
+        assert [table[1] for table in doc["tables"]] == list(map(list, held.tables))
+        records = [[mid, side, [e[0] for e in entries]] for mid, side, entries in doc["records"]]
+        assert records == [[key >> 1, key & 1, list(index)] for key, index in held.records.items()]
+        assert {**header_values(doc), **columns_of(doc)} == held.to_json()
     assert encode_document(doc) == data
 
 
@@ -295,7 +306,7 @@ OLD_VERSIONS = {
     "version, held", OLD_VERSIONS.items(), ids=[f"v{v}" for v in OLD_VERSIONS]
 )
 def test_file_of_an_earlier_version_is_rejected(version, held):
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     doc["version"] = version
     if version <= 3:
         with pytest.raises(VersionMismatchError, match=rf"version {version}\b"):
@@ -314,8 +325,28 @@ def test_header_without_a_version_number_is_corrupt():
         load(io.BytesIO(damaged))
 
 
+def test_header_that_is_not_json_is_corrupt():
+    # the header's opening brace replaced, its length and checksum kept:
+    # load parses the header before it checks the checksum
+    data = saved(small_oracle())
+    damaged = data[:16] + b"x" + data[17:]
+    with pytest.raises(CorruptFileError, match="invalid header"):
+        load(io.BytesIO(damaged))
+
+
+def test_header_edited_under_its_old_checksum_fails_it():
+    # another seed: valid JSON of the same format and version, which loads
+    # under its own checksum and fails the one it replaced
+    data = saved(small_oracle())
+    edited = with_header(data, lambda h: h.update(seed=h["seed"] + 1))
+    assert load(io.BytesIO(edited)).seed == header_of(data)["seed"] + 1
+    damaged = edited[:12] + data[12:16] + edited[16:]
+    with pytest.raises(CorruptFileError, match="the header fails its checksum"):
+        load(io.BytesIO(damaged))
+
+
 def test_missing_terminal_table_is_rejected():
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     j = len(doc["tables"]) // 3
     del doc["tables"][j]
     with pytest.raises(CorruptFileError, match="one per root"):
@@ -324,14 +355,14 @@ def test_missing_terminal_table_is_rejected():
 
 def test_missing_node_is_rejected():
     # the stream ends one table early: the last root has no table
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     del doc["tables"][-1]
     with pytest.raises(CorruptFileError, match="one per root"):
         load_doc(doc)
 
 
 def test_duplicated_root_table_is_rejected():
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     doc["tables"].append(doc["tables"][-1])
     with pytest.raises(CorruptFileError, match="one per root"):
         load_doc(doc)
@@ -343,7 +374,7 @@ def test_table_out_of_root_order_is_rejected():
     # descent, so only the spokes' ids tie a table to its root: without
     # that rule, tables 0 and 1 (both at leaf [0, 1]) swapped loaded and
     # answered 32 pairs wrong with no error
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     for j in range(len(doc["tables"]) - 1):
         damaged = json.loads(json.dumps(doc))
         tables = damaged["tables"]
@@ -375,7 +406,7 @@ def drop_rows(table: list, rows) -> None:
 
 
 def test_truncated_column_is_rejected():
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     table = doc["tables"][0]
     # the table loses three rows, the last that no row has as its parent
     # (a parent must be in the block for the encoder to write its offset),
@@ -391,7 +422,7 @@ def test_truncated_column_is_rejected():
 def test_table_zero_missing_a_row_is_rejected():
     # vertex 1 would silently stop being queryable: query_vertices is read
     # from root 0's descent, the records its plan reads and table 0
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     table = doc["tables"][0]
     row = query_vertex_at(table)
     for col in table[1:5]:
@@ -419,7 +450,7 @@ def test_flipped_column_byte_fails_its_checksum():
 def test_vertex_listed_twice_is_rejected():
     # the later row would answer for the repeated vertex, without an error:
     # a node given its sibling's arc has its sibling's vertex, the arc's head
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     _, vertices, _, _, arcs, _ = doc["tables"][5]
     vertices[1], arcs[1] = vertices[0], arcs[0]
     with pytest.raises(CorruptFileError, match="listed twice"):
@@ -448,7 +479,7 @@ def move_row(doc: dict, table: list, vertex: int) -> None:
 def test_encoder_rejects_a_vertex_that_is_not_its_arcs_head():
     # the file stores no node vertex, so a damage to a vertex alone would
     # encode to the undamaged file
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     doc["tables"][5][1][0] = 10**6
     with pytest.raises(ValueError, match="node vertex 1000000 is not the head"):
         encode_document(doc)
@@ -456,7 +487,7 @@ def test_encoder_rejects_a_vertex_that_is_not_its_arcs_head():
 
 def test_table_vertex_outside_table_zero_is_rejected():
     # distance(5, 1) raised a bare internal MsspError when this loaded
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     move_row(doc, doc["tables"][5], 10**6)
     with pytest.raises(
         CorruptFileError, match="table 5 lists vertex 1000000, which root 0's descent"
@@ -469,7 +500,7 @@ def test_table_zero_vertex_replaced_is_rejected():
     # from root 0's descent. Root 0's descent still holds 16 vertices, but
     # normalize numbers the ring vertices from one past the largest of them
     # (and table 1, stored at the same leaf, lists vertex 1)
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     move_row(doc, doc["tables"][0], 10**6)
     with pytest.raises(
         CorruptFileError, match="the ring roots are not the 12 ids that follow 1000000"
@@ -480,7 +511,7 @@ def test_table_zero_vertex_replaced_is_rejected():
 def test_table_zero_holding_another_ring_vertex_is_rejected():
     # root 0's descent holds the original vertices only, and the ring
     # vertices are the ids that follow the largest of them
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     ring = doc["ring_roots"]
     move_row(doc, doc["tables"][0], ring[1])
     with pytest.raises(
@@ -494,7 +525,7 @@ def test_table_listing_its_own_ring_vertex_is_rejected(j):
     # no stored tree holds its root: a row for r_j, at base 0 under its
     # face vertex b_j, with a new arc into r_j, is one vertex too many
     # for table 0 and a vertex of no descent for table 5
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     table = doc["tables"][j]
     r, b = doc["ring_roots"][j], doc["face_vertices"][j]
     row = (r, 0, b, new_arc(doc, r))
@@ -511,7 +542,7 @@ def test_table_listing_its_own_ring_vertex_is_rejected(j):
 def test_node_arc_of_minus_one_is_rejected():
     # a version 10 table root row (r_j, base 0, parent and arc -1), with
     # the root as its parent, as an offset cannot name -1: -1 is no arc id
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     table = doc["tables"][5]
     r = doc["ring_roots"][5]
     for col, value in zip(table[1:5], (r, 0, r, -1)):
@@ -524,7 +555,7 @@ def test_table_missing_a_row_raises_at_query():
     # a table other than table 0 may hold fewer vertices than root 0's
     # descent; a query that ends at the missing one raises a typed error,
     # not a KeyError
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     table = doc["tables"][5]
     row = query_vertex_at(table)
     for col in table[1:5]:
@@ -537,7 +568,7 @@ def test_table_missing_a_row_raises_at_query():
 def test_record_entry_that_is_its_own_root_is_rejected():
     # _descend reroutes on every record hit: this entry would add its delta
     # to every distance through its vertex, with no error
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     entry = doc["records"][0][2][0]
     # it is its root's child, so it keeps its own offset and only its
     # record root changes
@@ -551,7 +582,7 @@ def test_record_entry_that_is_its_own_root_is_rejected():
 def test_record_under_a_key_of_no_node_is_rejected():
     # key (1, 1) is the right leaf [1, 2] of the 12 roots' recursion, which
     # is not built: no descent would read the record, yet it loaded
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     assert all((mid, side) != (1, 1) for mid, side, _ in doc["records"])
     doc["records"].append([1, 1, [list(doc["records"][0][2][0])]])
     with pytest.raises(CorruptFileError, match=r"record \(1, 1\) is keyed by no node"):
@@ -564,7 +595,7 @@ def test_foreign_vertex_on_root_zero_descent_is_rejected():
     # vertices, so it loaded, 10**6 became a query vertex and 5 stopped
     # being one. normalize numbers the ring vertices from one past the
     # largest input id
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     entries = next(e for mid, side, e in doc["records"] if (mid, side) == (2, 0))
     entry = next(e for e in entries if e[0] == 5)
     entry[0], entry[4] = 10**6, new_arc(doc, 10**6)
@@ -577,7 +608,7 @@ def test_foreign_vertex_on_root_zero_descent_is_rejected():
 def test_negative_base_is_rejected():
     # a version 7 unreached row: another ring vertex at base -1, with the
     # root as its parent, as an offset cannot name -1
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     table = doc["tables"][1]
     ring = doc["ring_roots"]
     for col, value in zip(table[1:5], (ring[2], -1, ring[1], -1)):
@@ -589,7 +620,7 @@ def test_negative_base_is_rejected():
 def test_block_with_more_chains_than_nodes_is_rejected():
     # a block's chains belong to its first nodes, one each; the first block
     # is given one chain more than it has nodes
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     col = columns_of(doc)
     start, chains = col["tree_start"], col["tree_chain_start"]
     more = start[1] - start[0] + 1
@@ -676,7 +707,7 @@ LOAD_RULES = {
 @pytest.mark.parametrize("rule", sorted(LOAD_RULES))
 def test_each_load_rule_rejects_its_damage(rule):
     part, edit, message = LOAD_RULES[rule]
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     col = columns_of(doc)
     if part == "columns":
         edit(col)
@@ -700,7 +731,7 @@ def test_every_stored_section_is_read():
     # without a trace: each section has a value whose change, by one, load
     # rejects or that changes some answer over all (j, u)
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
     expected = [answers(oracle, j, u) for j, u in pairs]
     cols = columns_of(doc)
@@ -731,7 +762,7 @@ def spoke_ids(doc: dict) -> set[int]:
 def test_non_spoke_first_path_arc_is_rejected_at_load():
     # every path's first arc is its root's spoke, which query_path drops;
     # with another arc there, every path raised a bare internal MsspError
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     spokes = spoke_ids(doc)
     damaged = json.loads(json.dumps(doc))
     # each spoke row's arc becomes another into the same face vertex, under
@@ -772,7 +803,7 @@ def test_spoke_damage_census():
     # its type. Version 15 loaded 22 of the 48 head damages, whose changed
     # answers were typed errors at query
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     col = columns_of(doc)
     pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
     expected = outcomes(oracle, pairs)
@@ -825,7 +856,7 @@ def test_self_parent_table_raises_in_bounded_time():
     # a node that holds its own offset is a child of the block's root, so a
     # cycle takes two nodes or more
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     for r, table in zip(doc["ring_roots"], doc["tables"]):
         # every row but the spoke row, which load checks, in one cycle: each
         # row's parent is the next row's vertex
@@ -845,7 +876,7 @@ def test_self_parent_record_raises_in_bounded_time():
     # as for a table, the entries of every record of two or more entries in
     # one cycle: each entry's parent is the next entry's vertex
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     cycled = set()
     for mid, side, entries in doc["records"]:
         if len(entries) > 1:
@@ -895,7 +926,7 @@ def offsets_damaged(doc: dict, damage) -> bytes:
 def test_record_parent_outside_its_table_raises():
     # a parent offset can name no node of another block: every record
     # node's offset one past its block's last is rejected at load
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     k = len(doc["records"])
     data = offsets_damaged(doc, lambda off, p, size, b: size if b < k else off)
     with pytest.raises(CorruptFileError, match=r"record \(\d+, \d\): a parent offset lies"):
@@ -908,7 +939,7 @@ def test_fuzz_parent_offsets_fail_typed_or_answer():
     # the file, or every (j, u) answers or raises an MsspError; an
     # IndexError or a KeyError fails the test
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     col = columns_of(doc)
     pairs = [(j, u) for j in range(oracle.ring_count) for u in sorted(oracle.query_vertices)]
     start, parent = col["tree_start"], col["node_parent"]
@@ -935,7 +966,7 @@ def test_fuzz_parent_offsets_fail_typed_or_answer():
 
 
 def test_chain_key_without_record_raises():
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     chains = [chain for table in doc["tables"] for _, chain in table[5]]
     assert chains, "fixture oracle has no tail chains"
     for chain in chains:
@@ -947,7 +978,7 @@ def test_chain_key_without_record_raises():
 def test_chain_that_expands_into_itself_raises():
     # a record entry whose tail chain hops back to the entry itself: the
     # expansion would recurse without end
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     for mid, side, entries in doc["records"]:
         for entry in entries:
             if entry[0] != entry[1]:  # not the record tree's root
@@ -964,7 +995,7 @@ def test_chains_of_two_records_that_hop_into_each_other_raise():
     # it appends an arc, so the path never grows and the length bound never
     # fires: the recursion limit ends it
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     j, u, (key, v) = next(
         (j, u, hit)
         for j in range(oracle.ring_count)
@@ -1002,7 +1033,7 @@ def nested_chains(d: int, m: int = 10) -> tuple[dict, int, int]:
     """
     g, outer = gen_grid(8, seed=1)
     oracle = build(normalize(g, outer, seed=1))
-    doc = oracle.to_json()
+    doc = document(oracle)
     entries = next(e for mid, side, e in doc["records"] if (mid, side) == (1, 0))
     assert len(entries) >= d
     root = entries[0][1]
@@ -1036,7 +1067,7 @@ def test_chains_nested_past_the_longest_path_raise():
 def test_parent_vertex_outside_its_node_raises():
     # every table row's offset but the spoke row's, one past its block's
     # last, is rejected at load
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     k = len(doc["records"])
     data = offsets_damaged(doc, lambda off, p, size, b: size if b >= k and off != p else off)
     with pytest.raises(CorruptFileError, match="table 0: a parent offset lies outside"):
@@ -1048,7 +1079,7 @@ def test_parent_vertex_outside_its_node_raises():
 def test_one_parent_offset_outside_its_block_is_rejected(block, offset):
     # the first block is a record and the last a table; the block's last
     # node gets offset -1 or the block's size, one past its last node
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     col = columns_of(doc)
     start = col["tree_start"]
     b = 0 if block == "first" else len(start) - 2
@@ -1080,7 +1111,7 @@ def test_offset_range_check_matches_a_plain_loop(typecode):
 def test_second_root_marked_row_in_a_table_is_rejected():
     # a row that holds its own offset has the ring vertex as its parent:
     # one more such row in table 3 would start a path without the spoke
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     col = columns_of(doc)
     start, k = col["tree_start"], len(doc["records"])
     a, z = start[k + 3], start[k + 4]
@@ -1093,7 +1124,7 @@ def test_second_root_marked_row_in_a_table_is_rejected():
 
 
 def test_parent_arc_outside_the_arc_list_raises():
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     for table in doc["tables"]:
         table[4] = [10**6] * len(table[4])
     with pytest.raises(CorruptFileError, match="arc ids"):
@@ -1103,7 +1134,7 @@ def test_parent_arc_outside_the_arc_list_raises():
 def test_unknown_arc_later_in_a_path_is_rejected_at_load():
     # one parent arc that is never a path's first arc (not a spoke): a
     # path walk would report it after the arcs before it
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     spokes = spoke_ids(doc)
     par_arc = next(
         table[4] for table in doc["tables"]
@@ -1116,7 +1147,7 @@ def test_unknown_arc_later_in_a_path_is_rejected_at_load():
 
 
 def test_unknown_record_arc_is_rejected_at_load():
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     entry = doc["records"][0][2][0]
     entry[4] = 10**6
     with pytest.raises(CorruptFileError, match="arc ids"):
@@ -1152,7 +1183,7 @@ def test_each_column_is_stored_at_its_narrowest_width(name):
     data = saved(oracle)
     loaded = load(io.BytesIO(data))
     sections = header_of(data)["sections"]
-    assert [entry[0] for entry in sections] == list(columns_of(oracle.to_json()))
+    assert [entry[0] for entry in sections] == list(columns_of(document(oracle)))
     for section, typecode, count, _ in sections:
         col = getattr(oracle._cols, section)
         assert typecode == col.typecode == narrowest(col), (name, section)
@@ -1187,7 +1218,7 @@ def test_bases_near_the_admission_cap_are_stored_as_int64():
 
 @pytest.mark.parametrize("typecode", ["b", "Q", "d", "hh", 4])
 def test_section_of_another_typecode_is_rejected(typecode):
-    doc = small_oracle().to_json()
+    doc = document(small_oracle())
     data = encode_columns(
         header_values(doc), columns_of(doc), typecodes={"node_base": typecode}
     )
@@ -1200,11 +1231,11 @@ def test_negative_base_is_rejected_at_any_width(typecode):
     # the sign test reads the most significant byte of each base, whatever
     # its width; the same file without the negative base loads
     oracle = small_oracle()
-    doc = oracle.to_json()
+    doc = document(oracle)
     widths = {"node_base": typecode}
     loaded = load(io.BytesIO(encode_columns(header_values(doc), columns_of(doc), True, widths)))
     assert loaded._cols.node_base.typecode == typecode
-    assert loaded.to_json() == doc
+    assert document(loaded) == doc
     table = doc["tables"][1]
     ring = doc["ring_roots"]
     for col, value in zip(table[1:5], (ring[2], -1, ring[1], -1)):
